@@ -26,8 +26,6 @@ blocked (no successors).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -110,7 +108,9 @@ class TransitionSystem:
                  transitions: Dict[Tuple[int, int], Tuple[int, ...]],
                  initial: List[int],
                  partition: Optional[Partition] = None,
-                 ctx: Optional[_BuildContext] = None):
+                 ctx: Optional[_BuildContext] = None,
+                 truncated: bool = False,
+                 cell_table: Optional[List[Cell]] = None):
         self.kind = kind
         self.states = states
         self.inputs = [np.atleast_1d(np.asarray(u, dtype=float)) for u in inputs]
@@ -119,6 +119,12 @@ class TransitionSystem:
         self.partition = partition
         self._ctx = ctx
         self._by_id = {s.id: s for s in states}
+        # tube exploration hit its budget: some frontier pairs are blocked
+        self.truncated = truncated
+        # knot cells of a tube model parsed without its partition
+        self.cell_table = cell_table
+        # (max_hold, hold sequences) cached by hold-mode synthesis
+        self._hold_seqs: Optional[Tuple[int, Dict[Tuple[int, int], List[int]]]] = None
 
     def state(self, sid: int) -> AbstractState:
         return self._by_id[sid]
@@ -194,13 +200,6 @@ def log_input_lattice(lo, hi, p: LogQuantizerParams) -> List[np.ndarray]:
 # delay-free model
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SYMQUANT_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _cell_radius(part: Partition, cell: Cell, eta: float, L: float,
                  tau: float, scale: float) -> np.ndarray:
     """Growth radius for one source cell (log formula or subcell spread)."""
@@ -244,27 +243,16 @@ def build_delayfree(sys: ControlSystem, tau: float,
     if not cells:
         raise ValueError("empty state lattice")
 
-    def eval_cell(cell: Cell):
+    transitions: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    for cell in cells:
         L = estimate_lipschitz(sys, cell, lipschitz)
         radius = _cell_radius(part, cell, eta, L, tau, growth_scale)
-        rows = {}
         for iid, u in enumerate(inputs):
             x1 = integrate(sys, cell.quantized_point, u, tau, steps)
             if np.any(x1 < sys.state_lo) or np.any(x1 > sys.state_hi):
                 continue  # nominal endpoint leaves X: blocked pair
             succ = part.intersecting(x1 - radius, x1 + radius)
-            rows[(cell.id, iid)] = tuple(succ)
-        return rows
-
-    workers = _workers()
-    transitions: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for rows in ex.map(eval_cell, cells):
-                transitions.update(rows)
-    else:
-        for cell in cells:
-            transitions.update(eval_cell(cell))
+            transitions[(cell.id, iid)] = tuple(succ)
 
     states = [AbstractState(c.id, cell=c) for c in cells]
     ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,
@@ -479,7 +467,6 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
     states = [AbstractState(ids[t], tube=t) for t in order]
     ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,
                         growth_scale=growth_scale, knot_thetas=thetas, L2=L2)
-    ts = TransitionSystem("timedelay", states, inputs, transitions,
-                          initial=[0], partition=part, ctx=ctx)
-    ts.truncated = truncated
-    return ts
+    return TransitionSystem("timedelay", states, inputs, transitions,
+                            initial=[0], partition=part, ctx=ctx,
+                            truncated=truncated)

@@ -170,18 +170,14 @@ class TimeDelaySystem:
 DEFAULT_STEPS = 20
 
 
-def integrate(sys: ControlSystem, x0, u, tau: float, steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """Endpoint of the trajectory from x0 under constant input u over tau.
+def _rk4(fns, x: list, u: list, h: float, steps: int, finite) -> list:
+    """`steps` classical RK4 steps of size h under the constant input u.
 
-    Fixed-step classical RK4 with step tau/steps.  The trajectory is not
-    confined to the state box; callers decide what leaving it means.
+    x and u hold one entry per coordinate: floats for one trajectory, or
+    (K,) arrays for K trajectories at once.  Both run this same body, so
+    every column of a batch sees the scalar operations in the scalar
+    association and equals the single run bit for bit.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    fns = [e.fn for e in sys.f]
-    u = [float(v) for v in np.atleast_1d(u)]
-    x = [float(v) for v in np.atleast_1d(x0)]
-    h = tau / steps
     n = len(x)
     for k in range(steps):
         try:
@@ -192,14 +188,67 @@ def integrate(sys: ControlSystem, x0, u, tau: float, steps: int = DEFAULT_STEPS)
             k3 = [fn(x3, u, None) for fn in fns]
             x4 = [x[i] + h * k3[i] for i in range(n)]
             k4 = [fn(x4, u, None) for fn in fns]
-        except (OverflowError, ValueError) as err:
+        except (ArithmeticError, ValueError) as err:
             raise IntegrationError(
                 f"derivative evaluation failed at t={k * h:.6g}: {err}") from err
         x = [x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
              for i in range(n)]
-        if not all(math.isfinite(v) for v in x):
-            raise IntegrationError(
-                f"non-finite state at t={(k + 1) * h:.6g} from x0={list(np.atleast_1d(x0))}, u={u}")
+        if not finite(x):
+            raise IntegrationError(f"non-finite state at t={(k + 1) * h:.6g}")
+    return x
+
+
+def _floats_finite(x: list) -> bool:
+    return all(math.isfinite(v) for v in x)
+
+
+def _arrays_finite(x: list) -> bool:
+    return all(np.isfinite(v).all() for v in x)
+
+
+def integrate(sys: ControlSystem, x0, u, tau: float, steps: int = DEFAULT_STEPS) -> np.ndarray:
+    """Endpoint of the trajectory from x0 under constant input u over tau.
+
+    Fixed-step classical RK4 with step tau/steps.  The trajectory is not
+    confined to the state box; callers decide what leaving it means.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    fns = [e.fn for e in sys.f]
+    u = [float(v) for v in np.atleast_1d(u)]
+    x0 = [float(v) for v in np.atleast_1d(x0)]
+    try:
+        x = _rk4(fns, x0, u, tau / steps, steps, _floats_finite)
+    except IntegrationError as err:
+        raise IntegrationError(f"{err} from x0={x0}, u={u}") from err.__cause__
+    return np.array(x)
+
+
+def integrate_batch(sys: ControlSystem, X, U, tau: float,
+                    steps: int = DEFAULT_STEPS) -> np.ndarray:
+    """integrate() for K starts at once: column j of the (n, K) result is
+    integrate(sys, X[:, j], U[:, j], tau, steps), bit for bit.
+
+    X is (n, K) and U is (m, K).  When any trajectory fails, the error is
+    the one integrate() raises for the first failing column.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    X = np.asarray(X, dtype=float)
+    U = np.asarray(U, dtype=float)
+    if X.ndim != 2 or X.shape[0] != sys.n or U.shape != (sys.m, X.shape[1]):
+        raise ValueError(f"need X of shape ({sys.n}, K) and U of shape "
+                         f"({sys.m}, K), got {X.shape} and {U.shape}")
+    fns = [e.vfn for e in sys.f]
+    try:
+        # float arithmetic raises on x/0 and math functions raise outside
+        # their domain; make numpy do the same, and let overflow give inf
+        with np.errstate(divide="raise", invalid="raise", over="ignore"):
+            x = _rk4(fns, list(X), list(U), tau / steps, steps, _arrays_finite)
+    except IntegrationError:
+        for j in range(X.shape[1]):
+            integrate(sys, X[:, j], U[:, j], tau, steps)
+        raise
     return np.array(x)
 
 
@@ -283,7 +332,7 @@ def integrate_delay(sys: TimeDelaySystem, history: SampledCurve,
             k2 = stage(t + 0.5 * h, [x[i] + 0.5 * h * k1[i] for i in range(n)])
             k3 = stage(t + 0.5 * h, [x[i] + 0.5 * h * k2[i] for i in range(n)])
             k4 = stage(t + h, [x[i] + h * k3[i] for i in range(n)])
-        except (OverflowError, ValueError) as err:
+        except (ArithmeticError, ValueError) as err:
             raise IntegrationError(
                 f"derivative evaluation failed at t={t:.6g}: {err}") from err
         x = [x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
@@ -347,7 +396,11 @@ def estimate_lipschitz(sys: Union[ControlSystem, TimeDelaySystem], cell,
                 if th == theta:
                     out[i] = out[i] + off
             return out
-        vals = [fn(x, u, hist if delay_cols else None) for fn in fns]
+        try:
+            vals = [fn(x, u, hist if delay_cols else None) for fn in fns]
+        except (ArithmeticError, ValueError) as err:
+            raise IntegrationError(
+                f"derivative evaluation failed at x={x}, u={u}: {err}") from err
         if not all(math.isfinite(v) for v in vals):
             raise IntegrationError(f"non-finite derivative sample at x={x}, u={u}")
         return vals

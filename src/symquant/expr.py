@@ -20,20 +20,14 @@ integrator static.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-FUNCTIONS = ("sin", "cos", "tan", "exp", "abs", "sqrt")
+import numpy as np
 
-_FN = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "abs": abs,
-    "sqrt": math.sqrt,
-}
+FUNCTIONS = ("sin", "cos", "tan", "exp", "abs", "sqrt")
 
 
 class ExprError(ValueError):
@@ -90,13 +84,29 @@ class Expression:
     root: Node
     source: str
     _fn: Optional[Callable] = field(default=None, repr=False, compare=False)
+    _vfn: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     @property
     def fn(self) -> Callable:
         """Compiled closure (x, u, history) -> float, cached on first use."""
         if self._fn is None:
-            self._fn = _compile(self.root)
+            self._fn = _compile(self.root, _FN)
         return self._fn
+
+    @property
+    def vfn(self) -> Callable:
+        """Compiled closure (x, u, None) -> (K,) array, cached on first use.
+
+        x and u are lists of (K,) arrays, one per coordinate; column j of the
+        result equals fn at column j of the arguments bit for bit.  Only
+        delay-free expressions have a vector form.
+        """
+        if self._vfn is None:
+            if self.delays():
+                raise ExprError(f"expression {self.source!r} has delay terms "
+                                f"and no vector form")
+            self._vfn = _compile(self.root, _vector_table())
+        return self._vfn
 
     def delays(self) -> set[tuple[int, float]]:
         """All (state index, theta) pairs appearing in delay() terms."""
@@ -113,7 +123,7 @@ class Expression:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_fn"] = None  # compiled closure is rebuilt on demand
+        state["_fn"] = state["_vfn"] = None  # closures are rebuilt on demand
         return state
 
 
@@ -323,8 +333,77 @@ def _max_indices(node: Node) -> tuple[int, int]:
     return 0, 0
 
 
-def _compile(node: Node) -> Callable:
-    """Fold the AST into nested closures; same arithmetic, fewer dispatches."""
+def _pow(a: float, b: float) -> float:
+    """a ** b, which must be real: Python turns a negative base with a
+    fractional exponent into a complex number."""
+    r = a ** b
+    if type(r) is complex:
+        raise ExprError(f"{a!r}^{b!r} has no real value")
+    return r
+
+
+# scalar evaluation: one float per call
+_FN = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "abs": abs,
+    "sqrt": math.sqrt,
+    "^": _pow,
+}
+
+
+def _each(f: Callable) -> Callable:
+    """f applied elementwise, for functions whose ufunc rounds differently."""
+    def g(a):
+        if isinstance(a, np.ndarray):
+            return np.fromiter(map(f, a.tolist()), float, a.size)
+        return f(float(a))
+    return g
+
+
+def _vpow(a, b):
+    """_pow elementwise over arrays, or on two scalars."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.broadcast_arrays(a, b)
+        return np.fromiter(map(_pow, a.tolist(), b.tolist()), float, a.size)
+    return _pow(float(a), float(b))
+
+
+@functools.cache
+def _vector_table() -> dict:
+    """Vector evaluation: ufuncs where they round like the scalar functions.
+
+    sqrt and abs are exact in IEEE arithmetic.  Whether np.sin and np.cos
+    match the C library depends on the numpy build and the CPU, so each is
+    compared with its math twin on a probe set once and replaced by an
+    elementwise math call when any value differs.  np.exp, np.tan and
+    np.power differ on common builds and are never used.
+    """
+    probe = np.random.default_rng(0).uniform(-8.0, 8.0, 4096)
+
+    def pick(ufunc, f):
+        same = np.array_equal(ufunc(probe), list(map(f, probe.tolist())))
+        return ufunc if same else _each(f)
+
+    return {
+        "sin": pick(np.sin, math.sin),
+        "cos": pick(np.cos, math.cos),
+        "tan": _each(math.tan),
+        "exp": _each(math.exp),
+        "abs": np.abs,
+        "sqrt": np.sqrt,
+        "^": _vpow,
+    }
+
+
+def _compile(node: Node, table: dict) -> Callable:
+    """Fold the AST into nested closures; same arithmetic, fewer dispatches.
+
+    table maps each FUNCTIONS member and '^' to its implementation: _FN for
+    floats, _vector_table() for arrays.
+    """
     if isinstance(node, Const):
         v = node.value
         return lambda x, u, h: v
@@ -339,14 +418,14 @@ def _compile(node: Node) -> Callable:
         th = node.theta
         return lambda x, u, h: h(th)[i]
     if isinstance(node, Unary):
-        f = _compile(node.arg)
+        f = _compile(node.arg, table)
         if node.op == "neg":
             return lambda x, u, h: -f(x, u, h)
-        g = _FN[node.op]
+        g = table[node.op]
         return lambda x, u, h: g(f(x, u, h))
     if isinstance(node, Binary):
-        fl = _compile(node.left)
-        fr = _compile(node.right)
+        fl = _compile(node.left, table)
+        fr = _compile(node.right, table)
         op = node.op
         if op == "+":
             return lambda x, u, h: fl(x, u, h) + fr(x, u, h)
@@ -357,7 +436,8 @@ def _compile(node: Node) -> Callable:
         if op == "/":
             return lambda x, u, h: fl(x, u, h) / fr(x, u, h)
         if op == "^":
-            return lambda x, u, h: fl(x, u, h) ** fr(x, u, h)
+            pw = table["^"]
+            return lambda x, u, h: pw(fl(x, u, h), fr(x, u, h))
     raise ExprError(f"cannot compile node {node!r}")
 
 
@@ -369,7 +449,7 @@ def evaluate(e: Expression, x, u, history=None) -> float:
     delay-free expressions it is ignored.
     """
     if e._fn is None:
-        e._fn = _compile(e.root)
+        e._fn = _compile(e.root, _FN)
     try:
         return e._fn(x, u, history)
     except TypeError:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .abstraction import (SplineTube, TransitionSystem, _tube_theta2,
                           psi2, tube_interpolant)
-from .dynamics import SampledCurve, integrate, integrate_delay
+from .dynamics import SampledCurve, integrate_batch, integrate_delay
 from .quantizers import Partition
 
 
@@ -155,8 +155,8 @@ def sample_frr_delayfree(sys, ts: TransitionSystem, F: RefinementMap,
     ctx = _ctx_of(ts)
     rng = np.random.default_rng(seed)
     cells = [s.cell for s in ts.states]
-    violations: List[Violation] = []
-    checked = skipped = 0
+    drawn: List[Tuple[np.ndarray, int, int]] = []  # (x, abstract state, input id)
+    skipped = 0
     for _ in range(n_samples):
         cell = cells[int(rng.integers(len(cells)))]
         x = rng.uniform(cell.lower, cell.upper)
@@ -165,8 +165,15 @@ def sample_frr_delayfree(sys, ts: TransitionSystem, F: RefinementMap,
         if not enabled:
             skipped += 1
             continue
-        iid = enabled[int(rng.integers(len(enabled)))]
-        x_next = integrate(sys, x, ts.inputs[iid], ctx.tau, ctx.steps)
+        drawn.append((x, x2, enabled[int(rng.integers(len(enabled)))]))
+    violations: List[Violation] = []
+    checked = 0
+    if drawn:
+        X = np.array([x for x, _, _ in drawn]).T
+        U = np.array([ts.inputs[iid] for _, _, iid in drawn]).T
+        X_next = integrate_batch(sys, X, U, ctx.tau, ctx.steps)
+    for j, (x, x2, iid) in enumerate(drawn):
+        x_next = X_next[:, j].copy()
         if np.any(x_next < sys.state_lo) or np.any(x_next > sys.state_hi):
             skipped += 1
             continue

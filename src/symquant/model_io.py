@@ -46,9 +46,8 @@ class ModelFormatError(ValueError):
 def _cells_for_serialization(ts: TransitionSystem) -> List[Cell]:
     if ts.partition is not None:
         return ts.partition.cells
-    table = getattr(ts, "cell_table", None)
-    if table is not None:
-        return table
+    if ts.cell_table is not None:
+        return ts.cell_table
     raise ModelFormatError("tube model carries no cell table to serialize")
 
 
@@ -133,12 +132,10 @@ def parse_sts(text: str) -> TransitionSystem:
                                    f"({src}, {iid}) -> {dsts}")
         if not 0 <= iid < n_inputs:
             raise ModelFormatError(f"transition references unknown input {iid}")
-    ts = TransitionSystem(kind, states, input_list, trans,
-                          initial=[s.id for s in states] if kind == "delayfree" else
-                          [states[0].id] if states else [])
-    if tubes:
-        ts.cell_table = cells
-    return ts
+    return TransitionSystem(kind, states, input_list, trans,
+                            initial=[s.id for s in states] if kind == "delayfree" else
+                            [states[0].id] if states else [],
+                            cell_table=cells if tubes else None)
 
 
 def write_ts(ts: TransitionSystem, path: str) -> None:

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .abstraction import TransitionSystem
-from .dynamics import integrate
+from .dynamics import integrate_batch
 from .frr import RefinementMap
 
 
@@ -93,25 +93,33 @@ def _robust_reach(ts: TransitionSystem, target: Tuple[int, ...]):
 
 def _hold_sequences(ts: TransitionSystem, max_hold: int) -> Dict[Tuple[int, int], List[int]]:
     """Cell id sequence visited by holding each input from each state's
-    quantized point, truncated at the state box or max_hold; memoized on ts."""
-    cache = getattr(ts, "_hold_seqs", None)
-    if cache is not None and cache[0] >= max_hold:
-        return cache[1]
+    quantized point, truncated at the state box or max_hold; memoized on ts.
+
+    All (state, input) pairs advance together, one period per batch; a pair
+    whose endpoint leaves the state box drops out and is never integrated
+    again.
+    """
+    if ts._hold_seqs is not None and ts._hold_seqs[0] >= max_hold:
+        return ts._hold_seqs[1]
     ctx = ts._ctx
     if ctx is None or ts.partition is None:
         raise SynthesisError("model carries no build context; rebuild from config")
     sys, part = ctx.sys, ts.partition
-    seqs: Dict[Tuple[int, int], List[int]] = {}
-    for s in ts.states:
-        for iid, u in enumerate(ts.inputs):
-            x = s.cell.quantized_point
-            visited: List[int] = []
-            for _ in range(max_hold):
-                x = integrate(sys, x, u, ctx.tau, ctx.steps)
-                if np.any(x < sys.state_lo) or np.any(x > sys.state_hi):
-                    break
-                visited.append(part.locate(x))
-            seqs[(s.id, iid)] = visited
+    pairs = [(s.id, iid) for s in ts.states for iid in range(len(ts.inputs))]
+    seqs: Dict[Tuple[int, int], List[int]] = {p: [] for p in pairs}
+    points = np.array([s.cell.quantized_point for s in ts.states])
+    X = np.repeat(points, len(ts.inputs), axis=0).T
+    U = np.tile(np.array(ts.inputs), (len(ts.states), 1)).T
+    live = np.arange(len(pairs))
+    lo, hi = sys.state_lo[:, None], sys.state_hi[:, None]
+    for _ in range(max_hold):
+        if not live.size:
+            break
+        X = integrate_batch(sys, X, U[:, live], ctx.tau, ctx.steps)
+        inside = np.all((X >= lo) & (X <= hi), axis=0)
+        X, live = X[:, inside], live[inside]
+        for j, x in zip(live.tolist(), X.T):
+            seqs[pairs[j]].append(part.locate(x))
     ts._hold_seqs = (max_hold, seqs)
     return seqs
 

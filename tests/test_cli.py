@@ -231,6 +231,22 @@ def test_bad_config_is_exit_1(ws, tmp_path, capsys):
     assert "abstraction.eta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rhs,why", [
+    ("1/x1 + u1", "float division by zero"),
+    ("x1^0.5 + u1", "has no real value"),
+])
+def test_evaluation_error_is_exit_1(tmp_path, capsys, rhs, why):
+    # the origin cell's quantized point has x1 = 0 and the left half of the
+    # lattice has x1 < 0
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(PENDULUM_INI.replace("-1.96*sin(x1) - 1.5*x2 + u1", rhs))
+    rc = main(["abstract", "--config", str(cfg), "--out", str(tmp_path / "x.sts")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: derivative evaluation failed")
+    assert why in err
+
+
 def test_missing_config_is_exit_1(tmp_path, capsys):
     rc = main(["abstract", "--config", str(tmp_path / "ghost.ini"),
                "--out", str(tmp_path / "x.sts")])

@@ -113,3 +113,30 @@ def test_delays_collects_pairs():
 
 def test_float_literals():
     assert evaluate(parse("1.5e-3 + .25"), [], []) == pytest.approx(0.25150)
+
+
+def test_fractional_power_of_negative_base_is_an_error():
+    # Python's ** would return a complex number here
+    with pytest.raises(ExprError, match="no real value"):
+        evaluate(parse("x1^0.5"), [-0.25], [])
+    assert evaluate(parse("x1^0.5"), [0.25], []) == 0.5
+    assert evaluate(parse("x1^2"), [-0.5], []) == 0.25
+
+
+def test_vector_form_matches_scalar_and_pickles():
+    import pickle
+
+    import numpy as np
+    e = parse("sin(x1)*u1 + exp(-x1^2) - abs(x1)^1.5")
+    x = np.linspace(-2.0, 2.0, 9)
+    u = np.linspace(0.5, 1.5, 9)
+    got = e.vfn([x], [u], None)
+    want = [e.fn([a], [b], None) for a, b in zip(x.tolist(), u.tolist())]
+    assert got.tobytes() == np.array(want).tobytes()
+    e2 = pickle.loads(pickle.dumps(e))
+    assert e2.root == e.root and e2._fn is None and e2._vfn is None
+
+
+def test_vector_form_needs_a_delay_free_expression():
+    with pytest.raises(ExprError, match="no vector form"):
+        parse("delay(x1, 0.1) + x1").vfn

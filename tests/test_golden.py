@@ -1,0 +1,51 @@
+"""Output bytes pinned by sha256.
+
+The digests were recorded with the one-trajectory-at-a-time integrator,
+before hold synthesis and the sampled FRR witness were batched; a change
+that moves them changes program output and must say why.
+"""
+
+import hashlib
+
+import numpy as np
+
+from symquant import (RefinementMap, Specification, build_delayfree,
+                      sample_frr_delayfree, serialize_controller,
+                      synthesize_sequence)
+
+HOLD_CTRL_SHA256 = "69ad4a30c970e9df8c0a231242cf6b9c6f4d128dee7aa303a710cbfe05ae1ab6"
+FRR_SHA256 = "9c3acc10ab933fa889441f854103948223cb1d9bc9e29b755f119a89900c2bfc"
+FRR_SABOTAGED_SHA256 = "dbf96604cb016ff95e9a7a64f9ca96b358195862a0707cbc9a51c08a0aa35e0c"
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def frr_reports(sys, ts) -> str:
+    F = RefinementMap.from_ts(ts)
+    return "\n".join(sample_frr_delayfree(sys, ts, F, 1000, seed).as_text()
+                     for seed in (1, 2, 3))
+
+
+def test_hold_sequence_controller_bytes(pendulum_ts):
+    part = pendulum_ts.partition
+    cid = lambda x, y: part.locate(np.array([x, y]))
+    phi = 0.48
+    s1 = [cid(0, 0), cid(-phi, 0)]
+    s2 = [cid(0, phi), cid(phi, 0), cid(0, -phi), cid(-phi, 0)]
+    spec = Specification("sequence", [(q,) for q in s1 + s1 + s2 + s1 + s1])
+    ctrl = synthesize_sequence(pendulum_ts, spec, mode="hold")
+    assert sha(serialize_controller(ctrl)) == HOLD_CTRL_SHA256
+
+
+def test_frr_report_text(pendulum, pendulum_ts):
+    assert sha(frr_reports(pendulum, pendulum_ts)) == FRR_SHA256
+
+
+def test_frr_report_text_with_violations(pendulum, logparams):
+    ts0 = build_delayfree(pendulum, 0.2, logparams, lipschitz=6.0,
+                          growth_scale=0.0)
+    text = frr_reports(pendulum, ts0)
+    assert text.count("\nviolation ") == 1078
+    assert sha(text) == FRR_SABOTAGED_SHA256
