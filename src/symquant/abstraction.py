@@ -33,7 +33,7 @@ import numpy as np
 
 from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
                        DEFAULT_STEPS, estimate_lipschitz, integrate,
-                       integrate_delay)
+                       integrate_delay_batch, interpolate_batch)
 from .quantizers import (Cell, LogQuantizerParams, Partition,
                          ZoomQuantizerParams, log_quantize)
 
@@ -196,6 +196,16 @@ def log_input_lattice(lo, hi, p: LogQuantizerParams) -> List[np.ndarray]:
     return out
 
 
+def input_lattice(lo, hi, input_quantization) -> List[np.ndarray]:
+    """The inputs of a model: ('uniform', mu) or ('log', LogQuantizerParams)."""
+    kind, spec = input_quantization
+    if kind == "uniform":
+        return uniform_input_lattice(lo, hi, spec)
+    if kind == "log":
+        return log_input_lattice(lo, hi, spec)
+    raise ValueError(f"unknown input quantization {kind!r}")
+
+
 # ---------------------------------------------------------------------------
 # delay-free model
 
@@ -230,13 +240,7 @@ def build_delayfree(sys: ControlSystem, tau: float,
         raise ValueError("tau must be positive")
     part = partition if partition is not None else \
         Partition(sys.state_lo, sys.state_hi, log_params)
-    kind, spec = input_quantization
-    if kind == "uniform":
-        inputs = uniform_input_lattice(sys.input_lo, sys.input_hi, spec)
-    elif kind == "log":
-        inputs = log_input_lattice(sys.input_lo, sys.input_hi, spec)
-    else:
-        raise ValueError(f"unknown input quantization {kind!r}")
+    inputs = input_lattice(sys.input_lo, sys.input_hi, input_quantization)
 
     eta = part.params[0].eta
     cells = part.cells
@@ -356,14 +360,31 @@ def tube_interpolant(tube: SplineTube, partition: Partition,
     return SampledCurve(-Theta, 0.0, pts)
 
 
-def _tube_theta2(tube: SplineTube, partition: Partition) -> float:
-    """max over knots of the zoom width, cell half-width where unrefined."""
-    worst = 0.0
+def _knot_widths(tube: SplineTube, partition: Partition) -> List[float]:
+    """Each knot's zoom width, its cell half-width where unrefined."""
+    out = []
     for k in tube.knots:
         zp = partition.zoom_params_of(k)
-        contrib = zp.width if zp is not None else partition.cell(k).half_width
-        worst = max(worst, contrib)
-    return worst
+        out.append(zp.width if zp is not None else partition.cell(k).half_width)
+    return out
+
+
+def _tube_theta2(tube: SplineTube, partition: Partition) -> float:
+    """max over knots of the zoom width, cell half-width where unrefined."""
+    return max(_knot_widths(tube, partition))
+
+
+def _boxes_meet_knot_cells(box_lo, box_hi, cell_lo, cell_hi) -> np.ndarray:
+    """(P, T) mask: at every knot j, tube t's knot cell meets box j of pair p.
+
+    Boxes are (P, J, n), knot cells (T, J, n); closed boxes, so touching
+    faces count, as in Cell.intersects and Partition.intersecting.
+    """
+    meets = np.ones((len(box_lo), len(cell_lo)), dtype=bool)
+    for j, i in np.ndindex(*cell_lo.shape[1:]):
+        meets &= cell_lo[None, :, j, i] <= box_hi[:, None, j, i]
+        meets &= box_lo[:, None, j, i] <= cell_hi[None, :, j, i]
+    return meets
 
 
 def build_timedelay(sys: TimeDelaySystem, tau: float,
@@ -390,16 +411,9 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
         raise ValueError("tau must be positive")
     base = Partition(sys.state_lo, sys.state_hi, log_params)
     part = base.refined(zoom_assignments) if zoom_assignments else base
-    kind, spec = input_quantization
-    if kind == "uniform":
-        inputs = uniform_input_lattice(sys.input_lo, sys.input_hi, spec)
-    elif kind == "log":
-        inputs = log_input_lattice(sys.input_lo, sys.input_hi, spec)
-    else:
-        raise ValueError(f"unknown input quantization {kind!r}")
+    inputs = input_lattice(sys.input_lo, sys.input_hi, input_quantization)
 
     thetas = knot_times(N, -sys.Theta, 0.0)
-    periods = sys.input_delay_periods(tau)
     if isinstance(lipschitz, (int, float)):
         L2 = float(lipschitz)
     else:
@@ -415,6 +429,7 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
     kernel: Dict[Tuple[int, int], Tuple[np.ndarray, float]] = {}
     nominal: Dict[Tuple[int, int], SplineTube] = {}
     truncated = False
+    U = np.array(inputs).T
 
     head = 0
     while head < len(order):
@@ -423,9 +438,11 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
         head += 1
         hist = tube_interpolant(tube, part, sys.Theta)
         radius = _tube_theta2(tube, part) * amp
-        for iid, u in enumerate(inputs):
-            xtau = integrate_delay(sys, hist, [u] * periods, u, tau, steps)
-            pts = np.array([xtau(th) for th in thetas])
+        H = np.repeat(hist.values[:, :, None], len(inputs), axis=2)
+        knots = interpolate_batch(integrate_delay_batch(sys, H, U, tau, steps),
+                                  sys.Theta, thetas)
+        for iid in range(len(inputs)):
+            pts = knots[:, :, iid]
             if np.any(pts < sys.state_lo) or np.any(pts > sys.state_hi):
                 continue  # a nominal knot leaves X: blocked pair
             succ = SplineTube(tuple(part.locate(p) for p in pts))
@@ -441,28 +458,24 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
                 ids[succ] = len(order)
                 order.append(succ)
 
-    # index tubes by (knot slot, cell id) for successor matching
-    n_knots = len(thetas)
-    by_knot: List[Dict[int, set]] = [{} for _ in range(n_knots)]
-    for t, tid in ids.items():
-        for j, c in enumerate(t.knots):
-            by_knot[j].setdefault(c, set()).add(tid)
-
+    # successors: every discovered tube whose knot cells all meet the growth
+    # boxes around the nominal knot points (closed boxes, touching counts)
+    pairs = [key for key in kernel if nominal[key] in ids]
+    cells = [[part.cell(k) for k in t.knots] for t in order]
+    cell_lo = np.array([[c.lower for c in row] for row in cells])  # (T, J, n)
+    cell_hi = np.array([[c.upper for c in row] for row in cells])
     transitions: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    for (tid, iid), (pts, radius) in kernel.items():
-        if nominal[(tid, iid)] not in ids:
-            continue  # nominal successor lost to truncation: blocked
-        matched: Optional[set] = None
-        for j in range(n_knots):
-            cj = part.intersecting(pts[j] - radius, pts[j] + radius)
-            hits: set = set()
-            for c in cj:
-                hits |= by_knot[j].get(c, set())
-            matched = hits if matched is None else (matched & hits)
-            if not matched:
-                break
-        if matched:
-            transitions[(tid, iid)] = tuple(sorted(matched))
+    chunk = max(1, (1 << 16) // len(order))  # pairs per (P, T) test
+    for start in range(0, len(pairs), chunk):
+        keys = pairs[start:start + chunk]
+        pts = np.array([kernel[key][0] for key in keys])  # (P, J, n)
+        radius = np.array([kernel[key][1] for key in keys])[:, None, None]
+        meets = _boxes_meet_knot_cells(pts - radius, pts + radius,
+                                       cell_lo, cell_hi)
+        for key, row in zip(keys, meets):
+            succ = np.flatnonzero(row)
+            if succ.size:
+                transitions[key] = tuple(succ.tolist())
 
     states = [AbstractState(ids[t], tube=t) for t in order]
     ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,

@@ -60,6 +60,11 @@ def cmd_abstract(args: argparse.Namespace) -> int:
     kind = "time-delay" if ts.kind == "timedelay" else "delay-free"
     print(f"abstract: wrote {kind} model with {len(ts.states)} states, "
           f"{len(ts.inputs)} inputs, {ts.n_transitions} transitions to {args.out}")
+    if ts.truncated:
+        print(f"warning: tube exploration stopped at the budget of "
+              f"{cfg.budget} tubes; pairs whose nominal successor was not "
+              f"discovered are blocked, so the model is partial",
+              file=sys.stderr)
     return 0
 
 

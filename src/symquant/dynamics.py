@@ -23,6 +23,21 @@ class IntegrationError(RuntimeError):
     pass
 
 
+def _interp(values: np.ndarray, t0: float, spacing: float, t: float) -> np.ndarray:
+    """The value at time t of samples taken at t0, t0 + spacing, ...: linear
+    between rows, clamped to the first and last.  values is (k+1, ...); the
+    trailing axes ride along, so (k+1, n, K) holds K curves on one grid."""
+    if values.shape[0] == 1:
+        return values[0]
+    s = (t - t0) / spacing
+    s = min(max(s, 0.0), float(values.shape[0] - 1))
+    i = int(s)
+    if i >= values.shape[0] - 1:
+        return values[-1]
+    frac = s - i
+    return (1.0 - frac) * values[i] + frac * values[i + 1]
+
+
 @dataclass(frozen=True)
 class SampledCurve:
     """A curve on [t0, t1] sampled on a uniform grid, linearly interpolated."""
@@ -47,15 +62,7 @@ class SampledCurve:
         return (self.t1 - self.t0) / k if k else 0.0
 
     def __call__(self, t: float) -> np.ndarray:
-        if self.values.shape[0] == 1:
-            return self.values[0]
-        s = (t - self.t0) / self.spacing
-        s = min(max(s, 0.0), float(self.values.shape[0] - 1))
-        i = int(s)
-        if i >= self.values.shape[0] - 1:
-            return self.values[-1]
-        frac = s - i
-        return (1.0 - frac) * self.values[i] + frac * self.values[i + 1]
+        return _interp(self.values, self.t0, self.spacing, t)
 
     @staticmethod
     def constant(t0: float, t1: float, x, k: int = 1) -> "SampledCurve":
@@ -246,14 +253,97 @@ def integrate_batch(sys: ControlSystem, X, U, tau: float,
         with np.errstate(divide="raise", invalid="raise", over="ignore"):
             x = _rk4(fns, list(X), list(U), tau / steps, steps, _arrays_finite)
     except IntegrationError:
-        for j in range(X.shape[1]):
-            integrate(sys, X[:, j], U[:, j], tau, steps)
-        raise
+        # rerun one column at a time: the first failing column raises its
+        # own error, and if none fails the scalar results stand
+        cols = [integrate(sys, X[:, j], U[:, j], tau, steps)
+                for j in range(X.shape[1])]
+        return np.stack(cols, axis=1)
     return np.array(x)
 
 
 # ---------------------------------------------------------------------------
 # method of steps for time-delay systems
+
+
+def _method_of_steps(sys: TimeDelaySystem, fns, values: np.ndarray, t0: float,
+                     spacing: float, u: list, tau: float, steps: int,
+                     finite) -> np.ndarray:
+    """One sampling period of the method of steps from the history `values`.
+
+    values is (k+1, n) for one history or (k+1, n, K) for K histories, all
+    sampled at t0, t0 + spacing, ... over [-Theta, 0]; u holds the input
+    active on [0, tau], one float or (K,) array per coordinate.  Returns
+    x(tau + theta) for theta in [-Theta, 0] on the history grid, (k+1, n)
+    or (k+1, n, K); a single row when Theta = 0.  Both shapes run this same
+    body, so every column of a batch equals the single run bit for bit.
+    """
+    n_hist = values.shape[0] - 1  # grid intervals over [-Theta, 0]
+    if sys.Theta > 0.0:
+        h_hist = sys.Theta / max(n_hist, 1)
+        per = tau / h_hist
+        if abs(per - round(per)) > 1e-9:
+            raise ValueError(
+                f"history spacing {h_hist:.6g} does not divide tau={tau}")
+        n_tau_coarse = int(round(per))
+    else:
+        h_hist = tau
+        n_tau_coarse = 1
+
+    # fine substep: at most tau/steps, at most the smallest positive delay,
+    # and an integer fraction of the history spacing
+    h_des = min(tau / steps, sys.min_positive_delay())
+    m_sub = max(1, int(math.ceil(h_hist / h_des - 1e-12)))
+    h = h_hist / m_sub
+    n = sys.n
+
+    # trajectory samples on the fine grid from -Theta to tau, filled as we go
+    n_past = n_hist * m_sub
+    n_fwd = n_tau_coarse * m_sub
+    traj = np.empty((n_past + n_fwd + 1,) + values.shape[1:])
+    for j in range(n_past + 1):
+        traj[j] = _interp(values, t0, spacing, -sys.Theta + j * h)
+
+    def sample(t: float) -> np.ndarray:
+        s = (t + sys.Theta) / h
+        i = int(s)
+        if i >= n_past + n_fwd:
+            return traj[n_past + n_fwd]
+        if i < 0:
+            return traj[0]
+        frac = s - i
+        if frac == 0.0:
+            return traj[i]
+        return (1.0 - frac) * traj[i] + frac * traj[i + 1]
+
+    def stage(t: float, x: list) -> list:
+        def hist(theta: float):
+            if theta == 0.0:
+                return x
+            return sample(t - theta)
+        return [fn(x, u, hist) for fn in fns]
+
+    # one trajectory steps on floats, a batch on (K,) rows
+    x = traj[n_past].tolist() if traj.ndim == 2 else list(traj[n_past].copy())
+    for k in range(n_fwd):
+        t = k * h
+        try:
+            k1 = stage(t, x)
+            k2 = stage(t + 0.5 * h, [x[i] + 0.5 * h * k1[i] for i in range(n)])
+            k3 = stage(t + 0.5 * h, [x[i] + 0.5 * h * k2[i] for i in range(n)])
+            k4 = stage(t + h, [x[i] + h * k3[i] for i in range(n)])
+        except (ArithmeticError, ValueError) as err:
+            raise IntegrationError(
+                f"derivative evaluation failed at t={t:.6g}: {err}") from err
+        x = [x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+             for i in range(n)]
+        if not finite(x):
+            raise IntegrationError(f"non-finite state at t={t + h:.6g}")
+        traj[n_past + k + 1] = x
+
+    if sys.Theta == 0.0:
+        return traj[-1][None]
+    last = n_past + n_fwd
+    return traj[last - n_hist * m_sub:last + 1:m_sub].copy()
 
 
 def integrate_delay(sys: TimeDelaySystem, history: SampledCurve,
@@ -277,75 +367,61 @@ def integrate_delay(sys: TimeDelaySystem, history: SampledCurve,
     else:
         u_eff = u_now
     u_eff = [float(v) for v in np.atleast_1d(u_eff)]
-
-    n_hist = history.values.shape[0] - 1  # grid intervals over [-Theta, 0]
-    if sys.Theta > 0.0:
-        h_hist = sys.Theta / max(n_hist, 1)
-        per = tau / h_hist
-        if abs(per - round(per)) > 1e-9:
-            raise ValueError(
-                f"history spacing {h_hist:.6g} does not divide tau={tau}")
-        n_tau_coarse = int(round(per))
-    else:
-        h_hist = tau
-        n_tau_coarse = 1
-
-    # fine substep: at most tau/steps, at most the smallest positive delay,
-    # and an integer fraction of the history spacing
-    h_des = min(tau / steps, sys.min_positive_delay())
-    m_sub = max(1, int(math.ceil(h_hist / h_des - 1e-12)))
-    h = h_hist / m_sub
-    fns = [e.fn for e in sys.f]
-    n = sys.n
-
-    # trajectory samples on the fine grid from -Theta to tau, filled as we go
-    n_past = n_hist * m_sub
-    n_fwd = n_tau_coarse * m_sub
-    traj = np.empty((n_past + n_fwd + 1, n))
-    for j in range(n_past + 1):
-        traj[j] = history(-sys.Theta + j * h)
-
-    def sample(t: float) -> np.ndarray:
-        s = (t + sys.Theta) / h
-        i = int(s)
-        if i >= n_past + n_fwd:
-            return traj[n_past + n_fwd]
-        if i < 0:
-            return traj[0]
-        frac = s - i
-        if frac == 0.0:
-            return traj[i]
-        return (1.0 - frac) * traj[i] + frac * traj[i + 1]
-
-    def stage(t: float, x: List[float]) -> List[float]:
-        def hist(theta: float):
-            if theta == 0.0:
-                return x
-            return sample(t - theta)
-        return [fn(x, u_eff, hist) for fn in fns]
-
-    x = [float(v) for v in traj[n_past]]
-    for k in range(n_fwd):
-        t = k * h
-        try:
-            k1 = stage(t, x)
-            k2 = stage(t + 0.5 * h, [x[i] + 0.5 * h * k1[i] for i in range(n)])
-            k3 = stage(t + 0.5 * h, [x[i] + 0.5 * h * k2[i] for i in range(n)])
-            k4 = stage(t + h, [x[i] + h * k3[i] for i in range(n)])
-        except (ArithmeticError, ValueError) as err:
-            raise IntegrationError(
-                f"derivative evaluation failed at t={t:.6g}: {err}") from err
-        x = [x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-             for i in range(n)]
-        if not all(math.isfinite(v) for v in x):
-            raise IntegrationError(f"non-finite state at t={t + h:.6g}")
-        traj[n_past + k + 1] = x
-
+    out = _method_of_steps(sys, [e.fn for e in sys.f], history.values,
+                           history.t0, history.spacing, u_eff, tau, steps,
+                           _floats_finite)
     if sys.Theta == 0.0:
-        return SampledCurve(0.0, 0.0, traj[-1][None, :])
-    last = n_past + n_fwd
-    out = traj[last - n_hist * m_sub:last + 1:m_sub]
-    return SampledCurve(-sys.Theta, 0.0, out.copy())
+        return SampledCurve(0.0, 0.0, out)
+    return SampledCurve(-sys.Theta, 0.0, out)
+
+
+def integrate_delay_batch(sys: TimeDelaySystem, H, U, tau: float,
+                          steps: int = DEFAULT_STEPS) -> np.ndarray:
+    """integrate_delay() for K histories at once.
+
+    H is (k+1, n, K): column j is a history on the uniform grid over
+    [-Theta, 0] (one row when Theta = 0).  U is (m, K): column j is the
+    input active on [0, tau], whatever the input delay.  Column j of the
+    result is integrate_delay(sys, SampledCurve(-Theta, 0, H[:, :, j]),
+    [U[:, j]] * (r/tau), U[:, j], tau, steps).values, bit for bit.  When
+    any trajectory fails, the error is the one integrate_delay() raises for
+    the first failing column.
+    """
+    H = np.asarray(H, dtype=float)
+    U = np.asarray(U, dtype=float)
+    if H.ndim != 3 or H.shape[0] < 1 or H.shape[1] != sys.n or \
+            U.shape != (sys.m, H.shape[2]):
+        raise ValueError(f"need H of shape (k+1, {sys.n}, K) and U of shape "
+                         f"({sys.m}, K), got {H.shape} and {U.shape}")
+    if sys.Theta == 0.0 and H.shape[0] != 1:
+        raise ValueError("degenerate interval needs exactly one sample")
+    periods = sys.input_delay_periods(tau)
+    k = H.shape[0] - 1
+    spacing = sys.Theta / k if k else 0.0  # as SampledCurve.spacing
+    fns = [e.vfn for e in sys.f]
+    try:
+        # see integrate_batch: numpy raises where float arithmetic does
+        with np.errstate(divide="raise", invalid="raise", over="ignore"):
+            return _method_of_steps(sys, fns, H, -sys.Theta, spacing, list(U),
+                                    tau, steps, _arrays_finite)
+    except IntegrationError:
+        cols = []
+        for j in range(H.shape[2]):
+            u = U[:, j]
+            hist = SampledCurve(-sys.Theta, 0.0, H[:, :, j])
+            cols.append(integrate_delay(sys, hist, [u] * periods, u, tau,
+                                        steps).values)
+        return np.stack(cols, axis=2)
+
+
+def interpolate_batch(values: np.ndarray, Theta: float, times) -> np.ndarray:
+    """(len(times), n, K): K curves on the uniform grid over [-Theta, 0],
+    values (k+1, n, K) as integrate_delay_batch returns them, at each time.
+    Column j equals SampledCurve(-Theta, 0, values[:, :, j])(t) bit for bit.
+    """
+    k = values.shape[0] - 1
+    spacing = Theta / k if k else 0.0
+    return np.stack([_interp(values, -Theta, spacing, t) for t in times])
 
 
 # ---------------------------------------------------------------------------

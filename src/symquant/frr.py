@@ -19,9 +19,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .abstraction import (SplineTube, TransitionSystem, _tube_theta2,
-                          psi2, tube_interpolant)
-from .dynamics import SampledCurve, integrate_batch, integrate_delay
+from .abstraction import (SplineTube, TransitionSystem, _knot_widths,
+                          _tube_theta2, psi2, tube_interpolant)
+from .dynamics import (SampledCurve, integrate_batch, integrate_delay_batch,
+                       interpolate_batch)
 from .quantizers import Partition
 
 
@@ -186,15 +187,8 @@ def sample_frr_delayfree(sys, ts: TransitionSystem, F: RefinementMap,
     return FrrReport(n_samples, checked, skipped, violations, seed)
 
 
-def _jitter_bounds(tube: SplineTube, part: Partition) -> List[float]:
-    out = []
-    for k in tube.knots:
-        zp = part.zoom_params_of(k)
-        out.append(zp.width if zp is not None else part.cell(k).half_width)
-    return out
-
-
 _EDGE = 1e-9
+_CHUNK = 1024  # trajectories per batched integration in the tube witness
 
 
 def sample_frr_timedelay(sys, ts: TransitionSystem, F: RefinementMap,
@@ -211,13 +205,12 @@ def sample_frr_timedelay(sys, ts: TransitionSystem, F: RefinementMap,
     ctx = _ctx_of(ts)
     part = ts.partition
     rng = np.random.default_rng(seed)
-    periods = sys.input_delay_periods(ctx.tau)
     amp = 2.0 * math.exp(ctx.L2 * ctx.tau) * ctx.growth_scale
     thetas = ctx.knot_thetas
-    nominal_cache: Dict[Tuple[int, int], np.ndarray] = {}
-    violations: List[Violation] = []
-    checked = skipped = 0
-
+    # every draw first, in the order of one-at-a-time sampling
+    pts = np.empty((len(thetas), sys.n, n_samples))  # jittered knot points
+    drawn: List[Tuple[int, int]] = []  # (tube, input) of sample pts[:, :, j]
+    skipped = 0
     for _ in range(n_samples):
         sid = int(rng.integers(len(ts.states)))
         tube = ts.states[sid].tube
@@ -226,48 +219,62 @@ def sample_frr_timedelay(sys, ts: TransitionSystem, F: RefinementMap,
             skipped += 1
             continue
         iid = enabled[int(rng.integers(len(enabled)))]
-        u = ts.inputs[iid]
-
-        bounds = _jitter_bounds(tube, part)
-        pts = []
+        bounds = _knot_widths(tube, part)
         for j, k in enumerate(tube.knots):
             c = part.cell(k)
             y = c.quantized_point + rng.uniform(-bounds[j], bounds[j], size=len(c.lower))
             width = c.upper - c.lower
-            y = np.minimum(np.maximum(y, c.lower + _EDGE * width),
-                           c.upper - _EDGE * width)
-            pts.append(y)
-        if sys.Theta == 0.0:
-            curve = SampledCurve(0.0, 0.0, np.asarray(pts[-1])[None, :])
-        else:
-            curve = SampledCurve(-sys.Theta, 0.0, np.asarray(pts))
+            pts[j, :, len(drawn)] = np.minimum(np.maximum(y, c.lower + _EDGE * width),
+                                               c.upper - _EDGE * width)
+        drawn.append((sid, iid))
 
-        x_next = integrate_delay(sys, curve, [u] * periods, u, ctx.tau, ctx.steps)
-        samples = [x_next(th) for th in thetas]
-        if any(np.any(s < sys.state_lo) or np.any(s > sys.state_hi) for s in samples):
-            skipped += 1
-            continue
+    def knot_points(H: np.ndarray, iids: List[int]) -> np.ndarray:
+        """(J, n, K) knot points of the K continuations one period later,
+        integrated _CHUNK columns at a time to bound memory."""
+        U = np.array([ts.inputs[iid] for iid in iids]).T
+        return np.concatenate([
+            interpolate_batch(integrate_delay_batch(
+                sys, H[:, :, a:a + _CHUNK], U[:, a:a + _CHUNK], ctx.tau,
+                ctx.steps), sys.Theta, thetas)
+            for a in range(0, H.shape[2], _CHUNK)], axis=2)
 
-        key = (sid, iid)
-        if key not in nominal_cache:
-            nom = integrate_delay(sys, tube_interpolant(tube, part, sys.Theta),
-                                  [u] * periods, u, ctx.tau, ctx.steps)
-            nominal_cache[key] = np.array([nom(th) for th in thetas])
-        nom_pts = nominal_cache[key]
-        radius = _tube_theta2(tube, part) * amp
+    violations: List[Violation] = []
+    checked = 0
+    if not drawn:
+        return FrrReport(n_samples, checked, skipped, violations, seed)
+    # a sampled functional is the linear interpolant through its knot points
+    pts = pts[:, :, :len(drawn)]
+    samples = knot_points(pts if sys.Theta > 0.0 else pts[-1:],
+                          [iid for _, iid in drawn])
+    lo, hi = sys.state_lo[:, None], sys.state_hi[:, None]
+    leaves = np.any((samples < lo) | (samples > hi), axis=(0, 1))
+    inside = np.flatnonzero(~leaves).tolist()
+    skipped += len(drawn) - len(inside)
+    pairs = list(dict.fromkeys(drawn[j] for j in inside))
+    nominal: Dict[Tuple[int, int], np.ndarray] = {}
+    if pairs:
+        H = np.stack([tube_interpolant(ts.states[sid].tube, part, sys.Theta).values
+                      for sid, _ in pairs], axis=2)
+        nom = knot_points(H, [iid for _, iid in pairs])
+        nominal = {key: nom[:, :, p] for p, key in enumerate(pairs)}
 
+    for j in inside:
+        sid, iid = drawn[j]
+        nom_pts = nominal[(sid, iid)]
+        radius = _tube_theta2(ts.states[sid].tube, part) * amp
         checked += 1
         bad = None
         got = []
-        for j, s in enumerate(samples):
-            c = part.cell(part.locate(s))
+        for kj in range(len(thetas)):
+            c = part.cell(part.locate(samples[kj, :, j]))
             got.append(c.id)
-            if not c.intersects(nom_pts[j] - radius, nom_pts[j] + radius):
-                bad = j
+            if not c.intersects(nom_pts[kj] - radius, nom_pts[kj] + radius):
+                bad = kj
                 break
         if bad is not None:
             violations.append(Violation(
-                np.asarray(pts), u, np.asarray(samples), sid, tuple(got),
+                pts[:, :, j].copy(), ts.inputs[iid], samples[:, :, j].copy(),
+                sid, tuple(got),
                 ts.successors(sid, iid),
                 detail=f"knot {bad} outside the growth box"))
     return FrrReport(n_samples, checked, skipped, violations, seed)

@@ -360,12 +360,14 @@ class Partition:
     def _rebuild_active(self) -> None:
         self.cells = [c for c in self.base_cells if c.id not in self.zoom]
         self._sub_cells: Dict[int, List[Cell]] = {}
+        self._zoom_of: Dict[int, ZoomQuantizerParams] = {}
         for bid in sorted(self.zoom):
             z = self.zoom[bid]
             base = self.base_cells[bid]
             subs = zoom_lattice(base, z.params, start_id=z.first_id)
             self._sub_cells[bid] = subs
             self.cells.extend(subs)
+            self._zoom_of.update((c.id, z.params) for c in subs)
         self.cells.sort(key=lambda c: c.id)
         self._by_id = {c.id: c for c in self.cells}
 
@@ -402,11 +404,7 @@ class Partition:
 
     def zoom_params_of(self, cid: int) -> Optional[ZoomQuantizerParams]:
         """Zoom parameters if cid is a subcell of a refined base cell."""
-        for bid, z in self.zoom.items():
-            size = int(np.prod(z.shape))
-            if z.first_id <= cid < z.first_id + size:
-                return z.params
-        return None
+        return self._zoom_of.get(cid)
 
     def locate(self, x) -> int:
         """Cell id containing x (deterministic tie-break); x must be in the box."""

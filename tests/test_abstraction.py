@@ -285,3 +285,50 @@ def test_timedelay_zoomed_knots(pendulum_delay, logparams):
     # the initial history sits inside the refined corner, so the initial
     # tube's knots are subcells (fresh ids > 24)
     assert all(k >= 25 for k in ts.states[0].tube.knots)
+
+
+def test_knot_match_counts_touching_faces():
+    from symquant.abstraction import _boxes_meet_knot_cells
+    # two one-knot tubes over the 1-D cells [0, 1] and [1, 2]
+    cell_lo = np.array([[[0.0]], [[1.0]]])
+    cell_hi = np.array([[[1.0]], [[2.0]]])
+    box = lambda lo, hi: (np.array([[[lo]]]), np.array([[[hi]]]))
+    # a box touching the shared face meets both cells
+    assert _boxes_meet_knot_cells(*box(0.0, 1.0), cell_lo, cell_hi).tolist() \
+        == [[True, True]]
+    assert _boxes_meet_knot_cells(*box(0.2, 0.8), cell_lo, cell_hi).tolist() \
+        == [[True, False]]
+    assert _boxes_meet_knot_cells(*box(2.0, 2.5), cell_lo, cell_hi).tolist() \
+        == [[False, True]]
+
+
+def test_timedelay_successors_equal_knotwise_intersecting(pendulum_delay,
+                                                          logparams):
+    # reference: the knot-wise Partition.intersecting match, tube by tube
+    from symquant.abstraction import _tube_theta2
+    from symquant.dynamics import integrate_delay_batch, interpolate_batch
+    # small growth boxes, so that successor sets are proper subsets
+    zoom = {0: ZoomQuantizerParams(10, 1.0, 0.1)}
+    ts = build_timedelay(pendulum_delay, 0.2, logparams, zoom_assignments=zoom,
+                         N=1, lipschitz=1.0, growth_scale=0.25, budget=30)
+    part = ts.partition
+    thetas = knot_times(1, -0.2, 0.0)
+    amp = 2.0 * math.exp(1.0 * 0.2) * 0.25
+    fan_out = [len(v) for v in ts.transitions.values()]
+    assert max(fan_out) < len(ts.states) and min(fan_out) < max(fan_out)
+    U = np.array(ts.inputs).T
+    for s in ts.states:
+        hist = tube_interpolant(s.tube, part, 0.2)
+        H = np.repeat(hist.values[:, :, None], len(ts.inputs), axis=2)
+        knots = interpolate_batch(integrate_delay_batch(pendulum_delay, H, U, 0.2),
+                                  0.2, thetas)
+        radius = _tube_theta2(s.tube, part) * amp
+        for iid in range(len(ts.inputs)):
+            if (s.id, iid) not in ts.transitions:
+                continue
+            hits = [set(part.intersecting(knots[j, :, iid] - radius,
+                                          knots[j, :, iid] + radius))
+                    for j in range(len(thetas))]
+            want = [t.id for t in ts.states
+                    if all(k in hits[j] for j, k in enumerate(t.tube.knots))]
+            assert ts.transitions[(s.id, iid)] == tuple(want)

@@ -1,11 +1,14 @@
-"""integrate_batch against integrate: every column bit for bit, errors alike."""
+"""Batched integrators against their one-trajectory forms: every column
+bit for bit, errors alike.  integrate_batch is checked against integrate,
+integrate_delay_batch against integrate_delay."""
 
 import numpy as np
 import pytest
 
 from symquant import LogQuantizerParams, build_delayfree
-from symquant.dynamics import (ControlSystem, IntegrationError, integrate,
-                               integrate_batch)
+from symquant.dynamics import (ControlSystem, IntegrationError, SampledCurve,
+                               TimeDelaySystem, integrate, integrate_batch,
+                               integrate_delay, integrate_delay_batch)
 from symquant.expr import FUNCTIONS
 from symquant.synthesis import _hold_sequences
 
@@ -97,3 +100,93 @@ def test_hold_search_drops_pairs_that_leave_the_box():
                 want.append(ts.partition.locate(x))
             assert seqs[(s.id, iid)] == want
     assert any(len(v) < 16 for v in seqs.values())
+
+
+# ---------------------------------------------------------------------------
+# method of steps
+
+def delay_plant(name: str, pendulum_delay) -> TimeDelaySystem:
+    if name == "pendulum":  # Theta = r = 0.2
+        return pendulum_delay
+    if name == "no-delay-window":  # Theta = r = 0: delay(x2, 0) is x2
+        return TimeDelaySystem.from_strings(
+            ["x2", "-1.96*sin(x1) - 1.5*x2 + 0.1*delay(x2, 0) + u1"],
+            [-1, -1], [1, 1], [-2.5], [2.5], Theta=0.0, r=0.0)
+    # no input delay, two state delays, every function on a delayed argument
+    return TimeDelaySystem.from_strings(
+        ["x2 + 0.1*tan(0.5*delay(x1, 0.1))",
+         "-sin(x1) - x2 + 0.3*cos(delay(x1, 0.1)) - 0.2*delay(x2, 0.2) "
+         "+ 0.1*abs(delay(x2, 0.2))^1.5 - 0.1*exp(-delay(x1, 0.2)^2) "
+         "+ 0.1*sqrt(1 + delay(x2, 0.1)^2) + u1"],
+        [-1, -1], [1, 1], [-2.5], [2.5], Theta=0.2, r=0.0)
+
+
+def scalar_delay_run(sys, H, U, tau, j):
+    u = U[:, j]
+    hist = SampledCurve(-sys.Theta, 0.0, H[:, :, j])
+    periods = sys.input_delay_periods(tau)
+    return integrate_delay(sys, hist, [u] * periods, u, tau).values
+
+
+@pytest.mark.parametrize("K", [1, 25, 1000])
+@pytest.mark.parametrize("name", ["pendulum", "no-delay-window", "no-input-delay"])
+def test_delay_columns_equal_scalar_runs_bitwise(name, K, pendulum_delay):
+    sys = delay_plant(name, pendulum_delay)
+    rows = 1 if sys.Theta == 0.0 else 3  # history spacing 0.1 divides tau
+    rng = np.random.default_rng(K)
+    H = rng.uniform(-1.0, 1.0, (rows, 2, K))  # a distinct history per column
+    U = rng.uniform(-2.5, 2.5, (1, K))
+    got = integrate_delay_batch(sys, H, U, 0.2)
+    assert got.shape == (rows, 2, K)
+    for j in range(K):
+        want = scalar_delay_run(sys, H, U, 0.2, j)
+        assert got[:, :, j].tobytes() == want.tobytes(), (name, j)
+
+
+def test_delay_batch_keeps_the_scalar_checks(pendulum_delay):
+    H = np.zeros((3, 2, 4))
+    U = np.zeros((1, 4))
+    with pytest.raises(ValueError, match="shape"):
+        integrate_delay_batch(pendulum_delay, H, np.zeros((1, 3)), 0.2)
+    # r = 0.2 is not a whole number of periods of 0.3
+    with pytest.raises(ValueError, match="integer multiple") as scalar:
+        scalar_delay_run(pendulum_delay, H, U, 0.3, 0)
+    with pytest.raises(ValueError, match="integer multiple") as batch:
+        integrate_delay_batch(pendulum_delay, H, U, 0.3)
+    assert str(batch.value) == str(scalar.value)
+    # history spacing 0.2/3 does not divide tau = 0.1
+    with pytest.raises(ValueError, match="does not divide") as scalar:
+        scalar_delay_run(pendulum_delay, np.zeros((4, 2, 1)), U, 0.1, 0)
+    with pytest.raises(ValueError, match="does not divide") as batch:
+        integrate_delay_batch(pendulum_delay, np.zeros((4, 2, 4)), U, 0.1)
+    assert str(batch.value) == str(scalar.value)
+    flat = delay_plant("no-delay-window", pendulum_delay)
+    with pytest.raises(ValueError, match="exactly one sample"):
+        integrate_delay_batch(flat, H, U, 0.2)
+
+
+def test_empty_delay_batch(pendulum_delay):
+    got = integrate_delay_batch(pendulum_delay, np.zeros((3, 2, 0)),
+                                np.zeros((1, 0)), 0.2)
+    assert got.shape == (3, 2, 0)
+
+
+@pytest.mark.parametrize("rhs", [
+    "1/delay(x1, 0.1)",        # division by a zero history
+    "sqrt(delay(x1, 0.1))",    # math domain error on a negative history
+    "delay(x1, 0.1)^0.5",      # no real power of a negative history
+])
+def test_delay_errors_match_the_scalar_path(rhs):
+    sys = TimeDelaySystem.from_strings([rhs], [-10], [10], [0], [0],
+                                       Theta=0.1, r=0.0)
+    H = np.zeros((3, 1, 3))
+    H[:, :, 0] = 0.5
+    H[:, :, 1] = 0.0 if rhs.startswith("1/") else -0.25
+    H[:, :, 2] = 0.25
+    U = np.zeros((1, 3))
+    with pytest.raises(IntegrationError) as scalar:
+        scalar_delay_run(sys, H, U, 0.2, 1)
+    with pytest.raises(IntegrationError) as batch:
+        integrate_delay_batch(sys, H, U, 0.2)
+    # the batch names the failing column with the scalar message
+    assert str(batch.value) == str(scalar.value)

@@ -300,6 +300,27 @@ def test_timedelay_pipeline(ws, capsys):
     assert "samples=100" in out and "violations=0" in out
 
 
+def test_abstract_warns_when_the_tube_budget_truncates(tmp_path, capsys):
+    small = tmp_path / "small.ini"
+    small.write_text(DELAY_INI.replace("budget = 1000", "budget = 5"))
+    rc = main(["abstract", "--config", str(small),
+               "--out", str(tmp_path / "small.sts")])
+    got = capsys.readouterr()
+    assert rc == 0
+    # stdout is the usual one-line summary; the warning goes to stderr
+    assert got.out.startswith("abstract: wrote time-delay model with 5 states")
+    assert got.out.count("\n") == 1
+    assert got.err.startswith("warning: tube exploration stopped at the "
+                              "budget of 5 tubes")
+
+
+def test_abstract_is_quiet_when_exploration_completes(ws, capsys):
+    rc = main(["abstract", "--config", str(ws / "delay.ini"),
+               "--out", str(ws / "complete.sts")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_module_entry_point(ws, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "symquant", "abstract",

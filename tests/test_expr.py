@@ -137,6 +137,22 @@ def test_vector_form_matches_scalar_and_pickles():
     assert e2.root == e.root and e2._fn is None and e2._vfn is None
 
 
-def test_vector_form_needs_a_delay_free_expression():
-    with pytest.raises(ExprError, match="no vector form"):
-        parse("delay(x1, 0.1) + x1").vfn
+def test_vector_form_of_delay_terms_matches_scalar():
+    import numpy as np
+    e = parse("delay(x1, 0.1)*u1 - sin(delay(x2, 0.2)) + x1*delay(x1, 0) "
+              "+ abs(delay(x2, 0.1))^1.5")
+    rng = np.random.default_rng(5)
+    K = 9
+    x = [rng.uniform(-1.0, 1.0, K) for _ in range(2)]
+    u = [rng.uniform(-1.0, 1.0, K)]
+    past = {0.1: rng.uniform(-1.0, 1.0, (2, K)),
+            0.2: rng.uniform(-1.0, 1.0, (2, K))}
+    # a history maps theta to the delayed state, (n, K) on the vector form;
+    # theta = 0 is the current state
+    got = e.vfn(x, u, lambda th: x if th == 0.0 else past[th])
+    assert got.shape == (K,)
+    for j in range(K):
+        xj = [float(v[j]) for v in x]
+        want = e.fn(xj, [float(u[0][j])],
+                    lambda th: xj if th == 0.0 else past[th][:, j])
+        assert np.float64(want).tobytes() == got[j].tobytes(), j
