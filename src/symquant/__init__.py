@@ -24,8 +24,8 @@ from .model_io import (ModelFormatError, export_dot, load_controller, load_ts,
                        parse_controller, parse_sts, serialize_controller,
                        serialize_ts, write_controller, write_ts)
 from .quantizers import (Cell, LogQuantizerParams, Partition,
-                         ZoomQuantizerParams, log_lattice, log_partition,
-                         log_quantize, zoom_lattice, zoom_quantize)
+                         ZoomQuantizerParams, log_quantize, zoom_lattice,
+                         zoom_quantize)
 from .sim import (CompletionReport, Trajectory, TrajectorySample,
                   export_trajectory, run_closed_loop, validate_path)
 from .synthesis import (Controller, Specification, SynthesisError,
@@ -45,9 +45,9 @@ __all__ = [
     "check_frr_finite", "estimate_lipschitz", "evaluate", "export_dot",
     "export_trajectory", "growth_bound_delayfree", "integrate",
     "integrate_delay", "knot_times", "load_config", "load_controller",
-    "load_ts", "log_input_lattice", "log_lattice", "log_partition",
-    "log_quantize", "parse", "parse_config_text", "parse_controller",
-    "parse_sts", "psi2", "refine_cells", "refine_controller",
+    "load_ts", "log_input_lattice", "log_quantize", "parse",
+    "parse_config_text", "parse_controller", "parse_sts", "psi2",
+    "refine_cells", "refine_controller",
     "run_closed_loop", "sample_frr_delayfree", "sample_frr_timedelay",
     "serialize_controller", "serialize_ts", "spline_basis",
     "synthesize_reach", "synthesize_sequence", "to_source",

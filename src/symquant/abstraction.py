@@ -26,7 +26,7 @@ blocked (no successors).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -34,8 +34,7 @@ import numpy as np
 from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
                        DEFAULT_STEPS, estimate_lipschitz, integrate,
                        integrate_delay_batch, interpolate_batch)
-from .quantizers import (Cell, LogQuantizerParams, Partition,
-                         ZoomQuantizerParams, log_quantize)
+from .quantizers import Cell, LogQuantizerParams, Partition, ZoomQuantizerParams
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,6 @@ class _BuildContext:
     lipschitz: Union[str, float]
     steps: int
     growth_scale: float
-    L_default: Optional[float] = None
     knot_thetas: Optional[List[float]] = None
     L2: Optional[float] = None
 
@@ -241,7 +239,14 @@ def build_delayfree(sys: ControlSystem, tau: float,
     part = partition if partition is not None else \
         Partition(sys.state_lo, sys.state_hi, log_params)
     inputs = input_lattice(sys.input_lo, sys.input_hi, input_quantization)
+    ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,
+                        growth_scale=growth_scale)
+    return _delayfree_model(sys, part, inputs, ctx)
 
+
+def _delayfree_model(sys: ControlSystem, part: Partition,
+                     inputs: List[np.ndarray], ctx: _BuildContext) -> TransitionSystem:
+    """The delay-free transition loop over every cell of part and input."""
     eta = part.params[0].eta
     cells = part.cells
     if not cells:
@@ -249,18 +254,16 @@ def build_delayfree(sys: ControlSystem, tau: float,
 
     transitions: Dict[Tuple[int, int], Tuple[int, ...]] = {}
     for cell in cells:
-        L = estimate_lipschitz(sys, cell, lipschitz)
-        radius = _cell_radius(part, cell, eta, L, tau, growth_scale)
+        L = estimate_lipschitz(sys, cell, ctx.lipschitz)
+        radius = _cell_radius(part, cell, eta, L, ctx.tau, ctx.growth_scale)
         for iid, u in enumerate(inputs):
-            x1 = integrate(sys, cell.quantized_point, u, tau, steps)
+            x1 = integrate(sys, cell.quantized_point, u, ctx.tau, ctx.steps)
             if np.any(x1 < sys.state_lo) or np.any(x1 > sys.state_hi):
                 continue  # nominal endpoint leaves X: blocked pair
             succ = part.intersecting(x1 - radius, x1 + radius)
             transitions[(cell.id, iid)] = tuple(succ)
 
     states = [AbstractState(c.id, cell=c) for c in cells]
-    ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,
-                        growth_scale=growth_scale)
     return TransitionSystem("delayfree", states, inputs, transitions,
                             initial=[c.id for c in cells], partition=part, ctx=ctx)
 
@@ -269,9 +272,8 @@ def refine_cells(ts: TransitionSystem,
                  assignments: Dict[int, ZoomQuantizerParams]) -> TransitionSystem:
     """Zoom-refine cells of a delay-free model; ids of kept cells are stable.
 
-    Transitions are recomputed only for refined source cells (replaced by
-    their subcells) and for pairs whose successor set touched a refined
-    cell; everything else is carried over unchanged.
+    The result is the model built from scratch over the refined partition,
+    with the build settings and inputs of ts.
     """
     if ts.kind != "delayfree":
         raise ValueError("refine_cells applies to delay-free models")
@@ -279,44 +281,9 @@ def refine_cells(ts: TransitionSystem,
         raise ValueError("model carries no build context; rebuild from config")
     if not assignments:
         return ts
-    part = ts.partition.refined(assignments)
     ctx = ts._ctx
-    sys = ctx.sys
-    eta = part.params[0].eta
-    refined_ids = set(assignments)
-
-    transitions: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    for (sid, iid), succ in ts.transitions.items():
-        if sid in refined_ids:
-            continue
-        if any(s in refined_ids for s in succ):
-            continue
-        transitions[(sid, iid)] = succ
-
-    redo_cells = [c for c in part.cells if c.id not in ts._by_id]
-    redo_pairs = [(sid, iid) for (sid, iid), succ in ts.transitions.items()
-                  if sid not in refined_ids and any(s in refined_ids for s in succ)]
-
-    for cell in redo_cells:
-        L = estimate_lipschitz(sys, cell, ctx.lipschitz)
-        radius = _cell_radius(part, cell, eta, L, ctx.tau, ctx.growth_scale)
-        for iid, u in enumerate(ts.inputs):
-            x1 = integrate(sys, cell.quantized_point, u, ctx.tau, ctx.steps)
-            if np.any(x1 < sys.state_lo) or np.any(x1 > sys.state_hi):
-                continue
-            transitions[(cell.id, iid)] = tuple(part.intersecting(x1 - radius, x1 + radius))
-
-    for sid, iid in redo_pairs:
-        cell = part.cell(sid)
-        L = estimate_lipschitz(sys, cell, ctx.lipschitz)
-        radius = _cell_radius(part, cell, eta, L, ctx.tau, ctx.growth_scale)
-        x1 = integrate(sys, cell.quantized_point, ts.inputs[iid], ctx.tau, ctx.steps)
-        transitions[(sid, iid)] = tuple(part.intersecting(x1 - radius, x1 + radius))
-
-    states = [AbstractState(c.id, cell=c) for c in part.cells]
-    return TransitionSystem("delayfree", states, ts.inputs, transitions,
-                            initial=[c.id for c in part.cells],
-                            partition=part, ctx=ctx)
+    return _delayfree_model(ctx.sys, ts.partition.refined(assignments),
+                            ts.inputs, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ concrete system, ``verify-frr`` samples the refinement relation, and
 ``export-dot`` renders a stored model for graphviz.
 
 Model files on disk carry no dynamics, so every subcommand that needs the
-concrete system rebuilds it from the config and cross-checks the stored
-state/input/transition counts against the rebuild before trusting either.
+concrete system rebuilds the model from the config and trusts the stored file
+only when its bytes equal the serialized rebuild.
 
 Exit codes: 0 on success, 1 on domain failures (validation errors, refinement
 violations, unsolvable specifications, aborted simulations), 2 on I/O errors.
@@ -17,6 +17,7 @@ violations, unsolvable specifications, aborted simulations), 2 on I/O errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import Optional
 
@@ -27,10 +28,9 @@ from .config import AppConfig, ConfigError, load_config
 from .dynamics import IntegrationError
 from .frr import RefinementMap, sample_frr_delayfree, sample_frr_timedelay
 from .model_io import (ModelFormatError, export_dot, load_controller, load_ts,
-                       write_controller, write_ts)
+                       serialize_ts, write_controller, write_ts)
 from .sim import export_trajectory, run_closed_loop
-from .synthesis import SynthesisError, refine_controller, synthesize_reach, \
-    synthesize_sequence
+from .synthesis import SynthesisError, synthesize_reach, synthesize_sequence
 
 
 class _DomainError(Exception):
@@ -38,18 +38,16 @@ class _DomainError(Exception):
 
 
 def _load_model_checked(cfg: AppConfig, path: str, refined: bool) -> TransitionSystem:
-    stored = load_ts(path)
+    with open(path, "rb") as fh:
+        stored = fh.read()
     ts = cfg.build_model(refined=refined)
-    mism = []
-    if len(stored.states) != len(ts.states):
-        mism.append(f"states {len(stored.states)} != {len(ts.states)}")
-    if len(stored.inputs) != len(ts.inputs):
-        mism.append(f"inputs {len(stored.inputs)} != {len(ts.inputs)}")
-    if stored.n_transitions != ts.n_transitions:
-        mism.append(f"transitions {stored.n_transitions} != {ts.n_transitions}")
-    if mism:
+    rebuilt = serialize_ts(ts).encode()
+    if stored != rebuilt:
+        same = itertools.takewhile(lambda ab: ab[0] == ab[1],
+                                   zip(stored.splitlines(), rebuilt.splitlines()))
         raise _DomainError(f"model file {path} does not match the config "
-                           f"rebuild: " + "; ".join(mism))
+                           f"rebuild: first difference on line "
+                           f"{sum(1 for _ in same) + 1}")
     return ts
 
 

@@ -13,18 +13,16 @@ be in (0, 1)".
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .abstraction import (TransitionSystem, build_delayfree, build_timedelay,
-                          refine_cells)
+from .abstraction import TransitionSystem, build_delayfree, build_timedelay
 from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
                        DEFAULT_STEPS)
 from .expr import ExprError, parse as parse_expr
-from .quantizers import LogQuantizerParams, ZoomQuantizerParams
+from .quantizers import LogQuantizerParams, Partition, ZoomQuantizerParams
 from .synthesis import Specification
 
 
@@ -123,13 +121,13 @@ class AppConfig:
                                    lipschitz=self.lipschitz, steps=self.steps,
                                    growth_scale=self.growth_scale,
                                    budget=self.budget)
-        ts = build_delayfree(sys, self.tau, self.log_params(),
-                             input_quantization=self.input_quantization(),
-                             lipschitz=self.lipschitz, steps=self.steps,
-                             growth_scale=self.growth_scale)
-        if refined and self.zoom:
-            ts = refine_cells(ts, self.zoom)
-        return ts
+        part = Partition(sys.state_lo, sys.state_hi, self.log_params())
+        if refined:
+            part = part.refined(self.zoom)
+        return build_delayfree(sys, self.tau, self.log_params(),
+                               input_quantization=self.input_quantization(),
+                               lipschitz=self.lipschitz, steps=self.steps,
+                               growth_scale=self.growth_scale, partition=part)
 
     def specification(self, ts: TransitionSystem) -> Specification:
         if ts.partition is None:

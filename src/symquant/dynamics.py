@@ -277,6 +277,10 @@ def _method_of_steps(sys: TimeDelaySystem, fns, values: np.ndarray, t0: float,
     or (k+1, n, K); a single row when Theta = 0.  Both shapes run this same
     body, so every column of a batch equals the single run bit for bit.
     """
+    if sys.Theta > 0.0 and values.shape[0] == 1:
+        # one row is a constant curve: the same curve sampled at both ends
+        values = np.concatenate([values, values])
+        spacing = sys.Theta
     n_hist = values.shape[0] - 1  # grid intervals over [-Theta, 0]
     if sys.Theta > 0.0:
         h_hist = sys.Theta / max(n_hist, 1)
@@ -352,10 +356,11 @@ def integrate_delay(sys: TimeDelaySystem, history: SampledCurve,
     """Advance the functional state one sampling period.
 
     history is x on [-Theta, 0] on a uniform grid whose spacing divides both
-    Theta and tau.  u_past buffers the inputs of the last r/tau periods
-    (oldest first); the input active on [0, tau] is u_past[0] when r > 0 and
-    u_now when r = 0.  Returns x(tau + theta) for theta in [-Theta, 0] on the
-    same grid.
+    Theta and tau; a single row over Theta > 0 is a constant curve, stepped
+    on the grid {-Theta, 0}.  u_past buffers the inputs of the last r/tau
+    periods (oldest first); the input active on [0, tau] is u_past[0] when
+    r > 0 and u_now when r = 0.  Returns x(tau + theta) for theta in
+    [-Theta, 0] on the same grid.
     """
     if abs(history.t0 - (-sys.Theta)) > 1e-9 or abs(history.t1) > 1e-9:
         raise ValueError(f"history must cover [-Theta, 0], got [{history.t0}, {history.t1}]")
@@ -380,7 +385,8 @@ def integrate_delay_batch(sys: TimeDelaySystem, H, U, tau: float,
     """integrate_delay() for K histories at once.
 
     H is (k+1, n, K): column j is a history on the uniform grid over
-    [-Theta, 0] (one row when Theta = 0).  U is (m, K): column j is the
+    [-Theta, 0] (one row when Theta = 0; one row is a constant history
+    otherwise, as in integrate_delay).  U is (m, K): column j is the
     input active on [0, tau], whatever the input delay.  Column j of the
     result is integrate_delay(sys, SampledCurve(-Theta, 0, H[:, :, j]),
     [U[:, j]] * (r/tau), U[:, j], tau, steps).values, bit for bit.  When

@@ -29,9 +29,9 @@ boundaries go to the smaller-magnitude level, zoom bins are half-open
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import floor
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -232,11 +232,6 @@ def _as_axis_params(p, n: int) -> List[LogQuantizerParams]:
     if len(p) != n:
         raise ValueError(f"need {n} per-axis parameter sets, got {len(p)}")
     return p
-
-
-def log_lattice(box_lo, box_hi, p: Union[LogQuantizerParams, Sequence[LogQuantizerParams]]) -> List[Cell]:
-    """Cover a box with logarithmic quantization cells (row-major ids)."""
-    return log_partition(box_lo, box_hi, p).cells
 
 
 def zoom_quantize(z: float, p: ZoomQuantizerParams) -> float:
@@ -469,6 +464,3 @@ class Partition:
                     out.append(z.first_id + int(np.ravel_multi_index(sub, z.shape)))
         return sorted(out)
 
-
-def log_partition(box_lo, box_hi, params) -> Partition:
-    return Partition(box_lo, box_hi, params)

@@ -20,9 +20,9 @@ from symquant.dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
                                integrate)
 from symquant.frr import (RefinementMap, sample_frr_delayfree,
                           sample_frr_timedelay)
-from symquant.quantizers import (LogQuantizerParams, ZoomQuantizerParams,
-                                 log_partition, log_quantize, zoom_lattice,
-                                 zoom_quantize)
+from symquant.quantizers import (LogQuantizerParams, Partition,
+                                 ZoomQuantizerParams, log_quantize,
+                                 zoom_lattice, zoom_quantize)
 from symquant.sim import run_closed_loop, validate_path
 from symquant.synthesis import Specification, synthesize_sequence
 
@@ -69,7 +69,7 @@ def test_criterion_1_state_count(pendulum, logparams):
 
 
 def test_criterion_2_zoom_counts(logparams):
-    part = log_partition([-1, -1], [1, 1], logparams)
+    part = Partition([-1, -1], [1, 1], logparams)
     corner = part.cell(part.locate(np.array([-0.72, -0.72])))
     center = part.cell(part.locate(np.array([0.0, 0.0])))
     assert len(zoom_lattice(corner, ZoomQuantizerParams(10, 1.0, 0.1))) == 25
@@ -185,7 +185,7 @@ def test_criterion_8_quantizer_property_suites(logparams):
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
     # cell cover exactness: 1e5 random points, each in exactly one cell
-    part = log_partition([-1, -1], [1, 1], logparams)
+    part = Partition([-1, -1], [1, 1], logparams)
     X = rng.uniform(-1.0, 1.0, (100_000, 2))
     counts = np.zeros(len(X), dtype=int)
     for c in part.cells:

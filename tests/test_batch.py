@@ -165,6 +165,16 @@ def test_delay_batch_keeps_the_scalar_checks(pendulum_delay):
         integrate_delay_batch(flat, H, U, 0.2)
 
 
+def test_delay_batch_one_row_history_is_a_constant_curve():
+    sys = TimeDelaySystem.from_strings(["-delay(x1, 0.1)"], [-10], [10],
+                                       [0], [0], Theta=0.2, r=0.0)
+    U = np.zeros((1, 2))
+    one = integrate_delay_batch(sys, np.array([[[1.0, 0.5]]]), U, 0.2)
+    two = integrate_delay_batch(sys, np.array([[[1.0, 0.5]]] * 2), U, 0.2)
+    assert one[-1, 0, 0] == pytest.approx(0.805, abs=1e-12)
+    assert one.tobytes() == two.tobytes()
+
+
 def test_empty_delay_batch(pendulum_delay):
     got = integrate_delay_batch(pendulum_delay, np.zeros((3, 2, 0)),
                                 np.zeros((1, 0)), 0.2)

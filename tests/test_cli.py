@@ -192,6 +192,31 @@ def test_model_config_cross_check(ws, tmp_path, capsys):
     assert "does not match the config rebuild" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify-frr", "synthesize"])
+def test_same_count_edit_fails_the_model_check(ws, tmp_path, capsys, command):
+    # move one transition to another destination: every count stays the same
+    text = (ws / "model.sts").read_text()
+    succ = {}
+    for line in text.splitlines():
+        if line.startswith("E "):
+            _, sid, iid, dst = line.split()
+            succ.setdefault((sid, iid), []).append(dst)
+    (sid, iid), dsts = min(succ.items(), key=lambda kv: len(kv[1]))
+    free = next(str(c) for c in range(25) if str(c) not in dsts)
+    moved = f"E {sid} {iid} {dsts[0]}"
+    edited = text.replace(moved + "\n", f"E {sid} {iid} {free}\n")
+    assert edited != text and edited.splitlines()[0] == text.splitlines()[0]
+    (tmp_path / "edited.sts").write_text(edited)
+    args = [command, "--config", str(ws / "pendulum.ini"),
+            "--model", str(tmp_path / "edited.sts")]
+    if command == "synthesize":
+        args += ["--out", str(tmp_path / "law.ctrl")]
+    assert main(args) == 1
+    line = text.splitlines().index(moved) + 1
+    assert (f"does not match the config rebuild: first difference on line "
+            f"{line}") in capsys.readouterr().err
+
+
 def test_simulate_incomplete_run_fails(ws, tmp_path, capsys):
     # robust mode wins nothing beyond the single target cell here, so the
     # loop stalls immediately and the command reports the abort

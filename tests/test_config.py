@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from symquant.abstraction import refine_cells
 from symquant.config import AppConfig, ConfigError, load_config, parse_config_text
 from symquant.dynamics import ControlSystem, TimeDelaySystem
+from symquant.model_io import serialize_ts
 
 
 BASE = {
@@ -120,6 +122,13 @@ def test_build_model_and_specification():
     assert spec.kind == "reach"
     assert spec.targets == [(12,)]  # reach keeps the first point only
     assert np.allclose(cfg.x0, [-0.48, 0.0])
+
+
+def test_refined_build_equals_refining_the_coarse_build():
+    cfg = parse_config_text(ini({"abstraction.zoom": "\n 12 1 1.0 0.3\n 0 10 1.0 0.1"}))
+    refined = cfg.build_model(refined=True)
+    assert len(refined.states) == 25 - 2 + 9 + 25
+    assert serialize_ts(refined) == serialize_ts(refine_cells(cfg.build_model(), cfg.zoom))
 
 
 def test_specification_rejects_points_outside_the_box():

@@ -120,6 +120,18 @@ def test_dde_second_interval_uses_stored_history():
     assert out(0.0)[0] == pytest.approx(0.805, abs=1e-12)
 
 
+def test_one_row_history_is_a_constant_curve():
+    # x' = -x(t - 0.1) over Theta = tau = 0.2 from the constant 1: a single
+    # stored row is the same curve as two equal rows, so x(0.2) = 0.805
+    sys = TimeDelaySystem.from_strings(["-delay(x1, 0.1)"], [-10], [10],
+                                       [0], [0], Theta=0.2, r=0.0)
+    one = integrate_delay(sys, SampledCurve(-0.2, 0.0, [[1.0]]), [], [0.0], 0.2)
+    two = integrate_delay(sys, SampledCurve(-0.2, 0.0, [[1.0], [1.0]]), [],
+                          [0.0], 0.2)
+    assert two(0.0)[0] == pytest.approx(0.805, abs=1e-12)
+    assert one.values.tobytes() == two.values.tobytes()
+
+
 def test_dde_against_chained_ode():
     # x' = -x(t - 0.2) over one period of length 0.2 equals the plain ODE
     # x' = -h(t - 0.2) driven by the known history, integrated directly

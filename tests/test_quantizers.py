@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from symquant.quantizers import (Cell, LogQuantizerParams, Partition,
-                                 ZoomQuantizerParams, log_lattice,
-                                 log_partition, log_quantize, zoom_lattice,
-                                 zoom_quantize)
+                                 ZoomQuantizerParams, log_quantize,
+                                 zoom_lattice, zoom_quantize)
 
 P6 = LogQuantizerParams(0.2, 0.4, "EQ20")  # deadzone 0.4, first level 0.48
 
@@ -61,7 +60,7 @@ def test_sector_bound_odd_symmetry():
 
 
 def test_lattice_axis_cells():
-    cells = log_lattice([-1.0], [1.0], P6)
+    cells = Partition([-1.0], [1.0], P6).cells
     assert len(cells) == 5
     bounds = [(c.lower[0], c.upper[0]) for c in cells]
     assert bounds == [(-1.0, -0.6), (-0.6, -0.4), (-0.4, 0.4), (0.4, 0.6), (0.6, 1.0)]
@@ -70,7 +69,7 @@ def test_lattice_axis_cells():
 
 
 def test_lattice_25_cells_row_major():
-    cells = log_lattice([-1.0, -1.0], [1.0, 1.0], P6)
+    cells = Partition([-1.0, -1.0], [1.0, 1.0], P6).cells
     assert len(cells) == 25
     assert [c.id for c in cells] == list(range(25))
     # row-major: second axis varies fastest
@@ -83,21 +82,21 @@ def test_lattice_25_cells_row_major():
 def test_boundary_slivers_merge_into_outer_cells():
     # [-1, 1] cuts through the (0.6, 0.9] region of level 0.72; the sliver
     # [0.6, 1.0] keeps the 0.72 point and the box edge
-    cells = log_lattice([-1.0], [1.0], P6)
+    cells = Partition([-1.0], [1.0], P6).cells
     outer = cells[-1]
     assert outer.upper[0] == 1.0
     assert outer.quantized_point[0] == pytest.approx(0.72)
 
 
 def test_tile_boundaries_are_shared_floats():
-    cells = log_lattice([-1.0, -1.0], [1.0, 1.0], P6)
+    cells = Partition([-1.0, -1.0], [1.0, 1.0], P6).cells
     uppers = sorted({float(c.upper[0]) for c in cells})
     lowers = sorted({float(c.lower[0]) for c in cells})
     assert uppers[:-1] == lowers[1:]  # interior boundaries appear in both
 
 
 def test_cover_exactness_monte_carlo_100k():
-    cells = log_lattice([-1.0, -1.0], [1.0, 1.0], P6)
+    cells = Partition([-1.0, -1.0], [1.0, 1.0], P6).cells
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.0, 1.0, size=(100_000, 2))
     lows = np.array([c.lower for c in cells])
@@ -115,7 +114,7 @@ def test_cover_exactness_monte_carlo_100k():
 
 
 def test_locate_is_total_and_deterministic_on_boundaries():
-    part = log_partition([-1.0, -1.0], [1.0, 1.0], P6)
+    part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
     # boundary points resolve toward the smaller |level|
     assert part.cell(part.locate([0.4, 0.0])).quantized_point[0] == 0.0
     assert part.cell(part.locate([-0.4, 0.0])).quantized_point[0] == 0.0
@@ -129,7 +128,7 @@ def test_locate_is_total_and_deterministic_on_boundaries():
 
 
 def test_locate_rejects_points_outside_the_box():
-    part = log_partition([-1.0, -1.0], [1.0, 1.0], P6)
+    part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
     with pytest.raises(ValueError):
         part.locate([1.5, 0.0])
 
@@ -216,7 +215,7 @@ def test_zoom_points_lie_on_the_delta_grid():
 
 
 def test_partition_refined_replaces_cell_with_subcells():
-    part = log_partition([-1.0, -1.0], [1.0, 1.0], P6)
+    part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
     ref = part.refined({12: ZoomQuantizerParams(1, 1.0, 0.3)})
     assert len(ref.cells) == 33
     ids = [c.id for c in ref.cells]
@@ -225,14 +224,14 @@ def test_partition_refined_replaces_cell_with_subcells():
 
 
 def test_partition_refined_rejects_subcell_ids():
-    part = log_partition([-1.0, -1.0], [1.0, 1.0], P6)
+    part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
     ref = part.refined({12: ZoomQuantizerParams(1, 1.0, 0.3)})
     with pytest.raises(ValueError):
         ref.refined({26: ZoomQuantizerParams(1, 1.0, 0.1)})
 
 
 def test_refined_locate_picks_subcells():
-    part = log_partition([-1.0, -1.0], [1.0, 1.0], P6)
+    part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
     ref = part.refined({12: ZoomQuantizerParams(1, 1.0, 0.3)})
     cid = ref.locate([0.0, 0.0])
     c = ref.cell(cid)
@@ -243,7 +242,7 @@ def test_refined_locate_picks_subcells():
 
 
 def test_refined_cover_remains_exact():
-    part = log_partition([-1.0, -1.0], [1.0, 1.0], P6)
+    part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
     ref = part.refined({0: ZoomQuantizerParams(10, 1.0, 0.1),
                         12: ZoomQuantizerParams(1, 1.0, 0.3)})
     rng = np.random.default_rng(15)
@@ -254,7 +253,7 @@ def test_refined_cover_remains_exact():
 
 
 def test_intersecting_reports_all_touched_cells():
-    part = log_partition([-1.0, -1.0], [1.0, 1.0], P6)
+    part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
     got = part.intersecting(np.array([-0.1, -0.1]), np.array([0.1, 0.1]))
     assert got == [12]
     got = part.intersecting(np.array([0.35, 0.0]), np.array([0.45, 0.0]))
