@@ -6,9 +6,11 @@ computes a controller, ``simulate`` runs the refined controller on the
 concrete system, ``verify-frr`` samples the refinement relation, and
 ``export-dot`` renders a stored model for graphviz.
 
-Model files on disk carry no dynamics, so every subcommand that needs the
-concrete system rebuilds the model from the config and trusts the stored file
-only when its bytes equal the serialized rebuild.
+Model files on disk carry no dynamics, so ``refine``, ``synthesize`` and
+``verify-frr`` rebuild the model from the config and trust the stored file
+only when its bytes equal the serialized rebuild.  A delay-free ``simulate``
+only locates points, so it needs the config's partition and no model; a
+time-delay ``simulate`` rebuilds the model for its tube ids.
 
 Exit codes: 0 on success, 1 on domain failures (validation errors, refinement
 violations, unsolvable specifications, aborted simulations), 2 on I/O errors.
@@ -103,10 +105,13 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    refined = bool(cfg.zoom) and not cfg.is_timedelay()
-    ts = cfg.build_model(refined=refined)
+    if cfg.is_timedelay():
+        # tube ids are the order in which the build discovers them
+        fmap = RefinementMap.from_ts(cfg.build_model())
+    else:
+        # a delay-free run only locates points: no transitions needed
+        fmap = RefinementMap(cfg.partition(refined=bool(cfg.zoom)))
     ctrl = load_controller(args.controller)
-    fmap = RefinementMap.from_ts(ts)
     sys_ = cfg.system()
     if cfg.is_timedelay():
         xi0 = sys_.xi0

@@ -121,13 +121,16 @@ class AppConfig:
                                    lipschitz=self.lipschitz, steps=self.steps,
                                    growth_scale=self.growth_scale,
                                    budget=self.budget)
-        part = Partition(sys.state_lo, sys.state_hi, self.log_params())
-        if refined:
-            part = part.refined(self.zoom)
         return build_delayfree(sys, self.tau, self.log_params(),
                                input_quantization=self.input_quantization(),
                                lipschitz=self.lipschitz, steps=self.steps,
-                               growth_scale=self.growth_scale, partition=part)
+                               growth_scale=self.growth_scale,
+                               partition=self.partition(refined))
+
+    def partition(self, refined: bool = False) -> Partition:
+        """The delay-free state lattice, zoom-refined when refined is set."""
+        part = Partition(self.state_lo, self.state_hi, self.log_params())
+        return part.refined(self.zoom) if refined else part
 
     def specification(self, ts: TransitionSystem) -> Specification:
         if ts.partition is None:

@@ -319,15 +319,22 @@ def _method_of_steps(sys: TimeDelaySystem, fns, values: np.ndarray, t0: float,
             return traj[i]
         return (1.0 - frac) * traj[i] + frac * traj[i + 1]
 
+    # one trajectory steps on floats, a batch on (K,) rows; delayed values
+    # reach the expressions as floats too, so x/0 raises as in integrate()
+    if traj.ndim == 2:
+        x = traj[n_past].tolist()
+        delayed = lambda t: sample(t).tolist()
+    else:
+        x = list(traj[n_past].copy())
+        delayed = sample
+
     def stage(t: float, x: list) -> list:
         def hist(theta: float):
             if theta == 0.0:
                 return x
-            return sample(t - theta)
+            return delayed(t - theta)
         return [fn(x, u, hist) for fn in fns]
 
-    # one trajectory steps on floats, a batch on (K,) rows
-    x = traj[n_past].tolist() if traj.ndim == 2 else list(traj[n_past].copy())
     for k in range(n_fwd):
         t = k * h
         try:

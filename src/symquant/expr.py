@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -88,14 +88,15 @@ class Expression:
 
     @property
     def fn(self) -> Callable:
-        """Compiled closure (x, u, history) -> float, cached on first use."""
+        """Generated function (x, u, history) -> float, cached on first use."""
         if self._fn is None:
             self._fn = _compile(self.root, _FN)
         return self._fn
 
     @property
     def vfn(self) -> Callable:
-        """Compiled closure (x, u, history) -> (K,) array, cached on first use.
+        """Generated function (x, u, history) -> (K,) array, cached on first
+        use; the same source as fn over the vector function table.
 
         x and u are lists of (K,) arrays, one per coordinate, and history
         maps theta to an (n, K) array of delayed states; column j of the
@@ -120,7 +121,7 @@ class Expression:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_fn"] = state["_vfn"] = None  # closures are rebuilt on demand
+        state["_fn"] = state["_vfn"] = None  # regenerated on demand
         return state
 
 
@@ -397,47 +398,77 @@ def _vector_table() -> dict:
     }
 
 
-def _compile(node: Node, table: dict) -> Callable:
-    """Fold the AST into nested closures; same arithmetic, fewer dispatches.
+# trees deeper than this are generated as one statement per node, since
+# Python's parser refuses deeply nested parentheses
+_MAX_NESTING = 64
 
-    table maps each FUNCTIONS member and '^' to its implementation: _FN for
-    floats, _vector_table() for arrays.
+
+def _compile(node: Node, table: dict) -> Callable:
+    """Generate one Python function (x, u, h) for the AST.
+
+    -1.96*sin(x1) - 1.5*x2 + u1 becomes
+    lambda x, u, h: ((((-_c0) * _c1(x[0])) - (_c2 * x[1])) + u[0]).
+    Constants, delay offsets and the table's functions are bound by name in
+    the namespace of the generated code, so no source text reaches eval;
+    every operation is parenthesized, which keeps the AST association and
+    the left-to-right evaluation order.  table maps each FUNCTIONS member
+    and '^' to its implementation: _FN for floats, _vector_table() for
+    arrays.
     """
-    if isinstance(node, Const):
-        v = node.value
-        return lambda x, u, h: v
-    if isinstance(node, StateVar):
-        i = node.index - 1
-        return lambda x, u, h: x[i]
-    if isinstance(node, InputVar):
-        j = node.index - 1
-        return lambda x, u, h: u[j]
-    if isinstance(node, DelayVar):
-        i = node.index - 1
-        th = node.theta
-        return lambda x, u, h: h(th)[i]
+    ns: dict = {"__builtins__": {}}
+    lines: List[str] = []
+    flat = _depth(node) > _MAX_NESTING
+    body = _emit(node, table, ns, lines if flat else None)
+    if not flat:
+        return eval(f"lambda x, u, h: {body}", ns)
+    # post-order temporaries evaluate the operands in the same order
+    lines.append(f"return {body}")
+    exec("def _f(x, u, h):\n    " + "\n    ".join(lines), ns)
+    return ns["_f"]
+
+
+def _depth(node: Node) -> int:
     if isinstance(node, Unary):
-        f = _compile(node.arg, table)
-        if node.op == "neg":
-            return lambda x, u, h: -f(x, u, h)
-        g = table[node.op]
-        return lambda x, u, h: g(f(x, u, h))
+        return 1 + _depth(node.arg)
     if isinstance(node, Binary):
-        fl = _compile(node.left, table)
-        fr = _compile(node.right, table)
-        op = node.op
-        if op == "+":
-            return lambda x, u, h: fl(x, u, h) + fr(x, u, h)
-        if op == "-":
-            return lambda x, u, h: fl(x, u, h) - fr(x, u, h)
-        if op == "*":
-            return lambda x, u, h: fl(x, u, h) * fr(x, u, h)
-        if op == "/":
-            return lambda x, u, h: fl(x, u, h) / fr(x, u, h)
-        if op == "^":
-            pw = table["^"]
-            return lambda x, u, h: pw(fl(x, u, h), fr(x, u, h))
-    raise ExprError(f"cannot compile node {node!r}")
+        return 1 + max(_depth(node.left), _depth(node.right))
+    return 0
+
+
+def _emit(node: Node, table: dict, ns: dict, lines: Optional[List[str]]) -> str:
+    """Source text of node; with lines, every node but a constant goes to a
+    temporary, in evaluation order."""
+    def bind(value) -> str:
+        name = f"_c{len(ns) - 1}"
+        ns[name] = value
+        return name
+
+    if isinstance(node, Const):
+        return bind(node.value)
+    if isinstance(node, StateVar):
+        text = f"x[{int(node.index) - 1}]"
+    elif isinstance(node, InputVar):
+        text = f"u[{int(node.index) - 1}]"
+    elif isinstance(node, DelayVar):
+        text = f"h({bind(node.theta)})[{int(node.index) - 1}]"
+    elif isinstance(node, Unary):
+        arg = _emit(node.arg, table, ns, lines)
+        text = f"(-{arg})" if node.op == "neg" else f"{bind(table[node.op])}({arg})"
+    elif isinstance(node, Binary):
+        left = _emit(node.left, table, ns, lines)
+        right = _emit(node.right, table, ns, lines)
+        if node.op == "^":
+            text = f"{bind(table['^'])}({left}, {right})"
+        elif node.op in ("+", "-", "*", "/"):
+            text = f"({left} {node.op} {right})"
+        else:
+            raise ExprError(f"cannot compile node {node!r}")
+    else:
+        raise ExprError(f"cannot compile node {node!r}")
+    if lines is None:
+        return text
+    lines.append(f"_t{len(lines)} = {text}")
+    return f"_t{len(lines) - 1}"
 
 
 def evaluate(e: Expression, x, u, history=None) -> float:
@@ -447,10 +478,8 @@ def evaluate(e: Expression, x, u, history=None) -> float:
     and is required exactly when the expression contains delay terms; for
     delay-free expressions it is ignored.
     """
-    if e._fn is None:
-        e._fn = _compile(e.root, _FN)
     try:
-        return e._fn(x, u, history)
+        return e.fn(x, u, history)
     except TypeError:
         if history is None and e.delays():
             raise ExprError(f"expression {e.source!r} needs a history lookup")

@@ -28,7 +28,7 @@ boundaries go to the smaller-magnitude level, zoom bins are half-open
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import floor
 from typing import Dict, List, Optional, Tuple
@@ -211,18 +211,43 @@ def _axis_regions(lo: float, hi: float, p: LogQuantizerParams) -> List[AxisRegio
     return clipped  # box touches no lattice point; keep the raw slivers
 
 
-def _axis_locate(regions: List[AxisRegion], z: float) -> int:
-    """Index of the region owning z; boundary ties go to the smaller level."""
-    if z < regions[0].lower or z > regions[-1].upper:
-        raise ValueError(f"{z} outside axis range [{regions[0].lower}, {regions[-1].upper}]")
-    uppers = [r.upper for r in regions]
+def _axis_locate(lowers: List[float], uppers: List[float], mags: List[float],
+                 z: float) -> int:
+    """Index of the region owning z, given the regions' bounds and level
+    magnitudes along one axis; boundary ties go to the smaller level."""
+    if z < lowers[0] or z > uppers[-1]:
+        raise ValueError(f"{z} outside axis range [{lowers[0]}, {uppers[-1]}]")
     i = bisect_left(uppers, z)
-    if i == len(regions):
+    if i == len(uppers):
         i -= 1
-    if z == uppers[i] and i + 1 < len(regions) and \
-            abs(regions[i + 1].level) < abs(regions[i].level):
+    if z == uppers[i] and i + 1 < len(uppers) and mags[i + 1] < mags[i]:
         i += 1
     return i
+
+
+def _axis_span(lowers: List[float], uppers: List[float], lo: float,
+               hi: float) -> range:
+    """Indices of the intervals [lowers[j], uppers[j]] with closed overlap
+    with [lo, hi]; both bound lists must be sorted."""
+    if lo != lo or hi != hi:
+        return range(0)  # NaN meets nothing
+    return range(bisect_left(uppers, lo), bisect_right(lowers, hi))
+
+
+def _row_major(ranges: List[range], strides: List[int]) -> List[int]:
+    """Flat offsets of the index grid ranges[0] x ranges[1] x ..., last
+    axis fastest."""
+    ids = [0]
+    for r, st in zip(ranges, strides):
+        ids = [base + j * st for base in ids for j in r]
+    return ids
+
+
+def _strides(shape: Tuple[int, ...]) -> List[int]:
+    out = [1] * len(shape)
+    for i in range(len(shape) - 2, -1, -1):
+        out[i] = out[i + 1] * shape[i + 1]
+    return out
 
 
 def _as_axis_params(p, n: int) -> List[LogQuantizerParams]:
@@ -321,6 +346,15 @@ class _ZoomedCell:
     shape: Tuple[int, ...]
 
 
+@dataclass
+class _ZoomBins:
+    """Query tables of a refined base cell: the per-axis bounds of its zoom
+    bins and the row-major strides of its subcells."""
+    lowers: List[List[float]]
+    uppers: List[List[float]]
+    strides: List[int]
+
+
 class Partition:
     """A cover of a box by logarithmic cells, some zoom-refined.
 
@@ -340,6 +374,11 @@ class Partition:
             for i in range(self.n)
         ]
         self._shape = tuple(len(ax) for ax in self.axes)
+        self._strides = _strides(self._shape)
+        # per-axis bound lists for bisection: regions tile the axis in order
+        self._lowers = [[r.lower for r in ax] for ax in self.axes]
+        self._uppers = [[r.upper for r in ax] for ax in self.axes]
+        self._mags = [[abs(r.level) for r in ax] for ax in self.axes]
         self.base_cells: List[Cell] = []
         for flat in range(int(np.prod(self._shape))):
             idx = np.unravel_index(flat, self._shape)
@@ -356,6 +395,7 @@ class Partition:
         self.cells = [c for c in self.base_cells if c.id not in self.zoom]
         self._sub_cells: Dict[int, List[Cell]] = {}
         self._zoom_of: Dict[int, ZoomQuantizerParams] = {}
+        self._zoom_bins: Dict[int, _ZoomBins] = {}
         for bid in sorted(self.zoom):
             z = self.zoom[bid]
             base = self.base_cells[bid]
@@ -363,6 +403,14 @@ class Partition:
             self._sub_cells[bid] = subs
             self.cells.extend(subs)
             self._zoom_of.update((c.id, z.params) for c in subs)
+            # bin j of axis i bounds the subcell at row-major offset j*stride
+            strides = _strides(z.shape)
+            axes = [[subs[j * st] for j in range(size)]
+                    for st, size in zip(strides, z.shape)]
+            self._zoom_bins[bid] = _ZoomBins(
+                [[float(c.lower[i]) for c in ax] for i, ax in enumerate(axes)],
+                [[float(c.upper[i]) for c in ax] for i, ax in enumerate(axes)],
+                strides)
         self.cells.sort(key=lambda c: c.id)
         self._by_id = {c.id: c for c in self.cells}
 
@@ -403,64 +451,36 @@ class Partition:
 
     def locate(self, x) -> int:
         """Cell id containing x (deterministic tie-break); x must be in the box."""
-        x = np.asarray(x, dtype=float)
-        bidx = tuple(_axis_locate(self.axes[i], float(x[i])) for i in range(self.n))
-        bid = int(np.ravel_multi_index(bidx, self._shape))
+        x = np.asarray(x, dtype=float).tolist()
+        bid = 0
+        for i in range(self.n):
+            j = _axis_locate(self._lowers[i], self._uppers[i], self._mags[i], x[i])
+            bid += j * self._strides[i]
         z = self.zoom.get(bid)
         if z is None:
             return bid
-        sub = []
-        for i in range(self.n):
+        sid = z.first_id
+        for i, st in enumerate(self._zoom_bins[bid].strides):
             ks = z.axis_ks[i]
-            k = _zoom_bin(float(x[i]), z.params.width)
-            k = max(ks[0], min(ks[-1], k))
-            sub.append(k - ks[0])
-        return z.first_id + int(np.ravel_multi_index(tuple(sub), z.shape))
-
-    def _axis_range(self, regions: List[AxisRegion], lo: float, hi: float) -> range:
-        """Indices of regions with closed overlap with [lo, hi]."""
-        first = None
-        last = None
-        for i, r in enumerate(regions):
-            if r.lower <= hi and lo <= r.upper:
-                if first is None:
-                    first = i
-                last = i
-        if first is None:
-            return range(0)
-        return range(first, last + 1)
+            k = _zoom_bin(x[i], z.params.width)
+            sid += (max(ks[0], min(ks[-1], k)) - ks[0]) * st
+        return sid
 
     def intersecting(self, box_lo, box_hi) -> List[int]:
         """Ids of all cells whose closed region meets the closed box."""
-        box_lo = np.asarray(box_lo, dtype=float)
-        box_hi = np.asarray(box_hi, dtype=float)
-        ranges = [
-            self._axis_range(self.axes[i], float(box_lo[i]), float(box_hi[i]))
-            for i in range(self.n)
-        ]
+        lo = np.asarray(box_lo, dtype=float).tolist()
+        hi = np.asarray(box_hi, dtype=float).tolist()
+        ranges = [_axis_span(self._lowers[i], self._uppers[i], lo[i], hi[i])
+                  for i in range(self.n)]
         out: List[int] = []
-        for bidx in np.ndindex(*[len(r) for r in ranges]):
-            idx = tuple(ranges[i][bidx[i]] for i in range(self.n))
-            bid = int(np.ravel_multi_index(idx, self._shape))
+        for bid in _row_major(ranges, self._strides):
             z = self.zoom.get(bid)
             if z is None:
                 out.append(bid)
                 continue
-            base = self.base_cells[bid]
-            sub_ranges = []
-            for i in range(self.n):
-                ks = z.axis_ks[i]
-                w = z.params.width
-                hits = []
-                for j, k in enumerate(ks):
-                    b_lo = base.lower[i] if j == 0 else (k - 0.5) * w
-                    b_hi = base.upper[i] if j == len(ks) - 1 else (k + 0.5) * w
-                    if b_lo <= box_hi[i] and box_lo[i] <= b_hi:
-                        hits.append(j)
-                sub_ranges.append(hits)
-            if all(sub_ranges):
-                for sidx in np.ndindex(*[len(h) for h in sub_ranges]):
-                    sub = tuple(sub_ranges[i][sidx[i]] for i in range(self.n))
-                    out.append(z.first_id + int(np.ravel_multi_index(sub, z.shape)))
+            bins = self._zoom_bins[bid]
+            sub_ranges = [_axis_span(bins.lowers[i], bins.uppers[i], lo[i], hi[i])
+                          for i in range(self.n)]
+            out.extend(z.first_id + off
+                       for off in _row_major(sub_ranges, bins.strides))
         return sorted(out)
-

@@ -1,10 +1,14 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from symquant.cli import main
-from symquant.model_io import load_controller, load_ts
+from symquant.config import AppConfig, load_config
+from symquant.frr import RefinementMap
+from symquant.model_io import load_controller, load_ts, write_ts
+from symquant.sim import export_trajectory, run_closed_loop
 
 
 PENDULUM_INI = """\
@@ -236,6 +240,60 @@ def test_simulate_incomplete_run_fails(ws, tmp_path, capsys):
     assert "run incomplete" in captured.out
     assert "simulation did not complete" in captured.err
     assert (tmp_path / "stall.csv").exists()
+
+
+def _controller_for(ws, tmp_path, ini):
+    """Build the config's model, write it and synthesize a controller."""
+    cfg = load_config(str(ws / ini))
+    ts = cfg.build_model(refined=bool(cfg.zoom) and not cfg.is_timedelay())
+    write_ts(ts, str(tmp_path / "model.sts"))
+    assert main(["synthesize", "--config", str(ws / ini),
+                 "--model", str(tmp_path / "model.sts"),
+                 "--out", str(tmp_path / "law.ctrl")]) == 0
+    return cfg, ts
+
+
+@pytest.mark.parametrize("ini", ["pendulum.ini", "zoomed.ini"])
+def test_delay_free_simulate_builds_no_model(ws, tmp_path, monkeypatch,
+                                             capsys, ini):
+    cfg, ts = _controller_for(ws, tmp_path, ini)
+    # the trajectory a refinement map over the built model gives
+    traj, _ = run_closed_loop(cfg.system(),
+                              load_controller(str(tmp_path / "law.ctrl")),
+                              RefinementMap.from_ts(ts), x0=np.asarray(cfg.x0),
+                              tau=cfg.tau, max_steps=cfg.max_steps,
+                              steps=cfg.steps)
+    export_trajectory(traj, str(tmp_path / "want.csv"))
+
+    def no_build(self, refined=False):
+        raise AssertionError("a delay-free simulate needs no model")
+
+    monkeypatch.setattr(AppConfig, "build_model", no_build)
+    rc = main(["simulate", "--config", str(ws / ini),
+               "--controller", str(tmp_path / "law.ctrl"),
+               "--out", str(tmp_path / "got.csv")])
+    assert rc == 0
+    assert "run completed" in capsys.readouterr().out
+    assert (tmp_path / "got.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
+
+
+def test_time_delay_simulate_builds_the_model(ws, tmp_path, monkeypatch,
+                                              capsys):
+    _controller_for(ws, tmp_path, "delay.ini")
+    calls = []
+    build = AppConfig.build_model
+
+    def counted(self, refined=False):
+        calls.append(refined)
+        return build(self, refined)
+
+    monkeypatch.setattr(AppConfig, "build_model", counted)
+    rc = main(["simulate", "--config", str(ws / "delay.ini"),
+               "--controller", str(tmp_path / "law.ctrl"),
+               "--out", str(tmp_path / "tube.csv")])
+    assert rc == 0
+    assert calls == [False]
 
 
 def test_simulate_needs_x0(ws, tmp_path, capsys):

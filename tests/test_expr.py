@@ -1,8 +1,12 @@
 import math
+import operator
 
+import numpy as np
 import pytest
 
-from symquant.expr import (ExprError, evaluate, parse, to_source, validate)
+from symquant.expr import (FUNCTIONS, _FN, Binary, Const, DelayVar, ExprError,
+                           InputVar, StateVar, Unary, _vector_table, evaluate,
+                           parse, to_source, validate)
 
 
 def test_arithmetic_precedence():
@@ -156,3 +160,118 @@ def test_vector_form_of_delay_terms_matches_scalar():
         want = e.fn(xj, [float(u[0][j])],
                     lambda th: xj if th == 0.0 else past[th][:, j])
         assert np.float64(want).tobytes() == got[j].tobytes(), j
+
+
+# ---------------------------------------------------------------------------
+# generated functions against a tree-walking reference
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
+
+def reference(node, x, u, h, table):
+    """Walk the AST: the semantics the generated functions must keep."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, StateVar):
+        return x[node.index - 1]
+    if isinstance(node, InputVar):
+        return u[node.index - 1]
+    if isinstance(node, DelayVar):
+        return h(node.theta)[node.index - 1]
+    if isinstance(node, Unary):
+        a = reference(node.arg, x, u, h, table)
+        return -a if node.op == "neg" else table[node.op](a)
+    a = reference(node.left, x, u, h, table)
+    b = reference(node.right, x, u, h, table)
+    return table["^"](a, b) if node.op == "^" else _BINARY[node.op](a, b)
+
+
+def _deep(src):
+    """src as the innermost operand of a tree too deep for one expression."""
+    return "(" + src + ")" + " + x1" * 70
+
+
+REFERENCE_SOURCES = [
+    "-1.96*sin(x1) - 1.5*x2 + u1",
+    "cos(x2)*u1 - tan(x1/3) + exp(-x2^2)",
+    "abs(x1)^1.5 - sqrt(abs(x2) + 1)/u1",
+    "--x1 - -x2 * -u1 / (1 + x1^2) - x1 - x2 - u1",
+    "2^x1^2 - x2^3 / (2 + cos(x1)) * u1 / x2^2",
+    "delay(x1, 0.1)*u1 - sin(delay(x2, 0.2)) + x1*delay(x1, 0) "
+    "+ abs(delay(x2, 0.1))^1.5",
+    "sin(" * 70 + "x1" + ")" * 70,
+    _deep("x2 / u1 - delay(x2, 0.2)"),
+]
+
+
+def _short(value):
+    return value if len(value) <= 40 else value[:37] + "..."
+
+
+@pytest.mark.parametrize("src", REFERENCE_SOURCES, ids=_short)
+def test_generated_functions_equal_the_reference(src):
+    e = parse(src)
+    rng = np.random.default_rng(8)
+    K = 16
+    x = [rng.uniform(-1.0, 1.0, K) for _ in range(2)]
+    u = [rng.uniform(0.5, 1.5, K)]
+    past = {0.1: rng.uniform(-1.0, 1.0, (2, K)),
+            0.2: rng.uniform(-1.0, 1.0, (2, K))}
+    vhist = lambda th: x if th == 0.0 else past[th]
+    want = np.broadcast_to(reference(e.root, x, u, vhist, _vector_table()), K)
+    assert e.vfn(x, u, vhist).tobytes() == want.tobytes()
+    for j in range(K):
+        xj, uj = [float(v[j]) for v in x], [float(u[0][j])]
+        hist = lambda th: xj if th == 0.0 else past[th][:, j].tolist()
+        got = e.fn(xj, uj, hist)
+        assert type(got) is float
+        assert got == reference(e.root, xj, uj, hist, _FN)
+        assert got == want[j]
+
+
+def test_reference_sources_cover_every_operation():
+    ops = set()
+
+    def walk(node):
+        if isinstance(node, (Unary, Binary)):
+            ops.add(node.op)
+        if isinstance(node, Unary):
+            walk(node.arg)
+        elif isinstance(node, Binary):
+            walk(node.left)
+            walk(node.right)
+        elif isinstance(node, DelayVar):
+            ops.add("delay")
+
+    for src in REFERENCE_SOURCES:
+        walk(parse(src).root)
+    assert ops == set(FUNCTIONS) | {"neg", "+", "-", "*", "/", "^", "delay"}
+
+
+@pytest.mark.parametrize("src,x", [
+    ("1 + u1/x1", [0.0]),                   # float division by zero
+    ("x1^0.5", [-0.25]),                    # no real power
+    ("sqrt(x1) - 1", [-1.0]),               # math domain error
+    ("2*delay(x1, 0.1)", [0.5]),            # no history to call
+    ("sqrt(x1) + 1/(x1 + 1)", [-1.0]),      # the left operand fails first
+    ("1/(x1 + 1) + sqrt(x1)", [-1.0]),
+    (_deep("1/(x1 + 1) + sqrt(x1)"), [-1.0]),
+    (_deep("delay(x1, 0.1) + 1/(x1 + 1)"), [-1.0]),
+], ids=lambda v: _short(v) if isinstance(v, str) else str(v))
+def test_generated_function_errors_equal_the_reference(src, x):
+    e = parse(src)
+    with pytest.raises(Exception) as want:
+        reference(e.root, x, [1.0], None, _FN)
+    with pytest.raises(Exception) as got:
+        e.fn(x, [1.0], None)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(Exception) as via_evaluate:
+        evaluate(e, x, [1.0])
+    if "delay" in src:
+        assert type(via_evaluate.value) is ExprError
+        assert "needs a history lookup" in str(via_evaluate.value)
+    else:
+        assert type(via_evaluate.value) is type(want.value)
+        assert str(via_evaluate.value) == str(want.value)

@@ -260,3 +260,36 @@ def test_intersecting_reports_all_touched_cells():
     assert got == [12, 17]  # box crosses the 0.4 boundary
     everything = part.intersecting(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     assert everything == list(range(25))
+
+
+@pytest.mark.parametrize("box,params,zoom", [
+    ((-1.0, 1.0), P6, {0: ZoomQuantizerParams(10, 1.0, 0.1),
+                       12: ZoomQuantizerParams(1, 1.0, 0.3),
+                       17: ZoomQuantizerParams(2, 1.0, 0.05)}),
+    # 3-D, per-axis parameters; cell 100 keeps one saturated subcell
+    ((-0.9, 1.3), [P6, LogQuantizerParams(0.3, 0.2, "EQ2"),
+                   LogQuantizerParams(0.25, 0.5, "EQ20")],
+     {37: ZoomQuantizerParams(3, 1.0, 0.1), 100: ZoomQuantizerParams(2, 1.0, 0.15),
+      191: ZoomQuantizerParams(20, 1.0, 0.12)}),
+])
+def test_intersecting_equals_a_brute_force_scan(box, params, zoom):
+    n = 2 if isinstance(params, LogQuantizerParams) else len(params)
+    part = Partition([box[0]] * n, [box[1]] * n, params).refined(zoom)
+    assert len(part.zoom) == len(zoom)
+    rng = np.random.default_rng(21)
+    faces = np.array([c.lower for c in part.cells] + [c.upper for c in part.cells])
+    boxes = []
+    for _ in range(150):
+        center = rng.uniform(box[0] - 0.2, box[1] + 0.2, n)
+        radius = rng.uniform(0.0, 0.3, n)
+        boxes.append((center - radius, center + radius))
+    for _ in range(150):
+        # faces that touch cell faces exactly, as degenerate and wide boxes
+        lo = faces[rng.integers(len(faces))]
+        hi = faces[rng.integers(len(faces))]
+        boxes.append((lo, lo))
+        boxes.append((np.minimum(lo, hi), np.maximum(lo, hi)))
+    for lo, hi in boxes:
+        want = [c.id for c in part.cells if c.intersects(lo, hi)]
+        assert part.intersecting(lo, hi) == want, (lo, hi)
+    assert part.intersecting([np.nan] * n, [box[1]] * n) == []
