@@ -105,12 +105,6 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    if cfg.is_timedelay():
-        # tube ids are the order in which the build discovers them
-        fmap = RefinementMap.from_ts(cfg.build_model())
-    else:
-        # a delay-free run only locates points: no transitions needed
-        fmap = RefinementMap(cfg.partition(refined=bool(cfg.zoom)))
     ctrl = load_controller(args.controller)
     sys_ = cfg.system()
     if cfg.is_timedelay():
@@ -118,11 +112,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if xi0 is None:
             raise _DomainError("system.xi0: required to simulate a time-delay "
                                "system")
+        # tube ids are the order in which the build discovers them
+        fmap = RefinementMap.from_ts(cfg.build_model())
         traj, report = run_closed_loop(sys_, ctrl, fmap, xi0=xi0, tau=cfg.tau,
                                        max_steps=cfg.max_steps, steps=cfg.steps)
     else:
         if cfg.x0 is None:
             raise _DomainError("run.x0: required to simulate")
+        # a delay-free run only locates points: no transitions needed
+        fmap = RefinementMap(cfg.partition(refined=bool(cfg.zoom)))
         traj, report = run_closed_loop(sys_, ctrl, fmap, x0=np.asarray(cfg.x0),
                                        tau=cfg.tau, max_steps=cfg.max_steps,
                                        steps=cfg.steps)

@@ -398,46 +398,40 @@ def _vector_table() -> dict:
     }
 
 
-# trees deeper than this are generated as one statement per node, since
-# Python's parser refuses deeply nested parentheses
-_MAX_NESTING = 64
-
-
 def _compile(node: Node, table: dict) -> Callable:
     """Generate one Python function (x, u, h) for the AST.
 
+    Every node but a constant becomes one assignment, in post-order, so
     -1.96*sin(x1) - 1.5*x2 + u1 becomes
-    lambda x, u, h: ((((-_c0) * _c1(x[0])) - (_c2 * x[1])) + u[0]).
-    Constants, delay offsets and the table's functions are bound by name in
-    the namespace of the generated code, so no source text reaches eval;
-    every operation is parenthesized, which keeps the AST association and
-    the left-to-right evaluation order.  table maps each FUNCTIONS member
-    and '^' to its implementation: _FN for floats, _vector_table() for
-    arrays.
+
+        def _f(x, u, h):
+            _t0 = (-_c0)
+            _t1 = x[0]
+            _t2 = _c1(_t1)
+            _t3 = (_t0 * _t2)
+            _t4 = x[1]
+            _t5 = (_c2 * _t4)
+            _t6 = (_t3 - _t5)
+            _t7 = u[0]
+            _t8 = (_t6 + _t7)
+            return _t8
+
+    which keeps the AST association and the left-to-right evaluation order
+    at any tree depth.  Constants, delay offsets and the table's functions
+    are bound by name in the namespace of the generated code, so no source
+    text reaches exec.  table maps each FUNCTIONS member and '^' to its
+    implementation: _FN for floats, _vector_table() for arrays.
     """
     ns: dict = {"__builtins__": {}}
     lines: List[str] = []
-    flat = _depth(node) > _MAX_NESTING
-    body = _emit(node, table, ns, lines if flat else None)
-    if not flat:
-        return eval(f"lambda x, u, h: {body}", ns)
-    # post-order temporaries evaluate the operands in the same order
-    lines.append(f"return {body}")
+    lines.append(f"return {_emit(node, table, ns, lines)}")
     exec("def _f(x, u, h):\n    " + "\n    ".join(lines), ns)
     return ns["_f"]
 
 
-def _depth(node: Node) -> int:
-    if isinstance(node, Unary):
-        return 1 + _depth(node.arg)
-    if isinstance(node, Binary):
-        return 1 + max(_depth(node.left), _depth(node.right))
-    return 0
-
-
-def _emit(node: Node, table: dict, ns: dict, lines: Optional[List[str]]) -> str:
-    """Source text of node; with lines, every node but a constant goes to a
-    temporary, in evaluation order."""
+def _emit(node: Node, table: dict, ns: dict, lines: List[str]) -> str:
+    """Name holding node's value: a bound constant, or a temporary whose
+    assignment is appended to lines after those of its operands."""
     def bind(value) -> str:
         name = f"_c{len(ns) - 1}"
         ns[name] = value
@@ -465,8 +459,6 @@ def _emit(node: Node, table: dict, ns: dict, lines: Optional[List[str]]) -> str:
             raise ExprError(f"cannot compile node {node!r}")
     else:
         raise ExprError(f"cannot compile node {node!r}")
-    if lines is None:
-        return text
     lines.append(f"_t{len(lines)} = {text}")
     return f"_t{len(lines) - 1}"
 

@@ -82,31 +82,6 @@ def test_non_finite_raises_on_both_paths(rhs, bad):
     assert str(batch.value) == str(scalar.value)
 
 
-@pytest.mark.parametrize("rhs,start,why", [
-    ("1/delay(x1, 0.1)", 0.0, "float division by zero"),
-    ("sqrt(delay(x1, 0.1))", -0.25, "math domain error"),
-    ("delay(x1, 0.1)^0.5", -0.25, "-0.25^0.5 has no real value"),
-])
-def test_delay_terms_fail_like_state_terms(rhs, start, why):
-    # delayed values reach the expression as floats: the method of steps
-    # raises at once with the message integrate() gives for the same term
-    # on the state, and numpy warns about nothing
-    delayed = TimeDelaySystem.from_strings([rhs], [-10], [10], [0], [0],
-                                           Theta=0.1, r=0.0)
-    plain = ControlSystem.from_strings([rhs.replace("delay(x1, 0.1)", "x1")],
-                                       [-10], [10], [0], [0])
-    head = f"derivative evaluation failed at t=0: {why}"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(IntegrationError) as err:
-            integrate_delay(delayed, SampledCurve.constant(-0.1, 0.0, [start], 2),
-                            [], [0.0], 0.2)
-        assert str(err.value) == head
-        with pytest.raises(IntegrationError) as err:
-            integrate(plain, [start], [0.0], 0.2)
-        assert str(err.value).startswith(head + " from x0=")
-
-
 def test_hold_search_drops_pairs_that_leave_the_box():
     # the rhs is undefined beyond x1 = 1.3: integrating a pair once more after
     # its endpoint left X = [-1, 1] would raise

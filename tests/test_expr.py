@@ -188,7 +188,7 @@ def reference(node, x, u, h, table):
 
 
 def _deep(src):
-    """src as the innermost operand of a tree too deep for one expression."""
+    """src as the innermost operand of a tree about 70 levels deep."""
     return "(" + src + ")" + " + x1" * 70
 
 
