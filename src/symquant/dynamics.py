@@ -1,6 +1,12 @@
 """Concrete plant models and fixed-step integrators.
 
-Delay-free systems are integrated with classical RK4 under a constant input.
+Delay-free systems are integrated with classical RK4 under a constant input
+by a function generated once per system (expr.compile_rk4): it runs every
+step with each coordinate in a local variable and each right-hand side
+inlined.  Its scalar form steps floats; its vector form steps (K,) arrays,
+one column per trajectory, from the same source, so every column of
+integrate_batch equals integrate bit for bit.
+
 Time-delay systems use the method of steps: the substep is capped at the
 smallest positive delay so every delayed argument falls in the already
 computed part of the trajectory, which is stored on a fine uniform grid and
@@ -16,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .expr import Expression, parse, validate
+from .expr import Expression, compile_rk4, parse, validate
 
 
 class IntegrationError(RuntimeError):
@@ -93,6 +99,10 @@ class ControlSystem:
     input_lo: np.ndarray
     input_hi: np.ndarray
     f: Tuple[Expression, ...]
+    _rk4fn: Optional[Callable] = field(default=None, init=False, repr=False,
+                                     compare=False)
+    _vrk4fn: Optional[Callable] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         for name in ("state_lo", "state_hi", "input_lo", "input_hi"):
@@ -107,6 +117,8 @@ class ControlSystem:
             raise ValueError("input box empty")
         object.__setattr__(self, "f", tuple(self.f))
         _validate_rhs(self.f, self.n, self.m, max_theta=0.0)
+        if any(e.delays() for e in self.f):
+            raise ValueError("delay() terms need a TimeDelaySystem")
 
     @staticmethod
     def from_strings(rhs: Sequence[str], state_lo, state_hi, input_lo, input_hi) -> "ControlSystem":
@@ -114,6 +126,30 @@ class ControlSystem:
         return ControlSystem(len(f), len(np.atleast_1d(input_lo)),
                              state_lo, state_hi,
                              np.atleast_1d(input_lo), np.atleast_1d(input_hi), f)
+
+    @property
+    def rk4(self) -> Callable:
+        """Generated RK4 kernel (x, u, h, steps) -> list of floats, cached
+        on first use; see expr.compile_rk4."""
+        if self._rk4fn is None:
+            object.__setattr__(self, "_rk4fn",
+                               compile_rk4(self.f, self.m, False, IntegrationError))
+        return self._rk4fn
+
+    @property
+    def vrk4(self) -> Callable:
+        """The vector form of rk4: x and u are lists of (K,) arrays, one per
+        coordinate, and column j of the result equals rk4 at column j of the
+        arguments bit for bit.  Cached on first use."""
+        if self._vrk4fn is None:
+            object.__setattr__(self, "_vrk4fn",
+                               compile_rk4(self.f, self.m, True, IntegrationError))
+        return self._vrk4fn
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_rk4fn"] = state["_vrk4fn"] = None  # regenerated on demand
+        return state
 
 
 @dataclass(frozen=True)
@@ -177,34 +213,6 @@ class TimeDelaySystem:
 DEFAULT_STEPS = 20
 
 
-def _rk4(fns, x: list, u: list, h: float, steps: int, finite) -> list:
-    """`steps` classical RK4 steps of size h under the constant input u.
-
-    x and u hold one entry per coordinate: floats for one trajectory, or
-    (K,) arrays for K trajectories at once.  Both run this same body, so
-    every column of a batch sees the scalar operations in the scalar
-    association and equals the single run bit for bit.
-    """
-    n = len(x)
-    for k in range(steps):
-        try:
-            k1 = [fn(x, u, None) for fn in fns]
-            x2 = [x[i] + 0.5 * h * k1[i] for i in range(n)]
-            k2 = [fn(x2, u, None) for fn in fns]
-            x3 = [x[i] + 0.5 * h * k2[i] for i in range(n)]
-            k3 = [fn(x3, u, None) for fn in fns]
-            x4 = [x[i] + h * k3[i] for i in range(n)]
-            k4 = [fn(x4, u, None) for fn in fns]
-        except (ArithmeticError, ValueError) as err:
-            raise IntegrationError(
-                f"derivative evaluation failed at t={k * h:.6g}: {err}") from err
-        x = [x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-             for i in range(n)]
-        if not finite(x):
-            raise IntegrationError(f"non-finite state at t={(k + 1) * h:.6g}")
-    return x
-
-
 def _floats_finite(x: list) -> bool:
     return all(math.isfinite(v) for v in x)
 
@@ -216,16 +224,19 @@ def _arrays_finite(x: list) -> bool:
 def integrate(sys: ControlSystem, x0, u, tau: float, steps: int = DEFAULT_STEPS) -> np.ndarray:
     """Endpoint of the trajectory from x0 under constant input u over tau.
 
-    Fixed-step classical RK4 with step tau/steps.  The trajectory is not
-    confined to the state box; callers decide what leaving it means.
+    Fixed-step classical RK4 with step tau/steps, run by the system's
+    generated kernel; x0 must have n entries and u m.  The trajectory is
+    not confined to the state box; callers decide what leaving it means.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    fns = [e.fn for e in sys.f]
     u = [float(v) for v in np.atleast_1d(u)]
     x0 = [float(v) for v in np.atleast_1d(x0)]
+    if len(x0) != sys.n or len(u) != sys.m:
+        raise ValueError(f"need x0 of length {sys.n} and u of length {sys.m}, "
+                         f"got {len(x0)} and {len(u)}")
     try:
-        x = _rk4(fns, x0, u, tau / steps, steps, _floats_finite)
+        x = sys.rk4(x0, u, tau / steps, steps)
     except IntegrationError as err:
         raise IntegrationError(f"{err} from x0={x0}, u={u}") from err.__cause__
     return np.array(x)
@@ -246,12 +257,11 @@ def integrate_batch(sys: ControlSystem, X, U, tau: float,
     if X.ndim != 2 or X.shape[0] != sys.n or U.shape != (sys.m, X.shape[1]):
         raise ValueError(f"need X of shape ({sys.n}, K) and U of shape "
                          f"({sys.m}, K), got {X.shape} and {U.shape}")
-    fns = [e.vfn for e in sys.f]
     try:
         # float arithmetic raises on x/0 and math functions raise outside
         # their domain; make numpy do the same, and let overflow give inf
         with np.errstate(divide="raise", invalid="raise", over="ignore"):
-            x = _rk4(fns, list(X), list(U), tau / steps, steps, _arrays_finite)
+            x = sys.vrk4(list(X), list(U), tau / steps, steps)
     except IntegrationError:
         # rerun one column at a time: the first failing column raises its
         # own error, and if none fails the scalar results stand

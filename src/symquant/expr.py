@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -401,20 +401,17 @@ def _vector_table() -> dict:
 def _compile(node: Node, table: dict) -> Callable:
     """Generate one Python function (x, u, h) for the AST.
 
-    Every node but a constant becomes one assignment, in post-order, so
-    -1.96*sin(x1) - 1.5*x2 + u1 becomes
+    Every node but a constant or a variable becomes one assignment, in
+    post-order, so -1.96*sin(x1) - 1.5*x2 + u1 becomes
 
         def _f(x, u, h):
             _t0 = (-_c0)
-            _t1 = x[0]
-            _t2 = _c1(_t1)
-            _t3 = (_t0 * _t2)
-            _t4 = x[1]
-            _t5 = (_c2 * _t4)
-            _t6 = (_t3 - _t5)
-            _t7 = u[0]
-            _t8 = (_t6 + _t7)
-            return _t8
+            _t1 = _c1(x[0])
+            _t2 = (_t0 * _t1)
+            _t3 = (_c2 * x[1])
+            _t4 = (_t2 - _t3)
+            _t5 = (_t4 + u[0])
+            return _t5
 
     which keeps the AST association and the left-to-right evaluation order
     at any tree depth.  Constants, delay offsets and the table's functions
@@ -424,14 +421,25 @@ def _compile(node: Node, table: dict) -> Callable:
     """
     ns: dict = {"__builtins__": {}}
     lines: List[str] = []
-    lines.append(f"return {_emit(node, table, ns, lines)}")
+    names = _names(*_max_indices(node), "x[{}]", "u[{}]")
+    lines.append(f"return {_emit(node, table, ns, lines, names)}")
     exec("def _f(x, u, h):\n    " + "\n    ".join(lines), ns)
     return ns["_f"]
 
 
-def _emit(node: Node, table: dict, ns: dict, lines: List[str]) -> str:
-    """Name holding node's value: a bound constant, or a temporary whose
-    assignment is appended to lines after those of its operands."""
+def _names(n: int, m: int, x: str, u: str) -> dict:
+    """The name map of _emit: the text that reads each of the n state and m
+    input variables, x and u formatted with the 0-based index."""
+    names: dict = {StateVar(i + 1): x.format(i) for i in range(n)}
+    names.update({InputVar(j + 1): u.format(j) for j in range(m)})
+    return names
+
+
+def _emit(node: Node, table: dict, ns: dict, lines: List[str],
+          names: dict) -> str:
+    """Text holding node's value: a bound constant, a variable's text from
+    names, or a temporary whose assignment is appended to lines after those
+    of its operands."""
     def bind(value) -> str:
         name = f"_c{len(ns) - 1}"
         ns[name] = value
@@ -439,18 +447,16 @@ def _emit(node: Node, table: dict, ns: dict, lines: List[str]) -> str:
 
     if isinstance(node, Const):
         return bind(node.value)
-    if isinstance(node, StateVar):
-        text = f"x[{int(node.index) - 1}]"
-    elif isinstance(node, InputVar):
-        text = f"u[{int(node.index) - 1}]"
-    elif isinstance(node, DelayVar):
+    if isinstance(node, (StateVar, InputVar)):
+        return names[node]
+    if isinstance(node, DelayVar):
         text = f"h({bind(node.theta)})[{int(node.index) - 1}]"
     elif isinstance(node, Unary):
-        arg = _emit(node.arg, table, ns, lines)
+        arg = _emit(node.arg, table, ns, lines, names)
         text = f"(-{arg})" if node.op == "neg" else f"{bind(table[node.op])}({arg})"
     elif isinstance(node, Binary):
-        left = _emit(node.left, table, ns, lines)
-        right = _emit(node.right, table, ns, lines)
+        left = _emit(node.left, table, ns, lines, names)
+        right = _emit(node.right, table, ns, lines, names)
         if node.op == "^":
             text = f"{bind(table['^'])}({left}, {right})"
         elif node.op in ("+", "-", "*", "/"):
@@ -461,6 +467,97 @@ def _emit(node: Node, table: dict, ns: dict, lines: List[str]) -> str:
         raise ExprError(f"cannot compile node {node!r}")
     lines.append(f"_t{len(lines)} = {text}")
     return f"_t{len(lines) - 1}"
+
+
+def _finite_array(a) -> bool:
+    return bool(np.isfinite(a).all())
+
+
+def compile_rk4(f: Sequence[Expression], m: int, vector: bool,
+                error: type) -> Callable:
+    """Generate one Python function (x, u, h, steps) that runs `steps`
+    classical RK4 steps of size h for x' = f(x, u) under the constant input
+    u and returns the end state as a list, one entry per coordinate.
+
+    f holds one expression without delay() terms per state coordinate.  The
+    scalar form (vector=False) steps floats; the vector form steps
+    (K,) arrays, one column per trajectory, and every column equals the
+    scalar run bit for bit.  The two forms share this source and differ
+    only in the function table and the finiteness test.  For f = (x2, -x1)
+    the generated function is
+
+        def _rk4(x, u, h, steps):
+            [_x0, _x1] = x
+            [_u0] = u
+            _hh = 0.5 * h
+            _h6 = h / 6.0
+            for _s in _range(steps):
+                try:
+                    _k1_0 = _x1
+                    _t1 = (-_x0)
+                    _k1_1 = _t1
+                    _y0 = _x0 + _hh * _k1_0
+                    ...
+                    _x0 = _x0 + _h6 * (_k1_0 + 2.0 * _k2_0 + 2.0 * _k3_0 + _k4_0)
+                    _x1 = ...
+                except _errors as _err:
+                    raise _E(f"derivative evaluation failed at t=...") from _err
+                if not (_fin(_x0) and _fin(_x1)):
+                    raise _E(f"non-finite state at t=...")
+            return [_x0, _x1]
+
+    Every coordinate lives in a local variable and every right-hand side is
+    inlined by _emit, in coordinate order, with the association of the
+    textbook scheme: x + 0.5*h*k for the stage points and
+    x + (h/6)*(k1 + 2*k2 + 2*k3 + k4) for the step.  error is raised with
+    t = s*h when an evaluation fails in step s and with t = (s+1)*h when
+    step s ends in a non-finite state.  x and u must hold exactly n and m
+    entries.
+    """
+    table = _vector_table() if vector else _FN
+    ns: dict = {"__builtins__": {}, "_range": range, "_E": error,
+                "_errors": (ArithmeticError, ValueError),
+                "_fin": _finite_array if vector else math.isfinite}
+    n = len(f)
+    at_x = _names(n, m, "_x{}", "_u{}")
+    at_y = _names(n, m, "_y{}", "_u{}")
+
+    body: List[str] = []
+
+    def stage(s: int, names: dict) -> None:
+        for i, e in enumerate(f):
+            body.append(f"_k{s}_{i} = {_emit(e.root, table, ns, body, names)}")
+
+    stage(1, at_x)
+    body.extend(f"_y{i} = _x{i} + _hh * _k1_{i}" for i in range(n))
+    stage(2, at_y)
+    body.extend(f"_y{i} = _x{i} + _hh * _k2_{i}" for i in range(n))
+    stage(3, at_y)
+    body.extend(f"_y{i} = _x{i} + h * _k3_{i}" for i in range(n))
+    stage(4, at_y)
+    body.extend(f"_x{i} = _x{i} + _h6 * (_k1_{i} + 2.0 * _k2_{i} "
+                f"+ 2.0 * _k3_{i} + _k4_{i})" for i in range(n))
+    xs = ", ".join(f"_x{i}" for i in range(n))
+    us = ", ".join(f"_u{j}" for j in range(m))
+    finite = " and ".join(f"_fin(_x{i})" for i in range(n)) or "True"
+    src = "\n".join([
+        "def _rk4(x, u, h, steps):",
+        f"    [{xs}] = x",
+        f"    [{us}] = u",
+        "    _hh = 0.5 * h",
+        "    _h6 = h / 6.0",
+        "    for _s in _range(steps):",
+        "        try:",
+        *(f"            {line}" for line in body),
+        "        except _errors as _err:",
+        "            raise _E(f'derivative evaluation failed at t={_s * h:.6g}: "
+        "{_err}') from _err",
+        f"        if not ({finite}):",
+        "            raise _E(f'non-finite state at t={(_s + 1) * h:.6g}')",
+        f"    return [{xs}]",
+    ])
+    exec(src, ns)
+    return ns["_rk4"]
 
 
 def evaluate(e: Expression, x, u, history=None) -> float:

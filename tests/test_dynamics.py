@@ -1,11 +1,13 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from symquant.dynamics import (ControlSystem, IntegrationError, SampledCurve,
                                TimeDelaySystem, estimate_lipschitz, integrate,
-                               integrate_delay)
+                               integrate_batch, integrate_delay)
+from symquant.expr import FUNCTIONS, Binary, Unary
 from symquant.quantizers import Cell
 
 
@@ -69,9 +71,152 @@ def test_integrate_flags_blowup():
         integrate(sys, [5.0], [0.0], 10.0, steps=50)
 
 
+@pytest.mark.parametrize("x0,u", [
+    ([0.1, 0.2], [0.0, 5.0]),       # an extra input coordinate
+    ([0.1, 0.2], []),               # no input
+    ([0.1], [0.0]),                 # a missing state coordinate
+    ([0.1, 0.2, 0.3], [0.0]),       # an extra state coordinate
+])
+def test_integrate_checks_argument_lengths(pendulum, x0, u):
+    with pytest.raises(ValueError) as err:
+        integrate(pendulum, x0, u, 0.2)
+    assert str(err.value) == (f"need x0 of length 2 and u of length 1, "
+                              f"got {len(x0)} and {len(u)}")
+
+
+# ---------------------------------------------------------------------------
+# the generated RK4 kernel against a textbook RK4
+
+
+def textbook_rk4(sys: ControlSystem, x0, u, tau: float, steps: int) -> list:
+    """The states after each of `steps` classical RK4 steps, one expression
+    at a time through Expression.fn on floats."""
+    h = tau / steps
+    u = [float(v) for v in u]
+    x = [float(v) for v in x0]
+
+    def f(y):
+        return [e.fn(y, u, None) for e in sys.f]
+
+    states = []
+    for _ in range(steps):
+        k1 = f(x)
+        k2 = f([xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
+        k3 = f([xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
+        k4 = f([xi + h * ki for xi, ki in zip(x, k3)])
+        x = [xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        states.append(x)
+    return states
+
+
+# every (n, m) with n in 1..3 and m in 1..2; together the right-hand sides
+# use every FUNCTIONS member, '^', unary minus and division
+TEXTBOOK_PLANTS = [
+    (["-sin(x1) + u1"], 1),
+    (["-x1/(2 + cos(u2)) + u1"], 2),
+    (["x2", "-tan(0.5*x1) - exp(-x2^2)*x2 + u1"], 1),
+    (["x2", "-1.96*sin(x1) - 1.5*x2 + u1*cos(u2)"], 2),
+    (["x2 - x3", "-abs(x1)*x1 + u1", "sqrt(1 + x3^2) - 1 - x2/3"], 1),
+    (["-x1^3 + x2", "-abs(x3)^1.5 + u1", "-(x1 - x3)/(1 + x2^2) + u2"], 2),
+]
+
+
+def textbook_plant(rhs, m: int) -> ControlSystem:
+    n = len(rhs)
+    return ControlSystem.from_strings(rhs, [-1] * n, [1] * n, [-1] * m, [1] * m)
+
+
+def test_textbook_plants_cover_every_case():
+    ops, dims = set(), set()
+
+    def walk(node):
+        if isinstance(node, (Unary, Binary)):
+            ops.add(node.op)
+        if isinstance(node, Unary):
+            walk(node.arg)
+        elif isinstance(node, Binary):
+            walk(node.left)
+            walk(node.right)
+
+    for rhs, m in TEXTBOOK_PLANTS:
+        sys = textbook_plant(rhs, m)
+        dims.add((sys.n, sys.m))
+        for e in sys.f:
+            walk(e.root)
+    assert set(FUNCTIONS) | {"neg", "/", "^"} <= ops
+    assert dims == {(n, m) for n in (1, 2, 3) for m in (1, 2)}
+
+
+@pytest.mark.parametrize("K", [1, 7])
+@pytest.mark.parametrize("rhs,m", TEXTBOOK_PLANTS, ids=lambda v: str(v))
+def test_kernel_equals_textbook_rk4_bitwise(rhs, m, K):
+    sys = textbook_plant(rhs, m)
+    rng = np.random.default_rng(len(rhs) * 10 + m)
+    X = rng.uniform(-1.0, 1.0, (sys.n, K))
+    U = rng.uniform(-1.0, 1.0, (m, K))
+    batch = integrate_batch(sys, X, U, 0.2, 20)
+    for j in range(K):
+        want = np.array(textbook_rk4(sys, X[:, j], U[:, j], 0.2, 20)[-1])
+        assert integrate(sys, X[:, j], U[:, j], 0.2, 20).tobytes() == want.tobytes()
+        assert batch[:, j].tobytes() == want.tobytes(), j
+
+
+def test_evaluation_failure_text():
+    sys = ControlSystem.from_strings(["1/x1 + u1"], [-10], [10], [0], [1])
+    with pytest.raises(IntegrationError) as err:
+        integrate(sys, [0], [0], 0.2)
+    assert str(err.value) == ("derivative evaluation failed at t=0: float "
+                              "division by zero from x0=[0.0], u=[0.0]")
+    assert isinstance(err.value.__cause__, ZeroDivisionError)
+    # two failing columns: the batch raises the text of the first
+    with pytest.raises(IntegrationError) as batch:
+        integrate_batch(sys, [[0.5, 0.0, 0.0]], [[0.0, 1.0, 0.0]], 0.2)
+    assert str(batch.value) == ("derivative evaluation failed at t=0: float "
+                                "division by zero from x0=[0.0], u=[1.0]")
+
+
+def test_blowup_text_names_the_first_non_finite_step():
+    # x' = x^2 from 5 blows up at t = 0.2; x1*x1 overflows to inf where
+    # x1^2 would raise OverflowError
+    sys = ControlSystem.from_strings(["x1*x1"], [-10], [10], [0], [0])
+    states = textbook_rk4(sys, [5.0], [0.0], 1.0, 50)
+    first = next(k for k, x in enumerate(states) if not math.isfinite(x[0]))
+    assert first == 12
+    with pytest.raises(IntegrationError) as err:
+        integrate(sys, [5.0], [0.0], 1.0, 50)
+    assert str(err.value) == "non-finite state at t=0.26 from x0=[5.0], u=[0.0]"
+    assert f"t={(first + 1) * 0.02:.6g} " in str(err.value)
+    # from 6 it blows up earlier, but column 1 is the first that fails
+    with pytest.raises(IntegrationError) as batch:
+        integrate_batch(sys, [[0.5, 5.0, 6.0]], [[0.0, 0.0, 0.0]], 1.0, 50)
+    assert str(batch.value) == str(err.value)
+
+
+def test_pickle_drops_and_regenerates_the_kernel():
+    sys = ControlSystem.from_strings(["x2", "-1.96*sin(x1) - 1.5*x2 + u1"],
+                                     [-1, -1], [1, 1], [-2.5], [2.5])
+    X = np.array([[-0.3, 0.4], [0.2, -0.1]])
+    U = np.array([[1.0, -2.0]])
+    want = integrate(sys, X[:, 0], U[:, 0], 0.2)
+    want_batch = integrate_batch(sys, X, U, 0.2)
+    assert sys._rk4fn is not None and sys._vrk4fn is not None
+    copy = pickle.loads(pickle.dumps(sys))
+    assert copy._rk4fn is None and copy._vrk4fn is None
+    assert integrate(copy, X[:, 0], U[:, 0], 0.2).tobytes() == want.tobytes()
+    assert integrate_batch(copy, X, U, 0.2).tobytes() == want_batch.tobytes()
+    assert copy._rk4fn is not None and copy._rk4fn is not sys._rk4fn
+
+
 def test_control_system_rejects_delay_terms():
     with pytest.raises(Exception):
         ControlSystem.from_strings(["-delay(x1, 0.1)"], [-1], [1], [0], [0])
+
+
+def test_control_system_rejects_zero_delay_terms():
+    # the RK4 kernel has no history; delay(x1, 0) belongs to TimeDelaySystem
+    with pytest.raises(ValueError, match="TimeDelaySystem"):
+        ControlSystem.from_strings(["-delay(x1, 0)"], [-1], [1], [0], [0])
 
 
 # ---------------------------------------------------------------------------
