@@ -9,7 +9,11 @@ around the nominal endpoint integrate(q1, u, tau) of radius
 componentwise, where E marks zero components of the cell's quantized point
 q1.  Zoom-refined subcells use the isotropic radius e^(L*tau) * s, s the
 largest componentwise distance from q1 to the subcell faces (the
-logarithmic formula has no analogue below the deadzone scale).
+logarithmic formula has no analogue below the deadzone scale).  The build
+works on arrays: one Lipschitz estimate over all C cells, the (C, n) radii,
+the (C, I, n) nominal endpoints of all (cell, input) pairs, then the
+blocked pairs and the growth boxes.  Each endpoint is still one integrate()
+call and each box one Partition.intersecting() query.
 
 Time-delay construction: states are spline tubes, tuples of N+2 knot cells
 on [-Theta, 0] sampled at the peaks of linear hat functions.  A tube's
@@ -32,7 +36,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
-                       DEFAULT_STEPS, estimate_lipschitz, integrate,
+                       DEFAULT_STEPS, estimate_lipschitz,
+                       estimate_lipschitz_batch, integrate,
                        integrate_delay_batch, interpolate_batch)
 from .quantizers import Cell, LogQuantizerParams, Partition, ZoomQuantizerParams
 
@@ -48,16 +53,30 @@ class GrowthBound:
         object.__setattr__(self, "radius", r)
 
 
-def growth_bound_delayfree(q1, eta: float, L1: float, tau: float) -> GrowthBound:
-    """Box radius theta1*e^(L1 tau)*(|q1|+E), E = 1 on zero components."""
+def growth_bound_delayfree(q1, eta: float, L1, tau: float) -> GrowthBound:
+    """Box radius theta1*e^(L1 tau)*(|q1|+E), E = 1 on zero components.
+
+    q1 is one quantized point (n,) with a float L1, or C points (C, n)
+    with L1 a (C,) array: row k of the radius is the bound of q1[k] under
+    L1[k].  L1 = 0 is allowed: a right-hand side that does not depend on
+    the state keeps the radius theta1*(|q1|+E).
+    """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must be in (0,1)")
-    if L1 <= 0 or tau <= 0:
-        raise ValueError("L1 and tau must be positive")
+    L1 = np.asarray(L1, dtype=float)
+    if not (np.all(L1 >= 0) and tau > 0):
+        raise ValueError("L1 must be nonnegative and tau positive")
     q1 = np.asarray(q1, dtype=float)
     theta1 = eta / (1.0 - eta)
     qbar = np.abs(q1) + (q1 == 0.0).astype(float)
-    return GrowthBound(theta1 * math.exp(L1 * tau) * qbar)
+    return GrowthBound(theta1 * _exp_times(L1, tau)[..., None] * qbar)
+
+
+def _exp_times(L, tau: float) -> np.ndarray:
+    """e^(L*tau) for every entry of L by math.exp, which np.exp does not
+    match bit for bit on every build."""
+    L = np.asarray(L, dtype=float)
+    return np.array([math.exp(v * tau) for v in L.ravel().tolist()]).reshape(L.shape)
 
 
 @dataclass(frozen=True)
@@ -208,15 +227,19 @@ def input_lattice(lo, hi, input_quantization) -> List[np.ndarray]:
 # delay-free model
 
 
-def _cell_radius(part: Partition, cell: Cell, eta: float, L: float,
-                 tau: float, scale: float) -> np.ndarray:
-    """Growth radius for one source cell (log formula or subcell spread)."""
-    if part.zoom_params_of(cell.id) is not None:
-        s = float(np.max(cell.spread()))
-        r = np.full(len(cell.lower), math.exp(L * tau) * s)
-    else:
-        r = growth_bound_delayfree(cell.quantized_point, eta, L, tau).radius
-    return scale * r
+def _growth_radii(part: Partition, cells: List[Cell], L: np.ndarray,
+                  tau: float, scale: float) -> np.ndarray:
+    """(C, n) growth radii, row k for cells[k] under Lipschitz constant L[k]:
+    the log formula, or e^(L tau)*s on zoom subcells, s the subcell's
+    largest spread."""
+    eta = part.params[0].eta
+    q = np.array([c.quantized_point for c in cells])
+    radius = growth_bound_delayfree(q, eta, L, tau).radius
+    zoomed = [k for k, c in enumerate(cells) if part.zoom_params_of(c.id) is not None]
+    if zoomed:
+        spread = np.array([np.max(cells[k].spread()) for k in zoomed])
+        radius[zoomed] = (_exp_times(L[zoomed], tau) * spread)[:, None]
+    return scale * radius
 
 
 def build_delayfree(sys: ControlSystem, tau: float,
@@ -246,22 +269,25 @@ def build_delayfree(sys: ControlSystem, tau: float,
 
 def _delayfree_model(sys: ControlSystem, part: Partition,
                      inputs: List[np.ndarray], ctx: _BuildContext) -> TransitionSystem:
-    """The delay-free transition loop over every cell of part and input."""
-    eta = part.params[0].eta
+    """The delay-free transitions of every cell of part and input, built on
+    arrays as the module docstring describes."""
     cells = part.cells
     if not cells:
         raise ValueError("empty state lattice")
 
+    L = estimate_lipschitz_batch(sys, cells, ctx.lipschitz)
+    radius = _growth_radii(part, cells, L, ctx.tau, ctx.growth_scale)[:, None, :]
+    x1 = np.array([[integrate(sys, c.quantized_point, u, ctx.tau, ctx.steps)
+                    for u in inputs] for c in cells])
+    # a pair is blocked when its nominal endpoint leaves X
+    blocked = ((x1 < sys.state_lo) | (x1 > sys.state_hi)).any(axis=2)
+    box_lo = (x1 - radius).tolist()
+    box_hi = (x1 + radius).tolist()
+
     transitions: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    for cell in cells:
-        L = estimate_lipschitz(sys, cell, ctx.lipschitz)
-        radius = _cell_radius(part, cell, eta, L, ctx.tau, ctx.growth_scale)
-        for iid, u in enumerate(inputs):
-            x1 = integrate(sys, cell.quantized_point, u, ctx.tau, ctx.steps)
-            if np.any(x1 < sys.state_lo) or np.any(x1 > sys.state_hi):
-                continue  # nominal endpoint leaves X: blocked pair
-            succ = part.intersecting(x1 - radius, x1 + radius)
-            transitions[(cell.id, iid)] = tuple(succ)
+    for k, iid in zip(*(a.tolist() for a in np.nonzero(~blocked))):
+        succ = part.intersecting(box_lo[k][iid], box_hi[k][iid])
+        transitions[(cells[k].id, iid)] = tuple(succ)
 
     states = [AbstractState(c.id, cell=c) for c in cells]
     return TransitionSystem("delayfree", states, inputs, transitions,

@@ -321,7 +321,7 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
         except ValueError:
             raise ConfigError("abstraction.lipschitz: expected 'sampled' or a number, "
                               f"got {lip_raw!r}")
-        _check(lipschitz > 0, "abstraction.lipschitz", "must be positive")
+        _check(lipschitz >= 0, "abstraction.lipschitz", "must be positive or zero")
 
     steps = absc.integer("steps", str(DEFAULT_STEPS))
     _check(steps >= 1, "abstraction.steps", "must be an integer >= 1")

@@ -12,10 +12,16 @@ smallest positive delay so every delayed argument falls in the already
 computed part of the trajectory, which is stored on a fine uniform grid and
 linearly interpolated.  Input delays are restricted to integer multiples of
 the sampling period, so the delayed input is a buffered previous sample.
+
+The sampled-Jacobian Lipschitz estimate has one body as well:
+estimate_lipschitz runs it on the floats of one cell and
+estimate_lipschitz_batch on (C,) arrays for C cells, entry for entry
+bit-equal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -454,34 +460,33 @@ SAFETY = 1.1
 _FD_EPS = 1e-6
 
 
-def _axis_samples(lo: float, hi: float) -> List[float]:
+def _axis_samples(lo, hi) -> list:
     return [lo, 0.5 * (lo + hi), hi]
 
 
-def estimate_lipschitz(sys: Union[ControlSystem, TimeDelaySystem], cell,
-                       mode: Union[str, float] = "sampled-jacobian") -> float:
-    """Lipschitz constant of f in the state over one cell.
-
-    mode 'sampled-jacobian': max infinity-norm of the Jacobian over the
-    3^n grid of cell corners and midpoints (crossed with the input box grid),
-    central finite differences, times a 1.1 safety factor.  Delayed arguments
-    count as independent columns, so the estimate bounds the increment with
-    respect to the supremum norm of the functional.  A numeric mode is
-    returned verbatim (user-supplied constant).
-    """
-    if isinstance(mode, (int, float)):
-        return float(mode)
+def _check_mode(mode: str) -> None:
     if mode != "sampled-jacobian":
         raise ValueError(f"unknown mode {mode!r}")
 
-    fns = [e.fn for e in sys.f]
+
+def _lipschitz(sys: Union[ControlSystem, TimeDelaySystem], fns, lower: list,
+               upper: list, finite, maximum):
+    """The sampled-Jacobian estimate over one cell or over C cells.
+
+    lower and upper hold the cell bounds, one float per state coordinate
+    for one cell or one (C,) array per coordinate for C cells; fns are the
+    matching Expression.fn or Expression.vfn functions, finite tests a list
+    of derivative values, and maximum is max or np.maximum.  Both forms run
+    this body, so entry k of the batched estimate equals the one-cell
+    estimate of cell k bit for bit.
+    """
     delay_cols = sorted({(i - 1, th) for e in sys.f for (i, th) in e.delays()})
     n, m = sys.n, sys.m
 
-    grids_x = [_axis_samples(float(cell.lower[i]), float(cell.upper[i])) for i in range(n)]
+    grids_x = [_axis_samples(lower[i], upper[i]) for i in range(n)]
     grids_u = [_axis_samples(float(sys.input_lo[j]), float(sys.input_hi[j])) for j in range(m)]
 
-    def f_at(x: List[float], u: List[float], bumps: dict, base=None) -> List[float]:
+    def f_at(x: list, u: List[float], bumps: dict, base=None) -> list:
         # bumps: (coord, theta) -> offset on that delayed argument; delayed
         # arguments are evaluated at `base` (the unperturbed point) so state
         # and delay columns stay independent
@@ -500,7 +505,7 @@ def estimate_lipschitz(sys: Union[ControlSystem, TimeDelaySystem], cell,
         except (ArithmeticError, ValueError) as err:
             raise IntegrationError(
                 f"derivative evaluation failed at x={x}, u={u}: {err}") from err
-        if not all(math.isfinite(v) for v in vals):
+        if not finite(vals):
             raise IntegrationError(f"non-finite derivative sample at x={x}, u={u}")
         return vals
 
@@ -511,19 +516,68 @@ def estimate_lipschitz(sys: Union[ControlSystem, TimeDelaySystem], cell,
             u = [grids_u[j][uj[j]] for j in range(m)]
             rows = [0.0] * n
             for i in range(n):
-                eps = _FD_EPS * max(1.0, abs(x[i]))
-                xp = list(x); xp[i] += eps
-                xm = list(x); xm[i] -= eps
+                eps = _FD_EPS * maximum(1.0, abs(x[i]))
+                # not xp[i] += eps: an array x[i] is shared by x, xp, xm
+                xp = list(x); xp[i] = x[i] + eps
+                xm = list(x); xm[i] = x[i] - eps
                 fp = f_at(xp, u, {}, base=x)
                 fm = f_at(xm, u, {}, base=x)
                 for j in range(n):
                     rows[j] += abs(fp[j] - fm[j]) / (2 * eps)
             for col in delay_cols:
                 i = col[0]
-                eps = _FD_EPS * max(1.0, abs(x[i]))
+                eps = _FD_EPS * maximum(1.0, abs(x[i]))
                 fp = f_at(x, u, {col: +eps})
                 fm = f_at(x, u, {col: -eps})
                 for j in range(n):
                     rows[j] += abs(fp[j] - fm[j]) / (2 * eps)
-            best = max(best, max(rows))
+            best = maximum(best, functools.reduce(maximum, rows))
     return best * SAFETY
+
+
+def estimate_lipschitz(sys: Union[ControlSystem, TimeDelaySystem], cell,
+                       mode: Union[str, float] = "sampled-jacobian") -> float:
+    """Lipschitz constant of f in the state over one cell.
+
+    mode 'sampled-jacobian': max infinity-norm of the Jacobian over the
+    3^n grid of cell corners and midpoints (crossed with the input box grid),
+    central finite differences, times a 1.1 safety factor.  Delayed arguments
+    count as independent columns, so the estimate bounds the increment with
+    respect to the supremum norm of the functional.  A numeric mode is
+    returned verbatim (user-supplied constant).  estimate_lipschitz_batch
+    runs the same body over many cells at once.
+    """
+    if isinstance(mode, (int, float)):
+        return float(mode)
+    _check_mode(mode)
+    return _lipschitz(sys, [e.fn for e in sys.f],
+                      [float(v) for v in cell.lower],
+                      [float(v) for v in cell.upper], _floats_finite, max)
+
+
+def estimate_lipschitz_batch(sys: Union[ControlSystem, TimeDelaySystem],
+                             cells: Sequence,
+                             mode: Union[str, float] = "sampled-jacobian") -> np.ndarray:
+    """estimate_lipschitz() for C cells at once: entry k of the (C,) result
+    is estimate_lipschitz(sys, cells[k], mode), bit for bit.
+
+    Each coordinate of the sample points is one (C,) array, one column per
+    cell.  When any cell fails, the error is the one estimate_lipschitz()
+    raises for the first failing cell.
+    """
+    if isinstance(mode, (int, float)):
+        return np.full(len(cells), float(mode))
+    _check_mode(mode)
+    if not cells:
+        return np.empty(0)
+    lower = np.array([c.lower for c in cells], dtype=float).T
+    upper = np.array([c.upper for c in cells], dtype=float).T
+    try:
+        # see integrate_batch: numpy raises where float arithmetic does
+        with np.errstate(divide="raise", invalid="raise", over="ignore"):
+            return _lipschitz(sys, [e.vfn for e in sys.f], list(lower),
+                              list(upper), _arrays_finite, np.maximum)
+    except IntegrationError:
+        # rerun one cell at a time: the first failing cell raises its own
+        # error, and if none fails the one-cell results stand
+        return np.array([estimate_lipschitz(sys, c, mode) for c in cells])

@@ -40,6 +40,29 @@ def test_growth_bound_parameter_checks():
         growth_bound_delayfree(np.array([0.0]), 0.2, -1.0, 0.2)
 
 
+def test_growth_bound_accepts_a_zero_lipschitz_constant():
+    # a right-hand side that does not depend on the state: no growth
+    gb = growth_bound_delayfree(np.array([0.48, 0.0]), 0.2, 0.0, 0.2)
+    assert gb.radius.tolist() == [0.25 * 0.48, 0.25]
+    for bad in (-1e-12, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            growth_bound_delayfree(np.array([0.0]), 0.2, bad, 0.2)
+    with pytest.raises(ValueError, match="tau positive"):
+        growth_bound_delayfree(np.array([0.0]), 0.2, 1.0, 0.0)
+
+
+def test_growth_bound_rows_equal_one_point_bounds():
+    q = np.array([[0.0, 0.0], [0.48, -0.72], [-0.72, 0.0]])
+    L = np.array([6.0, 3.3194235869338233, 0.0])
+    rows = growth_bound_delayfree(q, 0.2, L, 0.2).radius
+    assert rows.shape == (3, 2)
+    for k in range(3):
+        one = growth_bound_delayfree(q[k], 0.2, float(L[k]), 0.2).radius
+        assert rows[k].tobytes() == one.tobytes()
+    with pytest.raises(ValueError, match="nonnegative"):
+        growth_bound_delayfree(q, 0.2, np.array([6.0, math.nan, 1.0]), 0.2)
+
+
 # ---------------------------------------------------------------------------
 # input lattices
 

@@ -1,17 +1,21 @@
-"""Batched integrators against their one-trajectory forms: every column
-bit for bit, errors alike.  integrate_batch is checked against integrate,
-integrate_delay_batch against integrate_delay."""
+"""Batched integrators and Lipschitz estimates against their one-trajectory
+and one-cell forms: every column bit for bit, errors alike.  integrate_batch
+is checked against integrate, integrate_delay_batch against integrate_delay,
+estimate_lipschitz_batch against estimate_lipschitz."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from symquant import LogQuantizerParams, build_delayfree
+from symquant import LogQuantizerParams, ZoomQuantizerParams, build_delayfree
 from symquant.dynamics import (ControlSystem, IntegrationError, SampledCurve,
-                               TimeDelaySystem, integrate, integrate_batch,
-                               integrate_delay, integrate_delay_batch)
+                               TimeDelaySystem, estimate_lipschitz,
+                               estimate_lipschitz_batch, integrate,
+                               integrate_batch, integrate_delay,
+                               integrate_delay_batch)
 from symquant.expr import FUNCTIONS
+from symquant.quantizers import Cell, Partition
 from symquant.synthesis import _hold_sequences
 
 # one plant per FUNCTIONS member and '^', each argument inside its domain
@@ -227,3 +231,77 @@ def test_delay_terms_fail_like_state_terms(rhs, start, why):
         with pytest.raises(IntegrationError) as err:
             integrate(plain, [start], [0.0], 0.2)
         assert str(err.value).startswith(head + " from x0=")
+
+
+# ---------------------------------------------------------------------------
+# Lipschitz estimates
+
+def assert_batch_equals_cells(sys, cells, mode="sampled-jacobian"):
+    got = estimate_lipschitz_batch(sys, cells, mode)
+    assert got.shape == (len(cells),)
+    for k, cell in enumerate(cells):
+        want = estimate_lipschitz(sys, cell, mode)
+        assert got[k].tobytes() == np.float64(want).tobytes(), k
+
+
+def test_lipschitz_batch_on_the_fine_zoom_partition(pendulum):
+    # the pendulum at eta = d = 0.1 with the center deadzone cell zoomed:
+    # 528 logarithmic cells and 9 subcells
+    part = Partition(pendulum.state_lo, pendulum.state_hi,
+                     LogQuantizerParams(0.1, 0.1, "EQ20"))
+    part = part.refined({264: ZoomQuantizerParams(1, 1.0, 0.1)})
+    assert len(part.cells) == 537
+    assert_batch_equals_cells(pendulum, part.cells)
+
+
+@pytest.mark.parametrize("name", sorted(TERMS))
+def test_lipschitz_batch_for_every_function(name):
+    sys = plant(TERMS[name])
+    part = Partition(sys.state_lo, sys.state_hi, LogQuantizerParams(0.2, 0.4))
+    assert_batch_equals_cells(sys, part.cells)
+
+
+def test_lipschitz_batch_counts_delay_columns(pendulum_delay, logparams):
+    part = Partition(pendulum_delay.state_lo, pendulum_delay.state_hi, logparams)
+    whole = Cell(-1, pendulum_delay.state_lo, pendulum_delay.state_hi,
+                 np.zeros(2))
+    assert_batch_equals_cells(pendulum_delay, part.cells + [whole])
+    assert_batch_equals_cells(delay_plant("no-input-delay", pendulum_delay),
+                              part.cells)
+
+
+@pytest.mark.parametrize("rhs", [["1.5"], ["u1"], ["0.5", "-0.25*u1"]])
+def test_lipschitz_batch_of_a_state_free_rhs(rhs):
+    # vfn returns a float, not an array, for every sample point
+    n = len(rhs)
+    sys = ControlSystem.from_strings(rhs, [-1] * n, [1] * n, [-0.6], [0.6])
+    part = Partition(sys.state_lo, sys.state_hi, LogQuantizerParams(0.2, 0.4))
+    assert_batch_equals_cells(sys, part.cells)
+    assert not estimate_lipschitz_batch(sys, part.cells).any()
+
+
+def test_lipschitz_batch_numeric_and_empty(pendulum, logparams):
+    part = Partition(pendulum.state_lo, pendulum.state_hi, logparams)
+    assert_batch_equals_cells(pendulum, part.cells, 6)
+    assert estimate_lipschitz_batch(pendulum, [], "sampled-jacobian").shape == (0,)
+    with pytest.raises(ValueError, match="unknown mode"):
+        estimate_lipschitz_batch(pendulum, part.cells, "exact")
+
+
+def test_lipschitz_batch_error_names_the_first_failing_cell():
+    # sqrt(0.5 - x1) is undefined on x1 > 0.5: cells 0-2 pass, and the
+    # midpoint 0.5 of cell 3 = [0.4, 0.6] fails once bumped by the
+    # finite-difference step; cell 4 = [0.6, 1] fails too
+    sys = ControlSystem.from_strings(["sqrt(0.5 - x1) + u1"], [-1], [1],
+                                     [-0.2], [0.2])
+    part = Partition(sys.state_lo, sys.state_hi, LogQuantizerParams(0.2, 0.4))
+    text = ("derivative evaluation failed at x=[0.500001], u=[-0.2]: "
+            "math domain error")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as scalar:
+            estimate_lipschitz(sys, part.cells[3])
+        with pytest.raises(IntegrationError) as batch:
+            estimate_lipschitz_batch(sys, part.cells)
+    assert str(scalar.value) == str(batch.value) == text
+    assert_batch_equals_cells(sys, part.cells[:3])

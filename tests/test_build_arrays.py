@@ -1,0 +1,79 @@
+"""The delay-free build, which works on arrays, against the one-pair-at-a-time
+loop it replaced: the same transitions and the same serialized bytes."""
+
+import math
+
+import numpy as np
+import pytest
+
+from symquant import (ControlSystem, LogQuantizerParams, ZoomQuantizerParams,
+                      build_delayfree, refine_cells)
+from symquant.abstraction import (AbstractState, TransitionSystem,
+                                  growth_bound_delayfree)
+from symquant.dynamics import estimate_lipschitz, integrate
+from symquant.model_io import serialize_ts
+
+
+def reference_model(ts: TransitionSystem) -> TransitionSystem:
+    """ts rebuilt by the per-pair loop: one Lipschitz estimate and one
+    radius per cell, then per input one integration, one blocked test and
+    one box query."""
+    ctx, part, inputs = ts._ctx, ts.partition, ts.inputs
+    sys = ctx.sys
+    eta = part.params[0].eta
+    transitions = {}
+    for cell in part.cells:
+        L = estimate_lipschitz(sys, cell, ctx.lipschitz)
+        if part.zoom_params_of(cell.id) is not None:
+            s = float(np.max(cell.spread()))
+            r = np.full(len(cell.lower), math.exp(L * ctx.tau) * s)
+        else:
+            r = growth_bound_delayfree(cell.quantized_point, eta, L, ctx.tau).radius
+        radius = ctx.growth_scale * r
+        for iid, u in enumerate(inputs):
+            x1 = integrate(sys, cell.quantized_point, u, ctx.tau, ctx.steps)
+            if np.any(x1 < sys.state_lo) or np.any(x1 > sys.state_hi):
+                continue  # nominal endpoint leaves X: blocked pair
+            succ = part.intersecting(x1 - radius, x1 + radius)
+            transitions[(cell.id, iid)] = tuple(succ)
+    states = [AbstractState(c.id, cell=c) for c in part.cells]
+    return TransitionSystem("delayfree", states, inputs, transitions,
+                            initial=[c.id for c in part.cells], partition=part,
+                            ctx=ctx)
+
+
+def assert_same_model(ts):
+    ref = reference_model(ts)
+    assert ts.transitions == ref.transitions
+    assert serialize_ts(ts) == serialize_ts(ref)
+
+
+def test_one_dimensional_plant_with_blocked_pairs():
+    sys = ControlSystem.from_strings(["2*x1 + u1"], [-1], [1], [-0.6], [0.6])
+    ts = build_delayfree(sys, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"))
+    blocked = len(ts.states) * len(ts.inputs) - len(ts.transitions)
+    assert blocked > 0
+    assert_same_model(ts)
+
+
+def test_pendulum_with_a_zoomed_cell(pendulum, logparams):
+    coarse = build_delayfree(pendulum, 0.2, logparams)
+    ts = refine_cells(coarse, {12: ZoomQuantizerParams(1, 1.0, 0.3),
+                               0: ZoomQuantizerParams(2, 1.0, 0.1)})
+    assert any(ts.partition.zoom_params_of(c.id) for c in ts.partition.cells)
+    assert_same_model(ts)
+
+
+@pytest.mark.parametrize("lipschitz", ["sampled-jacobian", 6.0])
+def test_zero_growth_scale(pendulum, logparams, lipschitz):
+    ts = build_delayfree(pendulum, 0.2, logparams, lipschitz=lipschitz,
+                         growth_scale=0.0)
+    assert_same_model(ts)
+
+
+def test_plant_without_state_dependence():
+    # the sampled Jacobian is 0, so every radius is theta1*(|q|+E)
+    sys = ControlSystem.from_strings(["u1"], [-1], [1], [-0.6], [0.6])
+    ts = build_delayfree(sys, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"))
+    assert ts.transitions
+    assert_same_model(ts)

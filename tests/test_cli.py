@@ -330,6 +330,22 @@ def test_evaluation_error_is_exit_1(tmp_path, capsys, rhs, why):
     assert why in err
 
 
+def test_abstract_builds_a_plant_without_state_dependence(tmp_path, capsys):
+    # x1' = u1: the sampled Jacobian is exactly 0, which the growth bound
+    # accepts; the build only, as the witness on this plant shows the
+    # known deadzone growth-radius defect
+    cfg = tmp_path / "drift.ini"
+    cfg.write_text("[system]\nn = 1\nm = 1\nf =\n    u1\n"
+                   "state_lo = -1\nstate_hi = 1\ninput_lo = -0.6\n"
+                   "input_hi = 0.6\n\n[abstraction]\ntau = 0.2\n"
+                   "variant = EQ20\neta = 0.2\nd = 0.4\nmu = 0.2\n"
+                   "lipschitz = sampled\n")
+    rc = main(["abstract", "--config", str(cfg), "--out", str(tmp_path / "m.sts")])
+    assert rc == 0, capsys.readouterr().err
+    assert ("delay-free model with 5 states, 7 inputs, 63 transitions"
+            in capsys.readouterr().out)
+
+
 def test_missing_config_is_exit_1(tmp_path, capsys):
     rc = main(["abstract", "--config", str(tmp_path / "ghost.ini"),
                "--out", str(tmp_path / "x.sts")])

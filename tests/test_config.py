@@ -68,6 +68,14 @@ def test_sampled_lipschitz_keyword():
     assert cfg.lipschitz == "sampled-jacobian"
 
 
+def test_zero_lipschitz_constant_is_valid():
+    # a right-hand side that does not depend on the state has constant 0
+    cfg = parse_config_text(ini({"abstraction.lipschitz": "0"}))
+    assert cfg.lipschitz == 0.0
+    with pytest.raises(ConfigError, match="must be positive or zero"):
+        parse_config_text(ini({"abstraction.lipschitz": "nan"}))
+
+
 def test_timedelay_config_builds_functional_system():
     cfg = parse_config_text(ini({
         "system.f": "\n x2\n -1.96*sin(x1) - 1.5*x2 + 0.1*delay(x2, 0.2) + u1",
