@@ -13,7 +13,8 @@ logarithmic formula has no analogue below the deadzone scale).  The build
 works on arrays: one Lipschitz estimate over all C cells, the (C, n) radii,
 the (C, I, n) nominal endpoints of all (cell, input) pairs, then the
 blocked pairs and the growth boxes.  Each endpoint is still one integrate()
-call and each box one Partition.intersecting() query.
+call and each box one Partition.intersecting() query, whose ids are appended
+to the model's flat successor array (see TransitionSystem).
 
 Time-delay construction: states are spline tubes, tuples of N+2 knot cells
 on [-Theta, 0] sampled at the peaks of linear hat functions.  A tube's
@@ -31,7 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from array import array
+from collections.abc import Mapping
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -115,14 +118,19 @@ class _BuildContext:
 class TransitionSystem:
     """Finite transition system with identity output map.
 
-    transitions maps (state id, input id) to a sorted tuple of successor
-    state ids; a missing key is a blocked pair.  Construction is
-    deterministic: same configuration, same serialized bytes.
+    The relation is stored in CSR (compressed sparse row) arrays with one
+    row per (state position, input id): row k*len(inputs) + i holds the
+    successor state ids of (states[k], input i) in
+    succ[indptr[row]:indptr[row + 1]].  indptr is int64 with
+    len(states)*len(inputs) + 1 entries, succ int32.  A pair is enabled
+    exactly when its row is non-empty; a blocked pair's row is empty.
+    Construction is deterministic: same configuration, same serialized
+    bytes.
     """
 
     def __init__(self, kind: str, states: List[AbstractState],
                  inputs: List[np.ndarray],
-                 transitions: Dict[Tuple[int, int], Tuple[int, ...]],
+                 relation: Tuple[np.ndarray, np.ndarray],
                  initial: List[int],
                  partition: Optional[Partition] = None,
                  ctx: Optional[_BuildContext] = None,
@@ -131,11 +139,16 @@ class TransitionSystem:
         self.kind = kind
         self.states = states
         self.inputs = [np.atleast_1d(np.asarray(u, dtype=float)) for u in inputs]
-        self.transitions = transitions
+        self.indptr = np.asarray(relation[0], dtype=np.int64)
+        self.succ = np.asarray(relation[1], dtype=np.int32)
+        if self.indptr.shape != (len(states) * len(self.inputs) + 1,) or \
+                self.indptr[-1] != len(self.succ):
+            raise ValueError("indptr needs one row per (state, input) pair "
+                             "and must end at len(succ)")
         self.initial = list(initial)
         self.partition = partition
         self._ctx = ctx
-        self._by_id = {s.id: s for s in states}
+        self._pos = {s.id: k for k, s in enumerate(states)}
         # tube exploration hit its budget: some frontier pairs are blocked
         self.truncated = truncated
         # knot cells of a tube model parsed without its partition
@@ -144,20 +157,47 @@ class TransitionSystem:
         self._hold_seqs: Optional[Tuple[int, Dict[Tuple[int, int], List[int]]]] = None
 
     def state(self, sid: int) -> AbstractState:
-        return self._by_id[sid]
+        return self.states[self._pos[sid]]
 
     def state_ids(self) -> List[int]:
         return [s.id for s in self.states]
 
     def successors(self, sid: int, iid: int) -> Tuple[int, ...]:
-        return self.transitions.get((sid, iid), ())
+        k = self._pos.get(sid)
+        if k is None or not 0 <= iid < len(self.inputs):
+            return ()
+        row = k * len(self.inputs) + iid
+        return tuple(self.succ[self.indptr[row]:self.indptr[row + 1]].tolist())
 
     def enabled(self, sid: int) -> List[int]:
-        return [i for i in range(len(self.inputs)) if (sid, i) in self.transitions]
+        k = self._pos.get(sid)
+        if k is None:
+            return []
+        n_in = len(self.inputs)
+        return np.flatnonzero(np.diff(self.indptr[k * n_in:(k + 1) * n_in + 1])).tolist()
 
     @property
     def n_transitions(self) -> int:
-        return sum(len(v) for v in self.transitions.values())
+        return len(self.succ)
+
+    def transition_rows(self) -> Iterator[Tuple[Tuple[int, int], Tuple[int, ...]]]:
+        """((state id, input id), successor ids) of every enabled pair, by
+        state id and then input id."""
+        n_in = len(self.inputs)
+        for k in sorted(range(len(self.states)), key=lambda k: self.states[k].id):
+            sid = self.states[k].id
+            bounds = self.indptr[k * n_in:(k + 1) * n_in + 1].tolist()
+            for iid in range(n_in):
+                if bounds[iid] < bounds[iid + 1]:
+                    yield (sid, iid), tuple(self.succ[bounds[iid]:bounds[iid + 1]].tolist())
+
+    @property
+    def transitions(self) -> Mapping[Tuple[int, int], Tuple[int, ...]]:
+        """Read-only mapping view of the enabled pairs over the arrays; it
+        stores nothing per edge.  Only bench/trace_stage.py reads it (for
+        len(), the number of enabled pairs); it goes when that file moves to
+        the accessors."""
+        return _RelationView(self)
 
     def input_id_of(self, u) -> Optional[int]:
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -165,6 +205,80 @@ class TransitionSystem:
             if v.shape == u.shape and np.all(np.abs(v - u) <= 1e-9):
                 return i
         return None
+
+
+class _RelationView(Mapping):
+    def __init__(self, ts: TransitionSystem):
+        self._ts = ts
+
+    def __getitem__(self, key):
+        succ = self._ts.successors(*key)
+        if not succ:
+            raise KeyError(key)
+        return succ
+
+    def __iter__(self):
+        return (key for key, _ in self._ts.transition_rows())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(np.diff(self._ts.indptr)))
+
+
+def _positions(state_ids: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For every id in x: its position in state_ids (0 where absent), and
+    whether it is there."""
+    order = np.argsort(state_ids, kind="stable")
+    at = np.searchsorted(state_ids[order], x)
+    found = at < len(state_ids)
+    found[found] = state_ids[order[at[found]]] == x[found]
+    pos = np.zeros(len(x), dtype=np.int64)
+    pos[found] = order[at[found]]
+    return pos, found
+
+
+def _indptr(n_rows: int, rows, sizes) -> np.ndarray:
+    """indptr of n_rows CSR rows: row rows[j] holds sizes[j] entries, every
+    other row none."""
+    counts = np.zeros(n_rows + 1, dtype=np.int64)
+    counts[np.asarray(rows, dtype=np.int64) + 1] = sizes
+    return np.cumsum(counts)
+
+
+def transition_arrays(state_ids: Sequence[int], n_inputs: int,
+                      relation) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, succ) of a relation over the states in the order
+    of state_ids, for TransitionSystem.
+
+    relation is a {(state id, input id): successor ids} mapping, or a
+    (src, input, dst) triple of equal-length id sequences, one entry per
+    edge.  Successors keep their given order within a pair.  An unknown
+    state or input, or an edge given twice, raises ValueError.
+    """
+    if isinstance(relation, Mapping):
+        src = [sid for (sid, _), dst in relation.items() for _ in dst]
+        iid = [i for (_, i), dst in relation.items() for _ in dst]
+        dst = [t for succ in relation.values() for t in succ]
+    else:
+        src, iid, dst = relation
+    ids = np.asarray(state_ids, dtype=np.int64)
+    src, iid, dst = (np.asarray(a, dtype=np.int64).reshape(-1) for a in (src, iid, dst))
+    pos, src_known = _positions(ids, src)
+    dst_known = _positions(ids, dst)[1]
+    bad = ~src_known | ~dst_known | (iid < 0) | (iid >= n_inputs)
+    if bad.any():
+        e = int(np.argmax(bad))
+        if src_known[e] and dst_known[e]:
+            raise ValueError(f"transition references unknown input {iid[e]}")
+        raise ValueError(f"transition references unknown state: "
+                         f"({src[e]}, {iid[e]}) -> {dst[e]}")
+    rows = pos * n_inputs + iid
+    by_edge = np.lexsort((dst, rows))
+    same = (np.diff(rows[by_edge]) == 0) & (np.diff(dst[by_edge]) == 0)
+    if same.any():
+        e = by_edge[int(np.argmax(same)) + 1]
+        raise ValueError(f"duplicate transition: ({src[e]}, {iid[e]}) -> {dst[e]}")
+    indptr = _indptr(len(ids) * n_inputs, *np.unique(rows, return_counts=True))
+    return indptr, dst[np.argsort(rows, kind="stable")].astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +398,19 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
     box_lo = (x1 - radius).tolist()
     box_hi = (x1 + radius).tolist()
 
-    transitions: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    for k, iid in zip(*(a.tolist() for a in np.nonzero(~blocked))):
-        succ = part.intersecting(box_lo[k][iid], box_hi[k][iid])
-        transitions[(cells[k].id, iid)] = tuple(succ)
+    # one CSR row per (cell, input); rows of blocked pairs stay empty
+    rows = np.flatnonzero(~blocked.ravel())
+    succ, sizes = array("i"), array("q")
+    for row in rows.tolist():
+        k, iid = divmod(row, len(inputs))
+        ids = part.intersecting(box_lo[k][iid], box_hi[k][iid])
+        succ.extend(ids)
+        sizes.append(len(ids))
+    indptr = _indptr(blocked.size, rows, sizes)
 
     states = [AbstractState(c.id, cell=c) for c in cells]
-    return TransitionSystem("delayfree", states, inputs, transitions,
+    return TransitionSystem("delayfree", states, inputs,
+                            (indptr, np.array(succ, dtype=np.int32)),
                             initial=[c.id for c in cells], partition=part, ctx=ctx)
 
 
@@ -457,7 +577,9 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
     cells = [[part.cell(k) for k in t.knots] for t in order]
     cell_lo = np.array([[c.lower for c in row] for row in cells])  # (T, J, n)
     cell_hi = np.array([[c.upper for c in row] for row in cells])
-    transitions: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    # pairs are in row order, and tube ids are positions, so the successors
+    # of every (P, T) mask are its row-major nonzero columns
+    succ, sizes = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     chunk = max(1, (1 << 16) // len(order))  # pairs per (P, T) test
     for start in range(0, len(pairs), chunk):
         keys = pairs[start:start + chunk]
@@ -465,14 +587,15 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
         radius = np.array([kernel[key][1] for key in keys])[:, None, None]
         meets = _boxes_meet_knot_cells(pts - radius, pts + radius,
                                        cell_lo, cell_hi)
-        for key, row in zip(keys, meets):
-            succ = np.flatnonzero(row)
-            if succ.size:
-                transitions[key] = tuple(succ.tolist())
+        succ.append(np.nonzero(meets)[1])
+        sizes.append(meets.sum(axis=1))
+    rows = [tid * len(inputs) + iid for tid, iid in pairs]
+    indptr = _indptr(len(order) * len(inputs), rows, np.concatenate(sizes))
 
     states = [AbstractState(ids[t], tube=t) for t in order]
     ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,
                         growth_scale=growth_scale, knot_thetas=thetas, L2=L2)
-    return TransitionSystem("timedelay", states, inputs, transitions,
+    return TransitionSystem("timedelay", states, inputs,
+                            (indptr, np.concatenate(succ).astype(np.int32)),
                             initial=[0], partition=part, ctx=ctx,
                             truncated=truncated)

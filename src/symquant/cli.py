@@ -19,7 +19,6 @@ violations, unsolvable specifications, aborted simulations), 2 on I/O errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from typing import Optional
 
@@ -30,7 +29,7 @@ from .config import AppConfig, ConfigError, load_config
 from .dynamics import IntegrationError
 from .frr import RefinementMap, sample_frr_delayfree, sample_frr_timedelay
 from .model_io import (ModelFormatError, export_dot, load_controller, load_ts,
-                       serialize_ts, write_controller, write_ts)
+                       sts_chunks, write_controller, write_ts)
 from .sim import export_trajectory, run_closed_loop
 from .synthesis import SynthesisError, synthesize_reach, synthesize_sequence
 
@@ -41,16 +40,27 @@ class _DomainError(Exception):
 
 def _load_model_checked(cfg: AppConfig, path: str, refined: bool) -> TransitionSystem:
     with open(path, "rb") as fh:
-        stored = fh.read()
-    ts = cfg.build_model(refined=refined)
-    rebuilt = serialize_ts(ts).encode()
-    if stored != rebuilt:
-        same = itertools.takewhile(lambda ab: ab[0] == ab[1],
-                                   zip(stored.splitlines(), rebuilt.splitlines()))
+        ts = cfg.build_model(refined=refined)
+        line = _first_difference(fh, sts_chunks(ts))
+    if line is not None:
         raise _DomainError(f"model file {path} does not match the config "
-                           f"rebuild: first difference on line "
-                           f"{sum(1 for _ in same) + 1}")
+                           f"rebuild: first difference on line {line}")
     return ts
+
+
+def _first_difference(fh, chunks) -> Optional[int]:
+    """Line number (from 1) of the first byte where the binary file fh and
+    the text chunks differ, or None when they are equal byte for byte."""
+    newlines = 0
+    for chunk in chunks:
+        want = chunk.encode()
+        got = fh.read(len(want))
+        if got != want:
+            same = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                        len(got))
+            return newlines + want.count(b"\n", 0, same) + 1
+        newlines += want.count(b"\n")
+    return newlines + 1 if fh.read(1) else None
 
 
 def cmd_abstract(args: argparse.Namespace) -> int:

@@ -236,8 +236,8 @@ def integrate(sys: ControlSystem, x0, u, tau: float, steps: int = DEFAULT_STEPS)
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    u = [float(v) for v in np.atleast_1d(u)]
-    x0 = [float(v) for v in np.atleast_1d(x0)]
+    u = np.asarray(u, dtype=float).ravel().tolist()
+    x0 = np.asarray(x0, dtype=float).ravel().tolist()
     if len(x0) != sys.n or len(u) != sys.m:
         raise ValueError(f"need x0 of length {sys.n} and u of length {sys.m}, "
                          f"got {len(x0)} and {len(u)}")

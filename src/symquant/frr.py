@@ -117,7 +117,7 @@ def check_frr_finite(T1: TransitionSystem, T2: TransitionSystem,
     imap = _input_map(T1, T2)
     t2_ids = set(T2.state_ids())
     for x1, x2 in F.items():
-        if x1 not in T1._by_id or x2 not in t2_ids:
+        if x1 not in T1._pos or x2 not in t2_ids:
             raise ValueError(f"F references unknown state pair ({x1}, {x2})")
     for x1, x2 in sorted(F.items()):
         enabled1 = set(T1.enabled(x1))

@@ -10,7 +10,8 @@ STS v1 layout, all floats at 9 significant digits, records sorted by id:
 
 For tube models the S records list the partition cells the knots refer to,
 and n_states counts the T records.  Serialization is deterministic, and
-serialize(parse(text)) == text byte for byte.
+serialize(parse(text)) == text byte for byte.  The parser rejects a header
+whose counts disagree with the records and an E record given twice.
 
 Controller tables:
 
@@ -22,11 +23,14 @@ Controller tables:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import io
+from array import array
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .abstraction import AbstractState, SplineTube, TransitionSystem
+from .abstraction import (AbstractState, SplineTube, TransitionSystem,
+                          transition_arrays)
 from .quantizers import Cell
 from .synthesis import Controller
 
@@ -51,43 +55,55 @@ def _cells_for_serialization(ts: TransitionSystem) -> List[Cell]:
     raise ModelFormatError("tube model carries no cell table to serialize")
 
 
-def serialize_ts(ts: TransitionSystem) -> str:
-    lines = [f"STS 1 {len(ts.states)} {len(ts.inputs)} {ts.n_transitions}"]
+def sts_chunks(ts: TransitionSystem) -> Iterator[str]:
+    """The STS 1 text of ts in pieces: the header, one piece per S, T and I
+    record, and one per enabled (state, input) pair holding its E records.
+    Writers and the model check consume these, so the whole text is never
+    held in memory."""
+    yield f"STS 1 {len(ts.states)} {len(ts.inputs)} {ts.n_transitions}\n"
     if ts.kind == "delayfree":
-        for s in sorted(ts.states, key=lambda s: s.id):
-            c = s.cell
-            lines.append(f"S {s.id} {_fmt_vec(c.lower)} {_fmt_vec(c.upper)} "
-                         f"{_fmt_vec(c.quantized_point)}")
+        cells = [s.cell for s in sorted(ts.states, key=lambda s: s.id)]
     else:
-        for c in sorted(_cells_for_serialization(ts), key=lambda c: c.id):
-            lines.append(f"S {c.id} {_fmt_vec(c.lower)} {_fmt_vec(c.upper)} "
-                         f"{_fmt_vec(c.quantized_point)}")
+        cells = sorted(_cells_for_serialization(ts), key=lambda c: c.id)
+    for c in cells:
+        yield (f"S {c.id} {_fmt_vec(c.lower)} {_fmt_vec(c.upper)} "
+               f"{_fmt_vec(c.quantized_point)}\n")
+    if ts.kind != "delayfree":
         for s in sorted(ts.states, key=lambda s: s.id):
             knots = " ".join(str(k) for k in s.tube.knots)
-            lines.append(f"T {s.id} {knots}")
+            yield f"T {s.id} {knots}\n"
     for i, u in enumerate(ts.inputs):
-        lines.append(f"I {i} {_fmt_vec(u)}")
-    for (sid, iid) in sorted(ts.transitions):
-        for dst in ts.transitions[(sid, iid)]:
-            lines.append(f"E {sid} {iid} {dst}")
-    return "\n".join(lines) + "\n"
+        yield f"I {i} {_fmt_vec(u)}\n"
+    for (sid, iid), succ in ts.transition_rows():
+        head = f"E {sid} {iid} "
+        yield head + f"\n{head}".join(map(str, succ)) + "\n"
+
+
+def serialize_ts(ts: TransitionSystem) -> str:
+    return "".join(sts_chunks(ts))
 
 
 def parse_sts(text: str) -> TransitionSystem:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("STS 1 "):
+    """The model of an STS 1 text.  Besides the record syntax it checks the
+    header's state, input and transition counts, that input ids are 0..n-1
+    and state ids distinct, that every E record names known states and
+    inputs, and that no E record repeats."""
+    records = (ln.rstrip("\n") for ln in io.StringIO(text, newline=None)
+               if ln.strip())
+    header = next(records, "")
+    if not header.startswith("STS 1 "):
         raise ModelFormatError("missing STS 1 header")
     try:
-        _, _, n_states, n_inputs, n_trans = lines[0].split()
+        _, _, n_states, n_inputs, n_trans = header.split()
         n_states, n_inputs, n_trans = int(n_states), int(n_inputs), int(n_trans)
     except ValueError as err:
-        raise ModelFormatError(f"bad header: {lines[0]!r}") from err
+        raise ModelFormatError(f"bad header: {header!r}") from err
 
     cells: List[Cell] = []
     tubes: List[Tuple[int, Tuple[int, ...]]] = []
     inputs: Dict[int, np.ndarray] = {}
-    transitions: Dict[Tuple[int, int], List[int]] = {}
-    for ln in lines[1:]:
+    src, iid, dst = array("q"), array("q"), array("q")  # one entry per E record
+    for ln in records:
         parts = ln.split()
         tag = parts[0]
         try:
@@ -103,8 +119,10 @@ def parse_sts(text: str) -> TransitionSystem:
             elif tag == "I":
                 inputs[int(parts[1])] = np.array([float(v) for v in parts[2:]])
             elif tag == "E":
-                src, iid, dst = int(parts[1]), int(parts[2]), int(parts[3])
-                transitions.setdefault((src, iid), []).append(dst)
+                edge = int(parts[1]), int(parts[2]), int(parts[3])
+                src.append(edge[0])
+                iid.append(edge[1])
+                dst.append(edge[2])
             else:
                 raise ModelFormatError(f"unknown record tag {tag!r}")
         except (IndexError, ValueError) as err:
@@ -114,8 +132,10 @@ def parse_sts(text: str) -> TransitionSystem:
 
     if len(inputs) != n_inputs:
         raise ModelFormatError(f"header says {n_inputs} inputs, found {len(inputs)}")
+    if sorted(inputs) != list(range(n_inputs)):
+        raise ModelFormatError(f"input ids must be 0..{n_inputs - 1}, found "
+                               f"{sorted(inputs)}")
     input_list = [inputs[i] for i in range(n_inputs)]
-    trans = {k: tuple(v) for k, v in transitions.items()}
 
     if tubes:
         states = [AbstractState(tid, tube=SplineTube(knots)) for tid, knots in tubes]
@@ -125,14 +145,16 @@ def parse_sts(text: str) -> TransitionSystem:
         kind = "delayfree"
     if len(states) != n_states:
         raise ModelFormatError(f"header says {n_states} states, found {len(states)}")
-    known = {s.id for s in states}
-    for (src, iid), dsts in trans.items():
-        if src not in known or any(d not in known for d in dsts):
-            raise ModelFormatError(f"transition references unknown state: "
-                                   f"({src}, {iid}) -> {dsts}")
-        if not 0 <= iid < n_inputs:
-            raise ModelFormatError(f"transition references unknown input {iid}")
-    return TransitionSystem(kind, states, input_list, trans,
+    if len({s.id for s in states}) != len(states):
+        raise ModelFormatError("a state id is given twice")
+    if len(src) != n_trans:
+        raise ModelFormatError(f"header says {n_trans} transitions, found {len(src)}")
+    try:
+        relation = transition_arrays([s.id for s in states], n_inputs,
+                                     (src, iid, dst))
+    except ValueError as err:
+        raise ModelFormatError(str(err)) from err
+    return TransitionSystem(kind, states, input_list, relation,
                             initial=[s.id for s in states] if kind == "delayfree" else
                             [states[0].id] if states else [],
                             cell_table=cells if tubes else None)
@@ -140,7 +162,7 @@ def parse_sts(text: str) -> TransitionSystem:
 
 def write_ts(ts: TransitionSystem, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(serialize_ts(ts))
+        fh.writelines(sts_chunks(ts))
 
 
 def load_ts(path: str) -> TransitionSystem:
@@ -218,16 +240,19 @@ def load_controller(path: str) -> Controller:
 
 def export_dot(ts: TransitionSystem) -> str:
     """One node per abstract state, one labeled edge per (src, input, dst)."""
-    lines = ["digraph sts {", "  rankdir=LR;"]
+    return "".join(_dot_chunks(ts))
+
+
+def _dot_chunks(ts: TransitionSystem) -> Iterator[str]:
+    yield "digraph sts {\n  rankdir=LR;\n"
     for s in sorted(ts.states, key=lambda s: s.id):
         if s.cell is not None:
             label = "(" + ", ".join(_fmt(v) for v in s.cell.quantized_point) + ")"
         else:
             label = "knots " + " ".join(str(k) for k in s.tube.knots)
-        lines.append(f'  s{s.id} [label="{label}"];')
-    for (sid, iid) in sorted(ts.transitions):
-        ulabel = " ".join(_fmt(v) for v in ts.inputs[iid])
-        for dst in ts.transitions[(sid, iid)]:
-            lines.append(f'  s{sid} -> s{dst} [label="{ulabel}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  s{s.id} [label="{label}"];\n'
+    ulabels = [" ".join(_fmt(v) for v in u) for u in ts.inputs]
+    for (sid, iid), succ in ts.transition_rows():
+        yield "".join(f'  s{sid} -> s{dst} [label="{ulabels[iid]}"];\n'
+                      for dst in succ)
+    yield "}\n"

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .abstraction import TransitionSystem
+from .abstraction import TransitionSystem, _positions
 from .dynamics import integrate_batch
 from .frr import RefinementMap
 
@@ -66,28 +66,44 @@ class Controller:
 
 
 def _robust_reach(ts: TransitionSystem, target: Tuple[int, ...]):
-    """Fixed point W_{k+1} = W_k + {q : exists u, {} != post(q,u) <= W_k}."""
+    """Fixed point W_k = W_{k-1} + {q : exists u, {} != post(q,u) <= W_{k-1}}.
+
+    A worklist over predecessor arrays, linear in the number of
+    transitions: every pair counts its successors not yet won, and the
+    states won at level k-1 decrement the pairs leading into them.  A state
+    first won at level k takes the smallest input id whose count reached
+    zero then, which is the smallest input whose successors all lie in
+    W_{k-1}.
+    """
+    n_in = len(ts.inputs)
+    ids = np.array(ts.state_ids(), dtype=np.int64)
+    left = np.diff(ts.indptr)
+    # rows leading into each state, grouped by state position
+    into, _ = _positions(ids, ts.succ.astype(np.int64))
+    by_state = np.argsort(into, kind="stable")
+    pred = np.repeat(np.arange(len(left)), left)[by_state]
+    pred_ptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(into, minlength=len(ids)), out=pred_ptr[1:])
+
     dist = {q: 0 for q in target}
     policy: Dict[int, int] = {}
+    frontier = np.sort(_positions(ids, np.array(target, dtype=np.int64))[0])
+    won = np.zeros(len(ids), dtype=bool)
+    won[frontier] = True
     level = 0
-    changed = True
-    while changed:
-        changed = False
+    while frontier.size:
         level += 1
-        frontier = {}
-        for s in ts.states:
-            q = s.id
-            if q in dist:
-                continue
-            for iid in ts.enabled(q):
-                succ = ts.successors(q, iid)
-                if succ and all(t in dist for t in succ):
-                    frontier[q] = iid
-                    break  # input ids ascend: first hit is the tie-break winner
-        for q, iid in frontier.items():
+        starts, sizes = pred_ptr[frontier], np.diff(pred_ptr)[frontier]
+        at = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        rows, hits = np.unique(pred[at], return_counts=True)
+        left[rows] -= hits
+        done = rows[left[rows] == 0]  # ascending: by state, then by input
+        done = done[~won[done // n_in]]
+        frontier, first = np.unique(done // n_in, return_index=True)
+        won[frontier] = True
+        for q, iid in zip(ids[frontier].tolist(), (done[first] % n_in).tolist()):
             dist[q] = level
             policy[q] = iid
-            changed = True
     return policy, dist
 
 

@@ -115,7 +115,7 @@ def test_center_successors_under_positive_input(pendulum_ts):
 
 def test_all_successor_sets_contain_the_nominal_cell(pendulum, pendulum_ts):
     part = pendulum_ts.partition
-    for (sid, iid), succ in pendulum_ts.transitions.items():
+    for (sid, iid), succ in pendulum_ts.transition_rows():
         x1 = integrate(pendulum, part.cell(sid).quantized_point,
                        pendulum_ts.inputs[iid], 0.2)
         assert part.locate(x1) in succ
@@ -128,28 +128,29 @@ def test_blocked_pairs_have_no_entry(pendulum, pendulum_ts):
     iid = pendulum_ts.input_id_of([2.4])
     x1 = integrate(pendulum, part.cell(corner).quantized_point, [2.4], 0.2)
     assert np.any(x1 > 1.0)
-    assert (corner, iid) not in pendulum_ts.transitions
+    assert iid not in pendulum_ts.enabled(corner)
     assert pendulum_ts.successors(corner, iid) == ()
 
 
 def test_monotone_in_lipschitz_constant(pendulum, logparams):
     small = build_delayfree(pendulum, 0.2, logparams, lipschitz=3.0)
     large = build_delayfree(pendulum, 0.2, logparams, lipschitz=6.0)
-    assert set(small.transitions) == set(large.transitions)  # same blocking
-    for key, succ in small.transitions.items():
-        assert set(succ) <= set(large.transitions[key])
+    small_rows, large_rows = dict(small.transition_rows()), dict(large.transition_rows())
+    assert set(small_rows) == set(large_rows)  # same blocking
+    for key, succ in small_rows.items():
+        assert set(succ) <= set(large_rows[key])
 
 
 def test_build_is_deterministic(pendulum, logparams):
     a = build_delayfree(pendulum, 0.2, logparams, lipschitz=6.0)
     b = build_delayfree(pendulum, 0.2, logparams, lipschitz=6.0)
-    assert a.transitions == b.transitions
+    assert dict(a.transition_rows()) == dict(b.transition_rows())
 
 
 def test_sabotaged_growth_radius_gives_singletons(pendulum, logparams):
     ts0 = build_delayfree(pendulum, 0.2, logparams, lipschitz=6.0,
                           growth_scale=0.0)
-    assert all(len(s) == 1 for s in ts0.transitions.values())
+    assert all(len(s) == 1 for _, s in ts0.transition_rows())
 
 
 def test_build_rejects_bad_tau(pendulum, logparams):
@@ -173,16 +174,17 @@ def test_refine_cells_empty_assignment_is_identity(pendulum_ts):
 
 def test_refine_carries_over_untouched_rows(pendulum_ts):
     ref = refine_cells(pendulum_ts, {12: ZoomQuantizerParams(1, 1.0, 0.3)})
-    for (sid, iid), succ in pendulum_ts.transitions.items():
+    ref_rows = dict(ref.transition_rows())
+    for (sid, iid), succ in pendulum_ts.transition_rows():
         if sid == 12 or 12 in succ:
             continue
-        assert ref.transitions[(sid, iid)] == succ
+        assert ref_rows[(sid, iid)] == succ
 
 
 def test_refine_redirects_successors_into_subcells(pendulum, pendulum_ts):
     ref = refine_cells(pendulum_ts, {12: ZoomQuantizerParams(1, 1.0, 0.3)})
     part = ref.partition
-    for (sid, iid), succ in ref.transitions.items():
+    for (sid, iid), succ in ref.transition_rows():
         assert 12 not in succ
         x1 = integrate(pendulum, part.cell(sid).quantized_point,
                        ref.inputs[iid], 0.2)
@@ -256,7 +258,7 @@ def test_timedelay_build_shape(pendulum_delay_ts):
     assert ts.initial == [0]
     assert not ts.truncated
     assert ts.states[0].tube.knots == (0, 0)  # psi2 of the corner history
-    assert all(len(succ) >= 1 for succ in ts.transitions.values())
+    assert all(len(succ) >= 1 for _, succ in ts.transition_rows())
 
 
 def test_timedelay_successors_contain_nominal_tube(pendulum_delay,
@@ -266,7 +268,7 @@ def test_timedelay_successors_contain_nominal_tube(pendulum_delay,
     part = ts.partition
     by_tube = {s.tube: s.id for s in ts.states}
     checked = 0
-    for (tid, iid), succ in list(ts.transitions.items())[:200]:
+    for (tid, iid), succ in list(ts.transition_rows())[:200]:
         tube = ts.state(tid).tube
         hist = tube_interpolant(tube, part, 0.2)
         u = ts.inputs[iid]
@@ -290,7 +292,7 @@ def test_timedelay_budget_truncation_blocks_lost_pairs(pendulum_delay,
     assert ts.truncated
     assert len(ts.states) == 5
     known = {s.id for s in ts.states}
-    for succ in ts.transitions.values():
+    for _, succ in ts.transition_rows():
         assert set(succ) <= known
 
 
@@ -337,7 +339,8 @@ def test_timedelay_successors_equal_knotwise_intersecting(pendulum_delay,
     part = ts.partition
     thetas = knot_times(1, -0.2, 0.0)
     amp = 2.0 * math.exp(1.0 * 0.2) * 0.25
-    fan_out = [len(v) for v in ts.transitions.values()]
+    rows = dict(ts.transition_rows())
+    fan_out = [len(v) for v in rows.values()]
     assert max(fan_out) < len(ts.states) and min(fan_out) < max(fan_out)
     U = np.array(ts.inputs).T
     for s in ts.states:
@@ -347,11 +350,11 @@ def test_timedelay_successors_equal_knotwise_intersecting(pendulum_delay,
                                   0.2, thetas)
         radius = _tube_theta2(s.tube, part) * amp
         for iid in range(len(ts.inputs)):
-            if (s.id, iid) not in ts.transitions:
+            if (s.id, iid) not in rows:
                 continue
             hits = [set(part.intersecting(knots[j, :, iid] - radius,
                                           knots[j, :, iid] + radius))
                     for j in range(len(thetas))]
             want = [t.id for t in ts.states
                     if all(k in hits[j] for j, k in enumerate(t.tube.knots))]
-            assert ts.transitions[(s.id, iid)] == tuple(want)
+            assert rows[(s.id, iid)] == tuple(want)

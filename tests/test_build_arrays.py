@@ -9,7 +9,7 @@ import pytest
 from symquant import (ControlSystem, LogQuantizerParams, ZoomQuantizerParams,
                       build_delayfree, refine_cells)
 from symquant.abstraction import (AbstractState, TransitionSystem,
-                                  growth_bound_delayfree)
+                                  growth_bound_delayfree, transition_arrays)
 from symquant.dynamics import estimate_lipschitz, integrate
 from symquant.model_io import serialize_ts
 
@@ -37,21 +37,23 @@ def reference_model(ts: TransitionSystem) -> TransitionSystem:
             succ = part.intersecting(x1 - radius, x1 + radius)
             transitions[(cell.id, iid)] = tuple(succ)
     states = [AbstractState(c.id, cell=c) for c in part.cells]
-    return TransitionSystem("delayfree", states, inputs, transitions,
+    return TransitionSystem("delayfree", states, inputs,
+                            transition_arrays([c.id for c in part.cells],
+                                              len(inputs), transitions),
                             initial=[c.id for c in part.cells], partition=part,
                             ctx=ctx)
 
 
 def assert_same_model(ts):
     ref = reference_model(ts)
-    assert ts.transitions == ref.transitions
+    assert dict(ts.transition_rows()) == dict(ref.transition_rows())
     assert serialize_ts(ts) == serialize_ts(ref)
 
 
 def test_one_dimensional_plant_with_blocked_pairs():
     sys = ControlSystem.from_strings(["2*x1 + u1"], [-1], [1], [-0.6], [0.6])
     ts = build_delayfree(sys, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"))
-    blocked = len(ts.states) * len(ts.inputs) - len(ts.transitions)
+    blocked = len(ts.states) * len(ts.inputs) - len(dict(ts.transition_rows()))
     assert blocked > 0
     assert_same_model(ts)
 
@@ -75,5 +77,5 @@ def test_plant_without_state_dependence():
     # the sampled Jacobian is 0, so every radius is theta1*(|q|+E)
     sys = ControlSystem.from_strings(["u1"], [-1], [1], [-0.6], [0.6])
     ts = build_delayfree(sys, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"))
-    assert ts.transitions
+    assert dict(ts.transition_rows())
     assert_same_model(ts)

@@ -1,0 +1,226 @@
+"""The transition relation in CSR arrays: accessors, the STS parse checks,
+the memory of writing and checking a model, and the worklist robust reach
+against the level-by-level fixed point it replaced."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from symquant import (LogQuantizerParams, Partition, ZoomQuantizerParams,
+                      build_delayfree)
+from symquant.abstraction import (AbstractState, TransitionSystem,
+                                  transition_arrays)
+from symquant.cli import _load_model_checked, main
+from symquant.model_io import (ModelFormatError, parse_sts, serialize_ts,
+                               write_ts)
+from symquant.synthesis import _robust_reach
+
+
+def reference_robust_reach(ts, target):
+    """The level-by-level fixed point: at level k every state not yet won
+    takes the smallest input whose successors all lie in W_{k-1}."""
+    dist = {q: 0 for q in target}
+    policy = {}
+    level = 0
+    changed = True
+    while changed:
+        changed = False
+        level += 1
+        frontier = {}
+        for s in ts.states:
+            q = s.id
+            if q in dist:
+                continue
+            for iid in ts.enabled(q):
+                succ = ts.successors(q, iid)
+                if succ and all(t in dist for t in succ):
+                    frontier[q] = iid
+                    break
+        for q, iid in frontier.items():
+            dist[q] = level
+            policy[q] = iid
+            changed = True
+    return policy, dist
+
+
+@pytest.fixture(scope="module")
+def fine_zoom_ts(pendulum):
+    # the fine-zoom benchmark's refined model: eta = d = 0.1, sampled
+    # Lipschitz constants, the center cell zoomed into 9 subcells
+    params = LogQuantizerParams(0.1, 0.1, "EQ20")
+    part = Partition(pendulum.state_lo, pendulum.state_hi, params)
+    part = part.refined({264: ZoomQuantizerParams(1, 1.0, 0.1)})
+    return build_delayfree(pendulum, 0.2, params, ("uniform", 0.2),
+                           lipschitz="sampled-jacobian", partition=part)
+
+
+# ---------------------------------------------------------------------------
+# accessors
+
+
+def test_arrays_describe_every_pair(pendulum_ts):
+    ts = pendulum_ts
+    assert ts.indptr.dtype == np.int64 and ts.succ.dtype == np.int32
+    assert len(ts.indptr) == len(ts.states) * len(ts.inputs) + 1
+    assert ts.n_transitions == len(ts.succ) == ts.indptr[-1]
+    rows = list(ts.transition_rows())
+    assert [key for key, _ in rows] == sorted(key for key, _ in rows)
+    assert sum(len(succ) for _, succ in rows) == ts.n_transitions
+    for (sid, iid), succ in rows:
+        assert ts.successors(sid, iid) == succ and succ
+        assert iid in ts.enabled(sid)
+
+
+def test_blocked_pairs_and_unknown_ids(pendulum_ts):
+    ts = pendulum_ts
+    blocked = [(s.id, iid) for s in ts.states for iid in range(len(ts.inputs))
+               if iid not in ts.enabled(s.id)]
+    assert blocked
+    for sid, iid in blocked:
+        assert ts.successors(sid, iid) == ()
+    assert ts.enabled(999) == []
+    assert ts.successors(999, 0) == ()
+    assert ts.successors(0, len(ts.inputs)) == ()
+    assert ts.successors(0, -1) == ()
+
+
+def test_ids_need_not_be_positions(fine_zoom_ts):
+    # zooming cell 264 removes its id; rows follow state positions
+    ts = fine_zoom_ts
+    assert 264 not in ts.state_ids()
+    last = ts.states[-1].id
+    assert last > len(ts.states) - 1
+    assert ts.enabled(last)
+    for iid in ts.enabled(last):
+        assert all(t != 264 for t in ts.successors(last, iid))
+    assert ts.successors(264, 0) == () and ts.enabled(264) == []
+
+
+def test_mapping_and_edge_triples_give_the_same_arrays():
+    relation = {(5, 1): (7, 5), (7, 0): (7,), (5, 0): (5,)}
+    indptr, succ = transition_arrays([5, 7], 2, relation)
+    assert indptr.tolist() == [0, 1, 3, 4, 4]
+    assert succ.tolist() == [5, 7, 5, 7]  # order within a pair is kept
+    src, iid, dst = [5, 7, 5, 5], [1, 0, 1, 0], [7, 7, 5, 5]
+    again = transition_arrays([5, 7], 2, (src, iid, dst))
+    assert again[0].tolist() == indptr.tolist()
+    assert again[1].tolist() == succ.tolist()
+
+
+@pytest.mark.parametrize("relation,fragment", [
+    ({(0, 0): (2,)}, "unknown state"),
+    ({(3, 0): (0,)}, "unknown state"),
+    ({(0, 1): (0,)}, "unknown input"),
+    ({(0, 0): (1, 1)}, "duplicate transition"),
+])
+def test_bad_relations_are_rejected(relation, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        transition_arrays([0, 1], 1, relation)
+
+
+def test_indptr_must_cover_every_pair():
+    with pytest.raises(ValueError, match="one row per"):
+        TransitionSystem("delayfree", [AbstractState(0)], [np.array([0.0])],
+                         (np.array([0, 1, 1]), np.array([0])), initial=[0])
+
+
+# ---------------------------------------------------------------------------
+# STS parse checks
+
+
+def test_cut_model_is_rejected(tmp_path, capsys, pendulum_ts):
+    text = serialize_ts(pendulum_ts)
+    lines = text.splitlines(keepends=True)
+    first_edge = next(i for i, ln in enumerate(lines) if ln.startswith("E "))
+    cut = "".join(lines[:first_edge + 100])
+    with pytest.raises(ModelFormatError,
+                       match=f"header says {pendulum_ts.n_transitions} "
+                             f"transitions, found 100"):
+        parse_sts(cut)
+    path = tmp_path / "cut.sts"
+    path.write_text(cut)
+    assert main(["export-dot", "--model", str(path)]) == 1
+    assert "transitions, found 100" in capsys.readouterr().err
+
+
+def test_successor_order_survives_a_round_trip():
+    text = "STS 1 2 1 3\nS 0 0 1 0.5\nS 1 1 2 1.5\nI 0 0\nE 1 0 1\nE 0 0 1\nE 1 0 0\n"
+    ts = parse_sts(text)
+    assert ts.successors(1, 0) == (1, 0)
+    assert serialize_ts(ts) == ("STS 1 2 1 3\nS 0 0 1 0.5\nS 1 1 2 1.5\nI 0 0\n"
+                                "E 0 0 1\nE 1 0 1\nE 1 0 0\n")
+
+
+# ---------------------------------------------------------------------------
+# memory of writing and checking a model
+
+
+class _Prebuilt:
+    """Stands in for a config whose build returns a given model."""
+
+    def __init__(self, ts):
+        self.ts = ts
+
+    def build_model(self, refined=False):
+        return self.ts
+
+
+def _peak_traced(fn) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_and_check_hold_no_copy_of_the_text(tmp_path, pendulum_ts):
+    # writing or checking streams one piece per (state, input) pair, so the
+    # peak is file buffers and one piece; a list of lines plus the joined
+    # text is about nine times the file size
+    path = tmp_path / "model.sts"
+    write_ts(pendulum_ts, str(path))
+    size = path.stat().st_size
+    assert size > 50_000
+    write_peak = _peak_traced(lambda: write_ts(pendulum_ts, str(path)))
+    check_peak = _peak_traced(
+        lambda: _load_model_checked(_Prebuilt(pendulum_ts), str(path), False))
+    assert path.read_text() == serialize_ts(pendulum_ts)
+    assert write_peak < size, (write_peak, size)
+    assert check_peak < size, (check_peak, size)
+
+
+# ---------------------------------------------------------------------------
+# worklist robust reach
+
+
+def test_worklist_matches_the_fixed_point_over_many_levels(fine_zoom_ts):
+    ts = fine_zoom_ts
+    # the cells meeting the box [-0.2, 0.2]^2: 89 targets, 13 levels
+    target = tuple(ts.partition.intersecting([-0.2, -0.2], [0.2, 0.2]))
+    policy, dist = _robust_reach(ts, target)
+    ref_policy, ref_dist = reference_robust_reach(ts, target)
+    assert (len(target), len(dist), max(dist.values())) == (89, 411, 13)
+    assert dist == ref_dist and list(dist) == list(ref_dist)
+    assert policy == ref_policy
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_worklist_matches_the_fixed_point_on_random_graphs(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 40, 3
+    ids = (np.arange(n) * 3 + 1).tolist()  # ids that are not positions
+    relation = {}
+    for k in range(n):
+        for iid in range(m):
+            if rng.random() < 0.8:
+                size = int(rng.integers(1, 4))
+                relation[(ids[k], iid)] = tuple(
+                    rng.choice(ids, size=size, replace=False).tolist())
+    ts = TransitionSystem("delayfree", [AbstractState(q) for q in ids],
+                          [np.array([float(i)]) for i in range(m)],
+                          transition_arrays(ids, m, relation), initial=ids)
+    target = tuple(ids[:3])
+    assert _robust_reach(ts, target) == reference_robust_reach(ts, target)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from symquant.abstraction import AbstractState, TransitionSystem
+from symquant.abstraction import (AbstractState, TransitionSystem,
+                                  transition_arrays)
 from symquant.frr import (RefinementMap, check_frr_finite,
                           sample_frr_delayfree, sample_frr_timedelay)
 from symquant.abstraction import build_delayfree
@@ -12,7 +13,8 @@ def graph_ts(n_states, inputs, transitions):
     states = [AbstractState(i) for i in range(n_states)]
     ins = [np.atleast_1d(np.asarray(u, dtype=float)) for u in inputs]
     return TransitionSystem("delayfree", states, ins,
-                            {k: tuple(v) for k, v in transitions.items()},
+                            transition_arrays(range(n_states), len(ins),
+                                              transitions),
                             initial=list(range(n_states)))
 
 
@@ -28,12 +30,14 @@ def test_identity_relation_holds(pendulum_ts):
 
 def test_dropped_successor_is_caught(pendulum_ts):
     # forget one abstract successor: condition (ii) must fail on that edge
-    broken = dict(pendulum_ts.transitions)
+    broken = dict(pendulum_ts.transition_rows())
     key = (12, pendulum_ts.input_id_of([0.0]))
     succ = broken[key]
     broken[key] = succ[:-1]
     t2 = TransitionSystem("delayfree", pendulum_ts.states, pendulum_ts.inputs,
-                          broken, initial=pendulum_ts.initial,
+                          transition_arrays(pendulum_ts.state_ids(),
+                                            len(pendulum_ts.inputs), broken),
+                          initial=pendulum_ts.initial,
                           partition=pendulum_ts.partition)
     F = {s.id: s.id for s in pendulum_ts.states}
     ok, cex = check_frr_finite(pendulum_ts, t2, F)

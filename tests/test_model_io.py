@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from symquant.abstraction import AbstractState, TransitionSystem
+from symquant.abstraction import (AbstractState, TransitionSystem,
+                                  transition_arrays)
 from symquant.model_io import (ModelFormatError, export_dot, load_controller,
                                load_ts, parse_controller, parse_sts,
                                serialize_controller, serialize_ts,
@@ -15,7 +16,9 @@ def tiny_ts():
              Cell(1, np.array([1.0]), np.array([2.0]), np.array([1.5]))]
     states = [AbstractState(c.id, cell=c) for c in cells]
     return TransitionSystem("delayfree", states, [np.array([0.5])],
-                            {(0, 0): (1,), (1, 0): (0, 1)}, initial=[0, 1])
+                            transition_arrays([0, 1], 1, {(0, 0): (1,),
+                                                          (1, 0): (0, 1)}),
+                            initial=[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +35,7 @@ def test_delayfree_round_trip_preserves_content(pendulum_ts):
     ts2 = parse_sts(serialize_ts(pendulum_ts))
     assert ts2.kind == "delayfree"
     assert len(ts2.states) == len(pendulum_ts.states)
-    assert ts2.transitions == pendulum_ts.transitions
+    assert dict(ts2.transition_rows()) == dict(pendulum_ts.transition_rows())
     for a, b in zip(pendulum_ts.states, ts2.states):
         assert a.id == b.id
         assert np.allclose(a.cell.lower, b.cell.lower)
@@ -66,7 +69,7 @@ def test_negative_zero_is_normalized():
     cells = [Cell(0, np.array([-0.0]), np.array([1.0]), np.array([-0.0]))]
     states = [AbstractState(0, cell=cells[0])]
     ts = TransitionSystem("delayfree", states, [np.array([-0.0])],
-                          {(0, 0): (0,)}, initial=[0])
+                          transition_arrays([0], 1, {(0, 0): (0,)}), initial=[0])
     tokens = serialize_ts(ts).split()
     assert "-0" not in tokens
 
@@ -75,7 +78,8 @@ def test_nine_significant_digits():
     q = 0.123456789123456
     cells = [Cell(0, np.array([0.0]), np.array([1.0]), np.array([q]))]
     ts = TransitionSystem("delayfree", [AbstractState(0, cell=cells[0])],
-                          [np.array([0.0])], {}, initial=[0])
+                          [np.array([0.0])], transition_arrays([0], 1, {}),
+                          initial=[0])
     assert "0.123456789 " not in serialize_ts(ts)  # no trailing pad
     assert "0.123456789" in serialize_ts(ts)
 
@@ -103,6 +107,11 @@ def test_file_round_trip(tmp_path, pendulum_ts):
     ("STS 1 1 2 0\nS 0 0 1 0.5\nI 0 0\n", "header says 2 inputs, found 1"),
     ("STS 1 1 1 1\nS 0 0 1 0.5\nI 0 0\nE 0 0 7\n", "unknown state"),
     ("STS 1 1 1 1\nS 0 0 1 0.5\nI 0 0\nE 0 4 0\n", "unknown input"),
+    ("STS 1 1 1 2\nS 0 0 1 0.5\nI 0 0\nE 0 0 0\n", "header says 2 transitions, found 1"),
+    ("STS 1 1 1 0\nS 0 0 1 0.5\nI 5 0\n", r"input ids must be 0..0, found \[5\]"),
+    ("STS 1 2 1 0\nS 0 0 1 0.5\nS 0 1 2 1.5\nI 0 0\n", "state id is given twice"),
+    ("STS 1 1 1 2\nS 0 0 1 0.5\nI 0 0\nE 0 0 0\nE 0 0 0\n",
+     r"duplicate transition: \(0, 0\) -> 0"),
 ])
 def test_sts_parse_errors(text, fragment):
     with pytest.raises(ModelFormatError, match=fragment):
@@ -112,7 +121,7 @@ def test_sts_parse_errors(text, fragment):
 def test_blank_lines_are_tolerated():
     text = "STS 1 1 1 1\n\nS 0 0 1 0.5\n\nI 0 0\nE 0 0 0\n\n"
     ts = parse_sts(text)
-    assert ts.transitions == {(0, 0): (0,)}
+    assert dict(ts.transition_rows()) == {(0, 0): (0,)}
 
 
 # ---------------------------------------------------------------------------

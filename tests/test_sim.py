@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from symquant.abstraction import AbstractState, TransitionSystem
+from symquant.abstraction import (AbstractState, TransitionSystem,
+                                  transition_arrays)
 from symquant.frr import RefinementMap
 from symquant.sim import (Trajectory, TrajectorySample, export_trajectory,
                           run_closed_loop, validate_path)
@@ -133,7 +134,8 @@ def test_report_text(pendulum, pendulum_ts):
 def test_validate_path_flags_off_model_step():
     states = [AbstractState(0), AbstractState(1)]
     ts = TransitionSystem("delayfree", states, [np.array([0.0])],
-                          {(0, 0): (1,)}, initial=[0, 1])
+                          transition_arrays([0, 1], 1, {(0, 0): (1,)}),
+                          initial=[0, 1])
     good = Trajectory([
         TrajectorySample(0.0, np.zeros(1), np.zeros(1), 0, 0, 0),
         TrajectorySample(0.2, np.zeros(1), np.zeros(1), -1, 1, 1),
@@ -149,7 +151,8 @@ def test_validate_path_flags_off_model_step():
 def test_validate_path_skips_terminal_rows():
     states = [AbstractState(0), AbstractState(1)]
     ts = TransitionSystem("delayfree", states, [np.array([0.0])],
-                          {(0, 0): (1,)}, initial=[0, 1])
+                          transition_arrays([0, 1], 1, {(0, 0): (1,)}),
+                          initial=[0, 1])
     traj = Trajectory([
         TrajectorySample(0.0, np.zeros(1), np.zeros(1), -1, 0, 0),
         TrajectorySample(0.2, np.zeros(1), np.zeros(1), -1, 0, 0),

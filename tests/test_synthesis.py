@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from symquant.abstraction import AbstractState, TransitionSystem
+from symquant.abstraction import (AbstractState, TransitionSystem,
+                                  transition_arrays)
 from symquant.frr import RefinementMap
 from symquant.synthesis import (ConcreteLaw, Controller, Specification,
                                 SynthesisError, refine_controller,
@@ -12,7 +13,8 @@ def graph_ts(n_states, n_inputs, transitions):
     states = [AbstractState(i) for i in range(n_states)]
     ins = [np.array([float(i)]) for i in range(n_inputs)]
     return TransitionSystem("delayfree", states, ins,
-                            {k: tuple(v) for k, v in transitions.items()},
+                            transition_arrays(range(n_states), n_inputs,
+                                              transitions),
                             initial=list(range(n_states)))
 
 
