@@ -68,9 +68,9 @@ class Controller:
 def _robust_reach(ts: TransitionSystem, target: Tuple[int, ...]):
     """Fixed point W_k = W_{k-1} + {q : exists u, {} != post(q,u) <= W_{k-1}}.
 
-    A worklist over predecessor arrays, linear in the number of
-    transitions: every pair counts its successors not yet won, and the
-    states won at level k-1 decrement the pairs leading into them.  A state
+    A worklist over predecessor arrays that visits every transition once:
+    every pair counts its successors not yet won, and the states won at
+    level k-1 decrement the pairs leading into them.  A state
     first won at level k takes the smallest input id whose count reached
     zero then, which is the smallest input whose successors all lie in
     W_{k-1}.
