@@ -25,7 +25,13 @@ endpoint, theta2 collecting each knot's zoom width (unrefined knots
 contribute their cell half-width).  Tubes are discovered by forward
 exploration along nominal successors from psi2(xi0) under a state budget;
 pairs whose nominal successor is undiscovered or leaves the state box are
-blocked (no successors).
+blocked (no successors).  Exploration runs one breadth-first level at a
+time: one method-of-steps batch over every (tube, input) pair of the
+level, one array test for blocked pairs, one Partition.locate_batch call
+for all nominal knots, then a walk over the pairs in (tube, input) order
+that numbers new tubes.  The nominal knot points stay in arrays, and the
+successor sets come from one closed-box test of their growth boxes against
+the knot cells of all discovered tubes.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
-                       DEFAULT_STEPS, estimate_lipschitz,
+from .dynamics import (ControlSystem, IntegrationError, SampledCurve,
+                       TimeDelaySystem, DEFAULT_STEPS, estimate_lipschitz,
                        estimate_lipschitz_batch, integrate,
                        integrate_delay_batch, interpolate_batch)
 from .quantizers import Cell, LogQuantizerParams, Partition, ZoomQuantizerParams
@@ -487,6 +493,49 @@ def _tube_theta2(tube: SplineTube, partition: Partition) -> float:
     return max(_knot_widths(tube, partition))
 
 
+_CHUNK = 4096  # trajectories per integrate_delay_batch call
+
+
+def tube_knot_points(sys: TimeDelaySystem, H: np.ndarray, U: np.ndarray,
+                     tau: float, steps: int, thetas) -> np.ndarray:
+    """(J, n, K) points at the knot times thetas of the K continuations,
+    one period later, of the histories H (k+1, n, K) under the inputs U
+    (m, K); _CHUNK columns per integration bound the memory."""
+    return np.concatenate([
+        interpolate_batch(integrate_delay_batch(
+            sys, H[:, :, a:a + _CHUNK], U[:, a:a + _CHUNK], tau, steps),
+            sys.Theta, thetas)
+        for a in range(0, H.shape[2], _CHUNK)], axis=2)
+
+
+def _level_knots(sys: TimeDelaySystem, H: np.ndarray, U: np.ndarray,
+                 tau: float, steps: int, thetas):
+    """Knot points (J, n, T*I) of the continuations of the T histories H
+    (k+1, n, T) under each of the I inputs U (m, I), column t*I + i for
+    history t and input i, and None.
+
+    When a trajectory fails, the knot points cover the histories before
+    the first one that fails, and the error is the one its own integration
+    raises: the caller explores those histories first, as one history at a
+    time would.
+    """
+    n_in = U.shape[1]
+    try:
+        return tube_knot_points(sys, np.repeat(H, n_in, axis=2),
+                                np.tile(U, H.shape[2]), tau, steps, thetas), None
+    except IntegrationError:
+        pass
+    # one history at a time, up to the first one that fails
+    done = [np.zeros((len(thetas), sys.n, 0))]
+    for t in range(H.shape[2]):
+        try:
+            done.append(tube_knot_points(sys, np.repeat(H[:, :, t:t + 1], n_in, axis=2),
+                                         U, tau, steps, thetas))
+        except IntegrationError as err:
+            return np.concatenate(done, axis=2), err
+    return np.concatenate(done, axis=2), None
+
+
 def _boxes_meet_knot_cells(box_lo, box_hi, cell_lo, cell_hi) -> np.ndarray:
     """(P, T) mask: at every knot j, tube t's knot cell meets box j of pair p.
 
@@ -517,6 +566,11 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
     the discovered tubes passing the knot-wise growth-box test.  On budget
     exhaustion, on_budget='truncate' blocks the frontier pairs whose nominal
     successor was never discovered (ts.truncated is set); 'error' raises.
+
+    A level is every tube the previous level discovered, and it is explored
+    in one batch; walking its pairs in (tube, input) order gives the tube
+    ids, the budget cut and the errors (budget or integration, whichever
+    comes first) of a search that dequeues one tube at a time.
     """
     if sys.xi0 is None:
         raise ValueError("time-delay build needs the initial functional xi0")
@@ -535,67 +589,69 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
         L2 = estimate_lipschitz(sys, whole, lipschitz)
     amp = 2.0 * math.exp(L2 * tau) * growth_scale
 
-    init = psi2(sys.xi0, part, N)
-    order: List[SplineTube] = [init]
-    ids: Dict[SplineTube, int] = {init: 0}
-    # kernel[(tid, iid)] = (nominal knot points, radius); blocked pairs absent
-    kernel: Dict[Tuple[int, int], Tuple[np.ndarray, float]] = {}
-    nominal: Dict[Tuple[int, int], SplineTube] = {}
-    truncated = False
+    init = psi2(sys.xi0, part, N).knots
+    order: List[Tuple[int, ...]] = [init]  # knot cells of tube id k at k
+    ids: Dict[Tuple[int, ...], int] = {init: 0}
+    n_in = len(inputs)
     U = np.array(inputs).T
+    lo, hi = sys.state_lo[:, None], sys.state_hi[:, None]
+    # per level, the pairs kept: CSR rows, nominal knot points (P, J, n)
+    # and the growth radius of the source tube (P,)
+    rows: List[np.ndarray] = []
+    points: List[np.ndarray] = []
+    radii: List[np.ndarray] = []
+    truncated = False
 
     head = 0
     while head < len(order):
-        tube = order[head]
-        tid = head
-        head += 1
-        hist = tube_interpolant(tube, part, sys.Theta)
-        radius = _tube_theta2(tube, part) * amp
-        H = np.repeat(hist.values[:, :, None], len(inputs), axis=2)
-        knots = interpolate_batch(integrate_delay_batch(sys, H, U, tau, steps),
-                                  sys.Theta, thetas)
-        for iid in range(len(inputs)):
-            pts = knots[:, :, iid]
-            if np.any(pts < sys.state_lo) or np.any(pts > sys.state_hi):
-                continue  # a nominal knot leaves X: blocked pair
-            succ = SplineTube(tuple(part.locate(p) for p in pts))
-            kernel[(tid, iid)] = (pts, radius)
-            nominal[(tid, iid)] = succ
+        level = [SplineTube(t) for t in order[head:]]
+        H = np.stack([tube_interpolant(t, part, sys.Theta).values for t in level],
+                     axis=2)
+        knots, error = _level_knots(sys, H, U, tau, steps, thetas)
+        # a pair is blocked when a nominal knot leaves X
+        cols = np.flatnonzero(~np.any((knots < lo) | (knots > hi), axis=(0, 1)))
+        pts = knots[:, :, cols].transpose(2, 0, 1)
+        found = np.ones(len(cols), dtype=bool)
+        located = part.locate_batch(pts.reshape(-1, sys.n)).reshape(-1, len(thetas))
+        for p, succ in enumerate(map(tuple, located.tolist())):
             if succ not in ids:
                 if len(order) >= budget:
                     if on_budget == "error":
                         raise RuntimeError(
                             f"tube exploration exceeded the budget of {budget} states")
                     truncated = True
+                    found[p] = False
                     continue
                 ids[succ] = len(order)
                 order.append(succ)
+        if error is not None:
+            raise error
+        radius = np.array([_tube_theta2(t, part) for t in level]) * amp
+        rows.append(head * n_in + cols[found])
+        points.append(pts[found])
+        radii.append(radius[cols[found] // n_in])
+        head += len(level)
 
     # successors: every discovered tube whose knot cells all meet the growth
     # boxes around the nominal knot points (closed boxes, touching counts)
-    pairs = [key for key in kernel if nominal[key] in ids]
-    cells = [[part.cell(k) for k in t.knots] for t in order]
-    cell_lo = np.array([[c.lower for c in row] for row in cells])  # (T, J, n)
-    cell_hi = np.array([[c.upper for c in row] for row in cells])
+    cell_lo, cell_hi = part.cell_bounds(order)  # (T, J, n)
+    pts = np.concatenate(points)
+    radius = np.concatenate(radii)[:, None, None]
     # pairs are in row order, and tube ids are positions, so the successors
     # of every (P, T) mask are its row-major nonzero columns
-    succ, sizes = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    succ, sizes = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
     chunk = max(1, (1 << 16) // len(order))  # pairs per (P, T) test
-    for start in range(0, len(pairs), chunk):
-        keys = pairs[start:start + chunk]
-        pts = np.array([kernel[key][0] for key in keys])  # (P, J, n)
-        radius = np.array([kernel[key][1] for key in keys])[:, None, None]
-        meets = _boxes_meet_knot_cells(pts - radius, pts + radius,
-                                       cell_lo, cell_hi)
-        succ.append(np.nonzero(meets)[1])
+    for start in range(0, len(pts), chunk):
+        p, r = pts[start:start + chunk], radius[start:start + chunk]
+        meets = _boxes_meet_knot_cells(p - r, p + r, cell_lo, cell_hi)
+        succ.append(np.nonzero(meets)[1].astype(np.int32))
         sizes.append(meets.sum(axis=1))
-    rows = [tid * len(inputs) + iid for tid, iid in pairs]
-    indptr = _indptr(len(order) * len(inputs), rows, np.concatenate(sizes))
+    indptr = _indptr(len(order) * n_in, np.concatenate(rows), np.concatenate(sizes))
 
-    states = [AbstractState(ids[t], tube=t) for t in order]
+    states = [AbstractState(k, tube=SplineTube(t)) for k, t in enumerate(order)]
     ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,
                         growth_scale=growth_scale, knot_thetas=thetas, L2=L2)
     return TransitionSystem("timedelay", states, inputs,
-                            (indptr, np.concatenate(succ).astype(np.int32)),
+                            (indptr, np.concatenate(succ)),
                             initial=[0], partition=part, ctx=ctx,
                             truncated=truncated)

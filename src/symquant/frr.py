@@ -19,10 +19,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .abstraction import (SplineTube, TransitionSystem, _knot_widths,
-                          _tube_theta2, psi2, tube_interpolant)
-from .dynamics import (SampledCurve, integrate_batch, integrate_delay_batch,
-                       interpolate_batch)
+from .abstraction import (SplineTube, TransitionSystem, _knot_widths, psi2,
+                          tube_interpolant, tube_knot_points)
+from .dynamics import SampledCurve, integrate_batch
 from .quantizers import Partition
 
 
@@ -188,7 +187,6 @@ def sample_frr_delayfree(sys, ts: TransitionSystem, F: RefinementMap,
 
 
 _EDGE = 1e-9
-_CHUNK = 1024  # trajectories per batched integration in the tube witness
 
 
 def sample_frr_timedelay(sys, ts: TransitionSystem, F: RefinementMap,
@@ -207,74 +205,68 @@ def sample_frr_timedelay(sys, ts: TransitionSystem, F: RefinementMap,
     rng = np.random.default_rng(seed)
     amp = 2.0 * math.exp(ctx.L2 * ctx.tau) * ctx.growth_scale
     thetas = ctx.knot_thetas
+    # per tube: knot cells and their bounds, jitter widths and growth radius
+    tubes = [s.tube for s in ts.states]
+    cell_lo, cell_hi = part.cell_bounds([t.knots for t in tubes])  # (S, J, n)
+    quantized = np.array([[part.cell(k).quantized_point for k in t.knots]
+                          for t in tubes])
+    widths = np.array([_knot_widths(t, part) for t in tubes])  # (S, J)
+    radius = widths.max(axis=1) * amp
+    enabled = [ts.enabled(sid) for sid in range(len(tubes))]
     # every draw first, in the order of one-at-a-time sampling
-    pts = np.empty((len(thetas), sys.n, n_samples))  # jittered knot points
-    drawn: List[Tuple[int, int]] = []  # (tube, input) of sample pts[:, :, j]
+    sids: List[int] = []
+    iids: List[int] = []
+    jitter: List[np.ndarray] = []
     skipped = 0
     for _ in range(n_samples):
-        sid = int(rng.integers(len(ts.states)))
-        tube = ts.states[sid].tube
-        enabled = ts.enabled(sid)
-        if not enabled:
+        sid = int(rng.integers(len(tubes)))
+        if not enabled[sid]:
             skipped += 1
             continue
-        iid = enabled[int(rng.integers(len(enabled)))]
-        bounds = _knot_widths(tube, part)
-        for j, k in enumerate(tube.knots):
-            c = part.cell(k)
-            y = c.quantized_point + rng.uniform(-bounds[j], bounds[j], size=len(c.lower))
-            width = c.upper - c.lower
-            pts[j, :, len(drawn)] = np.minimum(np.maximum(y, c.lower + _EDGE * width),
-                                               c.upper - _EDGE * width)
-        drawn.append((sid, iid))
-
-    def knot_points(H: np.ndarray, iids: List[int]) -> np.ndarray:
-        """(J, n, K) knot points of the K continuations one period later,
-        integrated _CHUNK columns at a time to bound memory."""
-        U = np.array([ts.inputs[iid] for iid in iids]).T
-        return np.concatenate([
-            interpolate_batch(integrate_delay_batch(
-                sys, H[:, :, a:a + _CHUNK], U[:, a:a + _CHUNK], ctx.tau,
-                ctx.steps), sys.Theta, thetas)
-            for a in range(0, H.shape[2], _CHUNK)], axis=2)
+        iids.append(enabled[sid][int(rng.integers(len(enabled[sid])))])
+        sids.append(sid)
+        w = widths[sid][:, None]
+        jitter.append(rng.uniform(-w, w, size=cell_lo.shape[1:]))
 
     violations: List[Violation] = []
-    checked = 0
-    if not drawn:
-        return FrrReport(n_samples, checked, skipped, violations, seed)
+    if not sids:
+        return FrrReport(n_samples, 0, skipped, violations, seed)
+    sid = np.array(sids)
     # a sampled functional is the linear interpolant through its knot points
-    pts = pts[:, :, :len(drawn)]
-    samples = knot_points(pts if sys.Theta > 0.0 else pts[-1:],
-                          [iid for _, iid in drawn])
+    width = cell_hi[sid] - cell_lo[sid]
+    pts = np.minimum(np.maximum(quantized[sid] + np.array(jitter),
+                                cell_lo[sid] + _EDGE * width),
+                     cell_hi[sid] - _EDGE * width).transpose(1, 2, 0)  # (J, n, K)
+    U = np.array(ts.inputs)[iids].T
+    samples = tube_knot_points(sys, pts if sys.Theta > 0.0 else pts[-1:], U,
+                               ctx.tau, ctx.steps, thetas)
     lo, hi = sys.state_lo[:, None], sys.state_hi[:, None]
-    leaves = np.any((samples < lo) | (samples > hi), axis=(0, 1))
-    inside = np.flatnonzero(~leaves).tolist()
-    skipped += len(drawn) - len(inside)
-    pairs = list(dict.fromkeys(drawn[j] for j in inside))
-    nominal: Dict[Tuple[int, int], np.ndarray] = {}
-    if pairs:
-        H = np.stack([tube_interpolant(ts.states[sid].tube, part, sys.Theta).values
-                      for sid, _ in pairs], axis=2)
-        nom = knot_points(H, [iid for _, iid in pairs])
-        nominal = {key: nom[:, :, p] for p, key in enumerate(pairs)}
+    inside = np.flatnonzero(~np.any((samples < lo) | (samples > hi), axis=(0, 1)))
+    skipped += len(sids) - len(inside)
+    if not inside.size:
+        return FrrReport(n_samples, 0, skipped, violations, seed)
 
-    for j in inside:
-        sid, iid = drawn[j]
-        nom_pts = nominal[(sid, iid)]
-        radius = _tube_theta2(ts.states[sid].tube, part) * amp
-        checked += 1
-        bad = None
-        got = []
-        for kj in range(len(thetas)):
-            c = part.cell(part.locate(samples[kj, :, j]))
-            got.append(c.id)
-            if not c.intersects(nom_pts[kj] - radius, nom_pts[kj] + radius):
-                bad = kj
-                break
-        if bad is not None:
-            violations.append(Violation(
-                pts[:, :, j].copy(), ts.inputs[iid], samples[:, :, j].copy(),
-                sid, tuple(got),
-                ts.successors(sid, iid),
-                detail=f"knot {bad} outside the growth box"))
-    return FrrReport(n_samples, checked, skipped, violations, seed)
+    # nominal knot points of every distinct (tube, input) pair checked
+    n_in = len(ts.inputs)
+    pairs, pair_of = np.unique(sid[inside] * n_in + np.array(iids)[inside],
+                               return_inverse=True)
+    H = np.stack([tube_interpolant(tubes[t], part, sys.Theta).values
+                  for t in (pairs // n_in).tolist()], axis=2)
+    nominal = tube_knot_points(sys, H, np.array(ts.inputs)[pairs % n_in].T,
+                               ctx.tau, ctx.steps, thetas)
+    nominal = nominal[:, :, pair_of].transpose(2, 0, 1)  # (K, J, n)
+    r = radius[sid[inside]][:, None, None]
+    # the cell of every sampled knot must meet its closed growth box
+    got = part.locate_batch(samples[:, :, inside].transpose(2, 0, 1)
+                            .reshape(-1, sys.n)).reshape(len(inside), -1)
+    got_lo, got_hi = part.cell_bounds(got)
+    meets = np.all((got_lo <= nominal + r) & (nominal - r <= got_hi), axis=2)
+    for k in np.flatnonzero(~meets.all(axis=1)).tolist():
+        j = int(inside[k])
+        bad = int(np.argmax(~meets[k]))
+        violations.append(Violation(
+            pts[:, :, j].copy(), ts.inputs[iids[j]], samples[:, :, j].copy(),
+            sids[j], tuple(got[k, :bad + 1].tolist()),
+            ts.successors(sids[j], iids[j]),
+            detail=f"knot {bad} outside the growth box"))
+    return FrrReport(n_samples, len(inside), skipped, violations, seed)

@@ -279,6 +279,24 @@ def _zoom_bin(z: float, w: float) -> int:
     return k
 
 
+def _zoom_bin_batch(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """_zoom_bin of every entry of z under the width of the same entry of w,
+    as floats holding integers; the same float operations, so the same
+    bins."""
+    k = np.floor(z / w + 0.5)
+    while True:
+        down = z < (k - 0.5) * w
+        if not down.any():
+            break
+        k[down] -= 1.0
+    while True:
+        up = z >= (k + 0.5) * w
+        if not up.any():
+            break
+        k[up] += 1.0
+    return k
+
+
 def _zoom_axis_ks(lo: float, hi: float, p: ZoomQuantizerParams) -> List[int]:
     """Retained bin indices: lattice points k*w inside [lo, hi], |k| <= M."""
     w = p.width
@@ -379,6 +397,11 @@ class Partition:
         self._lowers = [[r.lower for r in ax] for ax in self.axes]
         self._uppers = [[r.upper for r in ax] for ax in self.axes]
         self._mags = [[abs(r.level) for r in ax] for ax in self.axes]
+        # the same bounds as arrays for locate_batch; _bump[i][j] marks a
+        # boundary uppers[i][j] that goes to region j+1 (the smaller level)
+        self._upper_arrays = [np.array(u) for u in self._uppers]
+        self._bump = [np.array([m[j + 1] < m[j] for j in range(len(m) - 1)] + [False])
+                      for m in self._mags]
         self.base_cells: List[Cell] = []
         for flat in range(int(np.prod(self._shape))):
             idx = np.unravel_index(flat, self._shape)
@@ -413,6 +436,27 @@ class Partition:
                 strides)
         self.cells.sort(key=lambda c: c.id)
         self._by_id = {c.id: c for c in self.cells}
+        # cell bounds by id (NaN on retired ids) and, per base cell, the
+        # zoom tables of locate_batch: first subcell id (-1 where
+        # unrefined), bin width, retained bin range and strides per axis
+        size = self.cells[-1].id + 1 if self.cells else 0
+        self._lo_by_id = np.full((size, self.n), np.nan)
+        self._hi_by_id = np.full((size, self.n), np.nan)
+        for c in self.cells:
+            self._lo_by_id[c.id] = c.lower
+            self._hi_by_id[c.id] = c.upper
+        n_base = len(self.base_cells)
+        self._zoom_first = np.full(n_base, -1, dtype=np.int64)
+        self._zoom_width = np.ones(n_base)
+        self._zoom_kmin = np.zeros((n_base, self.n), dtype=np.int64)
+        self._zoom_kmax = np.zeros((n_base, self.n), dtype=np.int64)
+        self._zoom_strides = np.zeros((n_base, self.n), dtype=np.int64)
+        for bid, z in self.zoom.items():
+            self._zoom_first[bid] = z.first_id
+            self._zoom_width[bid] = z.params.width
+            self._zoom_kmin[bid] = [ks[0] for ks in z.axis_ks]
+            self._zoom_kmax[bid] = [ks[-1] for ks in z.axis_ks]
+            self._zoom_strides[bid] = self._zoom_bins[bid].strides
 
     def refined(self, assignments: Dict[int, ZoomQuantizerParams]) -> "Partition":
         """New partition with the given base cells zoom-refined."""
@@ -465,6 +509,47 @@ class Partition:
             k = _zoom_bin(x[i], z.params.width)
             sid += (max(ks[0], min(ks[-1], k)) - ks[0]) * st
         return sid
+
+    def locate_batch(self, X) -> np.ndarray:
+        """locate() of every row of the (K, n) points X, as (K,) int64 ids.
+
+        A boundary point goes to the smaller level, as in locate(); zoom
+        bins are the float-exact bins of _zoom_bin.  The first row that
+        locate() rejects (outside the box) raises its ValueError.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(f"need points of shape (K, {self.n}), got {X.shape}")
+        bid = np.zeros(len(X), dtype=np.int64)
+        fails = np.zeros(len(X), dtype=bool)
+        for i in range(self.n):
+            z, uppers = X[:, i], self._upper_arrays[i]
+            fails |= (z < self._lowers[i][0]) | (z > uppers[-1])
+            j = np.minimum(np.searchsorted(uppers, z), len(uppers) - 1)
+            j[np.isnan(z)] = 0  # where bisect_left puts NaN
+            j += (z == uppers[j]) & self._bump[i][j]
+            bid += j * self._strides[i]
+        first = self._zoom_first[bid]
+        zoomed = np.flatnonzero(first >= 0)
+        fails[zoomed] |= np.isnan(X[zoomed]).any(axis=1)  # _zoom_bin raises
+        if fails.any():
+            self.locate(X[int(np.argmax(fails))])  # raises for that row
+        if zoomed.size:
+            b = bid[zoomed]
+            sid = first[zoomed]
+            for i in range(self.n):
+                k = _zoom_bin_batch(X[zoomed, i], self._zoom_width[b])
+                kmin = self._zoom_kmin[b, i]
+                k = np.clip(k, kmin, self._zoom_kmax[b, i]).astype(np.int64)
+                sid += (k - kmin) * self._zoom_strides[b, i]
+            bid[zoomed] = sid
+        return bid
+
+    def cell_bounds(self, ids) -> Tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) of the cells with the given ids, each of shape
+        ids.shape + (n,)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        return self._lo_by_id[ids], self._hi_by_id[ids]
 
     def intersecting(self, box_lo, box_hi) -> List[int]:
         """Ids of all cells whose closed region meets the closed box."""

@@ -111,8 +111,9 @@ def _hold_sequences(ts: TransitionSystem, max_hold: int) -> Dict[Tuple[int, int]
     """Cell id sequence visited by holding each input from each state's
     quantized point, truncated at the state box or max_hold; memoized on ts.
 
-    All (state, input) pairs advance together, one period per batch; a pair
-    whose endpoint leaves the state box drops out and is never integrated
+    All (state, input) pairs advance together, one period per batch, and
+    the endpoints still inside the state box are located in one batch; a
+    pair whose endpoint leaves the box drops out and is never integrated
     again.
     """
     if ts._hold_seqs is not None and ts._hold_seqs[0] >= max_hold:
@@ -134,8 +135,8 @@ def _hold_sequences(ts: TransitionSystem, max_hold: int) -> Dict[Tuple[int, int]
         X = integrate_batch(sys, X, U[:, live], ctx.tau, ctx.steps)
         inside = np.all((X >= lo) & (X <= hi), axis=0)
         X, live = X[:, inside], live[inside]
-        for j, x in zip(live.tolist(), X.T):
-            seqs[pairs[j]].append(part.locate(x))
+        for j, cid in zip(live.tolist(), part.locate_batch(X.T).tolist()):
+            seqs[pairs[j]].append(cid)
     ts._hold_seqs = (max_hold, seqs)
     return seqs
 

@@ -1,0 +1,333 @@
+"""The level-at-a-time tube build and the array-based tube witness against
+the one-tube-at-a-time loops they replaced, and Partition.locate_batch
+against Partition.locate."""
+
+import math
+
+import numpy as np
+import pytest
+
+from symquant import (LogQuantizerParams, RefinementMap, TimeDelaySystem,
+                      ZoomQuantizerParams, build_timedelay,
+                      sample_frr_timedelay)
+from symquant.abstraction import (AbstractState, SplineTube, TransitionSystem,
+                                  _boxes_meet_knot_cells, _BuildContext,
+                                  _tube_theta2, input_lattice,
+                                  knot_times, psi2, transition_arrays,
+                                  tube_interpolant)
+from symquant.dynamics import (IntegrationError, SampledCurve,
+                               integrate_delay_batch, interpolate_batch)
+from symquant.frr import _EDGE, FrrReport, Violation, _knot_widths
+from symquant.model_io import serialize_ts
+from symquant.quantizers import Partition
+
+DELAY_RHS = ["x2", "-1.96*sin(x1) - 1.5*x2 + 0.1*delay(x2, 0.2) + u1"]
+LOGP = LogQuantizerParams(0.2, 0.4, "EQ20")
+ZOOM = {0: ZoomQuantizerParams(10, 1.0, 0.1)}
+
+
+def delay_plant(rhs=DELAY_RHS, Theta=0.2, r=0.2, x0=(-0.72, -0.72)):
+    x0 = np.array(x0, dtype=float)
+    xi0 = SampledCurve.constant(-Theta, 0.0, x0) if Theta > 0 else \
+        SampledCurve(0.0, 0.0, x0[None, :])
+    return TimeDelaySystem.from_strings(rhs, [-1, -1], [1, 1], [-2.5], [2.5],
+                                        Theta=Theta, r=r, xi0=xi0)
+
+
+def reference_build(sys, tau, log_params, zoom_assignments=None, N=0,
+                    input_quantization=("uniform", 0.2), lipschitz=6.0,
+                    steps=20, growth_scale=1.0, budget=1000,
+                    on_budget="truncate"):
+    """The tube model by the FIFO loop: one method-of-steps batch per
+    dequeued tube, then one Partition.locate per nominal knot."""
+    base = Partition(sys.state_lo, sys.state_hi, log_params)
+    part = base.refined(zoom_assignments) if zoom_assignments else base
+    inputs = input_lattice(sys.input_lo, sys.input_hi, input_quantization)
+    thetas = knot_times(N, -sys.Theta, 0.0)
+    L2 = float(lipschitz)
+    amp = 2.0 * math.exp(L2 * tau) * growth_scale
+    init = psi2(sys.xi0, part, N)
+    order, ids = [init], {init: 0}
+    kernel, nominal = {}, {}
+    truncated = False
+    U = np.array(inputs).T
+    head = 0
+    while head < len(order):
+        tube, tid = order[head], head
+        head += 1
+        hist = tube_interpolant(tube, part, sys.Theta)
+        radius = _tube_theta2(tube, part) * amp
+        H = np.repeat(hist.values[:, :, None], len(inputs), axis=2)
+        knots = interpolate_batch(integrate_delay_batch(sys, H, U, tau, steps),
+                                  sys.Theta, thetas)
+        for iid in range(len(inputs)):
+            pts = knots[:, :, iid]
+            if np.any(pts < sys.state_lo) or np.any(pts > sys.state_hi):
+                continue
+            succ = SplineTube(tuple(part.locate(p) for p in pts))
+            kernel[(tid, iid)] = (pts, radius)
+            nominal[(tid, iid)] = succ
+            if succ not in ids:
+                if len(order) >= budget:
+                    if on_budget == "error":
+                        raise RuntimeError(
+                            f"tube exploration exceeded the budget of {budget} states")
+                    truncated = True
+                    continue
+                ids[succ] = len(order)
+                order.append(succ)
+    # the successor test itself is unchanged; see
+    # test_abstraction.test_timedelay_successors_equal_knotwise_intersecting
+    pairs = [key for key in kernel if nominal[key] in ids]
+    cells = [[part.cell(k) for k in t.knots] for t in order]
+    cell_lo = np.array([[c.lower for c in row] for row in cells])
+    cell_hi = np.array([[c.upper for c in row] for row in cells])
+    relation = {}
+    for key in pairs:
+        pts, radius = kernel[key]
+        meets = _boxes_meet_knot_cells((pts - radius)[None], (pts + radius)[None],
+                                       cell_lo, cell_hi)
+        relation[key] = tuple(np.flatnonzero(meets[0]).tolist())
+    states = [AbstractState(t, tube=tube) for t, tube in enumerate(order)]
+    ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,
+                        growth_scale=growth_scale, knot_thetas=thetas, L2=L2)
+    return TransitionSystem("timedelay", states, inputs,
+                            transition_arrays(range(len(order)), len(inputs),
+                                              relation),
+                            initial=[0], partition=part, ctx=ctx,
+                            truncated=truncated)
+
+
+def assert_same_build(sys, **kw):
+    kw.setdefault("lipschitz", 6.0)
+    ts = build_timedelay(sys, 0.2, LOGP, **kw)
+    ref = reference_build(sys, 0.2, LOGP, **kw)
+    assert [s.tube for s in ts.states] == [s.tube for s in ref.states]
+    assert [s.id for s in ts.states] == list(range(len(ts.states)))
+    assert np.array_equal(ts.indptr, ref.indptr)
+    assert np.array_equal(ts.succ, ref.succ)
+    assert ts.truncated == ref.truncated
+    assert serialize_ts(ts) == serialize_ts(ref)
+    return ts
+
+
+@pytest.mark.parametrize("budget", [5, 1000])
+def test_budgets(budget):
+    ts = assert_same_build(delay_plant(), N=0, budget=budget)
+    assert ts.truncated == (budget == 5)
+
+
+def test_three_knot_tubes():
+    ts = assert_same_build(delay_plant(), N=1, budget=1000)
+    assert len(ts.states[0].tube.knots) == 3
+
+
+def test_zoomed_knots_with_small_boxes():
+    ts = assert_same_build(delay_plant(), N=1, zoom_assignments=ZOOM,
+                           lipschitz=1.0, growth_scale=0.25, budget=60)
+    assert any(ts.partition.zoom_params_of(k) for s in ts.states
+               for k in s.tube.knots)
+    fan_out = np.diff(ts.indptr)
+    assert 0 < fan_out[fan_out > 0].min() < len(ts.states)
+
+
+def test_plant_without_delay_window():
+    sys = delay_plant(["x2", "-1.96*sin(x1) - 1.5*x2 + u1"], Theta=0.0)
+    assert_same_build(sys, N=0, budget=1000)
+
+
+def test_blocked_level():
+    # every trajectory leaves X, so the initial tube's pairs are all blocked
+    sys = delay_plant(["x2", "20 + u1 + 0.1*delay(x2, 0.2)"])
+    ts = assert_same_build(sys, N=0, budget=1000)
+    assert (len(ts.states), ts.n_transitions) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# errors raised in the order of the one-tube-at-a-time loop
+
+# sqrt(0.6 - x2) fails once a trajectory passes x2 = 0.6, which only the
+# tubes found under the largest inputs do; they come late in their level,
+# after tubes of the same level that exhaust a budget of 3 to 5
+FAILING_RHS = ["x2", "-x1 - x2 + 0.1*delay(x2, 0.2) + u1 + 0.1*sqrt(0.6 - x2)"]
+
+
+def outcome(build, x0=(0.0, 0.0), **kw):
+    try:
+        ts = build(delay_plant(FAILING_RHS, x0=x0), 0.2, LOGP, lipschitz=6.0, **kw)
+    except (IntegrationError, RuntimeError) as err:
+        return type(err), str(err)
+    return None, serialize_ts(ts)
+
+
+def test_failing_initial_tube():
+    got = outcome(build_timedelay, N=0, budget=1000, x0=(0.72, 0.72))
+    assert got[0] is IntegrationError
+    assert got == outcome(reference_build, N=0, budget=1000, x0=(0.72, 0.72))
+
+
+def test_failing_level_raises_the_integration_error():
+    got = outcome(build_timedelay, N=0, budget=1000)
+    assert got[0] is IntegrationError
+    assert got == outcome(reference_build, N=0, budget=1000)
+
+
+@pytest.mark.parametrize("budget", range(2, 8))
+def test_budget_error_of_an_earlier_tube_comes_first(budget):
+    want = outcome(reference_build, N=0, budget=budget, on_budget="error")
+    assert outcome(build_timedelay, N=0, budget=budget, on_budget="error") == want
+    want = outcome(reference_build, N=0, budget=budget)
+    assert outcome(build_timedelay, N=0, budget=budget) == want
+
+
+def test_budget_error_cases_are_both_reached():
+    errors = {outcome(reference_build, N=0, budget=b, on_budget="error")[0]
+              for b in range(2, 8)}
+    assert errors == {RuntimeError, IntegrationError}
+
+
+# ---------------------------------------------------------------------------
+# locate_batch
+
+
+def partitions():
+    plain = Partition([-1, -1], [1, 1], LOGP)
+    zoomed = plain.refined({12: ZoomQuantizerParams(1, 1.0, 0.3),
+                            0: ZoomQuantizerParams(10, 1.0, 0.1),
+                            7: ZoomQuantizerParams(3, 1.0, 0.07)})
+    eq2 = Partition([-1, 0], [1, 2], LogQuantizerParams(0.15, 0.1, "EQ2"))
+    return [plain, zoomed, eq2]
+
+
+def assert_locates_like_locate(part, X):
+    X = np.asarray(X, dtype=float)
+    got = part.locate_batch(X)
+    assert got.shape == (len(X),)
+    assert got.tolist() == [part.locate(x) for x in X]
+
+
+@pytest.mark.parametrize("part", partitions())
+def test_locate_batch_on_corners_and_face_midpoints(part):
+    pts = []
+    for c in part.cells:
+        axes = [(lo, 0.5 * (lo + hi), hi) for lo, hi in zip(c.lower, c.upper)]
+        pts.extend(np.array(np.meshgrid(*axes)).reshape(part.n, -1).T)
+    assert_locates_like_locate(part, pts)
+
+
+def test_locate_batch_on_zoom_bin_edges():
+    part = partitions()[1]
+    pts = []
+    for bid, z in part.zoom.items():
+        w = z.params.width
+        base = part.base_cells[bid]
+        for i in range(part.n):
+            for k in range(z.axis_ks[i][0] - 1, z.axis_ks[i][-1] + 2):
+                for edge in ((k - 0.5) * w, (k + 0.5) * w):
+                    for e in (np.nextafter(edge, -1), edge, np.nextafter(edge, 1)):
+                        if base.lower[i] <= e <= base.upper[i]:
+                            x = 0.5 * (base.lower + base.upper)
+                            x[i] = e
+                            pts.append(x)
+    assert len(pts) > 100
+    assert_locates_like_locate(part, pts)
+
+
+@pytest.mark.parametrize("part", partitions())
+def test_locate_batch_on_random_points(part):
+    rng = np.random.default_rng(7)
+    assert_locates_like_locate(part, rng.uniform(part.box_lo, part.box_hi,
+                                                 size=(3000, part.n)))
+
+
+def test_locate_batch_raises_for_the_first_row_outside():
+    part = partitions()[1]
+    X = np.array([[0.0, 0.0], [0.5, 1.5], [-2.0, 0.0]])
+    with pytest.raises(ValueError) as want:
+        part.locate(X[1])
+    with pytest.raises(ValueError) as got:
+        part.locate_batch(X)
+    assert str(got.value) == str(want.value)
+    assert part.locate_batch(np.zeros((0, 2))).shape == (0,)
+    with pytest.raises(ValueError):
+        part.locate_batch(np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# the tube witness
+
+
+def reference_witness(sys, ts, n_samples, seed):
+    """sample_frr_timedelay with the per-sample loops: knot widths, jitter
+    and clamping per sample, then one Partition.locate and one
+    Cell.intersects per knot; the integrations stay batched."""
+    ctx, part = ts._ctx, ts.partition
+    rng = np.random.default_rng(seed)
+    amp = 2.0 * math.exp(ctx.L2 * ctx.tau) * ctx.growth_scale
+    thetas = ctx.knot_thetas
+    drawn, skipped = [], 0
+    for _ in range(n_samples):
+        sid = int(rng.integers(len(ts.states)))
+        tube = ts.states[sid].tube
+        enabled = ts.enabled(sid)
+        if not enabled:
+            skipped += 1
+            continue
+        iid = enabled[int(rng.integers(len(enabled)))]
+        bounds = _knot_widths(tube, part)
+        pts = []
+        for j, k in enumerate(tube.knots):
+            c = part.cell(k)
+            y = c.quantized_point + rng.uniform(-bounds[j], bounds[j], size=len(c.lower))
+            width = c.upper - c.lower
+            pts.append(np.minimum(np.maximum(y, c.lower + _EDGE * width),
+                                  c.upper - _EDGE * width))
+        drawn.append((sid, iid, np.array(pts)))
+
+    def knot_points(H, iids):
+        U = np.array([ts.inputs[i] for i in iids]).T
+        return interpolate_batch(integrate_delay_batch(sys, H, U, ctx.tau, ctx.steps),
+                                 sys.Theta, thetas)
+
+    P = np.stack([pts for _, _, pts in drawn], axis=2)
+    samples = knot_points(P if sys.Theta > 0 else P[-1:], [i for _, i, _ in drawn])
+    H = np.stack([tube_interpolant(ts.states[sid].tube, part, sys.Theta).values
+                  for sid, _, _ in drawn], axis=2)
+    nominal = knot_points(H, [i for _, i, _ in drawn])
+    violations, checked = [], 0
+    for j, (sid, iid, pts) in enumerate(drawn):
+        sample, nom = samples[:, :, j], nominal[:, :, j]
+        if np.any(sample < sys.state_lo) or np.any(sample > sys.state_hi):
+            skipped += 1
+            continue
+        radius = _tube_theta2(ts.states[sid].tube, part) * amp
+        checked += 1
+        got = []
+        for kj in range(len(thetas)):
+            c = part.cell(part.locate(sample[kj]))
+            got.append(c.id)
+            if not c.intersects(nom[kj] - radius, nom[kj] + radius):
+                violations.append(Violation(pts, ts.inputs[iid], sample, sid,
+                                            tuple(got), ts.successors(sid, iid),
+                                            detail=f"knot {kj} outside the growth box"))
+                break
+    return FrrReport(n_samples, checked, skipped, violations, seed)
+
+
+@pytest.mark.parametrize("N, growth_scale, zoom, Theta", [
+    (0, 1.0, None, 0.2),
+    (0, 0.0, None, 0.2),
+    (1, 0.0, ZOOM, 0.2),
+    (1, 0.3, ZOOM, 0.2),
+    (0, 0.0, None, 0.0),
+])
+def test_witness_text_matches_the_per_sample_loop(N, growth_scale, zoom, Theta):
+    rhs = DELAY_RHS if Theta else ["x2", "-1.96*sin(x1) - 1.5*x2 + u1"]
+    sys = delay_plant(rhs, Theta=Theta)
+    ts = build_timedelay(sys, 0.2, LOGP, zoom_assignments=zoom, N=N,
+                         lipschitz=6.0, growth_scale=growth_scale, budget=200)
+    F = RefinementMap.from_ts(ts)
+    for seed in (1, 2):
+        rep = sample_frr_timedelay(sys, ts, F, 300, seed)
+        assert rep.as_text() == reference_witness(sys, ts, 300, seed).as_text()
+        assert rep.passed == (growth_scale > 0)
