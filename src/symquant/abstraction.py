@@ -10,11 +10,13 @@ componentwise, where E marks zero components of the cell's quantized point
 q1.  Zoom-refined subcells use the isotropic radius e^(L*tau) * s, s the
 largest componentwise distance from q1 to the subcell faces (the
 logarithmic formula has no analogue below the deadzone scale).  The build
-works on arrays: one Lipschitz estimate over all C cells, the (C, n) radii,
-the (C, I, n) nominal endpoints of all (cell, input) pairs, then the
-blocked pairs and the growth boxes.  Each endpoint is still one integrate()
-call and each box one Partition.intersecting() query, whose ids are appended
-to the model's flat successor array (see TransitionSystem).
+stays on flat arrays from start to end: one Lipschitz estimate over all C
+cells, the (C, n) radii, a preallocated (C, I, n) array that each
+integrate() call writes its nominal endpoint into, the blocked pairs, and
+the growth boxes as (C*I, n) arrays in CSR row order.  Each box row goes to
+one Partition.intersecting() query, whose ids are appended to an int32
+buffer that becomes the model's successor array without a copy (see
+TransitionSystem).
 
 Time-delay construction: states are spline tubes, tuples of N+2 knot cells
 on [-Theta, 0] sampled at the peaks of linear hat functions.  A tube's
@@ -230,15 +232,25 @@ class _RelationView(Mapping):
         return int(np.count_nonzero(np.diff(self._ts.indptr)))
 
 
+_POS_CHUNK = 1 << 16  # ids per searchsorted call in _positions
+
+
 def _positions(state_ids: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """For every id in x: its position in state_ids (0 where absent), and
-    whether it is there."""
+    """For every id in x: its int32 position in state_ids (0 where absent),
+    and whether it is there.  x is looked up _POS_CHUNK ids at a time, so
+    the int64 temporaries stay small however long x is."""
+    pos = np.zeros(len(x), dtype=np.int32)
+    found = np.zeros(len(x), dtype=bool)
+    if not len(state_ids):
+        return pos, found
     order = np.argsort(state_ids, kind="stable")
-    at = np.searchsorted(state_ids[order], x)
-    found = at < len(state_ids)
-    found[found] = state_ids[order[at[found]]] == x[found]
-    pos = np.zeros(len(x), dtype=np.int64)
-    pos[found] = order[at[found]]
+    ordered = state_ids[order]
+    for a in range(0, len(x), _POS_CHUNK):
+        part = x[a:a + _POS_CHUNK]
+        at = np.minimum(np.searchsorted(ordered, part), len(ordered) - 1)
+        hit = ordered[at] == part
+        pos[a:a + _POS_CHUNK] = np.where(hit, order[at], 0)
+        found[a:a + _POS_CHUNK] = hit
     return pos, found
 
 
@@ -257,8 +269,9 @@ def transition_arrays(state_ids: Sequence[int], n_inputs: int,
 
     relation is a {(state id, input id): successor ids} mapping, or a
     (src, input, dst) triple of equal-length id sequences, one entry per
-    edge.  Successors keep their given order within a pair.  An unknown
-    state or input, or an edge given twice, raises ValueError.
+    edge; int32 id arrays are used as they are.  Successors keep their
+    given order within a pair.  An unknown state or input, or an edge given
+    twice, raises ValueError.
     """
     if isinstance(relation, Mapping):
         src = [sid for (sid, _), dst in relation.items() for _ in dst]
@@ -267,7 +280,7 @@ def transition_arrays(state_ids: Sequence[int], n_inputs: int,
     else:
         src, iid, dst = relation
     ids = np.asarray(state_ids, dtype=np.int64)
-    src, iid, dst = (np.asarray(a, dtype=np.int64).reshape(-1) for a in (src, iid, dst))
+    src, iid, dst = (_id_array(a) for a in (src, iid, dst))
     pos, src_known = _positions(ids, src)
     dst_known = _positions(ids, dst)[1]
     bad = ~src_known | ~dst_known | (iid < 0) | (iid >= n_inputs)
@@ -277,14 +290,31 @@ def transition_arrays(state_ids: Sequence[int], n_inputs: int,
             raise ValueError(f"transition references unknown input {iid[e]}")
         raise ValueError(f"transition references unknown state: "
                          f"({src[e]}, {iid[e]}) -> {dst[e]}")
-    rows = pos * n_inputs + iid
+    n_rows = len(ids) * n_inputs
+    rows = pos.astype(np.int32 if n_rows < 2 ** 31 else np.int64)
+    del pos
+    rows *= n_inputs
+    rows += iid
+    step = np.diff(rows)
+    if np.all(step >= 0) and np.all((step > 0) | (np.diff(dst) > 0)):
+        # rows ascending and successors ascending within a row, the order
+        # sts_chunks writes: no edge repeats, and no edge moves
+        indptr = np.searchsorted(rows, np.arange(n_rows + 1, dtype=rows.dtype))
+        return indptr, dst.astype(np.int32)
+    del step
     by_edge = np.lexsort((dst, rows))
     same = (np.diff(rows[by_edge]) == 0) & (np.diff(dst[by_edge]) == 0)
     if same.any():
         e = by_edge[int(np.argmax(same)) + 1]
         raise ValueError(f"duplicate transition: ({src[e]}, {iid[e]}) -> {dst[e]}")
-    indptr = _indptr(len(ids) * n_inputs, *np.unique(rows, return_counts=True))
+    indptr = _indptr(n_rows, *np.unique(rows, return_counts=True))
     return indptr, dst[np.argsort(rows, kind="stable")].astype(np.int32)
+
+
+def _id_array(a) -> np.ndarray:
+    """a as a flat int32 or int64 array; other sequences become int64."""
+    a = np.asarray(a).reshape(-1)
+    return a if a.dtype in (np.int32, np.int64) else a.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +427,29 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
 
     L = estimate_lipschitz_batch(sys, cells, ctx.lipschitz)
     radius = _growth_radii(part, cells, L, ctx.tau, ctx.growth_scale)[:, None, :]
-    x1 = np.array([[integrate(sys, c.quantized_point, u, ctx.tau, ctx.steps)
-                    for u in inputs] for c in cells])
+    x1 = np.empty((len(cells), len(inputs), sys.n))
+    for k, c in enumerate(cells):
+        for iid, u in enumerate(inputs):
+            x1[k, iid] = integrate(sys, c.quantized_point, u, ctx.tau, ctx.steps)
     # a pair is blocked when its nominal endpoint leaves X
-    blocked = ((x1 < sys.state_lo) | (x1 > sys.state_hi)).any(axis=2)
-    box_lo = (x1 - radius).tolist()
-    box_hi = (x1 + radius).tolist()
+    blocked = ((x1 < sys.state_lo) | (x1 > sys.state_hi)).any(axis=2).ravel()
+    # one (C*I, n) row per (cell, input), the CSR row order
+    box_lo = (x1 - radius).reshape(-1, sys.n)
+    box_hi = (x1 + radius).reshape(-1, sys.n)
+    del x1
 
-    # one CSR row per (cell, input); rows of blocked pairs stay empty
-    rows = np.flatnonzero(~blocked.ravel())
+    # rows of blocked pairs stay empty
+    rows = np.flatnonzero(~blocked)
     succ, sizes = array("i"), array("q")
     for row in rows.tolist():
-        k, iid = divmod(row, len(inputs))
-        ids = part.intersecting(box_lo[k][iid], box_hi[k][iid])
+        ids = part.intersecting(box_lo[row], box_hi[row])
         succ.extend(ids)
         sizes.append(len(ids))
     indptr = _indptr(blocked.size, rows, sizes)
 
     states = [AbstractState(c.id, cell=c) for c in cells]
     return TransitionSystem("delayfree", states, inputs,
-                            (indptr, np.array(succ, dtype=np.int32)),
+                            (indptr, np.frombuffer(succ, dtype=np.int32)),
                             initial=[c.id for c in cells], partition=part, ctx=ctx)
 
 

@@ -24,8 +24,9 @@ Controller tables:
 from __future__ import annotations
 
 import io
+import re
 from array import array
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,11 +84,52 @@ def serialize_ts(ts: TransitionSystem) -> str:
     return "".join(sts_chunks(ts))
 
 
+# An E block the bulk parse takes: E records of three ids below 10^9, one
+# per line, and empty lines.  Any other block is parsed line by line.
+_E_BLOCK = re.compile(r"(?:E [0-9]{1,9} [0-9]{1,9} [0-9]{1,9}\n|\n)*")
+# characters per check and conversion: the check keeps about 24 bytes of
+# backtracking state per character it matches
+_E_CHUNK = 1 << 14
+_FIRST_E = re.compile(r"^E ", re.MULTILINE)
+
+
+def _edge_block(text: str, start: int) -> Optional[np.ndarray]:
+    """The (E, 3) int32 (src, input, dst) rows of the E records in
+    text[start:], when that text matches _E_BLOCK and ends its last line;
+    None otherwise.  Each _E_CHUNK piece is checked and then converted by
+    one np.fromstring call."""
+    if not text.endswith("\n"):
+        return None
+    out = np.empty(3 * text.count("E", start), dtype=np.int32)
+    at = 0
+    while start < len(text):
+        end = text.find("\n", min(start + _E_CHUNK, len(text) - 1)) + 1
+        piece = text[start:end]
+        if not _E_BLOCK.fullmatch(piece):
+            return None
+        ids = np.fromstring(piece.replace("E", " "), dtype=np.int32, sep=" ")
+        out[at:at + len(ids)] = ids
+        at += len(ids)
+        start = end
+    return out.reshape(-1, 3)
+
+
 def parse_sts(text: str) -> TransitionSystem:
     """The model of an STS 1 text.  Besides the record syntax it checks the
     header's state, input and transition counts, that input ids are 0..n-1
     and state ids distinct, that every E record names known states and
-    inputs, and that no E record repeats."""
+    inputs, and that no E record repeats.
+
+    The records before the first line that starts with "E " are read line
+    by line.  From there on, a block of E records that _E_BLOCK accepts is
+    converted in bulk; any other rest is read line by line too, so a
+    malformed record raises the same error in the same order.
+    """
+    first_e = _FIRST_E.search(text)
+    split = first_e.start() if first_e else len(text)
+    edges = _edge_block(text, split)
+    if edges is not None:
+        text = text[:split]
     records = (ln.rstrip("\n") for ln in io.StringIO(text, newline=None)
                if ln.strip())
     header = next(records, "")
@@ -102,7 +144,7 @@ def parse_sts(text: str) -> TransitionSystem:
     cells: List[Cell] = []
     tubes: List[Tuple[int, Tuple[int, ...]]] = []
     inputs: Dict[int, np.ndarray] = {}
-    src, iid, dst = array("q"), array("q"), array("q")  # one entry per E record
+    src, iid, dst = array("q"), array("q"), array("q")  # E records read by line
     for ln in records:
         parts = ln.split()
         tag = parts[0]
@@ -129,6 +171,10 @@ def parse_sts(text: str) -> TransitionSystem:
             if isinstance(err, ModelFormatError):
                 raise
             raise ModelFormatError(f"malformed record: {ln!r}") from err
+    if edges is not None:
+        if src:  # E records in the lines before the block come first
+            edges = np.concatenate([np.array([src, iid, dst]).T, edges])
+        src, iid, dst = edges.T
 
     if len(inputs) != n_inputs:
         raise ModelFormatError(f"header says {n_inputs} inputs, found {len(inputs)}")

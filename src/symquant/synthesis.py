@@ -77,25 +77,23 @@ def _robust_reach(ts: TransitionSystem, target: Tuple[int, ...]):
     """
     n_in = len(ts.inputs)
     ids = np.array(ts.state_ids(), dtype=np.int64)
-    left = np.diff(ts.indptr)
-    # rows leading into each state, grouped by state position
-    into, _ = _positions(ids, ts.succ.astype(np.int64))
-    by_state = np.argsort(into, kind="stable")
-    pred = np.repeat(np.arange(len(left)), left)[by_state]
-    pred_ptr = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(into, minlength=len(ids)), out=pred_ptr[1:])
+    left = np.diff(ts.indptr).astype(np.int32)
+    pred, pred_ptr = _predecessors(ts, ids, left)
 
     dist = {q: 0 for q in target}
     policy: Dict[int, int] = {}
     frontier = np.sort(_positions(ids, np.array(target, dtype=np.int64))[0])
     won = np.zeros(len(ids), dtype=bool)
     won[frontier] = True
+    n_pred = np.diff(pred_ptr)
     level = 0
     while frontier.size:
         level += 1
-        starts, sizes = pred_ptr[frontier], np.diff(pred_ptr)[frontier]
-        at = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        sizes = n_pred[frontier]
+        at = np.repeat(pred_ptr[frontier] - np.cumsum(sizes) + sizes, sizes)
+        at += np.arange(len(at))
         rows, hits = np.unique(pred[at], return_counts=True)
+        del at
         left[rows] -= hits
         done = rows[left[rows] == 0]  # ascending: by state, then by input
         done = done[~won[done // n_in]]
@@ -105,6 +103,24 @@ def _robust_reach(ts: TransitionSystem, target: Tuple[int, ...]):
             dist[q] = level
             policy[q] = iid
     return policy, dist
+
+
+def _predecessors(ts: TransitionSystem, ids: np.ndarray, sizes: np.ndarray):
+    """int32 rows leading into each state, grouped by state position: the
+    rows into the state at position k are pred[pred_ptr[k]:pred_ptr[k + 1]],
+    ascending.  sizes holds each row's successor count.
+
+    One int64 key per edge, position * rows + row, sorted in place, gives
+    both arrays; it is the only edge-long int64 array.
+    """
+    n_rows = len(sizes)
+    key = _positions(ids, ts.succ)[0].astype(np.int64)
+    key *= n_rows
+    key += np.repeat(np.arange(n_rows, dtype=np.int32), sizes)
+    key.sort()
+    pred_ptr = np.searchsorted(key, np.arange(len(ids) + 1, dtype=np.int64) * n_rows)
+    np.remainder(key, max(n_rows, 1), out=key)
+    return key.astype(np.int32), pred_ptr
 
 
 def _hold_sequences(ts: TransitionSystem, max_hold: int) -> Dict[Tuple[int, int], List[int]]:
