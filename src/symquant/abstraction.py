@@ -85,9 +85,13 @@ def growth_bound_delayfree(q1, eta: float, L1, tau: float) -> GrowthBound:
 
 def _exp_times(L, tau: float) -> np.ndarray:
     """e^(L*tau) for every entry of L by math.exp, which np.exp does not
-    match bit for bit on every build."""
+    match bit for bit on every build.  Each value goes straight into the
+    result array, so no list of Python floats is built."""
     L = np.asarray(L, dtype=float)
-    return np.array([math.exp(v * tau) for v in L.ravel().tolist()]).reshape(L.shape)
+    out = np.empty(L.shape)
+    for i, v in enumerate(L.flat):
+        out.flat[i] = math.exp(v * tau)
+    return out
 
 
 @dataclass(frozen=True)

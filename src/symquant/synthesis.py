@@ -119,7 +119,7 @@ def _predecessors(ts: TransitionSystem, ids: np.ndarray, sizes: np.ndarray):
     key += np.repeat(np.arange(n_rows, dtype=np.int32), sizes)
     key.sort()
     pred_ptr = np.searchsorted(key, np.arange(len(ids) + 1, dtype=np.int64) * n_rows)
-    np.remainder(key, max(n_rows, 1), out=key)
+    np.remainder(key, n_rows, out=key)
     return key.astype(np.int32), pred_ptr
 
 
