@@ -16,7 +16,13 @@ integrate() call writes its nominal endpoint into, the blocked pairs, and
 the growth boxes as (C*I, n) arrays in CSR row order.  Each box row goes to
 one Partition.intersecting() query, whose ids are appended to an int32
 buffer that becomes the model's successor array without a copy (see
-TransitionSystem).
+TransitionSystem); the model keeps the endpoint array.  Zoom refinement
+runs the same build with the coarse model as prior: a cell the refinement
+keeps copies its endpoints, and each of its pairs copies its successor row
+unless that row lists a replaced base cell (subcells lie inside their base
+cell, so no other row can meet one).  Only the new subcells are integrated
+and only the rows that met a replaced cell are queried again; the result
+equals a build from scratch byte for byte.
 
 Time-delay construction: states are spline tubes, tuples of N+2 knot cells
 on [-Theta, 0] sampled at the peaks of linear hat functions.  A tube's
@@ -42,6 +48,7 @@ import math
 from dataclasses import dataclass
 from array import array
 from collections.abc import Mapping
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -134,8 +141,9 @@ class TransitionSystem:
     row per (state position, input id): row k*len(inputs) + i holds the
     successor state ids of (states[k], input i) in
     succ[indptr[row]:indptr[row + 1]].  indptr is int64 with
-    len(states)*len(inputs) + 1 entries, succ int32.  A pair is enabled
-    exactly when its row is non-empty; a blocked pair's row is empty.
+    len(states)*len(inputs) + 1 entries, succ int32, and every successor id
+    must name a state.  A pair is enabled exactly when its row is
+    non-empty; a blocked pair's row is empty.
     Construction is deterministic: same configuration, same serialized
     bytes.
     """
@@ -147,7 +155,8 @@ class TransitionSystem:
                  partition: Optional[Partition] = None,
                  ctx: Optional[_BuildContext] = None,
                  truncated: bool = False,
-                 cell_table: Optional[List[Cell]] = None):
+                 cell_table: Optional[List[Cell]] = None,
+                 endpoints: Optional[np.ndarray] = None):
         self.kind = kind
         self.states = states
         self.inputs = [np.atleast_1d(np.asarray(u, dtype=float)) for u in inputs]
@@ -157,6 +166,10 @@ class TransitionSystem:
                 self.indptr[-1] != len(self.succ):
             raise ValueError("indptr needs one row per (state, input) pair "
                              "and must end at len(succ)")
+        unknown = _unknown_id(np.array([s.id for s in states], dtype=np.int64),
+                              self.succ)
+        if unknown is not None:
+            raise ValueError(f"successor id {unknown} names no state")
         self.initial = list(initial)
         self.partition = partition
         self._ctx = ctx
@@ -165,6 +178,9 @@ class TransitionSystem:
         self.truncated = truncated
         # knot cells of a tube model parsed without its partition
         self.cell_table = cell_table
+        # (len(states), len(inputs), n) nominal endpoints of a delay-free
+        # build, rows in the order of states; None for parsed and tube models
+        self.endpoints = endpoints
         # (max_hold, hold sequences) cached by hold-mode synthesis
         self._hold_seqs: Optional[Tuple[int, Dict[Tuple[int, int], List[int]]]] = None
 
@@ -237,6 +253,15 @@ class _RelationView(Mapping):
 
 
 _POS_CHUNK = 1 << 16  # ids per searchsorted call in _positions
+_CHECK_CHUNK = 1 << 14  # ids per searchsorted call in _unknown_id
+
+
+def _lookup(ordered: np.ndarray, part: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For every id in part: an index into the sorted ids ordered, and
+    whether the id is there at that index."""
+    at = np.searchsorted(ordered, part)
+    np.minimum(at, len(ordered) - 1, out=at)
+    return at, ordered[at] == part
 
 
 def _positions(state_ids: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -250,12 +275,31 @@ def _positions(state_ids: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.nda
     order = np.argsort(state_ids, kind="stable")
     ordered = state_ids[order]
     for a in range(0, len(x), _POS_CHUNK):
-        part = x[a:a + _POS_CHUNK]
-        at = np.minimum(np.searchsorted(ordered, part), len(ordered) - 1)
-        hit = ordered[at] == part
+        at, hit = _lookup(ordered, x[a:a + _POS_CHUNK])
         pos[a:a + _POS_CHUNK] = np.where(hit, order[at], 0)
         found[a:a + _POS_CHUNK] = hit
     return pos, found
+
+
+def _unknown_id(state_ids: np.ndarray, x: np.ndarray) -> Optional[int]:
+    """The first id in x that is not in state_ids, or None.  When every id
+    in the range of x is a state id, the bounds of x decide; otherwise x is
+    looked up _CHECK_CHUNK ids at a time, small enough that the build's
+    traced peak does not move."""
+    if not len(x):
+        return None
+    ids = np.unique(state_ids)
+    lo, hi = int(x.min()), int(x.max())
+    if np.count_nonzero((ids >= lo) & (ids <= hi)) == hi - lo + 1:
+        return None
+    if not len(ids):
+        return int(x[0])
+    for a in range(0, len(x), _CHECK_CHUNK):
+        part = x[a:a + _CHECK_CHUNK]
+        miss = ~_lookup(ids, part)[1]
+        if miss.any():
+            return int(part[np.argmax(miss)])
+    return None
 
 
 def _indptr(n_rows: int, rows, sizes) -> np.ndarray:
@@ -284,6 +328,10 @@ def transition_arrays(state_ids: Sequence[int], n_inputs: int,
     else:
         src, iid, dst = relation
     ids = np.asarray(state_ids, dtype=np.int64)
+    int32 = np.iinfo(np.int32)
+    wide = (ids < int32.min) | (ids > int32.max)
+    if wide.any():
+        raise ValueError(f"state id {ids[np.argmax(wide)]} does not fit int32")
     src, iid, dst = (_id_array(a) for a in (src, iid, dst))
     pos, src_known = _positions(ids, src)
     dst_known = _positions(ids, dst)[1]
@@ -422,9 +470,17 @@ def build_delayfree(sys: ControlSystem, tau: float,
 
 
 def _delayfree_model(sys: ControlSystem, part: Partition,
-                     inputs: List[np.ndarray], ctx: _BuildContext) -> TransitionSystem:
+                     inputs: List[np.ndarray], ctx: _BuildContext,
+                     prior: Optional[TransitionSystem] = None) -> TransitionSystem:
     """The delay-free transitions of every cell of part and input, built on
-    arrays as the module docstring describes."""
+    arrays as the module docstring describes.
+
+    prior, when given, is a model built with ctx and inputs over a
+    partition that part refines.  A cell of part that is a state of prior
+    takes its endpoints from prior, and each of its pairs takes its prior
+    successors unless they name a state that part no longer has; only the
+    remaining pairs are integrated or queried.
+    """
     cells = part.cells
     if not cells:
         raise ValueError("empty state lattice")
@@ -432,47 +488,87 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
     L = estimate_lipschitz_batch(sys, cells, ctx.lipschitz)
     radius = _growth_radii(part, cells, L, ctx.tau, ctx.growth_scale)[:, None, :]
     x1 = np.empty((len(cells), len(inputs), sys.n))
-    for k, c in enumerate(cells):
+    new = np.ones(len(cells), dtype=bool)
+    if prior is not None:
+        kept, at, copied = _prior_rows(prior, cells)
+        x1[kept] = prior.endpoints[at]
+        new[kept] = False
+    for k in np.flatnonzero(new).tolist():
         for iid, u in enumerate(inputs):
-            x1[k, iid] = integrate(sys, c.quantized_point, u, ctx.tau, ctx.steps)
+            x1[k, iid] = integrate(sys, cells[k].quantized_point, u, ctx.tau, ctx.steps)
     # a pair is blocked when its nominal endpoint leaves X
     blocked = ((x1 < sys.state_lo) | (x1 > sys.state_hi)).any(axis=2).ravel()
     # one (C*I, n) row per (cell, input), the CSR row order
     box_lo = (x1 - radius).reshape(-1, sys.n)
     box_hi = (x1 + radius).reshape(-1, sys.n)
-    del x1
 
     # rows of blocked pairs stay empty
     rows = np.flatnonzero(~blocked)
     succ, sizes = array("i"), array("q")
-    for row in rows.tolist():
+    # per row, the CSR row of prior whose successors it copies, -1 where none
+    from_rows = repeat(-1)
+    if prior is not None:
+        reuse = np.full(x1.shape[:2], -1, dtype=np.int64)
+        reuse[kept] = copied
+        from_rows = reuse.ravel()[rows].tolist()
+        prior_at, prior_succ = prior.indptr.tolist(), prior.succ
+    for row, from_row in zip(rows.tolist(), from_rows):
+        if from_row >= 0:
+            a, b = prior_at[from_row], prior_at[from_row + 1]
+            succ.frombytes(prior_succ[a:b].tobytes())
+            sizes.append(b - a)
+            continue
         ids = part.intersecting(box_lo[row], box_hi[row])
         succ.extend(ids)
         sizes.append(len(ids))
+    del box_lo, box_hi
     indptr = _indptr(blocked.size, rows, sizes)
 
     states = [AbstractState(c.id, cell=c) for c in cells]
     return TransitionSystem("delayfree", states, inputs,
                             (indptr, np.frombuffer(succ, dtype=np.int32)),
-                            initial=[c.id for c in cells], partition=part, ctx=ctx)
+                            initial=[c.id for c in cells], partition=part, ctx=ctx,
+                            endpoints=x1)
+
+
+def _prior_rows(prior: TransitionSystem,
+                cells: List[Cell]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the cells that are states of prior: their positions in cells,
+    their positions in prior.states, and their (K, I) CSR rows in prior,
+    -1 on a row that lists a state of prior that is not in cells."""
+    kept = [k for k, c in enumerate(cells) if c.id in prior._pos]
+    at = np.array([prior._pos[cells[k].id] for k in kept], dtype=np.int64)
+    n_in = len(prior.inputs)
+    rows = at[:, None] * n_in + np.arange(n_in)
+    present = {c.id for c in cells}
+    gone = [s.id for s in prior.states if s.id not in present]
+    stale = np.zeros(len(prior.indptr) - 1, dtype=bool)
+    edges = np.flatnonzero(np.isin(prior.succ, gone))
+    stale[np.searchsorted(prior.indptr, edges, side="right") - 1] = True
+    rows[stale[rows]] = -1
+    return np.array(kept, dtype=np.int64), at, rows
 
 
 def refine_cells(ts: TransitionSystem,
                  assignments: Dict[int, ZoomQuantizerParams]) -> TransitionSystem:
     """Zoom-refine cells of a delay-free model; ids of kept cells are stable.
 
-    The result is the model built from scratch over the refined partition,
-    with the build settings and inputs of ts.
+    The result is the model that a build from scratch over the refined
+    partition gives, with the build settings and inputs of ts, byte for
+    byte.  It is derived from ts: a kept cell keeps its endpoints, and its
+    successor rows unless they list a replaced cell, so only the new
+    subcells are integrated and only the rows that met a replaced cell are
+    queried again.
     """
     if ts.kind != "delayfree":
         raise ValueError("refine_cells applies to delay-free models")
-    if ts._ctx is None or ts.partition is None:
+    if ts._ctx is None or ts.partition is None or ts.endpoints is None:
         raise ValueError("model carries no build context; rebuild from config")
     if not assignments:
         return ts
     ctx = ts._ctx
     return _delayfree_model(ctx.sys, ts.partition.refined(assignments),
-                            ts.inputs, ctx)
+                            ts.inputs, ctx, prior=ts)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@ concrete system, ``verify-frr`` samples the refinement relation, and
 
 Model files on disk carry no dynamics, so ``refine``, ``synthesize`` and
 ``verify-frr`` rebuild the model from the config and trust the stored file
-only when its bytes equal the serialized rebuild.  A delay-free ``simulate``
+only when its bytes equal the serialized rebuild.  ``refine`` rebuilds the
+coarse model for that check and derives the refined model from it
+(refine_cells); ``synthesize`` and ``verify-frr`` build the refined model
+from scratch, so they check the refine stage's output against a
+construction that shares none of its work.  A delay-free ``simulate``
 only locates points, so it needs the config's partition and no model; a
 time-delay ``simulate`` rebuilds the model for its tube ids.
 
@@ -24,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .abstraction import TransitionSystem
+from .abstraction import TransitionSystem, refine_cells
 from .config import AppConfig, ConfigError, load_config
 from .dynamics import IntegrationError
 from .frr import RefinementMap, sample_frr_delayfree, sample_frr_timedelay
@@ -85,8 +89,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
     if cfg.is_timedelay():
         raise _DomainError("refine applies to delay-free models; time-delay "
                            "models consume zoom assignments at build time")
-    _load_model_checked(cfg, args.model, refined=False)
-    ts = cfg.build_model(refined=True)
+    ts = refine_cells(_load_model_checked(cfg, args.model, refined=False), cfg.zoom)
     write_ts(ts, args.out)
     print(f"refine: wrote refined model with {len(ts.states)} states, "
           f"{ts.n_transitions} transitions to {args.out}")

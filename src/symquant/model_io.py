@@ -58,7 +58,7 @@ def _cells_for_serialization(ts: TransitionSystem) -> List[Cell]:
 
 def sts_chunks(ts: TransitionSystem) -> Iterator[str]:
     """The STS 1 text of ts in pieces: the header, one piece per S, T and I
-    record, and one per enabled (state, input) pair holding its E records.
+    record, and one per state holding the E records of its enabled pairs.
     Writers and the model check consume these, so the whole text is never
     held in memory."""
     yield f"STS 1 {len(ts.states)} {len(ts.inputs)} {ts.n_transitions}\n"
@@ -75,9 +75,22 @@ def sts_chunks(ts: TransitionSystem) -> Iterator[str]:
             yield f"T {s.id} {knots}\n"
     for i, u in enumerate(ts.inputs):
         yield f"I {i} {_fmt_vec(u)}\n"
-    for (sid, iid), succ in ts.transition_rows():
-        head = f"E {sid} {iid} "
-        yield head + f"\n{head}".join(map(str, succ)) + "\n"
+    # successor ids are state ids: each is formatted once, through a table
+    # keyed by id (never one sized by the largest id)
+    names = {s.id: str(s.id) for s in ts.states}
+    n_in = len(ts.inputs)
+    for k in sorted(range(len(ts.states)), key=lambda k: ts.states[k].id):
+        sid = ts.states[k].id
+        bounds = ts.indptr[k * n_in:(k + 1) * n_in + 1].tolist()
+        succ = list(map(names.__getitem__, ts.succ[bounds[0]:bounds[-1]].tolist()))
+        records = []
+        for iid in range(n_in):
+            a, b = bounds[iid] - bounds[0], bounds[iid + 1] - bounds[0]
+            if a < b:
+                head = f"E {sid} {iid} "
+                records.append(head + f"\n{head}".join(succ[a:b]) + "\n")
+        if records:
+            yield "".join(records)
 
 
 def serialize_ts(ts: TransitionSystem) -> str:

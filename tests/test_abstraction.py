@@ -191,9 +191,49 @@ def test_refine_redirects_successors_into_subcells(pendulum, pendulum_ts):
         assert part.locate(x1) in succ
 
 
+def test_build_keeps_its_endpoints(pendulum, pendulum_ts):
+    ts = pendulum_ts
+    assert ts.endpoints.shape == (len(ts.states), len(ts.inputs), 2)
+    for k in (0, 12, 24):
+        for iid in (0, 13):
+            x1 = integrate(pendulum, ts.states[k].cell.quantized_point,
+                           ts.inputs[iid], 0.2)
+            assert ts.endpoints[k, iid].tolist() == x1.tolist()
+
+
+def test_refining_a_refined_model_equals_one_refinement(pendulum, logparams,
+                                                        pendulum_ts):
+    from symquant.model_io import serialize_ts
+    from symquant.quantizers import Partition
+    first = {12: ZoomQuantizerParams(1, 1.0, 0.3)}
+    second = {13: ZoomQuantizerParams(1, 1.0, 0.3), 0: ZoomQuantizerParams(10, 1.0, 0.1)}
+    twice = refine_cells(refine_cells(pendulum_ts, first), second)
+    part = Partition(pendulum.state_lo, pendulum.state_hi, logparams)
+    once = build_delayfree(pendulum, 0.2, logparams, lipschitz=6.0,
+                           partition=part.refined(first).refined(second))
+    assert serialize_ts(twice) == serialize_ts(once)
+    assert np.array_equal(twice.endpoints, once.endpoints)
+
+
+def test_a_copied_row_that_lists_a_replaced_cell_is_caught(monkeypatch, pendulum_ts):
+    # the model's successor check stops a reuse that forgot the replaced cell
+    import symquant.abstraction as abstraction
+    rows = abstraction._prior_rows
+
+    def copy_every_row(prior, cells):
+        kept, at, _ = rows(prior, cells)
+        n_in = len(prior.inputs)
+        return kept, at, at[:, None] * n_in + np.arange(n_in)
+
+    monkeypatch.setattr(abstraction, "_prior_rows", copy_every_row)
+    with pytest.raises(ValueError, match="successor id 12 names no state"):
+        refine_cells(pendulum_ts, {12: ZoomQuantizerParams(1, 1.0, 0.3)})
+
+
 def test_refine_requires_build_context(pendulum_ts):
     from symquant.model_io import parse_sts, serialize_ts
     bare = parse_sts(serialize_ts(pendulum_ts))
+    assert bare.endpoints is None
     with pytest.raises(ValueError):
         refine_cells(bare, {12: ZoomQuantizerParams(1, 1.0, 0.3)})
 

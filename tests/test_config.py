@@ -132,11 +132,84 @@ def test_build_model_and_specification():
     assert np.allclose(cfg.x0, [-0.48, 0.0])
 
 
-def test_refined_build_equals_refining_the_coarse_build():
-    cfg = parse_config_text(ini({"abstraction.zoom": "\n 12 1 1.0 0.3\n 0 10 1.0 0.1"}))
-    refined = cfg.build_model(refined=True)
-    assert len(refined.states) == 25 - 2 + 9 + 25
-    assert serialize_ts(refined) == serialize_ts(refine_cells(cfg.build_model(), cfg.zoom))
+ONE_D = {"system.n": "1", "system.f": "\n -0.5*x1 + u1", "system.state_lo": "-1",
+         "system.state_hi": "1"}
+THREE_D = {"system.n": "3", "system.f": "\n x2\n -1.96*sin(x1) - 1.5*x2 + u1\n -x3 + 0.5*x1",
+           "system.state_lo": "-1 -1 -1", "system.state_hi": "1 1 1", "abstraction.mu": "0.5"}
+# (config overrides, zoom rows); the 2-D cells are those of the pendulum
+# lattice: 12 the deadzone, 0 and 4 corners, 22 merged [0.6, 1] on a face
+REFINEMENTS = {
+    "deadzone-and-corner": ({}, "\n 12 1 1.0 0.3\n 0 10 1.0 0.1"),
+    "deadzone": ({}, "\n 12 1 1.0 0.3"),
+    "merged-outer": ({}, "\n 22 10 1.0 0.1"),
+    "adjacent": ({}, "\n 12 1 1.0 0.3\n 13 1 1.0 0.3"),
+    "delta-0": ({}, "\n 7 1 1.0 0\n 12 1 1.0 0.3"),
+    "delta-0-only": ({}, "\n 7 1 1.0 0"),
+    "sampled-lipschitz": ({"abstraction.lipschitz": "sampled"},
+                          "\n 12 1 1.0 0.3\n 17 1 1.0 0.2"),
+    "blocked-pairs": ({}, "\n 4 10 1.0 0.1\n 20 10 1.0 0.1"),
+    "1d": (ONE_D, "\n 2 1 1.0 0.1\n 4 10 1.0 0.1"),
+    "3d": (THREE_D, "\n 62 1 1.0 0.3\n 0 4 1.0 0.3"),
+}
+
+
+def _coarse_and_refined(case):
+    overrides, zoom = REFINEMENTS[case]
+    cfg = parse_config_text(ini({**overrides, "abstraction.zoom": zoom}))
+    return cfg, cfg.build_model(), cfg.build_model(refined=True)
+
+
+@pytest.mark.parametrize("case", list(REFINEMENTS))
+def test_refined_build_equals_refining_the_coarse_build(case):
+    cfg, coarse, refined = _coarse_and_refined(case)
+    derived = refine_cells(coarse, cfg.zoom)
+    assert serialize_ts(derived) == serialize_ts(refined)
+    assert np.array_equal(derived.endpoints, refined.endpoints)
+
+
+def test_the_refinement_cases_are_what_their_names_say():
+    _, coarse, refined = _coarse_and_refined("blocked-pairs")
+    n_in = len(refined.inputs)
+    assert any(np.diff(refined.indptr[k * n_in:(k + 1) * n_in + 1]).min() == 0
+               for k, s in enumerate(refined.states) if s.id >= 25)
+    _, coarse, _ = _coarse_and_refined("merged-outer")
+    assert coarse.state(22).cell.upper.tolist() == [1.0, 0.4]
+    _, coarse, refined = _coarse_and_refined("delta-0-only")
+    assert serialize_ts(refined) == serialize_ts(coarse)
+    _, coarse, _ = _coarse_and_refined("1d")
+    assert coarse.state(2).cell.quantized_point.tolist() == [0.0]
+    _, coarse, refined = _coarse_and_refined("3d")
+    assert coarse.state(62).cell.quantized_point.tolist() == [0.0, 0.0, 0.0]
+    assert len(refined.states) == 125 - 2 + 27 + 8
+
+
+def test_refine_integrates_only_the_new_subcells(monkeypatch):
+    import symquant.abstraction as abstraction
+    from symquant.quantizers import Partition
+    cfg = parse_config_text(ini({"abstraction.zoom": "\n 12 1 1.0 0.3\n 13 1 1.0 0.3"}))
+    coarse = cfg.build_model()
+    calls = {"integrate": 0, "intersecting": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(abstraction, "integrate", counted("integrate", abstraction.integrate))
+    monkeypatch.setattr(Partition, "intersecting",
+                        counted("intersecting", Partition.intersecting))
+    refined = refine_cells(coarse, cfg.zoom)
+    new = [s for s in refined.states if s.id >= 25]
+    assert len(new) == 9 + 3
+    assert calls["integrate"] == len(new) * len(coarse.inputs)
+    # queried again: the new subcells' pairs and the kept pairs that met
+    # cell 12 or 13, all of them enabled
+    stale = sum(1 for (sid, _), succ in coarse.transition_rows()
+                if sid not in (12, 13) and {12, 13} & set(succ))
+    enabled = sum(1 for (sid, _), _ in refined.transition_rows() if sid >= 25)
+    assert calls["intersecting"] == enabled + stale
+    assert calls["intersecting"] < len(dict(refined.transition_rows()))
 
 
 def test_specification_rejects_points_outside_the_box():

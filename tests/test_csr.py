@@ -13,7 +13,8 @@ from symquant.abstraction import (AbstractState, TransitionSystem,
                                   transition_arrays)
 from symquant.cli import _load_model_checked, main
 from symquant.model_io import (ModelFormatError, parse_sts, serialize_ts,
-                               write_ts)
+                               sts_chunks, write_ts)
+from symquant.quantizers import Cell
 from symquant.synthesis import _robust_reach
 
 
@@ -119,6 +120,43 @@ def test_bad_relations_are_rejected(relation, fragment):
         transition_arrays([0, 1], 1, relation)
 
 
+def test_state_ids_must_fit_int32():
+    with pytest.raises(ValueError, match="state id 3000000000 does not fit int32"):
+        transition_arrays([5, 3000000000], 1, {(5, 0): (5,)})
+    with pytest.raises(ValueError, match="state id -2147483649 does not fit int32"):
+        transition_arrays([-2 ** 31 - 1], 1, {})
+    assert transition_arrays([2 ** 31 - 1], 1, {(2 ** 31 - 1, 0): (2 ** 31 - 1,)})[1] \
+        .tolist() == [2 ** 31 - 1]
+
+
+def _two_states(ids, succ):
+    return TransitionSystem("delayfree", [AbstractState(i) for i in ids],
+                            [np.array([0.0])],
+                            (np.array([0, 0, len(succ)]), np.array(succ)),
+                            initial=list(ids))
+
+
+@pytest.mark.parametrize("ids,succ,unknown", [
+    ([0, 1], [7], 7),                        # beyond consecutive ids
+    ([0, 1], [-1], -1),
+    ([5, 10 ** 9 + 7], [5, 6, 10 ** 9 + 7], 6),  # inside the range, not an id
+    ([4, 2], [2, 3, 4], 3),                  # ids need not be in order
+])
+def test_successor_ids_must_name_states(ids, succ, unknown):
+    # an unknown successor used to count as the state at position 0, so
+    # robust reach reported state 1 won from successor 7
+    with pytest.raises(ValueError, match=f"successor id {unknown} names no state"):
+        _two_states(ids, succ)
+
+
+def test_successor_check_runs_chunk_by_chunk(monkeypatch):
+    import symquant.abstraction as abstraction
+    monkeypatch.setattr(abstraction, "_CHECK_CHUNK", 2)
+    assert _two_states([0, 2], [0, 2, 2, 0, 2]).n_transitions == 5
+    with pytest.raises(ValueError, match="successor id 1 names no state"):
+        _two_states([0, 2], [0, 2, 2, 0, 1])
+
+
 def test_indptr_must_cover_every_pair():
     with pytest.raises(ValueError, match="one row per"):
         TransitionSystem("delayfree", [AbstractState(0)], [np.array([0.0])],
@@ -152,6 +190,36 @@ def test_successor_order_survives_a_round_trip():
                                 "E 0 0 1\nE 1 0 1\nE 1 0 0\n")
 
 
+def _sts_by_pair(ts):
+    """The E records of ts written one (state, input) pair at a time, with
+    str() on every successor id."""
+    return "".join(f"E {sid} {iid} {t}\n" for (sid, iid), succ in ts.transition_rows()
+                   for t in succ)
+
+
+def test_edge_records_come_one_piece_per_state(fine_zoom_ts):
+    ts = fine_zoom_ts
+    chunks = list(sts_chunks(ts))
+    head = 1 + len(ts.states) + len(ts.inputs)
+    with_edges = sum(1 for s in ts.states if ts.enabled(s.id))
+    assert len(chunks) == head + with_edges
+    assert "".join(chunks[head:]) == _sts_by_pair(ts)
+    assert all(len({ln.split()[1] for ln in c.splitlines()}) == 1 for c in chunks[head:])
+
+
+def test_edge_records_of_sparse_ids_and_empty_states():
+    relation = {(10 ** 9 + 7, 1): (5, 10 ** 9 + 7), (5, 0): (5,)}
+    ts = TransitionSystem("delayfree", [AbstractState(i, cell=Cell(i, np.zeros(1), np.ones(1),
+                                                                   np.full(1, 0.5)))
+                                        for i in (10 ** 9 + 7, 3, 5)],
+                          [np.array([0.0]), np.array([1.0])],
+                          transition_arrays([10 ** 9 + 7, 3, 5], 2, relation),
+                          initial=[3])
+    text = serialize_ts(ts)
+    assert text.endswith("I 1 1\nE 5 0 5\nE 1000000007 1 5\nE 1000000007 1 1000000007\n")
+    assert text[text.index("E "):] == _sts_by_pair(ts)
+
+
 # ---------------------------------------------------------------------------
 # memory of writing and checking a model
 
@@ -177,8 +245,8 @@ def _peak_traced(fn) -> int:
 
 
 def test_write_and_check_hold_no_copy_of_the_text(tmp_path, pendulum_ts):
-    # writing or checking streams one piece per (state, input) pair, so the
-    # peak is file buffers and one piece; a list of lines plus the joined
+    # writing or checking streams one piece per state, so the peak is file
+    # buffers and one piece; a list of lines plus the joined
     # text is about nine times the file size
     path = tmp_path / "model.sts"
     write_ts(pendulum_ts, str(path))

@@ -112,6 +112,9 @@ def test_file_round_trip(tmp_path, pendulum_ts):
     ("STS 1 2 1 0\nS 0 0 1 0.5\nS 0 1 2 1.5\nI 0 0\n", "state id is given twice"),
     ("STS 1 1 1 2\nS 0 0 1 0.5\nI 0 0\nE 0 0 0\nE 0 0 0\n",
      r"duplicate transition: \(0, 0\) -> 0"),
+    # successors are stored as int32, so this id would wrap to -1294967296
+    ("STS 1 2 1 1\nS 5 0 1 0.5\nS 3000000000 1 2 1.5\nI 0 0\nE 5 0 3000000000\n",
+     "state id 3000000000 does not fit int32"),
 ])
 def test_sts_parse_errors(text, fragment):
     with pytest.raises(ModelFormatError, match=fragment):
