@@ -288,15 +288,17 @@ def _unknown_id(state_ids: np.ndarray, x: np.ndarray) -> Optional[int]:
     traced peak does not move."""
     if not len(x):
         return None
-    ids = np.unique(state_ids)
-    lo, hi = int(x.min()), int(x.max())
-    if np.count_nonzero((ids >= lo) & (ids <= hi)) == hi - lo + 1:
-        return None
-    if not len(ids):
+    if not len(state_ids):
         return int(x[0])
+    ordered = np.sort(state_ids)
+    lo, hi = int(x.min()), int(x.max())
+    inside = ordered[np.searchsorted(ordered, lo):np.searchsorted(ordered, hi, side="right")]
+    if len(inside) and inside[0] == lo and inside[-1] == hi and \
+            np.all(np.diff(inside) <= 1):
+        return None
     for a in range(0, len(x), _CHECK_CHUNK):
         part = x[a:a + _CHECK_CHUNK]
-        miss = ~_lookup(ids, part)[1]
+        miss = ~_lookup(ordered, part)[1]
         if miss.any():
             return int(part[np.argmax(miss)])
     return None
