@@ -253,15 +253,7 @@ class _RelationView(Mapping):
 
 
 _POS_CHUNK = 1 << 16  # ids per searchsorted call in _positions
-_CHECK_CHUNK = 1 << 14  # ids per searchsorted call in _unknown_id
-
-
-def _lookup(ordered: np.ndarray, part: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """For every id in part: an index into the sorted ids ordered, and
-    whether the id is there at that index."""
-    at = np.searchsorted(ordered, part)
-    np.minimum(at, len(ordered) - 1, out=at)
-    return at, ordered[at] == part
+_CHECK_CHUNK = 1 << 16  # ids per table lookup in _unknown_id
 
 
 def _positions(state_ids: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -275,30 +267,33 @@ def _positions(state_ids: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.nda
     order = np.argsort(state_ids, kind="stable")
     ordered = state_ids[order]
     for a in range(0, len(x), _POS_CHUNK):
-        at, hit = _lookup(ordered, x[a:a + _POS_CHUNK])
+        part = x[a:a + _POS_CHUNK]
+        at = np.minimum(np.searchsorted(ordered, part), len(ordered) - 1)
+        hit = ordered[at] == part
         pos[a:a + _POS_CHUNK] = np.where(hit, order[at], 0)
         found[a:a + _POS_CHUNK] = hit
     return pos, found
 
 
 def _unknown_id(state_ids: np.ndarray, x: np.ndarray) -> Optional[int]:
-    """The first id in x that is not in state_ids, or None.  When every id
-    in the range of x is a state id, the bounds of x decide; otherwise x is
-    looked up _CHECK_CHUNK ids at a time, small enough that the build's
-    traced peak does not move."""
+    """The first id in x that is not in state_ids, or None.  A bool table
+    over the range of x marks the state ids, and x is looked up in it
+    _CHECK_CHUNK ids at a time, so the check is linear in len(x) and its
+    temporaries stay small; ids too sparse for such a table go through
+    _positions."""
     if not len(x):
         return None
-    if not len(state_ids):
-        return int(x[0])
-    ordered = np.sort(state_ids)
     lo, hi = int(x.min()), int(x.max())
-    inside = ordered[np.searchsorted(ordered, lo):np.searchsorted(ordered, hi, side="right")]
-    if len(inside) and inside[0] == lo and inside[-1] == hi and \
-            np.all(np.diff(inside) <= 1):
+    if hi - lo >= len(x) + len(state_ids):
+        found = _positions(state_ids, x)[1]
+        return None if found.all() else int(x[np.argmin(found)])
+    known = np.zeros(hi - lo + 1, dtype=bool)
+    known[state_ids[(state_ids >= lo) & (state_ids <= hi)] - lo] = True
+    if known.all():
         return None
     for a in range(0, len(x), _CHECK_CHUNK):
         part = x[a:a + _CHECK_CHUNK]
-        miss = ~_lookup(ordered, part)[1]
+        miss = ~known[part - lo]
         if miss.any():
             return int(part[np.argmax(miss)])
     return None
