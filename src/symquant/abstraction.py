@@ -252,8 +252,7 @@ class _RelationView(Mapping):
         return int(np.count_nonzero(np.diff(self._ts.indptr)))
 
 
-_POS_CHUNK = 1 << 16  # ids per searchsorted call in _positions
-_CHECK_CHUNK = 1 << 16  # ids per table lookup in _unknown_id
+_POS_CHUNK = 1 << 16  # ids per lookup in _positions and _unknown_id
 
 
 def _positions(state_ids: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -278,7 +277,7 @@ def _positions(state_ids: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.nda
 def _unknown_id(state_ids: np.ndarray, x: np.ndarray) -> Optional[int]:
     """The first id in x that is not in state_ids, or None.  A bool table
     over the range of x marks the state ids, and x is looked up in it
-    _CHECK_CHUNK ids at a time, so the check is linear in len(x) and its
+    _POS_CHUNK ids at a time, so the check is linear in len(x) and its
     temporaries stay small; ids too sparse for such a table go through
     _positions."""
     if not len(x):
@@ -291,8 +290,8 @@ def _unknown_id(state_ids: np.ndarray, x: np.ndarray) -> Optional[int]:
     known[state_ids[(state_ids >= lo) & (state_ids <= hi)] - lo] = True
     if known.all():
         return None
-    for a in range(0, len(x), _CHECK_CHUNK):
-        part = x[a:a + _CHECK_CHUNK]
+    for a in range(0, len(x), _POS_CHUNK):
+        part = x[a:a + _POS_CHUNK]
         miss = ~known[part - lo]
         if miss.any():
             return int(part[np.argmax(miss)])

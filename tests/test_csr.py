@@ -137,10 +137,10 @@ def _two_states(ids, succ):
 
 
 @pytest.mark.parametrize("ids,succ,unknown", [
-    ([0, 1], [7], 7),                        # beyond consecutive ids
+    ([0, 1], [7], 7),  # beyond consecutive ids
     ([0, 1], [-1], -1),
-    ([5, 10 ** 9 + 7], [5, 6, 10 ** 9 + 7], 6),  # inside the range, not an id
-    ([4, 2], [2, 3, 4], 3),                  # ids need not be in order
+    ([5, 10 ** 9 + 7], [5, 6, 10 ** 9 + 7], 6),  # too sparse for a table
+    ([4, 2], [2, 3, 4], 3),  # ids need not be in order
 ])
 def test_successor_ids_must_name_states(ids, succ, unknown):
     # an unknown successor used to count as the state at position 0, so
@@ -151,7 +151,7 @@ def test_successor_ids_must_name_states(ids, succ, unknown):
 
 def test_successor_check_runs_chunk_by_chunk(monkeypatch):
     import symquant.abstraction as abstraction
-    monkeypatch.setattr(abstraction, "_CHECK_CHUNK", 2)
+    monkeypatch.setattr(abstraction, "_POS_CHUNK", 2)
     assert _two_states([0, 2], [0, 2, 2, 0, 2]).n_transitions == 5
     with pytest.raises(ValueError, match="successor id 1 names no state"):
         _two_states([0, 2], [0, 2, 2, 0, 1])
