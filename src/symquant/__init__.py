@@ -8,8 +8,8 @@ controllers on the finite side, and replays them against the original
 dynamics.
 """
 
-from .abstraction import (AbstractState, GrowthBound, SplineTube,
-                          TransitionSystem, build_delayfree, build_timedelay,
+from .abstraction import (AbstractState, SplineTube, TransitionSystem,
+                          build_delayfree, build_timedelay,
                           growth_bound_delayfree, knot_times,
                           log_input_lattice, psi2, refine_cells, spline_basis,
                           tube_interpolant, uniform_input_lattice)
@@ -18,16 +18,16 @@ from .dynamics import (ControlSystem, IntegrationError, SampledCurve,
                        TimeDelaySystem, estimate_lipschitz, integrate,
                        integrate_delay)
 from .expr import Expression, ExprError, evaluate, parse, to_source
-from .frr import (Counterexample, FrrReport, RefinementMap, Violation,
-                  check_frr_finite, sample_frr_delayfree, sample_frr_timedelay)
+from .frr import (FrrReport, RefinementMap, Violation, check_frr_finite,
+                  sample_frr_delayfree, sample_frr_timedelay)
 from .model_io import (ModelFormatError, export_dot, load_controller, load_ts,
                        parse_controller, parse_sts, serialize_controller,
                        serialize_ts, write_controller, write_ts)
 from .quantizers import (Cell, LogQuantizerParams, Partition,
                          ZoomQuantizerParams, log_quantize, zoom_lattice,
                          zoom_quantize)
-from .sim import (CompletionReport, Trajectory, TrajectorySample,
-                  export_trajectory, run_closed_loop, validate_path)
+from .sim import (Trajectory, TrajectorySample, export_trajectory,
+                  run_closed_loop, validate_path)
 from .synthesis import (Controller, Specification, SynthesisError,
                         refine_controller, synthesize_reach,
                         synthesize_sequence)
@@ -35,9 +35,9 @@ from .synthesis import (Controller, Specification, SynthesisError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbstractState", "AppConfig", "Cell", "CompletionReport", "ConfigError",
-    "ControlSystem", "Controller", "Counterexample", "ExprError", "Expression",
-    "FrrReport", "GrowthBound", "IntegrationError", "LogQuantizerParams",
+    "AbstractState", "AppConfig", "Cell", "ConfigError",
+    "ControlSystem", "Controller", "ExprError", "Expression",
+    "FrrReport", "IntegrationError", "LogQuantizerParams",
     "ModelFormatError", "Partition", "RefinementMap", "SampledCurve",
     "Specification", "SplineTube", "SynthesisError", "TimeDelaySystem",
     "Trajectory", "TrajectorySample", "TransitionSystem", "Violation",

@@ -355,7 +355,7 @@ def transition_arrays(state_ids: Sequence[int], n_inputs: int,
     if same.any():
         e = by_edge[int(np.argmax(same)) + 1]
         raise ValueError(f"duplicate transition: ({src[e]}, {iid[e]}) -> {dst[e]}")
-    indptr = _indptr(n_rows, *np.unique(rows, return_counts=True))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
     return indptr, dst[np.argsort(rows, kind="stable")].astype(np.int32)
 
 

@@ -9,11 +9,17 @@ abstract states, advanced one sampling period, and their quantized image is
 checked against the abstract successor set.  Zero violations is the
 executable form of the soundness claim; a deliberately broken model
 (zero growth radius) must produce violations, guarding the test itself.
+
+The witnesses draw numpy's ``np.random.default_rng(seed)`` stream, so a
+report depends only on the seed, but they draw it through ``_DefaultRng``,
+a pure-Python copy of the few calls they make: importing numpy.random
+would add about 6 MiB to the process for a few thousand draws.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -147,13 +153,124 @@ def _ctx_of(ts: TransitionSystem):
     return ts._ctx
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _DefaultRng:
+    """numpy's ``default_rng(seed)`` for the calls the witnesses make.
+
+    PCG64 (a 128-bit LCG with XSL-RR output; O'Neill 2014) seeded as numpy
+    seeds it, through SeedSequence.  Draws match numpy bit for bit; inputs
+    outside what the witnesses use raise instead of drawing another stream.
+    """
+
+    def __init__(self, seed: int):
+        s0, s1, i0, i1 = _seed_sequence(seed)
+        self._inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        state = (self._inc + (s0 << 64 | s1)) & _MASK128  # one step from 0
+        self._state = (state * _PCG64_MULT + self._inc) & _MASK128
+        self._half: Optional[int] = None  # high half left by a 32-bit draw
+
+    def _next64(self) -> int:
+        self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+        s = self._state
+        v = (s >> 64 ^ s) & _MASK64
+        rot = s >> 122
+        return (v >> rot | v << (64 - rot)) & _MASK64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        v = self._next64()
+        self._half = v >> 32
+        return v & _MASK32
+
+    def integers(self, n: int) -> int:
+        """Generator.integers(n): Lemire's rejection on 32-bit draws (Lemire
+        2019); n == 1 draws nothing."""
+        if not 1 <= n <= _MASK32:
+            raise ValueError(f"integers({n}): need 1 <= n < 2**32")
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        if m & _MASK32 < n:
+            threshold = (_MASK32 + 1 - n) % n
+            while m & _MASK32 < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+    def uniform(self, lo, hi, size=None) -> np.ndarray:
+        """Generator.uniform(lo, hi, size) for array bounds: one draw per
+        element in C order, lo + (hi - lo) * u with u on the 2**-53 grid."""
+        lo = np.asarray(lo, dtype=float)
+        span = np.asarray(hi, dtype=float) - lo
+        if lo.ndim == 0 and span.ndim == 0:
+            raise ValueError("uniform needs array bounds")
+        if not np.all(np.isfinite(span)):
+            raise OverflowError("Range exceeds valid bounds")
+        shape = np.broadcast_shapes(lo.shape, span.shape)
+        if size is not None:
+            size = np.broadcast_shapes(size)
+            if np.broadcast_shapes(size, shape) != size:
+                raise ValueError(f"bounds of shape {shape} do not broadcast "
+                                 f"to size {size}")
+            shape = size
+        u = np.array([self._next64() >> 11 for _ in range(math.prod(shape))],
+                     dtype=float).reshape(shape)
+        return lo + span * (u * 2.0 ** -53)
+
+
+def _seed_sequence(seed: int) -> List[int]:
+    """SeedSequence(seed).generate_state(4, np.uint64): four 64-bit words."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    mult = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931E8875 & _MASK32
+        value = value * mult & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    mult = 0x8B51F9DD
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ mult
+        mult = mult * 0x58F38DED & _MASK32
+        value = value * mult & _MASK32
+        words.append(value ^ value >> 16)
+    return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+
+
 def sample_frr_delayfree(sys, ts: TransitionSystem, F: RefinementMap,
                          n_samples: int, seed: int) -> FrrReport:
     """Sampled soundness witness for delay-free models: quantized concrete
     successors must be abstract successors.  Out-of-domain successors are
     skipped, not failed."""
     ctx = _ctx_of(ts)
-    rng = np.random.default_rng(seed)
+    rng = _DefaultRng(seed)
     cells = [s.cell for s in ts.states]
     drawn: List[Tuple[np.ndarray, int, int]] = []  # (x, abstract state, input id)
     skipped = 0
@@ -202,7 +319,7 @@ def sample_frr_timedelay(sys, ts: TransitionSystem, F: RefinementMap,
     """
     ctx = _ctx_of(ts)
     part = ts.partition
-    rng = np.random.default_rng(seed)
+    rng = _DefaultRng(seed)
     amp = 2.0 * math.exp(ctx.L2 * ctx.tau) * ctx.growth_scale
     thetas = ctx.knot_thetas
     # per tube: knot cells and their bounds, jitter widths and growth radius
@@ -248,8 +365,11 @@ def sample_frr_timedelay(sys, ts: TransitionSystem, F: RefinementMap,
 
     # nominal knot points of every distinct (tube, input) pair checked
     n_in = len(ts.inputs)
-    pairs, pair_of = np.unique(sid[inside] * n_in + np.array(iids)[inside],
-                               return_inverse=True)
+    key = sid[inside] * n_in + np.array(iids)[inside]
+    seen = np.zeros(len(tubes) * n_in, dtype=bool)
+    seen[key] = True
+    pairs = np.flatnonzero(seen)
+    pair_of = (np.cumsum(seen) - 1)[key]
     H = np.stack([tube_interpolant(tubes[t], part, sys.Theta).values
                   for t in (pairs // n_in).tolist()], axis=2)
     nominal = tube_knot_points(sys, H, np.array(ts.inputs)[pairs % n_in].T,

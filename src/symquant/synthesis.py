@@ -37,7 +37,6 @@ class SynthesisError(ValueError):
 class Specification:
     kind: str  # 'reach' or 'sequence'
     targets: List[Tuple[int, ...]]  # one set for reach, one per waypoint
-    step_bound: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in ("reach", "sequence"):
@@ -73,7 +72,8 @@ def _robust_reach(ts: TransitionSystem, target: Tuple[int, ...]):
     level k-1 decrement the pairs leading into them.  A state
     first won at level k takes the smallest input id whose count reached
     zero then, which is the smallest input whose successors all lie in
-    W_{k-1}.
+    W_{k-1}.  Each level counts the hits per row with one np.bincount
+    (np.unique would import numpy.ma, about 1.7 MiB).
     """
     n_in = len(ts.inputs)
     ids = np.array(ts.state_ids(), dtype=np.int64)
@@ -92,12 +92,15 @@ def _robust_reach(ts: TransitionSystem, target: Tuple[int, ...]):
         sizes = n_pred[frontier]
         at = np.repeat(pred_ptr[frontier] - np.cumsum(sizes) + sizes, sizes)
         at += np.arange(len(at))
-        rows, hits = np.unique(pred[at], return_counts=True)
+        hits = np.bincount(pred[at], minlength=len(left))
         del at
-        left[rows] -= hits
+        rows = np.flatnonzero(hits)
+        left[rows] -= hits[rows]
         done = rows[left[rows] == 0]  # ascending: by state, then by input
         done = done[~won[done // n_in]]
-        frontier, first = np.unique(done // n_in, return_index=True)
+        # the first row of each state: its smallest input
+        first = np.flatnonzero(np.diff(done // n_in, prepend=-1))
+        frontier = done[first] // n_in
         won[frontier] = True
         for q, iid in zip(ids[frontier].tolist(), (done[first] % n_in).tolist()):
             dist[q] = level

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -428,3 +429,61 @@ def test_module_entry_point(ws, tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "25 states" in proc.stdout
+
+
+def test_verify_frr_negative_seed_is_exit_1(ws, capsys):
+    rc = main(["verify-frr", "--config", str(ws / "pendulum.ini"),
+               "--model", str(ws / "model.sts"), "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: expected non-negative integer\n"
+
+
+_STAGES_SCRIPT = """\
+import json, sys
+from symquant.cli import main
+for argv in json.loads(sys.argv[1]):
+    rc = main(argv)
+    heavy = [m for m in ("numpy.random", "numpy.ma") if m in sys.modules]
+    print(json.dumps([argv[0], argv[2], rc, heavy]))
+"""
+
+
+def test_no_stage_imports_numpy_random_or_numpy_ma(ws, tmp_path):
+    """numpy.random (about 6 MiB) and numpy.ma (about 1.7 MiB) stay out of
+    every stage: the witnesses draw numpy's stream without numpy.random,
+    and no stage calls np.unique, whose first call imports numpy.ma."""
+    (tmp_path / "robust.ini").write_text(
+        (ws / "zoomed.ini").read_text().replace("mode = hold", "mode = robust"))
+    p, z, d = (str(ws / "pendulum.ini"), str(tmp_path / "robust.ini"),
+               str(ws / "delay.ini"))
+    out = {name: str(tmp_path / name) for name in
+           ("m.sts", "law.ctrl", "run.csv", "m.dot", "fine.sts", "fine.ctrl",
+            "tube.sts", "tube.ctrl", "tube.csv")}
+    stages = [
+        ["abstract", "--config", p, "--out", out["m.sts"]],
+        ["verify-frr", "--config", p, "--model", out["m.sts"]],
+        ["synthesize", "--config", p, "--model", out["m.sts"],
+         "--out", out["law.ctrl"]],
+        ["simulate", "--config", p, "--controller", out["law.ctrl"],
+         "--out", out["run.csv"]],
+        ["export-dot", "--model", out["m.sts"], "--out", out["m.dot"]],
+        ["refine", "--config", z, "--model", out["m.sts"],
+         "--out", out["fine.sts"]],
+        ["verify-frr", "--config", z, "--model", out["fine.sts"]],
+        ["synthesize", "--config", z, "--model", out["fine.sts"],
+         "--out", out["fine.ctrl"]],
+        ["abstract", "--config", d, "--out", out["tube.sts"]],
+        ["verify-frr", "--config", d, "--model", out["tube.sts"]],
+        ["synthesize", "--config", d, "--model", out["tube.sts"],
+         "--out", out["tube.ctrl"]],
+        ["simulate", "--config", d, "--controller", out["tube.ctrl"],
+         "--out", out["tube.csv"]],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _STAGES_SCRIPT,
+                           json.dumps(stages)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()
+            if line.startswith("[")]
+    assert [(name, rc) for name, _, rc, _ in runs] == [
+        (argv[0], 0) for argv in stages]
+    assert [(name, cfg, heavy) for name, cfg, _, heavy in runs if heavy] == []
