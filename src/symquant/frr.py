@@ -203,25 +203,22 @@ class _DefaultRng:
                 m = self._next32() * n
         return m >> 32
 
-    def uniform(self, lo, hi, size=None) -> np.ndarray:
+    def uniform(self, lo, hi, size: Optional[Tuple[int, ...]] = None) -> np.ndarray:
         """Generator.uniform(lo, hi, size) for array bounds: one draw per
         element in C order, lo + (hi - lo) * u with u on the 2**-53 grid."""
         lo = np.asarray(lo, dtype=float)
         span = np.asarray(hi, dtype=float) - lo
-        if lo.ndim == 0 and span.ndim == 0:
+        if span.ndim == 0:
             raise ValueError("uniform needs array bounds")
-        if not np.all(np.isfinite(span)):
+        if not np.isfinite(span).all():
             raise OverflowError("Range exceeds valid bounds")
-        shape = np.broadcast_shapes(lo.shape, span.shape)
-        if size is not None:
-            size = np.broadcast_shapes(size)
-            if np.broadcast_shapes(size, shape) != size:
-                raise ValueError(f"bounds of shape {shape} do not broadcast "
-                                 f"to size {size}")
-            shape = size
-        u = np.array([self._next64() >> 11 for _ in range(math.prod(shape))],
-                     dtype=float).reshape(shape)
-        return lo + span * (u * 2.0 ** -53)
+        shape = span.shape if size is None else tuple(size)
+        if span.ndim > len(shape) or any(
+                a not in (1, b) for a, b in zip(span.shape[::-1], shape[::-1])):
+            raise ValueError(f"bounds of shape {span.shape} do not broadcast "
+                             f"to size {shape}")
+        u = [(self._next64() >> 11) * 2.0 ** -53 for _ in range(math.prod(shape))]
+        return lo + span * np.array(u).reshape(shape)
 
 
 def _seed_sequence(seed: int) -> List[int]:
