@@ -29,8 +29,7 @@ from .quantizers import (Cell, LogQuantizerParams, Partition,
 from .sim import (Trajectory, TrajectorySample, export_trajectory,
                   run_closed_loop, validate_path)
 from .synthesis import (Controller, Specification, SynthesisError,
-                        refine_controller, synthesize_reach,
-                        synthesize_sequence)
+                        synthesize_reach, synthesize_sequence)
 
 __version__ = "0.1.0"
 
@@ -47,7 +46,7 @@ __all__ = [
     "integrate_delay", "knot_times", "load_config", "load_controller",
     "load_ts", "log_input_lattice", "log_quantize", "parse",
     "parse_config_text", "parse_controller", "parse_sts", "psi2",
-    "refine_cells", "refine_controller",
+    "refine_cells",
     "run_closed_loop", "sample_frr_delayfree", "sample_frr_timedelay",
     "serialize_controller", "serialize_ts", "spline_basis",
     "synthesize_reach", "synthesize_sequence", "to_source",

@@ -37,9 +37,10 @@ blocked (no successors).  Exploration runs one breadth-first level at a
 time: one method-of-steps batch over every (tube, input) pair of the
 level, one array test for blocked pairs, one Partition.locate_batch call
 for all nominal knots, then a walk over the pairs in (tube, input) order
-that numbers new tubes.  The nominal knot points stay in arrays, and the
-successor sets come from one closed-box test of their growth boxes against
-the knot cells of all discovered tubes.
+that numbers new tubes.  The model keeps every pair's nominal knot points
+(ts.endpoints) and each tube's growth radius (ts.radius), and the successor
+sets come from one closed-box test of those growth boxes against the knot
+cells of all discovered tubes.
 """
 
 from __future__ import annotations
@@ -146,6 +147,12 @@ class TransitionSystem:
     non-empty; a blocked pair's row is empty.
     Construction is deterministic: same configuration, same serialized
     bytes.
+
+    A built model keeps the nominal successors of its successor test, in
+    the order of states, so no later stage integrates them again: endpoints
+    is (S, I, n) for a delay-free model and (S, I, N+2, n), the knot points,
+    for a tube model; radius is each tube's (S,) growth radius, and None
+    for a delay-free model.  Parsed models have neither.
     """
 
     def __init__(self, kind: str, states: List[AbstractState],
@@ -156,7 +163,8 @@ class TransitionSystem:
                  ctx: Optional[_BuildContext] = None,
                  truncated: bool = False,
                  cell_table: Optional[List[Cell]] = None,
-                 endpoints: Optional[np.ndarray] = None):
+                 endpoints: Optional[np.ndarray] = None,
+                 radius: Optional[np.ndarray] = None):
         self.kind = kind
         self.states = states
         self.inputs = [np.atleast_1d(np.asarray(u, dtype=float)) for u in inputs]
@@ -178,11 +186,8 @@ class TransitionSystem:
         self.truncated = truncated
         # knot cells of a tube model parsed without its partition
         self.cell_table = cell_table
-        # (len(states), len(inputs), n) nominal endpoints of a delay-free
-        # build, rows in the order of states; None for parsed and tube models
         self.endpoints = endpoints
-        # (max_hold, hold sequences) cached by hold-mode synthesis
-        self._hold_seqs: Optional[Tuple[int, Dict[Tuple[int, int], List[int]]]] = None
+        self.radius = radius
 
     def state(self, sid: int) -> AbstractState:
         return self.states[self._pos[sid]]
@@ -617,11 +622,6 @@ def _knot_widths(tube: SplineTube, partition: Partition) -> List[float]:
     return out
 
 
-def _tube_theta2(tube: SplineTube, partition: Partition) -> float:
-    """max over knots of the zoom width, cell half-width where unrefined."""
-    return max(_knot_widths(tube, partition))
-
-
 _CHUNK = 4096  # trajectories per integrate_delay_batch call
 
 
@@ -724,11 +724,10 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
     n_in = len(inputs)
     U = np.array(inputs).T
     lo, hi = sys.state_lo[:, None], sys.state_hi[:, None]
-    # per level, the pairs kept: CSR rows, nominal knot points (P, J, n)
-    # and the growth radius of the source tube (P,)
+    # per level, the CSR rows of the pairs kept, and the nominal knot
+    # points of all its pairs (tubes, I, J, n)
     rows: List[np.ndarray] = []
-    points: List[np.ndarray] = []
-    radii: List[np.ndarray] = []
+    levels: List[np.ndarray] = []
     truncated = False
 
     head = 0
@@ -755,27 +754,29 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
                 order.append(succ)
         if error is not None:
             raise error
-        radius = np.array([_tube_theta2(t, part) for t in level]) * amp
         rows.append(head * n_in + cols[found])
-        points.append(pts[found])
-        radii.append(radius[cols[found] // n_in])
+        levels.append(knots.transpose(2, 0, 1)
+                      .reshape(len(level), n_in, len(thetas), sys.n))
         head += len(level)
+    endpoints = np.concatenate(levels)  # (T, I, J, n)
+    radius = np.array([max(_knot_widths(SplineTube(t), part)) for t in order]) * amp
 
     # successors: every discovered tube whose knot cells all meet the growth
     # boxes around the nominal knot points (closed boxes, touching counts)
     cell_lo, cell_hi = part.cell_bounds(order)  # (T, J, n)
-    pts = np.concatenate(points)
-    radius = np.concatenate(radii)[:, None, None]
+    rows = np.concatenate(rows)
+    pts = endpoints.reshape(-1, *endpoints.shape[2:])  # a view, row order
     # pairs are in row order, and tube ids are positions, so the successors
     # of every (P, T) mask are its row-major nonzero columns
     succ, sizes = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
     chunk = max(1, (1 << 16) // len(order))  # pairs per (P, T) test
-    for start in range(0, len(pts), chunk):
-        p, r = pts[start:start + chunk], radius[start:start + chunk]
+    for start in range(0, len(rows), chunk):
+        at = rows[start:start + chunk]
+        p, r = pts[at], radius[at // n_in][:, None, None]
         meets = _boxes_meet_knot_cells(p - r, p + r, cell_lo, cell_hi)
         succ.append(np.nonzero(meets)[1].astype(np.int32))
         sizes.append(meets.sum(axis=1))
-    indptr = _indptr(len(order) * n_in, np.concatenate(rows), np.concatenate(sizes))
+    indptr = _indptr(len(order) * n_in, rows, np.concatenate(sizes))
 
     states = [AbstractState(k, tube=SplineTube(t)) for k, t in enumerate(order)]
     ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,
@@ -783,4 +784,4 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
     return TransitionSystem("timedelay", states, inputs,
                             (indptr, np.concatenate(succ)),
                             initial=[0], partition=part, ctx=ctx,
-                            truncated=truncated)
+                            truncated=truncated, endpoints=endpoints, radius=radius)

@@ -35,7 +35,7 @@ from .frr import RefinementMap, sample_frr_delayfree, sample_frr_timedelay
 from .model_io import (ModelFormatError, export_dot, load_controller, load_ts,
                        sts_chunks, write_controller, write_ts)
 from .sim import export_trajectory, run_closed_loop
-from .synthesis import SynthesisError, synthesize_reach, synthesize_sequence
+from .synthesis import SynthesisError, synthesize_sequence
 
 
 class _DomainError(Exception):
@@ -103,12 +103,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     if not cfg.target_points:
         raise _DomainError("synthesis.targets: no target points configured")
     spec = cfg.specification(ts)
-    if spec.kind == "reach":
-        ctrl, _ = synthesize_reach(ts, spec.targets[0], mode=cfg.spec_mode,
-                                   max_hold=cfg.max_hold)
-    else:
-        ctrl = synthesize_sequence(ts, spec, mode=cfg.spec_mode,
-                                   max_hold=cfg.max_hold)
+    ctrl = synthesize_sequence(ts, spec, mode=cfg.spec_mode, max_hold=cfg.max_hold)
     write_controller(ctrl, args.out)
     n_entries = sum(len(p) for p in ctrl.phases)
     print(f"synthesize: wrote {spec.kind} controller with {ctrl.n_phases} "

@@ -6,7 +6,9 @@ leads only to states whose image under F is an abstract successor of x2.
 For a finite pair of systems this is checked exhaustively.  Against the
 concrete plant it is tested by sampling: concrete states are drawn inside
 abstract states, advanced one sampling period, and their quantized image is
-checked against the abstract successor set.  Zero violations is the
+checked against the abstract successor set; the tube witness integrates
+only the samples and reads the nominal knot points and growth radii that
+the build kept (ts.endpoints, ts.radius).  Zero violations is the
 executable form of the soundness claim; a deliberately broken model
 (zero growth radius) must produce violations, guarding the test itself.
 
@@ -26,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .abstraction import (SplineTube, TransitionSystem, _knot_widths, psi2,
-                          tube_interpolant, tube_knot_points)
+                          tube_knot_points)
 from .dynamics import SampledCurve, integrate_batch
 from .quantizers import Partition
 
@@ -312,20 +314,17 @@ def sample_frr_timedelay(sys, ts: TransitionSystem, F: RefinementMap,
     location recovers the sampled cell).  Successor membership is knot-wise:
     at every knot time, the cell of the sampled successor must intersect the
     growth box around the nominal successor of the tube's quantized
-    functional.
+    functional, which the build kept with its radius (ts.endpoints, ts.radius).
     """
     ctx = _ctx_of(ts)
     part = ts.partition
     rng = _DefaultRng(seed)
-    amp = 2.0 * math.exp(ctx.L2 * ctx.tau) * ctx.growth_scale
-    thetas = ctx.knot_thetas
-    # per tube: knot cells and their bounds, jitter widths and growth radius
+    # per tube: knot cells and their bounds, and jitter widths
     tubes = [s.tube for s in ts.states]
     cell_lo, cell_hi = part.cell_bounds([t.knots for t in tubes])  # (S, J, n)
     quantized = np.array([[part.cell(k).quantized_point for k in t.knots]
                           for t in tubes])
     widths = np.array([_knot_widths(t, part) for t in tubes])  # (S, J)
-    radius = widths.max(axis=1) * amp
     enabled = [ts.enabled(sid) for sid in range(len(tubes))]
     # every draw first, in the order of one-at-a-time sampling
     sids: List[int] = []
@@ -353,26 +352,15 @@ def sample_frr_timedelay(sys, ts: TransitionSystem, F: RefinementMap,
                      cell_hi[sid] - _EDGE * width).transpose(1, 2, 0)  # (J, n, K)
     U = np.array(ts.inputs)[iids].T
     samples = tube_knot_points(sys, pts if sys.Theta > 0.0 else pts[-1:], U,
-                               ctx.tau, ctx.steps, thetas)
+                               ctx.tau, ctx.steps, ctx.knot_thetas)
     lo, hi = sys.state_lo[:, None], sys.state_hi[:, None]
     inside = np.flatnonzero(~np.any((samples < lo) | (samples > hi), axis=(0, 1)))
     skipped += len(sids) - len(inside)
     if not inside.size:
         return FrrReport(n_samples, 0, skipped, violations, seed)
 
-    # nominal knot points of every distinct (tube, input) pair checked
-    n_in = len(ts.inputs)
-    key = sid[inside] * n_in + np.array(iids)[inside]
-    seen = np.zeros(len(tubes) * n_in, dtype=bool)
-    seen[key] = True
-    pairs = np.flatnonzero(seen)
-    pair_of = (np.cumsum(seen) - 1)[key]
-    H = np.stack([tube_interpolant(tubes[t], part, sys.Theta).values
-                  for t in (pairs // n_in).tolist()], axis=2)
-    nominal = tube_knot_points(sys, H, np.array(ts.inputs)[pairs % n_in].T,
-                               ctx.tau, ctx.steps, thetas)
-    nominal = nominal[:, :, pair_of].transpose(2, 0, 1)  # (K, J, n)
-    r = radius[sid[inside]][:, None, None]
+    nominal = ts.endpoints[sid[inside], np.array(iids)[inside]]  # (K, J, n)
+    r = ts.radius[sid[inside]][:, None, None]
     # the cell of every sampled knot must meet its closed growth box
     got = part.locate_batch(samples[:, :, inside].transpose(2, 0, 1)
                             .reshape(-1, sys.n)).reshape(len(inside), -1)

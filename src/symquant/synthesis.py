@@ -14,19 +14,22 @@ sample, so deviations from the nominal path are corrected by feedback
 rather than guarded a priori.
 
 Waypoint sequences chain per-phase reach tables; the phase advances when
-the trajectory's abstract state enters the current waypoint set.
+the trajectory's abstract state enters the current waypoint set.  A reach
+and a sequence take one path, which does each mode's target-independent
+work once per call: robust mode's predecessor arrays, and hold mode's
+visits, which start from the endpoints the build kept (ts.endpoints) and
+are stored as one pair of int32 (rows, cells) arrays per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .abstraction import TransitionSystem, _positions
 from .dynamics import integrate_batch
-from .frr import RefinementMap
 
 
 class SynthesisError(ValueError):
@@ -64,48 +67,53 @@ class Controller:
         return len(self.phases)
 
 
-def _robust_reach(ts: TransitionSystem, target: Tuple[int, ...]):
-    """Fixed point W_k = W_{k-1} + {q : exists u, {} != post(q,u) <= W_{k-1}}.
+def _robust_reach(ts: TransitionSystem, targets: List[Tuple[int, ...]]):
+    """(policy, dist) of every target under the fixed point
+    W_k = W_{k-1} + {q : exists u, {} != post(q,u) <= W_{k-1}}.
 
-    A worklist over predecessor arrays that visits every transition once:
-    every pair counts its successors not yet won, and the states won at
-    level k-1 decrement the pairs leading into them.  A state
-    first won at level k takes the smallest input id whose count reached
-    zero then, which is the smallest input whose successors all lie in
-    W_{k-1}.  Each level counts the hits per row with one np.bincount
-    (np.unique would import numpy.ma, about 1.7 MiB).
+    The predecessor arrays do not depend on the target and are built once.
+    Each target then runs a worklist over them that visits every transition
+    once: every pair counts its successors not yet won, and the states won
+    at level k-1 decrement the pairs leading into them.  A state first won
+    at level k takes the smallest input id whose count reached zero then,
+    which is the smallest input whose successors all lie in W_{k-1}.  Each
+    level counts the hits per row with one np.bincount (np.unique would
+    import numpy.ma, about 1.7 MiB).
     """
     n_in = len(ts.inputs)
     ids = np.array(ts.state_ids(), dtype=np.int64)
-    left = np.diff(ts.indptr).astype(np.int32)
-    pred, pred_ptr = _predecessors(ts, ids, left)
-
-    dist = {q: 0 for q in target}
-    policy: Dict[int, int] = {}
-    frontier = np.sort(_positions(ids, np.array(target, dtype=np.int64))[0])
-    won = np.zeros(len(ids), dtype=bool)
-    won[frontier] = True
+    n_succ = np.diff(ts.indptr).astype(np.int32)
+    pred, pred_ptr = _predecessors(ts, ids, n_succ)
     n_pred = np.diff(pred_ptr)
-    level = 0
-    while frontier.size:
-        level += 1
-        sizes = n_pred[frontier]
-        at = np.repeat(pred_ptr[frontier] - np.cumsum(sizes) + sizes, sizes)
-        at += np.arange(len(at))
-        hits = np.bincount(pred[at], minlength=len(left))
-        del at
-        rows = np.flatnonzero(hits)
-        left[rows] -= hits[rows]
-        done = rows[left[rows] == 0]  # ascending: by state, then by input
-        done = done[~won[done // n_in]]
-        # the first row of each state: its smallest input
-        first = np.flatnonzero(np.diff(done // n_in, prepend=-1))
-        frontier = done[first] // n_in
+    tables = []
+    for target in targets:
+        left = n_succ.copy()
+        dist = {q: 0 for q in target}
+        policy: Dict[int, int] = {}
+        frontier = np.sort(_positions(ids, np.array(target, dtype=np.int64))[0])
+        won = np.zeros(len(ids), dtype=bool)
         won[frontier] = True
-        for q, iid in zip(ids[frontier].tolist(), (done[first] % n_in).tolist()):
-            dist[q] = level
-            policy[q] = iid
-    return policy, dist
+        level = 0
+        while frontier.size:
+            level += 1
+            sizes = n_pred[frontier]
+            at = np.repeat(pred_ptr[frontier] - np.cumsum(sizes) + sizes, sizes)
+            at += np.arange(len(at))
+            hits = np.bincount(pred[at], minlength=len(left))
+            del at
+            rows = np.flatnonzero(hits)
+            left[rows] -= hits[rows]
+            done = rows[left[rows] == 0]  # ascending: by state, then by input
+            done = done[~won[done // n_in]]
+            # the first row of each state: its smallest input
+            first = np.flatnonzero(np.diff(done // n_in, prepend=-1))
+            frontier = done[first] // n_in
+            won[frontier] = True
+            for q, iid in zip(ids[frontier].tolist(), (done[first] % n_in).tolist()):
+                dist[q] = level
+                policy[q] = iid
+        tables.append((policy, dist))
+    return tables
 
 
 def _predecessors(ts: TransitionSystem, ids: np.ndarray, sizes: np.ndarray):
@@ -126,64 +134,90 @@ def _predecessors(ts: TransitionSystem, ids: np.ndarray, sizes: np.ndarray):
     return key.astype(np.int32), pred_ptr
 
 
-def _hold_sequences(ts: TransitionSystem, max_hold: int) -> Dict[Tuple[int, int], List[int]]:
-    """Cell id sequence visited by holding each input from each state's
-    quantized point, truncated at the state box or max_hold; memoized on ts.
-
-    All (state, input) pairs advance together, one period per batch, and
-    the endpoints still inside the state box are located in one batch; a
-    pair whose endpoint leaves the box drops out and is never integrated
-    again.
+def _hold_visits(ts: TransitionSystem,
+                 max_hold: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Cells visited by holding each input from each state's quantized
+    point: entry k - 1 holds the int32 CSR rows, ascending, of the pairs
+    still inside the state box after k periods, and the int32 ids of their
+    cells.  Step 1 is ts.endpoints; each later step integrates the pairs
+    still inside in one batch.  The list ends after max_hold steps or when
+    no pair is left, so it grows with the visits made, not with max_hold.
     """
-    if ts._hold_seqs is not None and ts._hold_seqs[0] >= max_hold:
-        return ts._hold_seqs[1]
     ctx = ts._ctx
-    if ctx is None or ts.partition is None:
+    if ctx is None or ts.partition is None or ts.endpoints is None:
         raise SynthesisError("model carries no build context; rebuild from config")
-    sys, part = ctx.sys, ts.partition
-    pairs = [(s.id, iid) for s in ts.states for iid in range(len(ts.inputs))]
-    seqs: Dict[Tuple[int, int], List[int]] = {p: [] for p in pairs}
-    points = np.array([s.cell.quantized_point for s in ts.states])
-    X = np.repeat(points, len(ts.inputs), axis=0).T
+    sys = ctx.sys
+    X = ts.endpoints.reshape(-1, sys.n).T
     U = np.tile(np.array(ts.inputs), (len(ts.states), 1)).T
-    live = np.arange(len(pairs))
+    live = np.arange(X.shape[1], dtype=np.int32)
     lo, hi = sys.state_lo[:, None], sys.state_hi[:, None]
-    for _ in range(max_hold):
-        if not live.size:
-            break
-        X = integrate_batch(sys, X, U[:, live], ctx.tau, ctx.steps)
+    visits: List[Tuple[np.ndarray, np.ndarray]] = []
+    while True:
         inside = np.all((X >= lo) & (X <= hi), axis=0)
         X, live = X[:, inside], live[inside]
-        for j, cid in zip(live.tolist(), part.locate_batch(X.T).tolist()):
-            seqs[pairs[j]].append(cid)
-    ts._hold_seqs = (max_hold, seqs)
-    return seqs
+        if not live.size:
+            return visits
+        visits.append((live, ts.partition.locate_batch(X.T).astype(np.int32)))
+        if len(visits) == max_hold:
+            return visits
+        X = integrate_batch(sys, X, U[:, live], ctx.tau, ctx.steps)
 
 
-def _hold_reach(ts: TransitionSystem, target: Tuple[int, ...], max_hold: int):
-    """Per state, the first (steps, input id) whose held nominal trajectory
-    from the cell's quantized point enters the target inside the state box."""
+def _hold_reach(ts: TransitionSystem, targets: List[Tuple[int, ...]], max_hold: int):
+    """(policy, dist) of every target: per state, the fewest steps, then
+    the smallest input id, whose held nominal trajectory from the cell's
+    quantized point enters the target inside the state box.  The visits do
+    not depend on the target, so they are made once."""
     if ts.kind != "delayfree":
         raise SynthesisError("hold mode needs a delay-free model")
-    seqs = _hold_sequences(ts, max_hold)
-    target_set = set(target)
-    dist = {q: 0 for q in target}
-    policy: Dict[int, int] = {}
-    for s in ts.states:
-        q = s.id
-        if q in dist:
-            continue
-        best: Optional[Tuple[int, int]] = None
-        for iid in range(len(ts.inputs)):
-            seq = seqs[(q, iid)]
-            k = next((i + 1 for i, c in enumerate(seq[:max_hold])
-                      if c in target_set), None)
-            if k is not None and (best is None or k < best[0]):
-                best = (k, iid)
-        if best is not None:
-            dist[q] = best[0]
-            policy[q] = best[1]
-    return policy, dist
+    visits = _hold_visits(ts, max_hold)
+    n_in = len(ts.inputs)
+    ids = np.array(ts.state_ids(), dtype=np.int64)  # cell ids, dense from 0
+    tables = []
+    for target in targets:
+        dist = {q: 0 for q in target}
+        policy: Dict[int, int] = {}
+        goal = np.zeros(ids.max() + 1, dtype=bool)  # by cell id
+        goal[list(target)] = True
+        won = goal.copy()
+        for k, (rows, cells) in enumerate(visits, 1):
+            hit = rows[goal[cells]]
+            hit = hit[~won[ids[hit // n_in]]]
+            # rows ascend, so the first row of each state has its smallest input
+            first = hit[np.flatnonzero(np.diff(hit // n_in, prepend=-1))]
+            reached = ids[first // n_in]
+            won[reached] = True
+            for q, iid in zip(reached.tolist(), (first % n_in).tolist()):
+                dist[q] = k
+                policy[q] = iid
+        tables.append((policy, dist))
+    return tables
+
+
+def _reach_tables(ts: TransitionSystem, targets: List[Tuple[int, ...]],
+                  mode: str, max_hold: int):
+    """(policy, dist) of every target, each a sorted tuple of state ids; the
+    mode's target-independent work is done once for all of them.  Target
+    states are assigned their smallest enabled input."""
+    known = set(ts.state_ids())
+    for target in targets:
+        if not target:
+            raise SynthesisError("target must be nonempty")
+        missing = [q for q in target if q not in known]
+        if missing:
+            raise SynthesisError(f"target references unknown states {missing}")
+    if mode == "robust":
+        tables = _robust_reach(ts, targets)
+    elif mode == "hold":
+        tables = _hold_reach(ts, targets, max_hold)
+    else:
+        raise SynthesisError(f"unknown synthesis mode {mode!r}")
+    for target, (policy, _) in zip(targets, tables):
+        for q in target:
+            enabled = ts.enabled(q)
+            if enabled:
+                policy[q] = enabled[0]
+    return tables
 
 
 def synthesize_reach(ts: TransitionSystem, target: Sequence[int],
@@ -198,22 +232,7 @@ def synthesize_reach(ts: TransitionSystem, target: Sequence[int],
     not raised.
     """
     target = tuple(sorted(set(target)))
-    if not target:
-        raise SynthesisError("target must be nonempty")
-    known = set(ts.state_ids())
-    missing = [q for q in target if q not in known]
-    if missing:
-        raise SynthesisError(f"target references unknown states {missing}")
-    if mode == "robust":
-        policy, dist = _robust_reach(ts, target)
-    elif mode == "hold":
-        policy, dist = _hold_reach(ts, target, max_hold)
-    else:
-        raise SynthesisError(f"unknown synthesis mode {mode!r}")
-    for q in target:
-        enabled = ts.enabled(q)
-        if enabled:
-            policy[q] = enabled[0]
+    ((policy, dist),) = _reach_tables(ts, [target], mode, max_hold)
     ctrl = Controller([policy], [target], [dist], list(ts.inputs), mode)
     return ctrl, dist
 
@@ -227,41 +246,12 @@ def synthesize_sequence(ts: TransitionSystem, spec: Specification,
     phase starts); the first phase's coverage is checked at run time against
     the actual initial state.
     """
-    if spec.kind == "reach":
-        ctrl, _ = synthesize_reach(ts, spec.targets[0], mode, max_hold)
-        return ctrl
-    phases: List[Dict[int, int]] = []
-    winning: List[Dict[int, int]] = []
-    for p, waypoint in enumerate(spec.targets):
-        ctrl_p, dist = synthesize_reach(ts, waypoint, mode, max_hold)
-        phases.append(ctrl_p.phases[0])
-        winning.append(dist)
-        if p > 0:
-            start = spec.targets[p - 1]
-            dead = [q for q in start if q not in dist]
-            if dead:
-                raise SynthesisError(
-                    f"leg {p}: waypoint set {list(waypoint)} unreachable "
-                    f"from previous waypoint states {dead}")
-    return Controller(phases, list(spec.targets), winning, list(ts.inputs), mode)
-
-
-@dataclass
-class ConcreteLaw:
-    """The abstract controller composed with the state quantizer."""
-
-    controller: Controller
-    F: RefinementMap
-
-    def __call__(self, x, phase: int) -> np.ndarray:
-        sid = self.F.locate(x)
-        iid = self.controller.input_at(phase, sid)
-        if iid is None:
+    tables = _reach_tables(ts, spec.targets, mode, max_hold)
+    for p in range(1, len(tables)):
+        dead = [q for q in spec.targets[p - 1] if q not in tables[p][1]]
+        if dead:
             raise SynthesisError(
-                f"state {list(np.atleast_1d(x))} (abstract {sid}) has no "
-                f"assignment in phase {phase}")
-        return self.controller.inputs[iid]
-
-
-def refine_controller(c: Controller, F: RefinementMap) -> ConcreteLaw:
-    return ConcreteLaw(c, F)
+                f"leg {p}: waypoint set {list(spec.targets[p])} unreachable "
+                f"from previous waypoint states {dead}")
+    return Controller([policy for policy, _ in tables], list(spec.targets),
+                      [dist for _, dist in tables], list(ts.inputs), mode)

@@ -370,7 +370,7 @@ def test_knot_match_counts_touching_faces():
 def test_timedelay_successors_equal_knotwise_intersecting(pendulum_delay,
                                                           logparams):
     # reference: the knot-wise Partition.intersecting match, tube by tube
-    from symquant.abstraction import _tube_theta2
+    from symquant.abstraction import _knot_widths
     from symquant.dynamics import integrate_delay_batch, interpolate_batch
     # small growth boxes, so that successor sets are proper subsets
     zoom = {0: ZoomQuantizerParams(10, 1.0, 0.1)}
@@ -388,7 +388,7 @@ def test_timedelay_successors_equal_knotwise_intersecting(pendulum_delay,
         H = np.repeat(hist.values[:, :, None], len(ts.inputs), axis=2)
         knots = interpolate_batch(integrate_delay_batch(pendulum_delay, H, U, 0.2),
                                   0.2, thetas)
-        radius = _tube_theta2(s.tube, part) * amp
+        radius = max(_knot_widths(s.tube, part)) * amp
         for iid in range(len(ts.inputs)):
             if (s.id, iid) not in rows:
                 continue

@@ -16,7 +16,7 @@ from symquant.dynamics import (ControlSystem, IntegrationError, SampledCurve,
                                integrate_delay_batch)
 from symquant.expr import FUNCTIONS
 from symquant.quantizers import Cell, Partition
-from symquant.synthesis import _hold_sequences
+from symquant.synthesis import _hold_visits
 
 # one plant per FUNCTIONS member and '^', each argument inside its domain
 # on the sampled box
@@ -95,7 +95,11 @@ def test_hold_search_drops_pairs_that_leave_the_box():
         integrate(sys, [1.12], [1.0], 0.2)
     ts = build_delayfree(sys, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
                          input_quantization=("uniform", 0.5), lipschitz=1.0)
-    seqs = _hold_sequences(ts, 16)
+    n_in = len(ts.inputs)
+    seqs = {(s.id, iid): [] for s in ts.states for iid in range(n_in)}
+    for rows, cells in _hold_visits(ts, 16):
+        for row, cid in zip(rows.tolist(), cells.tolist()):
+            seqs[(ts.states[row // n_in].id, row % n_in)].append(cid)
     for s in ts.states:
         for iid, u in enumerate(ts.inputs):
             x, want = s.cell.quantized_point, []

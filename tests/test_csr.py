@@ -268,7 +268,7 @@ def test_worklist_matches_the_fixed_point_over_many_levels(fine_zoom_ts):
     ts = fine_zoom_ts
     # the cells meeting the box [-0.2, 0.2]^2: 89 targets, 13 levels
     target = tuple(ts.partition.intersecting([-0.2, -0.2], [0.2, 0.2]))
-    policy, dist = _robust_reach(ts, target)
+    ((policy, dist),) = _robust_reach(ts, [target])
     ref_policy, ref_dist = reference_robust_reach(ts, target)
     assert (len(target), len(dist), max(dist.values())) == (89, 411, 13)
     assert dist == ref_dist and list(dist) == list(ref_dist)
@@ -291,4 +291,4 @@ def test_worklist_matches_the_fixed_point_on_random_graphs(seed):
                           [np.array([float(i)]) for i in range(m)],
                           transition_arrays(ids, m, relation), initial=ids)
     target = tuple(ids[:3])
-    assert _robust_reach(ts, target) == reference_robust_reach(ts, target)
+    assert _robust_reach(ts, [target]) == [reference_robust_reach(ts, target)]

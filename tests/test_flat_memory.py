@@ -12,7 +12,8 @@ from symquant import (LogQuantizerParams, Partition, ZoomQuantizerParams,
 from symquant import model_io
 from symquant.abstraction import (AbstractState, TransitionSystem,
                                   _growth_radii, transition_arrays)
-from symquant.dynamics import estimate_lipschitz_batch, integrate
+from symquant.dynamics import (ControlSystem, estimate_lipschitz_batch,
+                               integrate)
 from symquant.model_io import ModelFormatError, parse_sts, serialize_ts
 from symquant.quantizers import Cell
 from symquant.synthesis import synthesize_reach
@@ -80,6 +81,19 @@ def test_robust_reach_peak(fine_zoom_ts):
     (_, dist), peak = _peak_traced(lambda: synthesize_reach(ts, target, "robust"))
     assert len(dist) == 411
     assert peak <= 3.5 * MiB, peak / MiB
+
+
+def test_hold_search_peak_does_not_grow_with_max_hold():
+    # every held trajectory leaves X = [-1, 1] within three periods, so the
+    # visits stay small however large max_hold is
+    sys = ControlSystem.from_strings(["5 + u1"], [-1], [1], [-1], [1])
+    ts = build_delayfree(sys, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
+                         input_quantization=("uniform", 0.5), lipschitz=1.0)
+    target = [ts.partition.locate([0.9])]
+    (_, dist), peak = _peak_traced(
+        lambda: synthesize_reach(ts, target, "hold", max_hold=100_000))
+    assert 1 < len(dist) and max(dist.values()) <= 3
+    assert peak < 1 * MiB, peak / MiB
 
 
 def test_parse_peak(fine_zoom_ts):

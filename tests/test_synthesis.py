@@ -3,9 +3,8 @@ import pytest
 
 from symquant.abstraction import (AbstractState, TransitionSystem,
                                   transition_arrays)
-from symquant.frr import RefinementMap
-from symquant.synthesis import (ConcreteLaw, Controller, Specification,
-                                SynthesisError, refine_controller,
+from symquant import synthesis
+from symquant.synthesis import (Controller, Specification, SynthesisError,
                                 synthesize_reach, synthesize_sequence)
 
 
@@ -172,38 +171,50 @@ def test_sequence_reports_dead_leg(pendulum_ts):
         synthesize_sequence(pendulum_ts, spec, mode="robust")
 
 
+def counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; the list of
+    calls is returned."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_robust_sequence_builds_the_predecessors_once(monkeypatch):
+    calls = counted(monkeypatch, synthesis, "_predecessors")
+    ts = graph_ts(3, 1, {(0, 0): (1,), (1, 0): (2,), (2, 0): (0,)})
+    spec = Specification("sequence", [(1,), (2,), (0,)])
+    ctrl = synthesize_sequence(ts, spec, mode="robust")
+    assert ctrl.winning == [{1: 0, 0: 1, 2: 2}, {2: 0, 1: 1, 0: 2},
+                            {0: 0, 2: 1, 1: 2}]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_hold_search_takes_its_first_step_from_the_endpoints(pendulum_ts,
+                                                             monkeypatch, k):
+    # u = 0 keeps the origin's trajectory inside X, so all k steps are located
+    calls = counted(monkeypatch, synthesis, "integrate_batch")
+    visits = synthesis._hold_visits(pendulum_ts, k)
+    assert len(visits) == k
+    assert len(calls) == k - 1
+    n_pairs = len(pendulum_ts.states) * len(pendulum_ts.inputs)
+    assert all(rows.dtype == cells.dtype == np.int32 for rows, cells in visits)
+    assert 0 < len(visits[-1][0]) <= len(visits[0][0]) <= n_pairs
+
+
+def test_hold_sequence_makes_the_visits_once(pendulum_ts, monkeypatch):
+    calls = counted(monkeypatch, synthesis, "_hold_visits")
+    spec = Specification("sequence", [(12,), (7,), (12,)])
+    synthesize_sequence(pendulum_ts, spec, mode="hold")
+    assert len(calls) == 1
+
+
 def test_reach_spec_through_sequence_entry(pendulum_ts):
     spec = Specification("reach", [(12,)])
     a = synthesize_sequence(pendulum_ts, spec, mode="hold")
     b, _ = synthesize_reach(pendulum_ts, [12], mode="hold")
     assert a.phases == b.phases
     assert a.waypoints == b.waypoints
-
-
-# ---------------------------------------------------------------------------
-# refinement to a concrete law
-
-
-def test_concrete_law_matches_abstract_assignment(pendulum_ts):
-    ctrl, _ = synthesize_reach(pendulum_ts, [12], mode="hold")
-    law = refine_controller(ctrl, RefinementMap.from_ts(pendulum_ts))
-    x = np.array([-0.45, 0.02])
-    sid = pendulum_ts.partition.locate(x)
-    u = law(x, 0)
-    assert np.array_equal(u, ctrl.inputs[ctrl.phases[0][sid]])
-
-
-def test_concrete_law_reports_uncovered_state():
-    ts = graph_ts(2, 1, {(0, 0): (1,), (1, 0): (1,)})
-    ctrl = Controller([{1: 0}], [(1,)], [{1: 0}], [np.array([0.0])], "robust")
-
-    class TrivialMap:
-        def locate(self, x):
-            return 0
-
-    law = ConcreteLaw(ctrl, TrivialMap())
-    with pytest.raises(SynthesisError, match="no\nassignment|no assignment"):
-        law(np.array([0.5]), 0)
 
 
 def test_input_at_none_when_unassigned():

@@ -7,17 +7,18 @@ import math
 import numpy as np
 import pytest
 
+from symquant import frr
 from symquant import (LogQuantizerParams, RefinementMap, TimeDelaySystem,
                       ZoomQuantizerParams, build_timedelay,
                       sample_frr_timedelay)
 from symquant.abstraction import (AbstractState, SplineTube, TransitionSystem,
                                   _boxes_meet_knot_cells, _BuildContext,
-                                  _tube_theta2, input_lattice,
+                                  _knot_widths, input_lattice,
                                   knot_times, psi2, transition_arrays,
                                   tube_interpolant)
 from symquant.dynamics import (IntegrationError, SampledCurve,
                                integrate_delay_batch, interpolate_batch)
-from symquant.frr import _EDGE, FrrReport, Violation, _knot_widths
+from symquant.frr import _EDGE, FrrReport, Violation
 from symquant.model_io import serialize_ts
 from symquant.quantizers import Partition
 
@@ -37,9 +38,11 @@ def delay_plant(rhs=DELAY_RHS, Theta=0.2, r=0.2, x0=(-0.72, -0.72)):
 def reference_build(sys, tau, log_params, zoom_assignments=None, N=0,
                     input_quantization=("uniform", 0.2), lipschitz=6.0,
                     steps=20, growth_scale=1.0, budget=1000,
-                    on_budget="truncate"):
+                    on_budget="truncate", kernel=None):
     """The tube model by the FIFO loop: one method-of-steps batch per
-    dequeued tube, then one Partition.locate per nominal knot."""
+    dequeued tube, then one Partition.locate per nominal knot.  kernel, when
+    given, receives the (nominal knot points, growth radius) of every pair
+    kept, keyed by (tube id, input id)."""
     base = Partition(sys.state_lo, sys.state_hi, log_params)
     part = base.refined(zoom_assignments) if zoom_assignments else base
     inputs = input_lattice(sys.input_lo, sys.input_hi, input_quantization)
@@ -48,7 +51,8 @@ def reference_build(sys, tau, log_params, zoom_assignments=None, N=0,
     amp = 2.0 * math.exp(L2 * tau) * growth_scale
     init = psi2(sys.xi0, part, N)
     order, ids = [init], {init: 0}
-    kernel, nominal = {}, {}
+    kernel = {} if kernel is None else kernel
+    nominal = {}
     truncated = False
     U = np.array(inputs).T
     head = 0
@@ -56,7 +60,7 @@ def reference_build(sys, tau, log_params, zoom_assignments=None, N=0,
         tube, tid = order[head], head
         head += 1
         hist = tube_interpolant(tube, part, sys.Theta)
-        radius = _tube_theta2(tube, part) * amp
+        radius = max(_knot_widths(tube, part)) * amp
         H = np.repeat(hist.values[:, :, None], len(inputs), axis=2)
         knots = interpolate_batch(integrate_delay_batch(sys, H, U, tau, steps),
                                   sys.Theta, thetas)
@@ -101,13 +105,21 @@ def reference_build(sys, tau, log_params, zoom_assignments=None, N=0,
 def assert_same_build(sys, **kw):
     kw.setdefault("lipschitz", 6.0)
     ts = build_timedelay(sys, 0.2, LOGP, **kw)
-    ref = reference_build(sys, 0.2, LOGP, **kw)
+    kernel = {}
+    ref = reference_build(sys, 0.2, LOGP, kernel=kernel, **kw)
     assert [s.tube for s in ts.states] == [s.tube for s in ref.states]
     assert [s.id for s in ts.states] == list(range(len(ts.states)))
     assert np.array_equal(ts.indptr, ref.indptr)
     assert np.array_equal(ts.succ, ref.succ)
     assert ts.truncated == ref.truncated
     assert serialize_ts(ts) == serialize_ts(ref)
+    # the model keeps the nominal knot points and radii of its successor test
+    n = len(ts.states)
+    assert ts.endpoints.shape == (n, len(ts.inputs), len(ts.states[0].tube.knots), sys.n)
+    assert ts.radius.shape == (n,)
+    for (t, i), (pts, radius) in kernel.items():
+        assert ts.endpoints[t, i].tobytes() == pts.tobytes()
+        assert ts.radius[t].tobytes() == np.float64(radius).tobytes()
     return ts
 
 
@@ -300,7 +312,7 @@ def reference_witness(sys, ts, n_samples, seed):
         if np.any(sample < sys.state_lo) or np.any(sample > sys.state_hi):
             skipped += 1
             continue
-        radius = _tube_theta2(ts.states[sid].tube, part) * amp
+        radius = max(_knot_widths(ts.states[sid].tube, part)) * amp
         checked += 1
         got = []
         for kj in range(len(thetas)):
@@ -331,3 +343,15 @@ def test_witness_text_matches_the_per_sample_loop(N, growth_scale, zoom, Theta):
         rep = sample_frr_timedelay(sys, ts, F, 300, seed)
         assert rep.as_text() == reference_witness(sys, ts, 300, seed).as_text()
         assert rep.passed == (growth_scale > 0)
+
+
+def test_witness_integrates_only_the_samples(monkeypatch):
+    # the nominal knot points come from ts.endpoints, not a second batch
+    sys = delay_plant()
+    ts = build_timedelay(sys, 0.2, LOGP, N=1, lipschitz=6.0, budget=200)
+    calls, real = [], frr.tube_knot_points
+    monkeypatch.setattr(frr, "tube_knot_points",
+                        lambda *a: calls.append(a) or real(*a))
+    rep = sample_frr_timedelay(sys, ts, RefinementMap.from_ts(ts), 300, 1)
+    assert len(calls) == 1
+    assert rep.passed and rep.checked > 0
