@@ -132,7 +132,6 @@ class _BuildContext:
     steps: int
     growth_scale: float
     knot_thetas: Optional[List[float]] = None
-    L2: Optional[float] = None
 
 
 class TransitionSystem:
@@ -780,7 +779,7 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
 
     states = [AbstractState(k, tube=SplineTube(t)) for k, t in enumerate(order)]
     ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,
-                        growth_scale=growth_scale, knot_thetas=thetas, L2=L2)
+                        growth_scale=growth_scale, knot_thetas=thetas)
     return TransitionSystem("timedelay", states, inputs,
                             (indptr, np.concatenate(succ)),
                             initial=[0], partition=part, ctx=ctx,

@@ -416,14 +416,12 @@ class Partition:
 
     def _rebuild_active(self) -> None:
         self.cells = [c for c in self.base_cells if c.id not in self.zoom]
-        self._sub_cells: Dict[int, List[Cell]] = {}
         self._zoom_of: Dict[int, ZoomQuantizerParams] = {}
         self._zoom_bins: Dict[int, _ZoomBins] = {}
         for bid in sorted(self.zoom):
             z = self.zoom[bid]
             base = self.base_cells[bid]
             subs = zoom_lattice(base, z.params, start_id=z.first_id)
-            self._sub_cells[bid] = subs
             self.cells.extend(subs)
             self._zoom_of.update((c.id, z.params) for c in subs)
             # bin j of axis i bounds the subcell at row-major offset j*stride

@@ -16,9 +16,9 @@ rather than guarded a priori.
 Waypoint sequences chain per-phase reach tables; the phase advances when
 the trajectory's abstract state enters the current waypoint set.  A reach
 and a sequence take one path, which does each mode's target-independent
-work once per call: robust mode's predecessor arrays, and hold mode's
-visits, which start from the endpoints the build kept (ts.endpoints) and
-are stored as one pair of int32 (rows, cells) arrays per step.
+work once per call: robust mode's predecessor arrays, and hold mode's one
+pass over held periods, which starts from the endpoints the build kept
+(ts.endpoints) and updates every target's table as each step is located.
 """
 
 from __future__ import annotations
@@ -134,63 +134,55 @@ def _predecessors(ts: TransitionSystem, ids: np.ndarray, sizes: np.ndarray):
     return key.astype(np.int32), pred_ptr
 
 
-def _hold_visits(ts: TransitionSystem,
-                 max_hold: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Cells visited by holding each input from each state's quantized
-    point: entry k - 1 holds the int32 CSR rows, ascending, of the pairs
-    still inside the state box after k periods, and the int32 ids of their
-    cells.  Step 1 is ts.endpoints; each later step integrates the pairs
-    still inside in one batch.  The list ends after max_hold steps or when
-    no pair is left, so it grows with the visits made, not with max_hold.
+def _hold_reach(ts: TransitionSystem, targets: List[Tuple[int, ...]], max_hold: int):
+    """(policy, dist) of every target: per state, the fewest steps, then
+    the smallest input id, whose held nominal trajectory from the cell's
+    quantized point enters the target inside the state box.
+
+    One loop over held periods serves every target.  Step 1 is
+    ts.endpoints; each later step advances the live pairs in one
+    integrate_batch call, and every step is located in one
+    Partition.locate_batch call and read by every target at once, so no
+    step is stored.  A pair leaves the live set when its endpoint leaves the
+    state box or when its state has won every target, which changes no
+    table; the loop ends after max_hold steps or when no pair is live.
     """
+    if ts.kind != "delayfree":
+        raise SynthesisError("hold mode needs a delay-free model")
     ctx = ts._ctx
     if ctx is None or ts.partition is None or ts.endpoints is None:
         raise SynthesisError("model carries no build context; rebuild from config")
     sys = ctx.sys
+    n_in = len(ts.inputs)
+    ids = np.array(ts.state_ids(), dtype=np.int64)
+    goal = np.zeros((len(targets), ids.max() + 1), dtype=bool)  # by cell id
+    for row, target in zip(goal, targets):
+        row[list(target)] = True
+    won = goal[:, ids]  # by state position
+    tables = [({}, {q: 0 for q in target}) for target in targets]
     X = ts.endpoints.reshape(-1, sys.n).T
-    U = np.tile(np.array(ts.inputs), (len(ts.states), 1)).T
-    live = np.arange(X.shape[1], dtype=np.int32)
+    U = np.tile(np.array(ts.inputs), (len(ids), 1)).T
+    live = np.arange(X.shape[1], dtype=np.int32)  # CSR rows, ascending
     lo, hi = sys.state_lo[:, None], sys.state_hi[:, None]
-    visits: List[Tuple[np.ndarray, np.ndarray]] = []
-    while True:
+    for k in range(1, max_hold + 1):
+        if k > 1:
+            X = integrate_batch(sys, X, U[:, live], ctx.tau, ctx.steps)
         inside = np.all((X >= lo) & (X <= hi), axis=0)
         X, live = X[:, inside], live[inside]
-        if not live.size:
-            return visits
-        visits.append((live, ts.partition.locate_batch(X.T).astype(np.int32)))
-        if len(visits) == max_hold:
-            return visits
-        X = integrate_batch(sys, X, U[:, live], ctx.tau, ctx.steps)
-
-
-def _hold_reach(ts: TransitionSystem, targets: List[Tuple[int, ...]], max_hold: int):
-    """(policy, dist) of every target: per state, the fewest steps, then
-    the smallest input id, whose held nominal trajectory from the cell's
-    quantized point enters the target inside the state box.  The visits do
-    not depend on the target, so they are made once."""
-    if ts.kind != "delayfree":
-        raise SynthesisError("hold mode needs a delay-free model")
-    visits = _hold_visits(ts, max_hold)
-    n_in = len(ts.inputs)
-    ids = np.array(ts.state_ids(), dtype=np.int64)  # cell ids, dense from 0
-    tables = []
-    for target in targets:
-        dist = {q: 0 for q in target}
-        policy: Dict[int, int] = {}
-        goal = np.zeros(ids.max() + 1, dtype=bool)  # by cell id
-        goal[list(target)] = True
-        won = goal.copy()
-        for k, (rows, cells) in enumerate(visits, 1):
-            hit = rows[goal[cells]]
-            hit = hit[~won[ids[hit // n_in]]]
+        cells = ts.partition.locate_batch(X.T)
+        for won_t, goal_t, (policy, dist) in zip(won, goal, tables):
+            hit = live[goal_t[cells]]
+            hit = hit[~won_t[hit // n_in]]
             # rows ascend, so the first row of each state has its smallest input
             first = hit[np.flatnonzero(np.diff(hit // n_in, prepend=-1))]
-            reached = ids[first // n_in]
-            won[reached] = True
-            for q, iid in zip(reached.tolist(), (first % n_in).tolist()):
+            won_t[first // n_in] = True
+            for q, iid in zip(ids[first // n_in].tolist(), (first % n_in).tolist()):
                 dist[q] = k
                 policy[q] = iid
-        tables.append((policy, dist))
+        keep = ~won.all(axis=0)[live // n_in]
+        X, live = X[:, keep], live[keep]
+        if not live.size:
+            break
     return tables
 
 

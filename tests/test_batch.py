@@ -16,7 +16,7 @@ from symquant.dynamics import (ControlSystem, IntegrationError, SampledCurve,
                                integrate_delay_batch)
 from symquant.expr import FUNCTIONS
 from symquant.quantizers import Cell, Partition
-from symquant.synthesis import _hold_visits
+from symquant.synthesis import _hold_reach
 
 # one plant per FUNCTIONS member and '^', each argument inside its domain
 # on the sampled box
@@ -95,21 +95,29 @@ def test_hold_search_drops_pairs_that_leave_the_box():
         integrate(sys, [1.12], [1.0], 0.2)
     ts = build_delayfree(sys, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
                          input_quantization=("uniform", 0.5), lipschitz=1.0)
-    n_in = len(ts.inputs)
-    seqs = {(s.id, iid): [] for s in ts.states for iid in range(n_in)}
-    for rows, cells in _hold_visits(ts, 16):
-        for row, cid in zip(rows.tolist(), cells.tolist()):
-            seqs[(ts.states[row // n_in].id, row % n_in)].append(cid)
+    seqs = {s.id: [] for s in ts.states}  # per state, one list per input
     for s in ts.states:
-        for iid, u in enumerate(ts.inputs):
+        for u in ts.inputs:
             x, want = s.cell.quantized_point, []
             for _ in range(16):
                 x = integrate(sys, x, u, 0.2)
                 if np.any(x < sys.state_lo) or np.any(x > sys.state_hi):
                     break
                 want.append(ts.partition.locate(x))
-            assert seqs[(s.id, iid)] == want
-    assert any(len(v) < 16 for v in seqs.values())
+            seqs[s.id].append(want)
+    assert any(len(v) < 16 for per_input in seqs.values() for v in per_input)
+    # per target, the fewest steps, then the smallest input, that the
+    # scalar sequences imply
+    targets = [(s.id,) for s in ts.states]
+    for (goal,), (policy, dist) in zip(targets, _hold_reach(ts, targets, 16)):
+        want_policy, want_dist = {}, {goal: 0}
+        for sid, per_input in seqs.items():
+            steps = [(seq.index(goal) + 1, iid)
+                     for iid, seq in enumerate(per_input) if goal in seq]
+            if sid != goal and steps:
+                want_dist[sid], want_policy[sid] = min(steps)
+        assert policy == want_policy
+        assert dist == want_dist
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_robust_reach_peak(fine_zoom_ts):
 
 def test_hold_search_peak_does_not_grow_with_max_hold():
     # every held trajectory leaves X = [-1, 1] within three periods, so the
-    # visits stay small however large max_hold is
+    # search stays small however large max_hold is
     sys = ControlSystem.from_strings(["5 + u1"], [-1], [1], [-1], [1])
     ts = build_delayfree(sys, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
                          input_quantization=("uniform", 0.5), lipschitz=1.0)

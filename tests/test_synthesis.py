@@ -3,7 +3,9 @@ import pytest
 
 from symquant.abstraction import (AbstractState, TransitionSystem,
                                   transition_arrays)
-from symquant import synthesis
+from symquant import (ControlSystem, LogQuantizerParams, Partition,
+                      ZoomQuantizerParams, build_delayfree, synthesis)
+from symquant.dynamics import integrate_batch
 from symquant.synthesis import (Controller, Specification, SynthesisError,
                                 synthesize_reach, synthesize_sequence)
 
@@ -149,20 +151,23 @@ def test_hold_needs_build_context(pendulum_ts):
 # waypoint sequences
 
 
+def pendulum_legs(ts):
+    """The 12-leg alternation between the origin cell and its neighbours."""
+    cid = lambda x, y: ts.partition.locate(np.array([x, y]))
+    s1 = [cid(0, 0), cid(-0.48, 0)]
+    s2 = [cid(0, 0.48), cid(0.48, 0), cid(0, -0.48), cid(-0.48, 0)]
+    return [(q,) for q in s1 + s1 + s2 + s1 + s1]
+
+
 def test_sequence_chains_all_phases(pendulum_ts):
-    phi = 0.48
-    part = pendulum_ts.partition
-    cid = lambda x, y: part.locate(np.array([x, y]))
-    s1 = [cid(0, 0), cid(-phi, 0)]
-    s2 = [cid(0, phi), cid(phi, 0), cid(0, -phi), cid(-phi, 0)]
-    legs = s1 + s1 + s2 + s1 + s1
-    spec = Specification("sequence", [(q,) for q in legs])
+    legs = pendulum_legs(pendulum_ts)
+    spec = Specification("sequence", legs)
     ctrl = synthesize_sequence(pendulum_ts, spec, mode="hold")
     assert ctrl.n_phases == 12
     assert ctrl.mode == "hold"
     # each phase covers the cell the previous one ends in
     for p in range(1, 12):
-        assert legs[p - 1] in ctrl.phases[p]
+        assert legs[p - 1][0] in ctrl.phases[p]
 
 
 def test_sequence_reports_dead_leg(pendulum_ts):
@@ -192,21 +197,130 @@ def test_robust_sequence_builds_the_predecessors_once(monkeypatch):
 @pytest.mark.parametrize("k", [1, 2, 6])
 def test_hold_search_takes_its_first_step_from_the_endpoints(pendulum_ts,
                                                              monkeypatch, k):
-    # u = 0 keeps the origin's trajectory inside X, so all k steps are located
-    calls = counted(monkeypatch, synthesis, "integrate_batch")
-    visits = synthesis._hold_visits(pendulum_ts, k)
-    assert len(visits) == k
-    assert len(calls) == k - 1
-    n_pairs = len(pendulum_ts.states) * len(pendulum_ts.inputs)
-    assert all(rows.dtype == cells.dtype == np.int32 for rows, cells in visits)
-    assert 0 < len(visits[-1][0]) <= len(visits[0][0]) <= n_pairs
+    # the origin never reaches corner cell 3, and u = 0 keeps its trajectory
+    # inside X, so its pair stays live and all k steps are located
+    integrations = counted(monkeypatch, synthesis, "integrate_batch")
+    located = counted(monkeypatch, pendulum_ts.partition, "locate_batch")
+    ((_, dist),) = synthesis._hold_reach(pendulum_ts, [(3,)], k)
+    assert 12 not in dist
+    assert len(located) == k
+    assert len(integrations) == k - 1
 
 
 def test_hold_sequence_makes_the_visits_once(pendulum_ts, monkeypatch):
-    calls = counted(monkeypatch, synthesis, "_hold_visits")
+    calls = counted(monkeypatch, synthesis, "_hold_reach")
+    located = counted(monkeypatch, pendulum_ts.partition, "locate_batch")
     spec = Specification("sequence", [(12,), (7,), (12,)])
     synthesize_sequence(pendulum_ts, spec, mode="hold")
     assert len(calls) == 1
+    assert len(calls[0][1]) == 3
+    assert len(located) <= 64
+
+
+def test_hold_search_stops_once_every_state_has_won(pendulum_ts, monkeypatch):
+    # all 25 states reach the origin cell within 10 held periods; searching
+    # on to max_hold would integrate 63 times
+    calls = counted(monkeypatch, synthesis, "integrate_batch")
+    _, dist = synthesize_reach(pendulum_ts, [12], mode="hold", max_hold=64)
+    assert len(dist) == 25 and max(dist.values()) == 10
+    assert len(calls) <= 10
+
+
+def reference_hold_visits(ts, max_hold):
+    """The cells visited by holding each input from each state's quantized
+    point, stored per step: entry k - 1 holds the CSR rows of the pairs
+    still inside the state box after k periods and the ids of their
+    cells."""
+    sys, ctx = ts._ctx.sys, ts._ctx
+    X = ts.endpoints.reshape(-1, sys.n).T
+    U = np.tile(np.array(ts.inputs), (len(ts.states), 1)).T
+    live = np.arange(X.shape[1], dtype=np.int32)
+    lo, hi = sys.state_lo[:, None], sys.state_hi[:, None]
+    visits = []
+    while True:
+        inside = np.all((X >= lo) & (X <= hi), axis=0)
+        X, live = X[:, inside], live[inside]
+        if not live.size:
+            return visits
+        visits.append((live, ts.partition.locate_batch(X.T).astype(np.int32)))
+        if len(visits) == max_hold:
+            return visits
+        X = integrate_batch(sys, X, U[:, live], ctx.tau, ctx.steps)
+
+
+def reference_hold_reach(ts, targets, max_hold):
+    """(policy, dist) of every target from the stored visits, one target
+    at a time over all of them."""
+    visits = reference_hold_visits(ts, max_hold)
+    n_in = len(ts.inputs)
+    ids = np.array(ts.state_ids(), dtype=np.int64)
+    tables = []
+    for target in targets:
+        dist, policy = {q: 0 for q in target}, {}
+        goal = np.zeros(ids.max() + 1, dtype=bool)  # by cell id
+        goal[list(target)] = True
+        won = goal.copy()
+        for k, (rows, cells) in enumerate(visits, 1):
+            hit = rows[goal[cells]]
+            hit = hit[~won[ids[hit // n_in]]]
+            first = hit[np.flatnonzero(np.diff(hit // n_in, prepend=-1))]
+            reached = ids[first // n_in]
+            won[reached] = True
+            for q, iid in zip(reached.tolist(), (first % n_in).tolist()):
+                dist[q] = k
+                policy[q] = iid
+        tables.append((policy, dist))
+    return tables
+
+
+def assert_same_hold_tables(ts, targets, max_hold):
+    got = synthesis._hold_reach(ts, targets, max_hold)
+    want = reference_hold_reach(ts, targets, max_hold)
+    assert len(got) == len(want) == len(targets)
+    for (policy, dist), (ref_policy, ref_dist) in zip(got, want):
+        assert list(policy.items()) == list(ref_policy.items())
+        assert list(dist.items()) == list(ref_dist.items())
+
+
+@pytest.mark.parametrize("max_hold", [1, 2, 64])
+def test_hold_tables_equal_the_stored_visits_on_the_12_leg_sequence(
+        pendulum_ts, max_hold):
+    assert_same_hold_tables(pendulum_ts, pendulum_legs(pendulum_ts), max_hold)
+
+
+@pytest.fixture(scope="module")
+def fine_zoom_refined_ts(pendulum):
+    """The fine-zoom benchmark's refined model: eta = d = 0.1, sampled
+    Lipschitz constants, the center cell 264 zoomed into 9 subcells, so the
+    state ids skip 264 and run up to 537."""
+    params = LogQuantizerParams(0.1, 0.1, "EQ20")
+    part = Partition(pendulum.state_lo, pendulum.state_hi, params)
+    part = part.refined({264: ZoomQuantizerParams(1, 1.0, 0.1)})
+    return build_delayfree(pendulum, 0.2, params, ("uniform", 0.2),
+                           lipschitz="sampled-jacobian", partition=part)
+
+
+@pytest.mark.parametrize("max_hold", [1, 2, 64])
+def test_hold_tables_equal_the_stored_visits_on_the_refined_model(
+        fine_zoom_refined_ts, max_hold):
+    ts = fine_zoom_refined_ts
+    ids = ts.state_ids()
+    assert ids != list(range(len(ids))) and 264 not in ids
+    center = ts.partition.locate(np.zeros(2))
+    targets = [(center,), (0,), (529,), tuple(range(529, 538)), (center, 528)]
+    assert_same_hold_tables(ts, targets, max_hold)
+
+
+@pytest.mark.parametrize("max_hold", [1, 2, 16])
+def test_hold_tables_equal_the_stored_visits_where_the_rhs_ends(max_hold):
+    # the rhs is undefined beyond x1 = 1.3, so a pair integrated once more
+    # after its endpoint left X = [-1, 1] would raise
+    sys = ControlSystem.from_strings(["u1 + 0*sqrt(1.3 - x1)"], [-1], [1],
+                                     [-1], [1])
+    ts = build_delayfree(sys, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
+                         input_quantization=("uniform", 0.5), lipschitz=1.0)
+    targets = [(q,) for q in ts.state_ids()] + [tuple(ts.state_ids()[:2])]
+    assert_same_hold_tables(ts, targets, max_hold)
 
 
 def test_reach_spec_through_sequence_entry(pendulum_ts):

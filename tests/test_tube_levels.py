@@ -94,7 +94,7 @@ def reference_build(sys, tau, log_params, zoom_assignments=None, N=0,
         relation[key] = tuple(np.flatnonzero(meets[0]).tolist())
     states = [AbstractState(t, tube=tube) for t, tube in enumerate(order)]
     ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,
-                        growth_scale=growth_scale, knot_thetas=thetas, L2=L2)
+                        growth_scale=growth_scale, knot_thetas=thetas)
     return TransitionSystem("timedelay", states, inputs,
                             transition_arrays(range(len(order)), len(inputs),
                                               relation),
@@ -269,13 +269,14 @@ def test_locate_batch_raises_for_the_first_row_outside():
 # the tube witness
 
 
-def reference_witness(sys, ts, n_samples, seed):
+def reference_witness(sys, ts, n_samples, seed, lipschitz=6.0):
     """sample_frr_timedelay with the per-sample loops: knot widths, jitter
     and clamping per sample, then one Partition.locate and one
-    Cell.intersects per knot; the integrations stay batched."""
+    Cell.intersects per knot; the integrations stay batched.  The tube
+    radius comes from lipschitz, as in reference_build."""
     ctx, part = ts._ctx, ts.partition
     rng = np.random.default_rng(seed)
-    amp = 2.0 * math.exp(ctx.L2 * ctx.tau) * ctx.growth_scale
+    amp = 2.0 * math.exp(float(lipschitz) * ctx.tau) * ctx.growth_scale
     thetas = ctx.knot_thetas
     drawn, skipped = [], 0
     for _ in range(n_samples):
