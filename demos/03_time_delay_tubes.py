@@ -17,8 +17,8 @@ Run:  python3 demos/03_time_delay_tubes.py
 
 import numpy as np
 
-from symquant import (LogQuantizerParams, RefinementMap, SampledCurve,
-                      TimeDelaySystem, build_timedelay, sample_frr_timedelay)
+from symquant import (LogQuantizerParams, SampledCurve, TimeDelaySystem,
+                      build_timedelay, sample_frr_timedelay)
 
 plant = TimeDelaySystem.from_strings(
     ["x2", "-1.96*sin(x1) - 1.5*x2 + 0.1*delay(x2, 0.2) + u1"],
@@ -39,7 +39,7 @@ print(f"  {flat} tubes stay inside one cell over the whole window, "
       f"{len(ts.states) - flat} cross a cell boundary")
 
 print("\nsampled refinement check (200 draws, seed 1):")
-report = sample_frr_timedelay(plant, ts, RefinementMap.from_ts(ts), 200, 1)
+report = sample_frr_timedelay(ts, 200, 1)
 print("  " + report.as_text())
 if report.passed:
     print("  every sampled continuation stayed inside its abstract successor")
@@ -56,5 +56,5 @@ flat_plant = TimeDelaySystem.from_strings(
     xi0=SampledCurve(0.0, 0.0, np.array([[-0.72, -0.72]])))
 ts0 = build_timedelay(flat_plant, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
                       N=0, budget=1000)
-rep0 = sample_frr_timedelay(flat_plant, ts0, RefinementMap.from_ts(ts0), 200, 1)
+rep0 = sample_frr_timedelay(ts0, 200, 1)
 print(f"  single-knot tubes: {len(ts0.states)} states; " + rep0.as_text())

@@ -61,18 +61,7 @@ from .dynamics import (ControlSystem, IntegrationError, SampledCurve,
 from .quantizers import Cell, LogQuantizerParams, Partition, ZoomQuantizerParams
 
 
-@dataclass(frozen=True)
-class GrowthBound:
-    radius: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.radius, dtype=float)
-        if np.any(r < 0):
-            raise ValueError("growth radius must be nonnegative")
-        object.__setattr__(self, "radius", r)
-
-
-def growth_bound_delayfree(q1, eta: float, L1, tau: float) -> GrowthBound:
+def growth_bound_delayfree(q1, eta: float, L1, tau: float) -> np.ndarray:
     """Box radius theta1*e^(L1 tau)*(|q1|+E), E = 1 on zero components.
 
     q1 is one quantized point (n,) with a float L1, or C points (C, n)
@@ -88,7 +77,10 @@ def growth_bound_delayfree(q1, eta: float, L1, tau: float) -> GrowthBound:
     q1 = np.asarray(q1, dtype=float)
     theta1 = eta / (1.0 - eta)
     qbar = np.abs(q1) + (q1 == 0.0).astype(float)
-    return GrowthBound(theta1 * _exp_times(L1, tau)[..., None] * qbar)
+    radius = theta1 * _exp_times(L1, tau)[..., None] * qbar
+    if np.any(radius < 0):
+        raise ValueError("growth radius must be nonnegative")
+    return radius
 
 
 def _exp_times(L, tau: float) -> np.ndarray:
@@ -436,7 +428,7 @@ def _growth_radii(part: Partition, cells: List[Cell], L: np.ndarray,
     largest spread."""
     eta = part.params[0].eta
     q = np.array([c.quantized_point for c in cells])
-    radius = growth_bound_delayfree(q, eta, L, tau).radius
+    radius = growth_bound_delayfree(q, eta, L, tau)
     zoomed = [k for k, c in enumerate(cells) if part.zoom_params_of(c.id) is not None]
     if zoomed:
         spread = np.array([np.max(cells[k].spread()) for k in zoomed])

@@ -114,7 +114,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     ctrl = load_controller(args.controller)
-    sys_ = cfg.system()
+    sys_ = cfg.system
     if cfg.is_timedelay():
         xi0 = sys_.xi0
         if xi0 is None:
@@ -144,14 +144,12 @@ def cmd_verify_frr(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     refined = bool(cfg.zoom) and not cfg.is_timedelay()
     ts = _load_model_checked(cfg, args.model, refined=refined)
-    fmap = RefinementMap.from_ts(ts)
-    sys_ = cfg.system()
     samples = cfg.samples if args.samples is None else args.samples
     seed = cfg.seed if args.seed is None else args.seed
     if cfg.is_timedelay():
-        report = sample_frr_timedelay(sys_, ts, fmap, samples, seed)
+        report = sample_frr_timedelay(ts, samples, seed)
     else:
-        report = sample_frr_delayfree(sys_, ts, fmap, samples, seed)
+        report = sample_frr_delayfree(ts, samples, seed)
     print(report.as_text())
     if not report.passed:
         raise _DomainError(f"refinement check found {len(report.violations)} "

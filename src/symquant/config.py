@@ -36,16 +36,7 @@ def _rows(raw: str) -> List[str]:
 
 @dataclass
 class AppConfig:
-    n: int
-    m: int
-    rhs: List[str]
-    state_lo: np.ndarray
-    state_hi: np.ndarray
-    input_lo: np.ndarray
-    input_hi: np.ndarray
-    theta: float
-    r: float
-    xi0_rows: Optional[np.ndarray]
+    system: Union[ControlSystem, TimeDelaySystem]  # built once, by parse_config
 
     tau: float
     variant: str
@@ -83,25 +74,7 @@ class AppConfig:
         return ("log", LogQuantizerParams(self.input_eta, self.input_d, self.variant))
 
     def is_timedelay(self) -> bool:
-        return self.theta > 0 or self.r > 0 or any("delay(" in s for s in self.rhs)
-
-    def system(self):
-        exprs = tuple(parse_expr(s) for s in self.rhs)
-        if not self.is_timedelay():
-            return ControlSystem(self.n, self.m, self.state_lo, self.state_hi,
-                                 self.input_lo, self.input_hi, exprs)
-        xi0 = None
-        if self.xi0_rows is not None:
-            rows = self.xi0_rows
-            if self.theta == 0.0:
-                xi0 = SampledCurve(0.0, 0.0, rows[-1:])
-            elif rows.shape[0] == 1:
-                xi0 = SampledCurve.constant(-self.theta, 0.0, rows[0])
-            else:
-                xi0 = SampledCurve(-self.theta, 0.0, rows)
-        return TimeDelaySystem(self.n, self.m, self.state_lo, self.state_hi,
-                               self.input_lo, self.input_hi, exprs,
-                               self.theta, self.r, xi0)
+        return isinstance(self.system, TimeDelaySystem)
 
     def spline_N(self) -> int:
         if self.N is not None:
@@ -112,16 +85,15 @@ class AppConfig:
         return 0
 
     def build_model(self, refined: bool = False) -> TransitionSystem:
-        sys = self.system()
         if self.is_timedelay():
-            return build_timedelay(sys, self.tau, self.log_params(),
+            return build_timedelay(self.system, self.tau, self.log_params(),
                                    zoom_assignments=self.zoom or None,
                                    N=self.spline_N(),
                                    input_quantization=self.input_quantization(),
                                    lipschitz=self.lipschitz, steps=self.steps,
                                    growth_scale=self.growth_scale,
                                    budget=self.budget)
-        return build_delayfree(sys, self.tau, self.log_params(),
+        return build_delayfree(self.system, self.tau, self.log_params(),
                                input_quantization=self.input_quantization(),
                                lipschitz=self.lipschitz, steps=self.steps,
                                growth_scale=self.growth_scale,
@@ -129,7 +101,8 @@ class AppConfig:
 
     def partition(self, refined: bool = False) -> Partition:
         """The delay-free state lattice, zoom-refined when refined is set."""
-        part = Partition(self.state_lo, self.state_hi, self.log_params())
+        part = Partition(self.system.state_lo, self.system.state_hi,
+                         self.log_params())
         return part.refined(self.zoom) if refined else part
 
     def specification(self, ts: TransitionSystem) -> Specification:
@@ -261,9 +234,10 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
 
     rhs = _rows(sysc.require("f"))
     _check(len(rhs) == n, "system.f", f"expected {n} expressions, got {len(rhs)}")
+    exprs = []
     for i, s in enumerate(rhs):
         try:
-            parse_expr(s)
+            exprs.append(parse_expr(s))
         except ExprError as err:
             raise ConfigError(f"system.f: row {i + 1}: {err}") from err
 
@@ -382,17 +356,31 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
         _check(abs(k - round(k)) < 1e-9, "system.r",
                f"must be an integer multiple of tau={tau}")
 
-    cfg = AppConfig(n=n, m=m, rhs=rhs, state_lo=state_lo, state_hi=state_hi,
-                    input_lo=input_lo, input_hi=input_hi, theta=theta, r=r,
-                    xi0_rows=xi0_rows, tau=tau, variant=variant, eta=eta, d=d,
-                    input_quantizer=input_quantizer, mu=mu, input_eta=input_eta,
-                    input_d=input_d, lipschitz=lipschitz, steps=steps,
-                    growth_scale=growth_scale, zoom=zoom, N=N, budget=budget,
-                    spec_kind=spec_kind, spec_mode=spec_mode,
-                    target_points=target_points, max_hold=max_hold,
-                    x0=x0, max_steps=max_steps, seed=seed, samples=samples)
     try:
-        cfg.system()
+        if theta > 0 or r > 0 or any("delay(" in s for s in rhs):
+            system = TimeDelaySystem(n, m, state_lo, state_hi, input_lo, input_hi,
+                                     exprs, theta, r, _xi0(xi0_rows, theta))
+        else:
+            system = ControlSystem(n, m, state_lo, state_hi, input_lo, input_hi,
+                                   exprs)
     except (ValueError, ExprError) as err:
         raise ConfigError(f"system: {err}") from err
-    return cfg
+    return AppConfig(system=system, tau=tau, variant=variant, eta=eta, d=d,
+                     input_quantizer=input_quantizer, mu=mu, input_eta=input_eta,
+                     input_d=input_d, lipschitz=lipschitz, steps=steps,
+                     growth_scale=growth_scale, zoom=zoom, N=N, budget=budget,
+                     spec_kind=spec_kind, spec_mode=spec_mode,
+                     target_points=target_points, max_hold=max_hold,
+                     x0=x0, max_steps=max_steps, seed=seed, samples=samples)
+
+
+def _xi0(rows: Optional[np.ndarray], theta: float) -> Optional[SampledCurve]:
+    """The initial functional on [-theta, 0] through the xi0 rows: the last
+    row alone when theta is 0, a constant for one row."""
+    if rows is None:
+        return None
+    if theta == 0.0:
+        return SampledCurve(0.0, 0.0, rows[-1:])
+    if rows.shape[0] == 1:
+        return SampledCurve.constant(-theta, 0.0, rows[0])
+    return SampledCurve(-theta, 0.0, rows)

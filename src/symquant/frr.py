@@ -6,7 +6,9 @@ leads only to states whose image under F is an abstract successor of x2.
 For a finite pair of systems this is checked exhaustively.  Against the
 concrete plant it is tested by sampling: concrete states are drawn inside
 abstract states, advanced one sampling period, and their quantized image is
-checked against the abstract successor set; the tube witness integrates
+checked against the abstract successor set.  A witness takes the model
+alone: it integrates the plant the model was built from (its build
+context) and its map is the model's partition.  The tube witness integrates
 only the samples and reads the nominal knot points and growth radii that
 the build kept (ts.endpoints, ts.radius).  Zero violations is the
 executable form of the soundness claim; a deliberately broken model
@@ -263,12 +265,14 @@ def _seed_sequence(seed: int) -> List[int]:
     return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
 
 
-def sample_frr_delayfree(sys, ts: TransitionSystem, F: RefinementMap,
-                         n_samples: int, seed: int) -> FrrReport:
+def sample_frr_delayfree(ts: TransitionSystem, n_samples: int,
+                         seed: int) -> FrrReport:
     """Sampled soundness witness for delay-free models: quantized concrete
-    successors must be abstract successors.  Out-of-domain successors are
-    skipped, not failed."""
+    successors must be abstract successors.  The plant is the one the model
+    was built from and points are located on the model's partition.
+    Out-of-domain successors are skipped, not failed."""
     ctx = _ctx_of(ts)
+    sys, part = ctx.sys, ts.partition
     rng = _DefaultRng(seed)
     cells = [s.cell for s in ts.states]
     drawn: List[Tuple[np.ndarray, int, int]] = []  # (x, abstract state, input id)
@@ -276,7 +280,7 @@ def sample_frr_delayfree(sys, ts: TransitionSystem, F: RefinementMap,
     for _ in range(n_samples):
         cell = cells[int(rng.integers(len(cells)))]
         x = rng.uniform(cell.lower, cell.upper)
-        x2 = F.locate(x)
+        x2 = part.locate(x)
         enabled = ts.enabled(x2)
         if not enabled:
             skipped += 1
@@ -293,7 +297,7 @@ def sample_frr_delayfree(sys, ts: TransitionSystem, F: RefinementMap,
         if np.any(x_next < sys.state_lo) or np.any(x_next > sys.state_hi):
             skipped += 1
             continue
-        q_next = F.locate(x_next)
+        q_next = part.locate(x_next)
         allowed = ts.successors(x2, iid)
         checked += 1
         if q_next not in allowed:
@@ -305,8 +309,8 @@ def sample_frr_delayfree(sys, ts: TransitionSystem, F: RefinementMap,
 _EDGE = 1e-9
 
 
-def sample_frr_timedelay(sys, ts: TransitionSystem, F: RefinementMap,
-                         n_samples: int, seed: int) -> FrrReport:
+def sample_frr_timedelay(ts: TransitionSystem, n_samples: int,
+                         seed: int) -> FrrReport:
     """Sampled soundness witness over functional states.
 
     Concrete functionals are linear interpolants through knot points
@@ -315,9 +319,10 @@ def sample_frr_timedelay(sys, ts: TransitionSystem, F: RefinementMap,
     at every knot time, the cell of the sampled successor must intersect the
     growth box around the nominal successor of the tube's quantized
     functional, which the build kept with its radius (ts.endpoints, ts.radius).
+    Like the delay-free witness, it reads plant and partition from the model.
     """
     ctx = _ctx_of(ts)
-    part = ts.partition
+    sys, part = ctx.sys, ts.partition
     rng = _DefaultRng(seed)
     # per tube: knot cells and their bounds, and jitter widths
     tubes = [s.tube for s in ts.states]

@@ -59,10 +59,6 @@ class LogQuantizerParams:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
     @property
-    def rho(self) -> float:
-        return (1.0 - self.eta) / (1.0 + self.eta)
-
-    @property
     def deadzone(self) -> float:
         """Radius of the region quantized to 0."""
         if self.variant == "EQ2":

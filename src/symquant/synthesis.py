@@ -24,6 +24,7 @@ pass over held periods, which starts from the endpoints the build kept
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -201,6 +202,8 @@ def _reach_tables(ts: TransitionSystem, targets: List[Tuple[int, ...]],
     if mode == "robust":
         tables = _robust_reach(ts, targets)
     elif mode == "hold":
+        if not isinstance(max_hold, Integral) or max_hold < 1:
+            raise SynthesisError("max_hold: must be an integer >= 1")
         tables = _hold_reach(ts, targets, max_hold)
     else:
         raise SynthesisError(f"unknown synthesis mode {mode!r}")

@@ -17,20 +17,20 @@ from symquant.quantizers import LogQuantizerParams, ZoomQuantizerParams
 
 
 def test_growth_bound_at_origin_cell():
-    gb = growth_bound_delayfree(np.array([0.0, 0.0]), 0.2, 6.0, 0.2)
+    radius = growth_bound_delayfree(np.array([0.0, 0.0]), 0.2, 6.0, 0.2)
     # theta1 = 0.25, e^1.2 = 3.32012, q_bar = (1, 1)
-    assert gb.radius == pytest.approx([0.83002923, 0.83002923], abs=1e-7)
+    assert radius == pytest.approx([0.83002923, 0.83002923], abs=1e-7)
 
 
 def test_growth_bound_mixed_components():
-    gb = growth_bound_delayfree(np.array([0.48, 0.0]), 0.2, 6.0, 0.2)
-    assert gb.radius == pytest.approx([0.39841403, 0.83002923], abs=1e-7)
+    radius = growth_bound_delayfree(np.array([0.48, 0.0]), 0.2, 6.0, 0.2)
+    assert radius == pytest.approx([0.39841403, 0.83002923], abs=1e-7)
 
 
 def test_growth_bound_unit_offset_only_on_zero_components():
-    gb = growth_bound_delayfree(np.array([0.48, -0.72]), 0.2, 6.0, 0.2)
+    radius = growth_bound_delayfree(np.array([0.48, -0.72]), 0.2, 6.0, 0.2)
     theta1, amp = 0.25, math.exp(1.2)
-    assert gb.radius == pytest.approx([theta1 * amp * 0.48, theta1 * amp * 0.72])
+    assert radius == pytest.approx([theta1 * amp * 0.48, theta1 * amp * 0.72])
 
 
 def test_growth_bound_parameter_checks():
@@ -42,8 +42,8 @@ def test_growth_bound_parameter_checks():
 
 def test_growth_bound_accepts_a_zero_lipschitz_constant():
     # a right-hand side that does not depend on the state: no growth
-    gb = growth_bound_delayfree(np.array([0.48, 0.0]), 0.2, 0.0, 0.2)
-    assert gb.radius.tolist() == [0.25 * 0.48, 0.25]
+    radius = growth_bound_delayfree(np.array([0.48, 0.0]), 0.2, 0.0, 0.2)
+    assert radius.tolist() == [0.25 * 0.48, 0.25]
     for bad in (-1e-12, math.nan):
         with pytest.raises(ValueError, match="nonnegative"):
             growth_bound_delayfree(np.array([0.0]), 0.2, bad, 0.2)
@@ -54,10 +54,10 @@ def test_growth_bound_accepts_a_zero_lipschitz_constant():
 def test_growth_bound_rows_equal_one_point_bounds():
     q = np.array([[0.0, 0.0], [0.48, -0.72], [-0.72, 0.0]])
     L = np.array([6.0, 3.3194235869338233, 0.0])
-    rows = growth_bound_delayfree(q, 0.2, L, 0.2).radius
+    rows = growth_bound_delayfree(q, 0.2, L, 0.2)
     assert rows.shape == (3, 2)
     for k in range(3):
-        one = growth_bound_delayfree(q[k], 0.2, float(L[k]), 0.2).radius
+        one = growth_bound_delayfree(q[k], 0.2, float(L[k]), 0.2)
         assert rows[k].tobytes() == one.tobytes()
     with pytest.raises(ValueError, match="nonnegative"):
         growth_bound_delayfree(q, 0.2, np.array([6.0, math.nan, 1.0]), 0.2)

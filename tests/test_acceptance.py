@@ -134,8 +134,7 @@ def test_criterion_6_refined_model_synthesis(pendulum_ts):
 def test_criterion_7_time_delay_witness(pendulum_delay, logparams):
     t0 = time.monotonic()
     ts = build_timedelay(pendulum_delay, 0.2, logparams, N=0, budget=1000)
-    F = RefinementMap.from_ts(ts)
-    rep = sample_frr_timedelay(pendulum_delay, ts, F, 200, 1)
+    rep = sample_frr_timedelay(ts, 200, 1)
     assert rep.passed, rep.as_text()
 
     # degenerate horizon: zero delay must agree with the delay-free verdict
@@ -146,12 +145,11 @@ def test_criterion_7_time_delay_witness(pendulum_delay, logparams):
                                               [-2.5], [2.5], 0.0, r=0.0,
                                               xi0=xi0)
     ts0 = build_timedelay(degenerate, 0.2, logparams, N=0, budget=1000)
-    rep0 = sample_frr_timedelay(degenerate, ts0, RefinementMap.from_ts(ts0),
-                                200, 1)
+    rep0 = sample_frr_timedelay(ts0, 200, 1)
     flat = ControlSystem.from_strings(["x2", "-1.96*sin(x1) - 1.4*x2 + u1"],
                                       [-1, -1], [1, 1], [-2.5], [2.5])
     tsf = build_delayfree(flat, 0.2, logparams)
-    repf = sample_frr_delayfree(flat, tsf, RefinementMap.from_ts(tsf), 200, 1)
+    repf = sample_frr_delayfree(tsf, 200, 1)
     assert rep0.passed == repf.passed
     assert rep0.passed
     elapsed = time.monotonic() - t0

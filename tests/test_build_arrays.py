@@ -28,7 +28,7 @@ def reference_model(ts: TransitionSystem) -> TransitionSystem:
             s = float(np.max(cell.spread()))
             r = np.full(len(cell.lower), math.exp(L * ctx.tau) * s)
         else:
-            r = growth_bound_delayfree(cell.quantized_point, eta, L, ctx.tau).radius
+            r = growth_bound_delayfree(cell.quantized_point, eta, L, ctx.tau)
         radius = ctx.growth_scale * r
         for iid, u in enumerate(inputs):
             x1 = integrate(sys, cell.quantized_point, u, ctx.tau, ctx.steps)

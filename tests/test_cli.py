@@ -1,14 +1,18 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from symquant import cli, config
 from symquant.cli import main
 from symquant.config import AppConfig, load_config
 from symquant.frr import RefinementMap
-from symquant.model_io import load_controller, load_ts, write_ts
+from symquant.model_io import (load_controller, load_ts, parse_controller,
+                               parse_sts, serialize_controller, serialize_ts,
+                               write_ts)
 from symquant.sim import export_trajectory, run_closed_loop
 
 
@@ -259,7 +263,7 @@ def test_delay_free_simulate_builds_no_model(ws, tmp_path, monkeypatch,
                                              capsys, ini):
     cfg, ts = _controller_for(ws, tmp_path, ini)
     # the trajectory a refinement map over the built model gives
-    traj, _ = run_closed_loop(cfg.system(),
+    traj, _ = run_closed_loop(cfg.system,
                               load_controller(str(tmp_path / "law.ctrl")),
                               RefinementMap.from_ts(ts), x0=np.asarray(cfg.x0),
                               tau=cfg.tau, max_steps=cfg.max_steps,
@@ -487,3 +491,89 @@ def test_no_stage_imports_numpy_random_or_numpy_ma(ws, tmp_path):
     assert [(name, rc) for name, _, rc, _ in runs] == [
         (argv[0], 0) for argv in stages]
     assert [(name, cfg, heavy) for name, cfg, _, heavy in runs if heavy] == []
+
+
+FINE_ZOOM_INI = str(Path(__file__).resolve().parents[1] / "bench" / "workloads"
+                    / "fine-zoom.ini")
+
+
+def test_verify_stage_parses_each_right_hand_side_once(tmp_path, monkeypatch,
+                                                       capsys):
+    """One plant per stage: load_config parses every row of system.f once,
+    and the refined build and the witness use the plant it built."""
+    model = str(tmp_path / "refined.sts")
+    write_ts(load_config(FINE_ZOOM_INI).build_model(refined=True), model)
+
+    parses, configs, models, witnessed = [], [], [], []
+    parse, load, build = config.parse_expr, cli.load_config, AppConfig.build_model
+    witness = cli.sample_frr_delayfree
+    monkeypatch.setattr(config, "parse_expr",
+                        lambda text: parses.append(text) or parse(text))
+    monkeypatch.setattr(cli, "load_config",
+                        lambda path: configs.append(load(path)) or configs[-1])
+    monkeypatch.setattr(AppConfig, "build_model",
+                        lambda self, refined=False:
+                        models.append(build(self, refined)) or models[-1])
+    monkeypatch.setattr(cli, "sample_frr_delayfree",
+                        lambda *args: witnessed.append(args) or witness(*args))
+    main(["verify-frr", "--config", FINE_ZOOM_INI, "--model", model,
+          "--samples", "100"])
+    assert capsys.readouterr().out.startswith("frr-report seed=1 samples=100 ")
+    assert parses == ["x2", "-1.96*sin(x1) - 1.5*x2 + u1"]
+    assert len(configs) == len(models) == len(witnessed) == 1
+    assert models[0]._ctx.sys is configs[0].system
+    assert witnessed[0][0] is models[0]
+
+
+UNICYCLE_INI = """\
+[system]
+n = 3
+m = 2
+f =
+    u1*cos(x3)
+    u1*sin(x3)
+    u2
+state_lo = -1 -1 -1
+state_hi = 1 1 1
+input_lo = -1 -1
+input_hi = 1 1
+
+[abstraction]
+tau = 0.2
+variant = EQ20
+eta = 0.4
+d = 0.4
+mu = 0.5
+
+[synthesis]
+kind = reach
+mode = robust
+targets =
+    0 0 0
+
+[run]
+x0 = 0 0 0
+seed = 1
+"""
+
+
+def test_three_states_and_two_inputs_through_every_stage(tmp_path, capsys):
+    ini = tmp_path / "unicycle.ini"
+    ini.write_text(UNICYCLE_INI)
+    cfg, sts, ctrl = str(ini), str(tmp_path / "m.sts"), str(tmp_path / "law.ctrl")
+    stages = [
+        ["abstract", "--config", cfg, "--out", sts],
+        ["verify-frr", "--config", cfg, "--model", sts],
+        ["synthesize", "--config", cfg, "--model", sts, "--out", ctrl],
+        ["simulate", "--config", cfg, "--controller", ctrl,
+         "--out", str(tmp_path / "run.csv")],
+    ]
+    assert [main(argv) for argv in stages] == [0, 0, 0, 0]
+    out = capsys.readouterr().out
+    assert "27 states, 25 inputs, 8575 transitions" in out
+    assert "frr-report seed=1 samples=1000 checked=862 skipped=138 " \
+           "violations=0" in out
+    data = (tmp_path / "m.sts").read_bytes()
+    assert serialize_ts(parse_sts(data.decode())).encode() == data
+    data = (tmp_path / "law.ctrl").read_bytes()
+    assert serialize_controller(parse_controller(data.decode())).encode() == data

@@ -49,7 +49,7 @@ def ini(overrides=None, drop=None):
 
 def test_minimal_config_parses_with_defaults():
     cfg = parse_config_text(ini())
-    assert (cfg.n, cfg.m) == (2, 1)
+    assert (cfg.system.n, cfg.system.m) == (2, 1)
     assert cfg.variant == "EQ20"
     assert cfg.lipschitz == 6.0
     assert cfg.input_quantizer == "uniform" and cfg.mu == 0.2
@@ -59,7 +59,7 @@ def test_minimal_config_parses_with_defaults():
     assert cfg.max_hold == 64
     assert cfg.x0 is None and cfg.max_steps == 500
     assert cfg.seed == 1 and cfg.samples == 1000
-    assert isinstance(cfg.system(), ControlSystem)
+    assert isinstance(cfg.system, ControlSystem)
     assert not cfg.is_timedelay()
 
 
@@ -84,7 +84,7 @@ def test_timedelay_config_builds_functional_system():
         "system.xi0": "\n -0.72 -0.72",
     }))
     assert cfg.is_timedelay()
-    sysd = cfg.system()
+    sysd = cfg.system
     assert isinstance(sysd, TimeDelaySystem)
     assert sysd.Theta == 0.2 and sysd.r == 0.2
     # one xi0 row means a constant functional over [-Theta, 0]
@@ -99,7 +99,7 @@ def test_multirow_xi0_is_a_sampled_curve():
         "system.r": "0.2",
         "system.xi0": "\n -0.7 -0.7\n -0.72 -0.72\n -0.74 -0.74",
     }))
-    curve = cfg.system().xi0
+    curve = cfg.system.xi0
     assert np.allclose(curve(-0.2), [-0.7, -0.7])
     assert np.allclose(curve(0.0), [-0.74, -0.74])
     assert np.allclose(curve(-0.15), [-0.71, -0.71])
@@ -227,7 +227,7 @@ def test_load_config_missing_file(tmp_path):
 def test_load_config_reads_files(tmp_path):
     p = tmp_path / "ok.ini"
     p.write_text(ini())
-    assert load_config(str(p)).n == 2
+    assert load_config(str(p)).system.n == 2
 
 
 def test_load_config_rejects_broken_ini_syntax(tmp_path):

@@ -6,6 +6,8 @@ from symquant.abstraction import (AbstractState, TransitionSystem,
 from symquant.frr import (RefinementMap, check_frr_finite,
                           sample_frr_delayfree, sample_frr_timedelay)
 from symquant.abstraction import build_delayfree
+from symquant.dynamics import ControlSystem
+from symquant.quantizers import LogQuantizerParams
 
 
 def graph_ts(n_states, inputs, transitions):
@@ -91,9 +93,8 @@ def test_map_must_reference_known_states():
 # sampled witnesses, delay-free
 
 
-def test_sampled_delayfree_no_violations(pendulum, pendulum_ts):
-    F = RefinementMap.from_ts(pendulum_ts)
-    rep = sample_frr_delayfree(pendulum, pendulum_ts, F, 300, 5)
+def test_sampled_delayfree_no_violations(pendulum_ts):
+    rep = sample_frr_delayfree(pendulum_ts, 300, 5)
     assert rep.passed
     assert rep.checked + rep.skipped == 300
     assert rep.checked > 200
@@ -102,32 +103,28 @@ def test_sampled_delayfree_no_violations(pendulum, pendulum_ts):
 def test_sampled_delayfree_catches_sabotage(pendulum, logparams):
     ts0 = build_delayfree(pendulum, 0.2, logparams, lipschitz=6.0,
                           growth_scale=0.0)
-    F = RefinementMap.from_ts(ts0)
-    rep = sample_frr_delayfree(pendulum, ts0, F, 300, 5)
+    rep = sample_frr_delayfree(ts0, 300, 5)
     assert not rep.passed
     assert len(rep.violations) >= 1
     v = rep.violations[0]
     assert v.observed not in v.allowed
 
 
-def test_sampled_report_text(pendulum, pendulum_ts):
-    F = RefinementMap.from_ts(pendulum_ts)
-    rep = sample_frr_delayfree(pendulum, pendulum_ts, F, 50, 7)
+def test_sampled_report_text(pendulum_ts):
+    rep = sample_frr_delayfree(pendulum_ts, 50, 7)
     text = rep.as_text()
     assert text.startswith("frr-report seed=7 samples=50")
     assert "violations=0" in text
 
 
-def test_sampled_zero_budget(pendulum, pendulum_ts):
-    F = RefinementMap.from_ts(pendulum_ts)
-    rep = sample_frr_delayfree(pendulum, pendulum_ts, F, 0, 1)
+def test_sampled_zero_budget(pendulum_ts):
+    rep = sample_frr_delayfree(pendulum_ts, 0, 1)
     assert rep.passed and rep.checked == 0 and rep.skipped == 0
 
 
-def test_sampled_is_reproducible(pendulum, pendulum_ts):
-    F = RefinementMap.from_ts(pendulum_ts)
-    a = sample_frr_delayfree(pendulum, pendulum_ts, F, 100, 3)
-    b = sample_frr_delayfree(pendulum, pendulum_ts, F, 100, 3)
+def test_sampled_is_reproducible(pendulum_ts):
+    a = sample_frr_delayfree(pendulum_ts, 100, 3)
+    b = sample_frr_delayfree(pendulum_ts, 100, 3)
     assert (a.checked, a.skipped) == (b.checked, b.skipped)
 
 
@@ -138,13 +135,36 @@ def test_refinement_map_requires_build_partition(pendulum_ts):
         RefinementMap.from_ts(bare)
 
 
+def test_witnesses_read_the_plant_from_the_build(pendulum_ts,
+                                                 pendulum_delay_ts):
+    from symquant.model_io import parse_sts, serialize_ts
+    for witness, ts in ((sample_frr_delayfree, pendulum_ts),
+                        (sample_frr_timedelay, pendulum_delay_ts)):
+        bare = parse_sts(serialize_ts(ts))
+        with pytest.raises(ValueError, match="build context"):
+            witness(bare, 10, 1)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(a)")
+@pytest.mark.parametrize("rhs", [["-0.1*x1 + u1"], ["x2", "-0.5*x2 + u1"],
+                                 ["u1"]], ids=["leaky", "damped", "integrator"])
+def test_radius_covers_merged_and_deadzone_cells(rhs):
+    """The log radius theta1*(|q|+E) falls short of the far side of merged
+    outer cells and of the EQ20 deadzone; 2000 samples at seed 1 find 31,
+    22 and 33 violations.  Passing these is the fix's regression check."""
+    n = len(rhs)
+    plant = ControlSystem.from_strings(rhs, [-1] * n, [1] * n, [-0.6], [0.6])
+    ts = build_delayfree(plant, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
+                         ("uniform", 0.2), lipschitz="sampled-jacobian")
+    assert sample_frr_delayfree(ts, 2000, 1).passed
+
+
 # ---------------------------------------------------------------------------
 # sampled witnesses, time-delay
 
 
-def test_sampled_timedelay_no_violations(pendulum_delay, pendulum_delay_ts):
-    F = RefinementMap.from_ts(pendulum_delay_ts)
-    rep = sample_frr_timedelay(pendulum_delay, pendulum_delay_ts, F, 100, 4)
+def test_sampled_timedelay_no_violations(pendulum_delay_ts):
+    rep = sample_frr_timedelay(pendulum_delay_ts, 100, 4)
     assert rep.passed
     assert rep.checked > 50
 
@@ -153,8 +173,7 @@ def test_sampled_timedelay_catches_sabotage(pendulum_delay, logparams):
     from symquant.abstraction import build_timedelay
     ts0 = build_timedelay(pendulum_delay, 0.2, logparams, N=0, budget=1000,
                           growth_scale=0.0)
-    F = RefinementMap.from_ts(ts0)
-    rep = sample_frr_timedelay(pendulum_delay, ts0, F, 100, 4)
+    rep = sample_frr_timedelay(ts0, 100, 4)
     assert not rep.passed
 
 

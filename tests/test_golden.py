@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from symquant import (RefinementMap, Specification, ZoomQuantizerParams,
+from symquant import (Specification, ZoomQuantizerParams,
                       build_delayfree, refine_cells, sample_frr_delayfree,
                       sample_frr_timedelay, serialize_controller,
                       synthesize_sequence)
@@ -29,9 +29,8 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def frr_reports(sys, ts) -> str:
-    F = RefinementMap.from_ts(ts)
-    return "\n".join(sample_frr_delayfree(sys, ts, F, 1000, seed).as_text()
+def frr_reports(ts) -> str:
+    return "\n".join(sample_frr_delayfree(ts, 1000, seed).as_text()
                      for seed in (1, 2, 3))
 
 
@@ -46,14 +45,14 @@ def test_hold_sequence_controller_bytes(pendulum_ts):
     assert sha(serialize_controller(ctrl)) == HOLD_CTRL_SHA256
 
 
-def test_frr_report_text(pendulum, pendulum_ts):
-    assert sha(frr_reports(pendulum, pendulum_ts)) == FRR_SHA256
+def test_frr_report_text(pendulum_ts):
+    assert sha(frr_reports(pendulum_ts)) == FRR_SHA256
 
 
 def test_frr_report_text_with_violations(pendulum, logparams):
     ts0 = build_delayfree(pendulum, 0.2, logparams, lipschitz=6.0,
                           growth_scale=0.0)
-    text = frr_reports(pendulum, ts0)
+    text = frr_reports(ts0)
     assert text.count("\nviolation ") == 1078
     assert sha(text) == FRR_SABOTAGED_SHA256
 
@@ -70,11 +69,9 @@ def test_tube_model_bytes(pendulum_delay_ts):
     assert sha(serialize_ts(ts)) == TUBE_STS_SHA256
 
 
-def test_tube_frr_report_text(pendulum_delay, pendulum_delay_ts):
-    F = RefinementMap.from_ts(pendulum_delay_ts)
+def test_tube_frr_report_text(pendulum_delay_ts):
     text = "\n".join(
-        sample_frr_timedelay(pendulum_delay, pendulum_delay_ts, F, 1000,
-                             seed).as_text()
+        sample_frr_timedelay(pendulum_delay_ts, 1000, seed).as_text()
         for seed in (1, 2, 3))
     assert text.startswith("frr-report seed=1 samples=1000 checked=977 "
                            "skipped=23 violations=0")

@@ -226,6 +226,16 @@ def test_hold_search_stops_once_every_state_has_won(pendulum_ts, monkeypatch):
     assert len(calls) <= 10
 
 
+@pytest.mark.parametrize("max_hold", [0, -3, 2.5])
+def test_hold_rejects_a_step_cap_below_one(pendulum_ts, max_hold):
+    # the config's rule for synthesis.max_hold, at both entry points
+    with pytest.raises(SynthesisError, match="max_hold: must be an integer >= 1"):
+        synthesize_reach(pendulum_ts, [12], mode="hold", max_hold=max_hold)
+    with pytest.raises(SynthesisError, match="max_hold: must be an integer >= 1"):
+        synthesize_sequence(pendulum_ts, Specification("reach", [(12,)]),
+                            mode="hold", max_hold=max_hold)
+
+
 def reference_hold_visits(ts, max_hold):
     """The cells visited by holding each input from each state's quantized
     point, stored per step: entry k - 1 holds the CSR rows of the pairs

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from symquant import frr
-from symquant import (LogQuantizerParams, RefinementMap, TimeDelaySystem,
+from symquant import (LogQuantizerParams, TimeDelaySystem,
                       ZoomQuantizerParams, build_timedelay,
                       sample_frr_timedelay)
 from symquant.abstraction import (AbstractState, SplineTube, TransitionSystem,
@@ -339,9 +339,8 @@ def test_witness_text_matches_the_per_sample_loop(N, growth_scale, zoom, Theta):
     sys = delay_plant(rhs, Theta=Theta)
     ts = build_timedelay(sys, 0.2, LOGP, zoom_assignments=zoom, N=N,
                          lipschitz=6.0, growth_scale=growth_scale, budget=200)
-    F = RefinementMap.from_ts(ts)
     for seed in (1, 2):
-        rep = sample_frr_timedelay(sys, ts, F, 300, seed)
+        rep = sample_frr_timedelay(ts, 300, seed)
         assert rep.as_text() == reference_witness(sys, ts, 300, seed).as_text()
         assert rep.passed == (growth_scale > 0)
 
@@ -353,6 +352,6 @@ def test_witness_integrates_only_the_samples(monkeypatch):
     calls, real = [], frr.tube_knot_points
     monkeypatch.setattr(frr, "tube_knot_points",
                         lambda *a: calls.append(a) or real(*a))
-    rep = sample_frr_timedelay(sys, ts, RefinementMap.from_ts(ts), 300, 1)
+    rep = sample_frr_timedelay(ts, 300, 1)
     assert len(calls) == 1
     assert rep.passed and rep.checked > 0
