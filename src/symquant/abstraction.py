@@ -24,6 +24,19 @@ cell, so no other row can meet one).  Only the new subcells are integrated
 and only the rows that met a replaced cell are queried again; the result
 equals a build from scratch byte for byte.
 
+The per-pair part of the build (integrate the new cells' pairs, find the
+blocked pairs and growth boxes, copy or query each unblocked row) is one
+block function over a contiguous range of cells; the Lipschitz estimate,
+the radii and the prior's rows are computed once before it.  A build with
+at least 2 * 4096 new pairs, in a process that may run on more than one
+CPU (its affinity mask), is cut into min(CPUs, new pairs // 4096) ranges
+with about the same number of new cells each: the first runs in process
+and every other in an os.fork worker, which sends its endpoints, row
+numbers and successors back through a pipe.  The ranges are
+merged in cell order, so the model is byte-identical to a one-block build,
+and the first range that raises decides the error.  Where os.fork or
+os.sched_getaffinity is missing, every build is one block.
+
 Time-delay construction: states are spline tubes, tuples of N+2 knot cells
 on [-Theta, 0] sampled at the peaks of linear hat functions.  A tube's
 quantized functional is the linear interpolant through the knot quantized
@@ -46,9 +59,13 @@ cells of all discovered tubes.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from array import array
 from collections.abc import Mapping
+from contextlib import suppress
 from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -248,7 +265,7 @@ class _RelationView(Mapping):
         return int(np.count_nonzero(np.diff(self._ts.indptr)))
 
 
-_POS_CHUNK = 1 << 16  # ids per lookup in _positions and _unknown_id
+_POS_CHUNK = 1 << 13  # ids per lookup in _positions and _unknown_id
 
 
 def _positions(state_ids: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -479,42 +496,59 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
 
     L = estimate_lipschitz_batch(sys, cells, ctx.lipschitz)
     radius = _growth_radii(part, cells, L, ctx.tau, ctx.growth_scale)[:, None, :]
-    x1 = np.empty((len(cells), len(inputs), sys.n))
+    n_in = len(inputs)
+    x1 = np.empty((len(cells), n_in, sys.n))
     new = np.ones(len(cells), dtype=bool)
+    # per (cell, input), the CSR row of prior whose successors it copies,
+    # -1 where none
+    reuse = None
     if prior is not None:
         kept, at, copied = _prior_rows(prior, cells)
         x1[kept] = prior.endpoints[at]
         new[kept] = False
-    for k in np.flatnonzero(new).tolist():
-        for iid, u in enumerate(inputs):
-            x1[k, iid] = integrate(sys, cells[k].quantized_point, u, ctx.tau, ctx.steps)
-    # a pair is blocked when its nominal endpoint leaves X
-    blocked = ((x1 < sys.state_lo) | (x1 > sys.state_hi)).any(axis=2).ravel()
-    # one (C*I, n) row per (cell, input), the CSR row order
-    box_lo = (x1 - radius).reshape(-1, sys.n)
-    box_hi = (x1 + radius).reshape(-1, sys.n)
-
-    # rows of blocked pairs stay empty
-    rows = np.flatnonzero(~blocked)
-    succ, sizes = array("i"), array("q")
-    # per row, the CSR row of prior whose successors it copies, -1 where none
-    from_rows = repeat(-1)
-    if prior is not None:
         reuse = np.full(x1.shape[:2], -1, dtype=np.int64)
         reuse[kept] = copied
-        from_rows = reuse.ravel()[rows].tolist()
         prior_at, prior_succ = prior.indptr.tolist(), prior.succ
-    for row, from_row in zip(rows.tolist(), from_rows):
-        if from_row >= 0:
-            a, b = prior_at[from_row], prior_at[from_row + 1]
-            succ.frombytes(prior_succ[a:b].tobytes())
-            sizes.append(b - a)
-            continue
-        ids = part.intersecting(box_lo[row], box_hi[row])
-        succ.extend(ids)
-        sizes.append(len(ids))
-    del box_lo, box_hi
-    indptr = _indptr(blocked.size, rows, sizes)
+
+    def block(k0: int, k1: int):
+        """Endpoints (k1-k0, I, n), CSR row numbers of the unblocked pairs,
+        and their successors and row sizes, for the pairs of cells[k0:k1]."""
+        for k in (np.flatnonzero(new[k0:k1]) + k0).tolist():
+            for iid, u in enumerate(inputs):
+                x1[k, iid] = integrate(sys, cells[k].quantized_point, u, ctx.tau, ctx.steps)
+        ends = x1[k0:k1]
+        # a pair is blocked when its nominal endpoint leaves X
+        blocked = ((ends < sys.state_lo) | (ends > sys.state_hi)).any(axis=2).ravel()
+        # one row per (cell, input), the CSR row order
+        box_lo = (ends - radius[k0:k1]).reshape(-1, sys.n)
+        box_hi = (ends + radius[k0:k1]).reshape(-1, sys.n)
+        # rows of blocked pairs stay empty
+        local = np.flatnonzero(~blocked)
+        from_rows = repeat(-1) if reuse is None else \
+            reuse[k0:k1].ravel()[local].tolist()
+        succ, sizes = array("i"), array("q")
+        for j, from_row in zip(local.tolist(), from_rows):
+            if from_row >= 0:
+                a, b = prior_at[from_row], prior_at[from_row + 1]
+                succ.frombytes(prior_succ[a:b].tobytes())
+                sizes.append(b - a)
+                continue
+            ids = part.intersecting(box_lo[j], box_hi[j])
+            succ.extend(ids)
+            sizes.append(len(ids))
+        return ends, local + k0 * n_in, succ, sizes
+
+    ranges = _cell_ranges(new, n_in)
+    results = _in_blocks(block, ranges)
+    # append every later range's pairs, in cell order
+    _, rows, succ, sizes = results[0]
+    for (k0, k1), (ends, _, more, more_sizes) in zip(ranges[1:], results[1:]):
+        x1[k0:k1] = ends
+        succ.extend(more)
+        sizes.extend(more_sizes)
+    rows = np.concatenate([r[1] for r in results])
+    del results
+    indptr = _indptr(x1.shape[0] * n_in, rows, sizes)
 
     states = [AbstractState(c.id, cell=c) for c in cells]
     return TransitionSystem("delayfree", states, inputs,
@@ -539,6 +573,113 @@ def _prior_rows(prior: TransitionSystem,
     stale[np.searchsorted(prior.indptr, edges, side="right") - 1] = True
     rows[stale[rows]] = -1
     return np.array(kept, dtype=np.int64), at, rows
+
+
+# On a 2-vCPU Xeon host a forked worker costs 7-8 ms (fork, a 1 MiB pipe
+# transfer and the reap) and a new pair about 38 us, so a block of 4096 new
+# pairs (about 150 ms) pays about 5% for its fork.
+_FORK_PAIRS = 4096
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on (its affinity mask), or 1 where the
+    platform cannot say or cannot fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _cell_ranges(new: np.ndarray, n_inputs: int) -> List[Tuple[int, int]]:
+    """Contiguous [k0, k1) ranges that cover the cells, one per block, with
+    about the same number of new cells (new marks them) in each.  There are
+    min(CPUs, new pairs // _FORK_PAIRS, new cells) blocks, at least one."""
+    n_new = int(np.count_nonzero(new))
+    w = max(1, min(_cpus(), n_new * n_inputs // _FORK_PAIRS, n_new))
+    # range j ends just after the (j*n_new//w)-th new cell
+    cuts = np.searchsorted(np.cumsum(new), [j * n_new // w for j in range(1, w)]) + 1
+    bounds = [0, *cuts.tolist(), len(new)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _in_blocks(block, ranges: List[Tuple[int, int]]) -> list:
+    """[block(k0, k1) for (k0, k1) in ranges], the first range in this
+    process and every other in a forked worker, which sends its result, or
+    the exception it raised, back through a pipe.
+
+    The results and errors are those of running the ranges in order: the
+    first range that raises decides.  No worker outlives the call, whether
+    it returns or raises.  What a worker changes in its copy of the process
+    is lost; only its return value comes back.
+    """
+    if len(ranges) == 1:
+        return [block(*ranges[0])]
+    workers: Dict[int, Optional[int]] = {}  # pid -> read end, in range order
+    try:
+        for k0, k1 in ranges[1:]:
+            r, w = os.pipe()
+            try:
+                # the worker calls no BLAS routine, so numpy's idle BLAS
+                # threads, which it does not inherit, cannot hold it up
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _serve(block, k0, k1, w, (r, *workers.values()))
+            # later workers must not hold this write end, or the read below
+            # would not see EOF
+            os.close(w)
+            workers[pid] = r
+        results = [block(*ranges[0])]
+        for pid in list(workers):
+            r, workers[pid] = workers[pid], None  # the with statement closes r
+            with open(r, "rb") as pipe:
+                try:
+                    ok, value = pickle.load(pipe)
+                except Exception:
+                    ok = None
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[pid]
+            if ok is None:
+                raise RuntimeError(f"build worker exited with status {status} "
+                                   f"and sent no result")
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, r in workers.items():
+            if r is not None:
+                os.close(r)
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def _serve(block, k0: int, k1: int, fd: int, read_ends) -> None:
+    """The whole life of a forked worker: write (True, block(k0, k1)), or
+    (False, the exception it raised), to fd, then end the process with
+    os._exit, so it unwinds none of the parent's frames and runs no atexit
+    hook or stdio flush.  Never returns.
+
+    read_ends are the inherited read ends of this and earlier workers'
+    pipes.  They are closed first, so that when the parent is gone the
+    write fails instead of waiting for a reader forever."""
+    status = 1
+    try:
+        for r in read_ends:
+            os.close(r)
+        try:
+            out = (True, block(k0, k1))
+        except BaseException as err:
+            out = (False, err)
+        with open(fd, "wb") as pipe:
+            pickle.dump(out, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def refine_cells(ts: TransitionSystem,
