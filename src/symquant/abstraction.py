@@ -71,8 +71,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynamics import (ControlSystem, IntegrationError, SampledCurve,
-                       TimeDelaySystem, DEFAULT_STEPS, estimate_lipschitz,
+from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
+                       DEFAULT_STEPS, estimate_lipschitz,
                        estimate_lipschitz_batch, integrate,
                        integrate_delay_batch, interpolate_batch)
 from .quantizers import Cell, LogQuantizerParams, Partition, ZoomQuantizerParams
@@ -166,7 +166,6 @@ class TransitionSystem:
     def __init__(self, kind: str, states: List[AbstractState],
                  inputs: List[np.ndarray],
                  relation: Tuple[np.ndarray, np.ndarray],
-                 initial: List[int],
                  partition: Optional[Partition] = None,
                  ctx: Optional[_BuildContext] = None,
                  truncated: bool = False,
@@ -186,7 +185,6 @@ class TransitionSystem:
                               self.succ)
         if unknown is not None:
             raise ValueError(f"successor id {unknown} names no state")
-        self.initial = list(initial)
         self.partition = partition
         self._ctx = ctx
         self._pos = {s.id: k for k, s in enumerate(states)}
@@ -553,8 +551,7 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
     states = [AbstractState(c.id, cell=c) for c in cells]
     return TransitionSystem("delayfree", states, inputs,
                             (indptr, np.frombuffer(succ, dtype=np.int32)),
-                            initial=[c.id for c in cells], partition=part, ctx=ctx,
-                            endpoints=x1)
+                            partition=part, ctx=ctx, endpoints=x1)
 
 
 def _prior_rows(prior: TransitionSystem,
@@ -769,34 +766,6 @@ def tube_knot_points(sys: TimeDelaySystem, H: np.ndarray, U: np.ndarray,
         for a in range(0, H.shape[2], _CHUNK)], axis=2)
 
 
-def _level_knots(sys: TimeDelaySystem, H: np.ndarray, U: np.ndarray,
-                 tau: float, steps: int, thetas):
-    """Knot points (J, n, T*I) of the continuations of the T histories H
-    (k+1, n, T) under each of the I inputs U (m, I), column t*I + i for
-    history t and input i, and None.
-
-    When a trajectory fails, the knot points cover the histories before
-    the first one that fails, and the error is the one its own integration
-    raises: the caller explores those histories first, as one history at a
-    time would.
-    """
-    n_in = U.shape[1]
-    try:
-        return tube_knot_points(sys, np.repeat(H, n_in, axis=2),
-                                np.tile(U, H.shape[2]), tau, steps, thetas), None
-    except IntegrationError:
-        pass
-    # one history at a time, up to the first one that fails
-    done = [np.zeros((len(thetas), sys.n, 0))]
-    for t in range(H.shape[2]):
-        try:
-            done.append(tube_knot_points(sys, np.repeat(H[:, :, t:t + 1], n_in, axis=2),
-                                         U, tau, steps, thetas))
-        except IntegrationError as err:
-            return np.concatenate(done, axis=2), err
-    return np.concatenate(done, axis=2), None
-
-
 def _boxes_meet_knot_cells(box_lo, box_hi, cell_lo, cell_hi) -> np.ndarray:
     """(P, T) mask: at every knot j, tube t's knot cell meets box j of pair p.
 
@@ -818,20 +787,20 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
                     lipschitz: Union[str, float] = "sampled-jacobian",
                     steps: int = DEFAULT_STEPS,
                     growth_scale: float = 1.0,
-                    budget: int = 1000,
-                    on_budget: str = "truncate") -> TransitionSystem:
+                    budget: int = 1000) -> TransitionSystem:
     """Symbolic model of a time-delay system over spline tubes.
 
     States are discovered breadth-first from psi2(xi0) following nominal
     successors only, up to `budget` tubes; materialized successor sets are
-    the discovered tubes passing the knot-wise growth-box test.  On budget
-    exhaustion, on_budget='truncate' blocks the frontier pairs whose nominal
-    successor was never discovered (ts.truncated is set); 'error' raises.
+    the discovered tubes passing the knot-wise growth-box test.  When the
+    budget is exhausted, the frontier pairs whose nominal successor was
+    never discovered are blocked and ts.truncated is set.
 
     A level is every tube the previous level discovered, and it is explored
     in one batch; walking its pairs in (tube, input) order gives the tube
-    ids, the budget cut and the errors (budget or integration, whichever
-    comes first) of a search that dequeues one tube at a time.
+    ids and the budget cut of a search that dequeues one tube at a time.
+    When an integration fails, the build raises the error of the first
+    failing (tube, input) pair of the level.
     """
     if sys.xi0 is None:
         raise ValueError("time-delay build needs the initial functional xi0")
@@ -867,7 +836,8 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
         level = [SplineTube(t) for t in order[head:]]
         H = np.stack([tube_interpolant(t, part, sys.Theta).values for t in level],
                      axis=2)
-        knots, error = _level_knots(sys, H, U, tau, steps, thetas)
+        knots = tube_knot_points(sys, np.repeat(H, n_in, axis=2),
+                                 np.tile(U, len(level)), tau, steps, thetas)
         # a pair is blocked when a nominal knot leaves X
         cols = np.flatnonzero(~np.any((knots < lo) | (knots > hi), axis=(0, 1)))
         pts = knots[:, :, cols].transpose(2, 0, 1)
@@ -876,16 +846,11 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
         for p, succ in enumerate(map(tuple, located.tolist())):
             if succ not in ids:
                 if len(order) >= budget:
-                    if on_budget == "error":
-                        raise RuntimeError(
-                            f"tube exploration exceeded the budget of {budget} states")
                     truncated = True
                     found[p] = False
                     continue
                 ids[succ] = len(order)
                 order.append(succ)
-        if error is not None:
-            raise error
         rows.append(head * n_in + cols[found])
         levels.append(knots.transpose(2, 0, 1)
                       .reshape(len(level), n_in, len(thetas), sys.n))
@@ -915,5 +880,5 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
                         growth_scale=growth_scale, knot_thetas=thetas)
     return TransitionSystem("timedelay", states, inputs,
                             (indptr, np.concatenate(succ)),
-                            initial=[0], partition=part, ctx=ctx,
+                            partition=part, ctx=ctx,
                             truncated=truncated, endpoints=endpoints, radius=radius)

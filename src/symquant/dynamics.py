@@ -95,8 +95,8 @@ def _validate_rhs(f: Sequence[Expression], n: int, m: int, max_theta: float) -> 
 
 
 @dataclass(frozen=True)
-class ControlSystem:
-    """Delay-free plant: dims, state/input boxes, and n rhs expressions."""
+class _Plant:
+    """The fields and box checks of both plant kinds."""
 
     n: int
     m: int
@@ -105,10 +105,6 @@ class ControlSystem:
     input_lo: np.ndarray
     input_hi: np.ndarray
     f: Tuple[Expression, ...]
-    _rk4fn: Optional[Callable] = field(default=None, init=False, repr=False,
-                                     compare=False)
-    _vrk4fn: Optional[Callable] = field(default=None, init=False, repr=False,
-                                      compare=False)
 
     def __post_init__(self):
         for name in ("state_lo", "state_hi", "input_lo", "input_hi"):
@@ -122,6 +118,19 @@ class ControlSystem:
         if not np.all(self.input_lo <= self.input_hi):
             raise ValueError("input box empty")
         object.__setattr__(self, "f", tuple(self.f))
+
+
+@dataclass(frozen=True)
+class ControlSystem(_Plant):
+    """Delay-free plant: dims, state/input boxes, and n rhs expressions."""
+
+    _rk4fn: Optional[Callable] = field(default=None, init=False, repr=False,
+                                     compare=False)
+    _vrk4fn: Optional[Callable] = field(default=None, init=False, repr=False,
+                                      compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
         _validate_rhs(self.f, self.n, self.m, max_theta=0.0)
         if any(e.delays() for e in self.f):
             raise ValueError("delay() terms need a TimeDelaySystem")
@@ -159,7 +168,7 @@ class ControlSystem:
 
 
 @dataclass(frozen=True)
-class TimeDelaySystem:
+class TimeDelaySystem(_Plant):
     """Time-delay plant: rhs may contain delay(xi, theta) terms with theta <= Theta.
 
     r is the input delay; it must be an integer multiple of the sampling
@@ -167,23 +176,14 @@ class TimeDelaySystem:
     xi0 is the initial functional on [-Theta, 0].
     """
 
-    n: int
-    m: int
-    state_lo: np.ndarray
-    state_hi: np.ndarray
-    input_lo: np.ndarray
-    input_hi: np.ndarray
-    f: Tuple[Expression, ...]
     Theta: float
     r: float
     xi0: Optional[SampledCurve] = None
 
     def __post_init__(self):
-        for name in ("state_lo", "state_hi", "input_lo", "input_hi"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        super().__post_init__()
         if self.Theta < 0 or self.r < 0:
             raise ValueError("Theta and r must be nonnegative")
-        object.__setattr__(self, "f", tuple(self.f))
         _validate_rhs(self.f, self.n, self.m, max_theta=self.Theta)
         if self.xi0 is not None:
             if not np.all(self.xi0.values >= self.state_lo - 1e-12) or \

@@ -214,8 +214,6 @@ def parse_sts(text: str) -> TransitionSystem:
     except ValueError as err:
         raise ModelFormatError(str(err)) from err
     return TransitionSystem(kind, states, input_list, relation,
-                            initial=[s.id for s in states] if kind == "delayfree" else
-                            [states[0].id] if states else [],
                             cell_table=cells if tubes else None)
 
 

@@ -5,21 +5,24 @@ sampling period the state (or functional state) is located in the abstract
 partition, the current phase's table supplies the input, and the plant runs
 one period under that constant input.  The phase advances when the located
 abstract state enters the current waypoint set (one advance per sampling
-instant); completion means all phases have advanced.  Time-delay runs keep
-an input buffer primed with zeros, so the controller gains authority only
-r seconds after the start.
+instant); completion means all phases have advanced.  Both kinds of run
+share the loop and its box rule: the points about to be located (the
+state, or a functional's N+2 knot points) are tested against the closed
+state box first, and a point outside ends the run with the rows so far.
+Time-delay runs keep an input buffer primed with zeros, so the controller
+gains authority only r seconds after the start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .abstraction import TransitionSystem
-from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
-                       DEFAULT_STEPS, integrate, integrate_delay)
+from .dynamics import (SampledCurve, DEFAULT_STEPS, integrate,
+                       integrate_delay)
 from .frr import RefinementMap
 from .synthesis import Controller
 
@@ -57,12 +60,6 @@ class CompletionReport:
                 f"steps {self.steps}, time {self.time:.9g} s ({self.reason})")
 
 
-def _advance_phase(controller: Controller, phase: int, cid: int) -> int:
-    if phase < controller.n_phases and cid in controller.waypoints[phase]:
-        return phase + 1
-    return phase
-
-
 def run_closed_loop(sys, controller: Controller, F: RefinementMap,
                     x0=None, xi0: Optional[SampledCurve] = None,
                     tau: float = 0.2, max_steps: int = 500,
@@ -70,93 +67,61 @@ def run_closed_loop(sys, controller: Controller, F: RefinementMap,
     """Simulate until the waypoint sequence completes or max_steps elapse.
 
     Exactly one of x0 (delay-free) and xi0 (functional initial state) must
-    be given.  The terminal row of the trajectory carries a zero input and
+    be given.  A run whose state, or a knot point of whose functional,
+    leaves the closed state box ends incomplete, with no row for that
+    instant.  The terminal row of the trajectory carries a zero input and
     input_id -1.
     """
     if (x0 is None) == (xi0 is None):
         raise ValueError("give exactly one of x0 and xi0")
-    if x0 is not None:
-        return _run_delayfree(sys, controller, F, np.asarray(x0, dtype=float),
-                              tau, max_steps, steps)
-    return _run_timedelay(sys, controller, F, xi0, tau, max_steps, steps)
-
-
-def _report(completed, k, tau, phase, n_phases, reason):
-    return CompletionReport(completed, k, k * tau, phase, n_phases, reason)
-
-
-def _run_delayfree(sys: ControlSystem, controller, F, x0, tau, max_steps, steps):
-    m = sys.m
+    m, n_phases = sys.m, controller.n_phases
+    tube = xi0 is not None
+    if tube:
+        state, buffer = xi0, [np.zeros(m)] * sys.input_delay_periods(tau)
+    else:
+        state = np.asarray(x0, dtype=float)
     rows: List[TrajectorySample] = []
-    x = x0
     phase = 0
+    completed, k, reason = False, max_steps, f"max_steps={max_steps} reached"
     for k in range(max_steps + 1):
         t = k * tau
-        if np.any(x < sys.state_lo) or np.any(x > sys.state_hi):
-            return Trajectory(rows), _report(
-                False, k, tau, phase, controller.n_phases,
-                f"state {x.tolist()} left the state box at t={t:.9g}")
-        cid = F.locate(x)
-        phase = _advance_phase(controller, phase, cid)
-        if phase == controller.n_phases:
+        if tube:
+            x, points = state(state.t1), F.knot_points(state)
+        else:
+            x = points = state
+        if np.any(points < sys.state_lo) or np.any(points > sys.state_hi):
+            reason = (f"functional state left the state box at t={t:.9g}"
+                      if tube else
+                      f"state {x.tolist()} left the state box at t={t:.9g}")
+            break
+        cid = F.tube_at(points) if tube else F.locate(x)
+        if cid is None:
+            reason = f"functional state maps to no abstract state at t={t:.9g}"
+            break
+        if phase < n_phases and cid in controller.waypoints[phase]:
+            phase += 1
+        if phase == n_phases:
             rows.append(TrajectorySample(t, x, np.zeros(m), -1, phase, cid))
-            return Trajectory(rows), _report(
-                True, k, tau, phase, controller.n_phases,
-                "all waypoints visited")
+            completed, reason = True, "all waypoints visited"
+            break
         iid = controller.input_at(phase, cid)
         if iid is None:
             rows.append(TrajectorySample(t, x, np.zeros(m), -1, phase, cid))
             reason = (f"abstract state {cid} has no assignment in phase {phase}"
                       if k else
-                      f"initial state lies outside the phase-0 winning domain "
-                      f"(abstract state {cid})")
-            return Trajectory(rows), _report(
-                False, k, tau, phase, controller.n_phases, reason)
+                      f"initial {'functional' if tube else 'state'} lies "
+                      f"outside the phase-0 winning domain (abstract state {cid})")
+            break
         u = controller.inputs[iid]
         rows.append(TrajectorySample(t, x, u, iid, phase, cid))
-        x = integrate(sys, x, u, tau, steps)
-    return Trajectory(rows), _report(
-        False, max_steps, tau, phase, controller.n_phases,
-        f"max_steps={max_steps} reached")
-
-
-def _run_timedelay(sys: TimeDelaySystem, controller, F, xi0, tau, max_steps, steps):
-    m = sys.m
-    periods = sys.input_delay_periods(tau)
-    buffer: List[np.ndarray] = [np.zeros(m)] * periods
-    hist = xi0
-    rows: List[TrajectorySample] = []
-    phase = 0
-    for k in range(max_steps + 1):
-        t = k * tau
-        x_now = hist(hist.t1)
-        tid = F.tube_of(hist)
-        if tid is None:
-            return Trajectory(rows), _report(
-                False, k, tau, phase, controller.n_phases,
-                f"functional state maps to no abstract state at t={t:.9g}")
-        phase = _advance_phase(controller, phase, tid)
-        if phase == controller.n_phases:
-            rows.append(TrajectorySample(t, x_now, np.zeros(m), -1, phase, tid))
-            return Trajectory(rows), _report(
-                True, k, tau, phase, controller.n_phases, "all waypoints visited")
-        iid = controller.input_at(phase, tid)
-        if iid is None:
-            rows.append(TrajectorySample(t, x_now, np.zeros(m), -1, phase, tid))
-            reason = (f"abstract state {tid} has no assignment in phase {phase}"
-                      if k else
-                      f"initial functional lies outside the phase-0 winning "
-                      f"domain (abstract state {tid})")
-            return Trajectory(rows), _report(
-                False, k, tau, phase, controller.n_phases, reason)
-        u = controller.inputs[iid]
-        rows.append(TrajectorySample(t, x_now, u, iid, phase, tid))
-        hist = integrate_delay(sys, hist, buffer, u, tau, steps)
-        if periods:
-            buffer = buffer[1:] + [u]
-    return Trajectory(rows), _report(
-        False, max_steps, tau, phase, controller.n_phases,
-        f"max_steps={max_steps} reached")
+        if tube:
+            state = integrate_delay(sys, state, buffer, u, tau, steps)
+            if buffer:
+                buffer = buffer[1:] + [u]
+        else:
+            state = integrate(sys, state, u, tau, steps)
+    return Trajectory(rows), CompletionReport(completed, k, k * tau, phase,
+                                              n_phases, reason)
 
 
 def validate_path(ts: TransitionSystem, traj: Trajectory) -> Optional[int]:

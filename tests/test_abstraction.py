@@ -102,7 +102,6 @@ def test_log_input_lattice_levels():
 def test_build_counts_and_initial(pendulum_ts):
     assert len(pendulum_ts.states) == 25
     assert len(pendulum_ts.inputs) == 25
-    assert pendulum_ts.initial == list(range(25))
     assert pendulum_ts.kind == "delayfree"
 
 
@@ -295,7 +294,6 @@ def test_tube_interpolant_runs_through_quantized_points(pendulum_ts):
 def test_timedelay_build_shape(pendulum_delay_ts):
     ts = pendulum_delay_ts
     assert ts.kind == "timedelay"
-    assert ts.initial == [0]
     assert not ts.truncated
     assert ts.states[0].tube.knots == (0, 0)  # psi2 of the corner history
     assert all(len(succ) >= 1 for _, succ in ts.transition_rows())
@@ -318,12 +316,6 @@ def test_timedelay_successors_contain_nominal_tube(pendulum_delay,
         assert by_tube[nominal] in succ
         checked += 1
     assert checked > 0
-
-
-def test_timedelay_budget_error_mode(pendulum_delay, logparams):
-    with pytest.raises(RuntimeError):
-        build_timedelay(pendulum_delay, 0.2, logparams, N=0, budget=3,
-                        on_budget="error")
 
 
 def test_timedelay_budget_truncation_blocks_lost_pairs(pendulum_delay,

@@ -40,8 +40,7 @@ def reference_model(ts: TransitionSystem) -> TransitionSystem:
     return TransitionSystem("delayfree", states, inputs,
                             transition_arrays([c.id for c in part.cells],
                                               len(inputs), transitions),
-                            initial=[c.id for c in part.cells], partition=part,
-                            ctx=ctx)
+                            partition=part, ctx=ctx)
 
 
 def assert_same_model(ts):

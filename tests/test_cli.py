@@ -14,6 +14,7 @@ from symquant.model_io import (load_controller, load_ts, parse_controller,
                                parse_sts, serialize_controller, serialize_ts,
                                write_ts)
 from symquant.sim import export_trajectory, run_closed_loop
+from symquant.synthesis import Controller
 
 
 PENDULUM_INI = """\
@@ -299,6 +300,60 @@ def test_time_delay_simulate_builds_the_model(ws, tmp_path, monkeypatch,
                "--out", str(tmp_path / "tube.csv")])
     assert rc == 0
     assert calls == [False]
+
+
+DRIFT_INI = """\
+[system]
+n = 1
+m = 1
+f =
+    3 + 0*delay(x1, 0.2) + u1
+state_lo = -1
+state_hi = 1
+input_lo = -1
+input_hi = 1
+theta = 0.2
+xi0 =
+    0
+
+[abstraction]
+tau = 0.2
+eta = 0.2
+d = 0.4
+mu = 0.5
+N = 0
+
+[synthesis]
+kind = reach
+mode = robust
+targets =
+    0
+
+[run]
+max_steps = 10
+"""
+
+
+def test_time_delay_simulate_reports_leaving_the_state_box(tmp_path, capsys):
+    # x1' = 2 under u1 = -1 from x1 = 0: the functional's knot at t = 0.6
+    # is 1.2, outside X = [-1, 1], after three rows in X
+    ini = tmp_path / "drift.ini"
+    ini.write_text(DRIFT_INI)
+    ts = load_config(str(ini)).build_model()
+    iid = ts.input_id_of([-1.0])
+    policy = {s.id: iid for s in ts.states}
+    (tmp_path / "drift.ctrl").write_text(serialize_controller(Controller(
+        [policy], [(-1,)], [dict.fromkeys(policy, 1)], list(ts.inputs),
+        "robust")))
+    rc = main(["simulate", "--config", str(ini),
+               "--controller", str(tmp_path / "drift.ctrl"),
+               "--out", str(tmp_path / "drift.csv")])
+    assert rc == 1
+    got = capsys.readouterr()
+    assert "wrote 3 samples" in got.out
+    assert ("simulation did not complete: functional state left the state "
+            "box at t=0.6") in got.err
+    assert len((tmp_path / "drift.csv").read_text().splitlines()) == 4
 
 
 def test_simulate_needs_x0(ws, tmp_path, capsys):

@@ -132,8 +132,7 @@ def test_state_ids_must_fit_int32():
 def _two_states(ids, succ):
     return TransitionSystem("delayfree", [AbstractState(i) for i in ids],
                             [np.array([0.0])],
-                            (np.array([0, 0, len(succ)]), np.array(succ)),
-                            initial=list(ids))
+                            (np.array([0, 0, len(succ)]), np.array(succ)))
 
 
 @pytest.mark.parametrize("ids,succ,unknown", [
@@ -160,7 +159,7 @@ def test_successor_check_runs_chunk_by_chunk(monkeypatch):
 def test_indptr_must_cover_every_pair():
     with pytest.raises(ValueError, match="one row per"):
         TransitionSystem("delayfree", [AbstractState(0)], [np.array([0.0])],
-                         (np.array([0, 1, 1]), np.array([0])), initial=[0])
+                         (np.array([0, 1, 1]), np.array([0])))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +212,7 @@ def test_edge_records_of_sparse_ids_and_empty_states():
                                                                    np.full(1, 0.5)))
                                         for i in (10 ** 9 + 7, 3, 5)],
                           [np.array([0.0]), np.array([1.0])],
-                          transition_arrays([10 ** 9 + 7, 3, 5], 2, relation),
-                          initial=[3])
+                          transition_arrays([10 ** 9 + 7, 3, 5], 2, relation))
     text = serialize_ts(ts)
     assert text.endswith("I 1 1\nE 5 0 5\nE 1000000007 1 5\nE 1000000007 1 1000000007\n")
     assert text[text.index("E "):] == _sts_by_pair(ts)
@@ -289,6 +287,6 @@ def test_worklist_matches_the_fixed_point_on_random_graphs(seed):
                     rng.choice(ids, size=size, replace=False).tolist())
     ts = TransitionSystem("delayfree", [AbstractState(q) for q in ids],
                           [np.array([float(i)]) for i in range(m)],
-                          transition_arrays(ids, m, relation), initial=ids)
+                          transition_arrays(ids, m, relation))
     target = tuple(ids[:3])
     assert _robust_reach(ts, [target]) == [reference_robust_reach(ts, target)]

@@ -208,6 +208,21 @@ def test_pickle_drops_and_regenerates_the_kernel():
     assert copy._rk4fn is not None and copy._rk4fn is not sys._rk4fn
 
 
+@pytest.mark.parametrize("plant", [ControlSystem, TimeDelaySystem])
+@pytest.mark.parametrize("box, message", [
+    (([-1, -1], [1, 1], [-1], [1]), "state box dimension mismatch"),
+    (([-1], [1], [-1, -1], [1]), "input box dimension mismatch"),
+    (([1], [-1], [-1], [1]), "state box must have nonempty interior"),
+    (([0], [0], [-1], [1]), "state box must have nonempty interior"),
+    (([-1], [1], [1], [-1]), "input box empty"),
+], ids=["state-dims", "input-dims", "state-inverted", "state-flat",
+        "input-inverted"])
+def test_both_plant_kinds_check_their_boxes(plant, box, message):
+    delay = {"Theta": 0.2} if plant is TimeDelaySystem else {}
+    with pytest.raises(ValueError, match=message):
+        plant.from_strings(["x1 + u1"], *box, **delay)
+
+
 def test_control_system_rejects_delay_terms():
     with pytest.raises(Exception):
         ControlSystem.from_strings(["-delay(x1, 0.1)"], [-1], [1], [0], [0])

@@ -127,7 +127,7 @@ def list_build(ts: TransitionSystem) -> TransitionSystem:
     ids = [c.id for c in cells]
     return TransitionSystem("delayfree", [AbstractState(c.id, cell=c) for c in cells],
                             inputs, transition_arrays(ids, len(inputs), relation),
-                            initial=ids, partition=part, ctx=ctx)
+                            partition=part, ctx=ctx)
 
 
 def test_same_bytes_as_the_list_build(zoomed_pendulum_ts):
@@ -208,7 +208,7 @@ def test_ids_of_ten_digits_are_parsed_by_line(monkeypatch):
     relation = {(5, 0): (5, 10 ** 9 + 7), (10 ** 9 + 7, 1): (5,)}
     ts = TransitionSystem("delayfree", [AbstractState(c.id, cell=c) for c in cells],
                           [np.array([0.0]), np.array([1.0])],
-                          transition_arrays(ids, 2, relation), initial=ids)
+                          transition_arrays(ids, 2, relation))
     text = serialize_ts(ts)
     assert model_io._edge_block(text, model_io._FIRST_E.search(text).start()) is None
     assert serialize_ts(parse_sts(text)) == text

@@ -16,8 +16,7 @@ def graph_ts(n_states, inputs, transitions):
     ins = [np.atleast_1d(np.asarray(u, dtype=float)) for u in inputs]
     return TransitionSystem("delayfree", states, ins,
                             transition_arrays(range(n_states), len(ins),
-                                              transitions),
-                            initial=list(range(n_states)))
+                                              transitions))
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +38,6 @@ def test_dropped_successor_is_caught(pendulum_ts):
     t2 = TransitionSystem("delayfree", pendulum_ts.states, pendulum_ts.inputs,
                           transition_arrays(pendulum_ts.state_ids(),
                                             len(pendulum_ts.inputs), broken),
-                          initial=pendulum_ts.initial,
                           partition=pendulum_ts.partition)
     F = {s.id: s.id for s in pendulum_ts.states}
     ok, cex = check_frr_finite(pendulum_ts, t2, F)

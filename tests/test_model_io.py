@@ -17,8 +17,7 @@ def tiny_ts():
     states = [AbstractState(c.id, cell=c) for c in cells]
     return TransitionSystem("delayfree", states, [np.array([0.5])],
                             transition_arrays([0, 1], 1, {(0, 0): (1,),
-                                                          (1, 0): (0, 1)}),
-                            initial=[0, 1])
+                                                          (1, 0): (0, 1)}))
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +48,6 @@ def test_timedelay_round_trip_is_byte_identical(pendulum_delay_ts):
     text = serialize_ts(pendulum_delay_ts)
     ts2 = parse_sts(text)
     assert ts2.kind == "timedelay"
-    assert ts2.initial == [0]
     assert [s.tube.knots for s in ts2.states] == \
         [s.tube.knots for s in pendulum_delay_ts.states]
     assert serialize_ts(ts2) == text
@@ -69,7 +67,7 @@ def test_negative_zero_is_normalized():
     cells = [Cell(0, np.array([-0.0]), np.array([1.0]), np.array([-0.0]))]
     states = [AbstractState(0, cell=cells[0])]
     ts = TransitionSystem("delayfree", states, [np.array([-0.0])],
-                          transition_arrays([0], 1, {(0, 0): (0,)}), initial=[0])
+                          transition_arrays([0], 1, {(0, 0): (0,)}))
     tokens = serialize_ts(ts).split()
     assert "-0" not in tokens
 
@@ -78,8 +76,7 @@ def test_nine_significant_digits():
     q = 0.123456789123456
     cells = [Cell(0, np.array([0.0]), np.array([1.0]), np.array([q]))]
     ts = TransitionSystem("delayfree", [AbstractState(0, cell=cells[0])],
-                          [np.array([0.0])], transition_arrays([0], 1, {}),
-                          initial=[0])
+                          [np.array([0.0])], transition_arrays([0], 1, {}))
     assert "0.123456789 " not in serialize_ts(ts)  # no trailing pad
     assert "0.123456789" in serialize_ts(ts)
 

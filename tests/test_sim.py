@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from symquant.abstraction import (AbstractState, TransitionSystem,
-                                  transition_arrays)
+                                  build_timedelay, transition_arrays)
+from symquant.dynamics import SampledCurve, TimeDelaySystem
 from symquant.frr import RefinementMap
 from symquant.sim import (Trajectory, TrajectorySample, export_trajectory,
                           run_closed_loop, validate_path)
@@ -95,17 +96,34 @@ def test_missing_assignment_mid_run(pendulum, pendulum_ts):
     assert "has no assignment in phase 0" in rep.reason
 
 
-def test_leaving_the_state_box_is_reported(pendulum, pendulum_ts):
-    # cell 4 is (-0.72, 0.72); full thrust pushes x2 past the box edge
-    iid = pendulum_ts.input_id_of([2.4])
-    ctrl = Controller([{4: iid}], [(-1,)], [{4: 1}],
-                      list(pendulum_ts.inputs), "hold")
-    F = RefinementMap.from_ts(pendulum_ts)
-    traj, rep = run_closed_loop(pendulum, ctrl, F, x0=np.array([-0.72, 0.72]),
-                                tau=0.2, max_steps=10)
-    assert not rep.completed and rep.steps == 1
-    assert "left the state box" in rep.reason
-    assert len(traj) == 1  # no sample is recorded outside the box
+@pytest.mark.parametrize("kind", ["delayfree", "timedelay"])
+def test_leaving_the_state_box_is_reported(pendulum, pendulum_ts, logparams,
+                                           kind):
+    if kind == "delayfree":
+        # cell 4 is (-0.72, 0.72); full thrust pushes x2 past the box edge
+        iid = pendulum_ts.input_id_of([2.4])
+        ctrl = Controller([{4: iid}], [(-1,)], [{4: 1}],
+                          list(pendulum_ts.inputs), "hold")
+        F = RefinementMap.from_ts(pendulum_ts)
+        traj, rep = run_closed_loop(pendulum, ctrl, F,
+                                    x0=np.array([-0.72, 0.72]),
+                                    tau=0.2, max_steps=10)
+        steps, reason = 1, "left the state box at t=0.2"
+    else:
+        # x1' = 2 under u1 = -1 from x1 = 0: every knot point through
+        # t = 0.4 lies in X, and the knot at t = 0.6 is 1.2
+        plant = TimeDelaySystem.from_strings(
+            ["3 + 0*delay(x1, 0.2) + u1"], [-1], [1], [-1], [1], Theta=0.2,
+            xi0=SampledCurve.constant(-0.2, 0.0, np.zeros(1)))
+        ts = build_timedelay(plant, 0.2, logparams, N=0,
+                             input_quantization=("uniform", 0.5))
+        traj, rep = run_closed_loop(plant, _constant_policy(ts, -1.0),
+                                    RefinementMap.from_ts(ts), xi0=plant.xi0,
+                                    tau=0.2, max_steps=10)
+        steps, reason = 3, "functional state left the state box at t=0.6"
+    assert not rep.completed and rep.steps == steps
+    assert rep.reason.endswith(reason)
+    assert len(traj) == steps  # no sample is recorded outside the box
 
 
 def test_exactly_one_initial_condition(pendulum, pendulum_ts):
@@ -134,8 +152,7 @@ def test_report_text(pendulum, pendulum_ts):
 def test_validate_path_flags_off_model_step():
     states = [AbstractState(0), AbstractState(1)]
     ts = TransitionSystem("delayfree", states, [np.array([0.0])],
-                          transition_arrays([0, 1], 1, {(0, 0): (1,)}),
-                          initial=[0, 1])
+                          transition_arrays([0, 1], 1, {(0, 0): (1,)}))
     good = Trajectory([
         TrajectorySample(0.0, np.zeros(1), np.zeros(1), 0, 0, 0),
         TrajectorySample(0.2, np.zeros(1), np.zeros(1), -1, 1, 1),
@@ -151,8 +168,7 @@ def test_validate_path_flags_off_model_step():
 def test_validate_path_skips_terminal_rows():
     states = [AbstractState(0), AbstractState(1)]
     ts = TransitionSystem("delayfree", states, [np.array([0.0])],
-                          transition_arrays([0, 1], 1, {(0, 0): (1,)}),
-                          initial=[0, 1])
+                          transition_arrays([0, 1], 1, {(0, 0): (1,)}))
     traj = Trajectory([
         TrajectorySample(0.0, np.zeros(1), np.zeros(1), -1, 0, 0),
         TrajectorySample(0.2, np.zeros(1), np.zeros(1), -1, 0, 0),

@@ -15,8 +15,7 @@ def graph_ts(n_states, n_inputs, transitions):
     ins = [np.array([float(i)]) for i in range(n_inputs)]
     return TransitionSystem("delayfree", states, ins,
                             transition_arrays(range(n_states), n_inputs,
-                                              transitions),
-                            initial=list(range(n_states)))
+                                              transitions))
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,7 @@ def delay_plant(rhs=DELAY_RHS, Theta=0.2, r=0.2, x0=(-0.72, -0.72)):
 
 def reference_build(sys, tau, log_params, zoom_assignments=None, N=0,
                     input_quantization=("uniform", 0.2), lipschitz=6.0,
-                    steps=20, growth_scale=1.0, budget=1000,
-                    on_budget="truncate", kernel=None):
+                    steps=20, growth_scale=1.0, budget=1000, kernel=None):
     """The tube model by the FIFO loop: one method-of-steps batch per
     dequeued tube, then one Partition.locate per nominal knot.  kernel, when
     given, receives the (nominal knot points, growth radius) of every pair
@@ -73,9 +72,6 @@ def reference_build(sys, tau, log_params, zoom_assignments=None, N=0,
             nominal[(tid, iid)] = succ
             if succ not in ids:
                 if len(order) >= budget:
-                    if on_budget == "error":
-                        raise RuntimeError(
-                            f"tube exploration exceeded the budget of {budget} states")
                     truncated = True
                     continue
                 ids[succ] = len(order)
@@ -98,7 +94,7 @@ def reference_build(sys, tau, log_params, zoom_assignments=None, N=0,
     return TransitionSystem("timedelay", states, inputs,
                             transition_arrays(range(len(order)), len(inputs),
                                               relation),
-                            initial=[0], partition=part, ctx=ctx,
+                            partition=part, ctx=ctx,
                             truncated=truncated)
 
 
@@ -186,16 +182,10 @@ def test_failing_level_raises_the_integration_error():
 
 @pytest.mark.parametrize("budget", range(2, 8))
 def test_budget_error_of_an_earlier_tube_comes_first(budget):
-    want = outcome(reference_build, N=0, budget=budget, on_budget="error")
-    assert outcome(build_timedelay, N=0, budget=budget, on_budget="error") == want
+    # a budget cut before the failing tubes are found truncates the model;
+    # a larger one raises their integration error, as the loop does
     want = outcome(reference_build, N=0, budget=budget)
     assert outcome(build_timedelay, N=0, budget=budget) == want
-
-
-def test_budget_error_cases_are_both_reached():
-    errors = {outcome(reference_build, N=0, budget=b, on_budget="error")[0]
-              for b in range(2, 8)}
-    assert errors == {RuntimeError, IntegrationError}
 
 
 # ---------------------------------------------------------------------------
