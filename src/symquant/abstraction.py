@@ -380,6 +380,12 @@ def _id_array(a) -> np.ndarray:
 # input lattices
 
 
+def _lattice(axes: List[List[float]]) -> List[np.ndarray]:
+    """The Cartesian product of the axes' values, the last axis fastest."""
+    return [np.array([a[i] for a, i in zip(axes, idx)])
+            for idx in np.ndindex(*map(len, axes))]
+
+
 def uniform_input_lattice(lo, hi, mu: float) -> List[np.ndarray]:
     """Integer multiples of mu inside the closed input box, ascending."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -393,10 +399,7 @@ def uniform_input_lattice(lo, hi, mu: float) -> List[np.ndarray]:
         axes.append([k * mu for k in range(k_lo, k_hi + 1)])
         if not axes[-1]:
             raise ValueError(f"input axis {j + 1} contains no multiple of {mu}")
-    out = []
-    for idx in np.ndindex(*[len(a) for a in axes]):
-        out.append(np.array([axes[j][idx[j]] for j in range(len(lo))]))
-    return out
+    return _lattice(axes)
 
 
 def log_input_lattice(lo, hi, p: LogQuantizerParams) -> List[np.ndarray]:
@@ -416,10 +419,7 @@ def log_input_lattice(lo, hi, p: LogQuantizerParams) -> List[np.ndarray]:
         if not vals:
             raise ValueError(f"input axis {j + 1} contains no quantizer level")
         axes.append(sorted(vals))
-    out = []
-    for idx in np.ndindex(*[len(a) for a in axes]):
-        out.append(np.array([axes[j][idx[j]] for j in range(len(lo))]))
-    return out
+    return _lattice(axes)
 
 
 def input_lattice(lo, hi, input_quantization) -> List[np.ndarray]:
@@ -727,10 +727,20 @@ def knot_times(N: int, a: float, b: float) -> List[float]:
     return [a + j * h for j in range(N + 2)]
 
 
+def knot_points(curve: SampledCurve, N: int) -> np.ndarray:
+    """The (N+2, n) values of a functional at the knot times of its interval
+    [t0, t1], the points psi2 locates; every knot is t1 when t0 == t1."""
+    return np.array([curve(t) for t in knot_times(N, curve.t0, curve.t1)])
+
+
+def knot_tube(points: np.ndarray, partition: Partition) -> SplineTube:
+    """The tube whose knot cells hold points, one Partition.locate per row."""
+    return SplineTube(tuple(partition.locate(p) for p in points))
+
+
 def psi2(curve: SampledCurve, partition: Partition, N: int) -> SplineTube:
-    """Abstract a functional: locate the curve at the N+2 knot times."""
-    times = knot_times(N, curve.t0, curve.t1)
-    return SplineTube(tuple(partition.locate(curve(t)) for t in times))
+    """Abstract a functional (psi2): the cells of its N+2 knot points."""
+    return knot_tube(knot_points(curve, N), partition)
 
 
 def tube_interpolant(tube: SplineTube, partition: Partition,

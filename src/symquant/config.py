@@ -153,27 +153,39 @@ class _Section:
         return val
 
     def floats(self, key: str, count: Optional[int] = None,
-               default: Optional[str] = None) -> Optional[np.ndarray]:
+               default: Optional[str] = None,
+               required: bool = False) -> Optional[np.ndarray]:
+        """The finite numbers of key; None when it is missing or empty,
+        unless it is required."""
         raw = self.raw(key, default)
-        if raw is None:
+        if not raw:
+            if required:
+                raise ConfigError(f"{self.name}.{key}: required key is missing")
             return None
-        try:
-            vals = np.array([float(v) for v in raw.split()])
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: expected numbers, got {raw!r}")
-        if count is not None and len(vals) != count:
-            raise ConfigError(f"{self.name}.{key}: expected {count} values, "
-                              f"got {len(vals)}")
+        where = f"{self.name}.{key}"
+        vals = _finite(raw.split(), where, f"expected numbers, got {raw!r}")
+        _check(count is None or len(vals) == count, where,
+               f"expected {count} values, got {len(vals)}")
         return vals
 
-    def number(self, key: str, default: Optional[str] = None) -> Optional[float]:
+    def rows(self, key: str, count: int) -> List[np.ndarray]:
+        """The finite numbers of each nonblank line of key, count per line."""
+        out = []
+        for i, row in enumerate(_rows(self.raw(key, ""))):
+            where = f"{self.name}.{key}: row {i + 1}"
+            out.append(_finite(row.split(), where, "expected numbers"))
+            _check(len(out[-1]) == count, where, f"expected {count} values")
+        return out
+
+    def number(self, key: str, default: Optional[str] = None,
+               what: str = "a number") -> Optional[float]:
         raw = self.raw(key, default)
         if raw is None:
             return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: expected a number, got {raw!r}")
+        where, bad = f"{self.name}.{key}", f"expected {what}, got {raw!r}"
+        vals = _finite(raw.split(), where, bad)
+        _check(len(vals) == 1, where, bad)
+        return float(vals[0])
 
     def integer(self, key: str, default: Optional[str] = None) -> Optional[int]:
         raw = self.raw(key, default)
@@ -190,6 +202,20 @@ class _Section:
             raise ConfigError(f"{self.name}.{key}: expected one of {options}, "
                               f"got {val!r}")
         return val
+
+
+def _finite(words: List[str], where: str, malformed: str) -> np.ndarray:
+    """The numbers written in words.  A malformed one raises
+    "where: malformed"; NaN or an infinity raises "where: expected finite
+    numbers", since no bound, quantizer parameter or point means anything
+    with one."""
+    try:
+        vals = np.array([float(v) for v in words])
+    except ValueError:
+        raise ConfigError(f"{where}: {malformed}")
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"{where}: expected finite numbers")
+    return vals
 
 
 def _check(cond: bool, where: str, msg: str) -> None:
@@ -241,34 +267,19 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
         except ExprError as err:
             raise ConfigError(f"system.f: row {i + 1}: {err}") from err
 
-    state_lo = sysc.floats("state_lo", n) if sysc.raw("state_lo") else None
-    _check(state_lo is not None, "system.state_lo", "required key is missing")
-    state_hi = sysc.floats("state_hi", n) if sysc.raw("state_hi") else None
-    _check(state_hi is not None, "system.state_hi", "required key is missing")
+    state_lo = sysc.floats("state_lo", n, required=True)
+    state_hi = sysc.floats("state_hi", n, required=True)
     _check(bool(np.all(state_lo < state_hi)), "system.state_lo",
            "state box must have nonempty interior")
-    input_lo = sysc.floats("input_lo", m) if sysc.raw("input_lo") else None
-    _check(input_lo is not None, "system.input_lo", "required key is missing")
-    input_hi = sysc.floats("input_hi", m) if sysc.raw("input_hi") else None
-    _check(input_hi is not None, "system.input_hi", "required key is missing")
+    input_lo = sysc.floats("input_lo", m, required=True)
+    input_hi = sysc.floats("input_hi", m, required=True)
     _check(bool(np.all(input_lo <= input_hi)), "system.input_lo", "input box empty")
 
     theta = sysc.number("theta", "0") or 0.0
     r = sysc.number("r", "0") or 0.0
     _check(theta >= 0, "system.theta", "must be nonnegative")
     _check(r >= 0, "system.r", "must be nonnegative")
-    xi0_rows = None
-    if sysc.raw("xi0"):
-        rows = _rows(sysc.raw("xi0"))
-        vals = []
-        for i, row in enumerate(rows):
-            try:
-                v = [float(x) for x in row.split()]
-            except ValueError:
-                raise ConfigError(f"system.xi0: row {i + 1}: expected numbers")
-            _check(len(v) == n, "system.xi0", f"row {i + 1}: expected {n} values")
-            vals.append(v)
-        xi0_rows = np.array(vals)
+    xi0_rows = np.array(sysc.rows("xi0", n)) if sysc.raw("xi0") else None
 
     tau = absc.number("tau")
     _check(tau is not None and tau > 0, "abstraction.tau", "must be positive")
@@ -290,11 +301,7 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
     if lip_raw == "sampled":
         lipschitz: Union[str, float] = "sampled-jacobian"
     else:
-        try:
-            lipschitz = float(lip_raw)
-        except ValueError:
-            raise ConfigError("abstraction.lipschitz: expected 'sampled' or a number, "
-                              f"got {lip_raw!r}")
+        lipschitz = absc.number("lipschitz", what="'sampled' or a number")
         _check(lipschitz >= 0, "abstraction.lipschitz", "must be positive or zero")
 
     steps = absc.integer("steps", str(DEFAULT_STEPS))
@@ -310,9 +317,10 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
                    f"row {i + 1}: expected 'cell M Lambda delta'")
             try:
                 cid, M = int(parts[0]), int(parts[1])
-                Lam, delta = float(parts[2]), float(parts[3])
             except ValueError:
                 raise ConfigError(f"abstraction.zoom: row {i + 1}: malformed numbers")
+            Lam, delta = _finite(parts[2:], f"abstraction.zoom: row {i + 1}",
+                                 "malformed numbers").tolist()
             _check(cid >= 0, "abstraction.zoom", f"row {i + 1}: cell id must be >= 0")
             _check(cid not in zoom, "abstraction.zoom",
                    f"row {i + 1}: duplicate cell id {cid}")
@@ -331,20 +339,11 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
         if sync.present else "reach"
     spec_mode = sync.choice("mode", ("hold", "robust"), "hold") \
         if sync.present else "hold"
-    target_points: List[np.ndarray] = []
-    if sync.present and sync.raw("targets"):
-        for i, row in enumerate(_rows(sync.raw("targets"))):
-            try:
-                v = np.array([float(x) for x in row.split()])
-            except ValueError:
-                raise ConfigError(f"synthesis.targets: row {i + 1}: expected numbers")
-            _check(len(v) == n, "synthesis.targets",
-                   f"row {i + 1}: expected {n} values")
-            target_points.append(v)
+    target_points = sync.rows("targets", n)
     max_hold = sync.integer("max_hold", "64") if sync.present else 64
     _check(max_hold >= 1, "synthesis.max_hold", "must be an integer >= 1")
 
-    x0 = runc.floats("x0", n) if runc.present and runc.raw("x0") else None
+    x0 = runc.floats("x0", n)
     max_steps = runc.integer("max_steps", "500") if runc.present else 500
     _check(max_steps >= 1, "run.max_steps", "must be an integer >= 1")
     seed = runc.integer("seed", "1") if runc.present else 1

@@ -186,8 +186,9 @@ class TimeDelaySystem(_Plant):
             raise ValueError("Theta and r must be nonnegative")
         _validate_rhs(self.f, self.n, self.m, max_theta=self.Theta)
         if self.xi0 is not None:
-            if not np.all(self.xi0.values >= self.state_lo - 1e-12) or \
-               not np.all(self.xi0.values <= self.state_hi + 1e-12):
+            v = self.xi0.values
+            # the closed box, exactly as the closed loop and locate test it
+            if not (np.all(self.state_lo <= v) and np.all(v <= self.state_hi)):
                 raise ValueError("xi0 leaves the state box")
 
     @staticmethod

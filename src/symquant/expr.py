@@ -88,7 +88,8 @@ class Expression:
 
     @property
     def fn(self) -> Callable:
-        """Generated function (x, u, history) -> float, cached on first use."""
+        """Generated function (x, u, history) -> float, cached on first use;
+        only delay() terms call history(theta), the state theta back."""
         if self._fn is None:
             self._fn = _compile(self.root, _FN)
         return self._fn
@@ -115,9 +116,6 @@ class Expression:
     def max_var_indices(self) -> tuple[int, int]:
         """Largest referenced (state, input) index, 0 if none."""
         return _max_indices(self.root)
-
-    def __call__(self, x, u, history=None) -> float:
-        return evaluate(self, x, u, history)
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -558,44 +556,6 @@ def compile_rk4(f: Sequence[Expression], m: int, vector: bool,
     ])
     exec(src, ns)
     return ns["_rk4"]
-
-
-def evaluate(e: Expression, x, u, history=None) -> float:
-    """Evaluate e at state x, input u.
-
-    history is a callable theta -> state vector (values of x at time t-theta)
-    and is required exactly when the expression contains delay terms; for
-    delay-free expressions it is ignored.
-    """
-    try:
-        return e.fn(x, u, history)
-    except TypeError:
-        if history is None and e.delays():
-            raise ExprError(f"expression {e.source!r} needs a history lookup")
-        raise
-
-
-def to_source(e: Expression) -> str:
-    """Print the AST back to parseable text; parse(to_source(e)) == e structurally."""
-    return _print(e.root)
-
-
-def _print(node: Node) -> str:
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, StateVar):
-        return f"x{node.index}"
-    if isinstance(node, InputVar):
-        return f"u{node.index}"
-    if isinstance(node, DelayVar):
-        return f"delay(x{node.index}, {node.theta!r})"
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            return f"(-{_print(node.arg)})"
-        return f"{node.op}({_print(node.arg)})"
-    if isinstance(node, Binary):
-        return f"({_print(node.left)} {node.op} {_print(node.right)})"
-    raise ExprError(f"cannot print node {node!r}")
 
 
 def validate(e: Expression, n: int, m: int, max_theta: float = 0.0) -> None:

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .abstraction import (SplineTube, TransitionSystem, _knot_widths,
-                          knot_times, tube_knot_points)
+                          knot_points, knot_tube, tube_knot_points)
 from .dynamics import SampledCurve, integrate_batch
 from .quantizers import Partition
 
@@ -57,19 +57,14 @@ class RefinementMap:
         return self.partition.locate(x)
 
     def knot_points(self, curve: SampledCurve) -> np.ndarray:
-        """The (N+2, n) points of a functional at its knot times (psi2)."""
+        """The (N+2, n) points psi2 locates for a functional of this model."""
         if self.tube_index is None or self.N is None:
             raise ValueError("map was not built over a tube model")
-        return np.array([curve(t) for t in knot_times(self.N, curve.t0, curve.t1)])
+        return knot_points(curve, self.N)
 
     def tube_at(self, points: np.ndarray) -> Optional[int]:
         """Tube id of knot_points, or None if their knot tuple is undiscovered."""
-        tube = SplineTube(tuple(self.partition.locate(p) for p in points))
-        return self.tube_index.get(tube)
-
-    def tube_of(self, curve: SampledCurve) -> Optional[int]:
-        """Tube id of a functional, or None if its knot tuple is undiscovered."""
-        return self.tube_at(self.knot_points(curve))
+        return self.tube_index.get(knot_tube(points, self.partition))
 
 
 @dataclass

@@ -211,7 +211,7 @@ def _axis_locate(lowers: List[float], uppers: List[float], mags: List[float],
                  z: float) -> int:
     """Index of the region owning z, given the regions' bounds and level
     magnitudes along one axis; boundary ties go to the smaller level."""
-    if z < lowers[0] or z > uppers[-1]:
+    if not lowers[0] <= z <= uppers[-1]:  # NaN too
         raise ValueError(f"{z} outside axis range [{lowers[0]}, {uppers[-1]}]")
     i = bisect_left(uppers, z)
     if i == len(uppers):
@@ -509,7 +509,7 @@ class Partition:
 
         A boundary point goes to the smaller level, as in locate(); zoom
         bins are the float-exact bins of _zoom_bin.  The first row that
-        locate() rejects (outside the box) raises its ValueError.
+        locate() rejects (outside the box, or NaN) raises its ValueError.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
@@ -518,14 +518,12 @@ class Partition:
         fails = np.zeros(len(X), dtype=bool)
         for i in range(self.n):
             z, uppers = X[:, i], self._upper_arrays[i]
-            fails |= (z < self._lowers[i][0]) | (z > uppers[-1])
+            fails |= ~((self._lowers[i][0] <= z) & (z <= uppers[-1]))
             j = np.minimum(np.searchsorted(uppers, z), len(uppers) - 1)
-            j[np.isnan(z)] = 0  # where bisect_left puts NaN
             j += (z == uppers[j]) & self._bump[i][j]
             bid += j * self._strides[i]
         first = self._zoom_first[bid]
         zoomed = np.flatnonzero(first >= 0)
-        fails[zoomed] |= np.isnan(X[zoomed]).any(axis=1)  # _zoom_bin raises
         if fails.any():
             self.locate(X[int(np.argmax(fails))])  # raises for that row
         if zoomed.size:

@@ -374,6 +374,30 @@ def test_bad_config_is_exit_1(ws, tmp_path, capsys):
     assert "abstraction.eta" in capsys.readouterr().err
 
 
+def test_nan_target_is_exit_1(ws, tmp_path, capsys):
+    # NaN compares false with every bound, so it used to be located in a
+    # cell and a controller written for that cell
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text(PENDULUM_INI.replace("targets =\n    0 0\n",
+                                        "targets =\n    nan 0\n"))
+    rc = main(["synthesize", "--config", str(cfg), "--model", str(ws / "model.sts"),
+               "--out", str(tmp_path / "nan.ctrl")])
+    assert rc == 1
+    assert ("error: synthesis.targets: row 1: expected finite numbers"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "nan.ctrl").exists()
+
+
+def test_xi0_one_ulp_outside_the_box_is_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "ulp.ini"
+    cfg.write_text(DELAY_INI.replace("xi0 =\n    -0.72 -0.72",
+                                     "xi0 =\n    1.0000000000000002 -0.72"))
+    rc = main(["abstract", "--config", str(cfg), "--out", str(tmp_path / "x.sts")])
+    assert rc == 1
+    assert ("error: system: xi0 leaves the state box"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("rhs,why", [
     ("1/x1 + u1", "float division by zero"),
     ("x1^0.5 + u1", "has no real value"),

@@ -72,7 +72,8 @@ def test_zero_lipschitz_constant_is_valid():
     # a right-hand side that does not depend on the state has constant 0
     cfg = parse_config_text(ini({"abstraction.lipschitz": "0"}))
     assert cfg.lipschitz == 0.0
-    with pytest.raises(ConfigError, match="must be positive or zero"):
+    with pytest.raises(ConfigError,
+                       match="abstraction.lipschitz: expected finite numbers"):
         parse_config_text(ini({"abstraction.lipschitz": "nan"}))
 
 
@@ -294,6 +295,28 @@ def test_load_config_rejects_broken_ini_syntax(tmp_path):
     ({"system.theta": "0.2", "system.r": "0.3",
       "system.f": "\n x2\n -x2 + delay(x2, 0.2) + u1"}, None,
      "system.r: must be an integer multiple"),
+    # NaN and the infinities are rejected where the number is read
+    ({"system.state_lo": "nan -1"}, None,
+     "system.state_lo: expected finite numbers"),
+    ({"system.input_hi": "inf"}, None, "system.input_hi: expected finite numbers"),
+    ({"system.theta": "nan"}, None, "system.theta: expected finite numbers"),
+    ({"system.xi0": "\n 0 0\n -inf 0"}, None,
+     "system.xi0: row 2: expected finite numbers"),
+    ({"abstraction.tau": "inf"}, None, "abstraction.tau: expected finite numbers"),
+    ({"abstraction.eta": "nan"}, None, "abstraction.eta: expected finite numbers"),
+    ({"abstraction.lipschitz": "inf"}, None,
+     "abstraction.lipschitz: expected finite numbers"),
+    ({"abstraction.growth_scale": "inf"}, None,
+     "abstraction.growth_scale: expected finite numbers"),
+    ({"abstraction.zoom": "\n 12 1 nan 0.3"}, None,
+     "abstraction.zoom: row 1: expected finite numbers"),
+    ({"abstraction.zoom": "\n 12 1 1.0 inf"}, None,
+     "abstraction.zoom: row 1: expected finite numbers"),
+    ({"synthesis.targets": "\n nan 0"}, None,
+     "synthesis.targets: row 1: expected finite numbers"),
+    ({"synthesis.targets": "\n 0 0\n 0 -inf"}, None,
+     "synthesis.targets: row 2: expected finite numbers"),
+    ({"run.x0": "nan 0"}, None, "run.x0: expected finite numbers"),
 ])
 def test_validation_messages(overrides, drop, fragment):
     with pytest.raises(ConfigError) as err:

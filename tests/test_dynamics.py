@@ -223,6 +223,21 @@ def test_both_plant_kinds_check_their_boxes(plant, box, message):
         plant.from_strings(["x1 + u1"], *box, **delay)
 
 
+@pytest.mark.parametrize("x0", [math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0),
+                                math.nan])
+def test_xi0_must_lie_in_the_closed_state_box(x0):
+    # the build locates xi0 exactly, so no tolerance: one ulp outside fails
+    # here, where the plant is made, not in Partition.locate
+    def plant(v):
+        return TimeDelaySystem.from_strings(
+            ["0*delay(x1, 0.2) + u1"], [-1], [1], [-1], [1], Theta=0.2,
+            xi0=SampledCurve.constant(-0.2, 0.0, [v]))
+
+    with pytest.raises(ValueError, match="xi0 leaves the state box"):
+        plant(x0)
+    assert plant(1.0).xi0(0.0).tolist() == [1.0]
+
+
 def test_control_system_rejects_delay_terms():
     with pytest.raises(Exception):
         ControlSystem.from_strings(["-delay(x1, 0.1)"], [-1], [1], [0], [0])

@@ -5,27 +5,27 @@ import numpy as np
 import pytest
 
 from symquant.expr import (FUNCTIONS, _FN, Binary, Const, DelayVar, ExprError,
-                           InputVar, StateVar, Unary, _vector_table, evaluate,
-                           parse, to_source, validate)
+                           InputVar, StateVar, Unary, _vector_table, parse,
+                           validate)
 
 
 def test_arithmetic_precedence():
     e = parse("1 + 2*3 - 4/2")
-    assert evaluate(e, [], []) == 5.0
+    assert e.fn([], [], None) == 5.0
 
 
 def test_power_right_associative():
-    assert evaluate(parse("2^3^2"), [], []) == 512.0
+    assert parse("2^3^2").fn([], [], None) == 512.0
 
 
 def test_power_binds_tighter_than_unary_minus():
     # -x^2 must parse as -(x^2)
-    assert evaluate(parse("-2^2"), [], []) == -4.0
+    assert parse("-2^2").fn([], [], None) == -4.0
 
 
 def test_variables_are_one_indexed():
     e = parse("x1 + 10*x2 + 100*u1")
-    assert evaluate(e, [1.0, 2.0], [3.0]) == 321.0
+    assert e.fn([1.0, 2.0], [3.0], None) == 321.0
 
 
 @pytest.mark.parametrize("src,val", [
@@ -36,26 +36,20 @@ def test_variables_are_one_indexed():
     ("abs(-2)", 2.0),
 ])
 def test_functions(src, val):
-    assert evaluate(parse(src), [], []) == pytest.approx(val, abs=1e-15)
+    assert parse(src).fn([], [], None) == pytest.approx(val, abs=1e-15)
 
 
 def test_nested_function_calls():
     e = parse("sin(cos(x1)) + exp(-x1^2)")
     x = 0.7
     want = math.sin(math.cos(x)) + math.exp(-(x ** 2))
-    assert evaluate(e, [x], []) == pytest.approx(want, rel=1e-15)
+    assert e.fn([x], [], None) == pytest.approx(want, rel=1e-15)
 
 
 def test_delay_term_uses_history_lookup():
     e = parse("delay(x2, 0.1) - x2")
     hist = lambda theta: [0.0, 5.0] if theta == 0.1 else [0.0, 1.0]
-    assert evaluate(e, [0.0, 1.0], [], hist) == 4.0
-
-
-def test_delay_requires_history():
-    e = parse("delay(x1, 0.5)")
-    with pytest.raises(ExprError):
-        evaluate(e, [1.0], [])
+    assert e.fn([0.0, 1.0], [], hist) == 4.0
 
 
 def test_delay_offset_must_be_literal():
@@ -83,17 +77,7 @@ def test_rejects_malformed_sources(src):
 
 
 def test_division_and_unary_chain():
-    assert evaluate(parse("--4 / 2"), [], []) == 2.0
-
-
-def test_roundtrip_through_to_source():
-    src = "-1.96*sin(x1) - 1.5*x2 + u1 + delay(x2, 0.2)^2"
-    e = parse(src)
-    e2 = parse(to_source(e))
-    assert e2.root == e.root
-    x, u = [0.3, -0.4], [1.1]
-    hist = lambda theta: [0.3, 0.25]
-    assert evaluate(e2, x, u, hist) == evaluate(e, x, u, hist)
+    assert parse("--4 / 2").fn([], [], None) == 2.0
 
 
 def test_validate_checks_dimensions():
@@ -116,15 +100,15 @@ def test_delays_collects_pairs():
 
 
 def test_float_literals():
-    assert evaluate(parse("1.5e-3 + .25"), [], []) == pytest.approx(0.25150)
+    assert parse("1.5e-3 + .25").fn([], [], None) == pytest.approx(0.25150)
 
 
 def test_fractional_power_of_negative_base_is_an_error():
     # Python's ** would return a complex number here
     with pytest.raises(ExprError, match="no real value"):
-        evaluate(parse("x1^0.5"), [-0.25], [])
-    assert evaluate(parse("x1^0.5"), [0.25], []) == 0.5
-    assert evaluate(parse("x1^2"), [-0.5], []) == 0.25
+        parse("x1^0.5").fn([-0.25], [], None)
+    assert parse("x1^0.5").fn([0.25], [], None) == 0.5
+    assert parse("x1^2").fn([-0.5], [], None) == 0.25
 
 
 def test_vector_form_matches_scalar_and_pickles():
@@ -267,11 +251,3 @@ def test_generated_function_errors_equal_the_reference(src, x):
         e.fn(x, [1.0], None)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
-    with pytest.raises(Exception) as via_evaluate:
-        evaluate(e, x, [1.0])
-    if "delay" in src:
-        assert type(via_evaluate.value) is ExprError
-        assert "needs a history lookup" in str(via_evaluate.value)
-    else:
-        assert type(via_evaluate.value) is type(want.value)
-        assert str(via_evaluate.value) == str(want.value)

@@ -176,10 +176,17 @@ def test_sampled_timedelay_catches_sabotage(pendulum_delay, logparams):
 
 
 def test_tube_of_maps_discovered_histories(pendulum_delay_ts):
+    from symquant.abstraction import psi2
     from symquant.dynamics import SampledCurve
     F = RefinementMap.from_ts(pendulum_delay_ts)
+
+    def tube_of(curve):
+        tube = psi2(curve, pendulum_delay_ts.partition, F.N)
+        assert F.tube_at(F.knot_points(curve)) == F.tube_index.get(tube)
+        return F.tube_index.get(tube)
+
     curve = SampledCurve.constant(-0.2, 0.0, np.array([-0.72, -0.72]))
-    assert F.tube_of(curve) == 0
+    assert tube_of(curve) == 0
     # an arbitrary knot pair that the reachable exploration never produced
     discovered = {s.tube.knots for s in pendulum_delay_ts.states}
     all_pairs = [(a, b) for a in range(25) for b in range(25)]
@@ -189,4 +196,4 @@ def test_tube_of_maps_discovered_histories(pendulum_delay_ts):
         a, b = missing[0]
         vals = np.array([part.cell(a).quantized_point,
                          part.cell(b).quantized_point])
-        assert F.tube_of(SampledCurve(-0.2, 0.0, vals)) is None
+        assert tube_of(SampledCurve(-0.2, 0.0, vals)) is None

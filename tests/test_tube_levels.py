@@ -250,6 +250,16 @@ def test_locate_batch_raises_for_the_first_row_outside():
     with pytest.raises(ValueError) as got:
         part.locate_batch(X)
     assert str(got.value) == str(want.value)
+    # NaN lies outside every axis, like +-inf, in a plain or a zoomed cell
+    nan, inf = math.nan, math.inf
+    for p in partitions()[:2]:
+        for bad in ([nan, 0.0], [0.0, nan], [nan, nan], [inf, 0.0],
+                    [0.0, -inf], [-0.95, nan], [nan, -0.95]):
+            with pytest.raises(ValueError, match="outside axis range") as want:
+                p.locate(bad)
+            with pytest.raises(ValueError) as got:
+                p.locate_batch([[0.0, 0.0], bad, [-2.0, 0.0]])
+            assert str(got.value) == str(want.value)
     assert part.locate_batch(np.zeros((0, 2))).shape == (0,)
     with pytest.raises(ValueError):
         part.locate_batch(np.zeros(2))
