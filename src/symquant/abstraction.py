@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from array import array
 from collections.abc import Mapping
 from contextlib import suppress
-from itertools import repeat
+from itertools import product, repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -382,8 +382,7 @@ def _id_array(a) -> np.ndarray:
 
 def _lattice(axes: List[List[float]]) -> List[np.ndarray]:
     """The Cartesian product of the axes' values, the last axis fastest."""
-    return [np.array([a[i] for a, i in zip(axes, idx)])
-            for idx in np.ndindex(*map(len, axes))]
+    return [np.array(u) for u in product(*axes)]
 
 
 def uniform_input_lattice(lo, hi, mu: float) -> List[np.ndarray]:
@@ -516,7 +515,7 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
                 x1[k, iid] = integrate(sys, cells[k].quantized_point, u, ctx.tau, ctx.steps)
         ends = x1[k0:k1]
         # a pair is blocked when its nominal endpoint leaves X
-        blocked = ((ends < sys.state_lo) | (ends > sys.state_hi)).any(axis=2).ravel()
+        blocked = ~sys.inside(ends).ravel()
         # one row per (cell, input), the CSR row order
         box_lo = (ends - radius[k0:k1]).reshape(-1, sys.n)
         box_hi = (ends + radius[k0:k1]).reshape(-1, sys.n)
@@ -834,7 +833,6 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
     ids: Dict[Tuple[int, ...], int] = {init: 0}
     n_in = len(inputs)
     U = np.array(inputs).T
-    lo, hi = sys.state_lo[:, None], sys.state_hi[:, None]
     # per level, the CSR rows of the pairs kept, and the nominal knot
     # points of all its pairs (tubes, I, J, n)
     rows: List[np.ndarray] = []
@@ -847,12 +845,12 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
         H = np.stack([tube_interpolant(t, part, sys.Theta).values for t in level],
                      axis=2)
         knots = tube_knot_points(sys, np.repeat(H, n_in, axis=2),
-                                 np.tile(U, len(level)), tau, steps, thetas)
+                                 np.tile(U, len(level)), tau, steps,
+                                 thetas).transpose(2, 0, 1)  # (pairs, J, n)
         # a pair is blocked when a nominal knot leaves X
-        cols = np.flatnonzero(~np.any((knots < lo) | (knots > hi), axis=(0, 1)))
-        pts = knots[:, :, cols].transpose(2, 0, 1)
+        cols = np.flatnonzero(sys.inside(knots).all(axis=1))
         found = np.ones(len(cols), dtype=bool)
-        located = part.locate_batch(pts.reshape(-1, sys.n)).reshape(-1, len(thetas))
+        located = part.locate_batch(knots[cols].reshape(-1, sys.n)).reshape(-1, len(thetas))
         for p, succ in enumerate(map(tuple, located.tolist())):
             if succ not in ids:
                 if len(order) >= budget:
@@ -862,8 +860,7 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
                 ids[succ] = len(order)
                 order.append(succ)
         rows.append(head * n_in + cols[found])
-        levels.append(knots.transpose(2, 0, 1)
-                      .reshape(len(level), n_in, len(thetas), sys.n))
+        levels.append(knots.reshape(len(level), n_in, len(thetas), sys.n))
         head += len(level)
     endpoints = np.concatenate(levels)  # (T, I, J, n)
     radius = np.array([max(_knot_widths(SplineTube(t), part)) for t in order]) * amp

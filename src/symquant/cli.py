@@ -98,8 +98,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    refined = bool(cfg.zoom) and not cfg.is_timedelay()
-    ts = _load_model_checked(cfg, args.model, refined=refined)
+    ts = _load_model_checked(cfg, args.model, refined=True)
     if not cfg.target_points:
         raise _DomainError("synthesis.targets: no target points configured")
     spec = cfg.specification(ts)
@@ -128,7 +127,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if cfg.x0 is None:
             raise _DomainError("run.x0: required to simulate")
         # a delay-free run only locates points: no transitions needed
-        fmap = RefinementMap(cfg.partition(refined=bool(cfg.zoom)))
+        fmap = RefinementMap(cfg.partition(refined=True))
         traj, report = run_closed_loop(sys_, ctrl, fmap, x0=np.asarray(cfg.x0),
                                        tau=cfg.tau, max_steps=cfg.max_steps,
                                        steps=cfg.steps)
@@ -142,8 +141,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_verify_frr(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    refined = bool(cfg.zoom) and not cfg.is_timedelay()
-    ts = _load_model_checked(cfg, args.model, refined=refined)
+    ts = _load_model_checked(cfg, args.model, refined=True)
     samples = cfg.samples if args.samples is None else args.samples
     seed = cfg.seed if args.seed is None else args.seed
     if cfg.is_timedelay():

@@ -39,18 +39,14 @@ class AppConfig:
     system: Union[ControlSystem, TimeDelaySystem]  # built once, by parse_config
 
     tau: float
-    variant: str
-    eta: float
-    d: float
-    input_quantizer: str
-    mu: float
-    input_eta: float
-    input_d: float
+    log_params: LogQuantizerParams
+    # ("uniform", mu) or ("log", LogQuantizerParams)
+    input_quantization: Tuple[str, Union[float, LogQuantizerParams]]
     lipschitz: Union[str, float]
     steps: int
     growth_scale: float
     zoom: Dict[int, ZoomQuantizerParams]
-    N: Optional[int]
+    N: int  # spline knot count, resolved from the zoom rows when not given
     budget: int
 
     spec_kind: str
@@ -65,45 +61,32 @@ class AppConfig:
 
     # -- derived builders ----------------------------------------------------
 
-    def log_params(self) -> LogQuantizerParams:
-        return LogQuantizerParams(self.eta, self.d, self.variant)
-
-    def input_quantization(self):
-        if self.input_quantizer == "uniform":
-            return ("uniform", self.mu)
-        return ("log", LogQuantizerParams(self.input_eta, self.input_d, self.variant))
-
     def is_timedelay(self) -> bool:
         return isinstance(self.system, TimeDelaySystem)
 
-    def spline_N(self) -> int:
-        if self.N is not None:
-            return self.N
-        if self.zoom:
-            M = max(z.M for z in self.zoom.values())
-            return max(0, min(8, M * M) - 2)
-        return 0
-
     def build_model(self, refined: bool = False) -> TransitionSystem:
+        """The model of the config; see partition for refined.  A tube
+        model always takes the zoom rows, at build time."""
         if self.is_timedelay():
-            return build_timedelay(self.system, self.tau, self.log_params(),
+            return build_timedelay(self.system, self.tau, self.log_params,
                                    zoom_assignments=self.zoom or None,
-                                   N=self.spline_N(),
-                                   input_quantization=self.input_quantization(),
+                                   N=self.N,
+                                   input_quantization=self.input_quantization,
                                    lipschitz=self.lipschitz, steps=self.steps,
                                    growth_scale=self.growth_scale,
                                    budget=self.budget)
-        return build_delayfree(self.system, self.tau, self.log_params(),
-                               input_quantization=self.input_quantization(),
+        return build_delayfree(self.system, self.tau, self.log_params,
+                               input_quantization=self.input_quantization,
                                lipschitz=self.lipschitz, steps=self.steps,
                                growth_scale=self.growth_scale,
                                partition=self.partition(refined))
 
     def partition(self, refined: bool = False) -> Partition:
-        """The delay-free state lattice, zoom-refined when refined is set."""
+        """The delay-free state lattice, zoom-refined by the zoom rows when
+        refined is set and there are any."""
         part = Partition(self.system.state_lo, self.system.state_hi,
-                         self.log_params())
-        return part.refined(self.zoom) if refined else part
+                         self.log_params)
+        return part.refined(self.zoom) if refined and self.zoom else part
 
     def specification(self, ts: TransitionSystem) -> Specification:
         if ts.partition is None:
@@ -296,6 +279,9 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
     if input_quantizer == "log":
         _check(0 < input_eta < 1, "abstraction.input_eta", "must be in (0, 1)")
         _check(input_d > 0, "abstraction.input_d", "must be positive")
+        input_quantization = ("log", LogQuantizerParams(input_eta, input_d, variant))
+    else:
+        input_quantization = ("uniform", mu)
 
     lip_raw = absc.raw("lipschitz", "sampled")
     if lip_raw == "sampled":
@@ -329,9 +315,13 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
             except ValueError as err:
                 raise ConfigError(f"abstraction.zoom: row {i + 1}: {err}") from err
 
-    N = absc.integer("N") if absc.raw("N") else None
-    if N is not None:
+    if absc.raw("N"):
+        N = absc.integer("N")
         _check(N >= 0, "abstraction.N", "must be an integer >= 0")
+    else:
+        # without N, the largest zoom M sets it; no zoom rows give 0
+        M = max((z.M for z in zoom.values()), default=0)
+        N = max(0, min(8, M * M) - 2)
     budget = absc.integer("budget", "1000")
     _check(budget >= 1, "abstraction.budget", "must be an integer >= 1")
 
@@ -364,9 +354,10 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
                                    exprs)
     except (ValueError, ExprError) as err:
         raise ConfigError(f"system: {err}") from err
-    return AppConfig(system=system, tau=tau, variant=variant, eta=eta, d=d,
-                     input_quantizer=input_quantizer, mu=mu, input_eta=input_eta,
-                     input_d=input_d, lipschitz=lipschitz, steps=steps,
+    return AppConfig(system=system, tau=tau,
+                     log_params=LogQuantizerParams(eta, d, variant),
+                     input_quantization=input_quantization,
+                     lipschitz=lipschitz, steps=steps,
                      growth_scale=growth_scale, zoom=zoom, N=N, budget=budget,
                      spec_kind=spec_kind, spec_mode=spec_mode,
                      target_points=target_points, max_hold=max_hold,

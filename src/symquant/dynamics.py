@@ -119,6 +119,12 @@ class _Plant:
             raise ValueError("input box empty")
         object.__setattr__(self, "f", tuple(self.f))
 
+    def inside(self, points) -> np.ndarray:
+        """Whether each point lies in the closed state box X, coordinates on
+        the last axis: a face counts as inside, NaN as outside."""
+        points = np.asarray(points, dtype=float)
+        return np.all((self.state_lo <= points) & (points <= self.state_hi), axis=-1)
+
 
 @dataclass(frozen=True)
 class ControlSystem(_Plant):
@@ -185,11 +191,8 @@ class TimeDelaySystem(_Plant):
         if self.Theta < 0 or self.r < 0:
             raise ValueError("Theta and r must be nonnegative")
         _validate_rhs(self.f, self.n, self.m, max_theta=self.Theta)
-        if self.xi0 is not None:
-            v = self.xi0.values
-            # the closed box, exactly as the closed loop and locate test it
-            if not (np.all(self.state_lo <= v) and np.all(v <= self.state_hi)):
-                raise ValueError("xi0 leaves the state box")
+        if self.xi0 is not None and not self.inside(self.xi0.values).all():
+            raise ValueError("xi0 leaves the state box")
 
     @staticmethod
     def from_strings(rhs: Sequence[str], state_lo, state_hi, input_lo, input_hi,

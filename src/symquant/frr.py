@@ -49,8 +49,7 @@ class RefinementMap:
             raise ValueError("model carries no partition; rebuild from config")
         if ts.kind == "timedelay":
             index = {s.tube: s.id for s in ts.states}
-            n = len(ts.states[0].tube.knots) - 2
-            return RefinementMap(ts.partition, index, n)
+            return RefinementMap(ts.partition, index, ts.states[0].tube.N)
         return RefinementMap(ts.partition)
 
     def locate(self, x) -> int:
@@ -290,23 +289,20 @@ def sample_frr_delayfree(ts: TransitionSystem, n_samples: int,
             continue
         drawn.append((x, x2, enabled[int(rng.integers(len(enabled)))]))
     violations: List[Violation] = []
-    checked = 0
-    if drawn:
-        X = np.array([x for x, _, _ in drawn]).T
-        U = np.array([ts.inputs[iid] for _, _, iid in drawn]).T
-        X_next = integrate_batch(sys, X, U, ctx.tau, ctx.steps)
-    for j, (x, x2, iid) in enumerate(drawn):
-        x_next = X_next[:, j].copy()
-        if np.any(x_next < sys.state_lo) or np.any(x_next > sys.state_hi):
-            skipped += 1
-            continue
-        q_next = part.locate(x_next)
+    if not drawn:
+        return FrrReport(n_samples, 0, skipped, violations, seed)
+    X = np.array([x for x, _, _ in drawn]).T
+    U = np.array([ts.inputs[iid] for _, _, iid in drawn]).T
+    X_next = integrate_batch(sys, X, U, ctx.tau, ctx.steps).T
+    kept = np.flatnonzero(sys.inside(X_next))
+    skipped += len(drawn) - len(kept)
+    for j, q_next in zip(kept.tolist(), part.locate_batch(X_next[kept]).tolist()):
+        x, x2, iid = drawn[j]
         allowed = ts.successors(x2, iid)
-        checked += 1
         if q_next not in allowed:
-            violations.append(Violation(x, ts.inputs[iid], x_next, x2,
+            violations.append(Violation(x, ts.inputs[iid], X_next[j].copy(), x2,
                                         q_next, allowed))
-    return FrrReport(n_samples, checked, skipped, violations, seed)
+    return FrrReport(n_samples, len(kept), skipped, violations, seed)
 
 
 _EDGE = 1e-9
@@ -361,8 +357,7 @@ def sample_frr_timedelay(ts: TransitionSystem, n_samples: int,
     U = np.array(ts.inputs)[iids].T
     samples = tube_knot_points(sys, pts if sys.Theta > 0.0 else pts[-1:], U,
                                ctx.tau, ctx.steps, ctx.knot_thetas)
-    lo, hi = sys.state_lo[:, None], sys.state_hi[:, None]
-    inside = np.flatnonzero(~np.any((samples < lo) | (samples > hi), axis=(0, 1)))
+    inside = np.flatnonzero(sys.inside(samples.transpose(2, 0, 1)).all(axis=1))
     skipped += len(sids) - len(inside)
     if not inside.size:
         return FrrReport(n_samples, 0, skipped, violations, seed)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import product
 from math import floor
 from typing import Dict, List, Optional, Tuple
 
@@ -207,6 +208,15 @@ def _axis_regions(lo: float, hi: float, p: LogQuantizerParams) -> List[AxisRegio
     return clipped  # box touches no lattice point; keep the raw slivers
 
 
+def _grid_cells(axes: List[List[AxisRegion]], first_id: int) -> List[Cell]:
+    """The cells of the product of the per-axis regions, ids counting from
+    first_id in row-major order (last axis fastest)."""
+    return [Cell(first_id + k, np.array([r.lower for r in regions]),
+                 np.array([r.upper for r in regions]),
+                 np.array([r.level for r in regions]))
+            for k, regions in enumerate(product(*axes))]
+
+
 def _axis_locate(lowers: List[float], uppers: List[float], mags: List[float],
                  z: float) -> int:
     """Index of the region owning z, given the regions' bounds and level
@@ -308,44 +318,27 @@ def _zoom_axis_ks(lo: float, hi: float, p: ZoomQuantizerParams) -> List[int]:
     return ks
 
 
-def zoom_lattice(cell: Cell, p: ZoomQuantizerParams, start_id: int = 0) -> List[Cell]:
-    """Refine one cell into zoom subcells (row-major ids from start_id).
+def _zoom_axes(cell: Cell, p: ZoomQuantizerParams) -> List[List[AxisRegion]]:
+    """Per axis, the zoom bins [(k-0.5)w, (k+0.5)w] of the retained k,
+    clipped to the cell; leftover remainders at the cell edges join the
+    outermost bin."""
+    w = p.width
+    axes = []
+    for lo, hi in zip(cell.lower.tolist(), cell.upper.tolist()):
+        ks = _zoom_axis_ks(lo, hi, p)
+        axes.append([AxisRegion(lo if j == 0 else (k - 0.5) * w,
+                                hi if j == len(ks) - 1 else (k + 0.5) * w, k * w)
+                     for j, k in enumerate(ks)])
+    return axes
 
-    Subcells are the bins [(k-0.5)w, (k+0.5)w] clipped to the cell; leftover
-    remainders at the cell edges join the outermost subcell.  delta = 0
-    returns the cell unchanged.
+
+def zoom_lattice(cell: Cell, p: ZoomQuantizerParams, start_id: int = 0) -> List[Cell]:
+    """Refine one cell into zoom subcells (row-major ids from start_id), the
+    product of its _zoom_axes bins.  delta = 0 returns the cell unchanged.
     """
     if p.delta == 0.0:
         return [cell]
-    n = len(cell.lower)
-    w = p.width
-    axis_bins: List[List[Tuple[float, float, float]]] = []
-    for i in range(n):
-        ks = _zoom_axis_ks(float(cell.lower[i]), float(cell.upper[i]), p)
-        bins = []
-        for j, k in enumerate(ks):
-            b_lo = cell.lower[i] if j == 0 else (k - 0.5) * w
-            b_hi = cell.upper[i] if j == len(ks) - 1 else (k + 0.5) * w
-            bins.append((float(b_lo), float(b_hi), k * w))
-        axis_bins.append(bins)
-
-    cells: List[Cell] = []
-    idx = [0] * n
-    sid = start_id
-    while True:
-        lo = np.array([axis_bins[i][idx[i]][0] for i in range(n)])
-        hi = np.array([axis_bins[i][idx[i]][1] for i in range(n)])
-        q = np.array([axis_bins[i][idx[i]][2] for i in range(n)])
-        cells.append(Cell(sid, lo, hi, q))
-        sid += 1
-        # row-major increment, last axis fastest
-        for i in range(n - 1, -1, -1):
-            idx[i] += 1
-            if idx[i] < len(axis_bins[i]):
-                break
-            idx[i] = 0
-        else:
-            return cells
+    return _grid_cells(_zoom_axes(cell, p), start_id)
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +391,7 @@ class Partition:
         self._upper_arrays = [np.array(u) for u in self._uppers]
         self._bump = [np.array([m[j + 1] < m[j] for j in range(len(m) - 1)] + [False])
                       for m in self._mags]
-        self.base_cells: List[Cell] = []
-        for flat in range(int(np.prod(self._shape))):
-            idx = np.unravel_index(flat, self._shape)
-            lo = np.array([self.axes[i][idx[i]].lower for i in range(self.n)])
-            hi = np.array([self.axes[i][idx[i]].upper for i in range(self.n)])
-            q = np.array([self.axes[i][idx[i]].level for i in range(self.n)])
-            self.base_cells.append(Cell(flat, lo, hi, q))
+        self.base_cells = _grid_cells(self.axes, 0)
         self.zoom: Dict[int, _ZoomedCell] = {}
         self._rebuild_active()
 
@@ -416,18 +403,13 @@ class Partition:
         self._zoom_bins: Dict[int, _ZoomBins] = {}
         for bid in sorted(self.zoom):
             z = self.zoom[bid]
-            base = self.base_cells[bid]
-            subs = zoom_lattice(base, z.params, start_id=z.first_id)
+            axes = _zoom_axes(self.base_cells[bid], z.params)
+            subs = _grid_cells(axes, z.first_id)
             self.cells.extend(subs)
             self._zoom_of.update((c.id, z.params) for c in subs)
-            # bin j of axis i bounds the subcell at row-major offset j*stride
-            strides = _strides(z.shape)
-            axes = [[subs[j * st] for j in range(size)]
-                    for st, size in zip(strides, z.shape)]
             self._zoom_bins[bid] = _ZoomBins(
-                [[float(c.lower[i]) for c in ax] for i, ax in enumerate(axes)],
-                [[float(c.upper[i]) for c in ax] for i, ax in enumerate(axes)],
-                strides)
+                [[r.lower for r in ax] for ax in axes],
+                [[r.upper for r in ax] for ax in axes], _strides(z.shape))
         self.cells.sort(key=lambda c: c.id)
         self._by_id = {c.id: c for c in self.cells}
         # cell bounds by id (NaN on retired ids) and, per base cell, the

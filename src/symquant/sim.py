@@ -89,7 +89,7 @@ def run_closed_loop(sys, controller: Controller, F: RefinementMap,
             x, points = state(state.t1), F.knot_points(state)
         else:
             x = points = state
-        if np.any(points < sys.state_lo) or np.any(points > sys.state_hi):
+        if not sys.inside(points).all():
             reason = (f"functional state left the state box at t={t:.9g}"
                       if tube else
                       f"state {x.tolist()} left the state box at t={t:.9g}")

@@ -164,11 +164,10 @@ def _hold_reach(ts: TransitionSystem, targets: List[Tuple[int, ...]], max_hold: 
     X = ts.endpoints.reshape(-1, sys.n).T
     U = np.tile(np.array(ts.inputs), (len(ids), 1)).T
     live = np.arange(X.shape[1], dtype=np.int32)  # CSR rows, ascending
-    lo, hi = sys.state_lo[:, None], sys.state_hi[:, None]
     for k in range(1, max_hold + 1):
         if k > 1:
             X = integrate_batch(sys, X, U[:, live], ctx.tau, ctx.steps)
-        inside = np.all((X >= lo) & (X <= hi), axis=0)
+        inside = sys.inside(X.T)
         X, live = X[:, inside], live[inside]
         cells = ts.partition.locate_batch(X.T)
         for won_t, goal_t, (policy, dist) in zip(won, goal, tables):

@@ -5,6 +5,7 @@ from symquant.abstraction import refine_cells
 from symquant.config import AppConfig, ConfigError, load_config, parse_config_text
 from symquant.dynamics import ControlSystem, TimeDelaySystem
 from symquant.model_io import serialize_ts
+from symquant.quantizers import LogQuantizerParams
 
 
 BASE = {
@@ -50,11 +51,14 @@ def ini(overrides=None, drop=None):
 def test_minimal_config_parses_with_defaults():
     cfg = parse_config_text(ini())
     assert (cfg.system.n, cfg.system.m) == (2, 1)
-    assert cfg.variant == "EQ20"
+    assert cfg.log_params == LogQuantizerParams(0.2, 0.4, "EQ20")
     assert cfg.lipschitz == 6.0
-    assert cfg.input_quantizer == "uniform" and cfg.mu == 0.2
+    assert cfg.input_quantization == ("uniform", 0.2)
+    # a log input quantizer takes the state quantizer's eta and d by default
+    log_in = parse_config_text(ini({"abstraction.input_quantizer": "log"}))
+    assert log_in.input_quantization == ("log", LogQuantizerParams(0.2, 0.4, "EQ20"))
     assert cfg.growth_scale == 1.0
-    assert cfg.zoom == {} and cfg.N is None and cfg.budget == 1000
+    assert cfg.zoom == {} and cfg.N == 0 and cfg.budget == 1000
     assert cfg.spec_kind == "reach" and cfg.spec_mode == "hold"
     assert cfg.max_hold == 64
     assert cfg.x0 is None and cfg.max_steps == 500
@@ -110,12 +114,12 @@ def test_zoom_rows_and_spline_default():
     cfg = parse_config_text(ini({"abstraction.zoom": "\n 12 1 1.0 0.3\n 0 10 1.0 0.1"}))
     assert set(cfg.zoom) == {0, 12}
     assert cfg.zoom[12].M == 1 and cfg.zoom[12].delta == 0.3
-    assert cfg.spline_N() == max(0, min(8, 100) - 2)
+    assert cfg.N == max(0, min(8, 100) - 2)
     cfg2 = parse_config_text(ini({"abstraction.zoom": "\n 12 1 1.0 0.3"}))
-    assert cfg2.spline_N() == 0
+    assert cfg2.N == 0
     cfg3 = parse_config_text(ini({"abstraction.N": "4"}))
-    assert cfg3.spline_N() == 4
-    assert parse_config_text(ini()).spline_N() == 0
+    assert cfg3.N == 4
+    assert parse_config_text(ini()).N == 0
 
 
 def test_build_model_and_specification():

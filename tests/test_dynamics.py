@@ -238,6 +238,20 @@ def test_xi0_must_lie_in_the_closed_state_box(x0):
     assert plant(1.0).xi0(0.0).tolist() == [1.0]
 
 
+@pytest.mark.parametrize("kind", ["delayfree", "timedelay"])
+def test_inside_is_the_closed_state_box(pendulum, pendulum_delay, kind):
+    plant = pendulum if kind == "delayfree" else pendulum_delay  # X = [-1, 1]^2
+    edge = math.nextafter(1.0, 2.0)
+    pts = np.array([[1.0, -1.0], [0.0, 0.0], [0.0, edge], [np.nan, 0.0],
+                    [0.0, np.inf], [-np.inf, 0.0], [-1.0, 1.0]])
+    want = [True, True, False, False, False, False, True]
+    assert plant.inside(pts[0]).shape == () and plant.inside(pts[0])
+    assert not plant.inside(pts[3])
+    assert plant.inside(pts).tolist() == want  # (K, n)
+    knots = np.stack([pts, pts[::-1]], axis=1)  # (K, J, n)
+    assert plant.inside(knots).tolist() == [list(w) for w in zip(want, want[::-1])]
+
+
 def test_control_system_rejects_delay_terms():
     with pytest.raises(Exception):
         ControlSystem.from_strings(["-delay(x1, 0.1)"], [-1], [1], [0], [0])

@@ -293,3 +293,27 @@ def test_intersecting_equals_a_brute_force_scan(box, params, zoom):
         want = [c.id for c in part.cells if c.intersects(lo, hi)]
         assert part.intersecting(lo, hi) == want, (lo, hi)
     assert part.intersecting([np.nan] * n, [box[1]] * n) == []
+    # ids count row-major, last axis fastest: base cell k is the product of
+    # the axis regions at np.unravel_index(k, shape), and a zoom subcell
+    # the product of its base cell's per-axis bins at its offset from the
+    # first subcell id
+    shape = tuple(len(ax) for ax in part.axes)
+    for k, c in enumerate(part.base_cells):
+        regions = [part.axes[i][j] for i, j in enumerate(np.unravel_index(k, shape))]
+        assert c.id == k
+        assert c.lower.tolist() == [r.lower for r in regions]
+        assert c.upper.tolist() == [r.upper for r in regions]
+        assert c.quantized_point.tolist() == [r.level for r in regions]
+    for bid, z in part.zoom.items():
+        base = part.base_cells[bid]
+        subs = [c for c in part.cells if part.zoom_params_of(c.id) is z.params]
+        bins = [sorted({(c.lower[i], c.upper[i]) for c in subs}) for i in range(n)]
+        sub_shape = tuple(len(b) for b in bins)
+        assert len(subs) == int(np.prod(sub_shape))
+        for i, b in enumerate(bins):  # the bins tile the base cell's axis
+            assert b[0][0] == base.lower[i] and b[-1][1] == base.upper[i]
+            assert all(prev[1] == nxt[0] for prev, nxt in zip(b, b[1:]))
+        for c in subs:
+            at = np.unravel_index(c.id - z.first_id, sub_shape)
+            assert [bins[i][j] for i, j in enumerate(at)] == \
+                list(zip(c.lower.tolist(), c.upper.tolist()))

@@ -96,10 +96,19 @@ def test_missing_assignment_mid_run(pendulum, pendulum_ts):
     assert "has no assignment in phase 0" in rep.reason
 
 
-@pytest.mark.parametrize("kind", ["delayfree", "timedelay"])
+@pytest.mark.parametrize("kind", ["delayfree", "nan", "timedelay"])
 def test_leaving_the_state_box_is_reported(pendulum, pendulum_ts, logparams,
                                            kind):
-    if kind == "delayfree":
+    if kind == "nan":
+        # NaN lies outside X, so the run ends at the box test instead of
+        # reaching point location, which raises on it
+        ctrl, _ = synthesize_reach(pendulum_ts, [12], mode="hold")
+        traj, rep = run_closed_loop(pendulum, ctrl,
+                                    RefinementMap(pendulum_ts.partition),
+                                    x0=np.array([np.nan, 0.0]),
+                                    tau=0.2, max_steps=10)
+        steps, reason = 0, "state [nan, 0.0] left the state box at t=0"
+    elif kind == "delayfree":
         # cell 4 is (-0.72, 0.72); full thrust pushes x2 past the box edge
         iid = pendulum_ts.input_id_of([2.4])
         ctrl = Controller([{4: iid}], [(-1,)], [{4: 1}],
