@@ -78,15 +78,17 @@ from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
 from .quantizers import Cell, LogQuantizerParams, Partition, ZoomQuantizerParams
 
 
-def growth_bound_delayfree(q1, eta: float, L1, tau: float) -> np.ndarray:
+def growth_bound_delayfree(q1, eta, L1, tau: float) -> np.ndarray:
     """Box radius theta1*e^(L1 tau)*(|q1|+E), E = 1 on zero components.
 
     q1 is one quantized point (n,) with a float L1, or C points (C, n)
     with L1 a (C,) array: row k of the radius is the bound of q1[k] under
-    L1[k].  L1 = 0 is allowed: a right-hand side that does not depend on
-    the state keeps the radius theta1*(|q1|+E).
+    L1[k].  eta is one float or one per axis, (n,), and theta1 =
+    eta/(1-eta) is taken per axis.  L1 = 0 is allowed: a right-hand side
+    that does not depend on the state keeps the radius theta1*(|q1|+E).
     """
-    if not 0.0 < eta < 1.0:
+    eta = np.asarray(eta, dtype=float)
+    if not np.all((0.0 < eta) & (eta < 1.0)):
         raise ValueError("eta must be in (0,1)")
     L1 = np.asarray(L1, dtype=float)
     if not (np.all(L1 >= 0) and tau > 0):
@@ -438,9 +440,9 @@ def input_lattice(lo, hi, input_quantization) -> List[np.ndarray]:
 def _growth_radii(part: Partition, cells: List[Cell], L: np.ndarray,
                   tau: float, scale: float) -> np.ndarray:
     """(C, n) growth radii, row k for cells[k] under Lipschitz constant L[k]:
-    the log formula, or e^(L tau)*s on zoom subcells, s the subcell's
-    largest spread."""
-    eta = part.params[0].eta
+    the log formula under each axis's eta, or e^(L tau)*s on zoom
+    subcells, s the subcell's largest spread."""
+    eta = [p.eta for p in part.params]
     q = np.array([c.quantized_point for c in cells])
     radius = growth_bound_delayfree(q, eta, L, tau)
     zoomed = [k for k, c in enumerate(cells) if part.zoom_params_of(c.id) is not None]

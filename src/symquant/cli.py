@@ -140,6 +140,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_frr(args: argparse.Namespace) -> int:
+    for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
+        if value is not None and value < 0:
+            raise _DomainError(f"{flag}: must be nonnegative, got {value}")
     cfg = load_config(args.config)
     ts = _load_model_checked(cfg, args.model, refined=True)
     samples = cfg.samples if args.samples is None else args.samples

@@ -337,6 +337,7 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
     max_steps = runc.integer("max_steps", "500") if runc.present else 500
     _check(max_steps >= 1, "run.max_steps", "must be an integer >= 1")
     seed = runc.integer("seed", "1") if runc.present else 1
+    _check(seed >= 0, "run.seed", "must be nonnegative")
     samples = runc.integer("samples", "1000") if runc.present else 1000
     _check(samples >= 0, "run.samples", "must be nonnegative")
 

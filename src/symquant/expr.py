@@ -1,27 +1,28 @@
 """Parser and evaluator for vector-field expressions.
 
 Systems are declared in config files as one scalar expression per state
-component, written over the variables x1..xn (state), u1..um (input) and
-delayed state references delay(xi, theta).  The grammar is standard infix:
-
-    expr    := term (('+' | '-') term)*
-    term    := factor (('*' | '/') factor)*
-    factor  := '-' factor | power
-    power   := atom ('^' factor)?          right associative
-    atom    := NUMBER | VAR | FUNC '(' expr ')'
-             | 'delay' '(' VAR ',' NUMBER ')' | '(' expr ')'
-
-so '^' binds tighter than unary minus, which binds tighter than '*' and '/'.
-Only the identifiers x<i> and u<j> (1-indexed) are accepted; anything else is
-rejected at parse time so typos fail fast.  Delay offsets must be nonnegative
-numeric literals, which keeps the history-access pattern of the DDE
-integrator static.
+component.  The grammar is Python arithmetic with '^' for power: numbers,
+unary minus, + - * / ^ and parentheses with Python's precedence, so '^'
+is right associative and binds tighter than unary minus; the variables
+x<i> (state) and u<j> (input), 1-indexed; one-argument calls of FUNCTIONS;
+and delayed state references delay(x<i>, theta), theta a nonnegative
+numeric literal, which keeps the history-access pattern of the DDE
+integrator static.  Excluded are '**' written in the source, unary '+',
+every other operator, keyword, attribute or container, a trailing comma
+in a call, Python-only number forms (0x1, 1_0, 1j) and non-ASCII
+characters; any other identifier is rejected at parse time so typos fail
+fast.  Integer leading zeros (09, x01) and whitespace anywhere, newlines
+included, are accepted.  parse rewrites '^' to '**', hands the text to
+ast.parse and converts a whitelist of Python nodes into the tree below.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
@@ -124,180 +125,74 @@ class Expression:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# parser
 
-_OPS = set("+-*/^(),")
-
-
-def _tokenize(src: str) -> list[tuple[str, object, int]]:
-    toks = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            toks.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            try:
-                val = float(src[i:j])
-            except ValueError:
-                raise ExprError(f"bad number literal {src[i:j]!r}", i)
-            toks.append(("num", val, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise ExprError(f"unexpected character {c!r}", i)
-    toks.append(("end", None, n))
-    return toks
-
-
-# ---------------------------------------------------------------------------
-# recursive-descent parser
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.toks = _tokenize(src)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ExprError(f"expected {op!r}, found {val!r}", pos)
-
-    def parse(self) -> Node:
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ExprError(f"unexpected trailing {val!r}", pos)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                node = Binary(val, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                node = Binary(val, node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> Node:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return Unary("neg", self.factor())
-        return self.power()
-
-    def power(self) -> Node:
-        node = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            return Binary("^", node, self.factor())
-        return node
-
-    def atom(self) -> Node:
-        kind, val, pos = self.next()
-        if kind == "num":
-            return Const(val)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "name":
-            return self.name_atom(val, pos)
-        raise ExprError(f"unexpected token {val!r}", pos)
-
-    def name_atom(self, name: str, pos: int) -> Node:
-        if name == "delay":
-            self.expect_op("(")
-            kind, var, vpos = self.next()
-            idx = _var_index(var if kind == "name" else "", "x")
-            if idx is None:
-                raise ExprError("delay() takes a state variable x<i> first", vpos)
-            self.expect_op(",")
-            kind, theta, tpos = self.next()
-            neg = False
-            if kind == "op" and theta == "-":
-                neg = True
-                kind, theta, tpos = self.next()
-            if kind != "num":
-                raise ExprError("delay offset must be a numeric literal", tpos)
-            if neg or theta < 0:
-                raise ExprError("delay offset must be nonnegative", tpos)
-            self.expect_op(")")
-            return DelayVar(idx, float(theta))
-        if name in FUNCTIONS:
-            self.expect_op("(")
-            arg = self.expr()
-            self.expect_op(")")
-            return Unary(name, arg)
-        idx = _var_index(name, "x")
-        if idx is not None:
-            return StateVar(idx)
-        idx = _var_index(name, "u")
-        if idx is not None:
-            return InputVar(idx)
-        raise ExprError(
-            f"unknown identifier {name!r} (only x<i>, u<j> and {'/'.join(FUNCTIONS)} allowed)",
-            pos,
-        )
-
-
-def _var_index(name: str, prefix: str) -> Optional[int]:
-    if len(name) < 2 or not name.startswith(prefix):
-        return None
-    digits = name[1:]
-    if not digits.isdigit():
-        return None
-    idx = int(digits)
-    return idx if idx >= 1 else None
+# what the grammar accepts before Python's parser sees it: ASCII letters,
+# digits and whitespace, and the characters of the operators and numbers;
+# Python's own power operator and every other character are rejected
+_REJECT = re.compile(r"[^\w\s+\-*/^(),.]|[^\x00-\x7f]|\*\*")
+# leading zeros of an integer part, which Python refuses in '09'; not those
+# of an exponent, which it takes in '1e+09'
+_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![\d.][eE][+-])0+(?=\d)")
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_VAR = re.compile(r"([xu])0*([1-9]\d*)")
+_DELAY = re.compile(rf"delay *\( *x0*([1-9]\d*) *, *({_NUMBER}) *\)")
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
 def parse(source: str) -> Expression:
     """Parse a scalar expression; raises ExprError with a position on failure."""
-    return Expression(_Parser(source).parse(), source)
+    bad = _REJECT.search(source)
+    if bad:
+        raise ExprError(f"unexpected {bad[0]!r}", bad.start())
+    # every rewrite but '^' -> '**' keeps the length, so at[k] is the
+    # position in source of character k of text
+    text = _LEADING_ZEROS.sub(lambda m: " " * len(m[0]), re.sub(r"\s", " ", source))
+    start = len(text) - len(text.lstrip())
+    text = text[start:].replace("^", "**")
+    at = [i for i in range(start, len(source))
+          for _ in range(1 + (source[i] == "^"))] + [len(source)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # e.g. "invalid decimal literal"
+            tree = ast.parse(text, mode="eval").body
+        return Expression(_node(tree, text, at), source)
+    except SyntaxError as err:
+        raise ExprError(err.msg, at[min(err.offset or 1, len(at)) - 1]) from None
+    except RecursionError:
+        raise ExprError("expression nested too deeply") from None
+
+
+def _node(e: ast.expr, text: str, at: List[int]) -> Node:
+    """The tree of e, a node of ast.parse(text); at maps positions in text
+    to positions in the source."""
+    seg = text[e.col_offset:e.end_col_offset]
+    if isinstance(e, ast.Constant) and re.fullmatch(_NUMBER, seg):
+        return Const(float(seg))
+    if isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub):
+        return Unary("neg", _node(e.operand, text, at))
+    if isinstance(e, ast.BinOp) and type(e.op) in _BINARY:
+        return Binary(_BINARY[type(e.op)], _node(e.left, text, at),
+                      _node(e.right, text, at))
+    if isinstance(e, ast.Name) and (var := _VAR.fullmatch(e.id)):
+        return (StateVar if var[1] == "x" else InputVar)(int(var[2]))
+    if isinstance(e, ast.Call) and isinstance(e.func, ast.Name):
+        name = e.func.id
+        if name == "delay":
+            m = _DELAY.fullmatch(seg)
+            if m is None:
+                raise ExprError("delay() takes a state variable x<i> and a "
+                                "nonnegative numeric literal", at[e.col_offset])
+            return DelayVar(int(m[1]), float(m[2]))
+        # one argument, no trailing comma, and the name not parenthesized
+        if (name in FUNCTIONS and len(e.args) == 1 and not e.keywords
+                and re.match(r"\w+ *\(", seg)
+                and "," not in text[e.args[0].end_col_offset:e.end_col_offset]):
+            return Unary(name, _node(e.args[0], text, at))
+    if isinstance(e, ast.Name):
+        raise ExprError(f"unknown identifier {e.id!r} (only x<i>, u<j> and "
+                        f"{'/'.join(FUNCTIONS)} allowed)", at[e.col_offset])
+    raise ExprError(f"unsupported expression {seg!r}", at[e.col_offset])
 
 
 # ---------------------------------------------------------------------------

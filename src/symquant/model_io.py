@@ -261,11 +261,13 @@ def parse_controller(text: str) -> Controller:
         parts = ln.split()
         try:
             if parts[0] == "I":
-                inputs[int(parts[1])] = np.array([float(v) for v in parts[2:]])
+                iid = _index(parts[1], n_inputs, "input id", ln)
+                inputs[iid] = np.array([float(v) for v in parts[2:]])
             elif parts[0] == "W":
-                waypoints[int(parts[1])].add(int(parts[2]))
+                waypoints[_index(parts[1], n_phases, "phase", ln)].add(int(parts[2]))
             elif parts[0] == "C":
-                phases[int(parts[1])][int(parts[2])] = int(parts[3])
+                table = phases[_index(parts[1], n_phases, "phase", ln)]
+                table[int(parts[2])] = _index(parts[3], n_inputs, "input id", ln)
             else:
                 raise ModelFormatError(f"unknown record tag {parts[0]!r}")
         except (IndexError, ValueError) as err:
@@ -279,6 +281,14 @@ def parse_controller(text: str) -> Controller:
     return Controller(phases, [tuple(sorted(w)) for w in waypoints],
                       [{} for _ in range(n_phases)],
                       [inputs[i] for i in range(n_inputs)], mode)
+
+
+def _index(word: str, n: int, what: str, ln: str) -> int:
+    """The id word of record ln, which must lie in 0..n-1."""
+    i = int(word)
+    if not 0 <= i < n:
+        raise ModelFormatError(f"{what} {i} is outside 0..{n - 1}: {ln!r}")
+    return i
 
 
 def write_controller(c: Controller, path: str) -> None:

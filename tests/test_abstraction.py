@@ -63,6 +63,17 @@ def test_growth_bound_rows_equal_one_point_bounds():
         growth_bound_delayfree(q, 0.2, np.array([6.0, math.nan, 1.0]), 0.2)
 
 
+def test_growth_bound_takes_theta1_from_each_axis_eta():
+    q = np.array([[0.48, -0.72], [0.0, 0.3]])
+    L = np.array([6.0, 1.5])
+    rows = growth_bound_delayfree(q, [0.2, 0.5], L, 0.2)
+    for axis, eta in enumerate((0.2, 0.5)):
+        alone = growth_bound_delayfree(q, eta, L, 0.2)
+        assert rows[:, axis].tobytes() == alone[:, axis].tobytes()
+    with pytest.raises(ValueError, match="eta"):
+        growth_bound_delayfree(q, [0.2, 1.0], L, 0.2)
+
+
 # ---------------------------------------------------------------------------
 # input lattices
 

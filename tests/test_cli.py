@@ -518,7 +518,34 @@ def test_verify_frr_negative_seed_is_exit_1(ws, capsys):
     rc = main(["verify-frr", "--config", str(ws / "pendulum.ini"),
                "--model", str(ws / "model.sts"), "--seed", "-1"])
     assert rc == 1
-    assert capsys.readouterr().err == "error: expected non-negative integer\n"
+    assert capsys.readouterr().err == "error: --seed: must be nonnegative, got -1\n"
+
+
+def test_verify_frr_negative_samples_is_exit_1(ws, capsys):
+    rc = main(["verify-frr", "--config", str(ws / "pendulum.ini"),
+               "--model", str(ws / "model.sts"), "--samples", "-5"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --samples: must be nonnegative, got -5\n"
+    assert "frr-report" not in captured.out
+
+
+def test_negative_config_seed_is_exit_1(ws, tmp_path, capsys):
+    cfg = tmp_path / "seed.ini"
+    cfg.write_text(PENDULUM_INI.replace("seed = 1", "seed = -1"))
+    rc = main(["verify-frr", "--config", str(cfg),
+               "--model", str(ws / "model.sts")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: run.seed: must be nonnegative\n"
+
+
+def test_controller_input_id_out_of_range_is_exit_1(ws, tmp_path, capsys):
+    law = tmp_path / "bad.ctrl"
+    law.write_text("CTRL 1 hold 1 1 1\nI 0 0\nC 0 12 3\n")
+    rc = main(["simulate", "--config", str(ws / "pendulum.ini"),
+               "--controller", str(law), "--out", str(tmp_path / "run.csv")])
+    assert rc == 1
+    assert "input id 3 is outside 0..0: 'C 0 12 3'" in capsys.readouterr().err
 
 
 _STAGES_SCRIPT = """\

@@ -70,10 +70,30 @@ def test_delay_offset_must_be_nonnegative():
     "(1 + 2",            # unbalanced paren
     "1 2",               # missing operator
     "",
+    # Python syntax outside the grammar
+    "x1**2", "sin(x1,)", "delay(x1, 0.2,)", "0x1", "1_0", "1j", "x1 % 2",
+    "x1 if x2 else 3", "x1.real", "+x1",
+    "x\u0661",          # a non-ASCII digit one
 ])
 def test_rejects_malformed_sources(src):
     with pytest.raises(ExprError):
         parse(src)
+
+
+@pytest.mark.parametrize("src,root", [
+    ("09", Const(9.0)),  # leading zeros, which Python refuses
+    ("x01", StateVar(1)),
+    ("1e+09", Const(1e9)),
+    ("\tx1", StateVar(1)),  # leading whitespace
+    ("sin(\nx1)", Unary("sin", StateVar(1))),
+    ("(" * 250 + "x1" + ")" * 250, None),  # too deep: an ExprError
+], ids=["09", "x01", "1e+09", "tab", "newline", "250-parens"])
+def test_where_python_syntax_differs(src, root):
+    if root is None:
+        with pytest.raises(ExprError):
+            parse(src)
+    else:
+        assert parse(src).root == root
 
 
 def test_division_and_unary_chain():

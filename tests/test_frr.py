@@ -143,6 +143,18 @@ def test_witnesses_read_the_plant_from_the_build(pendulum_ts,
             witness(bare, 10, 1)
 
 
+def test_radius_takes_each_axis_eta():
+    """theta1 = eta/(1-eta) per axis: with axis 1's eta on both axes the x2
+    radius is 0.43 of what it must be, and 3000 samples at seed 1 find 69
+    violations."""
+    plant = ControlSystem.from_strings(["x2", "-x1 + u1"], [-1, -1], [1, 1],
+                                       [-1], [1])
+    ts = build_delayfree(plant, 0.2, [LogQuantizerParams(0.3, 0.2),
+                                      LogQuantizerParams(0.5, 0.2)],
+                         lipschitz=1.0)
+    assert sample_frr_delayfree(ts, 3000, 1).passed
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1(a)")
 @pytest.mark.parametrize("rhs", [["-0.1*x1 + u1"], ["x2", "-0.5*x2 + u1"],
                                  ["u1"]], ids=["leaky", "damped", "integrator"])
