@@ -113,6 +113,27 @@ def _exp_times(L, tau: float) -> np.ndarray:
     return out
 
 
+def _locate_inside(sys, part: Partition, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of points (K, ..., n) that lie wholly inside the closed
+    state box of sys, ascending, and the cells of their points, of shape
+    (len(rows), ...), from one Partition.locate_batch call."""
+    rows = np.flatnonzero(sys.inside(points).all(axis=tuple(range(1, points.ndim - 1))))
+    kept = points[rows]
+    cells = part.locate_batch(kept.reshape(-1, kept.shape[-1]))
+    return rows, cells.reshape(kept.shape[:-1])
+
+
+def _boxes_meet(box_lo, box_hi, cell_lo, cell_hi) -> np.ndarray:
+    """Whether each closed box meets the closed cell at the same index,
+    touching faces included: coordinates on the last axis, tested one at a
+    time so every temporary has the result's shape; other axes broadcast."""
+    meets = np.ones(np.broadcast_shapes(box_lo.shape, cell_lo.shape)[:-1], dtype=bool)
+    for i in range(cell_lo.shape[-1]):
+        meets &= cell_lo[..., i] <= box_hi[..., i]
+        meets &= box_lo[..., i] <= cell_hi[..., i]
+    return meets
+
+
 @dataclass(frozen=True)
 class SplineTube:
     """Functional abstract state: cell ids at the N+2 hat-function knots."""
@@ -154,7 +175,8 @@ class TransitionSystem:
     succ[indptr[row]:indptr[row + 1]].  indptr is int64 with
     len(states)*len(inputs) + 1 entries, succ int32, and every successor id
     must name a state.  A pair is enabled exactly when its row is
-    non-empty; a blocked pair's row is empty.
+    non-empty; a blocked pair's row is empty.  States ascend by id, so
+    position order is id order; the constructor rejects any other order.
     Construction is deterministic: same configuration, same serialized
     bytes.
 
@@ -183,10 +205,13 @@ class TransitionSystem:
                 self.indptr[-1] != len(self.succ):
             raise ValueError("indptr needs one row per (state, input) pair "
                              "and must end at len(succ)")
-        unknown = _unknown_id(np.array([s.id for s in states], dtype=np.int64),
-                              self.succ)
+        ids = np.array([s.id for s in states], dtype=np.int64)
+        unknown = _unknown_id(ids, self.succ)
         if unknown is not None:
             raise ValueError(f"successor id {unknown} names no state")
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError("state ids must ascend: a state id is given "
+                             "twice or out of order")
         self.partition = partition
         self._ctx = ctx
         self._pos = {s.id: k for k, s in enumerate(states)}
@@ -225,12 +250,11 @@ class TransitionSystem:
         """((state id, input id), successor ids) of every enabled pair, by
         state id and then input id."""
         n_in = len(self.inputs)
-        for k in sorted(range(len(self.states)), key=lambda k: self.states[k].id):
-            sid = self.states[k].id
+        for k, s in enumerate(self.states):
             bounds = self.indptr[k * n_in:(k + 1) * n_in + 1].tolist()
             for iid in range(n_in):
                 if bounds[iid] < bounds[iid + 1]:
-                    yield (sid, iid), tuple(self.succ[bounds[iid]:bounds[iid + 1]].tolist())
+                    yield (s.id, iid), tuple(self.succ[bounds[iid]:bounds[iid + 1]].tolist())
 
     @property
     def transitions(self) -> Mapping[Tuple[int, int], Tuple[int, ...]]:
@@ -560,17 +584,16 @@ def _prior_rows(prior: TransitionSystem,
     """For the cells that are states of prior: their positions in cells,
     their positions in prior.states, and their (K, I) CSR rows in prior,
     -1 on a row that lists a state of prior that is not in cells."""
-    kept = [k for k, c in enumerate(cells) if c.id in prior._pos]
-    at = np.array([prior._pos[cells[k].id] for k in kept], dtype=np.int64)
+    ids, prior_ids = np.array([c.id for c in cells]), np.array(prior.state_ids())
+    kept = np.flatnonzero(np.isin(ids, prior_ids))
+    at = np.searchsorted(prior_ids, ids[kept])  # prior's state ids ascend
     n_in = len(prior.inputs)
     rows = at[:, None] * n_in + np.arange(n_in)
-    present = {c.id for c in cells}
-    gone = [s.id for s in prior.states if s.id not in present]
     stale = np.zeros(len(prior.indptr) - 1, dtype=bool)
-    edges = np.flatnonzero(np.isin(prior.succ, gone))
+    edges = np.flatnonzero(np.isin(prior.succ, prior_ids[~np.isin(prior_ids, ids)]))
     stale[np.searchsorted(prior.indptr, edges, side="right") - 1] = True
     rows[stale[rows]] = -1
-    return np.array(kept, dtype=np.int64), at, rows
+    return kept, at, rows
 
 
 # On a 2-vCPU Xeon host a forked worker costs 7-8 ms (fork, a 1 MiB pipe
@@ -697,9 +720,8 @@ def refine_cells(ts: TransitionSystem,
         raise ValueError("model carries no build context; rebuild from config")
     if not assignments:
         return ts
-    ctx = ts._ctx
-    return _delayfree_model(ctx.sys, ts.partition.refined(assignments),
-                            ts.inputs, ctx, prior=ts)
+    return _delayfree_model(ts._ctx.sys, ts.partition.refined(assignments),
+                            ts.inputs, ts._ctx, prior=ts)
 
 
 # ---------------------------------------------------------------------------
@@ -778,16 +800,11 @@ def tube_knot_points(sys: TimeDelaySystem, H: np.ndarray, U: np.ndarray,
 
 
 def _boxes_meet_knot_cells(box_lo, box_hi, cell_lo, cell_hi) -> np.ndarray:
-    """(P, T) mask: at every knot j, tube t's knot cell meets box j of pair p.
-
-    Boxes are (P, J, n), knot cells (T, J, n); closed boxes, so touching
-    faces count, as in Cell.intersects and Partition.intersecting.
-    """
-    meets = np.ones((len(box_lo), len(cell_lo)), dtype=bool)
-    for j, i in np.ndindex(*cell_lo.shape[1:]):
-        meets &= cell_lo[None, :, j, i] <= box_hi[:, None, j, i]
-        meets &= box_lo[:, None, j, i] <= cell_hi[None, :, j, i]
-    return meets
+    """(P, T) mask: tube t's knot cells (T, J, n) meet pair p's boxes
+    (P, J, n) at every knot, that is, in the product of the knot spaces."""
+    P, T = len(box_lo), len(cell_lo)
+    return _boxes_meet(box_lo.reshape(P, 1, -1), box_hi.reshape(P, 1, -1),
+                       cell_lo.reshape(T, -1), cell_hi.reshape(T, -1))
 
 
 def build_timedelay(sys: TimeDelaySystem, tau: float,
@@ -850,9 +867,8 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
                                  np.tile(U, len(level)), tau, steps,
                                  thetas).transpose(2, 0, 1)  # (pairs, J, n)
         # a pair is blocked when a nominal knot leaves X
-        cols = np.flatnonzero(sys.inside(knots).all(axis=1))
+        cols, located = _locate_inside(sys, part, knots)
         found = np.ones(len(cols), dtype=bool)
-        located = part.locate_batch(knots[cols].reshape(-1, sys.n)).reshape(-1, len(thetas))
         for p, succ in enumerate(map(tuple, located.tolist())):
             if succ not in ids:
                 if len(order) >= budget:

@@ -17,7 +17,8 @@ only locates points, so it needs the config's partition and no model; a
 time-delay ``simulate`` rebuilds the model for its tube ids.
 
 Exit codes: 0 on success, 1 on domain failures (validation errors, refinement
-violations, unsolvable specifications, aborted simulations), 2 on I/O errors.
+violations or a witness that checked nothing, unsolvable specifications, a
+controller made for other inputs, aborted simulations), 2 on I/O errors.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from typing import Optional
 
 import numpy as np
 
-from .abstraction import TransitionSystem, refine_cells
+from .abstraction import TransitionSystem, input_lattice, refine_cells
 from .config import AppConfig, ConfigError, load_config
 from .dynamics import IntegrationError
 from .frr import RefinementMap, sample_frr_delayfree, sample_frr_timedelay
-from .model_io import (ModelFormatError, export_dot, load_controller, load_ts,
-                       sts_chunks, write_controller, write_ts)
+from .model_io import (ModelFormatError, _fmt_vec, export_dot,
+                       load_controller, load_ts, sts_chunks, write_controller,
+                       write_ts)
 from .sim import export_trajectory, run_closed_loop
 from .synthesis import SynthesisError, synthesize_sequence
 
@@ -114,23 +116,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     ctrl = load_controller(args.controller)
     sys_ = cfg.system
+    # inputs as the files store them, at 9 significant digits; "none" ends
+    # both lists, so one that stops early differs there
+    got, want = ([f"[{_fmt_vec(u)}]" for u in us] + ["none"] for us in (
+        ctrl.inputs, input_lattice(sys_.input_lo, sys_.input_hi, cfg.input_quantization)))
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    if i is not None:
+        raise _DomainError(f"controller {args.controller} was made for other inputs: "
+                           f"input {i} is {got[i]} there and {want[i]} in the config")
     if cfg.is_timedelay():
-        xi0 = sys_.xi0
-        if xi0 is None:
+        if sys_.xi0 is None:
             raise _DomainError("system.xi0: required to simulate a time-delay "
                                "system")
         # tube ids are the order in which the build discovers them
-        fmap = RefinementMap.from_ts(cfg.build_model())
-        traj, report = run_closed_loop(sys_, ctrl, fmap, xi0=xi0, tau=cfg.tau,
-                                       max_steps=cfg.max_steps, steps=cfg.steps)
+        fmap, start = RefinementMap.from_ts(cfg.build_model()), {"xi0": sys_.xi0}
     else:
         if cfg.x0 is None:
             raise _DomainError("run.x0: required to simulate")
         # a delay-free run only locates points: no transitions needed
-        fmap = RefinementMap(cfg.partition(refined=True))
-        traj, report = run_closed_loop(sys_, ctrl, fmap, x0=np.asarray(cfg.x0),
-                                       tau=cfg.tau, max_steps=cfg.max_steps,
-                                       steps=cfg.steps)
+        fmap, start = RefinementMap(cfg.partition(refined=True)), {"x0": np.asarray(cfg.x0)}
+    traj, report = run_closed_loop(sys_, ctrl, fmap, tau=cfg.tau, max_steps=cfg.max_steps,
+                                   steps=cfg.steps, **start)
     export_trajectory(traj, args.out)
     print(f"simulate: wrote {len(traj.samples)} samples to {args.out}")
     print(report.as_text())
@@ -153,8 +159,10 @@ def cmd_verify_frr(args: argparse.Namespace) -> int:
         report = sample_frr_delayfree(ts, samples, seed)
     print(report.as_text())
     if not report.passed:
-        raise _DomainError(f"refinement check found {len(report.violations)} "
-                           f"violation(s)")
+        raise _DomainError(
+            f"refinement check found {len(report.violations)} violation(s)"
+            if report.checked else "refinement check checked no sample: "
+            + (f"all {samples} were skipped" if samples else "0 were asked for"))
     return 0
 
 

@@ -267,18 +267,24 @@ def integrate_batch(sys: ControlSystem, X, U, tau: float,
     if X.ndim != 2 or X.shape[0] != sys.n or U.shape != (sys.m, X.shape[1]):
         raise ValueError(f"need X of shape ({sys.n}, K) and U of shape "
                          f"({sys.m}, K), got {X.shape} and {U.shape}")
+    return _vector_or_each(
+        lambda: np.array(sys.vrk4(list(X), list(U), tau / steps, steps)),
+        lambda j: integrate(sys, X[:, j], U[:, j], tau, steps), X.shape[1], 1)
+
+
+def _vector_or_each(vector: Callable, one: Callable, count: int, axis: int):
+    """vector(), the vector form of a batch of count elements, under numpy
+    error handling that matches float arithmetic.  When it raises
+    IntegrationError, one(j) reruns every element j on its own, so the first
+    failing element raises its own error; if none fails, their results
+    stand, stacked along axis."""
     try:
         # float arithmetic raises on x/0 and math functions raise outside
         # their domain; make numpy do the same, and let overflow give inf
         with np.errstate(divide="raise", invalid="raise", over="ignore"):
-            x = sys.vrk4(list(X), list(U), tau / steps, steps)
+            return vector()
     except IntegrationError:
-        # rerun one column at a time: the first failing column raises its
-        # own error, and if none fails the scalar results stand
-        cols = [integrate(sys, X[:, j], U[:, j], tau, steps)
-                for j in range(X.shape[1])]
-        return np.stack(cols, axis=1)
-    return np.array(x)
+        return np.stack([one(j) for j in range(count)], axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +438,12 @@ def integrate_delay_batch(sys: TimeDelaySystem, H, U, tau: float,
     k = H.shape[0] - 1
     spacing = sys.Theta / k if k else 0.0  # as SampledCurve.spacing
     fns = [e.vfn for e in sys.f]
-    try:
-        # see integrate_batch: numpy raises where float arithmetic does
-        with np.errstate(divide="raise", invalid="raise", over="ignore"):
-            return _method_of_steps(sys, fns, H, -sys.Theta, spacing, list(U),
-                                    tau, steps, _arrays_finite)
-    except IntegrationError:
-        cols = []
-        for j in range(H.shape[2]):
-            u = U[:, j]
-            hist = SampledCurve(-sys.Theta, 0.0, H[:, :, j])
-            cols.append(integrate_delay(sys, hist, [u] * periods, u, tau,
-                                        steps).values)
-        return np.stack(cols, axis=2)
+    return _vector_or_each(
+        lambda: _method_of_steps(sys, fns, H, -sys.Theta, spacing, list(U),
+                                 tau, steps, _arrays_finite),
+        lambda j: integrate_delay(sys, SampledCurve(-sys.Theta, 0.0, H[:, :, j]),
+                                  [U[:, j]] * periods, U[:, j], tau, steps).values,
+        H.shape[2], 2)
 
 
 def interpolate_batch(values: np.ndarray, Theta: float, times) -> np.ndarray:
@@ -576,12 +575,7 @@ def estimate_lipschitz_batch(sys: Union[ControlSystem, TimeDelaySystem],
         return np.empty(0)
     lower = np.array([c.lower for c in cells], dtype=float).T
     upper = np.array([c.upper for c in cells], dtype=float).T
-    try:
-        # see integrate_batch: numpy raises where float arithmetic does
-        with np.errstate(divide="raise", invalid="raise", over="ignore"):
-            return _lipschitz(sys, [e.vfn for e in sys.f], list(lower),
-                              list(upper), _arrays_finite, np.maximum)
-    except IntegrationError:
-        # rerun one cell at a time: the first failing cell raises its own
-        # error, and if none fails the one-cell results stand
-        return np.array([estimate_lipschitz(sys, c, mode) for c in cells])
+    return _vector_or_each(
+        lambda: _lipschitz(sys, [e.vfn for e in sys.f], list(lower),
+                           list(upper), _arrays_finite, np.maximum),
+        lambda k: estimate_lipschitz(sys, cells[k], mode), len(cells), 0)

@@ -29,8 +29,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .abstraction import (SplineTube, TransitionSystem, _knot_widths,
-                          knot_points, knot_tube, tube_knot_points)
+from .abstraction import (SplineTube, TransitionSystem, _boxes_meet,
+                          _knot_widths, _locate_inside, knot_points,
+                          knot_tube, tube_knot_points)
 from .dynamics import SampledCurve, integrate_batch
 from .quantizers import Partition
 
@@ -87,7 +88,9 @@ class FrrReport:
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        """No violation among at least one checked sample: a report that
+        checked nothing shows nothing, so it does not pass."""
+        return self.checked > 0 and not self.violations
 
     def as_text(self) -> str:
         lines = [f"frr-report seed={self.seed} samples={self.samples} "
@@ -272,37 +275,34 @@ def sample_frr_delayfree(ts: TransitionSystem, n_samples: int,
     """Sampled soundness witness for delay-free models: quantized concrete
     successors must be abstract successors.  The plant is the one the model
     was built from and points are located on the model's partition.
-    Out-of-domain successors are skipped, not failed."""
+    A sample is skipped, not failed, when its state has no enabled input
+    or its successor leaves the state box; every other one is checked."""
     ctx = _ctx_of(ts)
     sys, part = ctx.sys, ts.partition
     rng = _DefaultRng(seed)
     cells = [s.cell for s in ts.states]
     drawn: List[Tuple[np.ndarray, int, int]] = []  # (x, abstract state, input id)
-    skipped = 0
     for _ in range(n_samples):
         cell = cells[int(rng.integers(len(cells)))]
         x = rng.uniform(cell.lower, cell.upper)
         x2 = part.locate(x)
         enabled = ts.enabled(x2)
-        if not enabled:
-            skipped += 1
-            continue
-        drawn.append((x, x2, enabled[int(rng.integers(len(enabled)))]))
+        if enabled:
+            drawn.append((x, x2, enabled[int(rng.integers(len(enabled)))]))
     violations: List[Violation] = []
     if not drawn:
-        return FrrReport(n_samples, 0, skipped, violations, seed)
+        return FrrReport(n_samples, 0, n_samples, violations, seed)
     X = np.array([x for x, _, _ in drawn]).T
     U = np.array([ts.inputs[iid] for _, _, iid in drawn]).T
     X_next = integrate_batch(sys, X, U, ctx.tau, ctx.steps).T
-    kept = np.flatnonzero(sys.inside(X_next))
-    skipped += len(drawn) - len(kept)
-    for j, q_next in zip(kept.tolist(), part.locate_batch(X_next[kept]).tolist()):
+    kept, located = _locate_inside(sys, part, X_next)
+    for j, q_next in zip(kept.tolist(), located.tolist()):
         x, x2, iid = drawn[j]
         allowed = ts.successors(x2, iid)
         if q_next not in allowed:
             violations.append(Violation(x, ts.inputs[iid], X_next[j].copy(), x2,
                                         q_next, allowed))
-    return FrrReport(n_samples, len(kept), skipped, violations, seed)
+    return FrrReport(n_samples, len(kept), n_samples - len(kept), violations, seed)
 
 
 _EDGE = 1e-9
@@ -334,11 +334,9 @@ def sample_frr_timedelay(ts: TransitionSystem, n_samples: int,
     sids: List[int] = []
     iids: List[int] = []
     jitter: List[np.ndarray] = []
-    skipped = 0
     for _ in range(n_samples):
         sid = int(rng.integers(len(tubes)))
-        if not enabled[sid]:
-            skipped += 1
+        if not enabled[sid]:  # skipped, as is a sample whose knots leave X
             continue
         iids.append(enabled[sid][int(rng.integers(len(enabled[sid])))])
         sids.append(sid)
@@ -347,7 +345,7 @@ def sample_frr_timedelay(ts: TransitionSystem, n_samples: int,
 
     violations: List[Violation] = []
     if not sids:
-        return FrrReport(n_samples, 0, skipped, violations, seed)
+        return FrrReport(n_samples, 0, n_samples, violations, seed)
     sid = np.array(sids)
     # a sampled functional is the linear interpolant through its knot points
     width = cell_hi[sid] - cell_lo[sid]
@@ -357,18 +355,11 @@ def sample_frr_timedelay(ts: TransitionSystem, n_samples: int,
     U = np.array(ts.inputs)[iids].T
     samples = tube_knot_points(sys, pts if sys.Theta > 0.0 else pts[-1:], U,
                                ctx.tau, ctx.steps, ctx.knot_thetas)
-    inside = np.flatnonzero(sys.inside(samples.transpose(2, 0, 1)).all(axis=1))
-    skipped += len(sids) - len(inside)
-    if not inside.size:
-        return FrrReport(n_samples, 0, skipped, violations, seed)
-
+    inside, got = _locate_inside(sys, part, samples.transpose(2, 0, 1))
     nominal = ts.endpoints[sid[inside], np.array(iids)[inside]]  # (K, J, n)
     r = ts.radius[sid[inside]][:, None, None]
     # the cell of every sampled knot must meet its closed growth box
-    got = part.locate_batch(samples[:, :, inside].transpose(2, 0, 1)
-                            .reshape(-1, sys.n)).reshape(len(inside), -1)
-    got_lo, got_hi = part.cell_bounds(got)
-    meets = np.all((got_lo <= nominal + r) & (nominal - r <= got_hi), axis=2)
+    meets = _boxes_meet(nominal - r, nominal + r, *part.cell_bounds(got))
     for k in np.flatnonzero(~meets.all(axis=1)).tolist():
         j = int(inside[k])
         bad = int(np.argmax(~meets[k]))
@@ -377,4 +368,4 @@ def sample_frr_timedelay(ts: TransitionSystem, n_samples: int,
             sids[j], tuple(got[k, :bad + 1].tolist()),
             ts.successors(sids[j], iids[j]),
             detail=f"knot {bad} outside the growth box"))
-    return FrrReport(n_samples, len(inside), skipped, violations, seed)
+    return FrrReport(n_samples, len(inside), n_samples - len(inside), violations, seed)

@@ -49,6 +49,9 @@ class ModelFormatError(ValueError):
 
 
 def _cells_for_serialization(ts: TransitionSystem) -> List[Cell]:
+    """The cells of the S records, ascending by id."""
+    if ts.kind == "delayfree":
+        return [s.cell for s in ts.states]
     if ts.partition is not None:
         return ts.partition.cells
     if ts.cell_table is not None:
@@ -62,15 +65,11 @@ def sts_chunks(ts: TransitionSystem) -> Iterator[str]:
     Writers and the model check consume these, so the whole text is never
     held in memory."""
     yield f"STS 1 {len(ts.states)} {len(ts.inputs)} {ts.n_transitions}\n"
-    if ts.kind == "delayfree":
-        cells = [s.cell for s in sorted(ts.states, key=lambda s: s.id)]
-    else:
-        cells = sorted(_cells_for_serialization(ts), key=lambda c: c.id)
-    for c in cells:
+    for c in _cells_for_serialization(ts):
         yield (f"S {c.id} {_fmt_vec(c.lower)} {_fmt_vec(c.upper)} "
                f"{_fmt_vec(c.quantized_point)}\n")
     if ts.kind != "delayfree":
-        for s in sorted(ts.states, key=lambda s: s.id):
+        for s in ts.states:
             knots = " ".join(str(k) for k in s.tube.knots)
             yield f"T {s.id} {knots}\n"
     for i, u in enumerate(ts.inputs):
@@ -79,15 +78,14 @@ def sts_chunks(ts: TransitionSystem) -> Iterator[str]:
     # keyed by id (never one sized by the largest id)
     names = {s.id: str(s.id) for s in ts.states}
     n_in = len(ts.inputs)
-    for k in sorted(range(len(ts.states)), key=lambda k: ts.states[k].id):
-        sid = ts.states[k].id
+    for k, s in enumerate(ts.states):
         bounds = ts.indptr[k * n_in:(k + 1) * n_in + 1].tolist()
         succ = list(map(names.__getitem__, ts.succ[bounds[0]:bounds[-1]].tolist()))
         records = []
         for iid in range(n_in):
             a, b = bounds[iid] - bounds[0], bounds[iid + 1] - bounds[0]
             if a < b:
-                head = f"E {sid} {iid} "
+                head = f"E {s.id} {iid} "
                 records.append(head + f"\n{head}".join(succ[a:b]) + "\n")
         if records:
             yield "".join(records)
@@ -196,6 +194,9 @@ def parse_sts(text: str) -> TransitionSystem:
                                f"{sorted(inputs)}")
     input_list = [inputs[i] for i in range(n_inputs)]
 
+    # states must ascend by id; records may come in any order
+    cells.sort(key=lambda c: c.id)
+    tubes.sort()
     if tubes:
         states = [AbstractState(tid, tube=SplineTube(knots)) for tid, knots in tubes]
         kind = "timedelay"
@@ -204,17 +205,15 @@ def parse_sts(text: str) -> TransitionSystem:
         kind = "delayfree"
     if len(states) != n_states:
         raise ModelFormatError(f"header says {n_states} states, found {len(states)}")
-    if len({s.id for s in states}) != len(states):
-        raise ModelFormatError("a state id is given twice")
     if len(src) != n_trans:
         raise ModelFormatError(f"header says {n_trans} transitions, found {len(src)}")
-    try:
+    try:  # an unknown id, an edge given twice, a state id given twice
         relation = transition_arrays([s.id for s in states], n_inputs,
                                      (src, iid, dst))
+        return TransitionSystem(kind, states, input_list, relation,
+                                cell_table=cells if tubes else None)
     except ValueError as err:
         raise ModelFormatError(str(err)) from err
-    return TransitionSystem(kind, states, input_list, relation,
-                            cell_table=cells if tubes else None)
 
 
 def write_ts(ts: TransitionSystem, path: str) -> None:
@@ -312,7 +311,7 @@ def export_dot(ts: TransitionSystem) -> str:
 
 def _dot_chunks(ts: TransitionSystem) -> Iterator[str]:
     yield "digraph sts {\n  rankdir=LR;\n"
-    for s in sorted(ts.states, key=lambda s: s.id):
+    for s in ts.states:
         if s.cell is not None:
             label = "(" + ", ".join(_fmt(v) for v in s.cell.quantized_point) + ")"
         else:

@@ -318,18 +318,20 @@ def _zoom_axis_ks(lo: float, hi: float, p: ZoomQuantizerParams) -> List[int]:
     return ks
 
 
-def _zoom_axes(cell: Cell, p: ZoomQuantizerParams) -> List[List[AxisRegion]]:
-    """Per axis, the zoom bins [(k-0.5)w, (k+0.5)w] of the retained k,
-    clipped to the cell; leftover remainders at the cell edges join the
-    outermost bin."""
+def _zoom_axes(cell: Cell,
+               p: ZoomQuantizerParams) -> Tuple[List[List[int]], List[List[AxisRegion]]]:
+    """Per axis, the retained bin indices k (_zoom_axis_ks) and the zoom
+    bins [(k-0.5)w, (k+0.5)w] of those k, clipped to the cell; leftover
+    remainders at the cell edges join the outermost bin."""
     w = p.width
-    axes = []
+    axis_ks, axes = [], []
     for lo, hi in zip(cell.lower.tolist(), cell.upper.tolist()):
         ks = _zoom_axis_ks(lo, hi, p)
+        axis_ks.append(ks)
         axes.append([AxisRegion(lo if j == 0 else (k - 0.5) * w,
                                 hi if j == len(ks) - 1 else (k + 0.5) * w, k * w)
                      for j, k in enumerate(ks)])
-    return axes
+    return axis_ks, axes
 
 
 def zoom_lattice(cell: Cell, p: ZoomQuantizerParams, start_id: int = 0) -> List[Cell]:
@@ -338,28 +340,26 @@ def zoom_lattice(cell: Cell, p: ZoomQuantizerParams, start_id: int = 0) -> List[
     """
     if p.delta == 0.0:
         return [cell]
-    return _grid_cells(_zoom_axes(cell, p), start_id)
+    return _grid_cells(_zoom_axes(cell, p)[1], start_id)
 
 
 # ---------------------------------------------------------------------------
 # partition of the state box with optional per-cell zoom refinement
 
 
-@dataclass
 class _ZoomedCell:
-    params: ZoomQuantizerParams
-    axis_ks: List[List[int]]  # retained bin indices per axis (consecutive)
-    first_id: int
-    shape: Tuple[int, ...]
+    """The one record of a zoom-refined base cell, filled once by
+    Partition.refined: its parameters, the id of its first subcell, per
+    axis the retained bin indices (consecutive) and their bins
+    (_zoom_axes), whose product gives the subcells in row-major order, and
+    the bin bounds and subcell strides that locate and intersecting read."""
 
-
-@dataclass
-class _ZoomBins:
-    """Query tables of a refined base cell: the per-axis bounds of its zoom
-    bins and the row-major strides of its subcells."""
-    lowers: List[List[float]]
-    uppers: List[List[float]]
-    strides: List[int]
+    def __init__(self, params: ZoomQuantizerParams, first_id: int, cell: Cell):
+        self.params, self.first_id = params, first_id
+        self.axis_ks, self.axes = _zoom_axes(cell, params)
+        self.lowers = [[r.lower for r in ax] for ax in self.axes]
+        self.uppers = [[r.upper for r in ax] for ax in self.axes]
+        self.strides = _strides(tuple(len(ks) for ks in self.axis_ks))
 
 
 class Partition:
@@ -369,6 +369,9 @@ class Partition:
     state vectors) and box-intersection queries used by the abstraction
     builder.  Cells keep stable ids across refinement: refined base cells
     retire their id and subcells receive fresh ids appended in order.
+    zoom maps each refined base cell's id to its one record (_ZoomedCell),
+    which refined() fills; the subcells, point location and box queries
+    all read it.
     """
 
     def __init__(self, box_lo, box_hi, params):
@@ -400,16 +403,11 @@ class Partition:
     def _rebuild_active(self) -> None:
         self.cells = [c for c in self.base_cells if c.id not in self.zoom]
         self._zoom_of: Dict[int, ZoomQuantizerParams] = {}
-        self._zoom_bins: Dict[int, _ZoomBins] = {}
         for bid in sorted(self.zoom):
             z = self.zoom[bid]
-            axes = _zoom_axes(self.base_cells[bid], z.params)
-            subs = _grid_cells(axes, z.first_id)
+            subs = _grid_cells(z.axes, z.first_id)
             self.cells.extend(subs)
             self._zoom_of.update((c.id, z.params) for c in subs)
-            self._zoom_bins[bid] = _ZoomBins(
-                [[r.lower for r in ax] for ax in axes],
-                [[r.upper for r in ax] for ax in axes], _strides(z.shape))
         self.cells.sort(key=lambda c: c.id)
         self._by_id = {c.id: c for c in self.cells}
         # cell bounds by id (NaN on retired ids) and, per base cell, the
@@ -424,15 +422,14 @@ class Partition:
         n_base = len(self.base_cells)
         self._zoom_first = np.full(n_base, -1, dtype=np.int64)
         self._zoom_width = np.ones(n_base)
-        self._zoom_kmin = np.zeros((n_base, self.n), dtype=np.int64)
-        self._zoom_kmax = np.zeros((n_base, self.n), dtype=np.int64)
-        self._zoom_strides = np.zeros((n_base, self.n), dtype=np.int64)
+        self._zoom_kmin, self._zoom_kmax, self._zoom_strides = \
+            np.zeros((3, n_base, self.n), dtype=np.int64)
         for bid, z in self.zoom.items():
             self._zoom_first[bid] = z.first_id
             self._zoom_width[bid] = z.params.width
             self._zoom_kmin[bid] = [ks[0] for ks in z.axis_ks]
             self._zoom_kmax[bid] = [ks[-1] for ks in z.axis_ks]
-            self._zoom_strides[bid] = self._zoom_bins[bid].strides
+            self._zoom_strides[bid] = z.strides
 
     def refined(self, assignments: Dict[int, ZoomQuantizerParams]) -> "Partition":
         """New partition with the given base cells zoom-refined."""
@@ -449,14 +446,8 @@ class Partition:
                 raise ValueError(f"unknown cell id {bid}")
             if p.delta == 0.0:
                 continue  # keep the cell
-            base = self.base_cells[bid]
-            axis_ks = [
-                _zoom_axis_ks(float(base.lower[i]), float(base.upper[i]), p)
-                for i in range(self.n)
-            ]
-            shape = tuple(len(ks) for ks in axis_ks)
-            part.zoom[bid] = _ZoomedCell(p, axis_ks, next_id, shape)
-            next_id += int(np.prod(shape))
+            z = part.zoom[bid] = _ZoomedCell(p, next_id, self.base_cells[bid])
+            next_id += int(np.prod([len(ks) for ks in z.axis_ks]))
         part._rebuild_active()
         return part
 
@@ -480,7 +471,7 @@ class Partition:
         if z is None:
             return bid
         sid = z.first_id
-        for i, st in enumerate(self._zoom_bins[bid].strides):
+        for i, st in enumerate(z.strides):
             ks = z.axis_ks[i]
             k = _zoom_bin(x[i], z.params.width)
             sid += (max(ks[0], min(ks[-1], k)) - ks[0]) * st
@@ -537,9 +528,8 @@ class Partition:
             if z is None:
                 out.append(bid)
                 continue
-            bins = self._zoom_bins[bid]
-            sub_ranges = [_axis_span(bins.lowers[i], bins.uppers[i], lo[i], hi[i])
+            sub_ranges = [_axis_span(z.lowers[i], z.uppers[i], lo[i], hi[i])
                           for i in range(self.n)]
             out.extend(z.first_id + off
-                       for off in _row_major(sub_ranges, bins.strides))
+                       for off in _row_major(sub_ranges, z.strides))
         return sorted(out)

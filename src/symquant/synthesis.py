@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .abstraction import TransitionSystem, _positions
+from .abstraction import TransitionSystem, _locate_inside, _positions
 from .dynamics import integrate_batch
 
 
@@ -89,8 +89,7 @@ def _robust_reach(ts: TransitionSystem, targets: List[Tuple[int, ...]]):
     tables = []
     for target in targets:
         left = n_succ.copy()
-        dist = {q: 0 for q in target}
-        policy: Dict[int, int] = {}
+        table: Tuple[Dict[int, int], Dict[int, int]] = ({}, {q: 0 for q in target})
         frontier = np.sort(_positions(ids, np.array(target, dtype=np.int64))[0])
         won = np.zeros(len(ids), dtype=bool)
         won[frontier] = True
@@ -104,17 +103,27 @@ def _robust_reach(ts: TransitionSystem, targets: List[Tuple[int, ...]]):
             del at
             rows = np.flatnonzero(hits)
             left[rows] -= hits[rows]
-            done = rows[left[rows] == 0]  # ascending: by state, then by input
-            done = done[~won[done // n_in]]
-            # the first row of each state: its smallest input
-            first = np.flatnonzero(np.diff(done // n_in, prepend=-1))
-            frontier = done[first] // n_in
-            won[frontier] = True
-            for q, iid in zip(ids[frontier].tolist(), (done[first] % n_in).tolist()):
-                dist[q] = level
-                policy[q] = iid
-        tables.append((policy, dist))
+            frontier = _claim(rows[left[rows] == 0], won, ids, n_in, level, table)
+        tables.append(table)
     return tables
+
+
+def _claim(rows: np.ndarray, won: np.ndarray, ids: np.ndarray, n_in: int,
+           level: int, table: Tuple[Dict[int, int], Dict[int, int]]) -> np.ndarray:
+    """Give every state not yet won that has a row among the ascending CSR
+    rows its smallest input there: mark it in won (by position), record
+    input and level in table, (policy, dist), and return the positions
+    won, ascending."""
+    policy, dist = table
+    rows = rows[~won[rows // n_in]]
+    # rows ascend, so the first row of each state has its smallest input
+    first = rows[np.flatnonzero(np.diff(rows // n_in, prepend=-1))]
+    pos = first // n_in
+    won[pos] = True
+    for q, iid in zip(ids[pos].tolist(), (first % n_in).tolist()):
+        dist[q] = level
+        policy[q] = iid
+    return pos
 
 
 def _predecessors(ts: TransitionSystem, ids: np.ndarray, sizes: np.ndarray):
@@ -167,18 +176,10 @@ def _hold_reach(ts: TransitionSystem, targets: List[Tuple[int, ...]], max_hold: 
     for k in range(1, max_hold + 1):
         if k > 1:
             X = integrate_batch(sys, X, U[:, live], ctx.tau, ctx.steps)
-        inside = sys.inside(X.T)
+        inside, cells = _locate_inside(sys, ts.partition, X.T)
         X, live = X[:, inside], live[inside]
-        cells = ts.partition.locate_batch(X.T)
-        for won_t, goal_t, (policy, dist) in zip(won, goal, tables):
-            hit = live[goal_t[cells]]
-            hit = hit[~won_t[hit // n_in]]
-            # rows ascend, so the first row of each state has its smallest input
-            first = hit[np.flatnonzero(np.diff(hit // n_in, prepend=-1))]
-            won_t[first // n_in] = True
-            for q, iid in zip(ids[first // n_in].tolist(), (first % n_in).tolist()):
-                dist[q] = k
-                policy[q] = iid
+        for won_t, goal_t, table in zip(won, goal, tables):
+            _claim(live[goal_t[cells]], won_t, ids, n_in, k, table)
         keep = ~won.all(axis=0)[live // n_in]
         X, live = X[:, keep], live[keep]
         if not live.size:

@@ -530,6 +530,76 @@ def test_verify_frr_negative_samples_is_exit_1(ws, capsys):
     assert "frr-report" not in captured.out
 
 
+def test_verify_frr_that_checked_nothing_is_exit_1(ws, capsys):
+    # it used to print checked=0 and exit 0: a report of nothing passed
+    rc = main(["verify-frr", "--config", str(ws / "pendulum.ini"),
+               "--model", str(ws / "model.sts"), "--samples", "0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "samples=0 checked=0 skipped=0 violations=0" in captured.out
+    assert captured.err == \
+        "error: refinement check checked no sample: 0 were asked for\n"
+
+
+LEAVING_INI = """\
+[system]
+n = 1
+m = 1
+f =
+    5
+state_lo = -1
+state_hi = 1
+input_lo = 0
+input_hi = 0
+
+[abstraction]
+tau = 1
+eta = 0.2
+d = 0.4
+lipschitz = 0
+
+[run]
+samples = 20
+"""
+
+
+def test_verify_frr_with_every_sample_skipped_is_exit_1(tmp_path, capsys):
+    # every trajectory leaves the state box, so every pair is blocked and
+    # every sample is skipped
+    cfg, sts = tmp_path / "drift.ini", str(tmp_path / "drift.sts")
+    cfg.write_text(LEAVING_INI)
+    assert main(["abstract", "--config", str(cfg), "--out", sts]) == 0
+    rc = main(["verify-frr", "--config", str(cfg), "--model", sts])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "samples=20 checked=0 skipped=20 violations=0" in captured.out
+    assert captured.err == \
+        "error: refinement check checked no sample: all 20 were skipped\n"
+
+
+@pytest.mark.parametrize("box,message", [
+    ("input_lo = -1\ninput_hi = 1", "input 0 is [-2.4] there and [-1] in the config"),
+    ("input_lo = -2.5\ninput_hi = 2.7", "input 25 is none there and [2.6] in the config"),
+], ids=["narrower", "longer"])
+def test_simulate_refuses_a_controller_for_other_inputs(tmp_path, capsys, box,
+                                                        message):
+    # a controller for the pendulum's 25 inputs on [-2.5, 2.5]; the loop used
+    # to apply its input ids to the other config's inputs and exit 0
+    inputs = [np.array([k * 0.2]) for k in range(-12, 13)]
+    law = tmp_path / "law.ctrl"
+    law.write_text(serialize_controller(
+        Controller([{12: 12}], [(12,)], [{}], inputs, "hold")))
+    cfg = tmp_path / "other.ini"
+    cfg.write_text(PENDULUM_INI.replace("input_lo = -2.5\ninput_hi = 2.5", box))
+    csv = tmp_path / "run.csv"
+    rc = main(["simulate", "--config", str(cfg), "--controller", str(law),
+               "--out", str(csv)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: controller {law} was made for "
+                                       f"other inputs: {message}\n")
+    assert not csv.exists()
+
+
 def test_negative_config_seed_is_exit_1(ws, tmp_path, capsys):
     cfg = tmp_path / "seed.ini"
     cfg.write_text(PENDULUM_INI.replace("seed = 1", "seed = -1"))

@@ -210,9 +210,9 @@ def test_edge_records_of_sparse_ids_and_empty_states():
     relation = {(10 ** 9 + 7, 1): (5, 10 ** 9 + 7), (5, 0): (5,)}
     ts = TransitionSystem("delayfree", [AbstractState(i, cell=Cell(i, np.zeros(1), np.ones(1),
                                                                    np.full(1, 0.5)))
-                                        for i in (10 ** 9 + 7, 3, 5)],
+                                        for i in (3, 5, 10 ** 9 + 7)],
                           [np.array([0.0]), np.array([1.0])],
-                          transition_arrays([10 ** 9 + 7, 3, 5], 2, relation))
+                          transition_arrays([3, 5, 10 ** 9 + 7], 2, relation))
     text = serialize_ts(ts)
     assert text.endswith("I 1 1\nE 5 0 5\nE 1000000007 1 5\nE 1000000007 1 1000000007\n")
     assert text[text.index("E "):] == _sts_by_pair(ts)

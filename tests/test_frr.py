@@ -116,8 +116,9 @@ def test_sampled_report_text(pendulum_ts):
 
 
 def test_sampled_zero_budget(pendulum_ts):
+    # a witness that checked nothing shows nothing, so it does not pass
     rep = sample_frr_delayfree(pendulum_ts, 0, 1)
-    assert rep.passed and rep.checked == 0 and rep.skipped == 0
+    assert not rep.passed and rep.checked == 0 and rep.skipped == 0
 
 
 def test_sampled_is_reproducible(pendulum_ts):

@@ -107,6 +107,7 @@ def test_file_round_trip(tmp_path, pendulum_ts):
     ("STS 1 1 1 2\nS 0 0 1 0.5\nI 0 0\nE 0 0 0\n", "header says 2 transitions, found 1"),
     ("STS 1 1 1 0\nS 0 0 1 0.5\nI 5 0\n", r"input ids must be 0..0, found \[5\]"),
     ("STS 1 2 1 0\nS 0 0 1 0.5\nS 0 1 2 1.5\nI 0 0\n", "state id is given twice"),
+    ("STS 1 2 1 0\nS 0 0 1 0.5\nT 0 0\nT 0 0\nI 0 0\n", "state id is given twice"),
     ("STS 1 1 1 2\nS 0 0 1 0.5\nI 0 0\nE 0 0 0\nE 0 0 0\n",
      r"duplicate transition: \(0, 0\) -> 0"),
     # successors are stored as int32, so this id would wrap to -1294967296
@@ -116,6 +117,36 @@ def test_file_round_trip(tmp_path, pendulum_ts):
 def test_sts_parse_errors(text, fragment):
     with pytest.raises(ModelFormatError, match=fragment):
         parse_sts(text)
+
+
+def test_states_must_ascend_by_id():
+    relation = (np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int32))
+    for ids in ([0, 2, 1], [0, 2, 2]):
+        states = [AbstractState(i, cell=Cell(i, np.array([i]), np.array([i + 1.0]),
+                                             np.array([i + 0.5]))) for i in ids]
+        with pytest.raises(ValueError, match="state ids must ascend"):
+            TransitionSystem("delayfree", states, [np.array([0.5])], relation)
+
+
+@pytest.mark.parametrize("model", ["pendulum_ts", "pendulum_delay_ts"])
+def test_shuffled_records_parse_to_the_sorted_model(model, request):
+    text = serialize_ts(request.getfixturevalue(model))
+    header, *records = text.splitlines(keepends=True)
+    order = np.random.default_rng(7).permutation(len(records))
+    shuffled = [records[k] for k in order]
+    # the order of a pair's successors is part of the model, so the E
+    # records of each pair keep theirs: each pair's lines go back, in
+    # their own order, to the places the shuffle gave them
+    pair = lambda ln: tuple(ln.split()[1:3]) if ln.startswith("E ") else ln
+    groups = {}
+    for ln in records:
+        groups.setdefault(pair(ln), []).append(ln)
+    shuffled = header + "".join(groups[pair(ln)].pop(0) for ln in shuffled)
+    assert shuffled != text
+    ts = parse_sts(shuffled)
+    ids = [s.id for s in ts.states]
+    assert ids == sorted(ids)
+    assert serialize_ts(ts) == text
 
 
 def test_blank_lines_are_tolerated():
