@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from array import array
 from collections.abc import Mapping
 from contextlib import suppress
-from itertools import product, repeat
+from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -511,7 +511,11 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
     partition that part refines.  A cell of part that is a state of prior
     takes its endpoints from prior, and each of its pairs takes its prior
     successors unless they name a state that part no longer has; only the
-    remaining pairs are integrated or queried.
+    remaining pairs are integrated or queried.  The copied rows are taken
+    from prior's arrays without Python lists: the unblocked rows of a block
+    fall into pieces, each one queried row or one run of copied rows whose
+    successors follow one another in prior.succ, and each run is appended
+    with one buffer copy and its row sizes with one more.
     """
     cells = part.cells
     if not cells:
@@ -531,7 +535,6 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
         new[kept] = False
         reuse = np.full(x1.shape[:2], -1, dtype=np.int64)
         reuse[kept] = copied
-        prior_at, prior_succ = prior.indptr.tolist(), prior.succ
 
     def block(k0: int, k1: int):
         """Endpoints (k1-k0, I, n), CSR row numbers of the unblocked pairs,
@@ -547,18 +550,29 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
         box_hi = (ends + radius[k0:k1]).reshape(-1, sys.n)
         # rows of blocked pairs stay empty
         local = np.flatnonzero(~blocked)
-        from_rows = repeat(-1) if reuse is None else \
-            reuse[k0:k1].ravel()[local].tolist()
         succ, sizes = array("i"), array("q")
-        for j, from_row in zip(local.tolist(), from_rows):
-            if from_row >= 0:
-                a, b = prior_at[from_row], prior_at[from_row + 1]
-                succ.frombytes(prior_succ[a:b].tobytes())
-                sizes.append(b - a)
-                continue
+
+        def query(j: int) -> None:
             ids = part.intersecting(box_lo[j], box_hi[j])
             succ.extend(ids)
             sizes.append(len(ids))
+
+        if reuse is None:
+            for j in local.tolist():
+                query(j)
+            return ends, local + k0 * n_in, succ, sizes
+        from_rows = reuse[k0:k1].ravel()[local]
+        copy = from_rows >= 0
+        a, b = prior.indptr[from_rows], prior.indptr[from_rows + 1]
+        # a piece starts at every queried row and wherever a copied row's
+        # successors do not follow the previous row's in prior.succ
+        starts = np.flatnonzero(~copy | np.r_[True, ~copy[:-1] | (a[1:] != b[:-1])])
+        for p, q in zip(starts.tolist(), [*starts[1:].tolist(), len(local)]):
+            if not copy[p]:
+                query(int(local[p]))
+                continue
+            succ.frombytes(memoryview(prior.succ[a[p]:b[q - 1]]).cast("B"))
+            sizes.frombytes((b[p:q] - a[p:q]).tobytes())
         return ends, local + k0 * n_in, succ, sizes
 
     ranges = _cell_ranges(new, n_in)

@@ -339,7 +339,7 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
     seed = runc.integer("seed", "1") if runc.present else 1
     _check(seed >= 0, "run.seed", "must be nonnegative")
     samples = runc.integer("samples", "1000") if runc.present else 1000
-    _check(samples >= 0, "run.samples", "must be nonnegative")
+    _check(samples >= 1, "run.samples", "must be an integer >= 1")
 
     if r > 0:
         k = r / tau

@@ -28,6 +28,7 @@ boundaries go to the smaller-magnitude level, zoom bins are half-open
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
@@ -371,7 +372,9 @@ class Partition:
     retire their id and subcells receive fresh ids appended in order.
     zoom maps each refined base cell's id to its one record (_ZoomedCell),
     which refined() fills; the subcells, point location and box queries
-    all read it.
+    all read it.  The unrefined lattice (axes, bound lists, base cells) is
+    never changed after construction, so a refined partition shares it
+    with the partition it refines and builds only its zoom tables.
     """
 
     def __init__(self, box_lo, box_hi, params):
@@ -432,8 +435,9 @@ class Partition:
             self._zoom_strides[bid] = z.strides
 
     def refined(self, assignments: Dict[int, ZoomQuantizerParams]) -> "Partition":
-        """New partition with the given base cells zoom-refined."""
-        part = Partition(self.box_lo, self.box_hi, self.params)
+        """New partition with the given base cells zoom-refined; it shares
+        this partition's unrefined lattice."""
+        part = copy.copy(self)
         part.zoom = dict(self.zoom)
         next_id = max((c.id for c in self.cells), default=-1) + 1
         for bid in sorted(assignments):

@@ -295,7 +295,7 @@ def test_load_config_rejects_broken_ini_syntax(tmp_path):
     ({"synthesis.max_hold": "0"}, None, "synthesis.max_hold: must be an integer >= 1"),
     ({"run.x0": "0"}, None, "run.x0: expected 2 values"),
     ({"run.max_steps": "0"}, None, "run.max_steps: must be an integer >= 1"),
-    ({"run.samples": "-5"}, None, "run.samples: must be nonnegative"),
+    ({"run.samples": "-5"}, None, "run.samples: must be an integer >= 1"),
     ({"system.theta": "0.2", "system.r": "0.3",
       "system.f": "\n x2\n -x2 + delay(x2, 0.2) + u1"}, None,
      "system.r: must be an integer multiple"),
@@ -321,6 +321,7 @@ def test_load_config_rejects_broken_ini_syntax(tmp_path):
     ({"synthesis.targets": "\n 0 0\n 0 -inf"}, None,
      "synthesis.targets: row 2: expected finite numbers"),
     ({"run.x0": "nan 0"}, None, "run.x0: expected finite numbers"),
+    ({"run.samples": "0"}, None, "run.samples: must be an integer >= 1"),
 ])
 def test_validation_messages(overrides, drop, fragment):
     with pytest.raises(ConfigError) as err:

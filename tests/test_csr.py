@@ -15,7 +15,8 @@ from symquant.cli import _load_model_checked, main
 from symquant.model_io import (ModelFormatError, parse_sts, serialize_ts,
                                sts_chunks, write_ts)
 from symquant.quantizers import Cell
-from symquant.synthesis import _robust_reach
+from symquant import synthesis
+from symquant.synthesis import _robust_reach, _undominated
 
 
 def reference_robust_reach(ts, target):
@@ -290,3 +291,83 @@ def test_worklist_matches_the_fixed_point_on_random_graphs(seed):
                           transition_arrays(ids, m, relation))
     target = tuple(ids[:3])
     assert _robust_reach(ts, [target]) == [reference_robust_reach(ts, target)]
+
+
+# ---------------------------------------------------------------------------
+# robust reach over undominated pairs
+
+
+def _dominance_graph(rng, ids, m):
+    """A relation over ids with m inputs whose rows at a state often contain
+    one another: each row is empty, a fresh set, a copy of an earlier row,
+    or an earlier row with more successors (a chain when that row was
+    grown too)."""
+    relation = {}
+    for q in ids:
+        rows = []
+        for iid in range(m):
+            kind = rng.integers(4) if rows else 1
+            if kind == 0:
+                row = ()
+            elif kind == 1:
+                row = tuple(rng.choice(ids, size=int(rng.integers(1, 4)), replace=False))
+            else:
+                row = rows[int(rng.integers(len(rows)))]
+                if kind == 3:
+                    row = tuple(set(row) | set(rng.choice(ids, size=2).tolist()))
+            rows.append(row)
+            if row:
+                relation[(q, iid)] = tuple(sorted(set(row)))
+    return relation
+
+
+def _graph_ts(ids, m, relation):
+    return TransitionSystem("delayfree", [AbstractState(q) for q in ids],
+                            [np.array([float(i)]) for i in range(m)],
+                            transition_arrays(ids, m, relation))
+
+
+def test_dominated_pairs_are_the_rows_that_contain_a_smaller_input():
+    ts = _graph_ts([0, 1, 2, 3], 7, {
+        # a strict superset, an equal set, an empty row, a set that
+        # contains nothing smaller, and a superset of both kept rows
+        (0, 0): (1, 2), (0, 1): (1, 2, 3), (0, 2): (1, 2), (0, 4): (3,),
+        (0, 5): (1, 2, 3),
+        # an empty input 0 never dominates; the chain (0,) <= (0, 1) <=
+        # (0, 1, 2) keeps only its smallest row
+        (1, 1): (0,), (1, 2): (0, 1), (1, 3): (0, 1, 2), (1, 6): (2,),
+        # equal rows keep the smaller input
+        (2, 4): (3,), (2, 5): (3,), (3, 0): (3,)})
+    keep = _undominated(ts, np.diff(ts.indptr))
+    kept = {(ts.states[r // 7].id, r % 7) for r in np.flatnonzero(keep).tolist()}
+    assert kept == {(0, 0), (0, 4), (1, 1), (1, 6), (2, 4), (3, 0)}
+
+
+def test_dominance_across_more_than_64_inputs():
+    relation = {(0, 3): (0, 1), (0, 65): (0, 1, 2), (0, 70): (1,), (0, 130): (0, 1),
+                (1, 64): (1,), (1, 100): (1,), (1, 129): (0,)}
+    ts = _graph_ts([0, 1, 2], 131, relation)
+    keep = _undominated(ts, np.diff(ts.indptr))
+    assert np.flatnonzero(keep).tolist() == [3, 70, 131 + 64, 131 + 129]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 40])
+@pytest.mark.parametrize("seed,m", [(0, 3), (1, 6), (2, 9), (3, 70)])
+def test_pruned_reach_matches_the_fixed_point(monkeypatch, chunk, seed, m):
+    # chunk 1 puts every state in a chunk of its own, 40 a few states
+    if chunk is not None:
+        monkeypatch.setattr(synthesis, "_REACH_EDGES", chunk)
+    rng = np.random.default_rng(seed)
+    ids = (np.arange(30) * 3 + 1).tolist()  # ids that are not positions
+    ts = _graph_ts(ids, m, _dominance_graph(rng, ids, m))
+    sizes = np.diff(ts.indptr)
+    assert 0 < sizes[_undominated(ts, sizes)].sum() < ts.n_transitions
+    for target in (tuple(ids[:3]), (ids[-1],)):
+        assert _robust_reach(ts, [target]) == [reference_robust_reach(ts, target)]
+
+
+def test_fine_zoom_reach_keeps_the_undominated_edges(fine_zoom_ts):
+    ts = fine_zoom_ts
+    sizes = np.diff(ts.indptr)
+    assert sizes[_undominated(ts, sizes)].sum() == 86_365
+    assert ts.n_transitions == 158_579

@@ -241,6 +241,36 @@ def test_refined_locate_picks_subcells():
     assert ref.locate([-0.72, -0.72]) == 0
 
 
+def test_refined_partition_shares_the_unrefined_lattice():
+    part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
+    ref = part.refined({12: ZoomQuantizerParams(1, 1.0, 0.3)})
+    assert all(ref.base_cells[k] is part.base_cells[k] for k in range(25))
+    assert ref.axes is part.axes
+    assert ref.cell(0) is part.cell(0)
+
+
+def _answers(part, rng):
+    """cells, locate, locate_batch and intersecting of part on fixed
+    random points and boxes."""
+    pts = rng.uniform(-1.0, 1.0, size=(500, 2))
+    boxes = np.sort(rng.uniform(-1.0, 1.0, size=(100, 2, 2)), axis=1)
+    return ([(c.id, c.lower.tolist(), c.upper.tolist()) for c in part.cells],
+            [part.locate(x) for x in pts], part.locate_batch(pts).tolist(),
+            [part.intersecting(lo, hi) for lo, hi in boxes])
+
+
+def test_refining_leaves_the_parent_unchanged():
+    part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
+    before = _answers(part, np.random.default_rng(3))
+    ref = part.refined({12: ZoomQuantizerParams(1, 1.0, 0.3)})
+    ref_before = _answers(ref, np.random.default_rng(3))
+    again = ref.refined({0: ZoomQuantizerParams(10, 1.0, 0.1)})
+    assert _answers(part, np.random.default_rng(3)) == before
+    assert _answers(ref, np.random.default_rng(3)) == ref_before
+    assert _answers(again, np.random.default_rng(3)) != ref_before
+    assert len(part.cells) == 25 and not part.zoom and list(ref.zoom) == [12]
+
+
 def test_refined_cover_remains_exact():
     part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
     ref = part.refined({0: ZoomQuantizerParams(10, 1.0, 0.1),
