@@ -177,6 +177,7 @@ class TransitionSystem:
     must name a state.  A pair is enabled exactly when its row is
     non-empty; a blocked pair's row is empty.  States ascend by id, so
     position order is id order; the constructor rejects any other order.
+    ids holds the state ids, in that order, as an int64 array.
     Construction is deterministic: same configuration, same serialized
     bytes.
 
@@ -205,13 +206,10 @@ class TransitionSystem:
                 self.indptr[-1] != len(self.succ):
             raise ValueError("indptr needs one row per (state, input) pair "
                              "and must end at len(succ)")
-        ids = np.array([s.id for s in states], dtype=np.int64)
-        unknown = _unknown_id(ids, self.succ)
+        self.ids = _ascending(np.array([s.id for s in states], dtype=np.int64))
+        unknown = _unknown_id(self.ids, self.succ)
         if unknown is not None:
             raise ValueError(f"successor id {unknown} names no state")
-        if np.any(ids[1:] <= ids[:-1]):
-            raise ValueError("state ids must ascend: a state id is given "
-                             "twice or out of order")
         self.partition = partition
         self._ctx = ctx
         self._pos = {s.id: k for k, s in enumerate(states)}
@@ -289,33 +287,39 @@ class _RelationView(Mapping):
         return int(np.count_nonzero(np.diff(self._ts.indptr)))
 
 
+def _ascending(ids: np.ndarray) -> np.ndarray:
+    """ids, which must ascend strictly, as every model's state ids do."""
+    if np.any(ids[1:] <= ids[:-1]):
+        raise ValueError("state ids must ascend: a state id is given "
+                         "twice or out of order")
+    return ids
+
+
 _POS_CHUNK = 1 << 13  # ids per lookup in _positions and _unknown_id
 
 
 def _positions(state_ids: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """For every id in x: its int32 position in state_ids (0 where absent),
-    and whether it is there.  x is looked up _POS_CHUNK ids at a time, so
-    the int64 temporaries stay small however long x is."""
+    """For every id in x: its int32 position in the ascending state_ids (0
+    where absent), and whether it is there.  x is looked up _POS_CHUNK ids
+    at a time, so the int64 temporaries stay small however long x is."""
     pos = np.zeros(len(x), dtype=np.int32)
     found = np.zeros(len(x), dtype=bool)
     if not len(state_ids):
         return pos, found
-    order = np.argsort(state_ids, kind="stable")
-    ordered = state_ids[order]
     for a in range(0, len(x), _POS_CHUNK):
         part = x[a:a + _POS_CHUNK]
-        at = np.minimum(np.searchsorted(ordered, part), len(ordered) - 1)
-        hit = ordered[at] == part
-        pos[a:a + _POS_CHUNK] = np.where(hit, order[at], 0)
+        at = np.minimum(np.searchsorted(state_ids, part), len(state_ids) - 1)
+        hit = state_ids[at] == part
+        pos[a:a + _POS_CHUNK] = np.where(hit, at, 0)
         found[a:a + _POS_CHUNK] = hit
     return pos, found
 
 
 def _unknown_id(state_ids: np.ndarray, x: np.ndarray) -> Optional[int]:
-    """The first id in x that is not in state_ids, or None.  A bool table
-    over the range of x marks the state ids, and x is looked up in it
-    _POS_CHUNK ids at a time, so the check is linear in len(x) and its
-    temporaries stay small; ids too sparse for such a table go through
+    """The first id in x that is not in the ascending state_ids, or None.
+    A bool table over the range of x marks the state ids, and x is looked
+    up in it _POS_CHUNK ids at a time, so the check is linear in len(x) and
+    its temporaries stay small; ids too sparse for such a table go through
     _positions."""
     if not len(x):
         return None
@@ -345,14 +349,14 @@ def _indptr(n_rows: int, rows, sizes) -> np.ndarray:
 
 def transition_arrays(state_ids: Sequence[int], n_inputs: int,
                       relation) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR arrays (indptr, succ) of a relation over the states in the order
-    of state_ids, for TransitionSystem.
+    """CSR arrays (indptr, succ) of a relation over the states of the
+    ascending state_ids, for TransitionSystem.
 
     relation is a {(state id, input id): successor ids} mapping, or a
     (src, input, dst) triple of equal-length id sequences, one entry per
     edge; int32 id arrays are used as they are.  Successors keep their
-    given order within a pair.  An unknown state or input, or an edge given
-    twice, raises ValueError.
+    given order within a pair.  Ids that do not ascend, an unknown state or
+    input, or an edge given twice, raise ValueError.
     """
     if isinstance(relation, Mapping):
         src = [sid for (sid, _), dst in relation.items() for _ in dst]
@@ -360,7 +364,7 @@ def transition_arrays(state_ids: Sequence[int], n_inputs: int,
         dst = [t for succ in relation.values() for t in succ]
     else:
         src, iid, dst = relation
-    ids = np.asarray(state_ids, dtype=np.int64)
+    ids = _ascending(np.asarray(state_ids, dtype=np.int64))
     int32 = np.iinfo(np.int32)
     wide = (ids < int32.min) | (ids > int32.max)
     if wide.any():
@@ -598,7 +602,7 @@ def _prior_rows(prior: TransitionSystem,
     """For the cells that are states of prior: their positions in cells,
     their positions in prior.states, and their (K, I) CSR rows in prior,
     -1 on a row that lists a state of prior that is not in cells."""
-    ids, prior_ids = np.array([c.id for c in cells]), np.array(prior.state_ids())
+    ids, prior_ids = np.array([c.id for c in cells]), prior.ids
     kept = np.flatnonzero(np.isin(ids, prior_ids))
     at = np.searchsorted(prior_ids, ids[kept])  # prior's state ids ascend
     n_in = len(prior.inputs)
@@ -646,8 +650,6 @@ def _in_blocks(block, ranges: List[Tuple[int, int]]) -> list:
     it returns or raises.  What a worker changes in its copy of the process
     is lost; only its return value comes back.
     """
-    if len(ranges) == 1:
-        return [block(*ranges[0])]
     workers: Dict[int, Optional[int]] = {}  # pid -> read end, in range order
     try:
         for k0, k1 in ranges[1:]:

@@ -7,12 +7,14 @@ zoom assignments, spline count, exploration budget), [synthesis]
 limit, seed, sample count).  Multi-valued keys (vector field rows, zoom
 assignments, waypoints, xi0 samples) use indented continuation lines.
 Validation failures name the offending field, e.g. "abstraction.eta: must
-be in (0, 1)".
+be in (0, 1)".  Values are literal: a % in a value is a character, never an
+interpolation.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -22,7 +24,8 @@ from .abstraction import TransitionSystem, build_delayfree, build_timedelay
 from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
                        DEFAULT_STEPS)
 from .expr import ExprError, parse as parse_expr
-from .quantizers import LogQuantizerParams, Partition, ZoomQuantizerParams
+from .quantizers import (LogQuantizerParams, Partition, ZoomQuantizerParams,
+                         _axis_regions)
 from .synthesis import Specification
 
 
@@ -207,7 +210,7 @@ def _check(cond: bool, where: str, msg: str) -> None:
 
 
 def load_config(path: str) -> AppConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         read = cp.read(path)
     except configparser.Error as exc:
@@ -218,7 +221,7 @@ def load_config(path: str) -> AppConfig:
 
 
 def parse_config_text(text: str) -> AppConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -271,6 +274,7 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
     _check(eta is not None and 0 < eta < 1, "abstraction.eta", "must be in (0, 1)")
     d = absc.number("d")
     _check(d is not None and d > 0, "abstraction.d", "must be positive")
+    log_params = LogQuantizerParams(eta, d, variant)
     input_quantizer = absc.choice("input_quantizer", ("uniform", "log"), "uniform")
     mu = absc.number("mu", "0.2")
     _check(mu > 0, "abstraction.mu", "must be positive")
@@ -297,6 +301,9 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
 
     zoom: Dict[int, ZoomQuantizerParams] = {}
     if absc.raw("zoom"):
+        # the unrefined lattice's cell count, from its per-axis regions
+        n_cells = math.prod(len(_axis_regions(lo, hi, log_params)) for lo, hi
+                            in zip(state_lo.tolist(), state_hi.tolist()))
         for i, row in enumerate(_rows(absc.raw("zoom"))):
             parts = row.split()
             _check(len(parts) == 4, "abstraction.zoom",
@@ -308,6 +315,9 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
             Lam, delta = _finite(parts[2:], f"abstraction.zoom: row {i + 1}",
                                  "malformed numbers").tolist()
             _check(cid >= 0, "abstraction.zoom", f"row {i + 1}: cell id must be >= 0")
+            _check(cid < n_cells, "abstraction.zoom",
+                   f"row {i + 1}: cell {cid} is not a cell of the "
+                   f"{n_cells}-cell lattice")
             _check(cid not in zoom, "abstraction.zoom",
                    f"row {i + 1}: duplicate cell id {cid}")
             try:
@@ -356,7 +366,7 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
     except (ValueError, ExprError) as err:
         raise ConfigError(f"system: {err}") from err
     return AppConfig(system=system, tau=tau,
-                     log_params=LogQuantizerParams(eta, d, variant),
+                     log_params=log_params,
                      input_quantization=input_quantization,
                      lipschitz=lipschitz, steps=steps,
                      growth_scale=growth_scale, zoom=zoom, N=N, budget=budget,

@@ -33,6 +33,7 @@ from .abstraction import (SplineTube, TransitionSystem, _boxes_meet,
                           _knot_widths, _locate_inside, knot_points,
                           knot_tube, tube_knot_points)
 from .dynamics import SampledCurve, integrate_batch
+from .model_io import _fmt_vec
 from .quantizers import Partition
 
 
@@ -97,8 +98,7 @@ class FrrReport:
                  f"checked={self.checked} skipped={self.skipped} "
                  f"violations={len(self.violations)}"]
         for i, v in enumerate(self.violations):
-            x = " ".join(f"{c:.9g}" for c in np.atleast_1d(v.x).ravel())
-            u = " ".join(f"{c:.9g}" for c in np.atleast_1d(v.u).ravel())
+            x, u = _fmt_vec(np.ravel(v.x)), _fmt_vec(np.ravel(v.u))
             lines.append(f"violation {i}: state={v.abstract_state} x=[{x}] u=[{u}] "
                          f"observed={v.observed} allowed={list(v.allowed)} {v.detail}".rstrip())
         return "\n".join(lines)

@@ -32,7 +32,6 @@ import copy
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
-from math import floor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -218,18 +217,15 @@ def _grid_cells(axes: List[List[AxisRegion]], first_id: int) -> List[Cell]:
             for k, regions in enumerate(product(*axes))]
 
 
-def _axis_locate(lowers: List[float], uppers: List[float], mags: List[float],
+def _axis_locate(lowers: List[float], uppers: List[float], bump: np.ndarray,
                  z: float) -> int:
-    """Index of the region owning z, given the regions' bounds and level
-    magnitudes along one axis; boundary ties go to the smaller level."""
+    """Index of the region owning z, given the regions' bounds along one
+    axis and bump, which marks each upper bound that goes to the next
+    region (the smaller level)."""
     if not lowers[0] <= z <= uppers[-1]:  # NaN too
         raise ValueError(f"{z} outside axis range [{lowers[0]}, {uppers[-1]}]")
     i = bisect_left(uppers, z)
-    if i == len(uppers):
-        i -= 1
-    if z == uppers[i] and i + 1 < len(uppers) and mags[i + 1] < mags[i]:
-        i += 1
-    return i
+    return i + 1 if z == uppers[i] and bump[i] else i
 
 
 def _axis_span(lowers: List[float], uppers: List[float], lo: float,
@@ -271,36 +267,19 @@ def zoom_quantize(z: float, p: ZoomQuantizerParams) -> float:
     if p.delta <= 0.0:
         raise ValueError("zoom_quantize needs delta > 0 (delta = 0 disables refinement)")
     w = p.width
-    k = _zoom_bin(z, w)
-    k = max(-p.M, min(p.M, k))
+    k = max(-p.M, min(p.M, int(_zoom_bin(z, w))))
     return k * w
 
 
-def _zoom_bin(z: float, w: float) -> int:
-    """Unclamped bin index under (k-0.5)w <= z < (k+0.5)w, float-exact."""
-    k = floor(z / w + 0.5)
-    while z < (k - 0.5) * w:
-        k -= 1
-    while z >= (k + 0.5) * w:
-        k += 1
-    return k
-
-
-def _zoom_bin_batch(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """_zoom_bin of every entry of z under the width of the same entry of w,
-    as floats holding integers; the same float operations, so the same
-    bins."""
+def _zoom_bin(z, w):
+    """Unclamped bin index k under (k-0.5)w <= z < (k+0.5)w, float-exact,
+    as a float holding an integer: of one float z under one width w, or of
+    every entry of an array z under the width of the same entry of w."""
     k = np.floor(z / w + 0.5)
-    while True:
-        down = z < (k - 0.5) * w
-        if not down.any():
-            break
-        k[down] -= 1.0
-    while True:
-        up = z >= (k + 0.5) * w
-        if not up.any():
-            break
-        k[up] += 1.0
+    while (down := z < (k - 0.5) * w).any():
+        k = k - down
+    while (up := z >= (k + 0.5) * w).any():
+        k = k + up
     return k
 
 
@@ -314,7 +293,7 @@ def _zoom_axis_ks(lo: float, hi: float, p: ZoomQuantizerParams) -> List[int]:
           if -p.M <= k <= p.M and lo - tol <= k * w <= hi + tol]
     if not ks:
         # no lattice point falls inside: one saturated subcell covers it all
-        k = max(-p.M, min(p.M, _zoom_bin(0.5 * (lo + hi), w)))
+        k = max(-p.M, min(p.M, int(_zoom_bin(0.5 * (lo + hi), w))))
         ks = [k]
     return ks
 
@@ -391,12 +370,12 @@ class Partition:
         # per-axis bound lists for bisection: regions tile the axis in order
         self._lowers = [[r.lower for r in ax] for ax in self.axes]
         self._uppers = [[r.upper for r in ax] for ax in self.axes]
-        self._mags = [[abs(r.level) for r in ax] for ax in self.axes]
-        # the same bounds as arrays for locate_batch; _bump[i][j] marks a
+        # the upper bounds as arrays for locate_batch; _bump[i][j] marks a
         # boundary uppers[i][j] that goes to region j+1 (the smaller level)
         self._upper_arrays = [np.array(u) for u in self._uppers]
-        self._bump = [np.array([m[j + 1] < m[j] for j in range(len(m) - 1)] + [False])
-                      for m in self._mags]
+        self._bump = [np.array([abs(b.level) < abs(a.level)
+                                for a, b in zip(ax, ax[1:])] + [False])
+                      for ax in self.axes]
         self.base_cells = _grid_cells(self.axes, 0)
         self.zoom: Dict[int, _ZoomedCell] = {}
         self._rebuild_active()
@@ -469,7 +448,7 @@ class Partition:
         x = np.asarray(x, dtype=float).tolist()
         bid = 0
         for i in range(self.n):
-            j = _axis_locate(self._lowers[i], self._uppers[i], self._mags[i], x[i])
+            j = _axis_locate(self._lowers[i], self._uppers[i], self._bump[i], x[i])
             bid += j * self._strides[i]
         z = self.zoom.get(bid)
         if z is None:
@@ -477,7 +456,7 @@ class Partition:
         sid = z.first_id
         for i, st in enumerate(z.strides):
             ks = z.axis_ks[i]
-            k = _zoom_bin(x[i], z.params.width)
+            k = int(_zoom_bin(x[i], z.params.width))
             sid += (max(ks[0], min(ks[-1], k)) - ks[0]) * st
         return sid
 
@@ -507,7 +486,7 @@ class Partition:
             b = bid[zoomed]
             sid = first[zoomed]
             for i in range(self.n):
-                k = _zoom_bin_batch(X[zoomed, i], self._zoom_width[b])
+                k = _zoom_bin(X[zoomed, i], self._zoom_width[b])
                 kmin = self._zoom_kmin[b, i]
                 k = np.clip(k, kmin, self._zoom_kmax[b, i]).astype(np.int64)
                 sid += (k - kmin) * self._zoom_strides[b, i]

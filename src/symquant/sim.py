@@ -24,6 +24,7 @@ from .abstraction import TransitionSystem
 from .dynamics import (SampledCurve, DEFAULT_STEPS, integrate,
                        integrate_delay)
 from .frr import RefinementMap
+from .model_io import _fmt
 from .synthesis import Controller
 
 
@@ -57,7 +58,7 @@ class CompletionReport:
     def as_text(self) -> str:
         status = "completed" if self.completed else "incomplete"
         return (f"run {status}: phases {self.phase_reached}/{self.n_phases}, "
-                f"steps {self.steps}, time {self.time:.9g} s ({self.reason})")
+                f"steps {self.steps}, time {_fmt(self.time)} s ({self.reason})")
 
 
 def run_closed_loop(sys, controller: Controller, F: RefinementMap,
@@ -90,13 +91,13 @@ def run_closed_loop(sys, controller: Controller, F: RefinementMap,
         else:
             x = points = state
         if not sys.inside(points).all():
-            reason = (f"functional state left the state box at t={t:.9g}"
+            reason = (f"functional state left the state box at t={_fmt(t)}"
                       if tube else
-                      f"state {x.tolist()} left the state box at t={t:.9g}")
+                      f"state {x.tolist()} left the state box at t={_fmt(t)}")
             break
         cid = F.tube_at(points) if tube else F.locate(x)
         if cid is None:
-            reason = f"functional state maps to no abstract state at t={t:.9g}"
+            reason = f"functional state maps to no abstract state at t={_fmt(t)}"
             break
         if phase < n_phases and cid in controller.waypoints[phase]:
             phase += 1
@@ -147,8 +148,7 @@ def export_trajectory(traj: Trajectory, path: str) -> None:
             + [f"u{j + 1}" for j in range(m)] + ["phase", "cell_id"])
     lines = [",".join(cols)]
     for s in traj.samples:
-        vals = [s.t] + [v + 0.0 for v in s.x] + [v + 0.0 for v in s.u]
-        lines.append(",".join(f"{v:.9g}" for v in vals)
+        lines.append(",".join(map(_fmt, [s.t, *s.x, *s.u]))
                      + f",{s.phase},{s.cell_id}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -89,8 +89,7 @@ def _robust_reach(ts: TransitionSystem, targets: List[Tuple[int, ...]]):
     counts the hits per row with one np.bincount (np.unique would import
     numpy.ma, about 1.7 MiB).
     """
-    n_in = len(ts.inputs)
-    ids = np.array(ts.state_ids(), dtype=np.int64)
+    n_in, ids = len(ts.inputs), ts.ids
     n_succ = np.diff(ts.indptr).astype(np.int32)
     pred, pred_ptr = _predecessors(ts, ids, n_succ, _undominated(ts, n_succ))
     n_pred = np.diff(pred_ptr)
@@ -267,8 +266,7 @@ def _hold_reach(ts: TransitionSystem, targets: List[Tuple[int, ...]], max_hold: 
     if ctx is None or ts.partition is None or ts.endpoints is None:
         raise SynthesisError("model carries no build context; rebuild from config")
     sys = ctx.sys
-    n_in = len(ts.inputs)
-    ids = np.array(ts.state_ids(), dtype=np.int64)
+    n_in, ids = len(ts.inputs), ts.ids
     goal = np.zeros((len(targets), ids.max() + 1), dtype=bool)  # by cell id
     for row, target in zip(goal, targets):
         row[list(target)] = True

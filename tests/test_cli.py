@@ -374,6 +374,20 @@ def test_bad_config_is_exit_1(ws, tmp_path, capsys):
     assert "abstraction.eta" in capsys.readouterr().err
 
 
+def test_percent_in_a_config_value_is_exit_1(tmp_path):
+    # configparser's default interpolation raises on a lone %, outside the
+    # errors main() reports
+    cfg = tmp_path / "pct.ini"
+    cfg.write_text(PENDULUM_INI.replace("input_hi = 2.5", "input_hi = 2.5 % 1"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "symquant", "abstract", "--config", str(cfg),
+         "--out", str(tmp_path / "x.sts")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: system.input_hi: expected numbers")
+    assert "Traceback" not in proc.stderr
+
+
 def test_nan_target_is_exit_1(ws, tmp_path, capsys):
     # NaN compares false with every bound, so it used to be located in a
     # cell and a controller written for that cell

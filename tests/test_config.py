@@ -1,3 +1,7 @@
+import configparser
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from symquant.model_io import serialize_ts
 from symquant.quantizers import LogQuantizerParams
 
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 BASE = {
     "system": {
         "n": "2",
@@ -322,11 +327,41 @@ def test_load_config_rejects_broken_ini_syntax(tmp_path):
      "synthesis.targets: row 2: expected finite numbers"),
     ({"run.x0": "nan 0"}, None, "run.x0: expected finite numbers"),
     ({"run.samples": "0"}, None, "run.samples: must be an integer >= 1"),
+    # values are literal: a % is a character, and %(key)s pastes in nothing
+    ({"system.input_hi": "2.5 % 1"}, None, "system.input_hi: expected numbers"),
+    ({"system.x": "x2", "system.f": "\n %(x)s\n -1.96*sin(x1) - 1.5*x2 + u1"},
+     None, "system.f: row 1: unexpected '%'"),
+    # zoom rows name cells of the unrefined lattice (25 cells here)
+    ({"abstraction.zoom": "\n 9999 1 1.0 0.1"}, None,
+     "abstraction.zoom: row 1: cell 9999 is not a cell of the 25-cell lattice"),
 ])
 def test_validation_messages(overrides, drop, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config_text(ini(overrides, drop))
     assert fragment in str(err.value)
+
+
+def _workload_keys():
+    """(workload, section, key) of every key of the benchmark configs."""
+    out = []
+    for path in sorted(WORKLOADS.glob("*.ini")):
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read(path)
+        out.extend((path.stem, sec, key) for sec in cp.sections() for key in cp[sec])
+    return out
+
+
+@pytest.mark.parametrize("value", ["%", "%(n)s"])
+@pytest.mark.parametrize("workload,section,key", _workload_keys())
+def test_every_key_rejects_a_percent_value_by_name(workload, section, key, value):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(WORKLOADS / f"{workload}.ini")
+    cp[section][key] = value
+    text = io.StringIO()
+    cp.write(text)
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text.getvalue())
+    assert str(err.value).startswith((f"{section}.", f"{section}:"))
 
 
 def test_delay_expression_requires_declared_theta():

@@ -140,13 +140,23 @@ def _two_states(ids, succ):
     ([0, 1], [7], 7),  # beyond consecutive ids
     ([0, 1], [-1], -1),
     ([5, 10 ** 9 + 7], [5, 6, 10 ** 9 + 7], 6),  # too sparse for a table
-    ([4, 2], [2, 3, 4], 3),  # ids need not be in order
 ])
 def test_successor_ids_must_name_states(ids, succ, unknown):
     # an unknown successor used to count as the state at position 0, so
     # robust reach reported state 1 won from successor 7
     with pytest.raises(ValueError, match=f"successor id {unknown} names no state"):
         _two_states(ids, succ)
+
+
+@pytest.mark.parametrize("make", [
+    # the order is checked first: the successor lookup assumes it
+    lambda: _two_states([4, 2], [2, 3, 4]),
+    lambda: transition_arrays([4, 2], 1, {(4, 0): (2,)}),
+    lambda: transition_arrays([2, 2], 1, {}),
+], ids=["constructor", "transition_arrays", "transition_arrays_twice"])
+def test_state_ids_out_of_order_are_rejected(make):
+    with pytest.raises(ValueError, match="state ids must ascend"):
+        make()
 
 
 def test_successor_check_runs_chunk_by_chunk(monkeypatch):
