@@ -2,16 +2,16 @@
 
 Delay-free construction: states are the logarithmic lattice cells, inputs a
 quantized grid, and (cell, input) gets every cell intersecting the box
-around the nominal endpoint integrate(q1, u, tau) of radius
+around the nominal endpoint integrate(q, u, tau) of radius
 
-    theta1 * e^(L*tau) * (|q1| + E)      theta1 = eta/(1-eta),
+    growth_scale * e^(mu*tau) * max_i s_i                on every axis,
 
-componentwise, where E marks zero components of the cell's quantized point
-q1.  Zoom-refined subcells use the isotropic radius e^(L*tau) * s, s the
-largest componentwise distance from q1 to the subcell faces (the
-logarithmic formula has no analogue below the deadzone scale).  The build
-stays on flat arrays from start to end: one Lipschitz estimate over all C
-cells, the (C, n) radii, a preallocated (C, I, n) array that each
+s = Cell.spread(), the largest distance from the quantized point q to the
+cell on each axis, and mu the cell's sampled matrix measure over the cell
+grown by 1.1*tau*max|f| (estimate_lipschitz with tau), or a numeric
+lipschitz as given: one rule for log, merged, deadzone and zoom cells.
+The build stays on flat arrays from start to end: one rate estimate over
+all C cells, the (C,) radii, a preallocated (C, I, n) array that each
 integrate() call writes its nominal endpoint into, the blocked pairs, and
 the growth boxes as (C*I, n) arrays in CSR row order.  Each box row goes to
 one Partition.intersecting() query, whose ids are appended to an int32
@@ -26,8 +26,8 @@ equals a build from scratch byte for byte.
 
 The per-pair part of the build (integrate the new cells' pairs, find the
 blocked pairs and growth boxes, copy or query each unblocked row) is one
-block function over a contiguous range of cells; the Lipschitz estimate,
-the radii and the prior's rows are computed once before it.  A build with
+block function over a contiguous range of cells; the rate estimate, the
+radii and the prior's rows are computed once before it.  A build with
 at least 2 * 4096 new pairs, in a process that may run on more than one
 CPU (its affinity mask), is cut into min(CPUs, new pairs // 4096) ranges
 with about the same number of new cells each: the first runs in process
@@ -78,39 +78,17 @@ from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
 from .quantizers import Cell, LogQuantizerParams, Partition, ZoomQuantizerParams
 
 
-def growth_bound_delayfree(q1, eta, L1, tau: float) -> np.ndarray:
-    """Box radius theta1*e^(L1 tau)*(|q1|+E), E = 1 on zero components.
-
-    q1 is one quantized point (n,) with a float L1, or C points (C, n)
-    with L1 a (C,) array: row k of the radius is the bound of q1[k] under
-    L1[k].  eta is one float or one per axis, (n,), and theta1 =
-    eta/(1-eta) is taken per axis.  L1 = 0 is allowed: a right-hand side
-    that does not depend on the state keeps the radius theta1*(|q1|+E).
-    """
-    eta = np.asarray(eta, dtype=float)
-    if not np.all((0.0 < eta) & (eta < 1.0)):
-        raise ValueError("eta must be in (0,1)")
-    L1 = np.asarray(L1, dtype=float)
-    if not (np.all(L1 >= 0) and tau > 0):
-        raise ValueError("L1 must be nonnegative and tau positive")
-    q1 = np.asarray(q1, dtype=float)
-    theta1 = eta / (1.0 - eta)
-    qbar = np.abs(q1) + (q1 == 0.0).astype(float)
-    radius = theta1 * _exp_times(L1, tau)[..., None] * qbar
-    if np.any(radius < 0):
-        raise ValueError("growth radius must be nonnegative")
-    return radius
-
-
-def _exp_times(L, tau: float) -> np.ndarray:
-    """e^(L*tau) for every entry of L by math.exp, which np.exp does not
-    match bit for bit on every build.  Each value goes straight into the
-    result array, so no list of Python floats is built."""
-    L = np.asarray(L, dtype=float)
-    out = np.empty(L.shape)
-    for i, v in enumerate(L.flat):
-        out.flat[i] = math.exp(v * tau)
-    return out
+def growth_bound_delayfree(spread, rate, tau: float) -> np.ndarray:
+    """The growth radius e^(rate*tau) * max_i spread_i, used on every axis,
+    of one cell's Cell.spread() (n,) under a float rate, or (C,) radii of C
+    cells' spreads (C, n) under (C,) rates.  A rate (estimate_lipschitz with
+    tau) may be negative or zero, but it must be a number."""
+    rate = np.asarray(rate, dtype=float)
+    if np.isnan(rate).any() or not tau > 0:
+        raise ValueError("the growth rate must be a number and tau positive")
+    # math.exp, which np.exp does not match bit for bit on every build
+    amp = np.array([math.exp(v * tau) for v in rate.ravel().tolist()])
+    return amp.reshape(rate.shape) * np.max(spread, axis=-1)
 
 
 def _locate_inside(sys, part: Partition, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -465,21 +443,6 @@ def input_lattice(lo, hi, input_quantization) -> List[np.ndarray]:
 # delay-free model
 
 
-def _growth_radii(part: Partition, cells: List[Cell], L: np.ndarray,
-                  tau: float, scale: float) -> np.ndarray:
-    """(C, n) growth radii, row k for cells[k] under Lipschitz constant L[k]:
-    the log formula under each axis's eta, or e^(L tau)*s on zoom
-    subcells, s the subcell's largest spread."""
-    eta = [p.eta for p in part.params]
-    q = np.array([c.quantized_point for c in cells])
-    radius = growth_bound_delayfree(q, eta, L, tau)
-    zoomed = [k for k, c in enumerate(cells) if part.zoom_params_of(c.id) is not None]
-    if zoomed:
-        spread = np.array([np.max(cells[k].spread()) for k in zoomed])
-        radius[zoomed] = (_exp_times(L[zoomed], tau) * spread)[:, None]
-    return scale * radius
-
-
 def build_delayfree(sys: ControlSystem, tau: float,
                     log_params: Union[LogQuantizerParams, Sequence[LogQuantizerParams]],
                     input_quantization=("uniform", 0.2),
@@ -525,8 +488,9 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
     if not cells:
         raise ValueError("empty state lattice")
 
-    L = estimate_lipschitz_batch(sys, cells, ctx.lipschitz)
-    radius = _growth_radii(part, cells, L, ctx.tau, ctx.growth_scale)[:, None, :]
+    rate = estimate_lipschitz_batch(sys, cells, ctx.lipschitz, ctx.tau)
+    radius = ctx.growth_scale * growth_bound_delayfree(
+        np.array([c.spread() for c in cells]), rate, ctx.tau)[:, None, None]
     n_in = len(inputs)
     x1 = np.empty((len(cells), n_in, sys.n))
     new = np.ones(len(cells), dtype=bool)

@@ -275,6 +275,11 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
     d = absc.number("d")
     _check(d is not None and d > 0, "abstraction.d", "must be positive")
     log_params = LogQuantizerParams(eta, d, variant)
+    try:  # a d too small for the state box makes the levels run away
+        n_regions = [len(_axis_regions(lo, hi, log_params)) for lo, hi
+                     in zip(state_lo.tolist(), state_hi.tolist())]
+    except ValueError as err:
+        raise ConfigError(f"abstraction.d: too small for the state box: {err}") from err
     input_quantizer = absc.choice("input_quantizer", ("uniform", "log"), "uniform")
     mu = absc.number("mu", "0.2")
     _check(mu > 0, "abstraction.mu", "must be positive")
@@ -301,9 +306,7 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
 
     zoom: Dict[int, ZoomQuantizerParams] = {}
     if absc.raw("zoom"):
-        # the unrefined lattice's cell count, from its per-axis regions
-        n_cells = math.prod(len(_axis_regions(lo, hi, log_params)) for lo, hi
-                            in zip(state_lo.tolist(), state_hi.tolist()))
+        n_cells = math.prod(n_regions)  # the unrefined lattice's cells
         for i, row in enumerate(_rows(absc.raw("zoom"))):
             parts = row.split()
             _check(len(parts) == 4, "abstraction.zoom",

@@ -13,10 +13,10 @@ computed part of the trajectory, which is stored on a fine uniform grid and
 linearly interpolated.  Input delays are restricted to integer multiples of
 the sampling period, so the delayed input is a buffered previous sample.
 
-The sampled-Jacobian Lipschitz estimate has one body as well:
-estimate_lipschitz runs it on the floats of one cell and
-estimate_lipschitz_batch on (C,) arrays for C cells, entry for entry
-bit-equal.
+The sampled-Jacobian rate, the time-delay build's L and the delay-free
+build's mu, has one body as well: estimate_lipschitz runs it on the floats
+of one cell and estimate_lipschitz_batch on (C,) arrays for C cells, entry
+for entry bit-equal.
 """
 
 from __future__ import annotations
@@ -473,8 +473,9 @@ def _check_mode(mode: str) -> None:
 
 
 def _lipschitz(sys: Union[ControlSystem, TimeDelaySystem], fns, lower: list,
-               upper: list, finite, maximum):
-    """The sampled-Jacobian estimate over one cell or over C cells.
+               upper: list, finite, maximum, tau: Optional[float] = None):
+    """The sampled-Jacobian rate over one cell or over C cells: L, or with
+    tau mu over the grown cell (see estimate_lipschitz).
 
     lower and upper hold the cell bounds, one float per state coordinate
     for one cell or one (C,) array per coordinate for C cells; fns are the
@@ -485,8 +486,6 @@ def _lipschitz(sys: Union[ControlSystem, TimeDelaySystem], fns, lower: list,
     """
     delay_cols = sorted({(i - 1, th) for e in sys.f for (i, th) in e.delays()})
     n, m = sys.n, sys.m
-
-    grids_x = [_axis_samples(lower[i], upper[i]) for i in range(n)]
     grids_u = [_axis_samples(float(sys.input_lo[j]), float(sys.input_hi[j])) for j in range(m)]
 
     def f_at(x: list, u: List[float], bumps: dict, base=None) -> list:
@@ -512,57 +511,92 @@ def _lipschitz(sys: Union[ControlSystem, TimeDelaySystem], fns, lower: list,
             raise IntegrationError(f"non-finite derivative sample at x={x}, u={u}")
         return vals
 
-    best = 0.0
-    for xi in np.ndindex(*[3] * n):
-        x = [grids_x[i][xi[i]] for i in range(n)]
-        for uj in np.ndindex(*[3] * m):
-            u = [grids_u[j][uj[j]] for j in range(m)]
-            rows = [0.0] * n
-            for i in range(n):
-                eps = _FD_EPS * maximum(1.0, abs(x[i]))
+    def samples():  # the 3^n grid of the cell crossed with the inputs' 3^m
+        grids_x = [_axis_samples(lower[i], upper[i]) for i in range(n)]
+        for xi in np.ndindex(*[3] * n):
+            x = [grids_x[i][xi[i]] for i in range(n)]
+            for uj in np.ndindex(*[3] * m):
+                yield x, [grids_u[j][uj[j]] for j in range(m)]
+
+    if tau is not None:  # grow the cell by 1.1*tau*max|f| on each side
+        grow = SAFETY * tau * functools.reduce(
+            maximum, (abs(v) for x, u in samples() for v in f_at(x, u, {})))
+        lower, upper = [v - grow for v in lower], [v + grow for v in upper]
+
+    best, measure = 0.0, -math.inf
+    for x, u in samples():
+        # row j of |J| sums to rows[j]; meas[j] takes J_jj for |J_jj|.  The
+        # state columns (i, None) come first, then the delayed ones
+        rows, meas = [0.0] * n, [0.0] * n
+        for col in [(i, None) for i in range(n)] + delay_cols:
+            i = col[0]
+            eps = _FD_EPS * maximum(1.0, abs(x[i]))
+            if col[1] is None:
                 # not xp[i] += eps: an array x[i] is shared by x, xp, xm
                 xp = list(x); xp[i] = x[i] + eps
                 xm = list(x); xm[i] = x[i] - eps
-                fp = f_at(xp, u, {}, base=x)
-                fm = f_at(xm, u, {}, base=x)
-                for j in range(n):
-                    rows[j] += abs(fp[j] - fm[j]) / (2 * eps)
-            for col in delay_cols:
-                i = col[0]
-                eps = _FD_EPS * maximum(1.0, abs(x[i]))
-                fp = f_at(x, u, {col: +eps})
-                fm = f_at(x, u, {col: -eps})
-                for j in range(n):
-                    rows[j] += abs(fp[j] - fm[j]) / (2 * eps)
-            best = maximum(best, functools.reduce(maximum, rows))
-    return best * SAFETY
+                fp, fm = f_at(xp, u, {}, base=x), f_at(xm, u, {}, base=x)
+            else:
+                fp, fm = f_at(x, u, {col: +eps}), f_at(x, u, {col: -eps})
+            for j in range(n):
+                d = (fp[j] - fm[j]) / (2 * eps)
+                rows[j] += abs(d)
+                meas[j] += d if col == (j, None) else abs(d)
+        best = maximum(best, functools.reduce(maximum, rows))
+        measure = maximum(measure, functools.reduce(maximum, meas))
+    # the margin raises the rate: 1.1 on a positive measure, 0.9 on a negative
+    return best * SAFETY if tau is None else maximum(measure * SAFETY, measure * 0.9)
+
+
+def _region(cells: Sequence, tau: Optional[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """(C, n) bounds sampled for each cell: the cell, joined with tau by its
+    quantized point, which starts the nominal trajectory."""
+    lower = np.array([c.lower for c in cells], dtype=float)
+    upper = np.array([c.upper for c in cells], dtype=float)
+    if tau is None:
+        return lower, upper
+    q = np.array([c.quantized_point for c in cells], dtype=float)
+    return np.minimum(lower, q), np.maximum(upper, q)
 
 
 def estimate_lipschitz(sys: Union[ControlSystem, TimeDelaySystem], cell,
-                       mode: Union[str, float] = "sampled-jacobian") -> float:
-    """Lipschitz constant of f in the state over one cell.
+                       mode: Union[str, float] = "sampled-jacobian",
+                       tau: Optional[float] = None) -> float:
+    """Growth rate of f in the state over one cell.
 
-    mode 'sampled-jacobian': max infinity-norm of the Jacobian over the
-    3^n grid of cell corners and midpoints (crossed with the input box grid),
-    central finite differences, times a 1.1 safety factor.  Delayed arguments
-    count as independent columns, so the estimate bounds the increment with
-    respect to the supremum norm of the functional.  A numeric mode is
-    returned verbatim (user-supplied constant).  estimate_lipschitz_batch
-    runs the same body over many cells at once.
+    mode 'sampled-jacobian' takes the Jacobian by central differences on
+    the 3^n grid of a box's corners and midpoints, crossed with the 3^m
+    grid of the input box.  Without tau it returns L, the samples' largest
+    infinity-norm over the cell times 1.1; delayed arguments count as
+    independent columns, so L bounds the increment in the supremum norm of
+    the functional.  The time-delay build's rate is this L.
+
+    With tau it returns mu, the delay-free build's rate: the samples'
+    largest infinity-norm matrix measure max_j (J_jj + sum_{i != j} |J_ji|)
+    times 1.1 when positive, 0.9 when negative, over the box of the cell
+    and its quantized point q grown by 1.1*tau*max|f| on each side (max|f|
+    from that box's samples).  Two solutions in the box part at most like
+    e^(mu t) (Dahlquist; Lozinskii), so e^(mu tau) times the cell's largest
+    spread bounds every successor's distance from q's.
+
+    A numeric mode is the rate as given.  estimate_lipschitz_batch runs the
+    same body over many cells at once.
     """
     if isinstance(mode, (int, float)):
         return float(mode)
     _check_mode(mode)
-    return _lipschitz(sys, [e.fn for e in sys.f],
-                      [float(v) for v in cell.lower],
-                      [float(v) for v in cell.upper], _floats_finite, max)
+    lower, upper = _region([cell], tau)
+    return float(_lipschitz(sys, [e.fn for e in sys.f], lower[0].tolist(),
+                            upper[0].tolist(), _floats_finite, max, tau))
 
 
 def estimate_lipschitz_batch(sys: Union[ControlSystem, TimeDelaySystem],
                              cells: Sequence,
-                             mode: Union[str, float] = "sampled-jacobian") -> np.ndarray:
+                             mode: Union[str, float] = "sampled-jacobian",
+                             tau: Optional[float] = None) -> np.ndarray:
     """estimate_lipschitz() for C cells at once: entry k of the (C,) result
-    is estimate_lipschitz(sys, cells[k], mode), bit for bit.
+    is estimate_lipschitz(sys, cells[k], mode, tau), bit for bit.  The
+    delay-free build takes every cell's rate mu from here, with tau.
 
     Each coordinate of the sample points is one (C,) array, one column per
     cell.  When any cell fails, the error is the one estimate_lipschitz()
@@ -573,9 +607,8 @@ def estimate_lipschitz_batch(sys: Union[ControlSystem, TimeDelaySystem],
     _check_mode(mode)
     if not cells:
         return np.empty(0)
-    lower = np.array([c.lower for c in cells], dtype=float).T
-    upper = np.array([c.upper for c in cells], dtype=float).T
+    lower, upper = _region(cells, tau)
     return _vector_or_each(
-        lambda: _lipschitz(sys, [e.vfn for e in sys.f], list(lower),
-                           list(upper), _arrays_finite, np.maximum),
-        lambda k: estimate_lipschitz(sys, cells[k], mode), len(cells), 0)
+        lambda: _lipschitz(sys, [e.vfn for e in sys.f], list(lower.T),
+                           list(upper.T), _arrays_finite, np.maximum, tau),
+        lambda k: estimate_lipschitz(sys, cells[k], mode, tau), len(cells), 0)

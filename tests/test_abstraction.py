@@ -9,7 +9,7 @@ from symquant.abstraction import (SplineTube, build_delayfree, build_timedelay,
                                   spline_basis, tube_interpolant,
                                   uniform_input_lattice)
 from symquant.dynamics import SampledCurve, TimeDelaySystem, integrate
-from symquant.quantizers import LogQuantizerParams, ZoomQuantizerParams
+from symquant.quantizers import Cell, LogQuantizerParams, ZoomQuantizerParams
 
 
 # ---------------------------------------------------------------------------
@@ -17,61 +17,60 @@ from symquant.quantizers import LogQuantizerParams, ZoomQuantizerParams
 
 
 def test_growth_bound_at_origin_cell():
-    radius = growth_bound_delayfree(np.array([0.0, 0.0]), 0.2, 6.0, 0.2)
-    # theta1 = 0.25, e^1.2 = 3.32012, q_bar = (1, 1)
-    assert radius == pytest.approx([0.83002923, 0.83002923], abs=1e-7)
+    # the deadzone cell [-0.4, 0.4]^2 around q = 0: e^1.2 = 3.32012
+    radius = growth_bound_delayfree(np.array([0.4, 0.4]), 6.0, 0.2)
+    assert radius == pytest.approx(0.4 * math.exp(1.2))
+    assert radius == pytest.approx(1.32804677, abs=1e-7)
 
 
 def test_growth_bound_mixed_components():
-    radius = growth_bound_delayfree(np.array([0.48, 0.0]), 0.2, 6.0, 0.2)
-    assert radius == pytest.approx([0.39841403, 0.83002923], abs=1e-7)
+    # one radius on every axis: the largest spread, not each axis's own
+    radius = growth_bound_delayfree(np.array([0.12, 0.4]), 6.0, 0.2)
+    assert radius == growth_bound_delayfree(np.array([0.4, 0.4]), 6.0, 0.2)
 
 
-def test_growth_bound_unit_offset_only_on_zero_components():
-    radius = growth_bound_delayfree(np.array([0.48, -0.72]), 0.2, 6.0, 0.2)
-    theta1, amp = 0.25, math.exp(1.2)
-    assert radius == pytest.approx([theta1 * amp * 0.48, theta1 * amp * 0.72])
+def test_growth_bound_reaches_the_far_face_from_the_quantized_point():
+    # a boundary-merged cell [0.6, 1] with q = 0.72 and the EQ20 deadzone
+    # [-0.4, 0.4] with q = 0: with no growth the radius is the distance
+    # from q to the far face, where theta1*(|q|+E) gave 0.18 and 0.25
+    merged = Cell(0, np.array([0.6]), np.array([1.0]), np.array([0.72]))
+    deadzone = Cell(1, np.array([-0.4]), np.array([0.4]), np.array([0.0]))
+    spread = np.array([merged.spread(), deadzone.spread()])
+    assert growth_bound_delayfree(spread, np.zeros(2), 0.2).tolist() == \
+        pytest.approx([0.28, 0.4])
 
 
 def test_growth_bound_parameter_checks():
-    with pytest.raises(ValueError):
-        growth_bound_delayfree(np.array([0.0]), 1.0, 6.0, 0.2)
-    with pytest.raises(ValueError):
-        growth_bound_delayfree(np.array([0.0]), 0.2, -1.0, 0.2)
+    with pytest.raises(ValueError, match="number"):
+        growth_bound_delayfree(np.array([0.4]), math.nan, 0.2)
+    with pytest.raises(ValueError, match="tau positive"):
+        growth_bound_delayfree(np.array([0.4]), 1.0, 0.0)
 
 
 def test_growth_bound_accepts_a_zero_lipschitz_constant():
     # a right-hand side that does not depend on the state: no growth
-    radius = growth_bound_delayfree(np.array([0.48, 0.0]), 0.2, 0.0, 0.2)
-    assert radius.tolist() == [0.25 * 0.48, 0.25]
-    for bad in (-1e-12, math.nan):
-        with pytest.raises(ValueError, match="nonnegative"):
-            growth_bound_delayfree(np.array([0.0]), 0.2, bad, 0.2)
-    with pytest.raises(ValueError, match="tau positive"):
-        growth_bound_delayfree(np.array([0.0]), 0.2, 1.0, 0.0)
+    radius = growth_bound_delayfree(np.array([0.12, 0.4]), 0.0, 0.2)
+    assert radius == 0.4
 
 
 def test_growth_bound_rows_equal_one_point_bounds():
-    q = np.array([[0.0, 0.0], [0.48, -0.72], [-0.72, 0.0]])
-    L = np.array([6.0, 3.3194235869338233, 0.0])
-    rows = growth_bound_delayfree(q, 0.2, L, 0.2)
-    assert rows.shape == (3, 2)
+    spread = np.array([[0.4, 0.4], [0.12, 0.28], [0.28, 0.4]])
+    rate = np.array([6.0, 3.3194235869338233, -0.9])
+    rows = growth_bound_delayfree(spread, rate, 0.2)
+    assert rows.shape == (3,)
     for k in range(3):
-        one = growth_bound_delayfree(q[k], 0.2, float(L[k]), 0.2)
+        one = growth_bound_delayfree(spread[k], float(rate[k]), 0.2)
         assert rows[k].tobytes() == one.tobytes()
-    with pytest.raises(ValueError, match="nonnegative"):
-        growth_bound_delayfree(q, 0.2, np.array([6.0, math.nan, 1.0]), 0.2)
+    with pytest.raises(ValueError, match="number"):
+        growth_bound_delayfree(spread, np.array([6.0, math.nan, 1.0]), 0.2)
 
 
-def test_growth_bound_takes_theta1_from_each_axis_eta():
-    q = np.array([[0.48, -0.72], [0.0, 0.3]])
-    L = np.array([6.0, 1.5])
-    rows = growth_bound_delayfree(q, [0.2, 0.5], L, 0.2)
-    for axis, eta in enumerate((0.2, 0.5)):
-        alone = growth_bound_delayfree(q, eta, L, 0.2)
-        assert rows[:, axis].tobytes() == alone[:, axis].tobytes()
-    with pytest.raises(ValueError, match="eta"):
-        growth_bound_delayfree(q, [0.2, 1.0], L, 0.2)
+def test_growth_bound_shrinks_under_a_negative_rate():
+    # a contracting plant's matrix measure is negative: the radius is
+    # below the spread, e^(-1.35*0.2) of it
+    radius = growth_bound_delayfree(np.array([0.2, 0.1]), -1.35, 0.2)
+    assert radius == pytest.approx(0.2 * math.exp(-0.27))
+    assert radius < 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +118,8 @@ def test_build_counts_and_initial(pendulum_ts):
 def test_center_successors_under_positive_input(pendulum_ts):
     iid = pendulum_ts.input_id_of([1.4])
     succ = pendulum_ts.successors(12, iid)
-    assert len(succ) == 20
+    # radius e^(6*0.2) * 0.4 = 1.33 from the deadzone cell: every cell
+    assert len(succ) == 25
     assert succ == tuple(sorted(succ))
 
 

@@ -248,11 +248,11 @@ def test_delay_terms_fail_like_state_terms(rhs, start, why):
 # ---------------------------------------------------------------------------
 # Lipschitz estimates
 
-def assert_batch_equals_cells(sys, cells, mode="sampled-jacobian"):
-    got = estimate_lipschitz_batch(sys, cells, mode)
+def assert_batch_equals_cells(sys, cells, mode="sampled-jacobian", tau=None):
+    got = estimate_lipschitz_batch(sys, cells, mode, tau)
     assert got.shape == (len(cells),)
     for k, cell in enumerate(cells):
-        want = estimate_lipschitz(sys, cell, mode)
+        want = estimate_lipschitz(sys, cell, mode, tau)
         assert got[k].tobytes() == np.float64(want).tobytes(), k
 
 
@@ -264,6 +264,7 @@ def test_lipschitz_batch_on_the_fine_zoom_partition(pendulum):
     part = part.refined({264: ZoomQuantizerParams(1, 1.0, 0.1)})
     assert len(part.cells) == 537
     assert_batch_equals_cells(pendulum, part.cells)
+    assert_batch_equals_cells(pendulum, part.cells, tau=0.2)
 
 
 @pytest.mark.parametrize("name", sorted(TERMS))
@@ -271,6 +272,7 @@ def test_lipschitz_batch_for_every_function(name):
     sys = plant(TERMS[name])
     part = Partition(sys.state_lo, sys.state_hi, LogQuantizerParams(0.2, 0.4))
     assert_batch_equals_cells(sys, part.cells)
+    assert_batch_equals_cells(sys, part.cells, tau=0.2)
 
 
 def test_lipschitz_batch_counts_delay_columns(pendulum_delay, logparams):
@@ -290,11 +292,14 @@ def test_lipschitz_batch_of_a_state_free_rhs(rhs):
     part = Partition(sys.state_lo, sys.state_hi, LogQuantizerParams(0.2, 0.4))
     assert_batch_equals_cells(sys, part.cells)
     assert not estimate_lipschitz_batch(sys, part.cells).any()
+    assert_batch_equals_cells(sys, part.cells, tau=0.2)
+    assert not estimate_lipschitz_batch(sys, part.cells, tau=0.2).any()
 
 
 def test_lipschitz_batch_numeric_and_empty(pendulum, logparams):
     part = Partition(pendulum.state_lo, pendulum.state_hi, logparams)
     assert_batch_equals_cells(pendulum, part.cells, 6)
+    assert_batch_equals_cells(pendulum, part.cells, 6, 0.2)
     assert estimate_lipschitz_batch(pendulum, [], "sampled-jacobian").shape == (0,)
     with pytest.raises(ValueError, match="unknown mode"):
         estimate_lipschitz_batch(pendulum, part.cells, "exact")
@@ -317,3 +322,10 @@ def test_lipschitz_batch_error_names_the_first_failing_cell():
             estimate_lipschitz_batch(sys, part.cells)
     assert str(scalar.value) == str(batch.value) == text
     assert_batch_equals_cells(sys, part.cells[:3])
+    # with tau, cell 2 = [-0.4, 0.4] grows past x1 = 0.5 and fails first
+    with pytest.raises(IntegrationError) as scalar:
+        estimate_lipschitz(sys, part.cells[2], tau=0.2)
+    with pytest.raises(IntegrationError) as batch:
+        estimate_lipschitz_batch(sys, part.cells, tau=0.2)
+    assert str(scalar.value) == str(batch.value)
+    assert_batch_equals_cells(sys, part.cells[:2], tau=0.2)

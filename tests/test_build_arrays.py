@@ -9,27 +9,22 @@ import pytest
 from symquant import (ControlSystem, LogQuantizerParams, ZoomQuantizerParams,
                       build_delayfree, refine_cells)
 from symquant.abstraction import (AbstractState, TransitionSystem,
-                                  growth_bound_delayfree, transition_arrays)
+                                  transition_arrays)
 from symquant.dynamics import estimate_lipschitz, integrate
 from symquant.model_io import serialize_ts
 
 
 def reference_model(ts: TransitionSystem) -> TransitionSystem:
-    """ts rebuilt by the per-pair loop: one Lipschitz estimate and one
-    radius per cell, then per input one integration, one blocked test and
-    one box query."""
+    """ts rebuilt by the per-pair loop: one rate estimate and one radius
+    per cell, e^(rate tau) times the cell's largest spread on every axis,
+    then per input one integration, one blocked test and one box query."""
     ctx, part, inputs = ts._ctx, ts.partition, ts.inputs
     sys = ctx.sys
-    eta = part.params[0].eta
     transitions = {}
     for cell in part.cells:
-        L = estimate_lipschitz(sys, cell, ctx.lipschitz)
-        if part.zoom_params_of(cell.id) is not None:
-            s = float(np.max(cell.spread()))
-            r = np.full(len(cell.lower), math.exp(L * ctx.tau) * s)
-        else:
-            r = growth_bound_delayfree(cell.quantized_point, eta, L, ctx.tau)
-        radius = ctx.growth_scale * r
+        rate = estimate_lipschitz(sys, cell, ctx.lipschitz, ctx.tau)
+        s = float(np.max(cell.spread()))
+        radius = ctx.growth_scale * (math.exp(rate * ctx.tau) * s)
         for iid, u in enumerate(inputs):
             x1 = integrate(sys, cell.quantized_point, u, ctx.tau, ctx.steps)
             if np.any(x1 < sys.state_lo) or np.any(x1 > sys.state_hi):
@@ -73,7 +68,7 @@ def test_zero_growth_scale(pendulum, logparams, lipschitz):
 
 
 def test_plant_without_state_dependence():
-    # the sampled Jacobian is 0, so every radius is theta1*(|q|+E)
+    # the sampled Jacobian is 0, so every radius is the cell's largest spread
     sys = ControlSystem.from_strings(["u1"], [-1], [1], [-0.6], [0.6])
     ts = build_delayfree(sys, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"))
     assert dict(ts.transition_rows())

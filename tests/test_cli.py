@@ -120,7 +120,7 @@ def test_abstract_reports_model_size(ws, capsys):
                "--out", str(ws / "again.sts")])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "delay-free model with 25 states, 25 inputs, 6631 transitions" in out
+    assert "delay-free model with 25 states, 25 inputs, 9875 transitions" in out
     assert len(load_ts(str(ws / "again.sts")).states) == 25
 
 
@@ -430,8 +430,7 @@ def test_evaluation_error_is_exit_1(tmp_path, capsys, rhs, why):
 
 def test_abstract_builds_a_plant_without_state_dependence(tmp_path, capsys):
     # x1' = u1: the sampled Jacobian is exactly 0, which the growth bound
-    # accepts; the build only, as the witness on this plant shows the
-    # known deadzone growth-radius defect
+    # accepts: every radius is its cell's largest spread
     cfg = tmp_path / "drift.ini"
     cfg.write_text("[system]\nn = 1\nm = 1\nf =\n    u1\n"
                    "state_lo = -1\nstate_hi = 1\ninput_lo = -0.6\n"
@@ -440,7 +439,7 @@ def test_abstract_builds_a_plant_without_state_dependence(tmp_path, capsys):
                    "lipschitz = sampled\n")
     rc = main(["abstract", "--config", str(cfg), "--out", str(tmp_path / "m.sts")])
     assert rc == 0, capsys.readouterr().err
-    assert ("delay-free model with 5 states, 7 inputs, 63 transitions"
+    assert ("delay-free model with 5 states, 7 inputs, 81 transitions"
             in capsys.readouterr().out)
 
 
@@ -760,7 +759,7 @@ def test_three_states_and_two_inputs_through_every_stage(tmp_path, capsys):
     ]
     assert [main(argv) for argv in stages] == [0, 0, 0, 0]
     out = capsys.readouterr().out
-    assert "27 states, 25 inputs, 8575 transitions" in out
+    assert "27 states, 25 inputs, 7479 transitions" in out
     assert "frr-report seed=1 samples=1000 checked=862 skipped=138 " \
            "violations=0" in out
     data = (tmp_path / "m.sts").read_bytes()

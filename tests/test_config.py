@@ -373,3 +373,13 @@ def test_delay_expression_requires_declared_theta():
             "system.theta": "0.2",
             "system.r": "0.2",
         }))
+
+
+def test_runaway_lattice_names_abstraction_d():
+    # eta = 0.01 and d = 1e-300 need about 34,000 levels to reach the box
+    # edge; the per-axis regions are built at load, so the error names the
+    # key instead of surfacing from the first build
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(ini({"abstraction.eta": "0.01",
+                               "abstraction.d": "1e-300"}))
+    assert str(err.value).startswith("abstraction.d: too small for the state box")

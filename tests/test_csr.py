@@ -275,11 +275,11 @@ def test_write_and_check_hold_no_copy_of_the_text(tmp_path, pendulum_ts):
 
 def test_worklist_matches_the_fixed_point_over_many_levels(fine_zoom_ts):
     ts = fine_zoom_ts
-    # the cells meeting the box [-0.2, 0.2]^2: 89 targets, 13 levels
+    # the cells meeting the box [-0.2, 0.2]^2: 89 targets, 8 levels
     target = tuple(ts.partition.intersecting([-0.2, -0.2], [0.2, 0.2]))
     ((policy, dist),) = _robust_reach(ts, [target])
     ref_policy, ref_dist = reference_robust_reach(ts, target)
-    assert (len(target), len(dist), max(dist.values())) == (89, 411, 13)
+    assert (len(target), len(dist), max(dist.values())) == (89, 363, 8)
     assert dist == ref_dist and list(dist) == list(ref_dist)
     assert policy == ref_policy
 
@@ -379,5 +379,5 @@ def test_pruned_reach_matches_the_fixed_point(monkeypatch, chunk, seed, m):
 def test_fine_zoom_reach_keeps_the_undominated_edges(fine_zoom_ts):
     ts = fine_zoom_ts
     sizes = np.diff(ts.indptr)
-    assert sizes[_undominated(ts, sizes)].sum() == 86_365
-    assert ts.n_transitions == 158_579
+    assert sizes[_undominated(ts, sizes)].sum() == 90_169
+    assert ts.n_transitions == 173_395

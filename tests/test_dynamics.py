@@ -447,3 +447,52 @@ def test_delay_column_not_cancelled_against_state_column():
     cell = Cell(0, np.array([-1.0]), np.array([1.0]), np.array([0.0]))
     L = estimate_lipschitz(sys, cell, "sampled-jacobian")
     assert L >= 2.0
+
+
+# ---------------------------------------------------------------------------
+# the delay-free build's rate: the matrix measure over the grown cell
+
+
+def test_measure_of_the_pendulum(pendulum):
+    # J = [[0, 1], [-1.96 cos x1, -1.5]]: row 1 gives 0 + 1, row 2 gives
+    # -1.5 + 1.96|cos x1| <= 0.46, so mu = 1, times 1.1; L is 3.46 * 1.1
+    mu = estimate_lipschitz(pendulum, box_cell(), "sampled-jacobian", 0.2)
+    assert mu == pytest.approx(1.1, abs=1e-6)
+    assert mu < estimate_lipschitz(pendulum, box_cell(), "sampled-jacobian")
+
+
+def test_measure_of_a_contracting_plant_takes_the_0_9_margin():
+    # J = [[-2, 0.5], [0.5, -2]]: mu = -1.5 on every row, times 0.9
+    sys = ControlSystem.from_strings(["-2*x1 + 0.5*x2 + u1", "0.5*x1 - 2*x2"],
+                                     [-1, -1], [1, 1], [-0.6], [0.6])
+    mu = estimate_lipschitz(sys, box_cell(), "sampled-jacobian", 0.2)
+    assert mu == pytest.approx(-1.35, abs=1e-6)
+
+
+def test_measure_is_taken_over_the_grown_cell():
+    # f = x1^2 on the cell [0, 0.1]: |f| <= 0.01 on the cell, so the cell
+    # grows by 1.1*0.2*0.01 on each side and J = 2*x1 is sampled up to
+    # x1 = 0.1022; the rate is 2 * 0.1022 * 1.1
+    sys = ControlSystem.from_strings(["x1*x1 + 0*u1"], [-1], [1], [0], [0])
+    cell = Cell(0, np.array([0.0]), np.array([0.1]), np.array([0.05]))
+    mu = estimate_lipschitz(sys, cell, "sampled-jacobian", 0.2)
+    assert mu == pytest.approx(2 * (0.1 + 1.1 * 0.2 * 0.01) * 1.1, rel=1e-6)
+    # without tau: the Lipschitz constant over the cell itself
+    L = estimate_lipschitz(sys, cell, "sampled-jacobian")
+    assert L == pytest.approx(2 * 0.1 * 1.1, rel=1e-6)
+
+
+def test_measure_region_holds_the_quantized_point():
+    # a quantized point outside its cell starts the nominal trajectory, so
+    # the rate is sampled up to it: J = 2*x1 at x1 = 0.5, the grown end
+    sys = ControlSystem.from_strings(["x1*x1 + 0*u1"], [-1], [1], [0], [0])
+    inside = Cell(0, np.array([0.0]), np.array([0.1]), np.array([0.05]))
+    outside = Cell(0, np.array([0.0]), np.array([0.1]), np.array([0.5]))
+    mu_in = estimate_lipschitz(sys, inside, "sampled-jacobian", 0.2)
+    mu_out = estimate_lipschitz(sys, outside, "sampled-jacobian", 0.2)
+    assert mu_out == pytest.approx(2 * (0.5 + 1.1 * 0.2 * 0.25) * 1.1, rel=1e-6)
+    assert mu_out > mu_in
+
+
+def test_numeric_mode_is_the_rate_as_given(pendulum):
+    assert estimate_lipschitz(pendulum, box_cell(), 6.0, 0.2) == 6.0

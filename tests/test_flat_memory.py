@@ -11,7 +11,7 @@ from symquant import (LogQuantizerParams, Partition, ZoomQuantizerParams,
                       build_delayfree, refine_cells)
 from symquant import model_io
 from symquant.abstraction import (AbstractState, TransitionSystem,
-                                  _growth_radii, transition_arrays)
+                                  growth_bound_delayfree, transition_arrays)
 from symquant.dynamics import (ControlSystem, estimate_lipschitz_batch,
                                integrate)
 from symquant.model_io import ModelFormatError, parse_sts, serialize_ts
@@ -68,18 +68,18 @@ def test_build_peak(fine_zoom_ts, fine_zoom_build):
     # nested endpoint and box lists and a copied successor array peaked at
     # about 5.2 MiB here
     ts, peak = _peak_traced(fine_zoom_build)
-    assert ts.n_transitions == fine_zoom_ts.n_transitions == 158_579
+    assert ts.n_transitions == fine_zoom_ts.n_transitions == 173_395
     assert not ts.succ.flags.owndata  # a view of the build's buffer
     assert peak <= 2.5 * MiB, peak / MiB
 
 
 def test_robust_reach_peak(fine_zoom_ts):
     # int64 predecessor arrays and an int64 copy of succ peaked at about
-    # 6.3 MiB here; the 89 cells meeting [-0.2, 0.2]^2 win 411 states
+    # 6.3 MiB here; the 89 cells meeting [-0.2, 0.2]^2 win 363 states
     ts = fine_zoom_ts
     target = tuple(ts.partition.intersecting([-0.2, -0.2], [0.2, 0.2]))
     (_, dist), peak = _peak_traced(lambda: synthesize_reach(ts, target, "robust"))
-    assert len(dist) == 411
+    assert len(dist) == 363
     assert peak <= 3.5 * MiB, peak / MiB
 
 
@@ -115,8 +115,9 @@ def list_build(ts: TransitionSystem) -> TransitionSystem:
     and the successor ids copied out of their buffer."""
     ctx, part, inputs = ts._ctx, ts.partition, ts.inputs
     sys, cells = ctx.sys, part.cells
-    L = estimate_lipschitz_batch(sys, cells, ctx.lipschitz)
-    radius = _growth_radii(part, cells, L, ctx.tau, ctx.growth_scale)[:, None, :]
+    rate = estimate_lipschitz_batch(sys, cells, ctx.lipschitz, ctx.tau)
+    radius = ctx.growth_scale * growth_bound_delayfree(
+        np.array([c.spread() for c in cells]), rate, ctx.tau)[:, None, None]
     x1 = np.array([[integrate(sys, c.quantized_point, u, ctx.tau, ctx.steps)
                     for u in inputs] for c in cells])
     blocked = ((x1 < sys.state_lo) | (x1 > sys.state_hi)).any(axis=2)

@@ -1,3 +1,5 @@
+from typing import Tuple
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from symquant.abstraction import (AbstractState, TransitionSystem,
                                   transition_arrays)
 from symquant.frr import (RefinementMap, check_frr_finite,
                           sample_frr_delayfree, sample_frr_timedelay)
-from symquant.abstraction import build_delayfree
-from symquant.dynamics import ControlSystem
-from symquant.quantizers import LogQuantizerParams
+from symquant.abstraction import build_delayfree, refine_cells
+from symquant.dynamics import ControlSystem, integrate_batch
+from symquant.quantizers import LogQuantizerParams, ZoomQuantizerParams
 
 
 def graph_ts(n_states, inputs, transitions):
@@ -145,8 +147,9 @@ def test_witnesses_read_the_plant_from_the_build(pendulum_ts,
 
 
 def test_radius_takes_each_axis_eta():
-    """theta1 = eta/(1-eta) per axis: with axis 1's eta on both axes the x2
-    radius is 0.43 of what it must be, and 3000 samples at seed 1 find 69
+    """Axes with different eta: the radius is the cell's largest spread over
+    both axes.  A log radius that took axis 1's eta on both axes made the
+    x2 radius 0.43 of what it must be, and 3000 samples at seed 1 found 69
     violations."""
     plant = ControlSystem.from_strings(["x2", "-x1 + u1"], [-1, -1], [1, 1],
                                        [-1], [1])
@@ -156,18 +159,119 @@ def test_radius_takes_each_axis_eta():
     assert sample_frr_delayfree(ts, 3000, 1).passed
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(a)")
 @pytest.mark.parametrize("rhs", [["-0.1*x1 + u1"], ["x2", "-0.5*x2 + u1"],
                                  ["u1"]], ids=["leaky", "damped", "integrator"])
 def test_radius_covers_merged_and_deadzone_cells(rhs):
-    """The log radius theta1*(|q|+E) falls short of the far side of merged
-    outer cells and of the EQ20 deadzone; 2000 samples at seed 1 find 31,
-    22 and 33 violations.  Passing these is the fix's regression check."""
+    """The radius reaches the far side of merged outer cells and of the EQ20
+    deadzone.  The per-axis log radius theta1*(|q|+E) fell short of both:
+    2000 samples at seed 1 found 31, 22 and 33 violations."""
     n = len(rhs)
     plant = ControlSystem.from_strings(rhs, [-1] * n, [1] * n, [-0.6], [0.6])
     ts = build_delayfree(plant, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
                          ("uniform", 0.2), lipschitz="sampled-jacobian")
     assert sample_frr_delayfree(ts, 2000, 1).passed
+
+
+# ---------------------------------------------------------------------------
+# the 3^n stencil: a deterministic witness over every enabled pair
+
+
+def stencil_violations(ts) -> Tuple[int, int]:
+    """(enabled pairs, violating pairs) of a delay-free model.
+
+    Each cell's 3^n tensor grid of faces and midpoints, pulled inward by
+    1e-6 of a side, must locate in the cell.  Every enabled pair integrates
+    its cell's grid under its input, and it violates when a point lands
+    inside X in a cell that its row does not list."""
+    sys, part, n_in = ts._ctx.sys, ts.partition, len(ts.inputs)
+    lo = np.array([s.cell.lower for s in ts.states])
+    hi = np.array([s.cell.upper for s in ts.states])
+    pull = 1e-6 * (hi - lo)
+    axes = np.stack([lo + pull, 0.5 * (lo + hi), hi - pull])  # (3, S, n)
+    grid = np.array(list(np.ndindex(*[3] * sys.n)))  # (P, n)
+    pts = np.stack([axes[grid[:, i], :, i].T for i in range(sys.n)], axis=-1)
+    assert (part.locate_batch(pts.reshape(-1, sys.n)).reshape(pts.shape[:2])
+            == ts.ids[:, None]).all()
+    sizes = np.diff(ts.indptr)
+    rows = np.flatnonzero(sizes)
+    P = len(grid)
+    starts = pts[rows // n_in].reshape(-1, sys.n)
+    inputs = np.repeat(np.array(ts.inputs)[rows % n_in], P, axis=0)
+    ends = integrate_batch(sys, starts.T, inputs.T, ts._ctx.tau, ts._ctx.steps).T
+    inside = sys.inside(ends)
+    pair = np.repeat(np.arange(len(rows)), P)[inside]
+    landed = part.locate_batch(ends[inside])
+    # every (pair, landing cell) against every (pair, listed successor)
+    width = int(max(ts.ids.max(), np.max(landed, initial=0))) + 1
+    listed = np.repeat(np.arange(len(ts.indptr) - 1), sizes) * width + ts.succ
+    missing = ~np.isin(rows[pair] * width + landed, listed)
+    return len(rows), len(np.unique(pair[missing]))
+
+
+PENDULUM_RHS = ["x2", "-1.96*sin(x1) - 1.5*x2 + u1"]
+
+
+@pytest.fixture(scope="module")
+def fine_zoom():
+    """The fine-zoom benchmark's models: eta = d = 0.1, sampled rates, and
+    the center deadzone cell 264 zoomed into 9 subcells by refine."""
+    plant = ControlSystem.from_strings(PENDULUM_RHS, [-1, -1], [1, 1],
+                                       [-2.5], [2.5])
+    coarse = build_delayfree(plant, 0.2, LogQuantizerParams(0.1, 0.1, "EQ20"))
+    return coarse, refine_cells(coarse, {264: ZoomQuantizerParams(1, 1.0, 0.1)})
+
+
+def coarse_model(rhs):
+    n = len(rhs)
+    plant = ControlSystem.from_strings(rhs, [-1] * n, [1] * n, [-0.6], [0.6])
+    return build_delayfree(plant, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"))
+
+
+@pytest.mark.parametrize("model", ["fine-zoom", "fine-zoom-refined",
+                                   "coarse-hold", "oscillator", "contracting"])
+def test_stencil_finds_no_violating_pair(model, request):
+    """Under the per-axis log radius the parent rule gave, the stencil found
+    186 violating pairs of 13,115 on fine-zoom, 188 of 13,315 refined, and
+    19 of 169 on the oscillator, whose coupled axes feed one axis's spread
+    into the other; coarse-hold and the contracting plant, whose negative
+    rate takes the 0.9 margin, had none."""
+    if model.startswith("fine-zoom"):
+        ts = request.getfixturevalue("fine_zoom")[model.endswith("refined")]
+    elif model == "coarse-hold":
+        ts = request.getfixturevalue("pendulum_ts")
+    elif model == "oscillator":
+        ts = coarse_model(["x2", "-2*x1 + u1"])
+    else:
+        ts = coarse_model(["-2*x1 + 0.5*x2 + u1", "0.5*x1 - 2*x2"])
+    enabled, violating = stencil_violations(ts)
+    assert enabled > 100
+    assert violating == 0
+
+
+def test_stencil_flags_most_pairs_without_growth(fine_zoom):
+    # the negative control: with growth_scale = 0 each row lists the
+    # nominal cell alone, and the stencil must catch that
+    coarse = fine_zoom[0]
+    ts = build_delayfree(coarse._ctx.sys, 0.2, LogQuantizerParams(0.1, 0.1, "EQ20"),
+                         growth_scale=0.0)
+    enabled, violating = stencil_violations(ts)
+    assert violating > enabled / 2
+
+
+def test_cell_266_keeps_its_corner_successors(fine_zoom):
+    """Cell 266 (x1 in [-0.1, 0.1], x2 near 0.13) of unrefined fine-zoom at
+    u = -2.4: the x1 spread of 0.1 drives x2 well past a radius taken from
+    x2 alone.  Under the per-axis log radius the corner (-0.1, 0.149) landed
+    in cell 236, which the row did not list."""
+    ts = fine_zoom[0]
+    cell, iid = ts.state(266).cell, ts.input_id_of([-2.4])
+    pull = 1e-6 * (cell.upper - cell.lower)
+    lo, hi = cell.lower + pull, cell.upper - pull
+    corners = np.array([[a, b] for a in (lo[0], hi[0]) for b in (lo[1], hi[1])])
+    ends = integrate_batch(ts._ctx.sys, corners.T, np.full((1, 4), -2.4), 0.2).T
+    landed = ts.partition.locate_batch(ends).tolist()
+    assert 236 in landed
+    assert set(landed) <= set(ts.successors(266, iid))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The digests were recorded with the one-trajectory-at-a-time integrators,
 before hold synthesis, the sampled FRR witnesses and the tube build were
-batched, and the refined-model digest with the incremental refine that
-patched a coarse model in place; a change that moves them changes program
-output and must say why.
+batched.  The refined-model digest was recorded with the one growth-radius
+rule, e^(rate*tau) times the cell's largest spread on every axis; a change
+that moves them changes program output and must say why.
 """
 
 import hashlib
@@ -20,7 +20,7 @@ from symquant.model_io import serialize_ts
 HOLD_CTRL_SHA256 = "69ad4a30c970e9df8c0a231242cf6b9c6f4d128dee7aa303a710cbfe05ae1ab6"
 FRR_SHA256 = "9c3acc10ab933fa889441f854103948223cb1d9bc9e29b755f119a89900c2bfc"
 FRR_SABOTAGED_SHA256 = "dbf96604cb016ff95e9a7a64f9ca96b358195862a0707cbc9a51c08a0aa35e0c"
-REFINED_STS_SHA256 = "a97369818d934c768281b4c8ae35bf37c6ffc0aef1431b86847b1dfdf8b22ee4"
+REFINED_STS_SHA256 = "534ef82d0a34c00b58bbe17ce3c08fa8df514cf0cce2595f685fb984f02e5333"
 TUBE_STS_SHA256 = "edae3a6fc27a18f3cb3e37f64dae90073d68d16b82c99e4763bcb4adff788b14"
 TUBE_FRR_SHA256 = "46e38d60cf82d4d4f3525ecb6e879f8ad5d2f16456a89c9ae1729d060d6eb483"
 
@@ -59,7 +59,7 @@ def test_frr_report_text_with_violations(pendulum, logparams):
 
 def test_refined_model_bytes(pendulum_ts):
     ref = refine_cells(pendulum_ts, {12: ZoomQuantizerParams(1, 1.0, 0.3)})
-    assert (len(ref.states), ref.n_transitions) == (33, 11551)
+    assert (len(ref.states), ref.n_transitions) == (33, 16623)
     assert sha(serialize_ts(ref)) == REFINED_STS_SHA256
 
 
