@@ -525,8 +525,7 @@ def _lipschitz(sys: Union[ControlSystem, TimeDelaySystem], fns, lower: list,
 
     best, measure = 0.0, -math.inf
     for x, u in samples():
-        # row j of |J| sums to rows[j]; meas[j] takes J_jj for |J_jj|.  The
-        # state columns (i, None) come first, then the delayed ones
+        # rows[j] sums row j of |J|, state columns first; meas[j] has J_jj
         rows, meas = [0.0] * n, [0.0] * n
         for col in [(i, None) for i in range(n)] + delay_cols:
             i = col[0]
@@ -577,10 +576,9 @@ def estimate_lipschitz(sys: Union[ControlSystem, TimeDelaySystem], cell,
     and its quantized point q grown by 1.1*tau*max|f| on each side (max|f|
     from that box's samples).  Two solutions in the box part at most like
     e^(mu t) (Dahlquist; Lozinskii), so e^(mu tau) times the cell's largest
-    spread bounds every successor's distance from q's.
-
-    A numeric mode is the rate as given.  estimate_lipschitz_batch runs the
-    same body over many cells at once.
+    spread bounds every successor's distance from q's.  A numeric mode is
+    the rate as given.  estimate_lipschitz_batch runs the same body over
+    many cells at once.
     """
     if isinstance(mode, (int, float)):
         return float(mode)

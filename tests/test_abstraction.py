@@ -19,7 +19,6 @@ from symquant.quantizers import Cell, LogQuantizerParams, ZoomQuantizerParams
 def test_growth_bound_at_origin_cell():
     # the deadzone cell [-0.4, 0.4]^2 around q = 0: e^1.2 = 3.32012
     radius = growth_bound_delayfree(np.array([0.4, 0.4]), 6.0, 0.2)
-    assert radius == pytest.approx(0.4 * math.exp(1.2))
     assert radius == pytest.approx(1.32804677, abs=1e-7)
 
 

@@ -208,16 +208,11 @@ def stencil_violations(ts) -> Tuple[int, int]:
     return len(rows), len(np.unique(pair[missing]))
 
 
-PENDULUM_RHS = ["x2", "-1.96*sin(x1) - 1.5*x2 + u1"]
-
-
 @pytest.fixture(scope="module")
-def fine_zoom():
+def fine_zoom(pendulum):
     """The fine-zoom benchmark's models: eta = d = 0.1, sampled rates, and
     the center deadzone cell 264 zoomed into 9 subcells by refine."""
-    plant = ControlSystem.from_strings(PENDULUM_RHS, [-1, -1], [1, 1],
-                                       [-2.5], [2.5])
-    coarse = build_delayfree(plant, 0.2, LogQuantizerParams(0.1, 0.1, "EQ20"))
+    coarse = build_delayfree(pendulum, 0.2, LogQuantizerParams(0.1, 0.1, "EQ20"))
     return coarse, refine_cells(coarse, {264: ZoomQuantizerParams(1, 1.0, 0.1)})
 
 
@@ -230,7 +225,7 @@ def coarse_model(rhs):
 @pytest.mark.parametrize("model", ["fine-zoom", "fine-zoom-refined",
                                    "coarse-hold", "oscillator", "contracting"])
 def test_stencil_finds_no_violating_pair(model, request):
-    """Under the per-axis log radius the parent rule gave, the stencil found
+    """Under the per-axis log radius the build used before, the stencil found
     186 violating pairs of 13,115 on fine-zoom, 188 of 13,315 refined, and
     19 of 169 on the oscillator, whose coupled axes feed one axis's spread
     into the other; coarse-hold and the contracting plant, whose negative
@@ -248,11 +243,10 @@ def test_stencil_finds_no_violating_pair(model, request):
     assert violating == 0
 
 
-def test_stencil_flags_most_pairs_without_growth(fine_zoom):
+def test_stencil_flags_most_pairs_without_growth(pendulum):
     # the negative control: with growth_scale = 0 each row lists the
     # nominal cell alone, and the stencil must catch that
-    coarse = fine_zoom[0]
-    ts = build_delayfree(coarse._ctx.sys, 0.2, LogQuantizerParams(0.1, 0.1, "EQ20"),
+    ts = build_delayfree(pendulum, 0.2, LogQuantizerParams(0.1, 0.1, "EQ20"),
                          growth_scale=0.0)
     enabled, violating = stencil_violations(ts)
     assert violating > enabled / 2
