@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .abstraction import TransitionSystem, build_delayfree, build_timedelay
+from .abstraction import (TransitionSystem, build_delayfree, build_timedelay,
+                          input_lattice)
 from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
                        DEFAULT_STEPS)
 from .expr import ExprError, parse as parse_expr
@@ -291,6 +292,11 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
         input_quantization = ("log", LogQuantizerParams(input_eta, input_d, variant))
     else:
         input_quantization = ("uniform", mu)
+    try:  # an input box between two quantized inputs holds none
+        input_lattice(input_lo, input_hi, input_quantization)
+    except ValueError as err:
+        key = "input_d" if input_quantizer == "log" else "mu"
+        raise ConfigError(f"abstraction.{key}: {err}") from err
 
     lip_raw = absc.raw("lipschitz", "sampled")
     if lip_raw == "sampled":

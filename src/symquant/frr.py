@@ -14,23 +14,23 @@ the build kept (ts.endpoints, ts.radius).  Zero violations is the
 executable form of the soundness claim; a deliberately broken model
 (zero growth radius) must produce violations, guarding the test itself.
 
-The witnesses draw numpy's ``np.random.default_rng(seed)`` stream, so a
-report depends only on the seed, but they draw it through ``_DefaultRng``,
-a pure-Python copy of the few calls they make: importing numpy.random
-would add about 6 MiB to the process for a few thousand draws.
+The witnesses take every random number from Python's
+``random.Random(seed).random()`` stream (``_draws``), one row of draws per
+sample.  Python keeps that stream fixed for an integer seed, so a report
+depends on the seed alone, and numpy already loads ``random``, so drawing
+from it costs no import (numpy.random would add about 6 MiB).
 """
 
 from __future__ import annotations
 
-import math
-import operator
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .abstraction import (SplineTube, TransitionSystem, _boxes_meet,
-                          _knot_widths, _locate_inside, knot_points,
+                          _knot_widths, _locate_inside, _positions, knot_points,
                           knot_tube, tube_knot_points)
 from .dynamics import SampledCurve, integrate_batch
 from .model_io import _fmt_vec
@@ -162,112 +162,24 @@ def _ctx_of(ts: TransitionSystem):
     return ts._ctx
 
 
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-class _DefaultRng:
-    """numpy's ``default_rng(seed)`` for the calls the witnesses make.
-
-    PCG64 (a 128-bit LCG with XSL-RR output; O'Neill 2014) seeded as numpy
-    seeds it, through SeedSequence.  Draws match numpy bit for bit; inputs
-    outside what the witnesses use raise instead of drawing another stream.
-    """
-
-    def __init__(self, seed: int):
-        s0, s1, i0, i1 = _seed_sequence(seed)
-        self._inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-        state = (self._inc + (s0 << 64 | s1)) & _MASK128  # one step from 0
-        self._state = (state * _PCG64_MULT + self._inc) & _MASK128
-        self._half: Optional[int] = None  # high half left by a 32-bit draw
-
-    def _next64(self) -> int:
-        self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
-        s = self._state
-        v = (s >> 64 ^ s) & _MASK64
-        rot = s >> 122
-        return (v >> rot | v << (64 - rot)) & _MASK64
-
-    def _next32(self) -> int:
-        if self._half is not None:
-            half, self._half = self._half, None
-            return half
-        v = self._next64()
-        self._half = v >> 32
-        return v & _MASK32
-
-    def integers(self, n: int) -> int:
-        """Generator.integers(n): Lemire's rejection on 32-bit draws (Lemire
-        2019); n == 1 draws nothing."""
-        if not 1 <= n <= _MASK32:
-            raise ValueError(f"integers({n}): need 1 <= n < 2**32")
-        if n == 1:
-            return 0
-        m = self._next32() * n
-        if m & _MASK32 < n:
-            threshold = (_MASK32 + 1 - n) % n
-            while m & _MASK32 < threshold:
-                m = self._next32() * n
-        return m >> 32
-
-    def uniform(self, lo, hi, size: Optional[Tuple[int, ...]] = None) -> np.ndarray:
-        """Generator.uniform(lo, hi, size) for array bounds: one draw per
-        element in C order, lo + (hi - lo) * u with u on the 2**-53 grid."""
-        lo = np.asarray(lo, dtype=float)
-        span = np.asarray(hi, dtype=float) - lo
-        if span.ndim == 0:
-            raise ValueError("uniform needs array bounds")
-        if not np.isfinite(span).all():
-            raise OverflowError("Range exceeds valid bounds")
-        shape = span.shape if size is None else tuple(size)
-        if span.ndim > len(shape) or any(
-                a not in (1, b) for a, b in zip(span.shape[::-1], shape[::-1])):
-            raise ValueError(f"bounds of shape {span.shape} do not broadcast "
-                             f"to size {shape}")
-        u = [(self._next64() >> 11) * 2.0 ** -53 for _ in range(math.prod(shape))]
-        return lo + span * np.array(u).reshape(shape)
-
-
-def _seed_sequence(seed: int) -> List[int]:
-    """SeedSequence(seed).generate_state(4, np.uint64): four 64-bit words."""
-    seed = operator.index(seed)
+def _draws(seed: int, k: int, width: int) -> np.ndarray:
+    """A (k, width) array of random.Random(seed).random() values, filled
+    row by row: one row per sample.  Python keeps this stream fixed for an
+    integer seed, so a report depends on the seed alone."""
     if seed < 0:
-        raise ValueError("expected non-negative integer")
-    entropy = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        entropy.append(seed & _MASK32)
-    mult = 0x43B0D7E5
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    rng = random.Random(seed)
+    return np.array([rng.random() for _ in range(k * width)]).reshape(k, width)
 
-    def hashmix(value: int) -> int:
-        nonlocal mult
-        value ^= mult
-        mult = mult * 0x931E8875 & _MASK32
-        value = value * mult & _MASK32
-        return value ^ value >> 16
 
-    def mix(x: int, y: int) -> int:
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return r ^ r >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    mult = 0x8B51F9DD
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ mult
-        mult = mult * 0x58F38DED & _MASK32
-        value = value * mult & _MASK32
-        words.append(value ^ value >> 16)
-    return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+def _pick_inputs(ts: TransitionSystem, pos: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """For each state position in pos, the int(r * count)-th (from 0) of
+    the count inputs enabled there, read from the CSR row sizes; -1 where
+    no input is enabled."""
+    rank = np.cumsum(np.diff(ts.indptr).reshape(-1, len(ts.inputs))[pos] > 0, axis=1)
+    count = rank[:, -1]
+    nth = (r * count).astype(np.int64)
+    return np.where(count > 0, np.argmax(rank > nth[:, None], axis=1), -1)
 
 
 def sample_frr_delayfree(ts: TransitionSystem, n_samples: int,
@@ -279,29 +191,26 @@ def sample_frr_delayfree(ts: TransitionSystem, n_samples: int,
     or its successor leaves the state box; every other one is checked."""
     ctx = _ctx_of(ts)
     sys, part = ctx.sys, ts.partition
-    rng = _DefaultRng(seed)
-    cells = [s.cell for s in ts.states]
-    drawn: List[Tuple[np.ndarray, int, int]] = []  # (x, abstract state, input id)
-    for _ in range(n_samples):
-        cell = cells[int(rng.integers(len(cells)))]
-        x = rng.uniform(cell.lower, cell.upper)
-        x2 = part.locate(x)
-        enabled = ts.enabled(x2)
-        if enabled:
-            drawn.append((x, x2, enabled[int(rng.integers(len(enabled)))]))
+    # a row: the state, the point in its cell, the input
+    r = _draws(seed, n_samples, sys.n + 2)
+    lo, hi = part.cell_bounds(ts.ids[(r[:, 0] * len(ts.states)).astype(np.int64)])
+    X = lo + (hi - lo) * r[:, 1:-1]
+    located = part.locate_batch(X)
+    pos, known = _positions(ts.ids, located)
+    iids = np.where(known, _pick_inputs(ts, pos, r[:, -1]), -1)
+    drawn = np.flatnonzero(iids >= 0)
     violations: List[Violation] = []
-    if not drawn:
+    if not len(drawn):
         return FrrReport(n_samples, 0, n_samples, violations, seed)
-    X = np.array([x for x, _, _ in drawn]).T
-    U = np.array([ts.inputs[iid] for _, _, iid in drawn]).T
-    X_next = integrate_batch(sys, X, U, ctx.tau, ctx.steps).T
-    kept, located = _locate_inside(sys, part, X_next)
-    for j, q_next in zip(kept.tolist(), located.tolist()):
-        x, x2, iid = drawn[j]
-        allowed = ts.successors(x2, iid)
+    X, x2, iids = X[drawn], located[drawn].tolist(), iids[drawn]
+    X_next = integrate_batch(sys, X.T, np.array(ts.inputs)[iids].T,
+                             ctx.tau, ctx.steps).T
+    kept, got = _locate_inside(sys, part, X_next)
+    for j, q_next in zip(kept.tolist(), got.tolist()):
+        allowed = ts.successors(x2[j], int(iids[j]))
         if q_next not in allowed:
-            violations.append(Violation(x, ts.inputs[iid], X_next[j].copy(), x2,
-                                        q_next, allowed))
+            violations.append(Violation(X[j], ts.inputs[iids[j]], X_next[j].copy(),
+                                        x2[j], q_next, allowed))
     return FrrReport(n_samples, len(kept), n_samples - len(kept), violations, seed)
 
 
@@ -322,50 +231,44 @@ def sample_frr_timedelay(ts: TransitionSystem, n_samples: int,
     """
     ctx = _ctx_of(ts)
     sys, part = ctx.sys, ts.partition
-    rng = _DefaultRng(seed)
     # per tube: knot cells and their bounds, and jitter widths
     tubes = [s.tube for s in ts.states]
     cell_lo, cell_hi = part.cell_bounds([t.knots for t in tubes])  # (S, J, n)
     quantized = np.array([[part.cell(k).quantized_point for k in t.knots]
                           for t in tubes])
     widths = np.array([_knot_widths(t, part) for t in tubes])  # (S, J)
-    enabled = [ts.enabled(sid) for sid in range(len(tubes))]
-    # every draw first, in the order of one-at-a-time sampling
-    sids: List[int] = []
-    iids: List[int] = []
-    jitter: List[np.ndarray] = []
-    for _ in range(n_samples):
-        sid = int(rng.integers(len(tubes)))
-        if not enabled[sid]:  # skipped, as is a sample whose knots leave X
-            continue
-        iids.append(enabled[sid][int(rng.integers(len(enabled[sid])))])
-        sids.append(sid)
-        w = widths[sid][:, None]
-        jitter.append(rng.uniform(-w, w, size=cell_lo.shape[1:]))
-
+    J, n = cell_lo.shape[1:]
+    # a row: the tube, the input, then the J x n jitter
+    r = _draws(seed, n_samples, 2 + J * n)
+    sid = (r[:, 0] * len(tubes)).astype(np.int64)
+    iids = _pick_inputs(ts, sid, r[:, 1])
+    # a tube with no enabled input is skipped, as is a sample whose knots leave X
+    drawn = np.flatnonzero(iids >= 0)
     violations: List[Violation] = []
-    if not sids:
+    if not len(drawn):
         return FrrReport(n_samples, 0, n_samples, violations, seed)
-    sid = np.array(sids)
+    sid, iids = sid[drawn], iids[drawn]
+    w = widths[sid][:, :, None]
+    jitter = -w + 2 * w * r[drawn, 2:].reshape(-1, J, n)
     # a sampled functional is the linear interpolant through its knot points
     width = cell_hi[sid] - cell_lo[sid]
-    pts = np.minimum(np.maximum(quantized[sid] + np.array(jitter),
+    pts = np.minimum(np.maximum(quantized[sid] + jitter,
                                 cell_lo[sid] + _EDGE * width),
                      cell_hi[sid] - _EDGE * width).transpose(1, 2, 0)  # (J, n, K)
     U = np.array(ts.inputs)[iids].T
     samples = tube_knot_points(sys, pts if sys.Theta > 0.0 else pts[-1:], U,
                                ctx.tau, ctx.steps, ctx.knot_thetas)
     inside, got = _locate_inside(sys, part, samples.transpose(2, 0, 1))
-    nominal = ts.endpoints[sid[inside], np.array(iids)[inside]]  # (K, J, n)
-    r = ts.radius[sid[inside]][:, None, None]
+    nominal = ts.endpoints[sid[inside], iids[inside]]  # (K, J, n)
+    radius = ts.radius[sid[inside]][:, None, None]
     # the cell of every sampled knot must meet its closed growth box
-    meets = _boxes_meet(nominal - r, nominal + r, *part.cell_bounds(got))
+    meets = _boxes_meet(nominal - radius, nominal + radius, *part.cell_bounds(got))
     for k in np.flatnonzero(~meets.all(axis=1)).tolist():
         j = int(inside[k])
         bad = int(np.argmax(~meets[k]))
         violations.append(Violation(
             pts[:, :, j].copy(), ts.inputs[iids[j]], samples[:, :, j].copy(),
-            sids[j], tuple(got[k, :bad + 1].tolist()),
-            ts.successors(sids[j], iids[j]),
+            int(sid[j]), tuple(got[k, :bad + 1].tolist()),
+            ts.successors(int(sid[j]), int(iids[j])),
             detail=f"knot {bad} outside the growth box"))
     return FrrReport(n_samples, len(inside), n_samples - len(inside), violations, seed)

@@ -374,6 +374,18 @@ def test_bad_config_is_exit_1(ws, tmp_path, capsys):
     assert "abstraction.eta" in capsys.readouterr().err
 
 
+def test_input_box_without_a_quantized_input_is_exit_1(tmp_path, capsys):
+    # it used to pass the config check and fail in the build, naming no key
+    cfg = tmp_path / "narrow.ini"
+    cfg.write_text(PENDULUM_INI.replace("input_lo = -2.5\ninput_hi = 2.5",
+                                        "input_lo = 0.05\ninput_hi = 0.1"))
+    rc = main(["abstract", "--config", str(cfg), "--out", str(tmp_path / "x.sts")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: abstraction.mu: input axis 1 "
+                                       "contains no multiple of 0.2\n")
+    assert not (tmp_path / "x.sts").exists()
+
+
 def test_percent_in_a_config_value_is_exit_1(tmp_path):
     # configparser's default interpolation raises on a lone %, outside the
     # errors main() reports
@@ -643,8 +655,9 @@ for argv in json.loads(sys.argv[1]):
 
 def test_no_stage_imports_numpy_random_or_numpy_ma(ws, tmp_path):
     """numpy.random (about 6 MiB) and numpy.ma (about 1.7 MiB) stay out of
-    every stage: the witnesses draw numpy's stream without numpy.random,
-    and no stage calls np.unique, whose first call imports numpy.ma."""
+    every stage: the witnesses draw from Python's random module, which
+    numpy already loads, and no stage calls np.unique, whose first call
+    imports numpy.ma."""
     (tmp_path / "robust.ini").write_text(
         (ws / "zoomed.ini").read_text().replace("mode = hold", "mode = robust"))
     p, z, d = (str(ws / "pendulum.ini"), str(tmp_path / "robust.ini"),
@@ -760,7 +773,7 @@ def test_three_states_and_two_inputs_through_every_stage(tmp_path, capsys):
     assert [main(argv) for argv in stages] == [0, 0, 0, 0]
     out = capsys.readouterr().out
     assert "27 states, 25 inputs, 7479 transitions" in out
-    assert "frr-report seed=1 samples=1000 checked=862 skipped=138 " \
+    assert "frr-report seed=1 samples=1000 checked=846 skipped=154 " \
            "violations=0" in out
     data = (tmp_path / "m.sts").read_bytes()
     assert serialize_ts(parse_sts(data.decode())).encode() == data

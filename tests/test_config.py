@@ -334,6 +334,12 @@ def test_load_config_rejects_broken_ini_syntax(tmp_path):
     # zoom rows name cells of the unrefined lattice (25 cells here)
     ({"abstraction.zoom": "\n 9999 1 1.0 0.1"}, None,
      "abstraction.zoom: row 1: cell 9999 is not a cell of the 25-cell lattice"),
+    # an input box between two quantized inputs fails at load, not at build
+    ({"system.input_lo": "0.05", "system.input_hi": "0.1"}, None,
+     "abstraction.mu: input axis 1 contains no multiple of 0.2"),
+    ({"system.input_lo": "0.05", "system.input_hi": "0.1",
+      "abstraction.input_quantizer": "log"}, None,
+     "abstraction.input_d: input axis 1 contains no quantizer level"),
 ])
 def test_validation_messages(overrides, drop, fragment):
     with pytest.raises(ConfigError) as err:

@@ -1,3 +1,4 @@
+import random
 from typing import Tuple
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 from symquant.abstraction import (AbstractState, TransitionSystem,
                                   transition_arrays)
-from symquant.frr import (RefinementMap, check_frr_finite,
+from symquant.frr import (FrrReport, RefinementMap, Violation, _draws,
+                          _pick_inputs, check_frr_finite,
                           sample_frr_delayfree, sample_frr_timedelay)
 from symquant.abstraction import build_delayfree, refine_cells
-from symquant.dynamics import ControlSystem, integrate_batch
+from symquant.dynamics import ControlSystem, integrate, integrate_batch
 from symquant.quantizers import LogQuantizerParams, ZoomQuantizerParams
 
 
@@ -144,6 +146,79 @@ def test_witnesses_read_the_plant_from_the_build(pendulum_ts,
         bare = parse_sts(serialize_ts(ts))
         with pytest.raises(ValueError, match="build context"):
             witness(bare, 10, 1)
+
+
+def test_draws_fill_rows_from_pythons_stream():
+    rng = random.Random(3)
+    assert _draws(3, 4, 5).ravel().tolist() == [rng.random() for _ in range(20)]
+    assert _draws(3, 0, 5).shape == (0, 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        _draws(-3, 4, 5)
+
+
+def test_input_pick_at_its_edges():
+    # rows with no input, one input, every input and every other one enabled
+    enabled = [(), (3,), (0, 1, 2, 3, 4), (0, 2, 4)]
+    ts = graph_ts(4, [[k] for k in range(5)],
+                  {(sid, iid): (0,) for sid, row in enumerate(enabled)
+                   for iid in row})
+    top = 1 - 2 ** -53  # the largest value random() returns
+    r = np.concatenate([[0.0, top], np.linspace(0.0, top, 101)])
+    for pos, row in enumerate(enabled):
+        picks = _pick_inputs(ts, np.full(len(r), pos), r).tolist()
+        if not row:
+            assert set(picks) == {-1}
+            continue
+        assert picks[:2] == [row[0], row[-1]]
+        assert set(picks) == set(row)
+    # one call over mixed rows picks as each row does alone
+    pos = np.arange(len(r)) % len(enabled)
+    assert _pick_inputs(ts, pos, r).tolist() == [
+        _pick_inputs(ts, pos[k:k + 1], r[k:k + 1])[0] for k in range(len(r))]
+
+
+def reference_delayfree(ts, n_samples, seed):
+    """sample_frr_delayfree one sample at a time: each sample reads its row
+    of _draws (the state, the point in its cell, the input), then makes one
+    Partition.locate, ts.enabled, integrate and ts.successors call."""
+    ctx, part = ts._ctx, ts.partition
+    sys = ctx.sys
+    violations, checked = [], 0
+    for row in _draws(seed, n_samples, sys.n + 2):
+        cell = ts.states[int(row[0] * len(ts.states))].cell
+        x = cell.lower + (cell.upper - cell.lower) * row[1:-1]
+        x2 = part.locate(x)
+        enabled = ts.enabled(x2)
+        if not enabled:
+            continue
+        iid = enabled[int(row[-1] * len(enabled))]
+        x_next = integrate(sys, x, ts.inputs[iid], ctx.tau, ctx.steps)
+        if np.any(x_next < sys.state_lo) or np.any(x_next > sys.state_hi):
+            continue
+        checked += 1
+        q_next = part.locate(x_next)
+        allowed = ts.successors(x2, iid)
+        if q_next not in allowed:
+            violations.append(Violation(x, ts.inputs[iid], x_next, x2, q_next,
+                                        allowed))
+    return FrrReport(n_samples, checked, n_samples - checked, violations, seed)
+
+
+@pytest.mark.parametrize("model", ["pendulum", "refined", "sabotaged"])
+def test_delayfree_witness_matches_the_per_sample_loop(model, pendulum_ts,
+                                                       pendulum, logparams):
+    if model == "pendulum":
+        ts = pendulum_ts
+    elif model == "refined":  # zoom subcells go through locate_batch
+        ts = refine_cells(pendulum_ts, {12: ZoomQuantizerParams(1, 1.0, 0.3)})
+    else:
+        ts = build_delayfree(pendulum, 0.2, logparams, lipschitz=6.0,
+                             growth_scale=0.0)
+    for seed in (1, 2, 3):
+        rep = sample_frr_delayfree(ts, 1000, seed)
+        assert rep.as_text() == reference_delayfree(ts, 1000, seed).as_text()
+        assert rep.checked > 900
+        assert rep.passed == (model != "sabotaged")
 
 
 def test_radius_takes_each_axis_eta():

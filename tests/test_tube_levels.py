@@ -270,28 +270,32 @@ def test_locate_batch_raises_for_the_first_row_outside():
 
 
 def reference_witness(sys, ts, n_samples, seed, lipschitz=6.0):
-    """sample_frr_timedelay with the per-sample loops: knot widths, jitter
-    and clamping per sample, then one Partition.locate and one
-    Cell.intersects per knot; the integrations stay batched.  The tube
-    radius comes from lipschitz, as in reference_build."""
+    """sample_frr_timedelay with the per-sample loops: each sample reads
+    its row of frr._draws (the tube, the input, then the J x n jitter) and
+    takes knot widths, jitter and clamping one knot at a time, then one
+    Partition.locate and one Cell.intersects per knot; the integrations
+    stay batched.  The tube radius comes from lipschitz, as in
+    reference_build."""
     ctx, part = ts._ctx, ts.partition
-    rng = np.random.default_rng(seed)
     amp = 2.0 * math.exp(float(lipschitz) * ctx.tau) * ctx.growth_scale
     thetas = ctx.knot_thetas
+    n = sys.n
+    draws = frr._draws(seed, n_samples, 2 + len(ts.states[0].tube.knots) * n)
     drawn, skipped = [], 0
-    for _ in range(n_samples):
-        sid = int(rng.integers(len(ts.states)))
+    for row in draws:
+        sid = int(row[0] * len(ts.states))
         tube = ts.states[sid].tube
         enabled = ts.enabled(sid)
         if not enabled:
             skipped += 1
             continue
-        iid = enabled[int(rng.integers(len(enabled)))]
+        iid = enabled[int(row[1] * len(enabled))]
         bounds = _knot_widths(tube, part)
         pts = []
         for j, k in enumerate(tube.knots):
             c = part.cell(k)
-            y = c.quantized_point + rng.uniform(-bounds[j], bounds[j], size=len(c.lower))
+            u = row[2 + j * n:2 + (j + 1) * n]
+            y = c.quantized_point + (-bounds[j] + 2 * bounds[j] * u)
             width = c.upper - c.lower
             pts.append(np.minimum(np.maximum(y, c.lower + _EDGE * width),
                                   c.upper - _EDGE * width))
