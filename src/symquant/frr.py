@@ -166,8 +166,12 @@ def _draws(seed: int, k: int, width: int) -> np.ndarray:
     """A (k, width) array of random.Random(seed).random() values, filled
     row by row: one row per sample.  Python keeps this stream fixed for an
     integer seed, so a report depends on the seed alone."""
+    if not isinstance(seed, int):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if k < 0 or width < 0:
+        raise ValueError(f"draws of shape ({k}, {width}) asked for")
     rng = random.Random(seed)
     return np.array([rng.random() for _ in range(k * width)]).reshape(k, width)
 
