@@ -75,7 +75,8 @@ from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
                        DEFAULT_STEPS, estimate_lipschitz,
                        estimate_lipschitz_batch, integrate,
                        integrate_delay_batch, interpolate_batch)
-from .quantizers import Cell, LogQuantizerParams, Partition, ZoomQuantizerParams
+from .quantizers import (Cell, LogQuantizerParams, Partition, ZoomQuantizerParams,
+                         _boundaries_up_to)
 
 
 def growth_bound_delayfree(spread, rate, tau: float) -> np.ndarray:
@@ -136,7 +137,8 @@ class AbstractState:
 
 @dataclass
 class _BuildContext:
-    """Everything needed to recompute a transition's growth box later."""
+    """The build settings of a model: refine_cells rebuilds with them, and
+    the hold search and the witnesses integrate the plant with them."""
 
     sys: object
     tau: float
@@ -412,22 +414,19 @@ def uniform_input_lattice(lo, hi, mu: float) -> List[np.ndarray]:
 
 
 def log_input_lattice(lo, hi, p: LogQuantizerParams) -> List[np.ndarray]:
-    """Logarithmic quantizer levels (including 0) inside the input box."""
+    """Logarithmic quantizer levels (including 0) inside the input box: 0
+    and each level of the state quantizer's enumeration, _boundaries_up_to,
+    with either sign, where it lies in the closed box."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     axes = []
     for j in range(len(lo)):
-        vals = {0.0} if lo[j] <= 0.0 <= hi[j] else set()
-        level = p.first_level
-        while level <= max(abs(lo[j]), abs(hi[j])):
-            if lo[j] <= level <= hi[j]:
-                vals.add(level)
-            if lo[j] <= -level <= hi[j]:
-                vals.add(-level)
-            level *= (1.0 + p.eta) / (1.0 - p.eta)
+        levels = _boundaries_up_to(p, max(abs(lo[j]), abs(hi[j])))[0]
+        vals = sorted(v for v in (0.0, *levels, *(-z for z in levels))
+                      if lo[j] <= v <= hi[j])
         if not vals:
             raise ValueError(f"input axis {j + 1} contains no quantizer level")
-        axes.append(sorted(vals))
+        axes.append(vals)
     return _lattice(axes)
 
 
@@ -446,24 +445,24 @@ def input_lattice(lo, hi, input_quantization) -> List[np.ndarray]:
 
 
 def build_delayfree(sys: ControlSystem, tau: float,
-                    log_params: Union[LogQuantizerParams, Sequence[LogQuantizerParams]],
+                    lattice: Union[LogQuantizerParams, Sequence[LogQuantizerParams], Partition],
                     input_quantization=("uniform", 0.2),
                     lipschitz: Union[str, float] = "sampled-jacobian",
                     steps: int = DEFAULT_STEPS,
-                    growth_scale: float = 1.0,
-                    partition: Optional[Partition] = None) -> TransitionSystem:
-    """Symbolic model of a delay-free system on the logarithmic lattice.
+                    growth_scale: float = 1.0) -> TransitionSystem:
+    """Symbolic model of a delay-free system on a logarithmic lattice.
 
-    input_quantization is ('uniform', mu) or ('log', LogQuantizerParams).
-    growth_scale multiplies every growth radius (1.0 normally; 0 builds a
-    deliberately unsound model for negative-control testing).  A
-    pre-refined partition may be supplied; otherwise the plain lattice of
-    log_params is used.
+    lattice is the state lattice, used as given: a Partition (zoom-refined
+    or not), or LogQuantizerParams, one or one per axis, for the plain
+    lattice of the state box.  input_quantization is ('uniform', mu) or
+    ('log', LogQuantizerParams).  growth_scale multiplies every growth
+    radius (1.0 normally; 0 builds a deliberately unsound model for
+    negative-control testing).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    part = partition if partition is not None else \
-        Partition(sys.state_lo, sys.state_hi, log_params)
+    part = lattice if isinstance(lattice, Partition) else \
+        Partition(sys.state_lo, sys.state_hi, lattice)
     inputs = input_lattice(sys.input_lo, sys.input_hi, input_quantization)
     ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,
                         growth_scale=growth_scale)
@@ -790,8 +789,7 @@ def _boxes_meet_knot_cells(box_lo, box_hi, cell_lo, cell_hi) -> np.ndarray:
 
 
 def build_timedelay(sys: TimeDelaySystem, tau: float,
-                    log_params: Union[LogQuantizerParams, Sequence[LogQuantizerParams]],
-                    zoom_assignments: Optional[Dict[int, ZoomQuantizerParams]] = None,
+                    lattice: Union[LogQuantizerParams, Sequence[LogQuantizerParams], Partition],
                     N: int = 0,
                     input_quantization=("uniform", 0.2),
                     lipschitz: Union[str, float] = "sampled-jacobian",
@@ -800,7 +798,8 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
                     budget: int = 1000) -> TransitionSystem:
     """Symbolic model of a time-delay system over spline tubes.
 
-    States are discovered breadth-first from psi2(xi0) following nominal
+    lattice is the knots' state lattice, as in build_delayfree.  States
+    are discovered breadth-first from psi2(xi0) following nominal
     successors only, up to `budget` tubes; materialized successor sets are
     the discovered tubes passing the knot-wise growth-box test.  When the
     budget is exhausted, the frontier pairs whose nominal successor was
@@ -816,8 +815,8 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
         raise ValueError("time-delay build needs the initial functional xi0")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    base = Partition(sys.state_lo, sys.state_hi, log_params)
-    part = base.refined(zoom_assignments) if zoom_assignments else base
+    part = lattice if isinstance(lattice, Partition) else \
+        Partition(sys.state_lo, sys.state_hi, lattice)
     inputs = input_lattice(sys.input_lo, sys.input_hi, input_quantization)
 
     thetas = knot_times(N, -sys.Theta, 0.0)

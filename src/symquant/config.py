@@ -69,25 +69,19 @@ class AppConfig:
         return isinstance(self.system, TimeDelaySystem)
 
     def build_model(self, refined: bool = False) -> TransitionSystem:
-        """The model of the config; see partition for refined.  A tube
-        model always takes the zoom rows, at build time."""
-        if self.is_timedelay():
-            return build_timedelay(self.system, self.tau, self.log_params,
-                                   zoom_assignments=self.zoom or None,
-                                   N=self.N,
-                                   input_quantization=self.input_quantization,
-                                   lipschitz=self.lipschitz, steps=self.steps,
-                                   growth_scale=self.growth_scale,
-                                   budget=self.budget)
-        return build_delayfree(self.system, self.tau, self.log_params,
-                               input_quantization=self.input_quantization,
-                               lipschitz=self.lipschitz, steps=self.steps,
-                               growth_scale=self.growth_scale,
-                               partition=self.partition(refined))
+        """The model of the config on self.partition(refined); a tube model
+        always takes the zoom rows, at build time."""
+        tubes = self.is_timedelay()
+        build, extra = (build_timedelay, {"N": self.N, "budget": self.budget}) \
+            if tubes else (build_delayfree, {})
+        return build(self.system, self.tau, self.partition(refined or tubes),
+                     input_quantization=self.input_quantization,
+                     lipschitz=self.lipschitz, steps=self.steps,
+                     growth_scale=self.growth_scale, **extra)
 
     def partition(self, refined: bool = False) -> Partition:
-        """The delay-free state lattice, zoom-refined by the zoom rows when
-        refined is set and there are any."""
+        """The state lattice, zoom-refined by the zoom rows when refined is
+        set and there are any."""
         part = Partition(self.system.state_lo, self.system.state_hi,
                          self.log_params)
         return part.refined(self.zoom) if refined and self.zoom else part
@@ -128,13 +122,15 @@ class _Section:
         self.name = name
         self.present = cp.has_section(name)
         self._sec = cp[name] if self.present else {}
+        self.read = set()  # the keys asked for, lower-cased as stored
 
     def raw(self, key: str, default: Optional[str] = None) -> Optional[str]:
+        self.read.add(key.lower())
         val = self._sec.get(key)
         return val if val is not None else default
 
     def require(self, key: str) -> str:
-        val = self._sec.get(key)
+        val = self.raw(key)
         if val is None:
             raise ConfigError(f"{self.name}.{key}: required key is missing")
         return val
@@ -359,6 +355,13 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
     _check(seed >= 0, "run.seed", "must be nonnegative")
     samples = runc.integer("samples", "1000") if runc.present else 1000
     _check(samples >= 1, "run.samples", "must be an integer >= 1")
+
+    # a misspelled section or key would otherwise be ignored for its default
+    sections = {s.name: s for s in (sysc, absc, sync, runc)}
+    for name in cp.sections():
+        _check(name in sections, name, "unknown section")
+        for key in cp[name]:
+            _check(key in sections[name].read, f"{name}.{key}", "unknown key")
 
     if r > 0:
         k = r / tau

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from symquant.abstraction import (SplineTube, build_delayfree, build_timedelay,
                                   spline_basis, tube_interpolant,
                                   uniform_input_lattice)
 from symquant.dynamics import SampledCurve, TimeDelaySystem, integrate
-from symquant.quantizers import Cell, LogQuantizerParams, ZoomQuantizerParams
+from symquant.quantizers import (Cell, LogQuantizerParams, Partition,
+                                 ZoomQuantizerParams)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +95,27 @@ def test_uniform_input_lattice_two_axes():
     assert len({p[0] for p in pts}) == 3
 
 
+def loop_log_input_lattice(lo, hi, p):
+    """The log input lattice by its own level loop, the reference for the
+    one that takes its levels from the state quantizer's enumeration."""
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    axes = []
+    for j in range(len(lo)):
+        vals = {0.0} if lo[j] <= 0.0 <= hi[j] else set()
+        level = p.first_level
+        while level <= max(abs(lo[j]), abs(hi[j])):
+            if lo[j] <= level <= hi[j]:
+                vals.add(level)
+            if lo[j] <= -level <= hi[j]:
+                vals.add(-level)
+            level *= (1.0 + p.eta) / (1.0 - p.eta)
+        if not vals:
+            raise ValueError(f"input axis {j + 1} contains no quantizer level")
+        axes.append(sorted(vals))
+    return [np.array(u) for u in itertools.product(*axes)]
+
+
 def test_log_input_lattice_levels():
     p = LogQuantizerParams(0.2, 0.4, "EQ20")
     pts = log_input_lattice([-2.5], [2.5], p)
@@ -101,6 +124,27 @@ def test_log_input_lattice_levels():
     assert vals == sorted(-v for v in vals)  # symmetric
     positives = [v for v in vals if v > 0]
     assert positives[0] == pytest.approx(0.48)
+    # the same floats in the same order as the level loop, or its error
+    for variant in ("EQ2", "EQ20"):
+        p = LogQuantizerParams(0.2, 0.4, variant)
+        second = p.first_level * ((1.0 + p.eta) / (1.0 - p.eta))
+        boxes = [([-2.5], [2.5]),                     # symmetric
+                 ([0.1], [2.5]), ([-2.5], [-0.5]),    # one-sided
+                 ([-2.5, 0.1], [2.5, 1.7]),
+                 ([-0.3], [0.3]),                     # inside the deadzone
+                 ([0.34], [0.39]), ([-0.39], [-0.34]),
+                 ([p.first_level], [p.first_level]),  # lo == hi on a level
+                 ([-second], [-second]),
+                 ([0.0], [0.0])]                      # lo == hi at 0
+        for lo, hi in boxes:
+            try:
+                want = loop_log_input_lattice(lo, hi, p)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=str(err)):
+                    log_input_lattice(lo, hi, p)
+                continue
+            got = log_input_lattice(lo, hi, p)
+            assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +257,12 @@ def test_build_keeps_its_endpoints(pendulum, pendulum_ts):
 def test_refining_a_refined_model_equals_one_refinement(pendulum, logparams,
                                                         pendulum_ts):
     from symquant.model_io import serialize_ts
-    from symquant.quantizers import Partition
     first = {12: ZoomQuantizerParams(1, 1.0, 0.3)}
     second = {13: ZoomQuantizerParams(1, 1.0, 0.3), 0: ZoomQuantizerParams(10, 1.0, 0.1)}
     twice = refine_cells(refine_cells(pendulum_ts, first), second)
     part = Partition(pendulum.state_lo, pendulum.state_hi, logparams)
-    once = build_delayfree(pendulum, 0.2, logparams, lipschitz=6.0,
-                           partition=part.refined(first).refined(second))
+    once = build_delayfree(pendulum, 0.2, part.refined(first).refined(second),
+                           lipschitz=6.0)
     assert serialize_ts(twice) == serialize_ts(once)
     assert np.array_equal(twice.endpoints, once.endpoints)
 
@@ -346,9 +389,10 @@ def test_timedelay_requires_xi0(logparams):
 
 
 def test_timedelay_zoomed_knots(pendulum_delay, logparams):
-    zoom = {0: ZoomQuantizerParams(10, 1.0, 0.1)}
-    ts = build_timedelay(pendulum_delay, 0.2, logparams,
-                         zoom_assignments=zoom, N=0, budget=200)
+    part = Partition(pendulum_delay.state_lo, pendulum_delay.state_hi, logparams)
+    ts = build_timedelay(pendulum_delay, 0.2,
+                         part.refined({0: ZoomQuantizerParams(10, 1.0, 0.1)}),
+                         N=0, budget=200)
     # the initial history sits inside the refined corner, so the initial
     # tube's knots are subcells (fresh ids > 24)
     assert all(k >= 25 for k in ts.states[0].tube.knots)
@@ -375,8 +419,9 @@ def test_timedelay_successors_equal_knotwise_intersecting(pendulum_delay,
     from symquant.abstraction import _knot_widths
     from symquant.dynamics import integrate_delay_batch, interpolate_batch
     # small growth boxes, so that successor sets are proper subsets
-    zoom = {0: ZoomQuantizerParams(10, 1.0, 0.1)}
-    ts = build_timedelay(pendulum_delay, 0.2, logparams, zoom_assignments=zoom,
+    base = Partition(pendulum_delay.state_lo, pendulum_delay.state_hi, logparams)
+    ts = build_timedelay(pendulum_delay, 0.2,
+                         base.refined({0: ZoomQuantizerParams(10, 1.0, 0.1)}),
                          N=1, lipschitz=1.0, growth_scale=0.25, budget=30)
     part = ts.partition
     thetas = knot_times(1, -0.2, 0.0)

@@ -386,6 +386,20 @@ def test_input_box_without_a_quantized_input_is_exit_1(tmp_path, capsys):
     assert not (tmp_path / "x.sts").exists()
 
 
+@pytest.mark.parametrize("old, new, why", [
+    ("lipschitz = 6", "lipshitz = 6", "abstraction.lipshitz: unknown key"),
+    ("[run]", "[runn]", "runn: unknown section"),
+])
+def test_misspelled_key_or_section_is_exit_1(tmp_path, capsys, old, new, why):
+    # both used to load: the model took the sampled rate, the run its defaults
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(PENDULUM_INI.replace(old, new))
+    rc = main(["abstract", "--config", str(cfg), "--out", str(tmp_path / "x.sts")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {why}\n"
+    assert not (tmp_path / "x.sts").exists()
+
+
 def test_percent_in_a_config_value_is_exit_1(tmp_path):
     # configparser's default interpolation raises on a lone %, outside the
     # errors main() reports

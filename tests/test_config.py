@@ -340,6 +340,15 @@ def test_load_config_rejects_broken_ini_syntax(tmp_path):
     ({"system.input_lo": "0.05", "system.input_hi": "0.1",
       "abstraction.input_quantizer": "log"}, None,
      "abstraction.input_d: input axis 1 contains no quantizer level"),
+    # log input levels share the state quantizer's runaway guard
+    ({"abstraction.input_quantizer": "log", "abstraction.input_eta": "0.01",
+      "abstraction.input_d": "1e-300"}, None,
+     "abstraction.input_d: logarithmic level enumeration ran away"),
+    # a misspelled key or section is named, not ignored for its default
+    ({"abstraction.lipshitz": "6"}, ["abstraction.lipschitz"],
+     "abstraction.lipshitz: unknown key"),
+    ({"runn.x0": "0 0"}, None, "runn: unknown section"),
+    ({"system.X0": "0 0"}, None, "system.x0: unknown key"),
 ])
 def test_validation_messages(overrides, drop, fragment):
     with pytest.raises(ConfigError) as err:

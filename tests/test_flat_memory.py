@@ -39,8 +39,8 @@ def fine_zoom_build(pendulum):
     params = LogQuantizerParams(0.1, 0.1, "EQ20")
     part = Partition(pendulum.state_lo, pendulum.state_hi, params)
     part = part.refined({264: ZoomQuantizerParams(1, 1.0, 0.1)})
-    return lambda: build_delayfree(pendulum, 0.2, params, ("uniform", 0.2),
-                                   lipschitz="sampled-jacobian", partition=part)
+    return lambda: build_delayfree(pendulum, 0.2, part, ("uniform", 0.2),
+                                   lipschitz="sampled-jacobian")
 
 
 @pytest.fixture(scope="module")

@@ -305,8 +305,8 @@ def fine_zoom_refined_ts(pendulum):
     params = LogQuantizerParams(0.1, 0.1, "EQ20")
     part = Partition(pendulum.state_lo, pendulum.state_hi, params)
     part = part.refined({264: ZoomQuantizerParams(1, 1.0, 0.1)})
-    return build_delayfree(pendulum, 0.2, params, ("uniform", 0.2),
-                           lipschitz="sampled-jacobian", partition=part)
+    return build_delayfree(pendulum, 0.2, part, ("uniform", 0.2),
+                           lipschitz="sampled-jacobian")
 
 
 @pytest.mark.parametrize("max_hold", [1, 2, 64])

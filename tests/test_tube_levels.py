@@ -35,15 +35,16 @@ def delay_plant(rhs=DELAY_RHS, Theta=0.2, r=0.2, x0=(-0.72, -0.72)):
                                         Theta=Theta, r=r, xi0=xi0)
 
 
-def reference_build(sys, tau, log_params, zoom_assignments=None, N=0,
+def reference_build(sys, tau, lattice, N=0,
                     input_quantization=("uniform", 0.2), lipschitz=6.0,
                     steps=20, growth_scale=1.0, budget=1000, kernel=None):
     """The tube model by the FIFO loop: one method-of-steps batch per
-    dequeued tube, then one Partition.locate per nominal knot.  kernel, when
-    given, receives the (nominal knot points, growth radius) of every pair
-    kept, keyed by (tube id, input id)."""
-    base = Partition(sys.state_lo, sys.state_hi, log_params)
-    part = base.refined(zoom_assignments) if zoom_assignments else base
+    dequeued tube, then one Partition.locate per nominal knot.  lattice is
+    a Partition or its LogQuantizerParams, as for build_timedelay.  kernel,
+    when given, receives the (nominal knot points, growth radius) of every
+    pair kept, keyed by (tube id, input id)."""
+    part = lattice if isinstance(lattice, Partition) else \
+        Partition(sys.state_lo, sys.state_hi, lattice)
     inputs = input_lattice(sys.input_lo, sys.input_hi, input_quantization)
     thetas = knot_times(N, -sys.Theta, 0.0)
     L2 = float(lipschitz)
@@ -98,11 +99,16 @@ def reference_build(sys, tau, log_params, zoom_assignments=None, N=0,
                             truncated=truncated)
 
 
-def assert_same_build(sys, **kw):
+def zoomed(sys, zoom=ZOOM):
+    """The lattice of LOGP over the state box of sys, refined by zoom."""
+    return Partition(sys.state_lo, sys.state_hi, LOGP).refined(zoom)
+
+
+def assert_same_build(sys, lattice=LOGP, **kw):
     kw.setdefault("lipschitz", 6.0)
-    ts = build_timedelay(sys, 0.2, LOGP, **kw)
+    ts = build_timedelay(sys, 0.2, lattice, **kw)
     kernel = {}
-    ref = reference_build(sys, 0.2, LOGP, kernel=kernel, **kw)
+    ref = reference_build(sys, 0.2, lattice, kernel=kernel, **kw)
     assert [s.tube for s in ts.states] == [s.tube for s in ref.states]
     assert [s.id for s in ts.states] == list(range(len(ts.states)))
     assert np.array_equal(ts.indptr, ref.indptr)
@@ -131,8 +137,9 @@ def test_three_knot_tubes():
 
 
 def test_zoomed_knots_with_small_boxes():
-    ts = assert_same_build(delay_plant(), N=1, zoom_assignments=ZOOM,
-                           lipschitz=1.0, growth_scale=0.25, budget=60)
+    sys = delay_plant()
+    ts = assert_same_build(sys, zoomed(sys), N=1, lipschitz=1.0,
+                           growth_scale=0.25, budget=60)
     assert any(ts.partition.zoom_params_of(k) for s in ts.states
                for k in s.tube.knots)
     fan_out = np.diff(ts.indptr)
@@ -341,7 +348,7 @@ def reference_witness(sys, ts, n_samples, seed, lipschitz=6.0):
 def test_witness_text_matches_the_per_sample_loop(N, growth_scale, zoom, Theta):
     rhs = DELAY_RHS if Theta else ["x2", "-1.96*sin(x1) - 1.5*x2 + u1"]
     sys = delay_plant(rhs, Theta=Theta)
-    ts = build_timedelay(sys, 0.2, LOGP, zoom_assignments=zoom, N=N,
+    ts = build_timedelay(sys, 0.2, zoomed(sys, zoom) if zoom else LOGP, N=N,
                          lipschitz=6.0, growth_scale=growth_scale, budget=200)
     for seed in (1, 2):
         rep = sample_frr_timedelay(ts, 300, seed)
