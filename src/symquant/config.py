@@ -117,15 +117,29 @@ class AppConfig:
 # parsing helpers: every failure names section.key
 
 
+# the keys of each section, lower-cased as configparser stores them
+_KEYS = {
+    "system": ("n", "m", "f", "state_lo", "state_hi", "input_lo", "input_hi",
+               "theta", "r", "xi0"),
+    "abstraction": ("tau", "variant", "eta", "d", "input_quantizer", "mu",
+                    "input_eta", "input_d", "lipschitz", "steps",
+                    "growth_scale", "zoom", "n", "budget"),
+    "synthesis": ("kind", "mode", "targets", "max_hold"),
+    "run": ("x0", "max_steps", "seed", "samples"),
+}
+
+
 class _Section:
     def __init__(self, cp: configparser.ConfigParser, name: str):
+        # a misspelled key would otherwise be ignored for its default, or
+        # reported as the key it was meant to be, missing
         self.name = name
         self.present = cp.has_section(name)
         self._sec = cp[name] if self.present else {}
-        self.read = set()  # the keys asked for, lower-cased as stored
+        for key in self._sec:
+            _check(key in _KEYS[name], f"{name}.{key}", "unknown key")
 
     def raw(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        self.read.add(key.lower())
         val = self._sec.get(key)
         return val if val is not None else default
 
@@ -227,6 +241,8 @@ def parse_config_text(text: str) -> AppConfig:
 
 
 def parse_config(cp: configparser.ConfigParser) -> AppConfig:
+    for name in cp.sections():
+        _check(name in _KEYS, name, "unknown section")
     sysc = _Section(cp, "system")
     absc = _Section(cp, "abstraction")
     sync = _Section(cp, "synthesis")
@@ -355,13 +371,6 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
     _check(seed >= 0, "run.seed", "must be nonnegative")
     samples = runc.integer("samples", "1000") if runc.present else 1000
     _check(samples >= 1, "run.samples", "must be an integer >= 1")
-
-    # a misspelled section or key would otherwise be ignored for its default
-    sections = {s.name: s for s in (sysc, absc, sync, runc)}
-    for name in cp.sections():
-        _check(name in sections, name, "unknown section")
-        for key in cp[name]:
-            _check(key in sections[name].read, f"{name}.{key}", "unknown key")
 
     if r > 0:
         k = r / tau

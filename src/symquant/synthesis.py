@@ -13,18 +13,17 @@ for several periods, and the closed loop re-evaluates the table at every
 sample, so deviations from the nominal path are corrected by feedback
 rather than guarded a priori.
 
-Robust reach skips dominated pairs: (q, j) is dominated when its
-successors contain those of a non-empty pair (q, i) with i < j.  That is
-exact.  Whenever every successor of (q, j) is won, so is every successor
-of (q, i), and a state takes the smallest ready input, so (q, j) never
-wins q and its absence changes no winning domain, level or input.  Target
-states take their smallest enabled input in the whole model.
+Robust reach computes that fixed point in rounds over the CSR arrays:
+each round checks every non-empty row against the current winning set, and
+a state first won in round k takes its smallest input whose successors all
+lie in W_{k-1}.  Target states take their smallest enabled input in the
+whole model.
 
 Waypoint sequences chain per-phase reach tables; the phase advances when
 the trajectory's abstract state enters the current waypoint set.  A reach
 and a sequence take one path, which does each mode's target-independent
-work once per call: robust mode's predecessor arrays, and hold mode's one
-pass over held periods, which starts from the endpoints the build kept
+work once per call: robust mode's list of non-empty rows, and hold mode's
+one pass over held periods, which starts from the endpoints the build kept
 (ts.endpoints) and updates every target's table as each step is located.
 """
 
@@ -36,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .abstraction import TransitionSystem, _locate_inside, _positions
+from .abstraction import TransitionSystem, _locate_inside
 from .dynamics import integrate_batch
 
 
@@ -79,38 +78,29 @@ def _robust_reach(ts: TransitionSystem, targets: List[Tuple[int, ...]]):
     """(policy, dist) of every target under the fixed point
     W_k = W_{k-1} + {q : exists u, {} != post(q,u) <= W_{k-1}}.
 
-    The predecessor arrays do not depend on the target and are built once,
-    over the undominated pairs only (_undominated).  Each target then runs
-    a worklist over them that visits every kept transition once: every
-    pair counts its successors not yet won, and the states won at level
-    k-1 decrement the pairs leading into them.  A state first won at level
-    k takes the smallest input id whose count reached zero then, which is
-    the smallest input whose successors all lie in W_{k-1}.  Each level
-    counts the hits per row with one np.bincount (np.unique would import
-    numpy.ma, about 1.7 MiB).
+    The non-empty rows and where their successors start are found once.
+    Each target then runs the fixed point as rounds: round k ANDs, per
+    non-empty row, whether each successor lies in W_{k-1}, and every state
+    not yet won takes the smallest input whose row is ready (_claim).  The
+    rounds stop when one wins nothing.
     """
     n_in, ids = len(ts.inputs), ts.ids
-    n_succ = np.diff(ts.indptr).astype(np.int32)
-    pred, pred_ptr = _predecessors(ts, ids, n_succ, _undominated(ts, n_succ))
-    n_pred = np.diff(pred_ptr)
+    rows = np.flatnonzero(np.diff(ts.indptr))
+    starts = ts.indptr[rows]
     tables = []
     for target in targets:
-        left = n_succ.copy()
         table: Tuple[Dict[int, int], Dict[int, int]] = ({}, {q: 0 for q in target})
-        frontier = np.sort(_positions(ids, np.array(target, dtype=np.int64))[0])
-        won = np.zeros(len(ids), dtype=bool)
-        won[frontier] = True
+        won_id = np.zeros(int(ids.max()) + 1, dtype=bool)  # by state id
+        won_id[list(target)] = True
+        won = won_id[ids]  # by state position
         level = 0
-        while frontier.size:
+        while rows.size:
             level += 1
-            sizes = n_pred[frontier]
-            at = np.repeat(pred_ptr[frontier] - np.cumsum(sizes) + sizes, sizes)
-            at += np.arange(len(at))
-            hits = np.bincount(pred[at], minlength=len(left))
-            del at
-            rows = np.flatnonzero(hits)
-            left[rows] -= hits[rows]
-            frontier = _claim(rows[left[rows] == 0], won, ids, n_in, level, table)
+            ready = np.logical_and.reduceat(won_id[ts.succ], starts)
+            new = _claim(rows[ready], won, ids, n_in, level, table)
+            if not new.size:
+                break
+            won_id[ids[new]] = True
         tables.append(table)
     return tables
 
@@ -131,120 +121,6 @@ def _claim(rows: np.ndarray, won: np.ndarray, ids: np.ndarray, n_in: int,
         dist[q] = level
         policy[q] = iid
     return pos
-
-
-# edges per chunk of states; at most 2**15 (see _undominated).  With 2**15,
-# the chunk's 256 KiB temporaries raised the robust synthesize stage's
-# peak RSS on the 55-tube delay demo by 0.6 MiB
-_REACH_EDGES = 1 << 14
-
-
-def _state_chunks(ts: TransitionSystem):
-    """[r0, r1) CSR row ranges that cover the rows state by state, each
-    with the rows of as many whole states as fit in _REACH_EDGES edges
-    (at least one state)."""
-    n_in = len(ts.inputs)
-    ends = ts.indptr[n_in::n_in]  # where each state's edges end
-    s0 = 0
-    while s0 < len(ends):
-        s1 = max(s0 + 1, int(np.searchsorted(
-            ends, ts.indptr[s0 * n_in] + _REACH_EDGES, side="right")))
-        yield s0 * n_in, s1 * n_in
-        s0 = s1
-
-
-def _undominated(ts: TransitionSystem, sizes: np.ndarray) -> np.ndarray:
-    """bool per CSR row: the row is non-empty and no non-empty row of a
-    smaller input at the same state has successors it contains.
-
-    A dominated row can never win its state: when its successors all lie
-    in W_{k-1}, so do those of the smaller input that it contains, and the
-    reach takes the smallest ready input.  So the reach may skip it.
-
-    Per chunk of states (_state_chunks), a sort of the chunk's edges by
-    (state, successor) gives, per 64 inputs, a bit mask per (state,
-    successor) of the inputs that reach it; the AND of those masks over a
-    row's successors marks the rows at its state that contain it, and every
-    such row of a larger input is dominated.  The sort key packs state rank,
-    successor offset and edge index into one int64: at most 15 + 32 + 16
-    bits while a chunk has at most 2**15 edges, and 32 + 31 for a chunk of
-    one state.  No copy of succ is made.
-    """
-    n_in = len(ts.inputs)
-    # per 64-input word: each input's bit, and the bits of larger inputs
-    bit = np.zeros(((n_in + 63) // 64, n_in), dtype=np.uint64)
-    for w, word in enumerate(bit):
-        word[64 * w:64 * w + 64] = np.left_shift(
-            np.uint64(1), np.arange(min(64, n_in - 64 * w), dtype=np.uint64))
-    above = np.zeros_like(bit)
-    above[:, :-1] = np.bitwise_or.accumulate(bit[:, :0:-1], axis=1)[:, ::-1]
-    keep = sizes > 0
-    for r0, r1 in _state_chunks(ts):
-        rows = r0 + np.flatnonzero(sizes[r0:r1])
-        if not rows.size:
-            continue
-        counts, row_in, state = sizes[rows], rows % n_in, rows // n_in
-        n_edges = int(counts.sum())
-        new_state = np.r_[True, state[1:] != state[:-1]]
-        first = np.flatnonzero(new_state)  # each state's first row
-        edges = ts.succ[ts.indptr[rows[0]]:ts.indptr[r1]].astype(np.int64)
-        edges -= edges.min()
-        succ_bits, idx_bits = int(edges.max()).bit_length(), n_edges.bit_length()
-        key = np.repeat((np.cumsum(new_state) - 1) << succ_bits, counts)
-        key |= edges
-        del edges
-        key <<= idx_bits
-        key |= np.arange(n_edges)
-        key.sort()
-        order = key & ((1 << idx_bits) - 1)
-        key >>= idx_bits
-        groups = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        del key
-        group_sizes = np.diff(groups, append=n_edges)
-        edge_in = np.repeat(row_in, counts)[order]
-        row_start = ts.indptr[rows] - ts.indptr[rows[0]]
-        hit = np.zeros(len(rows), dtype=bool)
-        for bit_w, above_w in zip(bit, above):
-            # per (state, successor): the inputs that reach it
-            reach = np.bitwise_or.reduceat(bit_w[edge_in], groups)
-            mask = np.empty(n_edges, dtype=np.uint64)
-            mask[order] = np.repeat(reach, group_sizes)
-            # per row: the rows of larger inputs at its state that contain it
-            inside = np.bitwise_and.reduceat(mask, row_start) & above_w[row_in]
-            del mask
-            dominated = np.repeat(np.bitwise_or.reduceat(inside, first),
-                                  np.diff(first, append=len(rows)))
-            hit |= (dominated & bit_w[row_in]) != 0
-        keep[rows[hit]] = False
-    return keep
-
-
-def _predecessors(ts: TransitionSystem, ids: np.ndarray, sizes: np.ndarray,
-                  keep: np.ndarray):
-    """int32 rows leading into each state, grouped by state position: the
-    kept rows (keep, a bool per row) into the state at position k are
-    pred[pred_ptr[k]:pred_ptr[k + 1]], ascending.  sizes holds each row's
-    successor count.
-
-    One int64 key per kept edge, position * rows + row, filled one chunk of
-    states at a time and sorted in place, gives both arrays; it is the only
-    edge-long int64 array.
-    """
-    n_rows = len(sizes)
-    key = np.empty(int(sizes[keep].sum()), dtype=np.int64)
-    at = 0
-    for r0, r1 in _state_chunks(ts):
-        edges = np.repeat(keep[r0:r1], sizes[r0:r1])
-        # states ascend by id, and every successor names one
-        part = np.searchsorted(ids, ts.succ[ts.indptr[r0]:ts.indptr[r1]][edges])
-        part *= n_rows
-        part += np.repeat(np.arange(r0, r1), np.where(keep[r0:r1], sizes[r0:r1], 0))
-        key[at:at + len(part)] = part
-        at += len(part)
-    key.sort()
-    pred_ptr = np.searchsorted(key, np.arange(len(ids) + 1, dtype=np.int64) * n_rows)
-    np.remainder(key, n_rows, out=key)
-    return key.astype(np.int32), pred_ptr
 
 
 def _hold_reach(ts: TransitionSystem, targets: List[Tuple[int, ...]], max_hold: int):

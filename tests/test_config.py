@@ -329,7 +329,7 @@ def test_load_config_rejects_broken_ini_syntax(tmp_path):
     ({"run.samples": "0"}, None, "run.samples: must be an integer >= 1"),
     # values are literal: a % is a character, and %(key)s pastes in nothing
     ({"system.input_hi": "2.5 % 1"}, None, "system.input_hi: expected numbers"),
-    ({"system.x": "x2", "system.f": "\n %(x)s\n -1.96*sin(x1) - 1.5*x2 + u1"},
+    ({"system.f": "\n %(n)s\n -1.96*sin(x1) - 1.5*x2 + u1"},
      None, "system.f: row 1: unexpected '%'"),
     # zoom rows name cells of the unrefined lattice (25 cells here)
     ({"abstraction.zoom": "\n 9999 1 1.0 0.1"}, None,
@@ -349,6 +349,9 @@ def test_load_config_rejects_broken_ini_syntax(tmp_path):
      "abstraction.lipshitz: unknown key"),
     ({"runn.x0": "0 0"}, None, "runn: unknown section"),
     ({"system.X0": "0 0"}, None, "system.x0: unknown key"),
+    # ... also when it stands in for a required key
+    ({"abstraction.etta": "0.2"}, ["abstraction.eta"],
+     "abstraction.etta: unknown key"),
 ])
 def test_validation_messages(overrides, drop, fragment):
     with pytest.raises(ConfigError) as err:

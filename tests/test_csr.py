@@ -1,6 +1,6 @@
 """The transition relation in CSR arrays: accessors, the STS parse checks,
-the memory of writing and checking a model, and the worklist robust reach
-against the level-by-level fixed point it replaced."""
+the memory of writing and checking a model, and robust reach's rounds
+against the level-by-level fixed point."""
 
 import tracemalloc
 
@@ -15,8 +15,7 @@ from symquant.cli import _load_model_checked, main
 from symquant.model_io import (ModelFormatError, parse_sts, serialize_ts,
                                sts_chunks, write_ts)
 from symquant.quantizers import Cell
-from symquant import synthesis
-from symquant.synthesis import _robust_reach, _undominated
+from symquant.synthesis import _robust_reach
 
 
 def reference_robust_reach(ts, target):
@@ -270,10 +269,10 @@ def test_write_and_check_hold_no_copy_of_the_text(tmp_path, pendulum_ts):
 
 
 # ---------------------------------------------------------------------------
-# worklist robust reach
+# robust reach as rounds
 
 
-def test_worklist_matches_the_fixed_point_over_many_levels(fine_zoom_ts):
+def test_rounds_match_the_fixed_point_over_many_levels(fine_zoom_ts):
     ts = fine_zoom_ts
     # the cells meeting the box [-0.2, 0.2]^2: 89 targets, 8 levels
     target = tuple(ts.partition.intersecting([-0.2, -0.2], [0.2, 0.2]))
@@ -284,27 +283,49 @@ def test_worklist_matches_the_fixed_point_over_many_levels(fine_zoom_ts):
     assert policy == ref_policy
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_worklist_matches_the_fixed_point_on_random_graphs(seed):
+def _graph_ts(ids, m, relation):
+    return TransitionSystem("delayfree", [AbstractState(q) for q in ids],
+                            [np.array([float(i)]) for i in range(m)],
+                            transition_arrays(ids, m, relation))
+
+
+def _random_graph(seed, ids, m):
     rng = np.random.default_rng(seed)
-    n, m = 40, 3
-    ids = (np.arange(n) * 3 + 1).tolist()  # ids that are not positions
     relation = {}
-    for k in range(n):
+    for q in ids:
         for iid in range(m):
             if rng.random() < 0.8:
                 size = int(rng.integers(1, 4))
-                relation[(ids[k], iid)] = tuple(
+                relation[(q, iid)] = tuple(
                     rng.choice(ids, size=size, replace=False).tolist())
-    ts = TransitionSystem("delayfree", [AbstractState(q) for q in ids],
-                          [np.array([float(i)]) for i in range(m)],
-                          transition_arrays(ids, m, relation))
-    target = tuple(ids[:3])
-    assert _robust_reach(ts, [target]) == [reference_robust_reach(ts, target)]
+    return relation
+
+
+@pytest.mark.parametrize("graph", [0, 1, 2, "chain", "empty"])
+def test_rounds_match_the_fixed_point_on_small_graphs(graph):
+    # seeds give random graphs over 40 states; "chain" leads each of 250
+    # states to the one before it, so state k is won at level k, and
+    # "empty" has no non-empty row, so no round has a row to check
+    m = 3
+    ids = (np.arange(250 if graph == "chain" else 40) * 3 + 1).tolist()  # not positions
+    if graph == "chain":
+        relation = {(q, k % m): (p,) for k, (p, q) in enumerate(zip(ids, ids[1:]))}
+    elif graph == "empty":
+        relation = {}
+    else:
+        relation = _random_graph(graph, ids, m)
+    ts = _graph_ts(ids, m, relation)
+    target = tuple(ids[:1] if graph == "chain" else ids[:3])
+    ref_policy, ref_dist = reference_robust_reach(ts, target)
+    ((policy, dist),) = _robust_reach(ts, [target])
+    assert dist == ref_dist and list(dist) == list(ref_dist)
+    assert policy == ref_policy
+    if graph == "chain":
+        assert max(dist.values()) == len(ids) - 1
 
 
 # ---------------------------------------------------------------------------
-# robust reach over undominated pairs
+# robust reach where rows contain one another
 
 
 def _dominance_graph(rng, ids, m):
@@ -331,53 +352,12 @@ def _dominance_graph(rng, ids, m):
     return relation
 
 
-def _graph_ts(ids, m, relation):
-    return TransitionSystem("delayfree", [AbstractState(q) for q in ids],
-                            [np.array([float(i)]) for i in range(m)],
-                            transition_arrays(ids, m, relation))
-
-
-def test_dominated_pairs_are_the_rows_that_contain_a_smaller_input():
-    ts = _graph_ts([0, 1, 2, 3], 7, {
-        # a strict superset, an equal set, an empty row, a set that
-        # contains nothing smaller, and a superset of both kept rows
-        (0, 0): (1, 2), (0, 1): (1, 2, 3), (0, 2): (1, 2), (0, 4): (3,),
-        (0, 5): (1, 2, 3),
-        # an empty input 0 never dominates; the chain (0,) <= (0, 1) <=
-        # (0, 1, 2) keeps only its smallest row
-        (1, 1): (0,), (1, 2): (0, 1), (1, 3): (0, 1, 2), (1, 6): (2,),
-        # equal rows keep the smaller input
-        (2, 4): (3,), (2, 5): (3,), (3, 0): (3,)})
-    keep = _undominated(ts, np.diff(ts.indptr))
-    kept = {(ts.states[r // 7].id, r % 7) for r in np.flatnonzero(keep).tolist()}
-    assert kept == {(0, 0), (0, 4), (1, 1), (1, 6), (2, 4), (3, 0)}
-
-
-def test_dominance_across_more_than_64_inputs():
-    relation = {(0, 3): (0, 1), (0, 65): (0, 1, 2), (0, 70): (1,), (0, 130): (0, 1),
-                (1, 64): (1,), (1, 100): (1,), (1, 129): (0,)}
-    ts = _graph_ts([0, 1, 2], 131, relation)
-    keep = _undominated(ts, np.diff(ts.indptr))
-    assert np.flatnonzero(keep).tolist() == [3, 70, 131 + 64, 131 + 129]
-
-
-@pytest.mark.parametrize("chunk", [None, 1, 40])
 @pytest.mark.parametrize("seed,m", [(0, 3), (1, 6), (2, 9), (3, 70)])
-def test_pruned_reach_matches_the_fixed_point(monkeypatch, chunk, seed, m):
-    # chunk 1 puts every state in a chunk of its own, 40 a few states
-    if chunk is not None:
-        monkeypatch.setattr(synthesis, "_REACH_EDGES", chunk)
+def test_pruned_reach_matches_the_fixed_point(seed, m):
+    # where a row contains a smaller input's row at its state, only the
+    # smaller input may win the state
     rng = np.random.default_rng(seed)
     ids = (np.arange(30) * 3 + 1).tolist()  # ids that are not positions
     ts = _graph_ts(ids, m, _dominance_graph(rng, ids, m))
-    sizes = np.diff(ts.indptr)
-    assert 0 < sizes[_undominated(ts, sizes)].sum() < ts.n_transitions
     for target in (tuple(ids[:3]), (ids[-1],)):
         assert _robust_reach(ts, [target]) == [reference_robust_reach(ts, target)]
-
-
-def test_fine_zoom_reach_keeps_the_undominated_edges(fine_zoom_ts):
-    ts = fine_zoom_ts
-    sizes = np.diff(ts.indptr)
-    assert sizes[_undominated(ts, sizes)].sum() == 90_169
-    assert ts.n_transitions == 173_395

@@ -74,13 +74,14 @@ def test_build_peak(fine_zoom_ts, fine_zoom_build):
 
 
 def test_robust_reach_peak(fine_zoom_ts):
-    # int64 predecessor arrays and an int64 copy of succ peaked at about
-    # 6.3 MiB here; the 89 cells meeting [-0.2, 0.2]^2 win 363 states
+    # rounds over the CSR rows peak at about 0.5 MiB here, int32
+    # predecessor arrays at 1.2 MiB; the 89 cells meeting [-0.2, 0.2]^2 win
+    # 363 states
     ts = fine_zoom_ts
     target = tuple(ts.partition.intersecting([-0.2, -0.2], [0.2, 0.2]))
     (_, dist), peak = _peak_traced(lambda: synthesize_reach(ts, target, "robust"))
     assert len(dist) == 363
-    assert peak <= 3.5 * MiB, peak / MiB
+    assert peak <= 1.0 * MiB, peak / MiB
 
 
 def test_hold_search_peak_does_not_grow_with_max_hold():
