@@ -301,27 +301,51 @@ def _random_graph(seed, ids, m):
     return relation
 
 
-@pytest.mark.parametrize("graph", [0, 1, 2, "chain", "empty"])
-def test_rounds_match_the_fixed_point_on_small_graphs(graph):
-    # seeds give random graphs over 40 states; "chain" leads each of 250
-    # states to the one before it, so state k is won at level k, and
-    # "empty" has no non-empty row, so no round has a row to check
-    m = 3
-    ids = (np.arange(250 if graph == "chain" else 40) * 3 + 1).tolist()  # not positions
-    if graph == "chain":
-        relation = {(q, k % m): (p,) for k, (p, q) in enumerate(zip(ids, ids[1:]))}
+def _small_graph(graph, m):
+    """(ids, relation, target) of a named graph with m inputs.  Seeds give
+    random graphs over 40 states whose ids are not positions; "dense" has
+    ids 0..39, "negative" ids -20..19 and "sparse" ids as far apart as
+    int32 allows.  "wrap" is a target of id -1 beside a state 1 that only
+    the target would let win.  "chain" leads each of 250 states to the one
+    before it, so state k is won at level k, and "empty" has no non-empty
+    row, so no round has a row to check."""
+    ids = (np.arange(40) * 3 + 1).tolist()
+    if graph == "dense":
+        ids = list(range(40))
+    elif graph == "negative":
+        ids = list(range(-20, 20))
+    elif graph == "sparse":
+        ids = [-2 ** 31] + (np.arange(38) * 1000 - 19000).tolist() + [2 ** 31 - 1]
+    elif graph == "wrap":
+        return [-1, 0, 1], {(0, 0): (1,), (1, 0): (0,)}, (-1,)
+    elif graph == "chain":
+        ids = (np.arange(250) * 3 + 1).tolist()
+        return ids, {(q, k % m): (p,) for k, (p, q) in enumerate(zip(ids, ids[1:]))}, (ids[0],)
     elif graph == "empty":
-        relation = {}
-    else:
-        relation = _random_graph(graph, ids, m)
+        return ids, {}, tuple(ids[:3])
+    seed = graph if isinstance(graph, int) else 5  # 4 levels beyond the target
+    return ids, _random_graph(seed, ids, m), tuple(ids[:3])
+
+
+@pytest.mark.parametrize("graph", [0, 1, 2, "dense", "negative", "sparse", "wrap",
+                                   "chain", "empty"])
+def test_rounds_match_the_fixed_point_on_small_graphs(graph):
+    m = 3
+    ids, relation, target = _small_graph(graph, m)
     ts = _graph_ts(ids, m, relation)
-    target = tuple(ids[:1] if graph == "chain" else ids[:3])
     ref_policy, ref_dist = reference_robust_reach(ts, target)
     ((policy, dist),) = _robust_reach(ts, [target])
     assert dist == ref_dist and list(dist) == list(ref_dist)
     assert policy == ref_policy
     if graph == "chain":
         assert max(dist.values()) == len(ids) - 1
+    if graph == "wrap":
+        assert dist == {-1: 0}
+    if isinstance(graph, str) and graph not in ("wrap", "empty"):
+        assert len(dist) > len(target)  # the graph has a level beyond the target
+    if graph == "sparse":
+        # no table over the id range, which would take 4 GiB
+        assert _peak_traced(lambda: _robust_reach(ts, [target])) < 2 ** 20
 
 
 # ---------------------------------------------------------------------------
