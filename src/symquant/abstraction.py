@@ -14,15 +14,16 @@ The build stays on flat arrays from start to end: one rate estimate over
 all C cells, the (C,) radii, a preallocated (C, I, n) array that each
 integrate() call writes its nominal endpoint into, the blocked pairs, and
 the growth boxes as (C*I, n) arrays in CSR row order.  Each box row goes to
-one Partition.intersecting() query, whose ids are appended to an int32
-buffer that becomes the model's successor array without a copy (see
-TransitionSystem); the model keeps the endpoint array.  Zoom refinement
-runs the same build with the coarse model as prior: a cell the refinement
-keeps copies its endpoints, and each of its pairs copies its successor row
-unless that row lists a replaced base cell (subcells lie inside their base
-cell, so no other row can meet one).  Only the new subcells are integrated
-and only the rows that met a replaced cell are queried again; the result
-equals a build from scratch byte for byte.
+one Partition.intersecting() query, whose cell ids are appended to an int32
+buffer that, its ids turned into state positions in place, becomes the
+model's successor array without a copy (see TransitionSystem); the model
+keeps the endpoint array.  Zoom refinement runs the same build with the
+coarse model as prior: a cell the refinement keeps copies its endpoints,
+and each of its pairs copies its successor row unless that row lists a
+replaced base cell (subcells lie inside their base cell, so no other row
+can meet one).  Only the new subcells are integrated and only the rows
+that met a replaced cell are queried again; the result equals a build
+from scratch byte for byte.
 
 The per-pair part of the build (integrate the new cells' pairs, find the
 blocked pairs and growth boxes, copy or query each unblocked row) is one
@@ -153,13 +154,14 @@ class TransitionSystem:
 
     The relation is stored in CSR (compressed sparse row) arrays with one
     row per (state position, input id): row k*len(inputs) + i holds the
-    successor state ids of (states[k], input i) in
+    successor state positions of (states[k], input i) in
     succ[indptr[row]:indptr[row + 1]].  indptr is int64 with
-    len(states)*len(inputs) + 1 entries, succ int32, and every successor id
-    must name a state.  A pair is enabled exactly when its row is
-    non-empty; a blocked pair's row is empty.  States ascend by id, so
-    position order is id order; the constructor rejects any other order.
-    ids holds the state ids, in that order, as an int64 array.
+    len(states)*len(inputs) + 1 entries, succ int32 with every entry in
+    0..len(states)-1.  A pair is enabled exactly when its row is non-empty;
+    a blocked pair's row is empty.  States ascend by id, so position order
+    is id order; the constructor rejects any other order.  ids holds the
+    state ids, in that order, as an int64 array; ids[succ] are the
+    successor ids, which successors() and transition_rows() return.
     Construction is deterministic: same configuration, same serialized
     bytes.
 
@@ -189,9 +191,9 @@ class TransitionSystem:
             raise ValueError("indptr needs one row per (state, input) pair "
                              "and must end at len(succ)")
         self.ids = _ascending(np.array([s.id for s in states], dtype=np.int64))
-        unknown = _unknown_id(self.ids, self.succ)
-        if unknown is not None:
-            raise ValueError(f"successor id {unknown} names no state")
+        if len(self.succ) and not 0 <= self.succ.min() <= self.succ.max() < len(states):
+            k = self.succ.min() if self.succ.min() < 0 else self.succ.max()
+            raise ValueError(f"successor position {k} names no state")
         self.partition = partition
         self._ctx = ctx
         self._pos = {s.id: k for k, s in enumerate(states)}
@@ -205,15 +207,12 @@ class TransitionSystem:
     def state(self, sid: int) -> AbstractState:
         return self.states[self._pos[sid]]
 
-    def state_ids(self) -> List[int]:
-        return [s.id for s in self.states]
-
     def successors(self, sid: int, iid: int) -> Tuple[int, ...]:
         k = self._pos.get(sid)
         if k is None or not 0 <= iid < len(self.inputs):
             return ()
         row = k * len(self.inputs) + iid
-        return tuple(self.succ[self.indptr[row]:self.indptr[row + 1]].tolist())
+        return tuple(self.ids[self.succ[self.indptr[row]:self.indptr[row + 1]]].tolist())
 
     def enabled(self, sid: int) -> List[int]:
         k = self._pos.get(sid)
@@ -229,12 +228,9 @@ class TransitionSystem:
     def transition_rows(self) -> Iterator[Tuple[Tuple[int, int], Tuple[int, ...]]]:
         """((state id, input id), successor ids) of every enabled pair, by
         state id and then input id."""
-        n_in = len(self.inputs)
-        for k, s in enumerate(self.states):
-            bounds = self.indptr[k * n_in:(k + 1) * n_in + 1].tolist()
-            for iid in range(n_in):
-                if bounds[iid] < bounds[iid + 1]:
-                    yield (s.id, iid), tuple(self.succ[bounds[iid]:bounds[iid + 1]].tolist())
+        for s in self.states:
+            for iid in self.enabled(s.id):
+                yield (s.id, iid), self.successors(s.id, iid)
 
     @property
     def transitions(self) -> Mapping[Tuple[int, int], Tuple[int, ...]]:
@@ -277,7 +273,7 @@ def _ascending(ids: np.ndarray) -> np.ndarray:
     return ids
 
 
-_POS_CHUNK = 1 << 13  # ids per lookup in _positions and _unknown_id
+_POS_CHUNK = 1 << 13  # ids per lookup in _positions and _to_positions
 
 
 def _positions(state_ids: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -297,28 +293,18 @@ def _positions(state_ids: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.nda
     return pos, found
 
 
-def _unknown_id(state_ids: np.ndarray, x: np.ndarray) -> Optional[int]:
-    """The first id in x that is not in the ascending state_ids, or None.
-    A bool table over the range of x marks the state ids, and x is looked
-    up in it _POS_CHUNK ids at a time, so the check is linear in len(x) and
-    its temporaries stay small; ids too sparse for such a table go through
-    _positions."""
-    if not len(x):
-        return None
-    lo, hi = int(x.min()), int(x.max())
-    if hi - lo >= len(x) + len(state_ids):
-        found = _positions(state_ids, x)[1]
-        return None if found.all() else int(x[np.argmin(found)])
-    known = np.zeros(hi - lo + 1, dtype=bool)
-    known[state_ids[(state_ids >= lo) & (state_ids <= hi)] - lo] = True
-    if known.all():
-        return None
-    for a in range(0, len(x), _POS_CHUNK):
-        part = x[a:a + _POS_CHUNK]
-        miss = ~known[part - lo]
-        if miss.any():
-            return int(part[np.argmax(miss)])
-    return None
+def _to_positions(succ: np.ndarray, state_ids: np.ndarray) -> np.ndarray:
+    """succ, int32 ids, with each id replaced in place by its position in
+    the ascending state_ids, _POS_CHUNK at a time, so no temporary grows
+    with succ; an id not there raises ValueError.  Ids 0..S-1 stay."""
+    if len(state_ids) and state_ids[0] == 0 and state_ids[-1] == len(state_ids) - 1:
+        return succ
+    for a in range(0, len(succ), _POS_CHUNK):
+        pos, found = _positions(state_ids, succ[a:a + _POS_CHUNK])
+        if not found.all():
+            raise ValueError(f"successor id {succ[a + np.argmin(found)]} names no state")
+        succ[a:a + _POS_CHUNK] = pos
+    return succ
 
 
 def _indptr(n_rows: int, rows, sizes) -> np.ndarray:
@@ -332,7 +318,8 @@ def _indptr(n_rows: int, rows, sizes) -> np.ndarray:
 def transition_arrays(state_ids: Sequence[int], n_inputs: int,
                       relation) -> Tuple[np.ndarray, np.ndarray]:
     """CSR arrays (indptr, succ) of a relation over the states of the
-    ascending state_ids, for TransitionSystem.
+    ascending state_ids, for TransitionSystem: succ holds the successors'
+    state positions.
 
     relation is a {(state id, input id): successor ids} mapping, or a
     (src, input, dst) triple of equal-length id sequences, one entry per
@@ -371,7 +358,7 @@ def transition_arrays(state_ids: Sequence[int], n_inputs: int,
         # rows ascending and successors ascending within a row, the order
         # sts_chunks writes: no edge repeats, and no edge moves
         indptr = np.searchsorted(rows, np.arange(n_rows + 1, dtype=rows.dtype))
-        return indptr, dst.astype(np.int32)
+        return indptr, _to_positions(dst.astype(np.int32), ids)
     del step
     by_edge = np.lexsort((dst, rows))
     same = (np.diff(rows[by_edge]) == 0) & (np.diff(dst[by_edge]) == 0)
@@ -379,7 +366,7 @@ def transition_arrays(state_ids: Sequence[int], n_inputs: int,
         e = by_edge[int(np.argmax(same)) + 1]
         raise ValueError(f"duplicate transition: ({src[e]}, {iid[e]}) -> {dst[e]}")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
-    return indptr, dst[np.argsort(rows, kind="stable")].astype(np.int32)
+    return indptr, _to_positions(dst[np.argsort(rows, kind="stable")].astype(np.int32), ids)
 
 
 def _id_array(a) -> np.ndarray:
@@ -483,7 +470,7 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
     from prior's arrays without Python lists: the unblocked rows of a block
     fall into pieces, each one queried row or one run of copied rows whose
     successors follow one another in prior.succ, and each run is appended
-    with one buffer copy and its row sizes with one more.
+    as ids, _POS_CHUNK at a time, and its row sizes with one buffer copy.
     """
     cells = part.cells
     if not cells:
@@ -499,6 +486,7 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
     # -1 where none
     reuse = None
     if prior is not None:
+        prior_ids = prior.ids.astype(np.int32)
         kept, at, copied = _prior_rows(prior, cells)
         x1[kept] = prior.endpoints[at]
         new[kept] = False
@@ -540,7 +528,9 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
             if not copy[p]:
                 query(int(local[p]))
                 continue
-            succ.frombytes(memoryview(prior.succ[a[p]:b[q - 1]]).cast("B"))
+            for c in range(a[p], b[q - 1], _POS_CHUNK):
+                run = prior.succ[c:min(c + _POS_CHUNK, b[q - 1])]
+                succ.frombytes(memoryview(prior_ids[run]).cast("B"))
             sizes.frombytes((b[p:q] - a[p:q]).tobytes())
         return ends, local + k0 * n_in, succ, sizes
 
@@ -555,10 +545,11 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
     rows = np.concatenate([r[1] for r in results])
     del results
     indptr = _indptr(x1.shape[0] * n_in, rows, sizes)
+    succ = _to_positions(np.frombuffer(succ, dtype=np.int32),
+                         np.array([c.id for c in cells], dtype=np.int64))
 
     states = [AbstractState(c.id, cell=c) for c in cells]
-    return TransitionSystem("delayfree", states, inputs,
-                            (indptr, np.frombuffer(succ, dtype=np.int32)),
+    return TransitionSystem("delayfree", states, inputs, (indptr, succ),
                             partition=part, ctx=ctx, endpoints=x1)
 
 
@@ -567,13 +558,13 @@ def _prior_rows(prior: TransitionSystem,
     """For the cells that are states of prior: their positions in cells,
     their positions in prior.states, and their (K, I) CSR rows in prior,
     -1 on a row that lists a state of prior that is not in cells."""
-    ids, prior_ids = np.array([c.id for c in cells]), prior.ids
-    kept = np.flatnonzero(np.isin(ids, prior_ids))
-    at = np.searchsorted(prior_ids, ids[kept])  # prior's state ids ascend
+    ids = np.array([c.id for c in cells])
+    kept = np.flatnonzero(np.isin(ids, prior.ids))
+    at = np.searchsorted(prior.ids, ids[kept])  # prior's state ids ascend
     n_in = len(prior.inputs)
     rows = at[:, None] * n_in + np.arange(n_in)
     stale = np.zeros(len(prior.indptr) - 1, dtype=bool)
-    edges = np.flatnonzero(np.isin(prior.succ, prior_ids[~np.isin(prior_ids, ids)]))
+    edges = np.flatnonzero((~np.isin(prior.ids, ids))[prior.succ])
     stale[np.searchsorted(prior.indptr, edges, side="right") - 1] = True
     rows[stale[rows]] = -1
     return kept, at, rows

@@ -129,9 +129,8 @@ def check_frr_finite(T1: TransitionSystem, T2: TransitionSystem,
                      F: Dict[int, int]) -> Tuple[bool, Optional[Counterexample]]:
     """Exhaustive check of the relation over all pairs related by F."""
     imap = _input_map(T1, T2)
-    t2_ids = set(T2.state_ids())
     for x1, x2 in F.items():
-        if x1 not in T1._pos or x2 not in t2_ids:
+        if x1 not in T1._pos or x2 not in T2._pos:
             raise ValueError(f"F references unknown state pair ({x1}, {x2})")
     for x1, x2 in sorted(F.items()):
         enabled1 = set(T1.enabled(x1))

@@ -74,9 +74,8 @@ def sts_chunks(ts: TransitionSystem) -> Iterator[str]:
             yield f"T {s.id} {knots}\n"
     for i, u in enumerate(ts.inputs):
         yield f"I {i} {_fmt_vec(u)}\n"
-    # successor ids are state ids: each is formatted once, through a table
-    # keyed by id (never one sized by the largest id)
-    names = {s.id: str(s.id) for s in ts.states}
+    # successors are state positions: each state's id is formatted once
+    names = [str(i) for i in ts.ids.tolist()]
     n_in = len(ts.inputs)
     for k, s in enumerate(ts.states):
         bounds = ts.indptr[k * n_in:(k + 1) * n_in + 1].tolist()
@@ -253,6 +252,8 @@ def parse_controller(text: str) -> Controller:
         n_phases, n_inputs, n_entries = int(n_phases), int(n_inputs), int(n_entries)
     except ValueError as err:
         raise ModelFormatError(f"bad header: {lines[0]!r}") from err
+    if n_phases < 1 or min(n_inputs, n_entries) < 0:
+        raise ModelFormatError(f"header needs a phase and no negative count: {lines[0]!r}")
     inputs: Dict[int, np.ndarray] = {}
     waypoints: List[set] = [set() for _ in range(n_phases)]
     phases: List[Dict[int, int]] = [{} for _ in range(n_phases)]

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .abstraction import TransitionSystem, _locate_inside, _positions
+from .abstraction import TransitionSystem, _locate_inside
 from .dynamics import integrate_batch
 
 
@@ -87,34 +87,19 @@ def _robust_reach(ts: TransitionSystem, targets: List[Tuple[int, ...]]):
     n_in, ids = len(ts.inputs), ts.ids
     rows = np.flatnonzero(np.diff(ts.indptr))
     starts = ts.indptr[rows]
-    key, succ = _won_keys(ids, ts.succ)
     tables = []
     for target in targets:
         table: Tuple[Dict[int, int], Dict[int, int]] = ({}, {q: 0 for q in target})
-        won_key = np.zeros(int(key[-1]) + 1 if len(key) else 0, dtype=bool)
-        won_key[key[np.searchsorted(ids, target)]] = True
-        won = won_key[key]  # by state position
+        won = np.zeros(len(ids), dtype=bool)  # by state position
+        won[np.searchsorted(ids, target)] = True
         level = 0
         while rows.size:
             level += 1
-            ready = np.logical_and.reduceat(won_key[succ], starts)
-            new = _claim(rows[ready], won, ids, n_in, level, table)
-            if not new.size:
+            ready = np.logical_and.reduceat(won[ts.succ], starts)
+            if not _claim(rows[ready], won, ids, n_in, level, table).size:
                 break
-            won_key[key[new]] = True
         tables.append(table)
     return tables
-
-
-def _won_keys(ids: np.ndarray, succ: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Each state's index in robust reach's won table, and succ in those
-    indices.  A state's index is its id, shifted up when ids are negative;
-    ids too sparse for a table over their range index by position, so the
-    table never outgrows the model."""
-    lo = min(0, int(ids[0])) if len(ids) else 0
-    if len(ids) and ids[-1] - lo < len(ids) + len(succ):
-        return ids - lo, succ - lo if lo else succ
-    return np.arange(len(ids)), _positions(ids, succ)[0]
 
 
 def _claim(rows: np.ndarray, won: np.ndarray, ids: np.ndarray, n_in: int,
@@ -182,11 +167,10 @@ def _reach_tables(ts: TransitionSystem, targets: List[Tuple[int, ...]],
     """(policy, dist) of every target, each a sorted tuple of state ids; the
     mode's target-independent work is done once for all of them.  Target
     states are assigned their smallest enabled input."""
-    known = set(ts.state_ids())
     for target in targets:
         if not target:
             raise SynthesisError("target must be nonempty")
-        missing = [q for q in target if q not in known]
+        missing = [q for q in target if q not in ts._pos]
         if missing:
             raise SynthesisError(f"target references unknown states {missing}")
     if mode == "robust":

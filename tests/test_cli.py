@@ -657,6 +657,18 @@ def test_controller_input_id_out_of_range_is_exit_1(ws, tmp_path, capsys):
     assert "input id 3 is outside 0..0: 'C 0 12 3'" in capsys.readouterr().err
 
 
+def test_controller_with_no_phase_is_exit_1(ws, tmp_path, capsys):
+    # such a controller used to report every waypoint visited after 0 steps
+    law = tmp_path / "empty.ctrl"
+    law.write_text("CTRL 1 hold 0 25 0\n" + "".join(f"I {i} 0\n" for i in range(25)))
+    rc = main(["simulate", "--config", str(ws / "pendulum.ini"),
+               "--controller", str(law), "--out", str(tmp_path / "run.csv")])
+    assert rc == 1
+    assert "a phase and no negative count: 'CTRL 1 hold 0 25 0'" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+
+
 _STAGES_SCRIPT = """\
 import json, sys
 from symquant.cli import main

@@ -12,6 +12,7 @@ from symquant import (LogQuantizerParams, Partition, ZoomQuantizerParams,
 from symquant.abstraction import (AbstractState, TransitionSystem,
                                   transition_arrays)
 from symquant.cli import _load_model_checked, main
+from symquant.frr import check_frr_finite
 from symquant.model_io import (ModelFormatError, parse_sts, serialize_ts,
                                sts_chunks, write_ts)
 from symquant.quantizers import Cell
@@ -89,7 +90,7 @@ def test_blocked_pairs_and_unknown_ids(pendulum_ts):
 def test_ids_need_not_be_positions(fine_zoom_ts):
     # zooming cell 264 removes its id; rows follow state positions
     ts = fine_zoom_ts
-    assert 264 not in ts.state_ids()
+    assert 264 not in ts.ids.tolist()
     last = ts.states[-1].id
     assert last > len(ts.states) - 1
     assert ts.enabled(last)
@@ -102,7 +103,8 @@ def test_mapping_and_edge_triples_give_the_same_arrays():
     relation = {(5, 1): (7, 5), (7, 0): (7,), (5, 0): (5,)}
     indptr, succ = transition_arrays([5, 7], 2, relation)
     assert indptr.tolist() == [0, 1, 3, 4, 4]
-    assert succ.tolist() == [5, 7, 5, 7]  # order within a pair is kept
+    # state positions, in the order given within a pair
+    assert succ.tolist() == [0, 1, 0, 1]
     src, iid, dst = [5, 7, 5, 5], [1, 0, 1, 0], [7, 7, 5, 5]
     again = transition_arrays([5, 7], 2, (src, iid, dst))
     assert again[0].tolist() == indptr.tolist()
@@ -126,7 +128,7 @@ def test_state_ids_must_fit_int32():
     with pytest.raises(ValueError, match="state id -2147483649 does not fit int32"):
         transition_arrays([-2 ** 31 - 1], 1, {})
     assert transition_arrays([2 ** 31 - 1], 1, {(2 ** 31 - 1, 0): (2 ** 31 - 1,)})[1] \
-        .tolist() == [2 ** 31 - 1]
+        .tolist() == [0]
 
 
 def _two_states(ids, succ):
@@ -136,14 +138,14 @@ def _two_states(ids, succ):
 
 
 @pytest.mark.parametrize("ids,succ,unknown", [
-    ([0, 1], [7], 7),  # beyond consecutive ids
+    ([0, 1], [7], 7),  # beyond the last position
     ([0, 1], [-1], -1),
-    ([5, 10 ** 9 + 7], [5, 6, 10 ** 9 + 7], 6),  # too sparse for a table
+    ([5, 6], [1, 0, 6], 6),  # a state's id, but no state's position
 ])
 def test_successor_ids_must_name_states(ids, succ, unknown):
-    # an unknown successor used to count as the state at position 0, so
-    # robust reach reported state 1 won from successor 7
-    with pytest.raises(ValueError, match=f"successor id {unknown} names no state"):
+    # successors are state positions 0..S-1; an index table by position
+    # would read another state's entry, or none, for any other value
+    with pytest.raises(ValueError, match=f"successor position {unknown} names no state"):
         _two_states(ids, succ)
 
 
@@ -159,11 +161,15 @@ def test_state_ids_out_of_order_are_rejected(make):
 
 
 def test_successor_check_runs_chunk_by_chunk(monkeypatch):
+    # the build turns the cell ids it found into positions in place
     import symquant.abstraction as abstraction
     monkeypatch.setattr(abstraction, "_POS_CHUNK", 2)
-    assert _two_states([0, 2], [0, 2, 2, 0, 2]).n_transitions == 5
+    succ = np.array([0, 2, 2, 0, 2], dtype=np.int32)
+    abstraction._to_positions(succ, np.array([0, 2]))
+    assert succ.tolist() == [0, 1, 1, 0, 1]
     with pytest.raises(ValueError, match="successor id 1 names no state"):
-        _two_states([0, 2], [0, 2, 2, 0, 1])
+        abstraction._to_positions(np.array([0, 2, 2, 0, 1], dtype=np.int32),
+                                  np.array([0, 2]))
 
 
 def test_indptr_must_cover_every_pair():
@@ -333,6 +339,13 @@ def test_rounds_match_the_fixed_point_on_small_graphs(graph):
     m = 3
     ids, relation, target = _small_graph(graph, m)
     ts = _graph_ts(ids, m, relation)
+    # the accessors give back the relation's ids, in its order within a row
+    assert dict(ts.transition_rows()) == relation
+    for q in ids:
+        assert ts.enabled(q) == [i for i in range(m) if (q, i) in relation]
+        for i in range(m):
+            assert ts.successors(q, i) == relation.get((q, i), ())
+    assert check_frr_finite(ts, ts, {q: q for q in ids}) == (True, None)
     ref_policy, ref_dist = reference_robust_reach(ts, target)
     ((policy, dist),) = _robust_reach(ts, [target])
     assert dist == ref_dist and list(dist) == list(ref_dist)

@@ -56,7 +56,7 @@ def zoomed_pendulum_ts(pendulum, logparams):
                                0: ZoomQuantizerParams(2, 1.0, 0.1)})
     assert len(dict(ts.transition_rows())) < len(ts.states) * len(ts.inputs)
     assert any(ts.partition.zoom_params_of(c.id) for c in ts.partition.cells)
-    assert ts.state_ids() != list(range(len(ts.states)))
+    assert ts.ids.tolist() != list(range(len(ts.states)))
     return ts
 
 
@@ -148,7 +148,7 @@ def _parse_by_line(text, monkeypatch):
 
 
 def _same_model(a, b):
-    assert a.state_ids() == b.state_ids()
+    assert a.ids.tolist() == b.ids.tolist()
     assert a.indptr.tolist() == b.indptr.tolist()
     assert a.succ.dtype == b.succ.dtype == np.int32
     assert a.succ.tolist() == b.succ.tolist()
@@ -247,7 +247,7 @@ def test_edges_in_row_order_and_shuffled_give_the_same_arrays(zoomed_pendulum_ts
     rows = list(ts.transition_rows())
     edges = np.array([(sid, iid, t) for (sid, iid), succ in rows for t in succ],
                      dtype=np.int32)
-    ids, n_in = ts.state_ids(), len(ts.inputs)
+    ids, n_in = ts.ids.tolist(), len(ts.inputs)
     in_order = transition_arrays(ids, n_in, tuple(edges.T))
     # pairs in another order, successors in their order within a pair
     shuffled = np.concatenate(

@@ -40,7 +40,7 @@ def test_dropped_successor_is_caught(pendulum_ts):
     succ = broken[key]
     broken[key] = succ[:-1]
     t2 = TransitionSystem("delayfree", pendulum_ts.states, pendulum_ts.inputs,
-                          transition_arrays(pendulum_ts.state_ids(),
+                          transition_arrays(pendulum_ts.ids.tolist(),
                                             len(pendulum_ts.inputs), broken),
                           partition=pendulum_ts.partition)
     F = {s.id: s.id for s in pendulum_ts.states}
@@ -278,7 +278,7 @@ def stencil_violations(ts) -> Tuple[int, int]:
     landed = part.locate_batch(ends[inside])
     # every (pair, landing cell) against every (pair, listed successor)
     width = int(max(ts.ids.max(), np.max(landed, initial=0))) + 1
-    listed = np.repeat(np.arange(len(ts.indptr) - 1), sizes) * width + ts.succ
+    listed = np.repeat(np.arange(len(ts.indptr) - 1), sizes) * width + ts.ids[ts.succ]
     missing = ~np.isin(rows[pair] * width + landed, listed)
     return len(rows), len(np.unique(pair[missing]))
 

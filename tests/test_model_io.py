@@ -193,6 +193,11 @@ def test_controller_file_round_trip(tmp_path, pendulum_ts):
     ("CTRL 1 hold 2 1 0\nI 0 0\nW -1 3\n", "phase -1 is outside 0..1: 'W -1 3'"),
     ("CTRL 1 hold 2 1 1\nI 0 0\nC -2 3 0\n", "phase -2 is outside 0..1: 'C -2 3 0'"),
     ("CTRL 1 hold 1 1 1\nI 0 0\nC 0 3 4\n", "input id 4 is outside 0..0: 'C 0 3 4'"),
+    # a controller with no phase would complete every run at once
+    ("CTRL 1 hold 0 1 0\nI 0 0\n", "needs a phase.*: 'CTRL 1 hold 0 1 0'"),
+    ("CTRL 1 hold -1 1 0\nI 0 0\n", "needs a phase.*: 'CTRL 1 hold -1 1 0'"),
+    ("CTRL 1 hold 1 -1 0\n", "negative count: 'CTRL 1 hold 1 -1 0'"),
+    ("CTRL 1 hold 1 1 -1\nI 0 0\n", "negative count: 'CTRL 1 hold 1 1 -1'"),
 ])
 def test_controller_parse_errors(text, fragment):
     with pytest.raises(ModelFormatError, match=fragment):

@@ -260,7 +260,7 @@ def reference_hold_reach(ts, targets, max_hold):
     at a time over all of them."""
     visits = reference_hold_visits(ts, max_hold)
     n_in = len(ts.inputs)
-    ids = np.array(ts.state_ids(), dtype=np.int64)
+    ids = ts.ids
     tables = []
     for target in targets:
         dist, policy = {q: 0 for q in target}, {}
@@ -311,7 +311,7 @@ def fine_zoom_refined_ts(pendulum):
 def test_hold_tables_equal_the_stored_visits_on_the_refined_model(
         fine_zoom_refined_ts, max_hold):
     ts = fine_zoom_refined_ts
-    ids = ts.state_ids()
+    ids = ts.ids.tolist()
     assert ids != list(range(len(ids))) and 264 not in ids
     center = ts.partition.locate(np.zeros(2))
     targets = [(center,), (0,), (529,), tuple(range(529, 538)), (center, 528)]
@@ -326,7 +326,7 @@ def test_hold_tables_equal_the_stored_visits_where_the_rhs_ends(max_hold):
                                      [-1], [1])
     ts = build_delayfree(sys, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
                          input_quantization=("uniform", 0.5), lipschitz=1.0)
-    targets = [(q,) for q in ts.state_ids()] + [tuple(ts.state_ids()[:2])]
+    targets = [(q,) for q in ts.ids.tolist()] + [tuple(ts.ids.tolist()[:2])]
     assert_same_hold_tables(ts, targets, max_hold)
 
 
