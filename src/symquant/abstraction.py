@@ -801,6 +801,10 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
     ids and the budget cut of a search that dequeues one tube at a time.
     When an integration fails, the build raises the error of the first
     failing (tube, input) pair of the level.
+
+    Every pair runs under its own input on [0, tau], whatever the input
+    delay r: only run_closed_loop delays an input, by r/tau periods, so for
+    r > 0 the closed loop runs a plant this model was not built for.
     """
     if sys.xi0 is None:
         raise ValueError("time-delay build needs the initial functional xi0")
@@ -860,15 +864,16 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
     cell_lo, cell_hi = part.cell_bounds(order)  # (T, J, n)
     rows = np.concatenate(rows)
     pts = endpoints.reshape(-1, *endpoints.shape[2:])  # a view, row order
-    # pairs are in row order, and tube ids are positions, so the successors
-    # of every (P, T) mask are its row-major nonzero columns
+    # pairs are in row order and tube ids are positions: the successors of
+    # a (P, T) mask are its row-major True columns, gathered as int32 ids
     succ, sizes = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
     chunk = max(1, (1 << 16) // len(order))  # pairs per (P, T) test
+    columns = np.arange(len(order), dtype=np.int32)
     for start in range(0, len(rows), chunk):
         at = rows[start:start + chunk]
         p, r = pts[at], radius[at // n_in][:, None, None]
         meets = _boxes_meet_knot_cells(p - r, p + r, cell_lo, cell_hi)
-        succ.append(np.nonzero(meets)[1].astype(np.int32))
+        succ.append(np.broadcast_to(columns, meets.shape)[meets])
         sizes.append(meets.sum(axis=1))
     indptr = _indptr(len(order) * n_in, rows, np.concatenate(sizes))
 

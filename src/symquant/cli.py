@@ -33,7 +33,7 @@ from .abstraction import TransitionSystem, input_lattice, refine_cells
 from .config import AppConfig, ConfigError, load_config
 from .dynamics import IntegrationError
 from .frr import RefinementMap, sample_frr_delayfree, sample_frr_timedelay
-from .model_io import (ModelFormatError, _fmt_vec, export_dot,
+from .model_io import (ModelFormatError, _dot_chunks, _fmt_vec,
                        load_controller, load_ts, sts_chunks, write_controller,
                        write_ts)
 from .sim import export_trajectory, run_closed_loop
@@ -168,13 +168,12 @@ def cmd_verify_frr(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     ts = load_ts(args.model)
-    dot = export_dot(ts)
-    if args.out:
+    if args.out:  # written piece by piece, as write_ts writes a model
         with open(args.out, "w") as fh:
-            fh.write(dot)
+            fh.writelines(_dot_chunks(ts))
         print(f"export-dot: wrote {args.out}")
     else:
-        sys.stdout.write(dot)
+        sys.stdout.writelines(_dot_chunks(ts))
     return 0
 
 

@@ -10,8 +10,9 @@ integrate_batch equals integrate bit for bit.
 Time-delay systems use the method of steps: the substep is capped at the
 smallest positive delay so every delayed argument falls in the already
 computed part of the trajectory, which is stored on a fine uniform grid and
-linearly interpolated.  Input delays are restricted to integer multiples of
-the sampling period, so the delayed input is a buffered previous sample.
+linearly interpolated.  One period runs under the input active on [0, tau];
+the input delay r, a whole number of sampling periods, is applied by the
+closed loop, which buffers the inputs of the last r/tau periods (sim).
 
 The sampled-Jacobian rate, the time-delay build's L and the delay-free
 build's mu, has one body as well: estimate_lipschitz runs it on the floats
@@ -35,18 +36,23 @@ class IntegrationError(RuntimeError):
     pass
 
 
+def _spacing(length: float, k: int) -> float:
+    """The spacing of k intervals over length; 0 for a single sample."""
+    return length / k if k else 0.0
+
+
 def _interp(values: np.ndarray, t0: float, spacing: float, t: float) -> np.ndarray:
     """The value at time t of samples taken at t0, t0 + spacing, ...: linear
-    between rows, clamped to the first and last.  values is (k+1, ...); the
-    trailing axes ride along, so (k+1, n, K) holds K curves on one grid."""
+    between rows, clamped to the first and last, and the stored row itself
+    at a sample time.  values is (k+1, ...); the trailing axes ride along,
+    so (k+1, n, K) holds K curves on one grid."""
     if values.shape[0] == 1:
         return values[0]
-    s = (t - t0) / spacing
-    s = min(max(s, 0.0), float(values.shape[0] - 1))
+    s = min(max((t - t0) / spacing, 0.0), float(values.shape[0] - 1))
     i = int(s)
-    if i >= values.shape[0] - 1:
-        return values[-1]
     frac = s - i
+    if frac == 0.0:  # a sample time: no neighbour read, nothing allocated
+        return values[i]
     return (1.0 - frac) * values[i] + frac * values[i + 1]
 
 
@@ -70,8 +76,7 @@ class SampledCurve:
 
     @property
     def spacing(self) -> float:
-        k = self.values.shape[0] - 1
-        return (self.t1 - self.t0) / k if k else 0.0
+        return _spacing(self.t1 - self.t0, self.values.shape[0] - 1)
 
     def __call__(self, t: float) -> np.ndarray:
         return _interp(self.values, self.t0, self.spacing, t)
@@ -291,14 +296,13 @@ def _vector_or_each(vector: Callable, one: Callable, count: int, axis: int):
 # method of steps for time-delay systems
 
 
-def _method_of_steps(sys: TimeDelaySystem, fns, values: np.ndarray, t0: float,
-                     spacing: float, u: list, tau: float, steps: int,
-                     finite) -> np.ndarray:
+def _method_of_steps(sys: TimeDelaySystem, fns, values: np.ndarray, u: list,
+                     tau: float, steps: int, finite) -> np.ndarray:
     """One sampling period of the method of steps from the history `values`.
 
     values is (k+1, n) for one history or (k+1, n, K) for K histories, all
-    sampled at t0, t0 + spacing, ... over [-Theta, 0]; u holds the input
-    active on [0, tau], one float or (K,) array per coordinate.  Returns
+    on the uniform grid over [-Theta, 0]; u holds the input active on
+    [0, tau], one float or (K,) array per coordinate.  Returns
     x(tau + theta) for theta in [-Theta, 0] on the history grid, (k+1, n)
     or (k+1, n, K); a single row when Theta = 0.  Both shapes run this same
     body, so every column of a batch equals the single run bit for bit.
@@ -306,18 +310,13 @@ def _method_of_steps(sys: TimeDelaySystem, fns, values: np.ndarray, t0: float,
     if sys.Theta > 0.0 and values.shape[0] == 1:
         # one row is a constant curve: the same curve sampled at both ends
         values = np.concatenate([values, values])
-        spacing = sys.Theta
     n_hist = values.shape[0] - 1  # grid intervals over [-Theta, 0]
-    if sys.Theta > 0.0:
-        h_hist = sys.Theta / max(n_hist, 1)
-        per = tau / h_hist
-        if abs(per - round(per)) > 1e-9:
-            raise ValueError(
-                f"history spacing {h_hist:.6g} does not divide tau={tau}")
-        n_tau_coarse = int(round(per))
-    else:
-        h_hist = tau
-        n_tau_coarse = 1
+    spacing = _spacing(sys.Theta, n_hist)
+    h_hist = spacing if sys.Theta > 0.0 else tau  # tau with no history
+    per = tau / h_hist
+    if abs(per - round(per)) > 1e-9:
+        raise ValueError(f"history spacing {h_hist:.6g} does not divide tau={tau}")
+    n_tau_coarse = int(round(per))
 
     # fine substep: at most tau/steps, at most the smallest positive delay,
     # and an integer fraction of the history spacing
@@ -326,33 +325,24 @@ def _method_of_steps(sys: TimeDelaySystem, fns, values: np.ndarray, t0: float,
     h = h_hist / m_sub
     n = sys.n
 
-    # trajectory samples on the fine grid from -Theta to tau, filled as we go
+    # trajectory samples on the fine grid from -Theta to tau, filled as we
+    # go; delays read the filled rows only, as the rest is uninitialized
     n_past = n_hist * m_sub
     n_fwd = n_tau_coarse * m_sub
     traj = np.empty((n_past + n_fwd + 1,) + values.shape[1:])
     for j in range(n_past + 1):
-        traj[j] = _interp(values, t0, spacing, -sys.Theta + j * h)
-
-    def sample(t: float) -> np.ndarray:
-        s = (t + sys.Theta) / h
-        i = int(s)
-        if i >= n_past + n_fwd:
-            return traj[n_past + n_fwd]
-        if i < 0:
-            return traj[0]
-        frac = s - i
-        if frac == 0.0:
-            return traj[i]
-        return (1.0 - frac) * traj[i] + frac * traj[i + 1]
+        traj[j] = _interp(values, -sys.Theta, spacing, -sys.Theta + j * h)
+    filled = n_past + 1
+    past = lambda t: _interp(traj[:filled], -sys.Theta, h, t)
 
     # one trajectory steps on floats, a batch on (K,) rows; delayed values
     # reach the expressions as floats too, so x/0 raises as in integrate()
     if traj.ndim == 2:
         x = traj[n_past].tolist()
-        delayed = lambda t: sample(t).tolist()
+        delayed = lambda t: past(t).tolist()
     else:
         x = list(traj[n_past].copy())
-        delayed = sample
+        delayed = past
 
     def stage(t: float, x: list) -> list:
         def hist(theta: float):
@@ -375,38 +365,27 @@ def _method_of_steps(sys: TimeDelaySystem, fns, values: np.ndarray, t0: float,
              for i in range(n)]
         if not finite(x):
             raise IntegrationError(f"non-finite state at t={t + h:.6g}")
-        traj[n_past + k + 1] = x
+        traj[filled] = x
+        filled += 1
 
-    if sys.Theta == 0.0:
-        return traj[-1][None]
-    last = n_past + n_fwd
-    return traj[last - n_hist * m_sub:last + 1:m_sub].copy()
+    return traj[n_fwd::m_sub].copy()  # x(tau + theta) on the history grid
 
 
-def integrate_delay(sys: TimeDelaySystem, history: SampledCurve,
-                    u_past: Sequence, u_now, tau: float,
+def integrate_delay(sys: TimeDelaySystem, history: SampledCurve, u, tau: float,
                     steps: int = DEFAULT_STEPS) -> SampledCurve:
-    """Advance the functional state one sampling period.
+    """Advance the functional state one sampling period under the input u.
 
     history is x on [-Theta, 0] on a uniform grid whose spacing divides both
     Theta and tau; a single row over Theta > 0 is a constant curve, stepped
-    on the grid {-Theta, 0}.  u_past buffers the inputs of the last r/tau
-    periods (oldest first); the input active on [0, tau] is u_past[0] when
-    r > 0 and u_now when r = 0.  Returns x(tau + theta) for theta in
-    [-Theta, 0] on the same grid.
+    on the grid {-Theta, 0}.  u is the input active on [0, tau]; with an
+    input delay r, that is the input chosen r/tau periods earlier, which
+    the caller supplies (run_closed_loop buffers it).
+    Returns x(tau + theta) for theta in [-Theta, 0] on the same grid.
     """
     if abs(history.t0 - (-sys.Theta)) > 1e-9 or abs(history.t1) > 1e-9:
         raise ValueError(f"history must cover [-Theta, 0], got [{history.t0}, {history.t1}]")
-    periods = sys.input_delay_periods(tau)
-    if periods > 0:
-        if len(u_past) < periods:
-            raise ValueError(f"need {periods} buffered inputs for r={sys.r}, got {len(u_past)}")
-        u_eff = u_past[0]
-    else:
-        u_eff = u_now
-    u_eff = [float(v) for v in np.atleast_1d(u_eff)]
     out = _method_of_steps(sys, [e.fn for e in sys.f], history.values,
-                           history.t0, history.spacing, u_eff, tau, steps,
+                           [float(v) for v in np.atleast_1d(u)], tau, steps,
                            _floats_finite)
     if sys.Theta == 0.0:
         return SampledCurve(0.0, 0.0, out)
@@ -420,11 +399,11 @@ def integrate_delay_batch(sys: TimeDelaySystem, H, U, tau: float,
     H is (k+1, n, K): column j is a history on the uniform grid over
     [-Theta, 0] (one row when Theta = 0; one row is a constant history
     otherwise, as in integrate_delay).  U is (m, K): column j is the
-    input active on [0, tau], whatever the input delay.  Column j of the
-    result is integrate_delay(sys, SampledCurve(-Theta, 0, H[:, :, j]),
-    [U[:, j]] * (r/tau), U[:, j], tau, steps).values, bit for bit.  When
-    any trajectory fails, the error is the one integrate_delay() raises for
-    the first failing column.
+    input active on [0, tau].  Column j of the result is
+    integrate_delay(sys, SampledCurve(-Theta, 0, H[:, :, j]), U[:, j], tau,
+    steps).values, bit for bit.  When any trajectory fails, the error is
+    the one integrate_delay() raises for the first failing column.  An r
+    that is not a whole number of periods is refused, as in the closed loop.
     """
     H = np.asarray(H, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -434,15 +413,12 @@ def integrate_delay_batch(sys: TimeDelaySystem, H, U, tau: float,
                          f"({sys.m}, K), got {H.shape} and {U.shape}")
     if sys.Theta == 0.0 and H.shape[0] != 1:
         raise ValueError("degenerate interval needs exactly one sample")
-    periods = sys.input_delay_periods(tau)
-    k = H.shape[0] - 1
-    spacing = sys.Theta / k if k else 0.0  # as SampledCurve.spacing
+    sys.input_delay_periods(tau)
     fns = [e.vfn for e in sys.f]
     return _vector_or_each(
-        lambda: _method_of_steps(sys, fns, H, -sys.Theta, spacing, list(U),
-                                 tau, steps, _arrays_finite),
+        lambda: _method_of_steps(sys, fns, H, list(U), tau, steps, _arrays_finite),
         lambda j: integrate_delay(sys, SampledCurve(-sys.Theta, 0.0, H[:, :, j]),
-                                  [U[:, j]] * periods, U[:, j], tau, steps).values,
+                                  U[:, j], tau, steps).values,
         H.shape[2], 2)
 
 
@@ -451,8 +427,7 @@ def interpolate_batch(values: np.ndarray, Theta: float, times) -> np.ndarray:
     values (k+1, n, K) as integrate_delay_batch returns them, at each time.
     Column j equals SampledCurve(-Theta, 0, values[:, :, j])(t) bit for bit.
     """
-    k = values.shape[0] - 1
-    spacing = Theta / k if k else 0.0
+    spacing = _spacing(Theta, values.shape[0] - 1)
     return np.stack([_interp(values, -Theta, spacing, t) for t in times])
 
 

@@ -24,7 +24,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -110,9 +110,8 @@ class Expression:
 
     def delays(self) -> set[tuple[int, float]]:
         """All (state index, theta) pairs appearing in delay() terms."""
-        out: set[tuple[int, float]] = set()
-        _collect_delays(self.root, out)
-        return out
+        return {(v.index, v.theta) for v in _leaves(self.root)
+                if isinstance(v, DelayVar)}
 
     def max_var_indices(self) -> tuple[int, int]:
         """Largest referenced (state, input) index, 0 if none."""
@@ -198,30 +197,24 @@ def _node(e: ast.expr, text: str, at: List[int]) -> Node:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _collect_delays(node: Node, out: set) -> None:
-    if isinstance(node, DelayVar):
-        out.add((node.index, node.theta))
-    elif isinstance(node, Unary):
-        _collect_delays(node.arg, out)
-    elif isinstance(node, Binary):
-        _collect_delays(node.left, out)
-        _collect_delays(node.right, out)
+def _leaves(node: Node) -> Iterator[Node]:
+    """The constants and variables of the tree, left to right."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Unary):
+            stack.append(node.arg)
+        elif isinstance(node, Binary):
+            stack += (node.right, node.left)
+        else:
+            yield node
 
 
 def _max_indices(node: Node) -> tuple[int, int]:
-    if isinstance(node, StateVar):
-        return node.index, 0
-    if isinstance(node, DelayVar):
-        return node.index, 0
-    if isinstance(node, InputVar):
-        return 0, node.index
-    if isinstance(node, Unary):
-        return _max_indices(node.arg)
-    if isinstance(node, Binary):
-        lx, lu = _max_indices(node.left)
-        rx, ru = _max_indices(node.right)
-        return max(lx, rx), max(lu, ru)
-    return 0, 0
+    leaves = list(_leaves(node))
+    return (max((v.index for v in leaves if isinstance(v, (StateVar, DelayVar))),
+                default=0),
+            max((v.index for v in leaves if isinstance(v, InputVar)), default=0))
 
 
 def _pow(a: float, b: float) -> float:

@@ -231,6 +231,9 @@ def sample_frr_timedelay(ts: TransitionSystem, n_samples: int,
     growth box around the nominal successor of the tube's quantized
     functional, which the build kept with its radius (ts.endpoints, ts.radius).
     Like the delay-free witness, it reads plant and partition from the model.
+    As in the build, each sample runs under its own input on [0, tau],
+    whatever the input delay r, so it does not check the plant that
+    run_closed_loop drives when r > 0.
     """
     ctx = _ctx_of(ts)
     sys, part = ctx.sys, ts.partition

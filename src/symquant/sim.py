@@ -116,9 +116,9 @@ def run_closed_loop(sys, controller: Controller, F: RefinementMap,
         u = controller.inputs[iid]
         rows.append(TrajectorySample(t, x, u, iid, phase, cid))
         if tube:
-            state = integrate_delay(sys, state, buffer, u, tau, steps)
-            if buffer:
-                buffer = buffer[1:] + [u]
+            if buffer:  # the plant receives the input chosen r/tau periods ago
+                buffer, u = buffer[1:] + [u], buffer[0]
+            state = integrate_delay(sys, state, u, tau, steps)
         else:
             state = integrate(sys, state, u, tau, steps)
     return Trajectory(rows), CompletionReport(completed, k, k * tau, phase,

@@ -363,7 +363,7 @@ def test_timedelay_successors_contain_nominal_tube(pendulum_delay,
         tube = ts.state(tid).tube
         hist = tube_interpolant(tube, part, 0.2)
         u = ts.inputs[iid]
-        out = integrate_delay(pendulum_delay, hist, [u], u, 0.2)
+        out = integrate_delay(pendulum_delay, hist, u, 0.2)
         knots = tuple(part.locate(out(t)) for t in knot_times(0, -0.2, 0.0))
         nominal = SplineTube(knots)
         assert by_tube[nominal] in succ

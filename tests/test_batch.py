@@ -140,10 +140,10 @@ def delay_plant(name: str, pendulum_delay) -> TimeDelaySystem:
 
 
 def scalar_delay_run(sys, H, U, tau, j):
-    u = U[:, j]
+    # the closed loop's check of r, then one period under column j's input
+    sys.input_delay_periods(tau)
     hist = SampledCurve(-sys.Theta, 0.0, H[:, :, j])
-    periods = sys.input_delay_periods(tau)
-    return integrate_delay(sys, hist, [u] * periods, u, tau).values
+    return integrate_delay(sys, hist, U[:, j], tau).values
 
 
 @pytest.mark.parametrize("K", [1, 25, 1000])
@@ -238,7 +238,7 @@ def test_delay_terms_fail_like_state_terms(rhs, start, why):
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError) as err:
             integrate_delay(delayed, SampledCurve.constant(-0.1, 0.0, [start], 2),
-                            [], [0.0], 0.2)
+                            [0.0], 0.2)
         assert str(err.value) == head
         with pytest.raises(IntegrationError) as err:
             integrate(plain, [start], [0.0], 0.2)

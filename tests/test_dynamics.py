@@ -295,18 +295,28 @@ def test_dde_first_interval_is_exact():
     # -1, so x(0.1) = 0.9 with no integration error at all
     sys = delayed_decay()
     hist = SampledCurve.constant(-0.1, 0.0, np.array([1.0]))
-    out = integrate_delay(sys, hist, [], [0.0], 0.1)
+    out = integrate_delay(sys, hist, [0.0], 0.1)
     assert out(0.0)[0] == pytest.approx(0.9, abs=1e-14)
 
 
-def test_dde_second_interval_uses_stored_history():
+def test_dde_second_interval_uses_stored_history(monkeypatch):
     # continuing the same run: x(0.2) = 0.9 - (0.1 - 0.005) = 0.805, again
     # exact because the rhs stays polynomial and interpolation is lossless
     sys = delayed_decay()
     hist = SampledCurve.constant(-0.1, 0.0, np.array([1.0]))
-    mid = integrate_delay(sys, hist, [], [0.0], 0.1)
-    out = integrate_delay(sys, mid, [], [0.0], 0.1)
+    mid = integrate_delay(sys, hist, [0.0], 0.1)
+    out = integrate_delay(sys, mid, [0.0], 0.1)
     assert out(0.0)[0] == pytest.approx(0.805, abs=1e-12)
+    # a delay as short as the substep reads the step just stored, and never
+    # a row not yet computed: poisoning the unfilled rows changes no bit
+    short = TimeDelaySystem.from_strings(["-delay(x1, 0.005)"], [-10], [10],
+                                         [0], [0], Theta=0.005, r=0.0)
+    hist = SampledCurve.constant(-0.005, 0.0, np.array([1.0]), 1)
+    want = integrate_delay(short, hist, [0.0], 0.1).values
+    empty = np.empty
+    monkeypatch.setattr(np, "empty",
+                        lambda *a, **k: np.full_like(empty(*a, **k), np.nan))
+    assert integrate_delay(short, hist, [0.0], 0.1).values.tobytes() == want.tobytes()
 
 
 def test_one_row_history_is_a_constant_curve():
@@ -314,9 +324,8 @@ def test_one_row_history_is_a_constant_curve():
     # stored row is the same curve as two equal rows, so x(0.2) = 0.805
     sys = TimeDelaySystem.from_strings(["-delay(x1, 0.1)"], [-10], [10],
                                        [0], [0], Theta=0.2, r=0.0)
-    one = integrate_delay(sys, SampledCurve(-0.2, 0.0, [[1.0]]), [], [0.0], 0.2)
-    two = integrate_delay(sys, SampledCurve(-0.2, 0.0, [[1.0], [1.0]]), [],
-                          [0.0], 0.2)
+    one = integrate_delay(sys, SampledCurve(-0.2, 0.0, [[1.0]]), [0.0], 0.2)
+    two = integrate_delay(sys, SampledCurve(-0.2, 0.0, [[1.0], [1.0]]), [0.0], 0.2)
     assert two(0.0)[0] == pytest.approx(0.805, abs=1e-12)
     assert one.values.tobytes() == two.values.tobytes()
 
@@ -328,7 +337,7 @@ def test_dde_against_chained_ode():
                                        [0], [0], Theta=0.2, r=0.0)
     vals = np.linspace(2.0, 1.0, 5)[:, None]  # history decays linearly to 1
     hist = SampledCurve(-0.2, 0.0, vals)
-    out = integrate_delay(sys, hist, [], [0.0], 0.2)
+    out = integrate_delay(sys, hist, [0.0], 0.2)
     # d/dt x = -(2 - 5t... the history at t-0.2 for t in [0,0.2] is the
     # stored ramp; integral of the ramp over the period is its mean * 0.2
     expect = 1.0 - 0.2 * np.mean([2.0, 1.0])
@@ -340,40 +349,24 @@ def test_theta_zero_matches_delay_free_bitwise(pendulum):
         ["x2", "-1.96*sin(x1) - 1.5*x2 + u1"],
         [-1, -1], [1, 1], [-2.5], [2.5], Theta=0.0, r=0.0)
     hist = SampledCurve(0.0, 0.0, np.array([[-0.3, 0.2]]))
-    out = integrate_delay(sysd, hist, [], [1.0], 0.2, steps=20)
+    out = integrate_delay(sysd, hist, [1.0], 0.2, steps=20)
     ref = integrate(pendulum, [-0.3, 0.2], [1.0], 0.2, steps=20)
     assert out.values.shape == (1, 2)
     assert out(0.0)[0] == ref[0] and out(0.0)[1] == ref[1]
-
-
-def test_input_delay_uses_buffered_sample():
-    sys = TimeDelaySystem.from_strings(["u1"], [-10], [10], [-5], [5],
-                                       Theta=0.0, r=0.1)
-    hist = SampledCurve(0.0, 0.0, np.array([[0.0]]))
-    out = integrate_delay(sys, hist, [np.array([2.0])], np.array([5.0]), 0.1)
-    assert out(0.0)[0] == pytest.approx(0.2, abs=1e-12)  # 2.0 * 0.1, not 5.0 * 0.1
-
-
-def test_input_delay_requires_buffer():
-    sys = TimeDelaySystem.from_strings(["u1"], [-10], [10], [-5], [5],
-                                       Theta=0.0, r=0.2)
-    hist = SampledCurve(0.0, 0.0, np.array([[0.0]]))
-    with pytest.raises(ValueError):
-        integrate_delay(sys, hist, [], [1.0], 0.2)
 
 
 def test_history_domain_is_checked():
     sys = delayed_decay()
     bad = SampledCurve(-0.2, 0.0, np.array([[1.0], [1.0]]))  # Theta is 0.1
     with pytest.raises(ValueError):
-        integrate_delay(sys, bad, [], [0.0], 0.1)
+        integrate_delay(sys, bad, [0.0], 0.1)
 
 
 def test_history_spacing_must_divide_tau():
     sys = delayed_decay()
     hist = SampledCurve(-0.1, 0.0, np.ones((3, 1)))  # spacing 0.05
     with pytest.raises(ValueError):
-        integrate_delay(sys, hist, [], [0.0], 0.12)  # 0.12 / 0.05 = 2.4
+        integrate_delay(sys, hist, [0.0], 0.12)  # 0.12 / 0.05 = 2.4
 
 
 def test_r_must_be_multiple_of_tau():

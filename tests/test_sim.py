@@ -3,7 +3,7 @@ import pytest
 
 from symquant.abstraction import (AbstractState, TransitionSystem,
                                   build_timedelay, transition_arrays)
-from symquant.dynamics import SampledCurve, TimeDelaySystem
+from symquant.dynamics import SampledCurve, TimeDelaySystem, integrate_delay
 from symquant.frr import RefinementMap
 from symquant.sim import (Trajectory, TrajectorySample, export_trajectory,
                           run_closed_loop, validate_path)
@@ -243,8 +243,10 @@ def _constant_policy(ts, value):
 
 def test_timedelay_input_buffer_delays_authority(pendulum_delay, pendulum_delay_ts):
     # r = tau here, so the first period always runs on the zero-primed
-    # buffer: opposite extreme policies agree until t = 0.4
+    # buffer: opposite extreme policies agree until t = 0.4.  The plant
+    # receives exactly the input chosen one period before
     F = RefinementMap.from_ts(pendulum_delay_ts)
+    first = integrate_delay(pendulum_delay, pendulum_delay.xi0, [0.0], 0.2)
     xs = {}
     for v in (2.4, -2.4):
         ctrl = _constant_policy(pendulum_delay_ts, v)
@@ -252,6 +254,11 @@ def test_timedelay_input_buffer_delays_authority(pendulum_delay, pendulum_delay_
                                   xi0=pendulum_delay.xi0, tau=0.2, max_steps=2)
         assert len(traj) >= 3
         xs[v] = [s.x for s in traj.samples]
+        u = traj.samples[0].u  # the policy's input, chosen at t = 0
+        assert u == pytest.approx([v])
+        second = integrate_delay(pendulum_delay, first, u, 0.2)
+        assert xs[v][1].tobytes() == first(0.0).tobytes()
+        assert xs[v][2].tobytes() == second(0.0).tobytes()
     assert np.array_equal(xs[2.4][1], xs[-2.4][1])
     assert not np.allclose(xs[2.4][2], xs[-2.4][2])
 
