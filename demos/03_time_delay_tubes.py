@@ -23,7 +23,7 @@ from symquant import (LogQuantizerParams, SampledCurve, TimeDelaySystem,
 plant = TimeDelaySystem.from_strings(
     ["x2", "-1.96*sin(x1) - 1.5*x2 + 0.1*delay(x2, 0.2) + u1"],
     [-1, -1], [1, 1], [-2.5], [2.5], Theta=0.2, r=0.2,
-    xi0=SampledCurve.constant(-0.2, 0.0, np.array([-0.72, -0.72])))
+    xi0=SampledCurve(-0.2, 0.0, np.array([[-0.72, -0.72]])))  # one row: constant
 
 print("exploring tubes from the constant corner history ...")
 ts = build_timedelay(plant, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),

@@ -41,17 +41,20 @@ os.sched_getaffinity is missing, every build is one block.
 Time-delay construction: states are spline tubes, tuples of N+2 knot cells
 on [-Theta, 0] sampled at the peaks of linear hat functions.  A tube's
 quantized functional is the linear interpolant through the knot quantized
-points; the successor test requires, at every knot time, intersection of the
-knot cell with the box of radius 2*theta2*e^(L*tau) around the integrated
-endpoint, theta2 collecting each knot's zoom width (unrefined knots
-contribute their cell half-width).  Tubes are discovered by forward
-exploration along nominal successors from psi2(xi0) under a state budget;
-pairs whose nominal successor is undiscovered or leaves the state box are
-blocked (no successors).  Exploration runs one breadth-first level at a
-time: one method-of-steps batch over every (tube, input) pair of the
-level, one array test for blocked pairs, one Partition.locate_batch call
-for all nominal knots, then a walk over the pairs in (tube, input) order
-that numbers new tubes.  The model keeps every pair's nominal knot points
+points, the last alone when Theta = 0 (dynamics.history_rows); the
+successor test requires, at every knot time, intersection of the knot cell
+with the box of radius 2*theta2*e^(L*tau) around the integrated endpoint,
+theta2 the tube's largest knot half-width over knots and axes: half a knot
+cell's extent on an axis, or Lambda*delta on a zoom subcell.  Knot points,
+bounds and half-widths come from the partition's cell table by id
+(Partition.cell_arrays).  Tubes are discovered by forward exploration
+along nominal successors from psi2(xi0) under a state budget; pairs whose
+nominal successor is undiscovered or leaves the state box are blocked (no
+successors).  Exploration runs one breadth-first level at a time: one
+method-of-steps batch over every (tube, input) pair of the level, one
+array test for blocked pairs, one Partition.locate_batch call for all
+nominal knots, then a walk over the pairs in (tube, input) order that
+numbers new tubes.  The model keeps every pair's nominal knot points
 (ts.endpoints) and each tube's growth radius (ts.radius), and the successor
 sets come from one closed-box test of those growth boxes against the knot
 cells of all discovered tubes.
@@ -74,8 +77,8 @@ import numpy as np
 
 from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
                        DEFAULT_STEPS, estimate_lipschitz,
-                       estimate_lipschitz_batch, integrate,
-                       integrate_delay_batch, interpolate_batch)
+                       estimate_lipschitz_batch, history_curve, history_rows,
+                       integrate, integrate_delay_batch, interpolate_batch)
 from .quantizers import (Cell, LogQuantizerParams, Partition, ZoomQuantizerParams,
                          _boundaries_up_to)
 
@@ -741,19 +744,7 @@ def psi2(curve: SampledCurve, partition: Partition, N: int) -> SplineTube:
 def tube_interpolant(tube: SplineTube, partition: Partition,
                      Theta: float) -> SampledCurve:
     """The quantized functional of a tube: linear through knot quantized points."""
-    pts = np.array([partition.cell(k).quantized_point for k in tube.knots])
-    if Theta == 0.0:
-        return SampledCurve(0.0, 0.0, pts[-1][None, :])
-    return SampledCurve(-Theta, 0.0, pts)
-
-
-def _knot_widths(tube: SplineTube, partition: Partition) -> List[float]:
-    """Each knot's zoom width, its cell half-width where unrefined."""
-    out = []
-    for k in tube.knots:
-        zp = partition.zoom_params_of(k)
-        out.append(zp.width if zp is not None else partition.cell(k).half_width)
-    return out
+    return history_curve(partition.cell_arrays(tube.knots)[2], Theta)
 
 
 _CHUNK = 4096  # trajectories per integrate_delay_batch call
@@ -836,9 +827,9 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
 
     head = 0
     while head < len(order):
-        level = [SplineTube(t) for t in order[head:]]
-        H = np.stack([tube_interpolant(t, part, sys.Theta).values for t in level],
-                     axis=2)
+        level = order[head:]
+        # the level's quantized functionals, (J, n, tubes); one row if Theta = 0
+        H = history_rows(part.cell_arrays(level)[2].transpose(1, 2, 0), sys.Theta)
         knots = tube_knot_points(sys, np.repeat(H, n_in, axis=2),
                                  np.tile(U, len(level)), tau, steps,
                                  thetas).transpose(2, 0, 1)  # (pairs, J, n)
@@ -857,11 +848,12 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
         levels.append(knots.reshape(len(level), n_in, len(thetas), sys.n))
         head += len(level)
     endpoints = np.concatenate(levels)  # (T, I, J, n)
-    radius = np.array([max(_knot_widths(SplineTube(t), part)) for t in order]) * amp
+    # knot cells (T, J, n); a radius scales the tube's largest knot half-width
+    cell_lo, cell_hi, _, half = part.cell_arrays(order)
+    radius = half.max(axis=(1, 2)) * amp
 
     # successors: every discovered tube whose knot cells all meet the growth
     # boxes around the nominal knot points (closed boxes, touching counts)
-    cell_lo, cell_hi = part.cell_bounds(order)  # (T, J, n)
     rows = np.concatenate(rows)
     pts = endpoints.reshape(-1, *endpoints.shape[2:])  # a view, row order
     # pairs are in row order and tube ids are positions: the successors of

@@ -22,8 +22,8 @@ import numpy as np
 
 from .abstraction import (TransitionSystem, build_delayfree, build_timedelay,
                           input_lattice)
-from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
-                       DEFAULT_STEPS)
+from .dynamics import (ControlSystem, TimeDelaySystem, DEFAULT_STEPS,
+                       history_curve)
 from .expr import ExprError, parse as parse_expr
 from .quantizers import (LogQuantizerParams, Partition, ZoomQuantizerParams,
                          _axis_regions)
@@ -184,14 +184,19 @@ class _Section:
         _check(len(vals) == 1, where, bad)
         return float(vals[0])
 
-    def integer(self, key: str, default: Optional[str] = None) -> Optional[int]:
-        raw = self.raw(key, default)
-        if raw is None:
-            return None
+    def integer(self, key: str, default: Optional[str] = None,
+                least: Optional[int] = None) -> Optional[int]:
+        """The integer of key, or of default when key is missing.  With
+        least, a value below it, or a missing key without a default, fails
+        with "must be an integer >= least"."""
+        where, raw = f"{self.name}.{key}", self.raw(key, default)
         try:
-            return int(raw)
+            val = None if raw is None else int(raw)
         except ValueError:
-            raise ConfigError(f"{self.name}.{key}: expected an integer, got {raw!r}")
+            raise ConfigError(f"{where}: expected an integer, got {raw!r}")
+        _check(least is None or (val is not None and val >= least), where,
+               f"must be an integer >= {least}")
+        return val
 
     def choice(self, key: str, options: Tuple[str, ...], default: str) -> str:
         val = self.raw(key, default)
@@ -252,10 +257,8 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
     if not absc.present:
         raise ConfigError("abstraction: section is missing")
 
-    n = sysc.integer("n")
-    m = sysc.integer("m")
-    _check(n is not None and n >= 1, "system.n", "must be an integer >= 1")
-    _check(m is not None and m >= 1, "system.m", "must be an integer >= 1")
+    n = sysc.integer("n", least=1)
+    m = sysc.integer("m", least=1)
 
     rhs = _rows(sysc.require("f"))
     _check(len(rhs) == n, "system.f", f"expected {n} expressions, got {len(rhs)}")
@@ -317,8 +320,7 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
         lipschitz = absc.number("lipschitz", what="'sampled' or a number")
         _check(lipschitz >= 0, "abstraction.lipschitz", "must be positive or zero")
 
-    steps = absc.integer("steps", str(DEFAULT_STEPS))
-    _check(steps >= 1, "abstraction.steps", "must be an integer >= 1")
+    steps = absc.integer("steps", str(DEFAULT_STEPS), least=1)
     growth_scale = absc.number("growth_scale", "1")
     _check(growth_scale >= 0, "abstraction.growth_scale", "must be nonnegative")
 
@@ -347,30 +349,23 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
                 raise ConfigError(f"abstraction.zoom: row {i + 1}: {err}") from err
 
     if absc.raw("N"):
-        N = absc.integer("N")
-        _check(N >= 0, "abstraction.N", "must be an integer >= 0")
+        N = absc.integer("N", least=0)
     else:
         # without N, the largest zoom M sets it; no zoom rows give 0
         M = max((z.M for z in zoom.values()), default=0)
         N = max(0, min(8, M * M) - 2)
-    budget = absc.integer("budget", "1000")
-    _check(budget >= 1, "abstraction.budget", "must be an integer >= 1")
+    budget = absc.integer("budget", "1000", least=1)
 
-    spec_kind = sync.choice("kind", ("reach", "sequence"), "reach") \
-        if sync.present else "reach"
-    spec_mode = sync.choice("mode", ("hold", "robust"), "hold") \
-        if sync.present else "hold"
+    spec_kind = sync.choice("kind", ("reach", "sequence"), "reach")
+    spec_mode = sync.choice("mode", ("hold", "robust"), "hold")
     target_points = sync.rows("targets", n)
-    max_hold = sync.integer("max_hold", "64") if sync.present else 64
-    _check(max_hold >= 1, "synthesis.max_hold", "must be an integer >= 1")
+    max_hold = sync.integer("max_hold", "64", least=1)
 
     x0 = runc.floats("x0", n)
-    max_steps = runc.integer("max_steps", "500") if runc.present else 500
-    _check(max_steps >= 1, "run.max_steps", "must be an integer >= 1")
-    seed = runc.integer("seed", "1") if runc.present else 1
+    max_steps = runc.integer("max_steps", "500", least=1)
+    seed = runc.integer("seed", "1")
     _check(seed >= 0, "run.seed", "must be nonnegative")
-    samples = runc.integer("samples", "1000") if runc.present else 1000
-    _check(samples >= 1, "run.samples", "must be an integer >= 1")
+    samples = runc.integer("samples", "1000", least=1)
 
     if r > 0:
         k = r / tau
@@ -379,8 +374,10 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
 
     try:
         if theta > 0 or r > 0 or any("delay(" in s for s in rhs):
+            # the initial functional on [-theta, 0] through the xi0 rows
+            xi0 = None if xi0_rows is None else history_curve(xi0_rows, theta)
             system = TimeDelaySystem(n, m, state_lo, state_hi, input_lo, input_hi,
-                                     exprs, theta, r, _xi0(xi0_rows, theta))
+                                     exprs, theta, r, xi0)
         else:
             system = ControlSystem(n, m, state_lo, state_hi, input_lo, input_hi,
                                    exprs)
@@ -394,15 +391,3 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
                      spec_kind=spec_kind, spec_mode=spec_mode,
                      target_points=target_points, max_hold=max_hold,
                      x0=x0, max_steps=max_steps, seed=seed, samples=samples)
-
-
-def _xi0(rows: Optional[np.ndarray], theta: float) -> Optional[SampledCurve]:
-    """The initial functional on [-theta, 0] through the xi0 rows: the last
-    row alone when theta is 0, a constant for one row."""
-    if rows is None:
-        return None
-    if theta == 0.0:
-        return SampledCurve(0.0, 0.0, rows[-1:])
-    if rows.shape[0] == 1:
-        return SampledCurve.constant(-theta, 0.0, rows[0])
-    return SampledCurve(-theta, 0.0, rows)

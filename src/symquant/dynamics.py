@@ -81,12 +81,18 @@ class SampledCurve:
     def __call__(self, t: float) -> np.ndarray:
         return _interp(self.values, self.t0, self.spacing, t)
 
-    @staticmethod
-    def constant(t0: float, t1: float, x, k: int = 1) -> "SampledCurve":
-        x = np.asarray(x, dtype=float)
-        if t1 == t0:
-            return SampledCurve(t0, t1, x[None, :])
-        return SampledCurve(t0, t1, np.tile(x, (k + 1, 1)))
+
+def history_rows(values: np.ndarray, Theta: float) -> np.ndarray:
+    """The rows of a history over [-Theta, 0] from its grid rows: all of
+    them when Theta > 0 (one row is a constant curve), the last alone when
+    Theta = 0.  Rows are on the first axis: (k+1, n) or (k+1, n, K)."""
+    return values if Theta > 0.0 else values[-1:]
+
+
+def history_curve(values: np.ndarray, Theta: float) -> SampledCurve:
+    """The functional through one history's grid rows (history_rows); it
+    starts at 0.0 - Theta, which is +0.0, not -0.0, when Theta = 0."""
+    return SampledCurve(0.0 - Theta, 0.0, history_rows(values, Theta))
 
 
 def _validate_rhs(f: Sequence[Expression], n: int, m: int, max_theta: float) -> None:
@@ -387,9 +393,7 @@ def integrate_delay(sys: TimeDelaySystem, history: SampledCurve, u, tau: float,
     out = _method_of_steps(sys, [e.fn for e in sys.f], history.values,
                            [float(v) for v in np.atleast_1d(u)], tau, steps,
                            _floats_finite)
-    if sys.Theta == 0.0:
-        return SampledCurve(0.0, 0.0, out)
-    return SampledCurve(-sys.Theta, 0.0, out)
+    return history_curve(out, sys.Theta)
 
 
 def integrate_delay_batch(sys: TimeDelaySystem, H, U, tau: float,

@@ -30,9 +30,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .abstraction import (SplineTube, TransitionSystem, _boxes_meet,
-                          _knot_widths, _locate_inside, _positions, knot_points,
-                          knot_tube, tube_knot_points)
-from .dynamics import SampledCurve, integrate_batch
+                          _locate_inside, _positions, knot_points, knot_tube,
+                          tube_knot_points)
+from .dynamics import SampledCurve, history_rows, integrate_batch
 from .model_io import _fmt_vec
 from .quantizers import Partition
 
@@ -196,7 +196,7 @@ def sample_frr_delayfree(ts: TransitionSystem, n_samples: int,
     sys, part = ctx.sys, ts.partition
     # a row: the state, the point in its cell, the input
     r = _draws(seed, n_samples, sys.n + 2)
-    lo, hi = part.cell_bounds(ts.ids[(r[:, 0] * len(ts.states)).astype(np.int64)])
+    lo, hi = part.cell_arrays(ts.ids[(r[:, 0] * len(ts.states)).astype(np.int64)])[:2]
     X = lo + (hi - lo) * r[:, 1:-1]
     located = part.locate_batch(X)
     pos, known = _positions(ts.ids, located)
@@ -237,16 +237,14 @@ def sample_frr_timedelay(ts: TransitionSystem, n_samples: int,
     """
     ctx = _ctx_of(ts)
     sys, part = ctx.sys, ts.partition
-    # per tube: knot cells and their bounds, and jitter widths
-    tubes = [s.tube for s in ts.states]
-    cell_lo, cell_hi = part.cell_bounds([t.knots for t in tubes])  # (S, J, n)
-    quantized = np.array([[part.cell(k).quantized_point for k in t.knots]
-                          for t in tubes])
-    widths = np.array([_knot_widths(t, part) for t in tubes])  # (S, J)
+    # per tube: its knot cells' bounds, quantized points and half-widths
+    # (S, J, n), and one jitter width per knot (S, J), the widest axis's
+    cell_lo, cell_hi, quantized, half = part.cell_arrays([s.tube.knots for s in ts.states])
+    widths = half.max(axis=-1)
     J, n = cell_lo.shape[1:]
     # a row: the tube, the input, then the J x n jitter
     r = _draws(seed, n_samples, 2 + J * n)
-    sid = (r[:, 0] * len(tubes)).astype(np.int64)
+    sid = (r[:, 0] * len(ts.states)).astype(np.int64)
     iids = _pick_inputs(ts, sid, r[:, 1])
     # a tube with no enabled input is skipped, as is a sample whose knots leave X
     drawn = np.flatnonzero(iids >= 0)
@@ -262,13 +260,13 @@ def sample_frr_timedelay(ts: TransitionSystem, n_samples: int,
                                 cell_lo[sid] + _EDGE * width),
                      cell_hi[sid] - _EDGE * width).transpose(1, 2, 0)  # (J, n, K)
     U = np.array(ts.inputs)[iids].T
-    samples = tube_knot_points(sys, pts if sys.Theta > 0.0 else pts[-1:], U,
+    samples = tube_knot_points(sys, history_rows(pts, sys.Theta), U,
                                ctx.tau, ctx.steps, ctx.knot_thetas)
     inside, got = _locate_inside(sys, part, samples.transpose(2, 0, 1))
     nominal = ts.endpoints[sid[inside], iids[inside]]  # (K, J, n)
     radius = ts.radius[sid[inside]][:, None, None]
     # the cell of every sampled knot must meet its closed growth box
-    meets = _boxes_meet(nominal - radius, nominal + radius, *part.cell_bounds(got))
+    meets = _boxes_meet(nominal - radius, nominal + radius, *part.cell_arrays(got)[:2])
     for k in np.flatnonzero(~meets.all(axis=1)).tolist():
         j = int(inside[k])
         bad = int(np.argmax(~meets[k]))

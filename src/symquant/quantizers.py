@@ -32,7 +32,7 @@ import copy
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -120,10 +120,6 @@ class Cell:
     def intersects(self, box_lo, box_hi) -> bool:
         """Closed-box intersection test; boundary touching counts."""
         return bool(np.all(self.lower <= box_hi) and np.all(box_lo <= self.upper))
-
-    @property
-    def half_width(self) -> float:
-        return float(np.max(self.upper - self.lower)) / 2.0
 
     def spread(self) -> np.ndarray:
         """Componentwise max distance from the quantized point to the cell."""
@@ -329,17 +325,20 @@ def zoom_lattice(cell: Cell, p: ZoomQuantizerParams, start_id: int = 0) -> List[
 
 class _ZoomedCell:
     """The one record of a zoom-refined base cell, filled once by
-    Partition.refined: its parameters, the id of its first subcell, per
-    axis the retained bin indices (consecutive) and their bins
-    (_zoom_axes), whose product gives the subcells in row-major order, and
-    the bin bounds and subcell strides that locate and intersecting read."""
+    Partition.refined: its parameters, the id of its first subcell and the
+    count of its subcells, per axis the retained bin indices (consecutive)
+    and their bins (_zoom_axes), whose product gives the subcells in
+    row-major order, and the bin bounds and subcell strides that locate and
+    intersecting read."""
 
     def __init__(self, params: ZoomQuantizerParams, first_id: int, cell: Cell):
         self.params, self.first_id = params, first_id
         self.axis_ks, self.axes = _zoom_axes(cell, params)
         self.lowers = [[r.lower for r in ax] for ax in self.axes]
         self.uppers = [[r.upper for r in ax] for ax in self.axes]
-        self.strides = _strides(tuple(len(ks) for ks in self.axis_ks))
+        shape = tuple(len(ks) for ks in self.axis_ks)
+        self.strides = _strides(shape)
+        self.count = int(np.prod(shape))
 
 
 class Partition:
@@ -350,10 +349,11 @@ class Partition:
     builder.  Cells keep stable ids across refinement: refined base cells
     retire their id and subcells receive fresh ids appended in order.
     zoom maps each refined base cell's id to its one record (_ZoomedCell),
-    which refined() fills; the subcells, point location and box queries
-    all read it.  The unrefined lattice (axes, bound lists, base cells) is
-    never changed after construction, so a refined partition shares it
-    with the partition it refines and builds only its zoom tables.
+    which refined() fills; the subcells, the cell table (cell_arrays),
+    point location and box queries all read it.  The unrefined lattice
+    (axes, bound lists, base cells) is never changed after construction,
+    so a refined partition shares it with the partition it refines and
+    builds only its zoom tables.
     """
 
     def __init__(self, box_lo, box_hi, params):
@@ -384,23 +384,21 @@ class Partition:
 
     def _rebuild_active(self) -> None:
         self.cells = [c for c in self.base_cells if c.id not in self.zoom]
-        self._zoom_of: Dict[int, ZoomQuantizerParams] = {}
         for bid in sorted(self.zoom):
             z = self.zoom[bid]
-            subs = _grid_cells(z.axes, z.first_id)
-            self.cells.extend(subs)
-            self._zoom_of.update((c.id, z.params) for c in subs)
+            self.cells.extend(_grid_cells(z.axes, z.first_id))
         self.cells.sort(key=lambda c: c.id)
         self._by_id = {c.id: c for c in self.cells}
-        # cell bounds by id (NaN on retired ids) and, per base cell, the
-        # zoom tables of locate_batch: first subcell id (-1 where
+        # the cell table of cell_arrays, NaN on retired ids, and, per base
+        # cell, the zoom tables of locate_batch: first subcell id (-1 where
         # unrefined), bin width, retained bin range and strides per axis
-        size = self.cells[-1].id + 1 if self.cells else 0
-        self._lo_by_id = np.full((size, self.n), np.nan)
-        self._hi_by_id = np.full((size, self.n), np.nan)
-        for c in self.cells:
-            self._lo_by_id[c.id] = c.lower
-            self._hi_by_id[c.id] = c.upper
+        ids = np.array([c.id for c in self.cells])
+        rows = np.array([(c.lower, c.upper, c.quantized_point) for c in self.cells])
+        self._table = np.full((4, ids[-1] + 1, self.n), np.nan)
+        self._table[:3, ids] = rows.transpose(1, 0, 2)
+        self._table[3, ids] = (rows[:, 1] - rows[:, 0]) / 2.0
+        for z in self.zoom.values():
+            self._table[3, z.first_id:z.first_id + z.count] = z.params.width
         n_base = len(self.base_cells)
         self._zoom_first = np.full(n_base, -1, dtype=np.int64)
         self._zoom_width = np.ones(n_base)
@@ -430,7 +428,7 @@ class Partition:
             if p.delta == 0.0:
                 continue  # keep the cell
             z = part.zoom[bid] = _ZoomedCell(p, next_id, self.base_cells[bid])
-            next_id += int(np.prod([len(ks) for ks in z.axis_ks]))
+            next_id += z.count
         part._rebuild_active()
         return part
 
@@ -438,10 +436,6 @@ class Partition:
 
     def cell(self, cid: int) -> Cell:
         return self._by_id[cid]
-
-    def zoom_params_of(self, cid: int) -> Optional[ZoomQuantizerParams]:
-        """Zoom parameters if cid is a subcell of a refined base cell."""
-        return self._zoom_of.get(cid)
 
     def locate(self, x) -> int:
         """Cell id containing x (deterministic tie-break); x must be in the box."""
@@ -493,11 +487,13 @@ class Partition:
             bid[zoomed] = sid
         return bid
 
-    def cell_bounds(self, ids) -> Tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) of the cells with the given ids, each of shape
-        ids.shape + (n,)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        return self._lo_by_id[ids], self._hi_by_id[ids]
+    def cell_arrays(self, ids) -> Tuple[np.ndarray, ...]:
+        """(lower, upper, quantized point, knot half-width) of the cells with
+        the given ids, each of shape ids.shape + (n,), NaN on a retired id.
+        A knot half-width is the quantization width a tube knot in the cell
+        carries on each axis: half the cell's extent on that axis, or the
+        bin width Lambda*delta on a zoom subcell."""
+        return tuple(self._table[:, np.asarray(ids, dtype=np.int64)])
 
     def intersecting(self, box_lo, box_hi) -> List[int]:
         """Ids of all cells whose closed region meets the closed box."""

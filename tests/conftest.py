@@ -55,7 +55,7 @@ def pendulum_delay():
     return TimeDelaySystem.from_strings(
         ["x2", "-1.96*sin(x1) - 1.5*x2 + 0.1*delay(x2, 0.2) + u1"],
         [-1, -1], [1, 1], [-2.5], [2.5], Theta=0.2, r=0.2,
-        xi0=SampledCurve.constant(-0.2, 0.0, np.array([-0.72, -0.72])))
+        xi0=SampledCurve(-0.2, 0.0, np.tile([-0.72, -0.72], (2, 1))))
 
 
 @pytest.fixture(scope="session")

@@ -319,7 +319,7 @@ def test_knot_times_degenerate_interval():
 
 def test_psi2_constant_curve(pendulum_ts):
     part = pendulum_ts.partition
-    curve = SampledCurve.constant(-0.2, 0.0, np.array([-0.72, -0.72]))
+    curve = SampledCurve(-0.2, 0.0, np.tile([-0.72, -0.72], (2, 1)))
     tube = psi2(curve, part, 2)
     assert tube.knots == (0, 0, 0, 0)
 
@@ -415,8 +415,8 @@ def test_knot_match_counts_touching_faces():
 
 def test_timedelay_successors_equal_knotwise_intersecting(pendulum_delay,
                                                           logparams):
-    # reference: the knot-wise Partition.intersecting match, tube by tube
-    from symquant.abstraction import _knot_widths
+    # reference: the knot-wise Partition.intersecting match, tube by tube,
+    # under the radius the model kept (test_tube_levels checks it)
     from symquant.dynamics import integrate_delay_batch, interpolate_batch
     # small growth boxes, so that successor sets are proper subsets
     base = Partition(pendulum_delay.state_lo, pendulum_delay.state_hi, logparams)
@@ -425,7 +425,6 @@ def test_timedelay_successors_equal_knotwise_intersecting(pendulum_delay,
                          N=1, lipschitz=1.0, growth_scale=0.25, budget=30)
     part = ts.partition
     thetas = knot_times(1, -0.2, 0.0)
-    amp = 2.0 * math.exp(1.0 * 0.2) * 0.25
     rows = dict(ts.transition_rows())
     fan_out = [len(v) for v in rows.values()]
     assert max(fan_out) < len(ts.states) and min(fan_out) < max(fan_out)
@@ -435,7 +434,7 @@ def test_timedelay_successors_equal_knotwise_intersecting(pendulum_delay,
         H = np.repeat(hist.values[:, :, None], len(ts.inputs), axis=2)
         knots = interpolate_batch(integrate_delay_batch(pendulum_delay, H, U, 0.2),
                                   0.2, thetas)
-        radius = max(_knot_widths(s.tube, part)) * amp
+        radius = ts.radius[s.id]
         for iid in range(len(ts.inputs)):
             if (s.id, iid) not in rows:
                 continue

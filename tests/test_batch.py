@@ -237,7 +237,7 @@ def test_delay_terms_fail_like_state_terms(rhs, start, why):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError) as err:
-            integrate_delay(delayed, SampledCurve.constant(-0.1, 0.0, [start], 2),
+            integrate_delay(delayed, SampledCurve(-0.1, 0.0, [[start]] * 3),
                             [0.0], 0.2)
         assert str(err.value) == head
         with pytest.raises(IntegrationError) as err:

@@ -56,7 +56,7 @@ def test_pendulum_with_a_zoomed_cell(pendulum, logparams):
     coarse = build_delayfree(pendulum, 0.2, logparams)
     ts = refine_cells(coarse, {12: ZoomQuantizerParams(1, 1.0, 0.3),
                                0: ZoomQuantizerParams(2, 1.0, 0.1)})
-    assert any(ts.partition.zoom_params_of(c.id) for c in ts.partition.cells)
+    assert sorted(ts.partition.zoom) == [0, 12]
     assert_same_model(ts)
 
 

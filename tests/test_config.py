@@ -102,14 +102,23 @@ def test_timedelay_config_builds_functional_system():
     assert np.allclose(sysd.xi0(-0.13), [-0.72, -0.72])
 
 
-def test_multirow_xi0_is_a_sampled_curve():
+@pytest.mark.parametrize("theta,f", [
+    ("0.2", "\n x2\n -x2 + 0.1*delay(x2, 0.2) + u1"),
+    # an input delay alone: no window, so the last row is the functional
+    ("0", "\n x2\n -x2 + u1"),
+], ids=["window", "input-delay-only"])
+def test_multirow_xi0_is_a_sampled_curve(theta, f):
     cfg = parse_config_text(ini({
-        "system.f": "\n x2\n -x2 + 0.1*delay(x2, 0.2) + u1",
-        "system.theta": "0.2",
+        "system.f": f,
+        "system.theta": theta,
         "system.r": "0.2",
         "system.xi0": "\n -0.7 -0.7\n -0.72 -0.72\n -0.74 -0.74",
     }))
     curve = cfg.system.xi0
+    if theta == "0":
+        assert curve.t0 == curve.t1 == 0.0
+        assert curve.values.tolist() == [[-0.74, -0.74]]
+        return
     assert np.allclose(curve(-0.2), [-0.7, -0.7])
     assert np.allclose(curve(0.0), [-0.74, -0.74])
     assert np.allclose(curve(-0.15), [-0.71, -0.71])

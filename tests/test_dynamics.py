@@ -231,7 +231,7 @@ def test_xi0_must_lie_in_the_closed_state_box(x0):
     def plant(v):
         return TimeDelaySystem.from_strings(
             ["0*delay(x1, 0.2) + u1"], [-1], [1], [-1], [1], Theta=0.2,
-            xi0=SampledCurve.constant(-0.2, 0.0, [v]))
+            xi0=SampledCurve(-0.2, 0.0, np.tile([v], (2, 1))))
 
     with pytest.raises(ValueError, match="xi0 leaves the state box"):
         plant(x0)
@@ -277,8 +277,9 @@ def test_sampled_curve_interpolates_linearly():
 
 
 def test_sampled_curve_constant():
-    c = SampledCurve.constant(-0.3, 0.0, np.array([2.0]))
-    assert c(-0.17)[0] == 2.0
+    # one row over t0 < t1 is a constant curve
+    c = SampledCurve(-0.3, 0.0, [[2.0]])
+    assert c(-0.17)[0] == 2.0 and c(0.0)[0] == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,7 @@ def test_dde_first_interval_is_exact():
     # x' = -x(t-0.1) with unit history: on [0, 0.1] the rhs is the constant
     # -1, so x(0.1) = 0.9 with no integration error at all
     sys = delayed_decay()
-    hist = SampledCurve.constant(-0.1, 0.0, np.array([1.0]))
+    hist = SampledCurve(-0.1, 0.0, np.tile([1.0], (2, 1)))
     out = integrate_delay(sys, hist, [0.0], 0.1)
     assert out(0.0)[0] == pytest.approx(0.9, abs=1e-14)
 
@@ -303,7 +304,7 @@ def test_dde_second_interval_uses_stored_history(monkeypatch):
     # continuing the same run: x(0.2) = 0.9 - (0.1 - 0.005) = 0.805, again
     # exact because the rhs stays polynomial and interpolation is lossless
     sys = delayed_decay()
-    hist = SampledCurve.constant(-0.1, 0.0, np.array([1.0]))
+    hist = SampledCurve(-0.1, 0.0, np.tile([1.0], (2, 1)))
     mid = integrate_delay(sys, hist, [0.0], 0.1)
     out = integrate_delay(sys, mid, [0.0], 0.1)
     assert out(0.0)[0] == pytest.approx(0.805, abs=1e-12)
@@ -311,7 +312,7 @@ def test_dde_second_interval_uses_stored_history(monkeypatch):
     # a row not yet computed: poisoning the unfilled rows changes no bit
     short = TimeDelaySystem.from_strings(["-delay(x1, 0.005)"], [-10], [10],
                                          [0], [0], Theta=0.005, r=0.0)
-    hist = SampledCurve.constant(-0.005, 0.0, np.array([1.0]), 1)
+    hist = SampledCurve(-0.005, 0.0, np.tile([1.0], (2, 1)))
     want = integrate_delay(short, hist, [0.0], 0.1).values
     empty = np.empty
     monkeypatch.setattr(np, "empty",

@@ -55,7 +55,7 @@ def zoomed_pendulum_ts(pendulum, logparams):
     ts = refine_cells(coarse, {12: ZoomQuantizerParams(1, 1.0, 0.3),
                                0: ZoomQuantizerParams(2, 1.0, 0.1)})
     assert len(dict(ts.transition_rows())) < len(ts.states) * len(ts.inputs)
-    assert any(ts.partition.zoom_params_of(c.id) for c in ts.partition.cells)
+    assert sorted(ts.partition.zoom) == [0, 12]
     assert ts.ids.tolist() != list(range(len(ts.states)))
     return ts
 

@@ -371,7 +371,7 @@ def test_tube_of_maps_discovered_histories(pendulum_delay_ts):
         assert F.tube_at(F.knot_points(curve)) == F.tube_index.get(tube)
         return F.tube_index.get(tube)
 
-    curve = SampledCurve.constant(-0.2, 0.0, np.array([-0.72, -0.72]))
+    curve = SampledCurve(-0.2, 0.0, np.tile([-0.72, -0.72], (2, 1)))
     assert tube_of(curve) == 0
     # an arbitrary knot pair that the reachable exploration never produced
     discovered = {s.tube.knots for s in pendulum_delay_ts.states}

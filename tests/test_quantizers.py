@@ -334,12 +334,29 @@ def test_intersecting_equals_a_brute_force_scan(box, params, zoom):
         assert c.lower.tolist() == [r.lower for r in regions]
         assert c.upper.tolist() == [r.upper for r in regions]
         assert c.quantized_point.tolist() == [r.level for r in regions]
+    # the cell table by id: every cell's row holds its bounds and quantized
+    # point, and its knot half-width is half its extent on each axis where
+    # unrefined; a retired base id's row is NaN
+    lo, hi, q, half = part.cell_arrays([c.id for c in part.cells])
+    assert lo.tolist() == [c.lower.tolist() for c in part.cells]
+    assert hi.tolist() == [c.upper.tolist() for c in part.cells]
+    assert q.tolist() == [c.quantized_point.tolist() for c in part.cells]
+    for c, row in zip(part.cells, half):
+        if c.id < len(part.base_cells):
+            assert row.tolist() == ((c.upper - c.lower) / 2).tolist()
+    assert np.isnan(part.cell_arrays(sorted(part.zoom))).all()
     for bid, z in part.zoom.items():
         base = part.base_cells[bid]
-        subs = [c for c in part.cells if part.zoom_params_of(c.id) is z.params]
+        # the new cells inside the base cell (a subcell has positive extent,
+        # so it cannot lie in a neighbour's shared face)
+        subs = [c for c in part.cells if c.id >= len(part.base_cells)
+                and base.contains(c.lower) and base.contains(c.upper)]
         bins = [sorted({(c.lower[i], c.upper[i]) for c in subs}) for i in range(n)]
         sub_shape = tuple(len(b) for b in bins)
-        assert len(subs) == int(np.prod(sub_shape))
+        assert len(subs) == int(np.prod(sub_shape)) == z.count
+        # a subcell's knot half-width is its record's bin width on every axis
+        sub_half = part.cell_arrays([c.id for c in subs])[3]
+        assert sub_half.tolist() == [[z.params.width] * n] * len(subs)
         for i, b in enumerate(bins):  # the bins tile the base cell's axis
             assert b[0][0] == base.lower[i] and b[-1][1] == base.upper[i]
             assert all(prev[1] == nxt[0] for prev, nxt in zip(b, b[1:]))

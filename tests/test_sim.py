@@ -123,7 +123,7 @@ def test_leaving_the_state_box_is_reported(pendulum, pendulum_ts, logparams,
         # t = 0.4 lies in X, and the knot at t = 0.6 is 1.2
         plant = TimeDelaySystem.from_strings(
             ["3 + 0*delay(x1, 0.2) + u1"], [-1], [1], [-1], [1], Theta=0.2,
-            xi0=SampledCurve.constant(-0.2, 0.0, np.zeros(1)))
+            xi0=SampledCurve(-0.2, 0.0, np.zeros((2, 1))))
         ts = build_timedelay(plant, 0.2, logparams, N=0,
                              input_quantization=("uniform", 0.5))
         traj, rep = run_closed_loop(plant, _constant_policy(ts, -1.0),

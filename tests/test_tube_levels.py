@@ -13,9 +13,8 @@ from symquant import (LogQuantizerParams, TimeDelaySystem,
                       sample_frr_timedelay)
 from symquant.abstraction import (AbstractState, SplineTube, TransitionSystem,
                                   _boxes_meet_knot_cells, _BuildContext,
-                                  _knot_widths, input_lattice,
-                                  knot_times, psi2, transition_arrays,
-                                  tube_interpolant)
+                                  input_lattice, knot_times, psi2,
+                                  transition_arrays)
 from symquant.dynamics import (IntegrationError, SampledCurve,
                                integrate_delay_batch, interpolate_batch)
 from symquant.frr import _EDGE, FrrReport, Violation
@@ -28,11 +27,28 @@ ZOOM = {0: ZoomQuantizerParams(10, 1.0, 0.1)}
 
 
 def delay_plant(rhs=DELAY_RHS, Theta=0.2, r=0.2, x0=(-0.72, -0.72)):
-    x0 = np.array(x0, dtype=float)
-    xi0 = SampledCurve.constant(-Theta, 0.0, x0) if Theta > 0 else \
-        SampledCurve(0.0, 0.0, x0[None, :])
+    xi0 = SampledCurve(0.0 - Theta, 0.0, np.array([x0], dtype=float))
     return TimeDelaySystem.from_strings(rhs, [-1, -1], [1, 1], [-2.5], [2.5],
                                         Theta=Theta, r=r, xi0=xi0)
+
+
+def quantized_functional(tube, part, Theta):
+    """The grid rows of a tube's quantized functional, from the cell
+    objects: the knots' quantized points, the last alone when Theta = 0."""
+    pts = np.array([part.cell(k).quantized_point for k in tube.knots])
+    return pts if Theta > 0 else pts[-1:]
+
+
+def knot_widths(tube, part):
+    """Each knot's quantization width, from the zoom records and the cell
+    objects: its record's bin width on a zoom subcell, half the cell's
+    widest extent elsewhere."""
+    out = []
+    for k in tube.knots:
+        z = [z for z in part.zoom.values() if z.first_id <= k < z.first_id + z.count]
+        c = part.cell(k)
+        out.append(z[0].params.width if z else float(np.max(c.upper - c.lower)) / 2.0)
+    return out
 
 
 def reference_build(sys, tau, lattice, N=0,
@@ -59,9 +75,9 @@ def reference_build(sys, tau, lattice, N=0,
     while head < len(order):
         tube, tid = order[head], head
         head += 1
-        hist = tube_interpolant(tube, part, sys.Theta)
-        radius = max(_knot_widths(tube, part)) * amp
-        H = np.repeat(hist.values[:, :, None], len(inputs), axis=2)
+        hist = quantized_functional(tube, part, sys.Theta)
+        radius = max(knot_widths(tube, part)) * amp
+        H = np.repeat(hist[:, :, None], len(inputs), axis=2)
         knots = interpolate_batch(integrate_delay_batch(sys, H, U, tau, steps),
                                   sys.Theta, thetas)
         for iid in range(len(inputs)):
@@ -140,7 +156,8 @@ def test_zoomed_knots_with_small_boxes():
     sys = delay_plant()
     ts = assert_same_build(sys, zoomed(sys), N=1, lipschitz=1.0,
                            growth_scale=0.25, budget=60)
-    assert any(ts.partition.zoom_params_of(k) for s in ts.states
+    # subcell ids follow the base cells' ids
+    assert any(k >= len(ts.partition.base_cells) for s in ts.states
                for k in s.tube.knots)
     fan_out = np.diff(ts.indptr)
     assert 0 < fan_out[fan_out > 0].min() < len(ts.states)
@@ -297,7 +314,7 @@ def reference_witness(sys, ts, n_samples, seed, lipschitz=6.0):
             skipped += 1
             continue
         iid = enabled[int(row[1] * len(enabled))]
-        bounds = _knot_widths(tube, part)
+        bounds = knot_widths(tube, part)
         pts = []
         for j, k in enumerate(tube.knots):
             c = part.cell(k)
@@ -315,7 +332,7 @@ def reference_witness(sys, ts, n_samples, seed, lipschitz=6.0):
 
     P = np.stack([pts for _, _, pts in drawn], axis=2)
     samples = knot_points(P if sys.Theta > 0 else P[-1:], [i for _, i, _ in drawn])
-    H = np.stack([tube_interpolant(ts.states[sid].tube, part, sys.Theta).values
+    H = np.stack([quantized_functional(ts.states[sid].tube, part, sys.Theta)
                   for sid, _, _ in drawn], axis=2)
     nominal = knot_points(H, [i for _, i, _ in drawn])
     violations, checked = [], 0
@@ -324,7 +341,7 @@ def reference_witness(sys, ts, n_samples, seed, lipschitz=6.0):
         if np.any(sample < sys.state_lo) or np.any(sample > sys.state_hi):
             skipped += 1
             continue
-        radius = max(_knot_widths(ts.states[sid].tube, part)) * amp
+        radius = max(knot_widths(ts.states[sid].tube, part)) * amp
         checked += 1
         got = []
         for kj in range(len(thetas)):
