@@ -1,17 +1,17 @@
 """Concrete plant models and fixed-step integrators.
 
-Delay-free systems are integrated with classical RK4 under a constant input
-by a function generated once per system (expr.compile_rk4): it runs every
-step with each coordinate in a local variable and each right-hand side
-inlined.  Its scalar form steps floats; its vector form steps (K,) arrays,
-one column per trajectory, from the same source, so every column of
-integrate_batch equals integrate bit for bit.
+Both plant kinds are integrated with classical RK4 by a function generated
+once per system (expr.compile_rk4) that runs every step with each coordinate
+in a local variable and each right-hand side inlined.  Its scalar form steps
+floats and its vector form (K,) arrays, one column per trajectory, from one
+source, so every column of a batch equals the single run bit for bit.
 
 Time-delay systems use the method of steps: the substep is capped at the
 smallest positive delay so every delayed argument falls in the already
-computed part of the trajectory, which is stored on a fine uniform grid and
-linearly interpolated.  One period runs under the input active on [0, tau];
-the input delay r, a whole number of sampling periods, is applied by the
+computed part of the trajectory, which the kernel reads through a callback
+at each stage time and stores step by step on a fine uniform grid, linearly
+interpolated.  One period runs under the input active on [0, tau]; the
+input delay r, a whole number of sampling periods, is applied by the
 closed loop, which buffers the inputs of the last r/tau periods (sim).
 
 The sampled-Jacobian rate, the time-delay build's L and the delay-free
@@ -116,6 +116,10 @@ class _Plant:
     input_lo: np.ndarray
     input_hi: np.ndarray
     f: Tuple[Expression, ...]
+    _rk4fn: Optional[Callable] = field(default=None, init=False, repr=False,
+                                     compare=False)
+    _vrk4fn: Optional[Callable] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         for name in ("state_lo", "state_hi", "input_lo", "input_hi"):
@@ -136,15 +140,34 @@ class _Plant:
         points = np.asarray(points, dtype=float)
         return np.all((self.state_lo <= points) & (points <= self.state_hi), axis=-1)
 
+    @property
+    def rk4(self) -> Callable:
+        """Generated RK4 kernel on floats, cached on first use; see
+        expr.compile_rk4 (with history callbacks for a TimeDelaySystem)."""
+        if self._rk4fn is None:
+            object.__setattr__(self, "_rk4fn", compile_rk4(
+                self.f, self.m, False, IntegrationError, isinstance(self, TimeDelaySystem)))
+        return self._rk4fn
+
+    @property
+    def vrk4(self) -> Callable:
+        """The vector form of rk4: x and u are lists of (K,) arrays, one per
+        coordinate, and column j of the result equals rk4 at column j of the
+        arguments bit for bit.  Cached on first use."""
+        if self._vrk4fn is None:
+            object.__setattr__(self, "_vrk4fn", compile_rk4(
+                self.f, self.m, True, IntegrationError, isinstance(self, TimeDelaySystem)))
+        return self._vrk4fn
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_rk4fn"] = state["_vrk4fn"] = None  # regenerated on demand
+        return state
+
 
 @dataclass(frozen=True)
 class ControlSystem(_Plant):
     """Delay-free plant: dims, state/input boxes, and n rhs expressions."""
-
-    _rk4fn: Optional[Callable] = field(default=None, init=False, repr=False,
-                                     compare=False)
-    _vrk4fn: Optional[Callable] = field(default=None, init=False, repr=False,
-                                      compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -158,30 +181,6 @@ class ControlSystem(_Plant):
         return ControlSystem(len(f), len(np.atleast_1d(input_lo)),
                              state_lo, state_hi,
                              np.atleast_1d(input_lo), np.atleast_1d(input_hi), f)
-
-    @property
-    def rk4(self) -> Callable:
-        """Generated RK4 kernel (x, u, h, steps) -> list of floats, cached
-        on first use; see expr.compile_rk4."""
-        if self._rk4fn is None:
-            object.__setattr__(self, "_rk4fn",
-                               compile_rk4(self.f, self.m, False, IntegrationError))
-        return self._rk4fn
-
-    @property
-    def vrk4(self) -> Callable:
-        """The vector form of rk4: x and u are lists of (K,) arrays, one per
-        coordinate, and column j of the result equals rk4 at column j of the
-        arguments bit for bit.  Cached on first use."""
-        if self._vrk4fn is None:
-            object.__setattr__(self, "_vrk4fn",
-                               compile_rk4(self.f, self.m, True, IntegrationError))
-        return self._vrk4fn
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_rk4fn"] = state["_vrk4fn"] = None  # regenerated on demand
-        return state
 
 
 @dataclass(frozen=True)
@@ -232,14 +231,6 @@ class TimeDelaySystem(_Plant):
 # delay-free RK4
 
 DEFAULT_STEPS = 20
-
-
-def _floats_finite(x: list) -> bool:
-    return all(math.isfinite(v) for v in x)
-
-
-def _arrays_finite(x: list) -> bool:
-    return all(np.isfinite(v).all() for v in x)
 
 
 def integrate(sys: ControlSystem, x0, u, tau: float, steps: int = DEFAULT_STEPS) -> np.ndarray:
@@ -302,8 +293,8 @@ def _vector_or_each(vector: Callable, one: Callable, count: int, axis: int):
 # method of steps for time-delay systems
 
 
-def _method_of_steps(sys: TimeDelaySystem, fns, values: np.ndarray, u: list,
-                     tau: float, steps: int, finite) -> np.ndarray:
+def _method_of_steps(sys: TimeDelaySystem, values: np.ndarray, u: list,
+                     tau: float, steps: int) -> np.ndarray:
     """One sampling period of the method of steps from the history `values`.
 
     values is (k+1, n) for one history or (k+1, n, K) for K histories, all
@@ -311,8 +302,10 @@ def _method_of_steps(sys: TimeDelaySystem, fns, values: np.ndarray, u: list,
     [0, tau], one float or (K,) array per coordinate.  Returns
     x(tau + theta) for theta in [-Theta, 0] on the history grid, (k+1, n)
     or (k+1, n, K); a single row when Theta = 0.  Both shapes run this same
-    body, so every column of a batch equals the single run bit for bit.
+    body and the two forms of the system's kernel, so every column of a
+    batch equals the single run bit for bit.
     """
+    sys.input_delay_periods(tau)
     if sys.Theta > 0.0 and values.shape[0] == 1:
         # one row is a constant curve: the same curve sampled at both ends
         values = np.concatenate([values, values])
@@ -329,10 +322,9 @@ def _method_of_steps(sys: TimeDelaySystem, fns, values: np.ndarray, u: list,
     h_des = min(tau / steps, sys.min_positive_delay())
     m_sub = max(1, int(math.ceil(h_hist / h_des - 1e-12)))
     h = h_hist / m_sub
-    n = sys.n
 
-    # trajectory samples on the fine grid from -Theta to tau, filled as we
-    # go; delays read the filled rows only, as the rest is uninitialized
+    # samples on the fine grid from -Theta to tau, stored step by step;
+    # delays read the filled rows only, as the rest is uninitialized
     n_past = n_hist * m_sub
     n_fwd = n_tau_coarse * m_sub
     traj = np.empty((n_past + n_fwd + 1,) + values.shape[1:])
@@ -341,39 +333,17 @@ def _method_of_steps(sys: TimeDelaySystem, fns, values: np.ndarray, u: list,
     filled = n_past + 1
     past = lambda t: _interp(traj[:filled], -sys.Theta, h, t)
 
-    # one trajectory steps on floats, a batch on (K,) rows; delayed values
-    # reach the expressions as floats too, so x/0 raises as in integrate()
-    if traj.ndim == 2:
-        x = traj[n_past].tolist()
-        delayed = lambda t: past(t).tolist()
-    else:
-        x = list(traj[n_past].copy())
-        delayed = past
-
-    def stage(t: float, x: list) -> list:
-        def hist(theta: float):
-            if theta == 0.0:
-                return x
-            return delayed(t - theta)
-        return [fn(x, u, hist) for fn in fns]
-
-    for k in range(n_fwd):
-        t = k * h
-        try:
-            k1 = stage(t, x)
-            k2 = stage(t + 0.5 * h, [x[i] + 0.5 * h * k1[i] for i in range(n)])
-            k3 = stage(t + 0.5 * h, [x[i] + 0.5 * h * k2[i] for i in range(n)])
-            k4 = stage(t + h, [x[i] + h * k3[i] for i in range(n)])
-        except (ArithmeticError, ValueError) as err:
-            raise IntegrationError(
-                f"derivative evaluation failed at t={t:.6g}: {err}") from err
-        x = [x[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-             for i in range(n)]
-        if not finite(x):
-            raise IntegrationError(f"non-finite state at t={t + h:.6g}")
+    def store(x: list) -> None:
+        nonlocal filled
         traj[filled] = x
         filled += 1
 
+    # one trajectory steps on floats, a batch on (K,) rows; delayed values
+    # reach the expressions as floats too, so x/0 raises as in integrate()
+    if traj.ndim == 2:
+        sys.rk4(traj[n_past].tolist(), u, h, n_fwd, lambda t: past(t).tolist(), store)
+    else:
+        sys.vrk4(list(traj[n_past]), u, h, n_fwd, past, store)
     return traj[n_fwd::m_sub].copy()  # x(tau + theta) on the history grid
 
 
@@ -385,15 +355,16 @@ def integrate_delay(sys: TimeDelaySystem, history: SampledCurve, u, tau: float,
     Theta and tau; a single row over Theta > 0 is a constant curve, stepped
     on the grid {-Theta, 0}.  u is the input active on [0, tau]; with an
     input delay r, that is the input chosen r/tau periods earlier, which
-    the caller supplies (run_closed_loop buffers it).
-    Returns x(tau + theta) for theta in [-Theta, 0] on the same grid.
+    the caller supplies (run_closed_loop buffers it), and r must be a whole
+    number of periods.  Returns x(tau + theta) for theta in [-Theta, 0] on
+    the same grid.
     """
     if abs(history.t0 - (-sys.Theta)) > 1e-9 or abs(history.t1) > 1e-9:
         raise ValueError(f"history must cover [-Theta, 0], got [{history.t0}, {history.t1}]")
-    out = _method_of_steps(sys, [e.fn for e in sys.f], history.values,
-                           [float(v) for v in np.atleast_1d(u)], tau, steps,
-                           _floats_finite)
-    return history_curve(out, sys.Theta)
+    u = np.asarray(u, dtype=float).ravel().tolist()
+    if len(u) != sys.m:
+        raise ValueError(f"need u of length {sys.m}, got {len(u)}")
+    return history_curve(_method_of_steps(sys, history.values, u, tau, steps), sys.Theta)
 
 
 def integrate_delay_batch(sys: TimeDelaySystem, H, U, tau: float,
@@ -407,7 +378,7 @@ def integrate_delay_batch(sys: TimeDelaySystem, H, U, tau: float,
     integrate_delay(sys, SampledCurve(-Theta, 0, H[:, :, j]), U[:, j], tau,
     steps).values, bit for bit.  When any trajectory fails, the error is
     the one integrate_delay() raises for the first failing column.  An r
-    that is not a whole number of periods is refused, as in the closed loop.
+    that is not a whole number of periods is refused, as in integrate_delay.
     """
     H = np.asarray(H, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -417,10 +388,8 @@ def integrate_delay_batch(sys: TimeDelaySystem, H, U, tau: float,
                          f"({sys.m}, K), got {H.shape} and {U.shape}")
     if sys.Theta == 0.0 and H.shape[0] != 1:
         raise ValueError("degenerate interval needs exactly one sample")
-    sys.input_delay_periods(tau)
-    fns = [e.vfn for e in sys.f]
     return _vector_or_each(
-        lambda: _method_of_steps(sys, fns, H, list(U), tau, steps, _arrays_finite),
+        lambda: _method_of_steps(sys, H, list(U), tau, steps),
         lambda j: integrate_delay(sys, SampledCurve(-sys.Theta, 0.0, H[:, :, j]),
                                   U[:, j], tau, steps).values,
         H.shape[2], 2)
@@ -440,6 +409,14 @@ def interpolate_batch(values: np.ndarray, Theta: float, times) -> np.ndarray:
 
 SAFETY = 1.1
 _FD_EPS = 1e-6
+
+
+def _floats_finite(x: list) -> bool:
+    return all(math.isfinite(v) for v in x)
+
+
+def _arrays_finite(x: list) -> bool:
+    return all(np.isfinite(v).all() for v in x)
 
 
 def _axis_samples(lo, hi) -> list:

@@ -323,9 +323,9 @@ def _names(n: int, m: int, x: str, u: str) -> dict:
 
 def _emit(node: Node, table: dict, ns: dict, lines: List[str],
           names: dict) -> str:
-    """Text holding node's value: a bound constant, a variable's text from
-    names, or a temporary whose assignment is appended to lines after those
-    of its operands."""
+    """Text holding node's value: a bound constant, a variable's or delay()
+    term's text from names, or a temporary whose assignment is appended to
+    lines after those of its operands (h(theta)[i] for an unnamed delay)."""
     def bind(value) -> str:
         name = f"_c{len(ns) - 1}"
         ns[name] = value
@@ -333,7 +333,7 @@ def _emit(node: Node, table: dict, ns: dict, lines: List[str],
 
     if isinstance(node, Const):
         return bind(node.value)
-    if isinstance(node, (StateVar, InputVar)):
+    if isinstance(node, (StateVar, InputVar, DelayVar)) and node in names:
         return names[node]
     if isinstance(node, DelayVar):
         text = f"h({bind(node.theta)})[{int(node.index) - 1}]"
@@ -359,30 +359,39 @@ def _finite_array(a) -> bool:
     return bool(np.isfinite(a).all())
 
 
-def compile_rk4(f: Sequence[Expression], m: int, vector: bool,
-                error: type) -> Callable:
-    """Generate one Python function (x, u, h, steps) that runs `steps`
-    classical RK4 steps of size h for x' = f(x, u) under the constant input
-    u and returns the end state as a list, one entry per coordinate.
+def compile_rk4(f: Sequence[Expression], m: int, vector: bool, error: type,
+                history: bool = False) -> Callable:
+    """Generate one Python function that runs `steps` classical RK4 steps of
+    size h for x' = f(x, u) under the constant input u and returns the end
+    state as a list; x and u hold exactly n and m entries.  The scalar form
+    (vector=False) steps floats; the vector form steps (K,) arrays, one
+    column per trajectory, and every column equals the scalar run bit for
+    bit: the two forms differ only in the function table and finiteness test.
 
-    f holds one expression without delay() terms per state coordinate.  The
-    scalar form (vector=False) steps floats; the vector form steps
-    (K,) arrays, one column per trajectory, and every column equals the
-    scalar run bit for bit.  The two forms share this source and differ
-    only in the function table and the finiteness test.  For f = (x2, -x1)
-    the generated function is
+    Without history the function is (x, u, h, steps) and f has no delay()
+    terms.  With history, the method of steps' kernel, it is
+    (x, u, h, steps, _past, _store): step s starts at _t = s*h; each stage
+    reads every positive delay theta once, as _past(t - theta) at its stage
+    time t, an (n,) list or (n, K) array; delay(x_i, 0) is the stage's own
+    x_i; each finished step's state goes to _store; and each stage rebinds
+    the names of the one before (_d0, _t2, ...), so a step holds one stage's
+    temporaries, not four.  For f = (x2, -delay(x1, 0.1) + u1) it is
 
-        def _rk4(x, u, h, steps):
+        def _rk4(x, u, h, steps, _past, _store):
             [_x0, _x1] = x
             [_u0] = u
             _hh = 0.5 * h
             _h6 = h / 6.0
             for _s in _range(steps):
+                _t = _s * h
                 try:
+                    _d0 = _past(_t - _th0)
                     _k1_0 = _x1
-                    _t1 = (-_x0)
-                    _k1_1 = _t1
-                    _y0 = _x0 + _hh * _k1_0
+                    _t2 = (-_d0[0])
+                    ...
+                    _y1 = _x1 + _hh * _k1_1
+                    _d0 = _past(_t + _hh - _th0)
+                    _t2 = (-_d0[0])
                     ...
                     _x0 = _x0 + _h6 * (_k1_0 + 2.0 * _k2_0 + 2.0 * _k3_0 + _k4_0)
                     _x1 = ...
@@ -390,56 +399,68 @@ def compile_rk4(f: Sequence[Expression], m: int, vector: bool,
                     raise _E(f"derivative evaluation failed at t=...") from _err
                 if not (_fin(_x0) and _fin(_x1)):
                     raise _E(f"non-finite state at t=...")
+                _store([_x0, _x1])
             return [_x0, _x1]
 
-    Every coordinate lives in a local variable and every right-hand side is
-    inlined by _emit, in coordinate order, with the association of the
-    textbook scheme: x + 0.5*h*k for the stage points and
-    x + (h/6)*(k1 + 2*k2 + 2*k3 + k4) for the step.  error is raised with
-    t = s*h when an evaluation fails in step s and with t = (s+1)*h when
-    step s ends in a non-finite state.  x and u must hold exactly n and m
-    entries.
+    and without history the _t, _d and _store lines are absent.  Every
+    coordinate is a local variable and every right-hand side is inlined by
+    _emit, in coordinate order, with the textbook association.  error is
+    raised with t = s*h when an evaluation or the step fails in step s, and
+    with t = (s+1)*h (_t + h with history) when it ends in a non-finite state.
     """
     table = _vector_table() if vector else _FN
     ns: dict = {"__builtins__": {}, "_range": range, "_E": error,
                 "_errors": (ArithmeticError, ValueError),
                 "_fin": _finite_array if vector else math.isfinite}
     n = len(f)
-    at_x = _names(n, m, "_x{}", "_u{}")
-    at_y = _names(n, m, "_y{}", "_u{}")
+    delays = sorted({d for e in f for d in e.delays()})
+    thetas = sorted({th for _, th in delays if th > 0.0})
+    ns.update({f"_th{k}": th for k, th in enumerate(thetas)})
 
     body: List[str] = []
 
-    def stage(s: int, names: dict) -> None:
+    def stage(s: int, x: str, t: str) -> None:
+        # the state at x; each positive delay read once, at stage time t
+        lines = [] if history else body
+        names = _names(n, m, x, "_u{}")
+        lines.extend(f"_d{k} = _past({t} - _th{k})" for k in range(len(thetas)))
+        for i, th in delays:
+            names[DelayVar(i, th)] = (f"_d{thetas.index(th)}[{i - 1}]"
+                                      if th > 0.0 else x.format(i - 1))
         for i, e in enumerate(f):
-            body.append(f"_k{s}_{i} = {_emit(e.root, table, ns, body, names)}")
+            lines.append(f"_k{s}_{i} = {_emit(e.root, table, ns, lines, names)}")
+        if history:
+            body.extend(lines)
 
-    stage(1, at_x)
+    stage(1, "_x{}", "_t")
     body.extend(f"_y{i} = _x{i} + _hh * _k1_{i}" for i in range(n))
-    stage(2, at_y)
+    stage(2, "_y{}", "_t + _hh")
     body.extend(f"_y{i} = _x{i} + _hh * _k2_{i}" for i in range(n))
-    stage(3, at_y)
+    stage(3, "_y{}", "_t + _hh")
     body.extend(f"_y{i} = _x{i} + h * _k3_{i}" for i in range(n))
-    stage(4, at_y)
+    stage(4, "_y{}", "_t + h")
     body.extend(f"_x{i} = _x{i} + _h6 * (_k1_{i} + 2.0 * _k2_{i} "
                 f"+ 2.0 * _k3_{i} + _k4_{i})" for i in range(n))
     xs = ", ".join(f"_x{i}" for i in range(n))
     us = ", ".join(f"_u{j}" for j in range(m))
     finite = " and ".join(f"_fin(_x{i})" for i in range(n)) or "True"
+    end = "_t + h" if history else "(_s + 1) * h"
     src = "\n".join([
-        "def _rk4(x, u, h, steps):",
+        f"def _rk4(x, u, h, steps{', _past, _store' if history else ''}):",
         f"    [{xs}] = x",
         f"    [{us}] = u",
         "    _hh = 0.5 * h",
         "    _h6 = h / 6.0",
         "    for _s in _range(steps):",
+        *(["        _t = _s * h"] if history else []),
         "        try:",
         *(f"            {line}" for line in body),
         "        except _errors as _err:",
         "            raise _E(f'derivative evaluation failed at t={_s * h:.6g}: "
         "{_err}') from _err",
         f"        if not ({finite}):",
-        "            raise _E(f'non-finite state at t={(_s + 1) * h:.6g}')",
+        f"            raise _E(f'non-finite state at t={{{end}:.6g}}')",
+        *([f"        _store([{xs}])"] if history else []),
         f"    return [{xs}]",
     ])
     exec(src, ns)

@@ -1,8 +1,10 @@
 """Batched integrators and Lipschitz estimates against their one-trajectory
 and one-cell forms: every column bit for bit, errors alike.  integrate_batch
 is checked against integrate, integrate_delay_batch against integrate_delay,
-estimate_lipschitz_batch against estimate_lipschitz."""
+estimate_lipschitz_batch against estimate_lipschitz; both time-delay entry
+points are also checked against an interpreted method of steps."""
 
+import math
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from symquant import LogQuantizerParams, ZoomQuantizerParams, build_delayfree
 from symquant.dynamics import (ControlSystem, IntegrationError, SampledCurve,
-                               TimeDelaySystem, estimate_lipschitz,
+                               TimeDelaySystem, _interp, estimate_lipschitz,
                                estimate_lipschitz_batch, integrate,
                                integrate_batch, integrate_delay,
                                integrate_delay_batch)
@@ -140,8 +142,7 @@ def delay_plant(name: str, pendulum_delay) -> TimeDelaySystem:
 
 
 def scalar_delay_run(sys, H, U, tau, j):
-    # the closed loop's check of r, then one period under column j's input
-    sys.input_delay_periods(tau)
+    # one period under column j's input
     hist = SampledCurve(-sys.Theta, 0.0, H[:, :, j])
     return integrate_delay(sys, hist, U[:, j], tau).values
 
@@ -166,6 +167,9 @@ def test_delay_batch_keeps_the_scalar_checks(pendulum_delay):
     U = np.zeros((1, 4))
     with pytest.raises(ValueError, match="shape"):
         integrate_delay_batch(pendulum_delay, H, np.zeros((1, 3)), 0.2)
+    with pytest.raises(ValueError, match="need u of length 1, got 2"):
+        integrate_delay(pendulum_delay, SampledCurve(-0.2, 0.0, H[:, :, 0]),
+                        [0.0, 0.0], 0.2)
     # r = 0.2 is not a whole number of periods of 0.3
     with pytest.raises(ValueError, match="integer multiple") as scalar:
         scalar_delay_run(pendulum_delay, H, U, 0.3, 0)
@@ -243,6 +247,155 @@ def test_delay_terms_fail_like_state_terms(rhs, start, why):
         with pytest.raises(IntegrationError) as err:
             integrate(plain, [start], [0.0], 0.2)
         assert str(err.value).startswith(head + " from x0=")
+
+
+# ---------------------------------------------------------------------------
+# the generated method-of-steps kernel against an interpreted stage loop
+
+def reference_method_of_steps(sys, values, u, tau, steps=20) -> np.ndarray:
+    """One period of the method of steps from one history, (k+1, n) rows on
+    the uniform grid over [-Theta, 0], under the input u: the textbook
+    stage loop over Expression.fn on floats, with integrate_delay's grid,
+    substep and error texts.  Returns the rows of x(tau + theta)."""
+    values = np.asarray(values, dtype=float)
+    if sys.Theta > 0.0 and values.shape[0] == 1:
+        values = np.concatenate([values, values])
+    n_hist = values.shape[0] - 1
+    spacing = sys.Theta / n_hist if n_hist else 0.0
+    h_hist = spacing if sys.Theta > 0.0 else tau
+    h_des = min(tau / steps, sys.min_positive_delay())
+    m_sub = max(1, int(math.ceil(h_hist / h_des - 1e-12)))
+    h = h_hist / m_sub
+    n_past, n_fwd = n_hist * m_sub, int(round(tau / h_hist)) * m_sub
+    traj = np.empty((n_past + n_fwd + 1, sys.n))
+    for j in range(n_past + 1):
+        traj[j] = _interp(values, -sys.Theta, spacing, -sys.Theta + j * h)
+    filled = n_past + 1
+    u = [float(v) for v in u]
+    x = traj[n_past].tolist()
+
+    def stage(t, y):
+        def hist(theta):  # delay(x_i, 0) is the stage point itself
+            if theta == 0.0:
+                return y
+            return _interp(traj[:filled], -sys.Theta, h, t - theta).tolist()
+        return [e.fn(y, u, hist) for e in sys.f]
+
+    for k in range(n_fwd):
+        t = k * h
+        try:
+            k1 = stage(t, x)
+            k2 = stage(t + 0.5 * h, [a + 0.5 * h * b for a, b in zip(x, k1)])
+            k3 = stage(t + 0.5 * h, [a + 0.5 * h * b for a, b in zip(x, k2)])
+            k4 = stage(t + h, [a + h * b for a, b in zip(x, k3)])
+        except (ArithmeticError, ValueError) as err:
+            raise IntegrationError(
+                f"derivative evaluation failed at t={t:.6g}: {err}") from err
+        x = [a + (h / 6.0) * (b + 2.0 * c + 2.0 * d + e)
+             for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, x)):
+            raise IntegrationError(f"non-finite state at t={t + h:.6g}")
+        traj[filled] = x
+        filled += 1
+    return traj[n_fwd::m_sub].copy()
+
+
+PENDULUM_DELAY_RHS = ["x2", "-1.96*sin(x1) - 1.5*x2 + 0.1*delay(x2, 0.2) + u1"]
+
+# name: (rhs, Theta, r, history rows); tau = 0.2 throughout
+REFERENCE_PLANTS = {
+    "delay-tubes": (PENDULUM_DELAY_RHS, 0.2, 0.2, 2),
+    "input-delay-only": (["x2", "-1.96*sin(x1) - 1.5*x2 + u1"], 0.0, 0.2, 1),
+    "zero-delay": (["x2", "-sin(delay(x1, 0)) - x2 + 0.2*delay(x1, 0)^2 + u1"],
+                   0.0, 0.0, 1),
+    # the 0.004 delay caps the substep below tau/steps = 0.01
+    "two-delays": (["x2 - 0.5*delay(x1, 0.004)",
+                    "-sin(x1) - x2 + 0.3*cos(delay(x1, 0.1)) "
+                    "- 0.2*delay(x2, 0.004) + u1"], 0.1, 0.0, 3),
+    "one-row-history": (PENDULUM_DELAY_RHS, 0.2, 0.2, 1),
+}
+
+
+def reference_plant(rhs, Theta, r) -> TimeDelaySystem:
+    return TimeDelaySystem.from_strings(rhs, [-1, -1], [1, 1], [-1], [1],
+                                        Theta=Theta, r=r)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_PLANTS))
+def test_method_of_steps_equals_the_interpreted_stage_loop(name):
+    rhs, Theta, r, rows = REFERENCE_PLANTS[name]
+    sys = reference_plant(rhs, Theta, r)
+    if name == "two-delays":
+        assert sys.min_positive_delay() < 0.2 / 20
+    rng = np.random.default_rng(rows)
+    H = rng.uniform(-1.0, 1.0, (rows, 2, 6))
+    U = rng.uniform(-1.0, 1.0, (1, 6))
+    batch = integrate_delay_batch(sys, H, U, 0.2)
+    for j in range(H.shape[2]):
+        want = reference_method_of_steps(sys, H[:, :, j], U[:, j], 0.2)
+        got = integrate_delay(sys, SampledCurve(-Theta, 0.0, H[:, :, j]),
+                              U[:, j], 0.2).values
+        assert got.tobytes() == want.tobytes(), (name, j)
+        assert batch[:, :, j].tobytes() == want.tobytes(), (name, j)
+
+
+def failing_runs(sys, H, U, j):
+    """The IntegrationError texts of the reference at column j, of
+    integrate_delay at column j and of integrate_delay_batch."""
+    texts = []
+    for run in (lambda: reference_method_of_steps(sys, H[:, :, j], U[:, j], 0.2),
+                lambda: integrate_delay(sys, SampledCurve(-sys.Theta, 0.0, H[:, :, j]),
+                                        U[:, j], 0.2),
+                lambda: integrate_delay_batch(sys, H, U, 0.2)):
+        with pytest.raises(IntegrationError) as err:
+            run()
+        texts.append(str(err.value))
+    return texts
+
+
+def test_division_by_zero_at_a_later_delayed_read():
+    # the history is 0 on [-0.05, 0], which the delayed read reaches at
+    # t = 0.05, several steps into the period
+    sys = TimeDelaySystem.from_strings(["1/delay(x1, 0.1)"], [-10], [10],
+                                       [0], [0], Theta=0.1, r=0.0)
+    H = np.ones((3, 1, 3))
+    H[1:, 0, 1] = 0.0
+    U = np.zeros((1, 3))
+    want, scalar, batch = failing_runs(sys, H, U, 1)
+    assert want.startswith("derivative evaluation failed at t=0.0")
+    assert want.endswith(": float division by zero") and "t=0:" not in want
+    assert scalar == batch == want
+
+
+BLOWUP_RHS = ["1e300*1e300*(0.5 - x1) + 0*delay(x1, 0.2)", "0*x2"]
+
+
+def test_a_step_to_inf_minus_inf_is_a_non_finite_state():
+    # the stages reach +inf and -inf, so the step adds inf to -inf: NaN on
+    # floats, an invalid operation in the vector form, which reruns the
+    # failing column on floats
+    sys = reference_plant(BLOWUP_RHS, 0.2, 0.0)
+    H = np.zeros((1, 2, 2))
+    H[0, 0] = [0.4, -0.4]
+    U = np.zeros((1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        texts = failing_runs(sys, H, U, 0)
+    assert texts == ["non-finite state at t=0.01"] * 3
+
+
+@pytest.mark.parametrize("entry", ["integrate_delay", "integrate_delay_batch"])
+def test_both_entry_points_refuse_a_fractional_input_delay(entry):
+    sys = reference_plant(PENDULUM_DELAY_RHS, 0.2, 0.3)
+    H = np.zeros((3, 2, 2))
+    U = np.zeros((1, 2))
+    with pytest.raises(ValueError) as err:
+        if entry == "integrate_delay":
+            integrate_delay(sys, SampledCurve(-0.2, 0.0, H[:, :, 0]), U[:, 0], 0.2)
+        else:
+            integrate_delay_batch(sys, H, U, 0.2)
+    assert str(err.value) == ("input delay r=0.3 is not an integer multiple "
+                              "of tau=0.2")
 
 
 # ---------------------------------------------------------------------------

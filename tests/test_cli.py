@@ -454,6 +454,22 @@ def test_evaluation_error_is_exit_1(tmp_path, capsys, rhs, why):
     assert why in err
 
 
+def test_time_delay_blowup_is_exit_1(tmp_path, capsys):
+    # the stages reach +inf and -inf in the first step, whose sum is NaN:
+    # the tube build reports the non-finite state, not a numpy traceback
+    cfg = tmp_path / "blowup.ini"
+    cfg.write_text("[system]\nn = 2\nm = 1\nf =\n"
+                   "    1e300*1e300*(0.5 - x1) + 0*delay(x1, 0.2)\n    0*x2\n"
+                   "state_lo = -1 -1\nstate_hi = 1 1\ninput_lo = -1\n"
+                   "input_hi = 1\ntheta = 0.2\nxi0 =\n    0.4 0\n\n"
+                   "[abstraction]\ntau = 0.2\neta = 0.2\nd = 0.4\nmu = 0.5\n"
+                   "lipschitz = 6\nN = 0\n")
+    rc = main(["abstract", "--config", str(cfg), "--out", str(tmp_path / "x.sts")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: non-finite state at t=0.01\n"
+    assert not (tmp_path / "x.sts").exists()
+
+
 def test_abstract_builds_a_plant_without_state_dependence(tmp_path, capsys):
     # x1' = u1: the sampled Jacobian is exactly 0, which the growth bound
     # accepts: every radius is its cell's largest spread

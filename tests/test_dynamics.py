@@ -4,9 +4,11 @@ import pickle
 import numpy as np
 import pytest
 
+from symquant import dynamics
 from symquant.dynamics import (ControlSystem, IntegrationError, SampledCurve,
                                TimeDelaySystem, estimate_lipschitz, integrate,
-                               integrate_batch, integrate_delay)
+                               integrate_batch, integrate_delay,
+                               integrate_delay_batch)
 from symquant.expr import FUNCTIONS, Binary, Unary
 from symquant.quantizers import Cell
 
@@ -206,6 +208,34 @@ def test_pickle_drops_and_regenerates_the_kernel():
     assert integrate(copy, X[:, 0], U[:, 0], 0.2).tobytes() == want.tobytes()
     assert integrate_batch(copy, X, U, 0.2).tobytes() == want_batch.tobytes()
     assert copy._rk4fn is not None and copy._rk4fn is not sys._rk4fn
+
+
+def test_time_delay_plant_caches_and_pickles_its_kernels(monkeypatch):
+    # each kernel form is generated once per plant, in the method of steps'
+    # form, and dropped on pickling like a ControlSystem's
+    calls = []
+    compile_rk4 = dynamics.compile_rk4
+
+    def counted(*args):
+        calls.append(args[2:])
+        return compile_rk4(*args)
+    monkeypatch.setattr(dynamics, "compile_rk4", counted)
+    sys = TimeDelaySystem.from_strings(
+        ["x2", "-1.96*sin(x1) - 1.5*x2 + 0.1*delay(x2, 0.2) + u1"],
+        [-1, -1], [1, 1], [-2.5], [2.5], Theta=0.2, r=0.2)
+    H = np.array([[[-0.3, 0.4], [0.2, -0.1]], [[-0.2, 0.5], [0.1, 0.0]]])
+    U = np.array([[1.0, -2.0]])
+    hist = SampledCurve(-0.2, 0.0, H[:, :, 0])
+    want = integrate_delay(sys, hist, U[:, 0], 0.2).values
+    want_batch = integrate_delay_batch(sys, H, U, 0.2)
+    assert integrate_delay(sys, hist, U[:, 0], 0.2).values.tobytes() == want.tobytes()
+    assert integrate_delay_batch(sys, H, U, 0.2).tobytes() == want_batch.tobytes()
+    assert calls == [(False, IntegrationError, True), (True, IntegrationError, True)]
+    copy = pickle.loads(pickle.dumps(sys))
+    assert copy._rk4fn is None and copy._vrk4fn is None
+    assert integrate_delay(copy, hist, U[:, 0], 0.2).values.tobytes() == want.tobytes()
+    assert integrate_delay_batch(copy, H, U, 0.2).tobytes() == want_batch.tobytes()
+    assert len(calls) == 4 and copy._rk4fn is not sys._rk4fn
 
 
 @pytest.mark.parametrize("plant", [ControlSystem, TimeDelaySystem])
