@@ -34,7 +34,7 @@ plant = ControlSystem.from_strings(
 print("building the abstraction (L = 6, tau = 0.2) ...")
 ts = build_delayfree(plant, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
                      lipschitz=6.0)
-print(f"  {len(ts.states)} states, {len(ts.inputs)} inputs, "
+print(f"  {len(ts.ids)} states, {len(ts.inputs)} inputs, "
       f"{ts.n_transitions} transitions")
 write_ts(ts, str(OUT / "pendulum.sts"))
 

@@ -33,8 +33,8 @@ coarse = build_delayfree(plant, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
 center = coarse.partition.locate(np.array([0.0, 0.0]))
 
 fine = refine_cells(coarse, {center: ZoomQuantizerParams(1, 1.0, 0.3)})
-print(f"refined center cell {center}: {len(coarse.states)} -> "
-      f"{len(fine.states)} states")
+print(f"refined center cell {center}: {len(coarse.ids)} -> "
+      f"{len(fine.ids)} states")
 
 phi = 0.3
 cid = lambda x, y: fine.partition.locate(np.array([x, y]))
@@ -45,17 +45,17 @@ print("waypoint subcells:", " -> ".join(str(q) for q in legs))
 
 spec = Specification("sequence", [(q,) for q in legs])
 ctrl = synthesize_sequence(fine, spec, mode="hold")
-print(f"synthesis succeeded: {ctrl.n_phases} phases over {len(fine.states)} "
+print(f"synthesis succeeded: {ctrl.n_phases} phases over {len(fine.ids)} "
       f"states")
 for p, table in enumerate(ctrl.phases):
-    gap = "" if len(table) == len(fine.states) else "   <- partial"
+    gap = "" if len(table) == len(fine.ids) else "   <- partial"
     print(f"  phase {p:2d}: target {ctrl.waypoints[p]}, "
-          f"{len(table)}/{len(fine.states)} states covered{gap}")
+          f"{len(table)}/{len(fine.ids)} states covered{gap}")
 
 # the loop re-locates the state every period, so it only ever consults
 # table entries along the actual orbit; a landing outside a partial
 # phase's coverage would stop the run with a named diagnostic
-start = fine.partition.cell(legs[1]).quantized_point
+start = fine.partition.cell_arrays(legs[1])[2]
 print(f"\nclosed loop from {start.tolist()}:")
 traj, report = run_closed_loop(plant, ctrl, RefinementMap.from_ts(fine),
                                x0=start, tau=0.2, max_steps=200)

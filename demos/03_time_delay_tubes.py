@@ -28,15 +28,12 @@ plant = TimeDelaySystem.from_strings(
 print("exploring tubes from the constant corner history ...")
 ts = build_timedelay(plant, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
                      N=0, budget=1000)
-print(f"  discovered {len(ts.states)} tubes, {ts.n_transitions} transitions")
+print(f"  discovered {len(ts.ids)} tubes, {ts.n_transitions} transitions")
 
-knots = {}
-for s in ts.states:
-    knots.setdefault(len(set(s.tube.knots)), 0)
-    knots[len(set(s.tube.knots))] += 1
-flat = knots.get(1, 0)
+# a tube is a row of knot cell ids
+flat = sum(len(set(knots)) == 1 for knots in ts.knots.tolist())
 print(f"  {flat} tubes stay inside one cell over the whole window, "
-      f"{len(ts.states) - flat} cross a cell boundary")
+      f"{len(ts.ids) - flat} cross a cell boundary")
 
 print("\nsampled refinement check (200 draws, seed 1):")
 report = sample_frr_timedelay(ts, 200, 1)
@@ -57,4 +54,4 @@ flat_plant = TimeDelaySystem.from_strings(
 ts0 = build_timedelay(flat_plant, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
                       N=0, budget=1000)
 rep0 = sample_frr_timedelay(ts0, 200, 1)
-print(f"  single-knot tubes: {len(ts0.states)} states; " + rep0.as_text())
+print(f"  single-knot tubes: {len(ts0.ids)} states; " + rep0.as_text())

@@ -6,12 +6,14 @@ around the nominal endpoint integrate(q, u, tau) of radius
 
     growth_scale * e^(mu*tau) * max_i s_i                on every axis,
 
-s = Cell.spread(), the largest distance from the quantized point q to the
-cell on each axis, and mu the cell's sampled matrix measure over the cell
-grown by 1.1*tau*max|f| (estimate_lipschitz with tau), or a numeric
-lipschitz as given: one rule for log, merged, deadzone and zoom cells.
-The build stays on flat arrays from start to end: one rate estimate over
-all C cells, the (C,) radii, a preallocated (C, I, n) array that each
+s = max(q - lower, upper - q), the largest distance from the quantized
+point q to the cell on each axis, and mu the cell's sampled matrix measure
+over the cell grown by 1.1*tau*max|f| (estimate_lipschitz with tau), or a
+numeric lipschitz as given: one rule for log, merged, deadzone and zoom
+cells.  A cell is an id: its bounds and q are rows of the partition's cell
+table (Partition.cell_arrays).  The build stays on flat arrays from start
+to end: the (C, n) bounds and quantized points of all C cells, one rate
+estimate over them, the (C,) radii, a preallocated (C, I, n) array that each
 integrate() call writes its nominal endpoint into, the blocked pairs, and
 the growth boxes as (C*I, n) arrays in CSR row order.  Each box row goes to
 one Partition.intersecting() query, whose cell ids are appended to an int32
@@ -54,7 +56,8 @@ successors).  Exploration runs one breadth-first level at a time: one
 method-of-steps batch over every (tube, input) pair of the level, one
 array test for blocked pairs, one Partition.locate_batch call for all
 nominal knots, then a walk over the pairs in (tube, input) order that
-numbers new tubes.  The model keeps every pair's nominal knot points
+numbers new tubes.  The model keeps its tubes' knot cell ids as one
+(T, N+2) array (ts.knots), every pair's nominal knot points
 (ts.endpoints) and each tube's growth radius (ts.radius), and the successor
 sets come from one closed-box test of those growth boxes against the knot
 cells of all discovered tubes.
@@ -79,14 +82,16 @@ from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
                        DEFAULT_STEPS, estimate_lipschitz,
                        estimate_lipschitz_batch, history_curve, history_rows,
                        integrate, integrate_delay_batch, interpolate_batch)
-from .quantizers import (Cell, LogQuantizerParams, Partition, ZoomQuantizerParams,
+from .quantizers import (LogQuantizerParams, Partition, ZoomQuantizerParams,
                          _boundaries_up_to)
 
 
 def growth_bound_delayfree(spread, rate, tau: float) -> np.ndarray:
     """The radius e^(rate*tau) * max_i spread_i on every axis: of one cell's
-    Cell.spread() (n,) under a float rate, or of C cells' (C, n) under (C,)
-    rates.  A rate may be negative or zero, but it must be a number."""
+    spread (n,) under a float rate, or of C cells' (C, n) under (C,) rates;
+    a cell's spread is max(q - lower, upper - q) per axis, the largest
+    distance from its quantized point q to the cell.  A rate may be
+    negative or zero, but it must be a number."""
     rate = np.asarray(rate, dtype=float)
     if np.isnan(rate).any() or not tau > 0:
         raise ValueError("the growth rate must be a number and tau positive")
@@ -119,26 +124,6 @@ def _boxes_meet(box_lo, box_hi, cell_lo, cell_hi) -> np.ndarray:
     return meets
 
 
-@dataclass(frozen=True)
-class SplineTube:
-    """Functional abstract state: cell ids at the N+2 hat-function knots."""
-
-    knots: Tuple[int, ...]
-
-    @property
-    def N(self) -> int:
-        return len(self.knots) - 2
-
-
-@dataclass(eq=False)
-class AbstractState:
-    """One state of the symbolic model: a cell, or a tube over cells."""
-
-    id: int
-    cell: Optional[Cell] = None
-    tube: Optional[SplineTube] = None
-
-
 @dataclass
 class _BuildContext:
     """The build settings of a model: refine_cells rebuilds with them, and
@@ -155,70 +140,81 @@ class _BuildContext:
 class TransitionSystem:
     """Finite transition system with identity output map.
 
-    The relation is stored in CSR (compressed sparse row) arrays with one
-    row per (state position, input id): row k*len(inputs) + i holds the
-    successor state positions of (states[k], input i) in
+    A state is an id.  ids holds the state ids, ascending, as an int64
+    array; the constructor rejects any other order, so position order is
+    id order.  The relation is stored in CSR (compressed sparse row) arrays
+    with one row per (state position, input id): row k*len(inputs) + i
+    holds the successor state positions of (ids[k], input i) in
     succ[indptr[row]:indptr[row + 1]].  indptr is int64 with
-    len(states)*len(inputs) + 1 entries, succ int32 with every entry in
-    0..len(states)-1.  A pair is enabled exactly when its row is non-empty;
-    a blocked pair's row is empty.  States ascend by id, so position order
-    is id order; the constructor rejects any other order.  ids holds the
-    state ids, in that order, as an int64 array; ids[succ] are the
-    successor ids, which successors() and transition_rows() return.
-    Construction is deterministic: same configuration, same serialized
-    bytes.
+    len(ids)*len(inputs) + 1 entries, succ int32 with every entry in
+    0..len(ids)-1.  A pair is enabled exactly when its row is non-empty; a
+    blocked pair's row is empty.  ids[succ] are the successor ids, which
+    successors() and transition_rows() return.  Construction is
+    deterministic: same configuration, same serialized bytes.
+
+    cell_rows holds the cells of the model's S records (model_io),
+    ascending by id: (ids, lower, upper, quantized point), the ids (S,)
+    int64 and the rest (S, n).  A delay-free model's cells are its states;
+    a tube model's are the cells its knots refer to, and knots is its
+    (T, N+2) int64 array of knot cell ids, row k for state ids[k]; kind
+    is "timedelay" for a model with knots and "delayfree" for one without.
+    A built model takes its cell rows from its partition, a parsed model
+    from its S records.
 
     A built model keeps the nominal successors of its successor test, in
-    the order of states, so no later stage integrates them again: endpoints
+    the order of ids, so no later stage integrates them again: endpoints
     is (S, I, n) for a delay-free model and (S, I, N+2, n), the knot points,
     for a tube model; radius is each tube's (S,) growth radius, and None
     for a delay-free model.  Parsed models have neither.
     """
 
-    def __init__(self, kind: str, states: List[AbstractState],
-                 inputs: List[np.ndarray],
+    def __init__(self, ids, inputs: List[np.ndarray],
                  relation: Tuple[np.ndarray, np.ndarray],
+                 cell_rows: Optional[Tuple[np.ndarray, ...]] = None,
+                 knots: Optional[np.ndarray] = None,
                  partition: Optional[Partition] = None,
                  ctx: Optional[_BuildContext] = None,
                  truncated: bool = False,
-                 cell_table: Optional[List[Cell]] = None,
                  endpoints: Optional[np.ndarray] = None,
                  radius: Optional[np.ndarray] = None):
-        self.kind = kind
-        self.states = states
+        self.kind = "delayfree" if knots is None else "timedelay"
+        self.ids = _ascending(np.asarray(ids, dtype=np.int64).reshape(-1))
         self.inputs = [np.atleast_1d(np.asarray(u, dtype=float)) for u in inputs]
         self.indptr = np.asarray(relation[0], dtype=np.int64)
         self.succ = np.asarray(relation[1], dtype=np.int32)
-        if self.indptr.shape != (len(states) * len(self.inputs) + 1,) or \
+        if self.indptr.shape != (len(self.ids) * len(self.inputs) + 1,) or \
                 self.indptr[-1] != len(self.succ):
             raise ValueError("indptr needs one row per (state, input) pair "
                              "and must end at len(succ)")
-        self.ids = _ascending(np.array([s.id for s in states], dtype=np.int64))
-        if len(self.succ) and not 0 <= self.succ.min() <= self.succ.max() < len(states):
+        if len(self.succ) and not 0 <= self.succ.min() <= self.succ.max() < len(self.ids):
             k = self.succ.min() if self.succ.min() < 0 else self.succ.max()
             raise ValueError(f"successor position {k} names no state")
+        self.cell_rows = cell_rows
+        self.knots = knots
         self.partition = partition
         self._ctx = ctx
-        self._pos = {s.id: k for k, s in enumerate(states)}
         # tube exploration hit its budget: some frontier pairs are blocked
         self.truncated = truncated
-        # knot cells of a tube model parsed without its partition
-        self.cell_table = cell_table
         self.endpoints = endpoints
         self.radius = radius
 
-    def state(self, sid: int) -> AbstractState:
-        return self.states[self._pos[sid]]
-
-    def successors(self, sid: int, iid: int) -> Tuple[int, ...]:
-        k = self._pos.get(sid)
-        if k is None or not 0 <= iid < len(self.inputs):
-            return ()
-        row = k * len(self.inputs) + iid
+    def _row_ids(self, row: int) -> Tuple[int, ...]:
+        """The successor ids of CSR row row."""
         return tuple(self.ids[self.succ[self.indptr[row]:self.indptr[row + 1]]].tolist())
 
+    def _at(self, sid) -> Optional[int]:
+        """The position of state id sid, or None when no state has it."""
+        pos, found = _positions(self.ids, np.array([sid], dtype=np.int64))
+        return int(pos[0]) if found[0] else None
+
+    def successors(self, sid: int, iid: int) -> Tuple[int, ...]:
+        k = self._at(sid)
+        if k is None or not 0 <= iid < len(self.inputs):
+            return ()
+        return self._row_ids(k * len(self.inputs) + iid)
+
     def enabled(self, sid: int) -> List[int]:
-        k = self._pos.get(sid)
+        k = self._at(sid)
         if k is None:
             return []
         n_in = len(self.inputs)
@@ -231,9 +227,15 @@ class TransitionSystem:
     def transition_rows(self) -> Iterator[Tuple[Tuple[int, int], Tuple[int, ...]]]:
         """((state id, input id), successor ids) of every enabled pair, by
         state id and then input id."""
-        for s in self.states:
-            for iid in self.enabled(s.id):
-                yield (s.id, iid), self.successors(s.id, iid)
+        n_in, ids = len(self.inputs), self.ids.tolist()
+        for row in np.flatnonzero(np.diff(self.indptr)).tolist():
+            yield (ids[row // n_in], row % n_in), self._row_ids(row)
+
+    @property
+    def states(self) -> np.ndarray:
+        """ids, read-only, under the name bench/trace_stage.py reads (for
+        len(), the number of states); it goes with transitions."""
+        return self.ids
 
     @property
     def transitions(self) -> Mapping[Tuple[int, int], Tuple[int, ...]]:
@@ -475,22 +477,20 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
     successors follow one another in prior.succ, and each run is appended
     as ids, _POS_CHUNK at a time, and its row sizes with one buffer copy.
     """
-    cells = part.cells
-    if not cells:
-        raise ValueError("empty state lattice")
-
-    rate = estimate_lipschitz_batch(sys, cells, ctx.lipschitz, ctx.tau)
+    ids = part.ids
+    lower, upper, quantized, _ = part.cell_arrays(ids)
+    rate = estimate_lipschitz_batch(sys, lower, upper, quantized, ctx.lipschitz, ctx.tau)
     radius = ctx.growth_scale * growth_bound_delayfree(
-        np.array([c.spread() for c in cells]), rate, ctx.tau)[:, None, None]
+        np.maximum(quantized - lower, upper - quantized), rate, ctx.tau)[:, None, None]
     n_in = len(inputs)
-    x1 = np.empty((len(cells), n_in, sys.n))
-    new = np.ones(len(cells), dtype=bool)
+    x1 = np.empty((len(ids), n_in, sys.n))
+    new = np.ones(len(ids), dtype=bool)
     # per (cell, input), the CSR row of prior whose successors it copies,
     # -1 where none
     reuse = None
     if prior is not None:
         prior_ids = prior.ids.astype(np.int32)
-        kept, at, copied = _prior_rows(prior, cells)
+        kept, at, copied = _prior_rows(prior, ids)
         x1[kept] = prior.endpoints[at]
         new[kept] = False
         reuse = np.full(x1.shape[:2], -1, dtype=np.int64)
@@ -498,10 +498,11 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
 
     def block(k0: int, k1: int):
         """Endpoints (k1-k0, I, n), CSR row numbers of the unblocked pairs,
-        and their successors and row sizes, for the pairs of cells[k0:k1]."""
+        and their successors and row sizes, for the pairs of cells k0..k1-1
+        (positions in ids)."""
         for k in (np.flatnonzero(new[k0:k1]) + k0).tolist():
             for iid, u in enumerate(inputs):
-                x1[k, iid] = integrate(sys, cells[k].quantized_point, u, ctx.tau, ctx.steps)
+                x1[k, iid] = integrate(sys, quantized[k], u, ctx.tau, ctx.steps)
         ends = x1[k0:k1]
         # a pair is blocked when its nominal endpoint leaves X
         blocked = ~sys.inside(ends).ravel()
@@ -548,20 +549,18 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
     rows = np.concatenate([r[1] for r in results])
     del results
     indptr = _indptr(x1.shape[0] * n_in, rows, sizes)
-    succ = _to_positions(np.frombuffer(succ, dtype=np.int32),
-                         np.array([c.id for c in cells], dtype=np.int64))
-
-    states = [AbstractState(c.id, cell=c) for c in cells]
-    return TransitionSystem("delayfree", states, inputs, (indptr, succ),
+    succ = _to_positions(np.frombuffer(succ, dtype=np.int32), ids)
+    return TransitionSystem(ids, inputs, (indptr, succ),
+                            cell_rows=(ids, lower, upper, quantized),
                             partition=part, ctx=ctx, endpoints=x1)
 
 
 def _prior_rows(prior: TransitionSystem,
-                cells: List[Cell]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For the cells that are states of prior: their positions in cells,
-    their positions in prior.states, and their (K, I) CSR rows in prior,
-    -1 on a row that lists a state of prior that is not in cells."""
-    ids = np.array([c.id for c in cells])
+                ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the cells of the ascending ids that are states of prior: their
+    positions in ids, their positions in prior.ids, and their (K, I) CSR
+    rows in prior, -1 on a row that lists a state of prior that is not in
+    ids."""
     kept = np.flatnonzero(np.isin(ids, prior.ids))
     at = np.searchsorted(prior.ids, ids[kept])  # prior's state ids ascend
     n_in = len(prior.inputs)
@@ -731,20 +730,21 @@ def knot_points(curve: SampledCurve, N: int) -> np.ndarray:
     return np.array([curve(t) for t in knot_times(N, curve.t0, curve.t1)])
 
 
-def knot_tube(points: np.ndarray, partition: Partition) -> SplineTube:
-    """The tube whose knot cells hold points, one Partition.locate per row."""
-    return SplineTube(tuple(partition.locate(p) for p in points))
+def knot_tube(points: np.ndarray, partition: Partition) -> Tuple[int, ...]:
+    """The tube, its knot cell ids, whose knot cells hold points, one
+    Partition.locate per row."""
+    return tuple(partition.locate(p) for p in points)
 
 
-def psi2(curve: SampledCurve, partition: Partition, N: int) -> SplineTube:
+def psi2(curve: SampledCurve, partition: Partition, N: int) -> Tuple[int, ...]:
     """Abstract a functional (psi2): the cells of its N+2 knot points."""
     return knot_tube(knot_points(curve, N), partition)
 
 
-def tube_interpolant(tube: SplineTube, partition: Partition,
-                     Theta: float) -> SampledCurve:
-    """The quantized functional of a tube: linear through knot quantized points."""
-    return history_curve(partition.cell_arrays(tube.knots)[2], Theta)
+def tube_interpolant(knots, partition: Partition, Theta: float) -> SampledCurve:
+    """The quantized functional of the tube with the given knot cell ids:
+    linear through the knot quantized points."""
+    return history_curve(partition.cell_arrays(knots)[2], Theta)
 
 
 _CHUNK = 4096  # trajectories per integrate_delay_batch call
@@ -806,15 +806,11 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
     inputs = input_lattice(sys.input_lo, sys.input_hi, input_quantization)
 
     thetas = knot_times(N, -sys.Theta, 0.0)
-    if isinstance(lipschitz, (int, float)):
-        L2 = float(lipschitz)
-    else:
-        whole = Cell(-1, sys.state_lo.copy(), sys.state_hi.copy(),
-                     0.5 * (sys.state_lo + sys.state_hi))
-        L2 = estimate_lipschitz(sys, whole, lipschitz)
+    # one rate over the whole state box
+    L2 = estimate_lipschitz(sys, sys.state_lo, sys.state_hi, None, lipschitz)
     amp = 2.0 * math.exp(L2 * tau) * growth_scale
 
-    init = psi2(sys.xi0, part, N).knots
+    init = psi2(sys.xi0, part, N)
     order: List[Tuple[int, ...]] = [init]  # knot cells of tube id k at k
     ids: Dict[Tuple[int, ...], int] = {init: 0}
     n_in = len(inputs)
@@ -848,8 +844,9 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
         levels.append(knots.reshape(len(level), n_in, len(thetas), sys.n))
         head += len(level)
     endpoints = np.concatenate(levels)  # (T, I, J, n)
+    knots = np.array(order, dtype=np.int64)
     # knot cells (T, J, n); a radius scales the tube's largest knot half-width
-    cell_lo, cell_hi, _, half = part.cell_arrays(order)
+    cell_lo, cell_hi, _, half = part.cell_arrays(knots)
     radius = half.max(axis=(1, 2)) * amp
 
     # successors: every discovered tube whose knot cells all meet the growth
@@ -869,10 +866,10 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
         sizes.append(meets.sum(axis=1))
     indptr = _indptr(len(order) * n_in, rows, np.concatenate(sizes))
 
-    states = [AbstractState(k, tube=SplineTube(t)) for k, t in enumerate(order)]
     ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,
                         growth_scale=growth_scale, knot_thetas=thetas)
-    return TransitionSystem("timedelay", states, inputs,
+    return TransitionSystem(np.arange(len(order)), inputs,
                             (indptr, np.concatenate(succ)),
-                            partition=part, ctx=ctx,
+                            cell_rows=(part.ids, *part.cell_arrays(part.ids)[:3]),
+                            knots=knots, partition=part, ctx=ctx,
                             truncated=truncated, endpoints=endpoints, radius=radius)

@@ -74,7 +74,7 @@ def cmd_abstract(args: argparse.Namespace) -> int:
     ts = cfg.build_model(refined=False)
     write_ts(ts, args.out)
     kind = "time-delay" if ts.kind == "timedelay" else "delay-free"
-    print(f"abstract: wrote {kind} model with {len(ts.states)} states, "
+    print(f"abstract: wrote {kind} model with {len(ts.ids)} states, "
           f"{len(ts.inputs)} inputs, {ts.n_transitions} transitions to {args.out}")
     if ts.truncated:
         print(f"warning: tube exploration stopped at the budget of "
@@ -93,7 +93,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
                            "models consume zoom assignments at build time")
     ts = refine_cells(_load_model_checked(cfg, args.model, refined=False), cfg.zoom)
     write_ts(ts, args.out)
-    print(f"refine: wrote refined model with {len(ts.states)} states, "
+    print(f"refine: wrote refined model with {len(ts.ids)} states, "
           f"{ts.n_transitions} transitions to {args.out}")
     return 0
 

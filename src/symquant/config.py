@@ -22,8 +22,9 @@ import numpy as np
 
 from .abstraction import (TransitionSystem, build_delayfree, build_timedelay,
                           input_lattice)
-from .dynamics import (ControlSystem, TimeDelaySystem, DEFAULT_STEPS,
-                       history_curve)
+from .dynamics import (ControlSystem, IntegrationError, TimeDelaySystem,
+                       DEFAULT_STEPS, estimate_lipschitz,
+                       estimate_lipschitz_batch, history_curve)
 from .expr import ExprError, parse as parse_expr
 from .quantizers import (LogQuantizerParams, Partition, ZoomQuantizerParams,
                          _axis_regions)
@@ -70,11 +71,31 @@ class AppConfig:
 
     def build_model(self, refined: bool = False) -> TransitionSystem:
         """The model of the config on self.partition(refined); a tube model
-        always takes the zoom rows, at build time."""
+        always takes the zoom rows, at build time.
+
+        A numeric lipschitz is checked first against the rate that
+        lipschitz = sampled would use, which it must not undercut: the
+        largest sampled mu over the partition's cells, with tau, for a
+        delay-free model, and L over the state box for a tube model.  Where
+        the derivative cannot be sampled, the numeric rate is the only way
+        to build, and it is taken as given."""
         tubes = self.is_timedelay()
         build, extra = (build_timedelay, {"N": self.N, "budget": self.budget}) \
             if tubes else (build_delayfree, {})
-        return build(self.system, self.tau, self.partition(refined or tubes),
+        part = self.partition(refined or tubes)
+        if not isinstance(self.lipschitz, str):
+            sys_ = self.system
+            try:
+                rate = estimate_lipschitz(sys_, sys_.state_lo, sys_.state_hi, None) \
+                    if tubes else estimate_lipschitz_batch(
+                        sys_, *part.cell_arrays(part.ids)[:3], tau=self.tau).max()
+            except IntegrationError:
+                rate = -math.inf
+            _check(self.lipschitz >= rate, "abstraction.lipschitz",
+                   f"{self.lipschitz!r} is below the sampled rate "
+                   f"{float(rate)!r} of this plant, so the model would not "
+                   f"be sound; use at least that, or 'sampled'")
+        return build(self.system, self.tau, part,
                      input_quantization=self.input_quantization,
                      lipschitz=self.lipschitz, steps=self.steps,
                      growth_scale=self.growth_scale, **extra)
@@ -99,8 +120,7 @@ class AppConfig:
             if ts.kind == "timedelay":
                 # a functional state is "at" the point when every knot of its
                 # tube lies in the located cell
-                ids = tuple(s.id for s in ts.states
-                            if all(k == cid for k in s.tube.knots))
+                ids = tuple(ts.ids[(ts.knots == cid).all(axis=1)].tolist())
                 if not ids:
                     raise ConfigError(
                         f"synthesis.targets: row {i + 1}: no reachable tube "

@@ -503,21 +503,22 @@ def _lipschitz(sys: Union[ControlSystem, TimeDelaySystem], fns, lower: list,
     return best * SAFETY if tau is None else maximum(measure * SAFETY, measure * 0.9)
 
 
-def _region(cells: Sequence, tau: Optional[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """(C, n) bounds sampled for each cell: the cell, joined with tau by its
-    quantized point, which starts the nominal trajectory."""
-    lower = np.array([c.lower for c in cells], dtype=float)
-    upper = np.array([c.upper for c in cells], dtype=float)
+def _region(lower, upper, q, tau: Optional[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """The bounds sampled for a cell, or (C, n) for C cells: the cell,
+    joined with tau by its quantized point q, which starts the nominal
+    trajectory."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     if tau is None:
         return lower, upper
-    q = np.array([c.quantized_point for c in cells], dtype=float)
     return np.minimum(lower, q), np.maximum(upper, q)
 
 
-def estimate_lipschitz(sys: Union[ControlSystem, TimeDelaySystem], cell,
+def estimate_lipschitz(sys: Union[ControlSystem, TimeDelaySystem], lower, upper, q,
                        mode: Union[str, float] = "sampled-jacobian",
                        tau: Optional[float] = None) -> float:
-    """Growth rate of f in the state over one cell.
+    """Growth rate of f in the state over one cell, given by its (n,)
+    bounds lower and upper and its quantized point q (read only with tau,
+    so None will do without).
 
     mode 'sampled-jacobian' takes the Jacobian by central differences on
     the 3^n grid of a box's corners and midpoints, crossed with the 3^m
@@ -539,30 +540,33 @@ def estimate_lipschitz(sys: Union[ControlSystem, TimeDelaySystem], cell,
     if isinstance(mode, (int, float)):
         return float(mode)
     _check_mode(mode)
-    lower, upper = _region([cell], tau)
-    return float(_lipschitz(sys, [e.fn for e in sys.f], lower[0].tolist(),
-                            upper[0].tolist(), _floats_finite, max, tau))
+    lower, upper = _region(lower, upper, q, tau)
+    return float(_lipschitz(sys, [e.fn for e in sys.f], lower.tolist(),
+                            upper.tolist(), _floats_finite, max, tau))
 
 
 def estimate_lipschitz_batch(sys: Union[ControlSystem, TimeDelaySystem],
-                             cells: Sequence,
+                             lower, upper, q,
                              mode: Union[str, float] = "sampled-jacobian",
                              tau: Optional[float] = None) -> np.ndarray:
-    """estimate_lipschitz() for C cells at once: entry k of the (C,) result
-    is estimate_lipschitz(sys, cells[k], mode, tau), bit for bit.  The
-    delay-free build takes every cell's rate mu from here, with tau.
+    """estimate_lipschitz() for C cells at once, given as (C, n) bounds and
+    quantized points: entry k of the (C,) result is
+    estimate_lipschitz(sys, lower[k], upper[k], q[k], mode, tau), bit for
+    bit.  The delay-free build takes every cell's rate mu from here, with
+    tau.
 
     Each coordinate of the sample points is one (C,) array, one column per
     cell.  When any cell fails, the error is the one estimate_lipschitz()
     raises for the first failing cell.
     """
     if isinstance(mode, (int, float)):
-        return np.full(len(cells), float(mode))
+        return np.full(len(lower), float(mode))
     _check_mode(mode)
-    if not cells:
+    if not len(lower):
         return np.empty(0)
-    lower, upper = _region(cells, tau)
+    lo, hi = _region(lower, upper, q, tau)
     return _vector_or_each(
-        lambda: _lipschitz(sys, [e.vfn for e in sys.f], list(lower.T),
-                           list(upper.T), _arrays_finite, np.maximum, tau),
-        lambda k: estimate_lipschitz(sys, cells[k], mode, tau), len(cells), 0)
+        lambda: _lipschitz(sys, [e.vfn for e in sys.f], list(lo.T),
+                           list(hi.T), _arrays_finite, np.maximum, tau),
+        lambda k: estimate_lipschitz(sys, lower[k], upper[k], q[k], mode, tau),
+        len(lower), 0)

@@ -270,7 +270,10 @@ def _vector_table() -> dict:
     probe = (np.arange(1, 4097) * 0.6180339887498949) % 1.0 * 16.0 - 8.0
 
     def pick(ufunc, f):
-        same = np.array_equal(ufunc(probe), list(map(f, probe.tolist())))
+        # in 16 pieces and with no list of Python floats, so the compare
+        # adds little to the peak RSS of a stage that compiles a vfn
+        same = all(np.array_equal(ufunc(p), np.fromiter(map(f, p), float, len(p)))
+                   for p in np.split(probe, 16))
         return ufunc if same else _each(f)
 
     return {
@@ -373,9 +376,10 @@ def compile_rk4(f: Sequence[Expression], m: int, vector: bool, error: type,
     (x, u, h, steps, _past, _store): step s starts at _t = s*h; each stage
     reads every positive delay theta once, as _past(t - theta) at its stage
     time t, an (n,) list or (n, K) array; delay(x_i, 0) is the stage's own
-    x_i; each finished step's state goes to _store; and each stage rebinds
-    the names of the one before (_d0, _t2, ...), so a step holds one stage's
-    temporaries, not four.  For f = (x2, -delay(x1, 0.1) + u1) it is
+    x_i; and each finished step's state goes to _store.  In both forms each
+    stage rebinds the temporary names of the one before (_d0, _t2, ...), so
+    a vector step holds one stage's (K,) temporaries, not four.  For
+    f = (x2, -delay(x1, 0.1) + u1) it is
 
         def _rk4(x, u, h, steps, _past, _store):
             [_x0, _x1] = x
@@ -421,7 +425,7 @@ def compile_rk4(f: Sequence[Expression], m: int, vector: bool, error: type,
 
     def stage(s: int, x: str, t: str) -> None:
         # the state at x; each positive delay read once, at stage time t
-        lines = [] if history else body
+        lines: List[str] = []
         names = _names(n, m, x, "_u{}")
         lines.extend(f"_d{k} = _past({t} - _th{k})" for k in range(len(thetas)))
         for i, th in delays:
@@ -429,8 +433,7 @@ def compile_rk4(f: Sequence[Expression], m: int, vector: bool, error: type,
                                       if th > 0.0 else x.format(i - 1))
         for i, e in enumerate(f):
             lines.append(f"_k{s}_{i} = {_emit(e.root, table, ns, lines, names)}")
-        if history:
-            body.extend(lines)
+        body.extend(lines)
 
     stage(1, "_x{}", "_t")
     body.extend(f"_y{i} = _x{i} + _hh * _k1_{i}" for i in range(n))

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .abstraction import (SplineTube, TransitionSystem, _boxes_meet,
+from .abstraction import (TransitionSystem, _boxes_meet,
                           _locate_inside, _positions, knot_points, knot_tube,
                           tube_knot_points)
 from .dynamics import SampledCurve, history_rows, integrate_batch
@@ -42,7 +42,8 @@ class RefinementMap:
     """Point location into abstract states: cells, or tubes via knot cells."""
 
     partition: Partition
-    tube_index: Optional[Dict[SplineTube, int]] = None
+    # knot cell ids -> tube id
+    tube_index: Optional[Dict[Tuple[int, ...], int]] = None
     N: Optional[int] = None
 
     @staticmethod
@@ -50,8 +51,8 @@ class RefinementMap:
         if ts.partition is None:
             raise ValueError("model carries no partition; rebuild from config")
         if ts.kind == "timedelay":
-            index = {s.tube: s.id for s in ts.states}
-            return RefinementMap(ts.partition, index, ts.states[0].tube.N)
+            index = dict(zip(map(tuple, ts.knots.tolist()), ts.ids.tolist()))
+            return RefinementMap(ts.partition, index, ts.knots.shape[1] - 2)
         return RefinementMap(ts.partition)
 
     def locate(self, x) -> int:
@@ -129,9 +130,11 @@ def check_frr_finite(T1: TransitionSystem, T2: TransitionSystem,
                      F: Dict[int, int]) -> Tuple[bool, Optional[Counterexample]]:
     """Exhaustive check of the relation over all pairs related by F."""
     imap = _input_map(T1, T2)
-    for x1, x2 in F.items():
-        if x1 not in T1._pos or x2 not in T2._pos:
-            raise ValueError(f"F references unknown state pair ({x1}, {x2})")
+    pairs = np.array(list(F.items()), dtype=np.int64).reshape(-1, 2)
+    known = _positions(T1.ids, pairs[:, 0])[1] & _positions(T2.ids, pairs[:, 1])[1]
+    if not known.all():
+        x1, x2 = pairs[np.argmin(known)].tolist()
+        raise ValueError(f"F references unknown state pair ({x1}, {x2})")
     for x1, x2 in sorted(F.items()):
         enabled1 = set(T1.enabled(x1))
         for i2 in T2.enabled(x2):
@@ -196,7 +199,7 @@ def sample_frr_delayfree(ts: TransitionSystem, n_samples: int,
     sys, part = ctx.sys, ts.partition
     # a row: the state, the point in its cell, the input
     r = _draws(seed, n_samples, sys.n + 2)
-    lo, hi = part.cell_arrays(ts.ids[(r[:, 0] * len(ts.states)).astype(np.int64)])[:2]
+    lo, hi = part.cell_arrays(ts.ids[(r[:, 0] * len(ts.ids)).astype(np.int64)])[:2]
     X = lo + (hi - lo) * r[:, 1:-1]
     located = part.locate_batch(X)
     pos, known = _positions(ts.ids, located)
@@ -206,11 +209,12 @@ def sample_frr_delayfree(ts: TransitionSystem, n_samples: int,
     if not len(drawn):
         return FrrReport(n_samples, 0, n_samples, violations, seed)
     X, x2, iids = X[drawn], located[drawn].tolist(), iids[drawn]
+    rows = (pos[drawn].astype(np.int64) * len(ts.inputs) + iids).tolist()  # CSR rows
     X_next = integrate_batch(sys, X.T, np.array(ts.inputs)[iids].T,
                              ctx.tau, ctx.steps).T
     kept, got = _locate_inside(sys, part, X_next)
     for j, q_next in zip(kept.tolist(), got.tolist()):
-        allowed = ts.successors(x2[j], int(iids[j]))
+        allowed = ts._row_ids(rows[j])
         if q_next not in allowed:
             violations.append(Violation(X[j], ts.inputs[iids[j]], X_next[j].copy(),
                                         x2[j], q_next, allowed))
@@ -239,12 +243,12 @@ def sample_frr_timedelay(ts: TransitionSystem, n_samples: int,
     sys, part = ctx.sys, ts.partition
     # per tube: its knot cells' bounds, quantized points and half-widths
     # (S, J, n), and one jitter width per knot (S, J), the widest axis's
-    cell_lo, cell_hi, quantized, half = part.cell_arrays([s.tube.knots for s in ts.states])
+    cell_lo, cell_hi, quantized, half = part.cell_arrays(ts.knots)
     widths = half.max(axis=-1)
     J, n = cell_lo.shape[1:]
     # a row: the tube, the input, then the J x n jitter
     r = _draws(seed, n_samples, 2 + J * n)
-    sid = (r[:, 0] * len(ts.states)).astype(np.int64)
+    sid = (r[:, 0] * len(ts.ids)).astype(np.int64)  # state positions
     iids = _pick_inputs(ts, sid, r[:, 1])
     # a tube with no enabled input is skipped, as is a sample whose knots leave X
     drawn = np.flatnonzero(iids >= 0)
@@ -272,7 +276,7 @@ def sample_frr_timedelay(ts: TransitionSystem, n_samples: int,
         bad = int(np.argmax(~meets[k]))
         violations.append(Violation(
             pts[:, :, j].copy(), ts.inputs[iids[j]], samples[:, :, j].copy(),
-            int(sid[j]), tuple(got[k, :bad + 1].tolist()),
-            ts.successors(int(sid[j]), int(iids[j])),
+            int(ts.ids[sid[j]]), tuple(got[k, :bad + 1].tolist()),
+            ts._row_ids(int(sid[j]) * len(ts.inputs) + int(iids[j])),
             detail=f"knot {bad} outside the growth box"))
     return FrrReport(n_samples, len(inside), n_samples - len(inside), violations, seed)

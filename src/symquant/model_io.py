@@ -30,9 +30,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .abstraction import (AbstractState, SplineTube, TransitionSystem,
-                          transition_arrays)
-from .quantizers import Cell
+from .abstraction import TransitionSystem, transition_arrays
 from .synthesis import Controller
 
 
@@ -48,43 +46,33 @@ class ModelFormatError(ValueError):
     pass
 
 
-def _cells_for_serialization(ts: TransitionSystem) -> List[Cell]:
-    """The cells of the S records, ascending by id."""
-    if ts.kind == "delayfree":
-        return [s.cell for s in ts.states]
-    if ts.partition is not None:
-        return ts.partition.cells
-    if ts.cell_table is not None:
-        return ts.cell_table
-    raise ModelFormatError("tube model carries no cell table to serialize")
-
-
 def sts_chunks(ts: TransitionSystem) -> Iterator[str]:
     """The STS 1 text of ts in pieces: the header, one piece per S, T and I
     record, and one per state holding the E records of its enabled pairs.
     Writers and the model check consume these, so the whole text is never
     held in memory."""
-    yield f"STS 1 {len(ts.states)} {len(ts.inputs)} {ts.n_transitions}\n"
-    for c in _cells_for_serialization(ts):
-        yield (f"S {c.id} {_fmt_vec(c.lower)} {_fmt_vec(c.upper)} "
-               f"{_fmt_vec(c.quantized_point)}\n")
-    if ts.kind != "delayfree":
-        for s in ts.states:
-            knots = " ".join(str(k) for k in s.tube.knots)
-            yield f"T {s.id} {knots}\n"
-    for i, u in enumerate(ts.inputs):
-        yield f"I {i} {_fmt_vec(u)}\n"
+    if ts.cell_rows is None:
+        raise ModelFormatError("model carries no cells to serialize")
+    yield f"STS 1 {len(ts.ids)} {len(ts.inputs)} {ts.n_transitions}\n"
+    cid, lower, upper, q = ts.cell_rows
+    for c, lo, hi, p in zip(cid.tolist(), lower, upper, q):
+        yield f"S {c} {_fmt_vec(lo)} {_fmt_vec(hi)} {_fmt_vec(p)}\n"
     # successors are state positions: each state's id is formatted once
     names = [str(i) for i in ts.ids.tolist()]
+    if ts.knots is not None:
+        for name, knots in zip(names, ts.knots.tolist()):
+            yield f"T {name} {' '.join(map(str, knots))}\n"
+    for i, u in enumerate(ts.inputs):
+        yield f"I {i} {_fmt_vec(u)}\n"
     n_in = len(ts.inputs)
-    for k, s in enumerate(ts.states):
+    for k, name in enumerate(names):
         bounds = ts.indptr[k * n_in:(k + 1) * n_in + 1].tolist()
         succ = list(map(names.__getitem__, ts.succ[bounds[0]:bounds[-1]].tolist()))
         records = []
         for iid in range(n_in):
             a, b = bounds[iid] - bounds[0], bounds[iid + 1] - bounds[0]
             if a < b:
-                head = f"E {s.id} {iid} "
+                head = f"E {name} {iid} "
                 records.append(head + f"\n{head}".join(succ[a:b]) + "\n")
         if records:
             yield "".join(records)
@@ -151,8 +139,8 @@ def parse_sts(text: str) -> TransitionSystem:
     except ValueError as err:
         raise ModelFormatError(f"bad header: {header!r}") from err
 
-    cells: List[Cell] = []
-    tubes: List[Tuple[int, Tuple[int, ...]]] = []
+    cell_ids, cell_nums = array("q"), array("d")  # S records: id, 3n values
+    tube_ids, tube_knots = array("q"), array("q")  # T records: id, N+2 ids
     inputs: Dict[int, np.ndarray] = {}
     src, iid, dst = array("q"), array("q"), array("q")  # E records read by line
     for ln in records:
@@ -161,13 +149,17 @@ def parse_sts(text: str) -> TransitionSystem:
         try:
             if tag == "S":
                 nums = [float(v) for v in parts[2:]]
-                if len(nums) % 3:
+                # all S records have 3n values, and all T records N+2 knots
+                if len(nums) % 3 or len(cell_nums) != len(cell_ids) * len(nums):
                     raise ModelFormatError(f"S record has {len(nums)} values: {ln!r}")
-                n = len(nums) // 3
-                cells.append(Cell(int(parts[1]), np.array(nums[:n]),
-                                  np.array(nums[n:2 * n]), np.array(nums[2 * n:])))
+                cell_ids.append(int(parts[1]))
+                cell_nums.extend(nums)
             elif tag == "T":
-                tubes.append((int(parts[1]), tuple(int(v) for v in parts[2:])))
+                knots = [int(v) for v in parts[2:]]
+                if len(tube_knots) != len(tube_ids) * len(knots):
+                    raise ModelFormatError(f"T record has {len(knots)} knots: {ln!r}")
+                tube_ids.append(int(parts[1]))
+                tube_knots.extend(knots)
             elif tag == "I":
                 inputs[int(parts[1])] = np.array([float(v) for v in parts[2:]])
             elif tag == "E":
@@ -177,7 +169,7 @@ def parse_sts(text: str) -> TransitionSystem:
                 dst.append(edge[2])
             else:
                 raise ModelFormatError(f"unknown record tag {tag!r}")
-        except (IndexError, ValueError) as err:
+        except (IndexError, ValueError, OverflowError) as err:
             if isinstance(err, ModelFormatError):
                 raise
             raise ModelFormatError(f"malformed record: {ln!r}") from err
@@ -194,25 +186,32 @@ def parse_sts(text: str) -> TransitionSystem:
     input_list = [inputs[i] for i in range(n_inputs)]
 
     # states must ascend by id; records may come in any order
-    cells.sort(key=lambda c: c.id)
-    tubes.sort()
-    if tubes:
-        states = [AbstractState(tid, tube=SplineTube(knots)) for tid, knots in tubes]
-        kind = "timedelay"
-    else:
-        states = [AbstractState(c.id, cell=c) for c in cells]
-        kind = "delayfree"
-    if len(states) != n_states:
-        raise ModelFormatError(f"header says {n_states} states, found {len(states)}")
+    cell_ids, nums = _sorted_records(cell_ids, cell_nums, float)
+    n = nums.shape[1] // 3
+    cell_rows = (cell_ids, nums[:, :n], nums[:, n:2 * n], nums[:, 2 * n:])
+    tube_ids, knots = _sorted_records(tube_ids, tube_knots, np.int64)
+    tubes = len(tube_ids) > 0
+    ids = tube_ids if tubes else cell_ids
+    if len(ids) != n_states:
+        raise ModelFormatError(f"header says {n_states} states, found {len(ids)}")
     if len(src) != n_trans:
         raise ModelFormatError(f"header says {n_trans} transitions, found {len(src)}")
     try:  # an unknown id, an edge given twice, a state id given twice
-        relation = transition_arrays([s.id for s in states], n_inputs,
-                                     (src, iid, dst))
-        return TransitionSystem(kind, states, input_list, relation,
-                                cell_table=cells if tubes else None)
+        relation = transition_arrays(ids, n_inputs, (src, iid, dst))
+        return TransitionSystem(ids, input_list, relation, cell_rows=cell_rows,
+                                knots=knots if tubes else None)
     except ValueError as err:
         raise ModelFormatError(str(err)) from err
+
+
+def _sorted_records(ids: array, values: array, dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """The ids of records read in any order, ascending, and the records'
+    values, one row of equal width each, in the same order; the sort is
+    stable, so records that repeat an id keep their order."""
+    ids = np.array(ids, dtype=np.int64)
+    width = len(values) // len(ids) if len(ids) else 0
+    order = np.argsort(ids, kind="stable")
+    return ids[order], np.array(values, dtype=dtype).reshape(len(ids), width)[order]
 
 
 def write_ts(ts: TransitionSystem, path: str) -> None:
@@ -312,12 +311,12 @@ def export_dot(ts: TransitionSystem) -> str:
 
 def _dot_chunks(ts: TransitionSystem) -> Iterator[str]:
     yield "digraph sts {\n  rankdir=LR;\n"
-    for s in ts.states:
-        if s.cell is not None:
-            label = "(" + ", ".join(_fmt(v) for v in s.cell.quantized_point) + ")"
-        else:
-            label = "knots " + " ".join(str(k) for k in s.tube.knots)
-        yield f'  s{s.id} [label="{label}"];\n'
+    if ts.knots is None:  # a delay-free model's states are its S records' cells
+        labels = ("(" + ", ".join(map(_fmt, q)) + ")" for q in ts.cell_rows[3].tolist())
+    else:
+        labels = ("knots " + " ".join(map(str, k)) for k in ts.knots.tolist())
+    for sid, label in zip(ts.ids.tolist(), labels):
+        yield f'  s{sid} [label="{label}"];\n'
     ulabels = [" ".join(_fmt(v) for v in u) for u in ts.inputs]
     for (sid, iid), succ in ts.transition_rows():
         yield "".join(f'  s{sid} -> s{dst} [label="{ulabels[iid]}"];\n'

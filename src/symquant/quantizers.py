@@ -29,9 +29,9 @@ boundaries go to the smaller-magnitude level, zoom bins are half-open
 from __future__ import annotations
 
 import copy
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import product
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -98,33 +98,6 @@ class ZoomQuantizerParams:
     def width(self) -> float:
         """Bin width Lambda*delta of the realized quantizer."""
         return self.Lambda * self.delta
-
-
-@dataclass(eq=False)
-class Cell:
-    """An axis-aligned box region owning one quantized lattice point.
-
-    The quantized point lies in the unclipped quantization region; after
-    clipping to the state box and boundary merging it may sit on or outside
-    the stored bounds.
-    """
-
-    id: int
-    lower: np.ndarray
-    upper: np.ndarray
-    quantized_point: np.ndarray
-
-    def contains(self, x) -> bool:
-        return bool(np.all(self.lower <= x) and np.all(x <= self.upper))
-
-    def intersects(self, box_lo, box_hi) -> bool:
-        """Closed-box intersection test; boundary touching counts."""
-        return bool(np.all(self.lower <= box_hi) and np.all(box_lo <= self.upper))
-
-    def spread(self) -> np.ndarray:
-        """Componentwise max distance from the quantized point to the cell."""
-        return np.maximum(self.quantized_point - self.lower,
-                          self.upper - self.quantized_point)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +177,21 @@ def _axis_regions(lo: float, hi: float, p: LogQuantizerParams) -> List[AxisRegio
     return clipped  # box touches no lattice point; keep the raw slivers
 
 
-def _grid_cells(axes: List[List[AxisRegion]], first_id: int) -> List[Cell]:
-    """The cells of the product of the per-axis regions, ids counting from
-    first_id in row-major order (last axis fastest)."""
-    return [Cell(first_id + k, np.array([r.lower for r in regions]),
-                 np.array([r.upper for r in regions]),
-                 np.array([r.level for r in regions]))
-            for k, regions in enumerate(product(*axes))]
+def _fill_grid(table: np.ndarray, first_id: int, axes: List[List[AxisRegion]],
+               half=None) -> None:
+    """Write the cells of the product of the per-axis regions into the rows
+    first_id.. of the cell table (see Partition.cell_arrays), row-major
+    (last axis fastest): each axis's (lower, upper, level) broadcast over
+    the index grid.  A cell's knot half-width is half its extent on each
+    axis, or half where given."""
+    shape = tuple(len(ax) for ax in axes)
+    rows = table[:, first_id:first_id + math.prod(shape)]
+    for i, ax in enumerate(axes):
+        at = [1] * len(axes)
+        at[i] = len(ax)
+        for t, vals in enumerate(zip(*((r.lower, r.upper, r.level) for r in ax))):
+            rows[t, :, i] = np.broadcast_to(np.reshape(vals, at), shape).ravel()
+    rows[3] = (rows[1] - rows[0]) / 2.0 if half is None else half
 
 
 def _axis_locate(lowers: List[float], uppers: List[float], bump: np.ndarray,
@@ -294,14 +275,15 @@ def _zoom_axis_ks(lo: float, hi: float, p: ZoomQuantizerParams) -> List[int]:
     return ks
 
 
-def _zoom_axes(cell: Cell,
+def _zoom_axes(lower: List[float], upper: List[float],
                p: ZoomQuantizerParams) -> Tuple[List[List[int]], List[List[AxisRegion]]]:
-    """Per axis, the retained bin indices k (_zoom_axis_ks) and the zoom
-    bins [(k-0.5)w, (k+0.5)w] of those k, clipped to the cell; leftover
-    remainders at the cell edges join the outermost bin."""
+    """Per axis of the cell with the given bounds, the retained bin indices
+    k (_zoom_axis_ks) and the zoom bins [(k-0.5)w, (k+0.5)w] of those k,
+    clipped to the cell; leftover remainders at the cell edges join the
+    outermost bin."""
     w = p.width
     axis_ks, axes = [], []
-    for lo, hi in zip(cell.lower.tolist(), cell.upper.tolist()):
+    for lo, hi in zip(lower, upper):
         ks = _zoom_axis_ks(lo, hi, p)
         axis_ks.append(ks)
         axes.append([AxisRegion(lo if j == 0 else (k - 0.5) * w,
@@ -310,35 +292,27 @@ def _zoom_axes(cell: Cell,
     return axis_ks, axes
 
 
-def zoom_lattice(cell: Cell, p: ZoomQuantizerParams, start_id: int = 0) -> List[Cell]:
-    """Refine one cell into zoom subcells (row-major ids from start_id), the
-    product of its _zoom_axes bins.  delta = 0 returns the cell unchanged.
-    """
-    if p.delta == 0.0:
-        return [cell]
-    return _grid_cells(_zoom_axes(cell, p)[1], start_id)
-
-
 # ---------------------------------------------------------------------------
 # partition of the state box with optional per-cell zoom refinement
 
 
 class _ZoomedCell:
     """The one record of a zoom-refined base cell, filled once by
-    Partition.refined: its parameters, the id of its first subcell and the
-    count of its subcells, per axis the retained bin indices (consecutive)
-    and their bins (_zoom_axes), whose product gives the subcells in
-    row-major order, and the bin bounds and subcell strides that locate and
-    intersecting read."""
+    Partition.refined from the base cell's bounds: its parameters, the id
+    of its first subcell and the count of its subcells, per axis the
+    retained bin indices (consecutive) and their bins (_zoom_axes), whose
+    product gives the subcells in row-major order, and the bin bounds and
+    subcell strides that locate and intersecting read."""
 
-    def __init__(self, params: ZoomQuantizerParams, first_id: int, cell: Cell):
+    def __init__(self, params: ZoomQuantizerParams, first_id: int,
+                 lower: List[float], upper: List[float]):
         self.params, self.first_id = params, first_id
-        self.axis_ks, self.axes = _zoom_axes(cell, params)
+        self.axis_ks, self.axes = _zoom_axes(lower, upper, params)
         self.lowers = [[r.lower for r in ax] for ax in self.axes]
         self.uppers = [[r.upper for r in ax] for ax in self.axes]
         shape = tuple(len(ks) for ks in self.axis_ks)
         self.strides = _strides(shape)
-        self.count = int(np.prod(shape))
+        self.count = math.prod(shape)
 
 
 class Partition:
@@ -346,14 +320,15 @@ class Partition:
 
     Owns deterministic point location (the refinement map F restricted to
     state vectors) and box-intersection queries used by the abstraction
-    builder.  Cells keep stable ids across refinement: refined base cells
-    retire their id and subcells receive fresh ids appended in order.
-    zoom maps each refined base cell's id to its one record (_ZoomedCell),
-    which refined() fills; the subcells, the cell table (cell_arrays),
-    point location and box queries all read it.  The unrefined lattice
-    (axes, bound lists, base cells) is never changed after construction,
-    so a refined partition shares it with the partition it refines and
-    builds only its zoom tables.
+    builder.  A cell is an id: the partition keeps the per-axis bounds of
+    the unrefined lattice, ids (the active cell ids, ascending int64), the
+    cell table that cell_arrays reads, and one record per refined base cell
+    (zoom, id -> _ZoomedCell), which refined() fills and point location and
+    box queries read.  Cells keep stable ids across refinement: refined
+    base cells retire their id (their table rows turn NaN) and subcells
+    receive fresh ids appended in order.  The per-axis bounds are never
+    changed after construction, so a refined partition shares them with
+    the partition it refines.
     """
 
     def __init__(self, box_lo, box_hi, params):
@@ -361,81 +336,69 @@ class Partition:
         self.box_hi = np.asarray(box_hi, dtype=float)
         self.n = len(self.box_lo)
         self.params = _as_axis_params(params, self.n)
-        self.axes: List[List[AxisRegion]] = [
-            _axis_regions(float(self.box_lo[i]), float(self.box_hi[i]), self.params[i])
-            for i in range(self.n)
-        ]
-        self._shape = tuple(len(ax) for ax in self.axes)
-        self._strides = _strides(self._shape)
+        axes = [_axis_regions(float(self.box_lo[i]), float(self.box_hi[i]), self.params[i])
+                for i in range(self.n)]
+        self._strides = _strides(tuple(len(ax) for ax in axes))
         # per-axis bound lists for bisection: regions tile the axis in order
-        self._lowers = [[r.lower for r in ax] for ax in self.axes]
-        self._uppers = [[r.upper for r in ax] for ax in self.axes]
+        self._lowers = [[r.lower for r in ax] for ax in axes]
+        self._uppers = [[r.upper for r in ax] for ax in axes]
         # the upper bounds as arrays for locate_batch; _bump[i][j] marks a
         # boundary uppers[i][j] that goes to region j+1 (the smaller level)
         self._upper_arrays = [np.array(u) for u in self._uppers]
         self._bump = [np.array([abs(b.level) < abs(a.level)
                                 for a, b in zip(ax, ax[1:])] + [False])
-                      for ax in self.axes]
-        self.base_cells = _grid_cells(self.axes, 0)
+                      for ax in axes]
+        self._n_base = math.prod(len(ax) for ax in axes)
+        self._table = np.empty((4, self._n_base, self.n))
+        _fill_grid(self._table, 0, axes)
+        self.ids = np.arange(self._n_base, dtype=np.int64)
         self.zoom: Dict[int, _ZoomedCell] = {}
-        self._rebuild_active()
 
     # -- construction ------------------------------------------------------
 
-    def _rebuild_active(self) -> None:
-        self.cells = [c for c in self.base_cells if c.id not in self.zoom]
-        for bid in sorted(self.zoom):
-            z = self.zoom[bid]
-            self.cells.extend(_grid_cells(z.axes, z.first_id))
-        self.cells.sort(key=lambda c: c.id)
-        self._by_id = {c.id: c for c in self.cells}
-        # the cell table of cell_arrays, NaN on retired ids, and, per base
-        # cell, the zoom tables of locate_batch: first subcell id (-1 where
-        # unrefined), bin width, retained bin range and strides per axis
-        ids = np.array([c.id for c in self.cells])
-        rows = np.array([(c.lower, c.upper, c.quantized_point) for c in self.cells])
-        self._table = np.full((4, ids[-1] + 1, self.n), np.nan)
-        self._table[:3, ids] = rows.transpose(1, 0, 2)
-        self._table[3, ids] = (rows[:, 1] - rows[:, 0]) / 2.0
-        for z in self.zoom.values():
-            self._table[3, z.first_id:z.first_id + z.count] = z.params.width
-        n_base = len(self.base_cells)
-        self._zoom_first = np.full(n_base, -1, dtype=np.int64)
-        self._zoom_width = np.ones(n_base)
-        self._zoom_kmin, self._zoom_kmax, self._zoom_strides = \
-            np.zeros((3, n_base, self.n), dtype=np.int64)
-        for bid, z in self.zoom.items():
-            self._zoom_first[bid] = z.first_id
-            self._zoom_width[bid] = z.params.width
-            self._zoom_kmin[bid] = [ks[0] for ks in z.axis_ks]
-            self._zoom_kmax[bid] = [ks[-1] for ks in z.axis_ks]
-            self._zoom_strides[bid] = z.strides
-
     def refined(self, assignments: Dict[int, ZoomQuantizerParams]) -> "Partition":
         """New partition with the given base cells zoom-refined; it shares
-        this partition's unrefined lattice."""
+        this partition's per-axis bounds."""
         part = copy.copy(self)
         part.zoom = dict(self.zoom)
-        next_id = max((c.id for c in self.cells), default=-1) + 1
+        next_id = len(self._table[0])
+        new: List[int] = []
         for bid in sorted(assignments):
             p = assignments[bid]
             if bid in part.zoom:
                 raise ValueError(f"cell {bid} is already zoom-refined")
-            if not 0 <= bid < len(self.base_cells):
-                if bid in self._by_id:
+            if not 0 <= bid < self._n_base:
+                if self._n_base <= bid < next_id:  # ids past the base cells
                     raise ValueError(f"cell {bid} is a zoom subcell; refine base cells only")
                 raise ValueError(f"unknown cell id {bid}")
             if p.delta == 0.0:
                 continue  # keep the cell
-            z = part.zoom[bid] = _ZoomedCell(p, next_id, self.base_cells[bid])
+            lo, hi = self._table[:2, bid].tolist()
+            z = part.zoom[bid] = _ZoomedCell(p, next_id, lo, hi)
+            new.append(bid)
             next_id += z.count
-        part._rebuild_active()
+        # the table grows by the new subcells' rows; retired rows turn NaN
+        part._table = np.full((4, next_id, self.n), np.nan)
+        part._table[:, :len(self._table[0])] = self._table
+        part._table[:, new] = np.nan
+        for bid in new:
+            z = part.zoom[bid]
+            _fill_grid(part._table, z.first_id, z.axes, z.params.width)
+        part.ids = np.flatnonzero(~np.isnan(part._table[0, :, 0]))
+        # per record, in base id order, the zoom tables of locate_batch:
+        # first subcell id, bin width, retained bin range and strides per
+        # axis; _zoom_at gives a base cell's record, -1 where unrefined
+        recs = [part.zoom[b] for b in sorted(part.zoom)]
+        part._zoom_at = np.full(self._n_base, -1, dtype=np.int32)
+        part._zoom_at[sorted(part.zoom)] = np.arange(len(recs))
+        part._zoom_first = np.array([z.first_id for z in recs], dtype=np.int64)
+        part._zoom_width = np.array([z.params.width for z in recs])
+        part._zoom_kmin, part._zoom_kmax, part._zoom_strides = np.array(
+            [[[ks[0] for ks in z.axis_ks], [ks[-1] for ks in z.axis_ks], z.strides]
+             for z in recs], dtype=np.int64).reshape(-1, 3, self.n).transpose(1, 0, 2)
         return part
 
     # -- queries -----------------------------------------------------------
-
-    def cell(self, cid: int) -> Cell:
-        return self._by_id[cid]
 
     def locate(self, x) -> int:
         """Cell id containing x (deterministic tie-break); x must be in the box."""
@@ -472,19 +435,20 @@ class Partition:
             j = np.minimum(np.searchsorted(uppers, z), len(uppers) - 1)
             j += (z == uppers[j]) & self._bump[i][j]
             bid += j * self._strides[i]
-        first = self._zoom_first[bid]
-        zoomed = np.flatnonzero(first >= 0)
         if fails.any():
             self.locate(X[int(np.argmax(fails))])  # raises for that row
-        if zoomed.size:
-            b = bid[zoomed]
-            sid = first[zoomed]
-            for i in range(self.n):
-                k = _zoom_bin(X[zoomed, i], self._zoom_width[b])
-                kmin = self._zoom_kmin[b, i]
-                k = np.clip(k, kmin, self._zoom_kmax[b, i]).astype(np.int64)
-                sid += (k - kmin) * self._zoom_strides[b, i]
-            bid[zoomed] = sid
+        if not self.zoom:
+            return bid
+        rec = self._zoom_at[bid]
+        zoomed = np.flatnonzero(rec >= 0)
+        r = rec[zoomed]
+        sid = self._zoom_first[r]
+        for i in range(self.n):
+            k = _zoom_bin(X[zoomed, i], self._zoom_width[r])
+            kmin = self._zoom_kmin[r, i]
+            k = np.clip(k, kmin, self._zoom_kmax[r, i]).astype(np.int64)
+            sid += (k - kmin) * self._zoom_strides[r, i]
+        bid[zoomed] = sid
         return bid
 
     def cell_arrays(self, ids) -> Tuple[np.ndarray, ...]:

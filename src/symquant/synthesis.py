@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .abstraction import TransitionSystem, _locate_inside
+from .abstraction import TransitionSystem, _locate_inside, _positions
 from .dynamics import integrate_batch
 
 
@@ -170,7 +170,8 @@ def _reach_tables(ts: TransitionSystem, targets: List[Tuple[int, ...]],
     for target in targets:
         if not target:
             raise SynthesisError("target must be nonempty")
-        missing = [q for q in target if q not in ts._pos]
+        found = _positions(ts.ids, np.array(target, dtype=np.int64))[1]
+        missing = [q for q, f in zip(target, found.tolist()) if not f]
         if missing:
             raise SynthesisError(f"target references unknown states {missing}")
     if mode == "robust":

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from symquant.abstraction import (SplineTube, build_delayfree, build_timedelay,
+from symquant.abstraction import (build_delayfree, build_timedelay,
                                   growth_bound_delayfree, knot_times,
                                   log_input_lattice, psi2, refine_cells,
                                   spline_basis, tube_interpolant,
                                   uniform_input_lattice)
 from symquant.dynamics import SampledCurve, TimeDelaySystem, integrate
-from symquant.quantizers import (Cell, LogQuantizerParams, Partition,
+from symquant.quantizers import (LogQuantizerParams, Partition,
                                  ZoomQuantizerParams)
 
 
@@ -34,9 +34,9 @@ def test_growth_bound_reaches_the_far_face_from_the_quantized_point():
     # a boundary-merged cell [0.6, 1] with q = 0.72 and the EQ20 deadzone
     # [-0.4, 0.4] with q = 0: with no growth the radius is the distance
     # from q to the far face, where theta1*(|q|+E) gave 0.18 and 0.25
-    merged = Cell(0, np.array([0.6]), np.array([1.0]), np.array([0.72]))
-    deadzone = Cell(1, np.array([-0.4]), np.array([0.4]), np.array([0.0]))
-    spread = np.array([merged.spread(), deadzone.spread()])
+    lower, upper = np.array([[0.6], [-0.4]]), np.array([[1.0], [0.4]])
+    q = np.array([[0.72], [0.0]])
+    spread = np.maximum(q - lower, upper - q)
     assert growth_bound_delayfree(spread, np.zeros(2), 0.2).tolist() == \
         pytest.approx([0.28, 0.4])
 
@@ -153,7 +153,7 @@ def test_log_input_lattice_levels():
 
 
 def test_build_counts_and_initial(pendulum_ts):
-    assert len(pendulum_ts.states) == 25
+    assert len(pendulum_ts.ids) == 25
     assert len(pendulum_ts.inputs) == 25
     assert pendulum_ts.kind == "delayfree"
 
@@ -169,7 +169,7 @@ def test_center_successors_under_positive_input(pendulum_ts):
 def test_all_successor_sets_contain_the_nominal_cell(pendulum, pendulum_ts):
     part = pendulum_ts.partition
     for (sid, iid), succ in pendulum_ts.transition_rows():
-        x1 = integrate(pendulum, part.cell(sid).quantized_point,
+        x1 = integrate(pendulum, part.cell_arrays(sid)[2],
                        pendulum_ts.inputs[iid], 0.2)
         assert part.locate(x1) in succ
 
@@ -179,7 +179,7 @@ def test_blocked_pairs_have_no_entry(pendulum, pendulum_ts):
     part = pendulum_ts.partition
     corner = part.locate([-0.72, 0.72])
     iid = pendulum_ts.input_id_of([2.4])
-    x1 = integrate(pendulum, part.cell(corner).quantized_point, [2.4], 0.2)
+    x1 = integrate(pendulum, part.cell_arrays(corner)[2], [2.4], 0.2)
     assert np.any(x1 > 1.0)
     assert iid not in pendulum_ts.enabled(corner)
     assert pendulum_ts.successors(corner, iid) == ()
@@ -217,8 +217,8 @@ def test_build_rejects_bad_tau(pendulum, logparams):
 
 def test_refine_cells_produces_33_states(pendulum_ts):
     ref = refine_cells(pendulum_ts, {12: ZoomQuantizerParams(1, 1.0, 0.3)})
-    assert len(ref.states) == 33
-    assert {s.id for s in ref.states} == set(range(12)) | set(range(13, 34))
+    assert len(ref.ids) == 33
+    assert ref.ids.tolist() == [*range(12), *range(13, 34)]
 
 
 def test_refine_cells_empty_assignment_is_identity(pendulum_ts):
@@ -239,17 +239,17 @@ def test_refine_redirects_successors_into_subcells(pendulum, pendulum_ts):
     part = ref.partition
     for (sid, iid), succ in ref.transition_rows():
         assert 12 not in succ
-        x1 = integrate(pendulum, part.cell(sid).quantized_point,
+        x1 = integrate(pendulum, part.cell_arrays(sid)[2],
                        ref.inputs[iid], 0.2)
         assert part.locate(x1) in succ
 
 
 def test_build_keeps_its_endpoints(pendulum, pendulum_ts):
     ts = pendulum_ts
-    assert ts.endpoints.shape == (len(ts.states), len(ts.inputs), 2)
+    assert ts.endpoints.shape == (len(ts.ids), len(ts.inputs), 2)
     for k in (0, 12, 24):
         for iid in (0, 13):
-            x1 = integrate(pendulum, ts.states[k].cell.quantized_point,
+            x1 = integrate(pendulum, ts.partition.cell_arrays(ts.ids[k])[2],
                            ts.inputs[iid], 0.2)
             assert ts.endpoints[k, iid].tolist() == x1.tolist()
 
@@ -272,8 +272,8 @@ def test_a_copied_row_that_lists_a_replaced_cell_is_caught(monkeypatch, pendulum
     import symquant.abstraction as abstraction
     rows = abstraction._prior_rows
 
-    def copy_every_row(prior, cells):
-        kept, at, _ = rows(prior, cells)
+    def copy_every_row(prior, ids):
+        kept, at, _ = rows(prior, ids)
         n_in = len(prior.inputs)
         return kept, at, at[:, None] * n_in + np.arange(n_in)
 
@@ -320,21 +320,18 @@ def test_knot_times_degenerate_interval():
 def test_psi2_constant_curve(pendulum_ts):
     part = pendulum_ts.partition
     curve = SampledCurve(-0.2, 0.0, np.tile([-0.72, -0.72], (2, 1)))
-    tube = psi2(curve, part, 2)
-    assert tube.knots == (0, 0, 0, 0)
+    assert psi2(curve, part, 2) == (0, 0, 0, 0)
 
 
 def test_psi2_crossing_curve(pendulum_ts):
     part = pendulum_ts.partition
     vals = np.array([[-0.72, -0.72], [0.0, 0.0]])  # straight line corner->center
-    tube = psi2(SampledCurve(-0.2, 0.0, vals), part, 0)
-    assert tube.knots == (0, 12)
+    assert psi2(SampledCurve(-0.2, 0.0, vals), part, 0) == (0, 12)
 
 
 def test_tube_interpolant_runs_through_quantized_points(pendulum_ts):
     part = pendulum_ts.partition
-    tube = SplineTube((0, 12))
-    curve = tube_interpolant(tube, part, 0.2)
+    curve = tube_interpolant((0, 12), part, 0.2)
     assert curve(-0.2) == pytest.approx([-0.72, -0.72])
     assert curve(0.0) == pytest.approx([0.0, 0.0])
     assert curve(-0.1) == pytest.approx([-0.36, -0.36])
@@ -348,7 +345,7 @@ def test_timedelay_build_shape(pendulum_delay_ts):
     ts = pendulum_delay_ts
     assert ts.kind == "timedelay"
     assert not ts.truncated
-    assert ts.states[0].tube.knots == (0, 0)  # psi2 of the corner history
+    assert ts.knots[0].tolist() == [0, 0]  # psi2 of the corner history
     assert all(len(succ) >= 1 for _, succ in ts.transition_rows())
 
 
@@ -357,15 +354,13 @@ def test_timedelay_successors_contain_nominal_tube(pendulum_delay,
     from symquant.dynamics import integrate_delay
     ts = pendulum_delay_ts
     part = ts.partition
-    by_tube = {s.tube: s.id for s in ts.states}
+    by_tube = dict(zip(map(tuple, ts.knots.tolist()), ts.ids.tolist()))
     checked = 0
     for (tid, iid), succ in list(ts.transition_rows())[:200]:
-        tube = ts.state(tid).tube
-        hist = tube_interpolant(tube, part, 0.2)
+        hist = tube_interpolant(ts.knots[tid], part, 0.2)  # ids are positions
         u = ts.inputs[iid]
         out = integrate_delay(pendulum_delay, hist, u, 0.2)
-        knots = tuple(part.locate(out(t)) for t in knot_times(0, -0.2, 0.0))
-        nominal = SplineTube(knots)
+        nominal = tuple(part.locate(out(t)) for t in knot_times(0, -0.2, 0.0))
         assert by_tube[nominal] in succ
         checked += 1
     assert checked > 0
@@ -375,8 +370,8 @@ def test_timedelay_budget_truncation_blocks_lost_pairs(pendulum_delay,
                                                        logparams):
     ts = build_timedelay(pendulum_delay, 0.2, logparams, N=0, budget=5)
     assert ts.truncated
-    assert len(ts.states) == 5
-    known = {s.id for s in ts.states}
+    assert len(ts.ids) == 5
+    known = set(ts.ids.tolist())
     for _, succ in ts.transition_rows():
         assert set(succ) <= known
 
@@ -395,7 +390,7 @@ def test_timedelay_zoomed_knots(pendulum_delay, logparams):
                          N=0, budget=200)
     # the initial history sits inside the refined corner, so the initial
     # tube's knots are subcells (fresh ids > 24)
-    assert all(k >= 25 for k in ts.states[0].tube.knots)
+    assert all(k >= 25 for k in ts.knots[0].tolist())
 
 
 def test_knot_match_counts_touching_faces():
@@ -427,20 +422,21 @@ def test_timedelay_successors_equal_knotwise_intersecting(pendulum_delay,
     thetas = knot_times(1, -0.2, 0.0)
     rows = dict(ts.transition_rows())
     fan_out = [len(v) for v in rows.values()]
-    assert max(fan_out) < len(ts.states) and min(fan_out) < max(fan_out)
+    assert max(fan_out) < len(ts.ids) and min(fan_out) < max(fan_out)
     U = np.array(ts.inputs).T
-    for s in ts.states:
-        hist = tube_interpolant(s.tube, part, 0.2)
+    tubes = list(zip(ts.ids.tolist(), ts.knots.tolist()))
+    for sid, tube in tubes:
+        hist = tube_interpolant(tube, part, 0.2)
         H = np.repeat(hist.values[:, :, None], len(ts.inputs), axis=2)
         knots = interpolate_batch(integrate_delay_batch(pendulum_delay, H, U, 0.2),
                                   0.2, thetas)
-        radius = ts.radius[s.id]
+        radius = ts.radius[sid]
         for iid in range(len(ts.inputs)):
-            if (s.id, iid) not in rows:
+            if (sid, iid) not in rows:
                 continue
             hits = [set(part.intersecting(knots[j, :, iid] - radius,
                                           knots[j, :, iid] + radius))
                     for j in range(len(thetas))]
-            want = [t.id for t in ts.states
-                    if all(k in hits[j] for j, k in enumerate(t.tube.knots))]
-            assert rows[(s.id, iid)] == tuple(want)
+            want = [t for t, other in tubes
+                    if all(k in hits[j] for j, k in enumerate(other))]
+            assert rows[(sid, iid)] == tuple(want)

@@ -22,7 +22,7 @@ from symquant.frr import (RefinementMap, sample_frr_delayfree,
                           sample_frr_timedelay)
 from symquant.quantizers import (LogQuantizerParams, Partition,
                                  ZoomQuantizerParams, log_quantize,
-                                 zoom_lattice, zoom_quantize)
+                                 zoom_quantize)
 from symquant.sim import run_closed_loop, validate_path
 from symquant.synthesis import Specification, synthesize_sequence
 
@@ -61,19 +61,20 @@ def test_criterion_1_state_count(pendulum, logparams):
     ts = build_delayfree(pendulum, 0.2, logparams, lipschitz=6.0)
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, f"build took {elapsed:.2f} s"
-    assert len(ts.states) == 25
-    pts = sorted((round(s.cell.quantized_point[0], 9),
-                  round(s.cell.quantized_point[1], 9)) for s in ts.states)
+    assert len(ts.ids) == 25
+    pts = sorted((round(a, 9), round(b, 9))
+                 for a, b in ts.partition.cell_arrays(ts.ids)[2].tolist())
     levels = (-0.72, -0.48, 0.0, 0.48, 0.72)
     assert pts == sorted((a, b) for a in levels for b in levels)
 
 
 def test_criterion_2_zoom_counts(logparams):
     part = Partition([-1, -1], [1, 1], logparams)
-    corner = part.cell(part.locate(np.array([-0.72, -0.72])))
-    center = part.cell(part.locate(np.array([0.0, 0.0])))
-    assert len(zoom_lattice(corner, ZoomQuantizerParams(10, 1.0, 0.1))) == 25
-    assert len(zoom_lattice(center, ZoomQuantizerParams(1, 1.0, 0.3))) == 9
+    corner = part.locate(np.array([-0.72, -0.72]))
+    center = part.locate(np.array([0.0, 0.0]))
+    zoom = {corner: ZoomQuantizerParams(10, 1.0, 0.1), center: ZoomQuantizerParams(1, 1.0, 0.3)}
+    assert part.refined(zoom).zoom[corner].count == 25
+    assert part.refined(zoom).zoom[center].count == 9
 
 
 def test_criterion_3_origin_self_loop(pendulum_ts):
@@ -124,7 +125,7 @@ def test_criterion_5_synthesis_and_closed_loop(pendulum, pendulum_ts):
 def test_criterion_6_refined_model_synthesis(pendulum_ts):
     center = pendulum_ts.partition.locate(np.array([0.0, 0.0]))
     fine = refine_cells(pendulum_ts, {center: ZoomQuantizerParams(1, 1.0, 0.3)})
-    assert len(fine.states) == 33
+    assert len(fine.ids) == 33
     spec = _alternation_spec(fine.partition, 0.3)
     ctrl = synthesize_sequence(fine, spec, mode="hold")
     assert ctrl.n_phases == 12
@@ -186,8 +187,8 @@ def test_criterion_8_quantizer_property_suites(logparams):
     part = Partition([-1, -1], [1, 1], logparams)
     X = rng.uniform(-1.0, 1.0, (100_000, 2))
     counts = np.zeros(len(X), dtype=int)
-    for c in part.cells:
-        counts += np.all((X >= c.lower) & (X <= c.upper), axis=1)
+    for lower, upper in zip(*part.cell_arrays(part.ids)[:2]):
+        counts += np.all((X >= lower) & (X <= upper), axis=1)
     assert np.all(counts == 1)
 
 

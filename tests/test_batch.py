@@ -17,7 +17,7 @@ from symquant.dynamics import (ControlSystem, IntegrationError, SampledCurve,
                                integrate_batch, integrate_delay,
                                integrate_delay_batch)
 from symquant.expr import FUNCTIONS
-from symquant.quantizers import Cell, Partition
+from symquant.quantizers import Partition
 from symquant.synthesis import _hold_reach
 
 # one plant per FUNCTIONS member and '^', each argument inside its domain
@@ -97,20 +97,20 @@ def test_hold_search_drops_pairs_that_leave_the_box():
         integrate(sys, [1.12], [1.0], 0.2)
     ts = build_delayfree(sys, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
                          input_quantization=("uniform", 0.5), lipschitz=1.0)
-    seqs = {s.id: [] for s in ts.states}  # per state, one list per input
-    for s in ts.states:
+    seqs = {sid: [] for sid in ts.ids.tolist()}  # per state, one list per input
+    for sid, q in zip(ts.ids.tolist(), ts.partition.cell_arrays(ts.ids)[2]):
         for u in ts.inputs:
-            x, want = s.cell.quantized_point, []
+            x, want = q, []
             for _ in range(16):
                 x = integrate(sys, x, u, 0.2)
                 if np.any(x < sys.state_lo) or np.any(x > sys.state_hi):
                     break
                 want.append(ts.partition.locate(x))
-            seqs[s.id].append(want)
+            seqs[sid].append(want)
     assert any(len(v) < 16 for per_input in seqs.values() for v in per_input)
     # per target, the fewest steps, then the smallest input, that the
     # scalar sequences imply
-    targets = [(s.id,) for s in ts.states]
+    targets = [(sid,) for sid in ts.ids.tolist()]
     for (goal,), (policy, dist) in zip(targets, _hold_reach(ts, targets, 16)):
         want_policy, want_dist = {}, {goal: 0}
         for sid, per_input in seqs.items():
@@ -401,11 +401,17 @@ def test_both_entry_points_refuse_a_fractional_input_delay(entry):
 # ---------------------------------------------------------------------------
 # Lipschitz estimates
 
+def cells_of(part, ids=None):
+    """(lower, upper, quantized point) of the cells ids of part, (C, n)
+    each: all its cells by default."""
+    return part.cell_arrays(part.ids if ids is None else ids)[:3]
+
+
 def assert_batch_equals_cells(sys, cells, mode="sampled-jacobian", tau=None):
-    got = estimate_lipschitz_batch(sys, cells, mode, tau)
-    assert got.shape == (len(cells),)
-    for k, cell in enumerate(cells):
-        want = estimate_lipschitz(sys, cell, mode, tau)
+    got = estimate_lipschitz_batch(sys, *cells, mode, tau)
+    assert got.shape == (len(cells[0]),)
+    for k, cell in enumerate(zip(*cells)):
+        want = estimate_lipschitz(sys, *cell, mode, tau)
         assert got[k].tobytes() == np.float64(want).tobytes(), k
 
 
@@ -415,26 +421,26 @@ def test_lipschitz_batch_on_the_fine_zoom_partition(pendulum):
     part = Partition(pendulum.state_lo, pendulum.state_hi,
                      LogQuantizerParams(0.1, 0.1, "EQ20"))
     part = part.refined({264: ZoomQuantizerParams(1, 1.0, 0.1)})
-    assert len(part.cells) == 537
-    assert_batch_equals_cells(pendulum, part.cells)
-    assert_batch_equals_cells(pendulum, part.cells, tau=0.2)
+    assert len(part.ids) == 537
+    assert_batch_equals_cells(pendulum, cells_of(part))
+    assert_batch_equals_cells(pendulum, cells_of(part), tau=0.2)
 
 
 @pytest.mark.parametrize("name", sorted(TERMS))
 def test_lipschitz_batch_for_every_function(name):
     sys = plant(TERMS[name])
     part = Partition(sys.state_lo, sys.state_hi, LogQuantizerParams(0.2, 0.4))
-    assert_batch_equals_cells(sys, part.cells)
-    assert_batch_equals_cells(sys, part.cells, tau=0.2)
+    assert_batch_equals_cells(sys, cells_of(part))
+    assert_batch_equals_cells(sys, cells_of(part), tau=0.2)
 
 
 def test_lipschitz_batch_counts_delay_columns(pendulum_delay, logparams):
     part = Partition(pendulum_delay.state_lo, pendulum_delay.state_hi, logparams)
-    whole = Cell(-1, pendulum_delay.state_lo, pendulum_delay.state_hi,
-                 np.zeros(2))
-    assert_batch_equals_cells(pendulum_delay, part.cells + [whole])
+    whole = (pendulum_delay.state_lo, pendulum_delay.state_hi, np.zeros(2))
+    assert_batch_equals_cells(pendulum_delay, [np.vstack([a, b]) for a, b
+                                               in zip(cells_of(part), whole)])
     assert_batch_equals_cells(delay_plant("no-input-delay", pendulum_delay),
-                              part.cells)
+                              cells_of(part))
 
 
 @pytest.mark.parametrize("rhs", [["1.5"], ["u1"], ["0.5", "-0.25*u1"]])
@@ -443,19 +449,20 @@ def test_lipschitz_batch_of_a_state_free_rhs(rhs):
     n = len(rhs)
     sys = ControlSystem.from_strings(rhs, [-1] * n, [1] * n, [-0.6], [0.6])
     part = Partition(sys.state_lo, sys.state_hi, LogQuantizerParams(0.2, 0.4))
-    assert_batch_equals_cells(sys, part.cells)
-    assert not estimate_lipschitz_batch(sys, part.cells).any()
-    assert_batch_equals_cells(sys, part.cells, tau=0.2)
-    assert not estimate_lipschitz_batch(sys, part.cells, tau=0.2).any()
+    assert_batch_equals_cells(sys, cells_of(part))
+    assert not estimate_lipschitz_batch(sys, *cells_of(part)).any()
+    assert_batch_equals_cells(sys, cells_of(part), tau=0.2)
+    assert not estimate_lipschitz_batch(sys, *cells_of(part), tau=0.2).any()
 
 
 def test_lipschitz_batch_numeric_and_empty(pendulum, logparams):
     part = Partition(pendulum.state_lo, pendulum.state_hi, logparams)
-    assert_batch_equals_cells(pendulum, part.cells, 6)
-    assert_batch_equals_cells(pendulum, part.cells, 6, 0.2)
-    assert estimate_lipschitz_batch(pendulum, [], "sampled-jacobian").shape == (0,)
+    assert_batch_equals_cells(pendulum, cells_of(part), 6)
+    assert_batch_equals_cells(pendulum, cells_of(part), 6, 0.2)
+    assert estimate_lipschitz_batch(pendulum, *cells_of(part, []),
+                                    "sampled-jacobian").shape == (0,)
     with pytest.raises(ValueError, match="unknown mode"):
-        estimate_lipschitz_batch(pendulum, part.cells, "exact")
+        estimate_lipschitz_batch(pendulum, *cells_of(part), "exact")
 
 
 def test_lipschitz_batch_error_names_the_first_failing_cell():
@@ -470,15 +477,15 @@ def test_lipschitz_batch_error_names_the_first_failing_cell():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError) as scalar:
-            estimate_lipschitz(sys, part.cells[3])
+            estimate_lipschitz(sys, *cells_of(part, 3))
         with pytest.raises(IntegrationError) as batch:
-            estimate_lipschitz_batch(sys, part.cells)
+            estimate_lipschitz_batch(sys, *cells_of(part))
     assert str(scalar.value) == str(batch.value) == text
-    assert_batch_equals_cells(sys, part.cells[:3])
+    assert_batch_equals_cells(sys, cells_of(part, range(3)))
     # with tau, cell 2 = [-0.4, 0.4] grows past x1 = 0.5 and fails first
     with pytest.raises(IntegrationError) as scalar:
-        estimate_lipschitz(sys, part.cells[2], tau=0.2)
+        estimate_lipschitz(sys, *cells_of(part, 2), tau=0.2)
     with pytest.raises(IntegrationError) as batch:
-        estimate_lipschitz_batch(sys, part.cells, tau=0.2)
+        estimate_lipschitz_batch(sys, *cells_of(part), tau=0.2)
     assert str(scalar.value) == str(batch.value)
-    assert_batch_equals_cells(sys, part.cells[:2], tau=0.2)
+    assert_batch_equals_cells(sys, cells_of(part, range(2)), tau=0.2)

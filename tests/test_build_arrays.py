@@ -8,8 +8,7 @@ import pytest
 
 from symquant import (ControlSystem, LogQuantizerParams, ZoomQuantizerParams,
                       build_delayfree, refine_cells)
-from symquant.abstraction import (AbstractState, TransitionSystem,
-                                  transition_arrays)
+from symquant.abstraction import TransitionSystem, transition_arrays
 from symquant.dynamics import estimate_lipschitz, integrate
 from symquant.model_io import serialize_ts
 
@@ -21,21 +20,20 @@ def reference_model(ts: TransitionSystem) -> TransitionSystem:
     ctx, part, inputs = ts._ctx, ts.partition, ts.inputs
     sys = ctx.sys
     transitions = {}
-    for cell in part.cells:
-        rate = estimate_lipschitz(sys, cell, ctx.lipschitz, ctx.tau)
-        s = float(np.max(cell.spread()))
+    cells = part.cell_arrays(part.ids)[:3]
+    for cid, lower, upper, q in zip(part.ids.tolist(), *cells):
+        rate = estimate_lipschitz(sys, lower, upper, q, ctx.lipschitz, ctx.tau)
+        s = float(np.max(np.maximum(q - lower, upper - q)))
         radius = ctx.growth_scale * (math.exp(rate * ctx.tau) * s)
         for iid, u in enumerate(inputs):
-            x1 = integrate(sys, cell.quantized_point, u, ctx.tau, ctx.steps)
+            x1 = integrate(sys, q, u, ctx.tau, ctx.steps)
             if np.any(x1 < sys.state_lo) or np.any(x1 > sys.state_hi):
                 continue  # nominal endpoint leaves X: blocked pair
             succ = part.intersecting(x1 - radius, x1 + radius)
-            transitions[(cell.id, iid)] = tuple(succ)
-    states = [AbstractState(c.id, cell=c) for c in part.cells]
-    return TransitionSystem("delayfree", states, inputs,
-                            transition_arrays([c.id for c in part.cells],
-                                              len(inputs), transitions),
-                            partition=part, ctx=ctx)
+            transitions[(cid, iid)] = tuple(succ)
+    return TransitionSystem(part.ids, inputs,
+                            transition_arrays(part.ids, len(inputs), transitions),
+                            cell_rows=(part.ids, *cells), partition=part, ctx=ctx)
 
 
 def assert_same_model(ts):
@@ -47,7 +45,7 @@ def assert_same_model(ts):
 def test_one_dimensional_plant_with_blocked_pairs():
     sys = ControlSystem.from_strings(["2*x1 + u1"], [-1], [1], [-0.6], [0.6])
     ts = build_delayfree(sys, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"))
-    blocked = len(ts.states) * len(ts.inputs) - len(dict(ts.transition_rows()))
+    blocked = len(ts.ids) * len(ts.inputs) - len(dict(ts.transition_rows()))
     assert blocked > 0
     assert_same_model(ts)
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,7 +122,7 @@ def test_abstract_reports_model_size(ws, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "delay-free model with 25 states, 25 inputs, 9875 transitions" in out
-    assert len(load_ts(str(ws / "again.sts")).states) == 25
+    assert len(load_ts(str(ws / "again.sts")).ids) == 25
 
 
 def test_synthesize_writes_sequence_controller(ws, capsys):
@@ -341,7 +342,7 @@ def test_time_delay_simulate_reports_leaving_the_state_box(tmp_path, capsys):
     ini.write_text(DRIFT_INI)
     ts = load_config(str(ini)).build_model()
     iid = ts.input_id_of([-1.0])
-    policy = {s.id: iid for s in ts.states}
+    policy = {sid: iid for sid in ts.ids.tolist()}
     (tmp_path / "drift.ctrl").write_text(serialize_controller(Controller(
         [policy], [(-1,)], [dict.fromkeys(policy, 1)], list(ts.inputs),
         "robust")))
@@ -468,6 +469,35 @@ def test_time_delay_blowup_is_exit_1(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == "error: non-finite state at t=0.01\n"
     assert not (tmp_path / "x.sts").exists()
+
+
+@pytest.mark.parametrize("ini,given,sampled", [
+    (PENDULUM_INI, "0.1", "1.100000"),  # largest mu over the cells
+    (DELAY_INI, "3.9", "3.916000"),  # L over the state box
+], ids=["delay-free", "tubes"])
+def test_a_numeric_lipschitz_below_the_sampled_rate_is_refused(tmp_path, capsys,
+                                                                ini, given, sampled):
+    # with 0.1 the pendulum's model had 3457 transitions, and the sampled
+    # witness found 3 violations at 20000 samples, seed 1
+    cfg = tmp_path / "small.ini"
+    cfg.write_text(ini.replace("lipschitz = 6", f"lipschitz = {given}"))
+    rc = main(["abstract", "--config", str(cfg), "--out", str(tmp_path / "m.sts")])
+    assert rc == 1
+    assert re.fullmatch(
+        f"error: abstraction.lipschitz: {given} is below the sampled rate "
+        f"{sampled}[0-9]* of this plant, so the model would not be sound; "
+        f"use at least that, or 'sampled'\n", capsys.readouterr().err)
+    assert not (tmp_path / "m.sts").exists()
+
+
+def test_a_numeric_lipschitz_above_the_sampled_rate_builds(tmp_path, capsys):
+    cfg = tmp_path / "tight.ini"
+    cfg.write_text(PENDULUM_INI.replace("lipschitz = 6", "lipschitz = 1.2"))
+    sts = str(tmp_path / "m.sts")
+    assert main(["abstract", "--config", str(cfg), "--out", sts]) == 0
+    assert "delay-free model with 25 states" in capsys.readouterr().out
+    assert main(["verify-frr", "--config", str(cfg), "--model", sts,
+                 "--samples", "2000", "--seed", "1"]) == 0
 
 
 def test_abstract_builds_a_plant_without_state_dependence(tmp_path, capsys):

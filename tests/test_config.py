@@ -144,7 +144,7 @@ def test_build_model_and_specification():
     })
     cfg = parse_config_text(text)
     ts = cfg.build_model()
-    assert len(ts.states) == 25
+    assert len(ts.ids) == 25
     spec = cfg.specification(ts)
     assert spec.kind == "reach"
     assert spec.targets == [(12,)]  # reach keeps the first point only
@@ -190,16 +190,16 @@ def test_the_refinement_cases_are_what_their_names_say():
     _, coarse, refined = _coarse_and_refined("blocked-pairs")
     n_in = len(refined.inputs)
     assert any(np.diff(refined.indptr[k * n_in:(k + 1) * n_in + 1]).min() == 0
-               for k, s in enumerate(refined.states) if s.id >= 25)
+               for k, sid in enumerate(refined.ids.tolist()) if sid >= 25)
     _, coarse, _ = _coarse_and_refined("merged-outer")
-    assert coarse.state(22).cell.upper.tolist() == [1.0, 0.4]
+    assert coarse.partition.cell_arrays(22)[1].tolist() == [1.0, 0.4]
     _, coarse, refined = _coarse_and_refined("delta-0-only")
     assert serialize_ts(refined) == serialize_ts(coarse)
     _, coarse, _ = _coarse_and_refined("1d")
-    assert coarse.state(2).cell.quantized_point.tolist() == [0.0]
+    assert coarse.partition.cell_arrays(2)[2].tolist() == [0.0]
     _, coarse, refined = _coarse_and_refined("3d")
-    assert coarse.state(62).cell.quantized_point.tolist() == [0.0, 0.0, 0.0]
-    assert len(refined.states) == 125 - 2 + 27 + 8
+    assert coarse.partition.cell_arrays(62)[2].tolist() == [0.0, 0.0, 0.0]
+    assert len(refined.ids) == 125 - 2 + 27 + 8
 
 
 def test_refine_integrates_only_the_new_subcells(monkeypatch):
@@ -219,7 +219,7 @@ def test_refine_integrates_only_the_new_subcells(monkeypatch):
     monkeypatch.setattr(Partition, "intersecting",
                         counted("intersecting", Partition.intersecting))
     refined = refine_cells(coarse, cfg.zoom)
-    new = [s for s in refined.states if s.id >= 25]
+    new = [sid for sid in refined.ids.tolist() if sid >= 25]
     assert len(new) == 9 + 3
     assert calls["integrate"] == len(new) * len(coarse.inputs)
     # queried again: the new subcells' pairs and the kept pairs that met

@@ -9,13 +9,11 @@ import pytest
 
 from symquant import (LogQuantizerParams, Partition, ZoomQuantizerParams,
                       build_delayfree)
-from symquant.abstraction import (AbstractState, TransitionSystem,
-                                  transition_arrays)
+from symquant.abstraction import TransitionSystem, transition_arrays
 from symquant.cli import _load_model_checked, main
 from symquant.frr import check_frr_finite
 from symquant.model_io import (ModelFormatError, parse_sts, serialize_ts,
                                sts_chunks, write_ts)
-from symquant.quantizers import Cell
 from symquant.synthesis import _robust_reach
 
 
@@ -30,8 +28,7 @@ def reference_robust_reach(ts, target):
         changed = False
         level += 1
         frontier = {}
-        for s in ts.states:
-            q = s.id
+        for q in ts.ids.tolist():
             if q in dist:
                 continue
             for iid in ts.enabled(q):
@@ -64,7 +61,7 @@ def fine_zoom_ts(pendulum):
 def test_arrays_describe_every_pair(pendulum_ts):
     ts = pendulum_ts
     assert ts.indptr.dtype == np.int64 and ts.succ.dtype == np.int32
-    assert len(ts.indptr) == len(ts.states) * len(ts.inputs) + 1
+    assert len(ts.indptr) == len(ts.ids) * len(ts.inputs) + 1
     assert ts.n_transitions == len(ts.succ) == ts.indptr[-1]
     rows = list(ts.transition_rows())
     assert [key for key, _ in rows] == sorted(key for key, _ in rows)
@@ -76,8 +73,8 @@ def test_arrays_describe_every_pair(pendulum_ts):
 
 def test_blocked_pairs_and_unknown_ids(pendulum_ts):
     ts = pendulum_ts
-    blocked = [(s.id, iid) for s in ts.states for iid in range(len(ts.inputs))
-               if iid not in ts.enabled(s.id)]
+    blocked = [(sid, iid) for sid in ts.ids.tolist() for iid in range(len(ts.inputs))
+               if iid not in ts.enabled(sid)]
     assert blocked
     for sid, iid in blocked:
         assert ts.successors(sid, iid) == ()
@@ -91,12 +88,23 @@ def test_ids_need_not_be_positions(fine_zoom_ts):
     # zooming cell 264 removes its id; rows follow state positions
     ts = fine_zoom_ts
     assert 264 not in ts.ids.tolist()
-    last = ts.states[-1].id
-    assert last > len(ts.states) - 1
+    last = int(ts.ids[-1])
+    assert last > len(ts.ids) - 1
     assert ts.enabled(last)
     for iid in ts.enabled(last):
         assert all(t != 264 for t in ts.successors(last, iid))
     assert ts.successors(264, 0) == () and ts.enabled(264) == []
+
+
+@pytest.mark.parametrize("sid", [-1, 0, 2, 4, 6, 10 ** 9, 10 ** 9 + 8, 2 ** 40])
+def test_absent_ids_have_no_successors_or_inputs(sid):
+    # ids below, between and above the model's ids: the search over ids
+    # finds none of them
+    ts = _graph_ts([3, 5, 10 ** 9 + 7], 2,
+                   {(3, 0): (5,), (5, 1): (3, 5), (10 ** 9 + 7, 0): (3,)})
+    assert ts.successors(sid, 0) == () and ts.successors(sid, 1) == ()
+    assert ts.enabled(sid) == []
+    assert ts.successors(5, 1) == (3, 5) and ts.enabled(10 ** 9 + 7) == [0]
 
 
 def test_mapping_and_edge_triples_give_the_same_arrays():
@@ -132,8 +140,7 @@ def test_state_ids_must_fit_int32():
 
 
 def _two_states(ids, succ):
-    return TransitionSystem("delayfree", [AbstractState(i) for i in ids],
-                            [np.array([0.0])],
+    return TransitionSystem(ids, [np.array([0.0])],
                             (np.array([0, 0, len(succ)]), np.array(succ)))
 
 
@@ -174,7 +181,7 @@ def test_successor_check_runs_chunk_by_chunk(monkeypatch):
 
 def test_indptr_must_cover_every_pair():
     with pytest.raises(ValueError, match="one row per"):
-        TransitionSystem("delayfree", [AbstractState(0)], [np.array([0.0])],
+        TransitionSystem([0], [np.array([0.0])],
                          (np.array([0, 1, 1]), np.array([0])))
 
 
@@ -215,8 +222,8 @@ def _sts_by_pair(ts):
 def test_edge_records_come_one_piece_per_state(fine_zoom_ts):
     ts = fine_zoom_ts
     chunks = list(sts_chunks(ts))
-    head = 1 + len(ts.states) + len(ts.inputs)
-    with_edges = sum(1 for s in ts.states if ts.enabled(s.id))
+    head = 1 + len(ts.ids) + len(ts.inputs)
+    with_edges = sum(1 for sid in ts.ids.tolist() if ts.enabled(sid))
     assert len(chunks) == head + with_edges
     assert "".join(chunks[head:]) == _sts_by_pair(ts)
     assert all(len({ln.split()[1] for ln in c.splitlines()}) == 1 for c in chunks[head:])
@@ -224,11 +231,11 @@ def test_edge_records_come_one_piece_per_state(fine_zoom_ts):
 
 def test_edge_records_of_sparse_ids_and_empty_states():
     relation = {(10 ** 9 + 7, 1): (5, 10 ** 9 + 7), (5, 0): (5,)}
-    ts = TransitionSystem("delayfree", [AbstractState(i, cell=Cell(i, np.zeros(1), np.ones(1),
-                                                                   np.full(1, 0.5)))
-                                        for i in (3, 5, 10 ** 9 + 7)],
-                          [np.array([0.0]), np.array([1.0])],
-                          transition_arrays([3, 5, 10 ** 9 + 7], 2, relation))
+    ids = np.array([3, 5, 10 ** 9 + 7])
+    ts = TransitionSystem(ids, [np.array([0.0]), np.array([1.0])],
+                          transition_arrays(ids, 2, relation),
+                          cell_rows=(ids, np.zeros((3, 1)), np.ones((3, 1)),
+                                     np.full((3, 1), 0.5)))
     text = serialize_ts(ts)
     assert text.endswith("I 1 1\nE 5 0 5\nE 1000000007 1 5\nE 1000000007 1 1000000007\n")
     assert text[text.index("E "):] == _sts_by_pair(ts)
@@ -290,7 +297,7 @@ def test_rounds_match_the_fixed_point_over_many_levels(fine_zoom_ts):
 
 
 def _graph_ts(ids, m, relation):
-    return TransitionSystem("delayfree", [AbstractState(q) for q in ids],
+    return TransitionSystem(ids,
                             [np.array([float(i)]) for i in range(m)],
                             transition_arrays(ids, m, relation))
 

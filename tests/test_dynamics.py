@@ -10,7 +10,6 @@ from symquant.dynamics import (ControlSystem, IntegrationError, SampledCurve,
                                integrate_batch, integrate_delay,
                                integrate_delay_batch)
 from symquant.expr import FUNCTIONS, Binary, Unary
-from symquant.quantizers import Cell
 
 
 def decay():
@@ -412,39 +411,38 @@ def test_r_must_be_multiple_of_tau():
 
 
 def box_cell():
-    return Cell(0, np.array([-1.0, -1.0]), np.array([1.0, 1.0]),
-                np.array([0.0, 0.0]))
+    """(lower, upper, quantized point) of the cell [-1, 1]^2 around 0."""
+    return np.array([-1.0, -1.0]), np.array([1.0, 1.0]), np.array([0.0, 0.0])
 
 
 def test_numeric_mode_is_verbatim(pendulum):
-    assert estimate_lipschitz(pendulum, box_cell(), 6.0) == 6.0
-    assert estimate_lipschitz(pendulum, box_cell(), 2) == 2.0
+    assert estimate_lipschitz(pendulum, *box_cell(), 6.0) == 6.0
+    assert estimate_lipschitz(pendulum, *box_cell(), 2) == 2.0
 
 
 def test_sampled_jacobian_bound_for_pendulum(pendulum):
     # max row sum of |J| is 1.96 + 1.5 = 3.46 (attained at x1 = 0),
     # times the 1.1 safety factor
-    L = estimate_lipschitz(pendulum, box_cell(), "sampled-jacobian")
+    L = estimate_lipschitz(pendulum, *box_cell(), "sampled-jacobian")
     assert 3.46 <= L <= 3.81
 
 
 def test_sampled_jacobian_sees_cell_extent(pendulum):
     # on a cell away from x1=0 the sine curvature lowers the row sum
-    off = Cell(0, np.array([0.6, -0.4]), np.array([1.0, 0.4]),
-               np.array([0.72, 0.0]))
-    L_off = estimate_lipschitz(pendulum, off, "sampled-jacobian")
-    L_all = estimate_lipschitz(pendulum, box_cell(), "sampled-jacobian")
+    off = (np.array([0.6, -0.4]), np.array([1.0, 0.4]), np.array([0.72, 0.0]))
+    L_off = estimate_lipschitz(pendulum, *off, "sampled-jacobian")
+    L_all = estimate_lipschitz(pendulum, *box_cell(), "sampled-jacobian")
     assert L_off <= L_all
 
 
 def test_unknown_mode_rejected(pendulum):
     with pytest.raises(ValueError):
-        estimate_lipschitz(pendulum, box_cell(), "exact")
+        estimate_lipschitz(pendulum, *box_cell(), "exact")
 
 
 def test_lipschitz_falsification_200_pairs(pendulum):
     # the estimate must actually dominate finite differences of f
-    L = estimate_lipschitz(pendulum, box_cell(), "sampled-jacobian")
+    L = estimate_lipschitz(pendulum, *box_cell(), "sampled-jacobian")
     rng = np.random.default_rng(21)
     fns = [e.fn for e in pendulum.f]
     for _ in range(200):
@@ -459,7 +457,7 @@ def test_lipschitz_falsification_200_pairs(pendulum):
 def test_lipschitz_counts_delay_columns(pendulum_delay):
     # row sum for the delayed plant adds the |alpha| = 0.1 column:
     # 1.96 + 1.5 + 0.1 = 3.56 before the safety factor
-    L = estimate_lipschitz(pendulum_delay, box_cell(), "sampled-jacobian")
+    L = estimate_lipschitz(pendulum_delay, *box_cell(), "sampled-jacobian")
     assert 3.56 <= L <= 3.92
 
 
@@ -468,8 +466,8 @@ def test_delay_column_not_cancelled_against_state_column():
     # not |−1 + 1| = 0; a naive perturbation of both at once underestimates
     sys = TimeDelaySystem.from_strings(["-x1 + delay(x1, 0.1)"], [-1], [1],
                                        [0], [0], Theta=0.1, r=0.0)
-    cell = Cell(0, np.array([-1.0]), np.array([1.0]), np.array([0.0]))
-    L = estimate_lipschitz(sys, cell, "sampled-jacobian")
+    cell = (np.array([-1.0]), np.array([1.0]), np.array([0.0]))
+    L = estimate_lipschitz(sys, *cell, "sampled-jacobian")
     assert L >= 2.0
 
 
@@ -480,16 +478,16 @@ def test_delay_column_not_cancelled_against_state_column():
 def test_measure_of_the_pendulum(pendulum):
     # J = [[0, 1], [-1.96 cos x1, -1.5]]: row 1 gives 0 + 1, row 2 gives
     # -1.5 + 1.96|cos x1| <= 0.46, so mu = 1, times 1.1; L is 3.46 * 1.1
-    mu = estimate_lipschitz(pendulum, box_cell(), "sampled-jacobian", 0.2)
+    mu = estimate_lipschitz(pendulum, *box_cell(), "sampled-jacobian", 0.2)
     assert mu == pytest.approx(1.1, abs=1e-6)
-    assert mu < estimate_lipschitz(pendulum, box_cell(), "sampled-jacobian")
+    assert mu < estimate_lipschitz(pendulum, *box_cell(), "sampled-jacobian")
 
 
 def test_measure_of_a_contracting_plant_takes_the_0_9_margin():
     # J = [[-2, 0.5], [0.5, -2]]: mu = -1.5 on every row, times 0.9
     sys = ControlSystem.from_strings(["-2*x1 + 0.5*x2 + u1", "0.5*x1 - 2*x2"],
                                      [-1, -1], [1, 1], [-0.6], [0.6])
-    mu = estimate_lipschitz(sys, box_cell(), "sampled-jacobian", 0.2)
+    mu = estimate_lipschitz(sys, *box_cell(), "sampled-jacobian", 0.2)
     assert mu == pytest.approx(-1.35, abs=1e-6)
 
 
@@ -498,11 +496,11 @@ def test_measure_is_taken_over_the_grown_cell():
     # grows by 1.1*0.2*0.01 on each side and J = 2*x1 is sampled up to
     # x1 = 0.1022; the rate is 2 * 0.1022 * 1.1
     sys = ControlSystem.from_strings(["x1*x1 + 0*u1"], [-1], [1], [0], [0])
-    cell = Cell(0, np.array([0.0]), np.array([0.1]), np.array([0.05]))
-    mu = estimate_lipschitz(sys, cell, "sampled-jacobian", 0.2)
+    cell = (np.array([0.0]), np.array([0.1]), np.array([0.05]))
+    mu = estimate_lipschitz(sys, *cell, "sampled-jacobian", 0.2)
     assert mu == pytest.approx(2 * (0.1 + 1.1 * 0.2 * 0.01) * 1.1, rel=1e-6)
     # without tau: the Lipschitz constant over the cell itself
-    L = estimate_lipschitz(sys, cell, "sampled-jacobian")
+    L = estimate_lipschitz(sys, *cell, "sampled-jacobian")
     assert L == pytest.approx(2 * 0.1 * 1.1, rel=1e-6)
 
 
@@ -510,13 +508,13 @@ def test_measure_region_holds_the_quantized_point():
     # a quantized point outside its cell starts the nominal trajectory, so
     # the rate is sampled up to it: J = 2*x1 at x1 = 0.5, the grown end
     sys = ControlSystem.from_strings(["x1*x1 + 0*u1"], [-1], [1], [0], [0])
-    inside = Cell(0, np.array([0.0]), np.array([0.1]), np.array([0.05]))
-    outside = Cell(0, np.array([0.0]), np.array([0.1]), np.array([0.5]))
-    mu_in = estimate_lipschitz(sys, inside, "sampled-jacobian", 0.2)
-    mu_out = estimate_lipschitz(sys, outside, "sampled-jacobian", 0.2)
+    inside = (np.array([0.0]), np.array([0.1]), np.array([0.05]))
+    outside = (np.array([0.0]), np.array([0.1]), np.array([0.5]))
+    mu_in = estimate_lipschitz(sys, *inside, "sampled-jacobian", 0.2)
+    mu_out = estimate_lipschitz(sys, *outside, "sampled-jacobian", 0.2)
     assert mu_out == pytest.approx(2 * (0.5 + 1.1 * 0.2 * 0.25) * 1.1, rel=1e-6)
     assert mu_out > mu_in
 
 
 def test_numeric_mode_is_the_rate_as_given(pendulum):
-    assert estimate_lipschitz(pendulum, box_cell(), 6.0, 0.2) == 6.0
+    assert estimate_lipschitz(pendulum, *box_cell(), 6.0, 0.2) == 6.0

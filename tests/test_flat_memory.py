@@ -10,12 +10,11 @@ import pytest
 from symquant import (LogQuantizerParams, Partition, ZoomQuantizerParams,
                       build_delayfree, refine_cells)
 from symquant import model_io
-from symquant.abstraction import (AbstractState, TransitionSystem,
-                                  growth_bound_delayfree, transition_arrays)
+from symquant.abstraction import (TransitionSystem, growth_bound_delayfree,
+                                  transition_arrays)
 from symquant.dynamics import (ControlSystem, estimate_lipschitz_batch,
                                integrate)
 from symquant.model_io import ModelFormatError, parse_sts, serialize_ts
-from symquant.quantizers import Cell
 from symquant.synthesis import synthesize_reach
 
 MiB = 1 << 20
@@ -54,9 +53,9 @@ def zoomed_pendulum_ts(pendulum, logparams):
     coarse = build_delayfree(pendulum, 0.2, logparams, lipschitz=6.0)
     ts = refine_cells(coarse, {12: ZoomQuantizerParams(1, 1.0, 0.3),
                                0: ZoomQuantizerParams(2, 1.0, 0.1)})
-    assert len(dict(ts.transition_rows())) < len(ts.states) * len(ts.inputs)
+    assert len(dict(ts.transition_rows())) < len(ts.ids) * len(ts.inputs)
     assert sorted(ts.partition.zoom) == [0, 12]
-    assert ts.ids.tolist() != list(range(len(ts.states)))
+    assert ts.ids.tolist() != list(range(len(ts.ids)))
     return ts
 
 
@@ -115,21 +114,21 @@ def list_build(ts: TransitionSystem) -> TransitionSystem:
     nested list of integrate() results, the growth boxes through .tolist(),
     and the successor ids copied out of their buffer."""
     ctx, part, inputs = ts._ctx, ts.partition, ts.inputs
-    sys, cells = ctx.sys, part.cells
-    rate = estimate_lipschitz_batch(sys, cells, ctx.lipschitz, ctx.tau)
+    sys, ids = ctx.sys, part.ids.tolist()
+    lower, upper, q = cells = part.cell_arrays(ids)[:3]
+    rate = estimate_lipschitz_batch(sys, *cells, ctx.lipschitz, ctx.tau)
     radius = ctx.growth_scale * growth_bound_delayfree(
-        np.array([c.spread() for c in cells]), rate, ctx.tau)[:, None, None]
-    x1 = np.array([[integrate(sys, c.quantized_point, u, ctx.tau, ctx.steps)
-                    for u in inputs] for c in cells])
+        np.maximum(q - lower, upper - q), rate, ctx.tau)[:, None, None]
+    x1 = np.array([[integrate(sys, p, u, ctx.tau, ctx.steps) for u in inputs]
+                   for p in q])
     blocked = ((x1 < sys.state_lo) | (x1 > sys.state_hi)).any(axis=2)
     box_lo, box_hi = (x1 - radius).tolist(), (x1 + radius).tolist()
-    relation = {(c.id, iid): tuple(part.intersecting(box_lo[k][iid], box_hi[k][iid]))
-                for k, c in enumerate(cells) for iid in range(len(inputs))
+    relation = {(cid, iid): tuple(part.intersecting(box_lo[k][iid], box_hi[k][iid]))
+                for k, cid in enumerate(ids) for iid in range(len(inputs))
                 if not blocked[k, iid]}
-    ids = [c.id for c in cells]
-    return TransitionSystem("delayfree", [AbstractState(c.id, cell=c) for c in cells],
-                            inputs, transition_arrays(ids, len(inputs), relation),
-                            partition=part, ctx=ctx)
+    return TransitionSystem(ids, inputs,
+                            transition_arrays(ids, len(inputs), relation),
+                            cell_rows=(np.array(ids), *cells), partition=part, ctx=ctx)
 
 
 def test_same_bytes_as_the_list_build(zoomed_pendulum_ts):
@@ -205,12 +204,11 @@ def test_bulk_parse_equals_line_parse(zoomed_pendulum_ts, monkeypatch, edit, bul
 
 def test_ids_of_ten_digits_are_parsed_by_line(monkeypatch):
     ids = [5, 10 ** 9 + 7]
-    cells = [Cell(q, np.array([k]), np.array([k + 1.0]), np.array([k + 0.5]))
-             for k, q in enumerate(ids)]
+    k = np.arange(2.0).reshape(2, 1)
     relation = {(5, 0): (5, 10 ** 9 + 7), (10 ** 9 + 7, 1): (5,)}
-    ts = TransitionSystem("delayfree", [AbstractState(c.id, cell=c) for c in cells],
-                          [np.array([0.0]), np.array([1.0])],
-                          transition_arrays(ids, 2, relation))
+    ts = TransitionSystem(ids, [np.array([0.0]), np.array([1.0])],
+                          transition_arrays(ids, 2, relation),
+                          cell_rows=(np.array(ids), k, k + 1.0, k + 0.5))
     text = serialize_ts(ts)
     assert model_io._edge_block(text, model_io._FIRST_E.search(text).start()) is None
     assert serialize_ts(parse_sts(text)) == text

@@ -4,8 +4,7 @@ from typing import Tuple
 import numpy as np
 import pytest
 
-from symquant.abstraction import (AbstractState, TransitionSystem,
-                                  transition_arrays)
+from symquant.abstraction import TransitionSystem, transition_arrays
 from symquant.frr import (FrrReport, RefinementMap, Violation, _draws,
                           _pick_inputs, check_frr_finite,
                           sample_frr_delayfree, sample_frr_timedelay)
@@ -16,9 +15,8 @@ from symquant.quantizers import LogQuantizerParams, ZoomQuantizerParams
 
 def graph_ts(n_states, inputs, transitions):
     """Bare finite transition system for relation tests; no geometry."""
-    states = [AbstractState(i) for i in range(n_states)]
     ins = [np.atleast_1d(np.asarray(u, dtype=float)) for u in inputs]
-    return TransitionSystem("delayfree", states, ins,
+    return TransitionSystem(range(n_states), ins,
                             transition_arrays(range(n_states), len(ins),
                                               transitions))
 
@@ -28,7 +26,7 @@ def graph_ts(n_states, inputs, transitions):
 
 
 def test_identity_relation_holds(pendulum_ts):
-    F = {s.id: s.id for s in pendulum_ts.states}
+    F = {sid: sid for sid in pendulum_ts.ids.tolist()}
     ok, cex = check_frr_finite(pendulum_ts, pendulum_ts, F)
     assert ok and cex is None
 
@@ -39,11 +37,11 @@ def test_dropped_successor_is_caught(pendulum_ts):
     key = (12, pendulum_ts.input_id_of([0.0]))
     succ = broken[key]
     broken[key] = succ[:-1]
-    t2 = TransitionSystem("delayfree", pendulum_ts.states, pendulum_ts.inputs,
+    t2 = TransitionSystem(pendulum_ts.ids, pendulum_ts.inputs,
                           transition_arrays(pendulum_ts.ids.tolist(),
                                             len(pendulum_ts.inputs), broken),
                           partition=pendulum_ts.partition)
-    F = {s.id: s.id for s in pendulum_ts.states}
+    F = {sid: sid for sid in pendulum_ts.ids.tolist()}
     ok, cex = check_frr_finite(pendulum_ts, t2, F)
     assert not ok
     assert cex.kind == "successors"
@@ -185,8 +183,8 @@ def reference_delayfree(ts, n_samples, seed):
     sys = ctx.sys
     violations, checked = [], 0
     for row in _draws(seed, n_samples, sys.n + 2):
-        cell = ts.states[int(row[0] * len(ts.states))].cell
-        x = cell.lower + (cell.upper - cell.lower) * row[1:-1]
+        lower, upper = part.cell_arrays(ts.ids[int(row[0] * len(ts.ids))])[:2]
+        x = lower + (upper - lower) * row[1:-1]
         x2 = part.locate(x)
         enabled = ts.enabled(x2)
         if not enabled:
@@ -259,8 +257,7 @@ def stencil_violations(ts) -> Tuple[int, int]:
     its cell's grid under its input, and it violates when a point lands
     inside X in a cell that its row does not list."""
     sys, part, n_in = ts._ctx.sys, ts.partition, len(ts.inputs)
-    lo = np.array([s.cell.lower for s in ts.states])
-    hi = np.array([s.cell.upper for s in ts.states])
+    lo, hi = part.cell_arrays(ts.ids)[:2]
     pull = 1e-6 * (hi - lo)
     axes = np.stack([lo + pull, 0.5 * (lo + hi), hi - pull])  # (3, S, n)
     grid = np.array(list(np.ndindex(*[3] * sys.n)))  # (P, n)
@@ -333,9 +330,9 @@ def test_cell_266_keeps_its_corner_successors(fine_zoom):
     x2 alone.  Under the per-axis log radius the corner (-0.1, 0.149) landed
     in cell 236, which the row did not list."""
     ts = fine_zoom[0]
-    cell, iid = ts.state(266).cell, ts.input_id_of([-2.4])
-    pull = 1e-6 * (cell.upper - cell.lower)
-    lo, hi = cell.lower + pull, cell.upper - pull
+    (lower, upper), iid = ts.partition.cell_arrays(266)[:2], ts.input_id_of([-2.4])
+    pull = 1e-6 * (upper - lower)
+    lo, hi = lower + pull, upper - pull
     corners = np.array([[a, b] for a in (lo[0], hi[0]) for b in (lo[1], hi[1])])
     ends = integrate_batch(ts._ctx.sys, corners.T, np.full((1, 4), -2.4), 0.2).T
     landed = ts.partition.locate_batch(ends).tolist()
@@ -374,12 +371,11 @@ def test_tube_of_maps_discovered_histories(pendulum_delay_ts):
     curve = SampledCurve(-0.2, 0.0, np.tile([-0.72, -0.72], (2, 1)))
     assert tube_of(curve) == 0
     # an arbitrary knot pair that the reachable exploration never produced
-    discovered = {s.tube.knots for s in pendulum_delay_ts.states}
+    discovered = set(map(tuple, pendulum_delay_ts.knots.tolist()))
     all_pairs = [(a, b) for a in range(25) for b in range(25)]
     missing = [k for k in all_pairs if k not in discovered]
     if missing:
         part = pendulum_delay_ts.partition
         a, b = missing[0]
-        vals = np.array([part.cell(a).quantized_point,
-                         part.cell(b).quantized_point])
+        vals = part.cell_arrays([a, b])[2]
         assert tube_of(SampledCurve(-0.2, 0.0, vals)) is None

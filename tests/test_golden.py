@@ -59,13 +59,13 @@ def test_frr_report_text_with_violations(pendulum, logparams):
 
 def test_refined_model_bytes(pendulum_ts):
     ref = refine_cells(pendulum_ts, {12: ZoomQuantizerParams(1, 1.0, 0.3)})
-    assert (len(ref.states), ref.n_transitions) == (33, 16623)
+    assert (len(ref.ids), ref.n_transitions) == (33, 16623)
     assert sha(serialize_ts(ref)) == REFINED_STS_SHA256
 
 
 def test_tube_model_bytes(pendulum_delay_ts):
     ts = pendulum_delay_ts
-    assert (len(ts.states), ts.n_transitions) == (40, 36094)
+    assert (len(ts.ids), ts.n_transitions) == (40, 36094)
     assert sha(serialize_ts(ts)) == TUBE_STS_SHA256
 
 

@@ -1,23 +1,27 @@
 import numpy as np
 import pytest
 
-from symquant.abstraction import (AbstractState, TransitionSystem,
-                                  transition_arrays)
+from symquant.abstraction import TransitionSystem, transition_arrays
 from symquant.model_io import (ModelFormatError, export_dot, load_controller,
                                load_ts, parse_controller, parse_sts,
                                serialize_controller, serialize_ts,
                                write_controller, write_ts)
-from symquant.quantizers import Cell
 from symquant.synthesis import Controller, synthesize_reach
 
 
+def cell_rows(ids, lower, upper, q):
+    """The cell rows of a model whose cells have the given ids and 1-D
+    bounds and quantized points."""
+    return (np.array(ids, dtype=np.int64),
+            *(np.array(v, dtype=float).reshape(-1, 1) for v in (lower, upper, q)))
+
+
 def tiny_ts():
-    cells = [Cell(0, np.array([0.0]), np.array([1.0]), np.array([0.5])),
-             Cell(1, np.array([1.0]), np.array([2.0]), np.array([1.5]))]
-    states = [AbstractState(c.id, cell=c) for c in cells]
-    return TransitionSystem("delayfree", states, [np.array([0.5])],
+    return TransitionSystem([0, 1], [np.array([0.5])],
                             transition_arrays([0, 1], 1, {(0, 0): (1,),
-                                                          (1, 0): (0, 1)}))
+                                                          (1, 0): (0, 1)}),
+                            cell_rows=cell_rows([0, 1], [0.0, 1.0], [1.0, 2.0],
+                                                [0.5, 1.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -33,13 +37,11 @@ def test_delayfree_round_trip_is_byte_identical(pendulum_ts):
 def test_delayfree_round_trip_preserves_content(pendulum_ts):
     ts2 = parse_sts(serialize_ts(pendulum_ts))
     assert ts2.kind == "delayfree"
-    assert len(ts2.states) == len(pendulum_ts.states)
+    assert len(ts2.ids) == len(pendulum_ts.ids)
     assert dict(ts2.transition_rows()) == dict(pendulum_ts.transition_rows())
-    for a, b in zip(pendulum_ts.states, ts2.states):
-        assert a.id == b.id
-        assert np.allclose(a.cell.lower, b.cell.lower)
-        assert np.allclose(a.cell.upper, b.cell.upper)
-        assert np.allclose(a.cell.quantized_point, b.cell.quantized_point)
+    assert ts2.ids.tolist() == pendulum_ts.ids.tolist()
+    for a, b in zip(pendulum_ts.cell_rows, ts2.cell_rows):
+        assert np.allclose(a, b)
     for a, b in zip(pendulum_ts.inputs, ts2.inputs):
         assert np.allclose(a, b)
 
@@ -48,8 +50,7 @@ def test_timedelay_round_trip_is_byte_identical(pendulum_delay_ts):
     text = serialize_ts(pendulum_delay_ts)
     ts2 = parse_sts(text)
     assert ts2.kind == "timedelay"
-    assert [s.tube.knots for s in ts2.states] == \
-        [s.tube.knots for s in pendulum_delay_ts.states]
+    assert ts2.knots.tolist() == pendulum_delay_ts.knots.tolist()
     assert serialize_ts(ts2) == text
 
 
@@ -64,19 +65,18 @@ def test_header_counts_match_body(pendulum_ts):
 
 
 def test_negative_zero_is_normalized():
-    cells = [Cell(0, np.array([-0.0]), np.array([1.0]), np.array([-0.0]))]
-    states = [AbstractState(0, cell=cells[0])]
-    ts = TransitionSystem("delayfree", states, [np.array([-0.0])],
-                          transition_arrays([0], 1, {(0, 0): (0,)}))
+    ts = TransitionSystem([0], [np.array([-0.0])],
+                          transition_arrays([0], 1, {(0, 0): (0,)}),
+                          cell_rows=cell_rows([0], [-0.0], [1.0], [-0.0]))
     tokens = serialize_ts(ts).split()
     assert "-0" not in tokens
 
 
 def test_nine_significant_digits():
     q = 0.123456789123456
-    cells = [Cell(0, np.array([0.0]), np.array([1.0]), np.array([q]))]
-    ts = TransitionSystem("delayfree", [AbstractState(0, cell=cells[0])],
-                          [np.array([0.0])], transition_arrays([0], 1, {}))
+    ts = TransitionSystem([0], [np.array([0.0])],
+                          transition_arrays([0], 1, {}),
+                          cell_rows=cell_rows([0], [0.0], [1.0], [q]))
     assert "0.123456789 " not in serialize_ts(ts)  # no trailing pad
     assert "0.123456789" in serialize_ts(ts)
 
@@ -113,6 +113,9 @@ def test_file_round_trip(tmp_path, pendulum_ts):
     # successors are stored as int32, so this id would wrap to -1294967296
     ("STS 1 2 1 1\nS 5 0 1 0.5\nS 3000000000 1 2 1.5\nI 0 0\nE 5 0 3000000000\n",
      "state id 3000000000 does not fit int32"),
+    # the cell rows and the knot array hold one width each
+    ("STS 1 2 1 0\nS 0 0 1 0.5\nS 1 0 0 1 1 0.5 0.5\nI 0 0\n", "S record has 6 values"),
+    ("STS 1 2 1 0\nS 0 0 1 0.5\nT 0 0 0\nT 1 0\nI 0 0\n", "T record has 1 knots"),
 ])
 def test_sts_parse_errors(text, fragment):
     with pytest.raises(ModelFormatError, match=fragment):
@@ -122,10 +125,8 @@ def test_sts_parse_errors(text, fragment):
 def test_states_must_ascend_by_id():
     relation = (np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int32))
     for ids in ([0, 2, 1], [0, 2, 2]):
-        states = [AbstractState(i, cell=Cell(i, np.array([i]), np.array([i + 1.0]),
-                                             np.array([i + 0.5]))) for i in ids]
         with pytest.raises(ValueError, match="state ids must ascend"):
-            TransitionSystem("delayfree", states, [np.array([0.5])], relation)
+            TransitionSystem(ids, [np.array([0.5])], relation)
 
 
 @pytest.mark.parametrize("model", ["pendulum_ts", "pendulum_delay_ts"])
@@ -144,8 +145,7 @@ def test_shuffled_records_parse_to_the_sorted_model(model, request):
     shuffled = header + "".join(groups[pair(ln)].pop(0) for ln in shuffled)
     assert shuffled != text
     ts = parse_sts(shuffled)
-    ids = [s.id for s in ts.states]
-    assert ids == sorted(ids)
+    assert ts.ids.tolist() == sorted(ts.ids.tolist())
     assert serialize_ts(ts) == text
 
 

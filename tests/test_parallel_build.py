@@ -66,7 +66,7 @@ def test_refine_split_over_workers_gives_the_bytes_of_one_block(monkeypatch,
     # 381 new subcells, all after the kept cells: 9525 new pairs
     zoom = {bid: ZoomQuantizerParams(100, 1.0, 0.02) for bid in range(0, 529, 37)}
     one = refine_cells(coarse, zoom)
-    new = np.array([c.id not in coarse._pos for c in one.partition.cells])
+    new = ~np.isin(one.ids, coarse.ids)
     assert new.sum() * 25 >= 2 * 4096
     cpus(monkeypatch, 3)
     ranges = _cell_ranges(new, 25)
@@ -87,12 +87,13 @@ def line_build(sys, mu=0.008):
 def failing_ranges(sys, ranges):
     """Indices of the ranges that hold a pair whose integration fails; the
     plants below fail, if at all, at the input u = -1 or u = 1."""
-    cells = abstraction.Partition(sys.state_lo, sys.state_hi, LINE).cells
+    part = abstraction.Partition(sys.state_lo, sys.state_hi, LINE)
+    q = part.cell_arrays(part.ids)[2]
 
     def fails(k):
         for u in (-1.0, 1.0):
             try:
-                integrate(sys, cells[k].quantized_point, [u], 0.2)
+                integrate(sys, q[k], [u], 0.2)
             except IntegrationError:
                 return True
         return False
@@ -127,15 +128,15 @@ def test_no_fork_below_two_blocks(monkeypatch, pendulum_sys):
     coarse = build_delayfree(pendulum_sys, 0.2, FINE, ("uniform", 0.2), lipschitz=2.0)
     monkeypatch.setattr(os, "fork", fork)
     cpus(monkeypatch, 1)
-    assert len(fine_build(pendulum_sys).states) == 529
+    assert len(fine_build(pendulum_sys).ids) == 529
     cpus(monkeypatch, 4)
     # 61 cells x 133 inputs = 8113 pairs, under 2 x 4096
-    assert len(line_build(line_plant("u1"), mu=0.015).states) == 61
+    assert len(line_build(line_plant("u1"), mu=0.015).ids) == 61
     # the coarse-hold model: 625 pairs
     assert len(build_delayfree(pendulum_sys, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
-                               ("uniform", 0.2), lipschitz=6.0).states) == 25
+                               ("uniform", 0.2), lipschitz=6.0).ids) == 25
     # a refine of 13,225 pairs with 225 new ones
-    assert len(refine_cells(coarse, {264: ZoomQuantizerParams(1, 1.0, 0.1)}).states) == 537
+    assert len(refine_cells(coarse, {264: ZoomQuantizerParams(1, 1.0, 0.1)}).ids) == 537
 
 
 def test_ranges_hold_about_the_same_new_cells(monkeypatch):

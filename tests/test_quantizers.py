@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from symquant.quantizers import (Cell, LogQuantizerParams, Partition,
-                                 ZoomQuantizerParams, log_quantize,
-                                 zoom_lattice, zoom_quantize)
+from symquant.quantizers import (LogQuantizerParams, Partition,
+                                 ZoomQuantizerParams, _axis_regions, _zoom_axes,
+                                 log_quantize, zoom_quantize)
 
 P6 = LogQuantizerParams(0.2, 0.4, "EQ20")  # deadzone 0.4, first level 0.48
 
@@ -59,54 +61,60 @@ def test_sector_bound_odd_symmetry():
 # the worked 2-d lattice: eta=0.2, a=0.4 on [-1,1]^2
 
 
+def _contains(part, cid, x):
+    """Whether the closed cell cid of part holds the point x."""
+    lo, hi = part.cell_arrays(cid)[:2]
+    return bool(np.all(lo <= x) and np.all(x <= hi))
+
+
 def test_lattice_axis_cells():
-    cells = Partition([-1.0], [1.0], P6).cells
-    assert len(cells) == 5
-    bounds = [(c.lower[0], c.upper[0]) for c in cells]
+    part = Partition([-1.0], [1.0], P6)
+    assert len(part.ids) == 5
+    lo, hi, q, _ = part.cell_arrays(part.ids)
+    bounds = list(zip(lo[:, 0].tolist(), hi[:, 0].tolist()))
     assert bounds == [(-1.0, -0.6), (-0.6, -0.4), (-0.4, 0.4), (0.4, 0.6), (0.6, 1.0)]
-    points = [c.quantized_point[0] for c in cells]
-    assert points == pytest.approx([-0.72, -0.48, 0.0, 0.48, 0.72])
+    assert q[:, 0] == pytest.approx([-0.72, -0.48, 0.0, 0.48, 0.72])
 
 
 def test_lattice_25_cells_row_major():
-    cells = Partition([-1.0, -1.0], [1.0, 1.0], P6).cells
-    assert len(cells) == 25
-    assert [c.id for c in cells] == list(range(25))
+    part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
+    assert part.ids.tolist() == list(range(25))
+    q = part.cell_arrays(part.ids)[2]
     # row-major: second axis varies fastest
-    assert cells[0].quantized_point == pytest.approx([-0.72, -0.72])
-    assert cells[1].quantized_point == pytest.approx([-0.72, -0.48])
-    assert cells[5].quantized_point == pytest.approx([-0.48, -0.72])
-    assert cells[12].quantized_point == pytest.approx([0.0, 0.0])
+    assert q[0] == pytest.approx([-0.72, -0.72])
+    assert q[1] == pytest.approx([-0.72, -0.48])
+    assert q[5] == pytest.approx([-0.48, -0.72])
+    assert q[12] == pytest.approx([0.0, 0.0])
 
 
 def test_boundary_slivers_merge_into_outer_cells():
     # [-1, 1] cuts through the (0.6, 0.9] region of level 0.72; the sliver
     # [0.6, 1.0] keeps the 0.72 point and the box edge
-    cells = Partition([-1.0], [1.0], P6).cells
-    outer = cells[-1]
-    assert outer.upper[0] == 1.0
-    assert outer.quantized_point[0] == pytest.approx(0.72)
+    part = Partition([-1.0], [1.0], P6)
+    _, upper, q, _ = part.cell_arrays(part.ids[-1])
+    assert upper[0] == 1.0
+    assert q[0] == pytest.approx(0.72)
 
 
 def test_tile_boundaries_are_shared_floats():
-    cells = Partition([-1.0, -1.0], [1.0, 1.0], P6).cells
-    uppers = sorted({float(c.upper[0]) for c in cells})
-    lowers = sorted({float(c.lower[0]) for c in cells})
+    part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
+    lo, hi = part.cell_arrays(part.ids)[:2]
+    uppers = sorted(set(hi[:, 0].tolist()))
+    lowers = sorted(set(lo[:, 0].tolist()))
     assert uppers[:-1] == lowers[1:]  # interior boundaries appear in both
 
 
 def test_cover_exactness_monte_carlo_100k():
-    cells = Partition([-1.0, -1.0], [1.0, 1.0], P6).cells
+    part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.0, 1.0, size=(100_000, 2))
-    lows = np.array([c.lower for c in cells])
-    ups = np.array([c.upper for c in cells])
+    lows, ups = part.cell_arrays(part.ids)[:2]
     # strict-interior membership count per point
     inside = np.logical_and(pts[:, None, :] > lows[None, :, :],
                             pts[:, None, :] < ups[None, :, :]).all(axis=2)
     counts = inside.sum(axis=1)
     on_grid = np.zeros(len(pts), dtype=bool)
-    edges = sorted({float(v) for c in cells for v in (c.lower[0], c.upper[0])})
+    edges = sorted(set(lows[:, 0].tolist() + ups[:, 0].tolist()))
     for e in edges:
         on_grid |= (pts == e).any(axis=1)
     assert np.all(counts[~on_grid] == 1)
@@ -115,16 +123,16 @@ def test_cover_exactness_monte_carlo_100k():
 
 def test_locate_is_total_and_deterministic_on_boundaries():
     part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
+    q = lambda x: part.cell_arrays(part.locate(x))[2][0]
     # boundary points resolve toward the smaller |level|
-    assert part.cell(part.locate([0.4, 0.0])).quantized_point[0] == 0.0
-    assert part.cell(part.locate([-0.4, 0.0])).quantized_point[0] == 0.0
-    assert part.cell(part.locate([0.6, 0.0])).quantized_point[0] == pytest.approx(0.48)
-    assert part.cell(part.locate([-0.6, 0.0])).quantized_point[0] == pytest.approx(-0.48)
-    assert part.cell(part.locate([1.0, 1.0])).quantized_point[0] == pytest.approx(0.72)
+    assert q([0.4, 0.0]) == 0.0
+    assert q([-0.4, 0.0]) == 0.0
+    assert q([0.6, 0.0]) == pytest.approx(0.48)
+    assert q([-0.6, 0.0]) == pytest.approx(-0.48)
+    assert q([1.0, 1.0]) == pytest.approx(0.72)
     rng = np.random.default_rng(12)
     for x in rng.uniform(-1, 1, size=(500, 2)):
-        cid = part.locate(x)
-        assert part.cell(cid).contains(x)
+        assert _contains(part, part.locate(x), x)
 
 
 def test_locate_rejects_points_outside_the_box():
@@ -169,45 +177,41 @@ def test_zoom_bounds_100k_samples():
 
 
 def test_zoom_lattice_counts_for_worked_cells():
-    corner = Cell(0, np.array([-1.0, -1.0]), np.array([-0.6, -0.6]),
-                  np.array([-0.72, -0.72]))
-    center = Cell(12, np.array([-0.4, -0.4]), np.array([0.4, 0.4]),
-                  np.array([0.0, 0.0]))
-    assert len(zoom_lattice(corner, ZoomQuantizerParams(10, 1.0, 0.1))) == 25
-    assert len(zoom_lattice(center, ZoomQuantizerParams(1, 1.0, 0.3))) == 9
+    # the paper's worked cells: the corner [-1, -0.6]^2 under delta = 0.1
+    # and the deadzone [-0.4, 0.4]^2 under delta = 0.3
+    part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
+    assert part.refined({0: ZoomQuantizerParams(10, 1.0, 0.1)}).zoom[0].count == 25
+    assert part.refined({12: ZoomQuantizerParams(1, 1.0, 0.3)}).zoom[12].count == 9
 
 
 def test_zoom_lattice_tiles_the_parent_exactly():
-    parent = Cell(0, np.array([-1.0, -1.0]), np.array([-0.6, -0.6]),
-                  np.array([-0.72, -0.72]))
-    subs = zoom_lattice(parent, ZoomQuantizerParams(10, 1.0, 0.1), start_id=50)
-    assert [c.id for c in subs] == list(range(50, 75))
-    los = sorted({float(c.lower[0]) for c in subs})
-    his = sorted({float(c.upper[0]) for c in subs})
-    assert los[0] == -1.0 and his[-1] == -0.6  # outermost extended to edges
+    part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
+    ref = part.refined({0: ZoomQuantizerParams(10, 1.0, 0.1)})
+    subs = list(range(25, 50))  # fresh ids after the 25 base cells
+    assert ref.ids.tolist() == list(range(1, 50))
+    lo, hi = ref.cell_arrays(subs)[:2]
+    assert lo[:, 0].min() == -1.0 and hi[:, 0].max() == -0.6  # outermost extended to edges
     # interior points land in exactly one subcell
     rng = np.random.default_rng(14)
     for x in rng.uniform([-1, -1], [-0.6, -0.6], size=(300, 2)):
-        hits = [c for c in subs if np.all(c.lower < x) and np.all(x < c.upper)]
-        assert len(hits) <= 1
-        hits_closed = [c for c in subs if c.contains(x)]
-        assert len(hits_closed) >= 1
+        assert np.all((lo < x) & (x < hi), axis=1).sum() <= 1
+        assert np.all((lo <= x) & (x <= hi), axis=1).sum() >= 1
 
 
 def test_zoom_lattice_delta_zero_is_identity():
-    parent = Cell(3, np.array([-0.4]), np.array([0.4]), np.array([0.0]))
-    subs = zoom_lattice(parent, ZoomQuantizerParams(1, 1.0, 0.0))
-    assert len(subs) == 1
-    assert subs[0].lower[0] == parent.lower[0]
-    assert subs[0].upper[0] == parent.upper[0]
+    part = Partition([-1.0], [1.0], P6)
+    ref = part.refined({2: ZoomQuantizerParams(1, 1.0, 0.0)})
+    assert not ref.zoom
+    assert ref.ids.tolist() == part.ids.tolist()
+    assert ref.cell_arrays(2)[0].tolist() == [-0.4]
+    assert ref.cell_arrays(2)[1].tolist() == [0.4]
 
 
 def test_zoom_points_lie_on_the_delta_grid():
-    parent = Cell(12, np.array([-0.4, -0.4]), np.array([0.4, 0.4]),
-                  np.array([0.0, 0.0]))
-    subs = zoom_lattice(parent, ZoomQuantizerParams(1, 1.0, 0.3))
-    pts = sorted({float(c.quantized_point[0]) for c in subs})
-    assert pts == pytest.approx([-0.3, 0.0, 0.3])
+    part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
+    ref = part.refined({12: ZoomQuantizerParams(1, 1.0, 0.3)})
+    q = ref.cell_arrays(range(25, 34))[2]
+    assert sorted(set(q[:, 0].tolist())) == pytest.approx([-0.3, 0.0, 0.3])
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +221,9 @@ def test_zoom_points_lie_on_the_delta_grid():
 def test_partition_refined_replaces_cell_with_subcells():
     part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
     ref = part.refined({12: ZoomQuantizerParams(1, 1.0, 0.3)})
-    assert len(ref.cells) == 33
-    ids = [c.id for c in ref.cells]
-    assert 12 not in ids
-    assert max(ids) == 33  # fresh ids appended after the original range
+    assert len(ref.ids) == 33
+    assert 12 not in ref.ids.tolist()
+    assert ref.ids[-1] == 33  # fresh ids appended after the original range
 
 
 def test_partition_refined_rejects_subcell_ids():
@@ -230,13 +233,26 @@ def test_partition_refined_rejects_subcell_ids():
         ref.refined({26: ZoomQuantizerParams(1, 1.0, 0.1)})
 
 
+@pytest.mark.parametrize("cid,message", [
+    (12, "cell 12 is already zoom-refined"),
+    (25, "cell 25 is a zoom subcell; refine base cells only"),
+    (33, "cell 33 is a zoom subcell; refine base cells only"),
+    (34, "unknown cell id 34"),
+    (-1, "unknown cell id -1"),
+])
+def test_refined_refuses_refined_subcell_and_unknown_ids(cid, message):
+    ref = Partition([-1.0, -1.0], [1.0, 1.0], P6).refined(
+        {12: ZoomQuantizerParams(1, 1.0, 0.3)})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ref.refined({cid: ZoomQuantizerParams(1, 1.0, 0.1)})
+
+
 def test_refined_locate_picks_subcells():
     part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
     ref = part.refined({12: ZoomQuantizerParams(1, 1.0, 0.3)})
-    cid = ref.locate([0.0, 0.0])
-    c = ref.cell(cid)
-    assert c.quantized_point == pytest.approx([0.0, 0.0])
-    assert c.upper[0] - c.lower[0] == pytest.approx(0.3)
+    lower, upper, q, _ = ref.cell_arrays(ref.locate([0.0, 0.0]))
+    assert q == pytest.approx([0.0, 0.0])
+    assert upper[0] - lower[0] == pytest.approx(0.3)
     # outside the refined cell nothing changed
     assert ref.locate([-0.72, -0.72]) == 0
 
@@ -244,9 +260,10 @@ def test_refined_locate_picks_subcells():
 def test_refined_partition_shares_the_unrefined_lattice():
     part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
     ref = part.refined({12: ZoomQuantizerParams(1, 1.0, 0.3)})
-    assert all(ref.base_cells[k] is part.base_cells[k] for k in range(25))
-    assert ref.axes is part.axes
-    assert ref.cell(0) is part.cell(0)
+    assert ref._lowers is part._lowers and ref._uppers is part._uppers
+    assert ref._bump is part._bump
+    kept = [k for k in range(25) if k != 12]
+    assert np.array_equal(ref.cell_arrays(kept), part.cell_arrays(kept))
 
 
 def _answers(part, rng):
@@ -254,7 +271,7 @@ def _answers(part, rng):
     random points and boxes."""
     pts = rng.uniform(-1.0, 1.0, size=(500, 2))
     boxes = np.sort(rng.uniform(-1.0, 1.0, size=(100, 2, 2)), axis=1)
-    return ([(c.id, c.lower.tolist(), c.upper.tolist()) for c in part.cells],
+    return (part.ids.tolist(), np.array(part.cell_arrays(part.ids)[:2]).tolist(),
             [part.locate(x) for x in pts], part.locate_batch(pts).tolist(),
             [part.intersecting(lo, hi) for lo, hi in boxes])
 
@@ -268,7 +285,7 @@ def test_refining_leaves_the_parent_unchanged():
     assert _answers(part, np.random.default_rng(3)) == before
     assert _answers(ref, np.random.default_rng(3)) == ref_before
     assert _answers(again, np.random.default_rng(3)) != ref_before
-    assert len(part.cells) == 25 and not part.zoom and list(ref.zoom) == [12]
+    assert len(part.ids) == 25 and not part.zoom and list(ref.zoom) == [12]
 
 
 def test_refined_cover_remains_exact():
@@ -278,8 +295,7 @@ def test_refined_cover_remains_exact():
     rng = np.random.default_rng(15)
     pts = rng.uniform(-1.0, 1.0, size=(20_000, 2))
     for x in pts:
-        cid = ref.locate(x)
-        assert ref.cell(cid).contains(x)
+        assert _contains(ref, ref.locate(x), x)
 
 
 def test_intersecting_reports_all_touched_cells():
@@ -290,6 +306,35 @@ def test_intersecting_reports_all_touched_cells():
     assert got == [12, 17]  # box crosses the 0.4 boundary
     everything = part.intersecting(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     assert everything == list(range(25))
+
+
+def _reference_cells(lo, hi, params, zoom):
+    """{id: (lower, upper, quantized point, knot half-width)} of the
+    partition of the box [lo, hi] with the given zoom rows, one cell at a
+    time: base cell k is the product of the per-axis regions
+    (_axis_regions) at its row-major index (last axis fastest), with half
+    its extent as half-width; a refined base cell's id is retired, and its
+    subcells, the product of its per-axis zoom bins (_zoom_axes), take ids
+    from the next free id in base id order, with the bin width as
+    half-width."""
+    axes = [_axis_regions(a, b, p) for a, b, p in zip(lo, hi, params)]
+    cells = {}
+    for k, regions in enumerate(itertools.product(*axes)):
+        lower = [r.lower for r in regions]
+        upper = [r.upper for r in regions]
+        cells[k] = (lower, upper, [r.level for r in regions],
+                    [(b - a) / 2.0 for a, b in zip(lower, upper)])
+    next_id = len(cells)
+    for bid in sorted(zoom):
+        p = zoom[bid]
+        if p.delta == 0.0:
+            continue
+        lower, upper = cells.pop(bid)[:2]
+        for bins in itertools.product(*_zoom_axes(lower, upper, p)[1]):
+            cells[next_id] = ([r.lower for r in bins], [r.upper for r in bins],
+                              [r.level for r in bins], [p.width] * len(bins))
+            next_id += 1
+    return cells, next_id
 
 
 @pytest.mark.parametrize("box,params,zoom", [
@@ -306,8 +351,18 @@ def test_intersecting_equals_a_brute_force_scan(box, params, zoom):
     n = 2 if isinstance(params, LogQuantizerParams) else len(params)
     part = Partition([box[0]] * n, [box[1]] * n, params).refined(zoom)
     assert len(part.zoom) == len(zoom)
+    axis_params = [params] * n if isinstance(params, LogQuantizerParams) else params
+    cells, n_ids = _reference_cells([box[0]] * n, [box[1]] * n, axis_params, zoom)
+    # the cell table equals the reference cell by cell: bounds, quantized
+    # point and knot half-width, and NaN on every retired id
+    assert part.ids.tolist() == sorted(cells)
+    lo, hi, q, half = part.cell_arrays(np.arange(n_ids))
+    for cid in range(n_ids):
+        want = cells.get(cid, ([np.nan] * n,) * 4)
+        np.testing.assert_array_equal([lo[cid], hi[cid], q[cid], half[cid]], want)
+    # intersecting equals a closed-box scan over the reference cells
     rng = np.random.default_rng(21)
-    faces = np.array([c.lower for c in part.cells] + [c.upper for c in part.cells])
+    faces = np.array([c[0] for c in cells.values()] + [c[1] for c in cells.values()])
     boxes = []
     for _ in range(150):
         center = rng.uniform(box[0] - 0.2, box[1] + 0.2, n)
@@ -320,47 +375,7 @@ def test_intersecting_equals_a_brute_force_scan(box, params, zoom):
         boxes.append((lo, lo))
         boxes.append((np.minimum(lo, hi), np.maximum(lo, hi)))
     for lo, hi in boxes:
-        want = [c.id for c in part.cells if c.intersects(lo, hi)]
+        want = [cid for cid, (a, b, _, _) in cells.items()
+                if np.all(np.array(a) <= hi) and np.all(lo <= np.array(b))]
         assert part.intersecting(lo, hi) == want, (lo, hi)
     assert part.intersecting([np.nan] * n, [box[1]] * n) == []
-    # ids count row-major, last axis fastest: base cell k is the product of
-    # the axis regions at np.unravel_index(k, shape), and a zoom subcell
-    # the product of its base cell's per-axis bins at its offset from the
-    # first subcell id
-    shape = tuple(len(ax) for ax in part.axes)
-    for k, c in enumerate(part.base_cells):
-        regions = [part.axes[i][j] for i, j in enumerate(np.unravel_index(k, shape))]
-        assert c.id == k
-        assert c.lower.tolist() == [r.lower for r in regions]
-        assert c.upper.tolist() == [r.upper for r in regions]
-        assert c.quantized_point.tolist() == [r.level for r in regions]
-    # the cell table by id: every cell's row holds its bounds and quantized
-    # point, and its knot half-width is half its extent on each axis where
-    # unrefined; a retired base id's row is NaN
-    lo, hi, q, half = part.cell_arrays([c.id for c in part.cells])
-    assert lo.tolist() == [c.lower.tolist() for c in part.cells]
-    assert hi.tolist() == [c.upper.tolist() for c in part.cells]
-    assert q.tolist() == [c.quantized_point.tolist() for c in part.cells]
-    for c, row in zip(part.cells, half):
-        if c.id < len(part.base_cells):
-            assert row.tolist() == ((c.upper - c.lower) / 2).tolist()
-    assert np.isnan(part.cell_arrays(sorted(part.zoom))).all()
-    for bid, z in part.zoom.items():
-        base = part.base_cells[bid]
-        # the new cells inside the base cell (a subcell has positive extent,
-        # so it cannot lie in a neighbour's shared face)
-        subs = [c for c in part.cells if c.id >= len(part.base_cells)
-                and base.contains(c.lower) and base.contains(c.upper)]
-        bins = [sorted({(c.lower[i], c.upper[i]) for c in subs}) for i in range(n)]
-        sub_shape = tuple(len(b) for b in bins)
-        assert len(subs) == int(np.prod(sub_shape)) == z.count
-        # a subcell's knot half-width is its record's bin width on every axis
-        sub_half = part.cell_arrays([c.id for c in subs])[3]
-        assert sub_half.tolist() == [[z.params.width] * n] * len(subs)
-        for i, b in enumerate(bins):  # the bins tile the base cell's axis
-            assert b[0][0] == base.lower[i] and b[-1][1] == base.upper[i]
-            assert all(prev[1] == nxt[0] for prev, nxt in zip(b, b[1:]))
-        for c in subs:
-            at = np.unravel_index(c.id - z.first_id, sub_shape)
-            assert [bins[i][j] for i, j in enumerate(at)] == \
-                list(zip(c.lower.tolist(), c.upper.tolist()))

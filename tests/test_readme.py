@@ -23,7 +23,7 @@ def test_library_quickstart_runs_as_documented(capsys):
     assert lines[0] == "frr-report seed=1 samples=1000 checked=930 skipped=70 violations=0"
     assert lines[1].startswith("run completed: phases 4/4")
     ts = ns["ts"]
-    assert (len(ts.states), ts.n_transitions) == (25, 9875)
+    assert (len(ts.ids), ts.n_transitions) == (25, 9875)
 
 
 def test_cli_quickstart_config_loads():

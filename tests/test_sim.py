@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from symquant.abstraction import (AbstractState, TransitionSystem,
-                                  build_timedelay, transition_arrays)
+from symquant.abstraction import (TransitionSystem, build_timedelay,
+                                  transition_arrays)
 from symquant.dynamics import SampledCurve, TimeDelaySystem, integrate_delay
 from symquant.frr import RefinementMap
 from symquant.sim import (Trajectory, TrajectorySample, export_trajectory,
@@ -62,7 +62,7 @@ def test_completion_at_step_zero(pendulum, pendulum_ts):
 def test_zero_input_holds_the_equilibrium(pendulum, pendulum_ts):
     # park at the origin under u = 0: the exact equilibrium never moves
     iid0 = pendulum_ts.input_id_of([0.0])
-    pol = {s.id: iid0 for s in pendulum_ts.states}
+    pol = {sid: iid0 for sid in pendulum_ts.ids.tolist()}
     ctrl = Controller([pol], [(-1,)], [dict.fromkeys(pol, 1)],
                       list(pendulum_ts.inputs), "hold")
     F = RefinementMap.from_ts(pendulum_ts)
@@ -159,8 +159,7 @@ def test_report_text(pendulum, pendulum_ts):
 
 
 def test_validate_path_flags_off_model_step():
-    states = [AbstractState(0), AbstractState(1)]
-    ts = TransitionSystem("delayfree", states, [np.array([0.0])],
+    ts = TransitionSystem([0, 1], [np.array([0.0])],
                           transition_arrays([0, 1], 1, {(0, 0): (1,)}))
     good = Trajectory([
         TrajectorySample(0.0, np.zeros(1), np.zeros(1), 0, 0, 0),
@@ -175,8 +174,7 @@ def test_validate_path_flags_off_model_step():
 
 
 def test_validate_path_skips_terminal_rows():
-    states = [AbstractState(0), AbstractState(1)]
-    ts = TransitionSystem("delayfree", states, [np.array([0.0])],
+    ts = TransitionSystem([0, 1], [np.array([0.0])],
                           transition_arrays([0, 1], 1, {(0, 0): (1,)}))
     traj = Trajectory([
         TrajectorySample(0.0, np.zeros(1), np.zeros(1), -1, 0, 0),
@@ -225,7 +223,7 @@ def test_export_empty_trajectory(tmp_path):
 
 def test_timedelay_completion_at_step_zero(pendulum_delay, pendulum_delay_ts):
     from symquant.synthesis import synthesize_reach
-    all_ids = [s.id for s in pendulum_delay_ts.states]
+    all_ids = pendulum_delay_ts.ids.tolist()
     ctrl, _ = synthesize_reach(pendulum_delay_ts, all_ids, mode="robust")
     F = RefinementMap.from_ts(pendulum_delay_ts)
     traj, rep = run_closed_loop(pendulum_delay, ctrl, F,
@@ -236,7 +234,7 @@ def test_timedelay_completion_at_step_zero(pendulum_delay, pendulum_delay_ts):
 
 def _constant_policy(ts, value):
     iid = ts.input_id_of([value])
-    pol = {s.id: iid for s in ts.states}
+    pol = {sid: iid for sid in ts.ids.tolist()}
     return Controller([pol], [(-1,)], [dict.fromkeys(pol, 1)],
                       list(ts.inputs), "robust")
 

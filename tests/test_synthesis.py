@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from symquant.abstraction import (AbstractState, TransitionSystem,
-                                  transition_arrays)
+from symquant.abstraction import TransitionSystem, transition_arrays
 from symquant import (ControlSystem, LogQuantizerParams, Partition,
                       ZoomQuantizerParams, build_delayfree, synthesis)
 from symquant.dynamics import integrate_batch
@@ -11,9 +10,8 @@ from symquant.synthesis import (Controller, Specification, SynthesisError,
 
 
 def graph_ts(n_states, n_inputs, transitions):
-    states = [AbstractState(i) for i in range(n_states)]
     ins = [np.array([float(i)]) for i in range(n_inputs)]
-    return TransitionSystem("delayfree", states, ins,
+    return TransitionSystem(range(n_states), ins,
                             transition_arrays(range(n_states), n_inputs,
                                               transitions))
 
@@ -124,7 +122,7 @@ def test_hold_policy_nominal_trajectory_really_arrives(pendulum, pendulum_ts):
     for sid, iid in list(ctrl.phases[0].items())[:10]:
         if dist[sid] == 0:
             continue
-        x = part.cell(sid).quantized_point
+        x = part.cell_arrays(sid)[2]
         hit = False
         for _ in range(dist[sid]):
             x = integrate(pendulum, x, ctrl.inputs[iid], 0.2, 10)
@@ -240,7 +238,7 @@ def reference_hold_visits(ts, max_hold):
     cells."""
     sys, ctx = ts._ctx.sys, ts._ctx
     X = ts.endpoints.reshape(-1, sys.n).T
-    U = np.tile(np.array(ts.inputs), (len(ts.states), 1)).T
+    U = np.tile(np.array(ts.inputs), (len(ts.ids), 1)).T
     live = np.arange(X.shape[1], dtype=np.int32)
     lo, hi = sys.state_lo[:, None], sys.state_hi[:, None]
     visits = []

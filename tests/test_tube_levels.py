@@ -11,7 +11,7 @@ from symquant import frr
 from symquant import (LogQuantizerParams, TimeDelaySystem,
                       ZoomQuantizerParams, build_timedelay,
                       sample_frr_timedelay)
-from symquant.abstraction import (AbstractState, SplineTube, TransitionSystem,
+from symquant.abstraction import (TransitionSystem,
                                   _boxes_meet_knot_cells, _BuildContext,
                                   input_lattice, knot_times, psi2,
                                   transition_arrays)
@@ -33,21 +33,22 @@ def delay_plant(rhs=DELAY_RHS, Theta=0.2, r=0.2, x0=(-0.72, -0.72)):
 
 
 def quantized_functional(tube, part, Theta):
-    """The grid rows of a tube's quantized functional, from the cell
-    objects: the knots' quantized points, the last alone when Theta = 0."""
-    pts = np.array([part.cell(k).quantized_point for k in tube.knots])
+    """The grid rows of the quantized functional of a tube (its knot cell
+    ids), one cell at a time: the knots' quantized points, the last alone
+    when Theta = 0."""
+    pts = np.array([part.cell_arrays(k)[2] for k in tube])
     return pts if Theta > 0 else pts[-1:]
 
 
 def knot_widths(tube, part):
     """Each knot's quantization width, from the zoom records and the cell
-    objects: its record's bin width on a zoom subcell, half the cell's
+    bounds: its record's bin width on a zoom subcell, half the cell's
     widest extent elsewhere."""
     out = []
-    for k in tube.knots:
+    for k in tube:
         z = [z for z in part.zoom.values() if z.first_id <= k < z.first_id + z.count]
-        c = part.cell(k)
-        out.append(z[0].params.width if z else float(np.max(c.upper - c.lower)) / 2.0)
+        lower, upper = part.cell_arrays(k)[:2]
+        out.append(z[0].params.width if z else float(np.max(upper - lower)) / 2.0)
     return out
 
 
@@ -84,7 +85,7 @@ def reference_build(sys, tau, lattice, N=0,
             pts = knots[:, :, iid]
             if np.any(pts < sys.state_lo) or np.any(pts > sys.state_hi):
                 continue
-            succ = SplineTube(tuple(part.locate(p) for p in pts))
+            succ = tuple(part.locate(p) for p in pts)
             kernel[(tid, iid)] = (pts, radius)
             nominal[(tid, iid)] = succ
             if succ not in ids:
@@ -96,22 +97,21 @@ def reference_build(sys, tau, lattice, N=0,
     # the successor test itself is unchanged; see
     # test_abstraction.test_timedelay_successors_equal_knotwise_intersecting
     pairs = [key for key in kernel if nominal[key] in ids]
-    cells = [[part.cell(k) for k in t.knots] for t in order]
-    cell_lo = np.array([[c.lower for c in row] for row in cells])
-    cell_hi = np.array([[c.upper for c in row] for row in cells])
+    cell_lo = np.array([[part.cell_arrays(k)[0] for k in t] for t in order])
+    cell_hi = np.array([[part.cell_arrays(k)[1] for k in t] for t in order])
     relation = {}
     for key in pairs:
         pts, radius = kernel[key]
         meets = _boxes_meet_knot_cells((pts - radius)[None], (pts + radius)[None],
                                        cell_lo, cell_hi)
         relation[key] = tuple(np.flatnonzero(meets[0]).tolist())
-    states = [AbstractState(t, tube=tube) for t, tube in enumerate(order)]
     ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,
                         growth_scale=growth_scale, knot_thetas=thetas)
-    return TransitionSystem("timedelay", states, inputs,
+    return TransitionSystem(range(len(order)), inputs,
                             transition_arrays(range(len(order)), len(inputs),
                                               relation),
-                            partition=part, ctx=ctx,
+                            cell_rows=(part.ids, *part.cell_arrays(part.ids)[:3]),
+                            knots=np.array(order), partition=part, ctx=ctx,
                             truncated=truncated)
 
 
@@ -125,15 +125,15 @@ def assert_same_build(sys, lattice=LOGP, **kw):
     ts = build_timedelay(sys, 0.2, lattice, **kw)
     kernel = {}
     ref = reference_build(sys, 0.2, lattice, kernel=kernel, **kw)
-    assert [s.tube for s in ts.states] == [s.tube for s in ref.states]
-    assert [s.id for s in ts.states] == list(range(len(ts.states)))
+    assert ts.knots.tolist() == ref.knots.tolist()
+    assert ts.ids.tolist() == list(range(len(ts.ids)))
     assert np.array_equal(ts.indptr, ref.indptr)
     assert np.array_equal(ts.succ, ref.succ)
     assert ts.truncated == ref.truncated
     assert serialize_ts(ts) == serialize_ts(ref)
     # the model keeps the nominal knot points and radii of its successor test
-    n = len(ts.states)
-    assert ts.endpoints.shape == (n, len(ts.inputs), len(ts.states[0].tube.knots), sys.n)
+    n = len(ts.ids)
+    assert ts.endpoints.shape == (n, len(ts.inputs), ts.knots.shape[1], sys.n)
     assert ts.radius.shape == (n,)
     for (t, i), (pts, radius) in kernel.items():
         assert ts.endpoints[t, i].tobytes() == pts.tobytes()
@@ -149,7 +149,7 @@ def test_budgets(budget):
 
 def test_three_knot_tubes():
     ts = assert_same_build(delay_plant(), N=1, budget=1000)
-    assert len(ts.states[0].tube.knots) == 3
+    assert ts.knots.shape[1] == 3
 
 
 def test_zoomed_knots_with_small_boxes():
@@ -157,10 +157,9 @@ def test_zoomed_knots_with_small_boxes():
     ts = assert_same_build(sys, zoomed(sys), N=1, lipschitz=1.0,
                            growth_scale=0.25, budget=60)
     # subcell ids follow the base cells' ids
-    assert any(k >= len(ts.partition.base_cells) for s in ts.states
-               for k in s.tube.knots)
+    assert (ts.knots >= ts.partition.zoom[0].first_id).any()
     fan_out = np.diff(ts.indptr)
-    assert 0 < fan_out[fan_out > 0].min() < len(ts.states)
+    assert 0 < fan_out[fan_out > 0].min() < len(ts.ids)
 
 
 def test_plant_without_delay_window():
@@ -172,7 +171,7 @@ def test_blocked_level():
     # every trajectory leaves X, so the initial tube's pairs are all blocked
     sys = delay_plant(["x2", "20 + u1 + 0.1*delay(x2, 0.2)"])
     ts = assert_same_build(sys, N=0, budget=1000)
-    assert (len(ts.states), ts.n_transitions) == (1, 0)
+    assert (len(ts.ids), ts.n_transitions) == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +234,24 @@ def assert_locates_like_locate(part, X):
 @pytest.mark.parametrize("part", partitions())
 def test_locate_batch_on_corners_and_face_midpoints(part):
     pts = []
-    for c in part.cells:
-        axes = [(lo, 0.5 * (lo + hi), hi) for lo, hi in zip(c.lower, c.upper)]
+    for lower, upper in zip(*part.cell_arrays(part.ids)[:2]):
+        axes = [(lo, 0.5 * (lo + hi), hi) for lo, hi in zip(lower, upper)]
         pts.extend(np.array(np.meshgrid(*axes)).reshape(part.n, -1).T)
     assert_locates_like_locate(part, pts)
 
 
 def test_locate_batch_on_zoom_bin_edges():
-    part = partitions()[1]
+    plain, part = partitions()[:2]
     pts = []
     for bid, z in part.zoom.items():
         w = z.params.width
-        base = part.base_cells[bid]
+        lower, upper = plain.cell_arrays(bid)[:2]  # retired in part
         for i in range(part.n):
             for k in range(z.axis_ks[i][0] - 1, z.axis_ks[i][-1] + 2):
                 for edge in ((k - 0.5) * w, (k + 0.5) * w):
                     for e in (np.nextafter(edge, -1), edge, np.nextafter(edge, 1)):
-                        if base.lower[i] <= e <= base.upper[i]:
-                            x = 0.5 * (base.lower + base.upper)
+                        if lower[i] <= e <= upper[i]:
+                            x = 0.5 * (lower + upper)
                             x[i] = e
                             pts.append(x)
     assert len(pts) > 100
@@ -297,18 +296,18 @@ def reference_witness(sys, ts, n_samples, seed, lipschitz=6.0):
     """sample_frr_timedelay with the per-sample loops: each sample reads
     its row of frr._draws (the tube, the input, then the J x n jitter) and
     takes knot widths, jitter and clamping one knot at a time, then one
-    Partition.locate and one Cell.intersects per knot; the integrations
+    Partition.locate and one closed-box test per knot; the integrations
     stay batched.  The tube radius comes from lipschitz, as in
     reference_build."""
     ctx, part = ts._ctx, ts.partition
     amp = 2.0 * math.exp(float(lipschitz) * ctx.tau) * ctx.growth_scale
     thetas = ctx.knot_thetas
     n = sys.n
-    draws = frr._draws(seed, n_samples, 2 + len(ts.states[0].tube.knots) * n)
+    draws = frr._draws(seed, n_samples, 2 + ts.knots.shape[1] * n)
     drawn, skipped = [], 0
     for row in draws:
-        sid = int(row[0] * len(ts.states))
-        tube = ts.states[sid].tube
+        sid = int(row[0] * len(ts.ids))
+        tube = ts.knots[sid].tolist()  # tube ids are positions
         enabled = ts.enabled(sid)
         if not enabled:
             skipped += 1
@@ -316,13 +315,13 @@ def reference_witness(sys, ts, n_samples, seed, lipschitz=6.0):
         iid = enabled[int(row[1] * len(enabled))]
         bounds = knot_widths(tube, part)
         pts = []
-        for j, k in enumerate(tube.knots):
-            c = part.cell(k)
+        for j, k in enumerate(tube):
+            lower, upper, q, _ = part.cell_arrays(k)
             u = row[2 + j * n:2 + (j + 1) * n]
-            y = c.quantized_point + (-bounds[j] + 2 * bounds[j] * u)
-            width = c.upper - c.lower
-            pts.append(np.minimum(np.maximum(y, c.lower + _EDGE * width),
-                                  c.upper - _EDGE * width))
+            y = q + (-bounds[j] + 2 * bounds[j] * u)
+            width = upper - lower
+            pts.append(np.minimum(np.maximum(y, lower + _EDGE * width),
+                                  upper - _EDGE * width))
         drawn.append((sid, iid, np.array(pts)))
 
     def knot_points(H, iids):
@@ -332,7 +331,7 @@ def reference_witness(sys, ts, n_samples, seed, lipschitz=6.0):
 
     P = np.stack([pts for _, _, pts in drawn], axis=2)
     samples = knot_points(P if sys.Theta > 0 else P[-1:], [i for _, i, _ in drawn])
-    H = np.stack([quantized_functional(ts.states[sid].tube, part, sys.Theta)
+    H = np.stack([quantized_functional(ts.knots[sid], part, sys.Theta)
                   for sid, _, _ in drawn], axis=2)
     nominal = knot_points(H, [i for _, i, _ in drawn])
     violations, checked = [], 0
@@ -341,13 +340,14 @@ def reference_witness(sys, ts, n_samples, seed, lipschitz=6.0):
         if np.any(sample < sys.state_lo) or np.any(sample > sys.state_hi):
             skipped += 1
             continue
-        radius = max(knot_widths(ts.states[sid].tube, part)) * amp
+        radius = max(knot_widths(ts.knots[sid], part)) * amp
         checked += 1
         got = []
         for kj in range(len(thetas)):
-            c = part.cell(part.locate(sample[kj]))
-            got.append(c.id)
-            if not c.intersects(nom[kj] - radius, nom[kj] + radius):
+            cid = part.locate(sample[kj])
+            lower, upper = part.cell_arrays(cid)[:2]
+            got.append(cid)
+            if not (np.all(lower <= nom[kj] + radius) and np.all(nom[kj] - radius <= upper)):
                 violations.append(Violation(pts, ts.inputs[iid], sample, sid,
                                             tuple(got), ts.successors(sid, iid),
                                             detail=f"knot {kj} outside the growth box"))
