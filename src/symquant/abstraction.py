@@ -103,6 +103,17 @@ def growth_bound_delayfree(spread, rate, tau: float) -> np.ndarray:
     return amp * np.max(spread, axis=-1)
 
 
+def growth_rates(sys: Union[ControlSystem, TimeDelaySystem], tau: float, part: Partition,
+                 lipschitz: Union[str, float] = "sampled-jacobian") -> np.ndarray:
+    """The growth rates a build on part takes: for a delay-free plant, the
+    (C,) rates mu of part's C active cells, with tau; for a time-delay
+    plant, one L over the whole state box, as a (1,) array.  A numeric
+    lipschitz is the rate as given."""
+    if isinstance(sys, TimeDelaySystem):
+        return np.array([estimate_lipschitz(sys, sys.state_lo, sys.state_hi, None, lipschitz)])
+    return estimate_lipschitz_batch(sys, *part.cell_arrays(part.ids)[:3], lipschitz, tau)
+
+
 def _locate_inside(sys, part: Partition, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The rows of points (K, ..., n) that lie wholly inside the closed
     state box of sys, ascending, and the cells of their points, of shape
@@ -214,10 +225,9 @@ class TransitionSystem:
         return self._row_ids(k * len(self.inputs) + iid)
 
     def enabled(self, sid: int) -> List[int]:
-        k = self._at(sid)
+        k, n_in = self._at(sid), len(self.inputs)
         if k is None:
             return []
-        n_in = len(self.inputs)
         return np.flatnonzero(np.diff(self.indptr[k * n_in:(k + 1) * n_in + 1])).tolist()
 
     @property
@@ -479,7 +489,7 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
     """
     ids = part.ids
     lower, upper, quantized, _ = part.cell_arrays(ids)
-    rate = estimate_lipschitz_batch(sys, lower, upper, quantized, ctx.lipschitz, ctx.tau)
+    rate = growth_rates(sys, ctx.tau, part, ctx.lipschitz)
     radius = ctx.growth_scale * growth_bound_delayfree(
         np.maximum(quantized - lower, upper - quantized), rate, ctx.tau)[:, None, None]
     n_in = len(inputs)
@@ -807,7 +817,7 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
 
     thetas = knot_times(N, -sys.Theta, 0.0)
     # one rate over the whole state box
-    L2 = estimate_lipschitz(sys, sys.state_lo, sys.state_hi, None, lipschitz)
+    L2, = growth_rates(sys, tau, part, lipschitz)
     amp = 2.0 * math.exp(L2 * tau) * growth_scale
 
     init = psi2(sys.xi0, part, N)

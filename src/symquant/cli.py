@@ -71,6 +71,7 @@ def _first_difference(fh, chunks) -> Optional[int]:
 
 def cmd_abstract(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    cfg.check_lipschitz()
     ts = cfg.build_model(refined=False)
     write_ts(ts, args.out)
     kind = "time-delay" if ts.kind == "timedelay" else "delay-free"
@@ -91,6 +92,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
     if cfg.is_timedelay():
         raise _DomainError("refine applies to delay-free models; time-delay "
                            "models consume zoom assignments at build time")
+    cfg.check_lipschitz(refined=True)
     ts = refine_cells(_load_model_checked(cfg, args.model, refined=False), cfg.zoom)
     write_ts(ts, args.out)
     print(f"refine: wrote refined model with {len(ts.ids)} states, "

@@ -21,10 +21,9 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .abstraction import (TransitionSystem, build_delayfree, build_timedelay,
-                          input_lattice)
+                          growth_rates, input_lattice)
 from .dynamics import (ControlSystem, IntegrationError, TimeDelaySystem,
-                       DEFAULT_STEPS, estimate_lipschitz,
-                       estimate_lipschitz_batch, history_curve)
+                       DEFAULT_STEPS, history_curve)
 from .expr import ExprError, parse as parse_expr
 from .quantizers import (LogQuantizerParams, Partition, ZoomQuantizerParams,
                          _axis_regions)
@@ -69,33 +68,30 @@ class AppConfig:
     def is_timedelay(self) -> bool:
         return isinstance(self.system, TimeDelaySystem)
 
+    def check_lipschitz(self, refined: bool = False) -> None:
+        """Refuse a numeric lipschitz below the largest rate that 'sampled'
+        gives the model of build_model(refined) (abstraction.growth_rates):
+        that model would not be sound.  Where the derivative cannot be
+        sampled, the numeric rate is the only way to build and is taken as
+        given."""
+        if isinstance(self.lipschitz, str):
+            return
+        part = self.partition(refined or self.is_timedelay())
+        try:
+            rate = float(growth_rates(self.system, self.tau, part).max())
+        except IntegrationError:
+            return
+        _check(self.lipschitz >= rate, "abstraction.lipschitz",
+               f"{self.lipschitz!r} is below the sampled rate {rate!r} of this plant, "
+               f"so the model would not be sound; use at least that, or 'sampled'")
+
     def build_model(self, refined: bool = False) -> TransitionSystem:
         """The model of the config on self.partition(refined); a tube model
-        always takes the zoom rows, at build time.
-
-        A numeric lipschitz is checked first against the rate that
-        lipschitz = sampled would use, which it must not undercut: the
-        largest sampled mu over the partition's cells, with tau, for a
-        delay-free model, and L over the state box for a tube model.  Where
-        the derivative cannot be sampled, the numeric rate is the only way
-        to build, and it is taken as given."""
+        always takes the zoom rows, at build time."""
         tubes = self.is_timedelay()
         build, extra = (build_timedelay, {"N": self.N, "budget": self.budget}) \
             if tubes else (build_delayfree, {})
-        part = self.partition(refined or tubes)
-        if not isinstance(self.lipschitz, str):
-            sys_ = self.system
-            try:
-                rate = estimate_lipschitz(sys_, sys_.state_lo, sys_.state_hi, None) \
-                    if tubes else estimate_lipschitz_batch(
-                        sys_, *part.cell_arrays(part.ids)[:3], tau=self.tau).max()
-            except IntegrationError:
-                rate = -math.inf
-            _check(self.lipschitz >= rate, "abstraction.lipschitz",
-                   f"{self.lipschitz!r} is below the sampled rate "
-                   f"{float(rate)!r} of this plant, so the model would not "
-                   f"be sound; use at least that, or 'sampled'")
-        return build(self.system, self.tau, part,
+        return build(self.system, self.tau, self.partition(refined or tubes),
                      input_quantization=self.input_quantization,
                      lipschitz=self.lipschitz, steps=self.steps,
                      growth_scale=self.growth_scale, **extra)

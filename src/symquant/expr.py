@@ -270,10 +270,7 @@ def _vector_table() -> dict:
     probe = (np.arange(1, 4097) * 0.6180339887498949) % 1.0 * 16.0 - 8.0
 
     def pick(ufunc, f):
-        # in 16 pieces and with no list of Python floats, so the compare
-        # adds little to the peak RSS of a stage that compiles a vfn
-        same = all(np.array_equal(ufunc(p), np.fromiter(map(f, p), float, len(p)))
-                   for p in np.split(probe, 16))
+        same = np.array_equal(ufunc(probe), list(map(f, probe.tolist())))
         return ufunc if same else _each(f)
 
     return {

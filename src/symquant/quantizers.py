@@ -361,14 +361,14 @@ class Partition:
         this partition's per-axis bounds."""
         part = copy.copy(self)
         part.zoom = dict(self.zoom)
-        next_id = len(self._table[0])
+        rows = next_id = len(self._table[0])
         new: List[int] = []
         for bid in sorted(assignments):
             p = assignments[bid]
             if bid in part.zoom:
                 raise ValueError(f"cell {bid} is already zoom-refined")
             if not 0 <= bid < self._n_base:
-                if self._n_base <= bid < next_id:  # ids past the base cells
+                if self._n_base <= bid < rows:  # rows of self past the base cells
                     raise ValueError(f"cell {bid} is a zoom subcell; refine base cells only")
                 raise ValueError(f"unknown cell id {bid}")
             if p.delta == 0.0:

@@ -500,6 +500,30 @@ def test_a_numeric_lipschitz_above_the_sampled_rate_builds(tmp_path, capsys):
                  "--samples", "2000", "--seed", "1"]) == 0
 
 
+def test_the_rate_is_checked_where_a_model_is_first_built(ws, tmp_path, monkeypatch,
+                                                          capsys):
+    # abstract and refine build a model; the later stages rebuild it only
+    # to compare it with the file, so they do not sample the rate again
+    calls = []
+    check = AppConfig.check_lipschitz
+
+    def counted(self, refined=False):
+        calls.append(refined)
+        return check(self, refined)
+
+    monkeypatch.setattr(AppConfig, "check_lipschitz", counted)
+    ini, coarse, fine = (str(ws / "zoomed.ini"), str(tmp_path / "coarse.sts"),
+                         str(tmp_path / "fine.sts"))
+    assert main(["abstract", "--config", ini, "--out", coarse]) == 0
+    assert main(["refine", "--config", ini, "--model", coarse, "--out", fine]) == 0
+    assert calls == [False, True]
+    assert main(["verify-frr", "--config", ini, "--model", fine,
+                 "--samples", "200", "--seed", "1"]) == 0
+    assert main(["synthesize", "--config", ini, "--model", fine,
+                 "--out", str(tmp_path / "law.ctrl")]) == 0
+    assert calls == [False, True]
+
+
 def test_abstract_builds_a_plant_without_state_dependence(tmp_path, capsys):
     # x1' = u1: the sampled Jacobian is exactly 0, which the growth bound
     # accepts: every radius is its cell's largest spread

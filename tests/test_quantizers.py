@@ -233,18 +233,21 @@ def test_partition_refined_rejects_subcell_ids():
         ref.refined({26: ZoomQuantizerParams(1, 1.0, 0.1)})
 
 
-@pytest.mark.parametrize("cid,message", [
-    (12, "cell 12 is already zoom-refined"),
-    (25, "cell 25 is a zoom subcell; refine base cells only"),
-    (33, "cell 33 is a zoom subcell; refine base cells only"),
-    (34, "unknown cell id 34"),
-    (-1, "unknown cell id -1"),
+@pytest.mark.parametrize("cids,message", [
+    ((12,), "cell 12 is already zoom-refined"),
+    ((25,), "cell 25 is a zoom subcell; refine base cells only"),
+    ((33,), "cell 33 is a zoom subcell; refine base cells only"),
+    ((34,), "unknown cell id 34"),
+    ((-1,), "unknown cell id -1"),
+    # 35 would be a subcell of cell 13 refined in the same call (34..36),
+    # but it names no cell of the partition being refined
+    ((13, 35), "unknown cell id 35"),
 ])
-def test_refined_refuses_refined_subcell_and_unknown_ids(cid, message):
+def test_refined_refuses_refined_subcell_and_unknown_ids(cids, message):
     ref = Partition([-1.0, -1.0], [1.0, 1.0], P6).refined(
         {12: ZoomQuantizerParams(1, 1.0, 0.3)})
     with pytest.raises(ValueError, match=f"^{message}$"):
-        ref.refined({cid: ZoomQuantizerParams(1, 1.0, 0.1)})
+        ref.refined(dict.fromkeys(cids, ZoomQuantizerParams(1, 1.0, 0.1)))
 
 
 def test_refined_locate_picks_subcells():
@@ -360,6 +363,22 @@ def test_intersecting_equals_a_brute_force_scan(box, params, zoom):
     for cid in range(n_ids):
         want = cells.get(cid, ([np.nan] * n,) * 4)
         np.testing.assert_array_equal([lo[cid], hi[cid], q[cid], half[cid]], want)
+    base = _reference_cells([box[0]] * n, [box[1]] * n, axis_params, {})[0]
+    new = part.ids[part.ids >= len(base)]
+    for bid, z in part.zoom.items():
+        base_lo, base_hi = base[bid][:2]
+        # each axis's bins tile the base cell's extent on that axis, with no
+        # gap or overlap, and their product is the record's count
+        axes = _zoom_axes(base_lo, base_hi, z.params)[1]
+        for i, bins in enumerate(axes):
+            assert bins[0].lower == base_lo[i] and bins[-1].upper == base_hi[i]
+            assert all(prev.upper == nxt.lower for prev, nxt in zip(bins, bins[1:]))
+        assert int(np.prod([len(bins) for bins in axes])) == z.count
+        # the table's new rows inside the base cell are the record's ids (a
+        # subcell has positive extent, so it cannot lie in a neighbour's
+        # shared face)
+        inside = ((np.array(base_lo) <= lo[new]) & (hi[new] <= np.array(base_hi))).all(axis=1)
+        assert new[inside].tolist() == list(range(z.first_id, z.first_id + z.count))
     # intersecting equals a closed-box scan over the reference cells
     rng = np.random.default_rng(21)
     faces = np.array([c[0] for c in cells.values()] + [c[1] for c in cells.values()])
