@@ -27,6 +27,16 @@ can meet one).  Only the new subcells are integrated and only the rows
 that met a replaced cell are queried again; the result equals a build
 from scratch byte for byte.
 
+derive_delayfree gives the same model on an unrefined lattice, byte for
+byte and with bitwise equal endpoints, from batched kernels instead of
+the per-pair calls: integrate_batch over every (cell, input) pair, 4096
+pairs per call, one state-box test for the blocked pairs, and one batched
+box query, whose successors are products of per-axis index ranges
+(Partition.box_spans and box_ids, the rule of SCOTS).  Both paths share
+the first step (cell arrays, rates and radii: _delayfree_cells) and the
+last (CSR and model assembly: _delayfree_ts).  The model checks of the
+CLI use it; abstract and refine_cells keep the per-pair build.
+
 The per-pair part of the build (integrate the new cells' pairs, find the
 blocked pairs and growth boxes, copy or query each unblocked row) is one
 block function over a contiguous range of cells; the rate estimate, the
@@ -81,7 +91,8 @@ import numpy as np
 from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
                        DEFAULT_STEPS, estimate_lipschitz,
                        estimate_lipschitz_batch, history_curve, history_rows,
-                       integrate, integrate_delay_batch, interpolate_batch)
+                       integrate, integrate_batch, integrate_delay_batch,
+                       interpolate_batch)
 from .quantizers import (LogQuantizerParams, Partition, ZoomQuantizerParams,
                          _boundaries_up_to)
 
@@ -445,6 +456,8 @@ def input_lattice(lo, hi, input_quantization) -> List[np.ndarray]:
 # ---------------------------------------------------------------------------
 # delay-free model
 
+_CHUNK = 4096  # trajectories per integrate_batch or integrate_delay_batch call
+
 
 def build_delayfree(sys: ControlSystem, tau: float,
                     lattice: Union[LogQuantizerParams, Sequence[LogQuantizerParams], Partition],
@@ -461,6 +474,69 @@ def build_delayfree(sys: ControlSystem, tau: float,
     radius (1.0 normally; 0 builds a deliberately unsound model for
     negative-control testing).
     """
+    return _delayfree_model(sys, *_delayfree_setup(
+        sys, tau, lattice, input_quantization, lipschitz, steps, growth_scale))
+
+
+def derive_delayfree(sys: ControlSystem, tau: float,
+                     lattice: Union[LogQuantizerParams, Sequence[LogQuantizerParams], Partition],
+                     input_quantization=("uniform", 0.2),
+                     lipschitz: Union[str, float] = "sampled-jacobian",
+                     steps: int = DEFAULT_STEPS,
+                     growth_scale: float = 1.0) -> TransitionSystem:
+    """build_delayfree's model on a lattice with no zoom cells, byte for
+    byte and with bitwise equal endpoints, from batched kernels:
+    integrate_batch over every (cell, input) pair, _CHUNK pairs per call,
+    one sys.inside test for the blocked pairs, and one batched box query
+    (Partition.box_spans, then _box_successors) for the growth boxes of
+    the others.  A zoom-refined Partition raises ValueError."""
+    part, inputs, ctx = _delayfree_setup(sys, tau, lattice, input_quantization,
+                                         lipschitz, steps, growth_scale)
+    cells, radius = _delayfree_cells(sys, part, ctx)
+    n_in, quantized = len(inputs), cells[3]
+    # pair k*I + i starts at cell k's quantized point under input i; _CHUNK
+    # pairs per call bound the kernel's temporaries
+    starts = np.repeat(quantized, n_in, axis=0)
+    U = np.tile(np.array(inputs), (len(quantized), 1))
+    x1 = np.empty((len(quantized), n_in, sys.n))
+    ends = x1.reshape(-1, sys.n)  # a view, in pair order
+    for a in range(0, len(starts), _CHUNK):
+        ends[a:a + _CHUNK] = integrate_batch(sys, starts[a:a + _CHUNK].T, U[a:a + _CHUNK].T,
+                                             ctx.tau, ctx.steps).T
+    del starts, U
+    # a pair is blocked when its nominal endpoint leaves X
+    rows = np.flatnonzero(sys.inside(x1).ravel())
+    r = np.repeat(radius.ravel(), n_in)[rows, None]
+    # the growth boxes are freed once their index ranges are known
+    sizes, succ = _box_successors(part, *part.box_spans(ends[rows] - r, ends[rows] + r))
+    return _delayfree_ts(part, inputs, ctx, cells, x1, rows, sizes, succ)
+
+
+_EXPAND_IDS = 4096  # successor ids per expansion step of _box_successors
+
+
+def _box_successors(part: Partition, start: np.ndarray,
+                    width: np.ndarray) -> Tuple[np.ndarray, array]:
+    """The (K,) sizes and the int32 ids of the cells of K index boxes
+    (Partition.box_spans) on an unrefined part, row after row
+    (Partition.box_ids).  Rows are expanded about _EXPAND_IDS ids at a
+    time, cut by the cumulative row sizes, into one int32 buffer, so no
+    temporary grows with the successors."""
+    sizes = width.prod(axis=1)
+    ends, succ, p = np.cumsum(sizes), array("i"), 0
+    while p < len(sizes):
+        # rows p..q-1: about _EXPAND_IDS ids, and at least one row
+        q = max(p + 1, int(np.searchsorted(ends, ends[p] - sizes[p] + _EXPAND_IDS, "right")))
+        succ.frombytes(part.box_ids(start[p:q], width[p:q]).astype(np.int32).tobytes())
+        p = q
+    return sizes, succ
+
+
+def _delayfree_setup(sys: ControlSystem, tau: float, lattice, input_quantization,
+                     lipschitz, steps: int,
+                     growth_scale: float) -> Tuple[Partition, List[np.ndarray], _BuildContext]:
+    """The partition, inputs and build context of build_delayfree's
+    arguments."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     part = lattice if isinstance(lattice, Partition) else \
@@ -468,7 +544,33 @@ def build_delayfree(sys: ControlSystem, tau: float,
     inputs = input_lattice(sys.input_lo, sys.input_hi, input_quantization)
     ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,
                         growth_scale=growth_scale)
-    return _delayfree_model(sys, part, inputs, ctx)
+    return part, inputs, ctx
+
+
+def _delayfree_cells(sys: ControlSystem, part: Partition,
+                     ctx: _BuildContext) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    """The cell rows (ids, lower, upper, quantized point) of part's cells
+    and their (C, 1, 1) growth radii, one rate estimate over all of them:
+    the first step of both delay-free paths."""
+    ids = part.ids
+    lower, upper, quantized, _ = part.cell_arrays(ids)
+    rate = growth_rates(sys, ctx.tau, part, ctx.lipschitz)
+    radius = ctx.growth_scale * growth_bound_delayfree(
+        np.maximum(quantized - lower, upper - quantized), rate, ctx.tau)[:, None, None]
+    return (ids, lower, upper, quantized), radius
+
+
+def _delayfree_ts(part: Partition, inputs: List[np.ndarray], ctx: _BuildContext,
+                  cells: Tuple[np.ndarray, ...], x1: np.ndarray, rows, sizes,
+                  succ) -> TransitionSystem:
+    """The model of part's cells, their (C, I, n) endpoints x1, and the
+    successor ids succ (an int32 buffer) of the CSR rows rows, sizes[j] of
+    them for rows[j]: the last step of both delay-free paths."""
+    ids = cells[0]
+    indptr = _indptr(len(ids) * len(inputs), rows, sizes)
+    succ = _to_positions(np.frombuffer(succ, dtype=np.int32), ids)
+    return TransitionSystem(ids, inputs, (indptr, succ), cell_rows=cells,
+                            partition=part, ctx=ctx, endpoints=x1)
 
 
 def _delayfree_model(sys: ControlSystem, part: Partition,
@@ -487,11 +589,8 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
     successors follow one another in prior.succ, and each run is appended
     as ids, _POS_CHUNK at a time, and its row sizes with one buffer copy.
     """
-    ids = part.ids
-    lower, upper, quantized, _ = part.cell_arrays(ids)
-    rate = growth_rates(sys, ctx.tau, part, ctx.lipschitz)
-    radius = ctx.growth_scale * growth_bound_delayfree(
-        np.maximum(quantized - lower, upper - quantized), rate, ctx.tau)[:, None, None]
+    cells, radius = _delayfree_cells(sys, part, ctx)
+    ids, quantized = cells[0], cells[3]
     n_in = len(inputs)
     x1 = np.empty((len(ids), n_in, sys.n))
     new = np.ones(len(ids), dtype=bool)
@@ -558,11 +657,7 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
         sizes.extend(more_sizes)
     rows = np.concatenate([r[1] for r in results])
     del results
-    indptr = _indptr(x1.shape[0] * n_in, rows, sizes)
-    succ = _to_positions(np.frombuffer(succ, dtype=np.int32), ids)
-    return TransitionSystem(ids, inputs, (indptr, succ),
-                            cell_rows=(ids, lower, upper, quantized),
-                            partition=part, ctx=ctx, endpoints=x1)
+    return _delayfree_ts(part, inputs, ctx, cells, x1, rows, sizes, succ)
 
 
 def _prior_rows(prior: TransitionSystem,
@@ -755,9 +850,6 @@ def tube_interpolant(knots, partition: Partition, Theta: float) -> SampledCurve:
     """The quantized functional of the tube with the given knot cell ids:
     linear through the knot quantized points."""
     return history_curve(partition.cell_arrays(knots)[2], Theta)
-
-
-_CHUNK = 4096  # trajectories per integrate_delay_batch call
 
 
 def tube_knot_points(sys: TimeDelaySystem, H: np.ndarray, U: np.ndarray,

@@ -7,14 +7,20 @@ concrete system, ``verify-frr`` samples the refinement relation, and
 ``export-dot`` renders a stored model for graphviz.
 
 Model files on disk carry no dynamics, so ``refine``, ``synthesize`` and
-``verify-frr`` rebuild the model from the config and trust the stored file
-only when its bytes equal the serialized rebuild.  ``refine`` rebuilds the
-coarse model for that check and derives the refined model from it
-(refine_cells); ``synthesize`` and ``verify-frr`` build the refined model
-from scratch, so they check the refine stage's output against a
-construction that shares none of its work.  A delay-free ``simulate``
-only locates points, so it needs the config's partition and no model; a
-time-delay ``simulate`` rebuilds the model for its tube ids.
+``verify-frr`` derive the model from the config (AppConfig.derive_model)
+and trust the stored file only when its bytes equal the serialized
+derivation.  For a delay-free config the check derives the coarse model
+with batched kernels (abstraction.derive_delayfree), which share no
+integration or box query with ``abstract``'s per-pair build, so every
+coarse file ``abstract`` writes is confirmed by an independent
+construction.  ``refine``'s check stops there; ``synthesize`` and
+``verify-frr`` apply the zoom rows with refine_cells, as ``refine`` does,
+so the refined model they check is refine_cells of a confirmed coarse
+model; the tests and CI compare refine_cells with a build from scratch
+over the refined partition.  A time-delay config builds its tube model.
+A delay-free ``simulate`` only locates points, so it needs the config's
+partition and no model; a time-delay ``simulate`` rebuilds the model for
+its tube ids.
 
 Exit codes: 0 on success, 1 on domain failures (validation errors, refinement
 violations or a witness that checked nothing, unsolvable specifications, a
@@ -46,7 +52,7 @@ class _DomainError(Exception):
 
 def _load_model_checked(cfg: AppConfig, path: str, refined: bool) -> TransitionSystem:
     with open(path, "rb") as fh:
-        ts = cfg.build_model(refined=refined)
+        ts = cfg.derive_model(refined=refined)
         line = _first_difference(fh, sts_chunks(ts))
     if line is not None:
         raise _DomainError(f"model file {path} does not match the config "

@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .abstraction import (TransitionSystem, build_delayfree, build_timedelay,
-                          growth_rates, input_lattice)
+                          derive_delayfree, growth_rates, input_lattice,
+                          refine_cells)
 from .dynamics import (ControlSystem, IntegrationError, TimeDelaySystem,
                        DEFAULT_STEPS, history_curve)
 from .expr import ExprError, parse as parse_expr
@@ -95,6 +96,21 @@ class AppConfig:
                      input_quantization=self.input_quantization,
                      lipschitz=self.lipschitz, steps=self.steps,
                      growth_scale=self.growth_scale, **extra)
+
+    def derive_model(self, refined: bool = False) -> TransitionSystem:
+        """build_model(refined), byte for byte, for a stage that checks a
+        model file.  A delay-free model is derived with batched kernels
+        (abstraction.derive_delayfree) on the unrefined lattice, and
+        refine_cells applies the zoom rows to it when refined is set (no
+        rows otherwise), so the model a stage uses comes from a builder that
+        bench/trace_stage.py counts.  A tube model is built."""
+        if self.is_timedelay():
+            return self.build_model(refined)
+        coarse = derive_delayfree(self.system, self.tau, self.partition(),
+                                  input_quantization=self.input_quantization,
+                                  lipschitz=self.lipschitz, steps=self.steps,
+                                  growth_scale=self.growth_scale)
+        return refine_cells(coarse, self.zoom if refined else {})
 
     def partition(self, refined: bool = False) -> Partition:
         """The state lattice, zoom-refined by the zoom rows when refined is

@@ -270,7 +270,7 @@ def _vector_table() -> dict:
     probe = (np.arange(1, 4097) * 0.6180339887498949) % 1.0 * 16.0 - 8.0
 
     def pick(ufunc, f):
-        same = np.array_equal(ufunc(probe), list(map(f, probe.tolist())))
+        same = np.array_equal(ufunc(probe), np.fromiter(map(f, probe), float, len(probe)))
         return ufunc if same else _each(f)
 
     return {

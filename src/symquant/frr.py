@@ -175,7 +175,8 @@ def _draws(seed: int, k: int, width: int) -> np.ndarray:
     if k < 0 or width < 0:
         raise ValueError(f"draws of shape ({k}, {width}) asked for")
     rng = random.Random(seed)
-    return np.array([rng.random() for _ in range(k * width)]).reshape(k, width)
+    return np.fromiter((rng.random() for _ in range(k * width)), float,
+                       k * width).reshape(k, width)
 
 
 def _pick_inputs(ts: TransitionSystem, pos: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .abstraction import TransitionSystem, transition_arrays
+from .abstraction import TransitionSystem, _positions, transition_arrays
 from .synthesis import Controller
 
 
@@ -115,7 +115,8 @@ def _edge_block(text: str, start: int) -> Optional[np.ndarray]:
 def parse_sts(text: str) -> TransitionSystem:
     """The model of an STS 1 text.  Besides the record syntax it checks the
     header's state, input and transition counts, that input ids are 0..n-1
-    and state ids distinct, that every E record names known states and
+    and state ids distinct, that a tube model's S ids are distinct and its
+    knots name S records, that every E record names known states and
     inputs, and that no E record repeats.
 
     The records before the first line that starts with "E " are read line
@@ -196,6 +197,14 @@ def parse_sts(text: str) -> TransitionSystem:
         raise ModelFormatError(f"header says {n_states} states, found {len(ids)}")
     if len(src) != n_trans:
         raise ModelFormatError(f"header says {n_trans} transitions, found {len(src)}")
+    if tubes:  # a knot names one S record
+        twice = np.flatnonzero(cell_ids[1:] == cell_ids[:-1])
+        if len(twice):
+            raise ModelFormatError(f"S record id {cell_ids[twice[0]]} is given twice")
+        found = _positions(cell_ids, knots.ravel())[1]
+        if not found.all():
+            raise ModelFormatError(f"knot cell id {knots.ravel()[np.argmin(found)]} "
+                                   f"names no S record")
     try:  # an unknown id, an edge given twice, a state id given twice
         relation = transition_arrays(ids, n_inputs, (src, iid, dst))
         return TransitionSystem(ids, input_list, relation, cell_rows=cell_rows,

@@ -342,9 +342,11 @@ class Partition:
         # per-axis bound lists for bisection: regions tile the axis in order
         self._lowers = [[r.lower for r in ax] for ax in axes]
         self._uppers = [[r.upper for r in ax] for ax in axes]
-        # the upper bounds as arrays for locate_batch; _bump[i][j] marks a
-        # boundary uppers[i][j] that goes to region j+1 (the smaller level)
-        self._upper_arrays = [np.array(u) for u in self._uppers]
+        # the bounds as arrays for locate_batch and box_spans;
+        # _bump[i][j] marks a boundary uppers[i][j] that goes to region j+1
+        # (the smaller level)
+        self._lower_arrays = [np.array(b) for b in self._lowers]
+        self._upper_arrays = [np.array(b) for b in self._uppers]
         self._bump = [np.array([abs(b.level) < abs(a.level)
                                 for a, b in zip(ax, ax[1:])] + [False])
                       for ax in axes]
@@ -476,3 +478,38 @@ class Partition:
             out.extend(z.first_id + off
                        for off in _row_major(sub_ranges, z.strides))
         return sorted(out)
+
+    def box_spans(self, box_lo, box_hi) -> Tuple[np.ndarray, np.ndarray]:
+        """The regions of the unrefined lattice that each of the (K, n)
+        closed boxes box_lo, box_hi meets, per axis an index range: (start,
+        width), (K, n) int64 each, for regions start .. start + width - 1.
+        They run from searchsorted(uppers, lo, 'left') to searchsorted(lowers,
+        hi, 'right'), _axis_span's closed rule: touching faces meet, and an
+        axis with a NaN bound meets nothing (width 0).  A box meets the
+        cells of the product of its ranges (box_ids); a zoom-refined
+        partition raises ValueError."""
+        if self.zoom:
+            raise ValueError("box_spans needs a partition with no zoom cells")
+        lo, hi = np.asarray(box_lo, dtype=float), np.asarray(box_hi, dtype=float)
+        start, width = np.empty(lo.shape, dtype=np.int64), np.empty(lo.shape, dtype=np.int64)
+        for i in range(self.n):
+            start[:, i] = np.searchsorted(self._upper_arrays[i], lo[:, i])
+            width[:, i] = np.searchsorted(self._lower_arrays[i], hi[:, i], "right")
+        width -= start
+        width[np.isnan(lo) | np.isnan(hi) | (width < 0)] = 0
+        return start, width
+
+    def box_ids(self, start, width) -> np.ndarray:
+        """The ids of the cells of each row's index box (box_spans), row
+        after row, each row's ascending: intersecting() of the boxes, row
+        for row.  Ids are numbered row-major (last axis fastest), so each
+        row's first id is expanded one axis at a time, every partial id
+        into its row's width on that axis."""
+        ids = (start * self._strides).sum(axis=1)
+        row = np.arange(len(start))
+        for i, stride in enumerate(self._strides):
+            w = width[row, i]
+            first = np.repeat(np.cumsum(w) - w, w)
+            ids = np.repeat(ids, w) + (np.arange(len(first)) - first) * stride
+            row = np.repeat(row, w)
+        return ids

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symquant import cli, config
+from symquant import abstraction, cli, config, dynamics, sim
+from symquant.abstraction import refine_cells
 from symquant.cli import main
 from symquant.config import AppConfig, load_config
 from symquant.frr import RefinementMap
+from symquant.quantizers import Partition
 from symquant.model_io import (load_controller, load_ts, parse_controller,
                                parse_sts, serialize_controller, serialize_ts,
                                write_ts)
@@ -203,29 +205,100 @@ def test_model_config_cross_check(ws, tmp_path, capsys):
     assert "does not match the config rebuild" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["verify-frr", "synthesize"])
-def test_same_count_edit_fails_the_model_check(ws, tmp_path, capsys, command):
+@pytest.mark.parametrize("command,ini,refined", [
+    ("verify-frr", "pendulum.ini", False),
+    ("synthesize", "pendulum.ini", False),
+    # refine checks the coarse model
+    ("refine", "zoomed.ini", False),
+    # the refined model: cell 12 is retired, so its ids are not positions
+    ("verify-frr", "zoomed.ini", True),
+    ("synthesize", "zoomed.ini", True),
+], ids=["verify-frr", "synthesize", "refine", "verify-frr-refined",
+        "synthesize-refined"])
+def test_same_count_edit_fails_the_model_check(ws, tmp_path, capsys, command,
+                                               ini, refined):
+    if refined:
+        text = serialize_ts(load_config(str(ws / ini)).build_model(refined=True))
+    else:
+        text = (ws / "model.sts").read_text()
+    ids = [line.split()[1] for line in text.splitlines() if line.startswith("S ")]
+    assert ("12" in ids) != refined
     # move one transition to another destination: every count stays the same
-    text = (ws / "model.sts").read_text()
     succ = {}
     for line in text.splitlines():
         if line.startswith("E "):
             _, sid, iid, dst = line.split()
             succ.setdefault((sid, iid), []).append(dst)
     (sid, iid), dsts = min(succ.items(), key=lambda kv: len(kv[1]))
-    free = next(str(c) for c in range(25) if str(c) not in dsts)
+    free = next(c for c in ids if c not in dsts)
     moved = f"E {sid} {iid} {dsts[0]}"
     edited = text.replace(moved + "\n", f"E {sid} {iid} {free}\n")
     assert edited != text and edited.splitlines()[0] == text.splitlines()[0]
     (tmp_path / "edited.sts").write_text(edited)
-    args = [command, "--config", str(ws / "pendulum.ini"),
+    args = [command, "--config", str(ws / ini),
             "--model", str(tmp_path / "edited.sts")]
-    if command == "synthesize":
-        args += ["--out", str(tmp_path / "law.ctrl")]
+    if command != "verify-frr":
+        args += ["--out", str(tmp_path / "out")]
     assert main(args) == 1
     line = text.splitlines().index(moved) + 1
     assert (f"does not match the config rebuild: first difference on line "
             f"{line}") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _count_build_calls(monkeypatch) -> dict:
+    """Counts of the per-pair build's calls from here on: integrate, through
+    every name the package calls it by, and Partition.intersecting."""
+    calls = {"integrate": 0, "intersecting": 0}
+    integrate, intersecting = dynamics.integrate, Partition.intersecting
+
+    def counted_integrate(*args, **kwargs):
+        calls["integrate"] += 1
+        return integrate(*args, **kwargs)
+
+    def counted_intersecting(self, *args):
+        calls["intersecting"] += 1
+        return intersecting(self, *args)
+
+    for module in (abstraction, dynamics, sim):
+        monkeypatch.setattr(module, "integrate", counted_integrate)
+    monkeypatch.setattr(Partition, "intersecting", counted_intersecting)
+    return calls
+
+
+def _stage(command, ini, model, tmp_path):
+    args = [command, "--config", ini, "--model", model]
+    return main(args + (["--out", str(tmp_path / "law.ctrl")]
+                        if command == "synthesize" else []))
+
+
+@pytest.mark.parametrize("command", ["verify-frr", "synthesize"])
+def test_model_check_runs_no_per_pair_build(ws, tmp_path, monkeypatch, command):
+    # the check derives the coarse model with batched kernels
+    calls = _count_build_calls(monkeypatch)
+    assert _stage(command, str(ws / "pendulum.ini"), str(ws / "model.sts"),
+                  tmp_path) == 0
+    assert calls == {"integrate": 0, "intersecting": 0}
+
+
+@pytest.mark.parametrize("command", ["verify-frr", "synthesize"])
+def test_refined_model_check_runs_only_the_new_subcells(ws, tmp_path, monkeypatch,
+                                                        command):
+    # on a zoom config the check's only per-pair calls are refine_cells':
+    # the new subcells' pairs, and the rows that listed the replaced cell
+    cfg = load_config(str(ws / "zoomed.ini"))
+    coarse = cfg.build_model()
+    calls = _count_build_calls(monkeypatch)
+    ts = refine_cells(coarse, cfg.zoom)
+    want = dict(calls)
+    n_new = sum(z.count for z in ts.partition.zoom.values())
+    assert want["integrate"] == n_new * len(ts.inputs) > 0
+    assert 0 < want["intersecting"] < len(ts.ids) * len(ts.inputs)
+    write_ts(ts, str(tmp_path / "refined.sts"))
+    calls.update(integrate=0, intersecting=0)
+    assert _stage(command, str(ws / "zoomed.ini"), str(tmp_path / "refined.sts"),
+                  tmp_path) == 0
+    assert calls == want
 
 
 def test_simulate_incomplete_run_fails(ws, tmp_path, capsys):
@@ -798,20 +871,21 @@ FINE_ZOOM_INI = str(Path(__file__).resolve().parents[1] / "bench" / "workloads"
 def test_verify_stage_parses_each_right_hand_side_once(tmp_path, monkeypatch,
                                                        capsys):
     """One plant per stage: load_config parses every row of system.f once,
-    and the refined build and the witness use the plant it built."""
+    and the model check's refined model and the witness use the plant it
+    built."""
     model = str(tmp_path / "refined.sts")
     write_ts(load_config(FINE_ZOOM_INI).build_model(refined=True), model)
 
     parses, configs, models, witnessed = [], [], [], []
-    parse, load, build = config.parse_expr, cli.load_config, AppConfig.build_model
+    parse, load, derive = config.parse_expr, cli.load_config, AppConfig.derive_model
     witness = cli.sample_frr_delayfree
     monkeypatch.setattr(config, "parse_expr",
                         lambda text: parses.append(text) or parse(text))
     monkeypatch.setattr(cli, "load_config",
                         lambda path: configs.append(load(path)) or configs[-1])
-    monkeypatch.setattr(AppConfig, "build_model",
+    monkeypatch.setattr(AppConfig, "derive_model",
                         lambda self, refined=False:
-                        models.append(build(self, refined)) or models[-1])
+                        models.append(derive(self, refined)) or models[-1])
     monkeypatch.setattr(cli, "sample_frr_delayfree",
                         lambda *args: witnessed.append(args) or witness(*args))
     main(["verify-frr", "--config", FINE_ZOOM_INI, "--model", model,

@@ -246,12 +246,12 @@ def test_edge_records_of_sparse_ids_and_empty_states():
 
 
 class _Prebuilt:
-    """Stands in for a config whose build returns a given model."""
+    """Stands in for a config whose model check derives a given model."""
 
     def __init__(self, ts):
         self.ts = ts
 
-    def build_model(self, refined=False):
+    def derive_model(self, refined=False):
         return self.ts
 
 

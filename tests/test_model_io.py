@@ -116,6 +116,10 @@ def test_file_round_trip(tmp_path, pendulum_ts):
     # the cell rows and the knot array hold one width each
     ("STS 1 2 1 0\nS 0 0 1 0.5\nS 1 0 0 1 1 0.5 0.5\nI 0 0\n", "S record has 6 values"),
     ("STS 1 2 1 0\nS 0 0 1 0.5\nT 0 0 0\nT 1 0\nI 0 0\n", "T record has 1 knots"),
+    # a tube's knots are cells of the S records, each given once
+    ("STS 1 1 1 0\nS 0 0 1 0.5\nT 0 7 9\nI 0 0\n", "knot cell id 7 names no S record"),
+    ("STS 1 1 1 0\nS 0 0 1 0.5\nS 0 1 2 1.5\nT 0 0\nI 0 0\n",
+     "S record id 0 is given twice"),
 ])
 def test_sts_parse_errors(text, fragment):
     with pytest.raises(ModelFormatError, match=fragment):
