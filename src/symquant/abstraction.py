@@ -19,36 +19,30 @@ the growth boxes as (C*I, n) arrays in CSR row order.  Each box row goes to
 one Partition.intersecting() query, whose cell ids are appended to an int32
 buffer that, its ids turned into state positions in place, becomes the
 model's successor array without a copy (see TransitionSystem); the model
-keeps the endpoint array.  Zoom refinement runs the same build with the
-coarse model as prior: a cell the refinement keeps copies its endpoints,
-and each of its pairs copies its successor row unless that row lists a
-replaced base cell (subcells lie inside their base cell, so no other row
-can meet one).  Only the new subcells are integrated and only the rows
-that met a replaced cell are queried again; the result equals a build
-from scratch byte for byte.
+keeps the endpoint array.
 
-derive_delayfree gives the same model on an unrefined lattice, byte for
-byte and with bitwise equal endpoints, from batched kernels instead of
-the per-pair calls: integrate_batch over every (cell, input) pair, 4096
-pairs per call, one state-box test for the blocked pairs, and one batched
-box query, whose successors are products of per-axis index ranges
-(Partition.box_spans and box_ids, the rule of SCOTS).  Both paths share
-the first step (cell arrays, rates and radii: _delayfree_cells) and the
-last (CSR and model assembly: _delayfree_ts).  The model checks of the
-CLI use it; abstract and refine_cells keep the per-pair build.
+derive_delayfree gives the same model, byte for byte and with bitwise
+equal endpoints, from batched kernels: integrate_batch over every (cell,
+input) pair, 4096 pairs per call, one state-box test for the blocked
+pairs, and one batched box query (Partition.box_spans and box_ids, the
+per-axis index ranges of SCOTS; a row that holds a zoom-refined base cell
+takes Partition.zoomed_box_ids).  Both paths share the first step
+(_delayfree_cells: cell arrays, rates and radii) and the last
+(_delayfree_ts: CSR and model assembly).  The model checks of the CLI and
+refine_cells use it; abstract keeps the per-pair build, and the tests
+compare the two.
 
-The per-pair part of the build (integrate the new cells' pairs, find the
-blocked pairs and growth boxes, copy or query each unblocked row) is one
-block function over a contiguous range of cells; the rate estimate, the
-radii and the prior's rows are computed once before it.  A build with
-at least 2 * 4096 new pairs, in a process that may run on more than one
-CPU (its affinity mask), is cut into min(CPUs, new pairs // 4096) ranges
-with about the same number of new cells each: the first runs in process
-and every other in an os.fork worker, which sends its endpoints, row
-numbers and successors back through a pipe.  The ranges are
-merged in cell order, so the model is byte-identical to a one-block build,
-and the first range that raises decides the error.  Where os.fork or
-os.sched_getaffinity is missing, every build is one block.
+The per-pair part of the build (integrate the pairs, find the blocked
+pairs and growth boxes, query each unblocked row) is one block function
+over a contiguous range of cells.  A build with at least 2 * 4096 pairs,
+in a process that may run on more than one CPU (its affinity mask), is
+cut into min(CPUs, pairs // 4096) ranges with about the same number of
+cells each: the first runs in process and every other in an os.fork
+worker, which sends its endpoints, row numbers and successors back
+through a pipe.  The ranges are merged in cell order, so the model is
+byte-identical to a one-block build, and the first range that raises
+decides the error.  Where os.fork or os.sched_getaffinity is missing,
+every build is one block.
 
 Time-delay construction: states are spline tubes, tuples of N+2 knot cells
 on [-Theta, 0] sampled at the peaks of linear hat functions.  A tube's
@@ -484,14 +478,17 @@ def derive_delayfree(sys: ControlSystem, tau: float,
                      lipschitz: Union[str, float] = "sampled-jacobian",
                      steps: int = DEFAULT_STEPS,
                      growth_scale: float = 1.0) -> TransitionSystem:
-    """build_delayfree's model on a lattice with no zoom cells, byte for
-    byte and with bitwise equal endpoints, from batched kernels:
-    integrate_batch over every (cell, input) pair, _CHUNK pairs per call,
-    one sys.inside test for the blocked pairs, and one batched box query
-    (Partition.box_spans, then _box_successors) for the growth boxes of
-    the others.  A zoom-refined Partition raises ValueError."""
-    part, inputs, ctx = _delayfree_setup(sys, tau, lattice, input_quantization,
-                                         lipschitz, steps, growth_scale)
+    """build_delayfree's model, byte for byte and with bitwise equal
+    endpoints, from the batched kernels the module docstring describes:
+    _CHUNK pairs per integrate_batch call, then Partition.box_spans and
+    _box_successors for the growth boxes."""
+    return _derived_model(sys, *_delayfree_setup(sys, tau, lattice, input_quantization,
+                                                 lipschitz, steps, growth_scale))
+
+
+def _derived_model(sys: ControlSystem, part: Partition, inputs: List[np.ndarray],
+                   ctx: _BuildContext) -> TransitionSystem:
+    """derive_delayfree's model of every cell of part and input."""
     cells, radius = _delayfree_cells(sys, part, ctx)
     n_in, quantized = len(inputs), cells[3]
     # pair k*I + i starts at cell k's quantized point under input i; _CHUNK
@@ -507,29 +504,55 @@ def derive_delayfree(sys: ControlSystem, tau: float,
     # a pair is blocked when its nominal endpoint leaves X
     rows = np.flatnonzero(sys.inside(x1).ravel())
     r = np.repeat(radius.ravel(), n_in)[rows, None]
-    # the growth boxes are freed once their index ranges are known
-    sizes, succ = _box_successors(part, *part.box_spans(ends[rows] - r, ends[rows] + r))
+    # the growth boxes are freed once their index ranges are known, and
+    # made again only for the rows that hold a zoom-refined cell
+    start, width = part.box_spans(ends[rows] - r, ends[rows] + r)
+    zoomed = part.zoomed_rows(start, width)
+    x, r = ends[rows[zoomed]], r[zoomed]
+    sizes, succ = _box_successors(part, start, width, zoomed, x - r, x + r)
     return _delayfree_ts(part, inputs, ctx, cells, x1, rows, sizes, succ)
 
 
 _EXPAND_IDS = 4096  # successor ids per expansion step of _box_successors
 
 
-def _box_successors(part: Partition, start: np.ndarray,
-                    width: np.ndarray) -> Tuple[np.ndarray, array]:
-    """The (K,) sizes and the int32 ids of the cells of K index boxes
-    (Partition.box_spans) on an unrefined part, row after row
-    (Partition.box_ids).  Rows are expanded about _EXPAND_IDS ids at a
-    time, cut by the cumulative row sizes, into one int32 buffer, so no
-    temporary grows with the successors."""
+def _box_successors(part: Partition, start: np.ndarray, width: np.ndarray,
+                    zoomed: np.ndarray, box_lo: np.ndarray,
+                    box_hi: np.ndarray) -> Tuple[np.ndarray, array]:
+    """The (K,) sizes and the int32 ids, row after row, of the cells that K
+    closed boxes with the index boxes start, width (Partition.box_spans)
+    meet: Partition.box_ids of a row, and Partition.zoomed_box_ids of the
+    rows zoomed (Partition.zoomed_rows), whose boxes box_lo, box_hi are.
+    Rows are expanded, the zoomed ones first, about _EXPAND_IDS ids at a
+    step, so only the zoomed rows' ids are held apart from the buffer."""
     sizes = width.prod(axis=1)
-    ends, succ, p = np.cumsum(sizes), array("i"), 0
-    while p < len(sizes):
-        # rows p..q-1: about _EXPAND_IDS ids, and at least one row
-        q = max(p + 1, int(np.searchsorted(ends, ends[p] - sizes[p] + _EXPAND_IDS, "right")))
-        succ.frombytes(part.box_ids(start[p:q], width[p:q]).astype(np.int32).tobytes())
-        p = q
+    more = [np.zeros(0, dtype=np.int32)]
+    for a, b in _steps(sizes[zoomed]):
+        at = zoomed[a:b]
+        sizes[at], ids = part.zoomed_box_ids(start[at], width[at], box_lo[a:b], box_hi[a:b])
+        more.append(ids.astype(np.int32))
+    more, own = np.concatenate(more), np.zeros(len(sizes), dtype=bool)
+    own[zoomed] = True
+    succ, c = array("i"), 0
+    for p, q in _steps(sizes):
+        # the other rows' ids, and the zoomed rows' between them
+        into = np.repeat(own[p:q], sizes[p:q])
+        ids = np.empty(len(into), dtype=np.int32)
+        ids[~into] = part.box_ids(start[p:q], np.where(own[p:q, None], 0, width[p:q]))
+        n = int(into.sum())
+        ids[into], c = more[c:c + n], c + n
+        succ.frombytes(ids.tobytes())
     return sizes, succ
+
+
+def _steps(sizes: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Consecutive row ranges [p, q) that cover the rows, each of about
+    _EXPAND_IDS ids (sizes[j] in row j) and at least one row."""
+    ends, p = np.cumsum(sizes), 0
+    while p < len(sizes):
+        q = max(p + 1, int(np.searchsorted(ends, ends[p] - sizes[p] + _EXPAND_IDS, "right")))
+        yield p, q
+        p = q
 
 
 def _delayfree_setup(sys: ControlSystem, tau: float, lattice, input_quantization,
@@ -574,80 +597,36 @@ def _delayfree_ts(part: Partition, inputs: List[np.ndarray], ctx: _BuildContext,
 
 
 def _delayfree_model(sys: ControlSystem, part: Partition,
-                     inputs: List[np.ndarray], ctx: _BuildContext,
-                     prior: Optional[TransitionSystem] = None) -> TransitionSystem:
-    """The delay-free transitions of every cell of part and input, built on
-    arrays as the module docstring describes.
-
-    prior, when given, is a model built with ctx and inputs over a
-    partition that part refines.  A cell of part that is a state of prior
-    takes its endpoints from prior, and each of its pairs takes its prior
-    successors unless they name a state that part no longer has; only the
-    remaining pairs are integrated or queried.  The copied rows are taken
-    from prior's arrays without Python lists: the unblocked rows of a block
-    fall into pieces, each one queried row or one run of copied rows whose
-    successors follow one another in prior.succ, and each run is appended
-    as ids, _POS_CHUNK at a time, and its row sizes with one buffer copy.
-    """
+                     inputs: List[np.ndarray], ctx: _BuildContext) -> TransitionSystem:
+    """The delay-free transitions of every cell of part and input, built
+    pair by pair on arrays as the module docstring describes."""
     cells, radius = _delayfree_cells(sys, part, ctx)
-    ids, quantized = cells[0], cells[3]
+    quantized = cells[3]
     n_in = len(inputs)
-    x1 = np.empty((len(ids), n_in, sys.n))
-    new = np.ones(len(ids), dtype=bool)
-    # per (cell, input), the CSR row of prior whose successors it copies,
-    # -1 where none
-    reuse = None
-    if prior is not None:
-        prior_ids = prior.ids.astype(np.int32)
-        kept, at, copied = _prior_rows(prior, ids)
-        x1[kept] = prior.endpoints[at]
-        new[kept] = False
-        reuse = np.full(x1.shape[:2], -1, dtype=np.int64)
-        reuse[kept] = copied
+    x1 = np.empty((len(quantized), n_in, sys.n))
 
     def block(k0: int, k1: int):
         """Endpoints (k1-k0, I, n), CSR row numbers of the unblocked pairs,
         and their successors and row sizes, for the pairs of cells k0..k1-1
-        (positions in ids)."""
-        for k in (np.flatnonzero(new[k0:k1]) + k0).tolist():
+        (positions in part.ids)."""
+        for k in range(k0, k1):
             for iid, u in enumerate(inputs):
                 x1[k, iid] = integrate(sys, quantized[k], u, ctx.tau, ctx.steps)
         ends = x1[k0:k1]
-        # a pair is blocked when its nominal endpoint leaves X
-        blocked = ~sys.inside(ends).ravel()
         # one row per (cell, input), the CSR row order
         box_lo = (ends - radius[k0:k1]).reshape(-1, sys.n)
         box_hi = (ends + radius[k0:k1]).reshape(-1, sys.n)
-        # rows of blocked pairs stay empty
-        local = np.flatnonzero(~blocked)
+        # a pair is blocked when its nominal endpoint leaves X; its row
+        # stays empty
+        local = np.flatnonzero(sys.inside(ends).ravel())
         succ, sizes = array("i"), array("q")
-
-        def query(j: int) -> None:
+        for j in local.tolist():
             ids = part.intersecting(box_lo[j], box_hi[j])
             succ.extend(ids)
             sizes.append(len(ids))
-
-        if reuse is None:
-            for j in local.tolist():
-                query(j)
-            return ends, local + k0 * n_in, succ, sizes
-        from_rows = reuse[k0:k1].ravel()[local]
-        copy = from_rows >= 0
-        a, b = prior.indptr[from_rows], prior.indptr[from_rows + 1]
-        # a piece starts at every queried row and wherever a copied row's
-        # successors do not follow the previous row's in prior.succ
-        starts = np.flatnonzero(~copy | np.r_[True, ~copy[:-1] | (a[1:] != b[:-1])])
-        for p, q in zip(starts.tolist(), [*starts[1:].tolist(), len(local)]):
-            if not copy[p]:
-                query(int(local[p]))
-                continue
-            for c in range(a[p], b[q - 1], _POS_CHUNK):
-                run = prior.succ[c:min(c + _POS_CHUNK, b[q - 1])]
-                succ.frombytes(memoryview(prior_ids[run]).cast("B"))
-            sizes.frombytes((b[p:q] - a[p:q]).tobytes())
         return ends, local + k0 * n_in, succ, sizes
 
-    ranges = _cell_ranges(new, n_in)
+    ranges = _cell_ranges(len(quantized), n_in)
     results = _in_blocks(block, ranges)
     # append every later range's pairs, in cell order
     _, rows, succ, sizes = results[0]
@@ -660,26 +639,9 @@ def _delayfree_model(sys: ControlSystem, part: Partition,
     return _delayfree_ts(part, inputs, ctx, cells, x1, rows, sizes, succ)
 
 
-def _prior_rows(prior: TransitionSystem,
-                ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For the cells of the ascending ids that are states of prior: their
-    positions in ids, their positions in prior.ids, and their (K, I) CSR
-    rows in prior, -1 on a row that lists a state of prior that is not in
-    ids."""
-    kept = np.flatnonzero(np.isin(ids, prior.ids))
-    at = np.searchsorted(prior.ids, ids[kept])  # prior's state ids ascend
-    n_in = len(prior.inputs)
-    rows = at[:, None] * n_in + np.arange(n_in)
-    stale = np.zeros(len(prior.indptr) - 1, dtype=bool)
-    edges = np.flatnonzero((~np.isin(prior.ids, ids))[prior.succ])
-    stale[np.searchsorted(prior.indptr, edges, side="right") - 1] = True
-    rows[stale[rows]] = -1
-    return kept, at, rows
-
-
 # On a 2-vCPU Xeon host a forked worker costs 7-8 ms (fork, a 1 MiB pipe
-# transfer and the reap) and a new pair about 38 us, so a block of 4096 new
-# pairs (about 150 ms) pays about 5% for its fork.
+# transfer and the reap) and a pair about 38 us, so a block of 4096 pairs
+# (about 150 ms) pays about 5% for its fork.
 _FORK_PAIRS = 4096
 
 
@@ -691,15 +653,12 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _cell_ranges(new: np.ndarray, n_inputs: int) -> List[Tuple[int, int]]:
-    """Contiguous [k0, k1) ranges that cover the cells, one per block, with
-    about the same number of new cells (new marks them) in each.  There are
-    min(CPUs, new pairs // _FORK_PAIRS, new cells) blocks, at least one."""
-    n_new = int(np.count_nonzero(new))
-    w = max(1, min(_cpus(), n_new * n_inputs // _FORK_PAIRS, n_new))
-    # range j ends just after the (j*n_new//w)-th new cell
-    cuts = np.searchsorted(np.cumsum(new), [j * n_new // w for j in range(1, w)]) + 1
-    bounds = [0, *cuts.tolist(), len(new)]
+def _cell_ranges(n_cells: int, n_inputs: int) -> List[Tuple[int, int]]:
+    """Contiguous [k0, k1) ranges that cover n_cells cells, one per block,
+    with about the same number of cells in each.  There are min(CPUs,
+    pairs // _FORK_PAIRS, n_cells) blocks, at least one."""
+    w = max(1, min(_cpus(), n_cells * n_inputs // _FORK_PAIRS, n_cells))
+    bounds = [j * n_cells // w for j in range(w + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
@@ -786,12 +745,9 @@ def refine_cells(ts: TransitionSystem,
                  assignments: Dict[int, ZoomQuantizerParams]) -> TransitionSystem:
     """Zoom-refine cells of a delay-free model; ids of kept cells are stable.
 
-    The result is the model that a build from scratch over the refined
-    partition gives, with the build settings and inputs of ts, byte for
-    byte.  It is derived from ts: a kept cell keeps its endpoints, and its
-    successor rows unless they list a replaced cell, so only the new
-    subcells are integrated and only the rows that met a replaced cell are
-    queried again.
+    The result is derive_delayfree's model over the refined partition, with
+    the build settings and inputs of ts: the model a build from scratch
+    gives, byte for byte and with bitwise equal endpoints.
     """
     if ts.kind != "delayfree":
         raise ValueError("refine_cells applies to delay-free models")
@@ -799,8 +755,9 @@ def refine_cells(ts: TransitionSystem,
         raise ValueError("model carries no build context; rebuild from config")
     if not assignments:
         return ts
-    return _delayfree_model(ts._ctx.sys, ts.partition.refined(assignments),
-                            ts.inputs, ts._ctx, prior=ts)
+    ctx, part, inputs = ts._ctx, ts.partition.refined(assignments), ts.inputs
+    del ts  # a model the caller does not keep goes before the refined one is made
+    return _derived_model(ctx.sys, part, inputs, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ integration or box query with ``abstract``'s per-pair build, so every
 coarse file ``abstract`` writes is confirmed by an independent
 construction.  ``refine``'s check stops there; ``synthesize`` and
 ``verify-frr`` apply the zoom rows with refine_cells, as ``refine`` does,
-so the refined model they check is refine_cells of a confirmed coarse
-model; the tests and CI compare refine_cells with a build from scratch
-over the refined partition.  A time-delay config builds its tube model.
+which derives the refined model with the same kernels; the tests and CI
+compare refine_cells with a per-pair build from scratch over the refined
+partition.  A time-delay config builds its tube model.
 A delay-free ``simulate`` only locates points, so it needs the config's
 partition and no model; a time-delay ``simulate`` rebuilds the model for
 its tube ids.

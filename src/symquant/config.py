@@ -101,16 +101,18 @@ class AppConfig:
         """build_model(refined), byte for byte, for a stage that checks a
         model file.  A delay-free model is derived with batched kernels
         (abstraction.derive_delayfree) on the unrefined lattice, and
-        refine_cells applies the zoom rows to it when refined is set (no
-        rows otherwise), so the model a stage uses comes from a builder that
-        bench/trace_stage.py counts.  A tube model is built."""
+        refine_cells, which derives the same way, applies the zoom rows to
+        it when refined is set (no rows otherwise), so the model a stage
+        uses comes from a builder that bench/trace_stage.py counts; the
+        coarse model is not kept, so refine_cells can free it.  A tube
+        model is built."""
         if self.is_timedelay():
             return self.build_model(refined)
-        coarse = derive_delayfree(self.system, self.tau, self.partition(),
-                                  input_quantization=self.input_quantization,
-                                  lipschitz=self.lipschitz, steps=self.steps,
-                                  growth_scale=self.growth_scale)
-        return refine_cells(coarse, self.zoom if refined else {})
+        return refine_cells(derive_delayfree(self.system, self.tau, self.partition(),
+                                             input_quantization=self.input_quantization,
+                                             lipschitz=self.lipschitz, steps=self.steps,
+                                             growth_scale=self.growth_scale),
+                            self.zoom if refined else {})
 
     def partition(self, refined: bool = False) -> Partition:
         """The state lattice, zoom-refined by the zoom rows when refined is

@@ -302,7 +302,7 @@ class _ZoomedCell:
     of its first subcell and the count of its subcells, per axis the
     retained bin indices (consecutive) and their bins (_zoom_axes), whose
     product gives the subcells in row-major order, and the bin bounds and
-    subcell strides that locate and intersecting read."""
+    subcell strides that locate and the box queries read."""
 
     def __init__(self, params: ZoomQuantizerParams, first_id: int,
                  lower: List[float], upper: List[float]):
@@ -338,7 +338,8 @@ class Partition:
         self.params = _as_axis_params(params, self.n)
         axes = [_axis_regions(float(self.box_lo[i]), float(self.box_hi[i]), self.params[i])
                 for i in range(self.n)]
-        self._strides = _strides(tuple(len(ax) for ax in axes))
+        self._shape = tuple(len(ax) for ax in axes)
+        self._strides = _strides(self._shape)
         # per-axis bound lists for bisection: regions tile the axis in order
         self._lowers = [[r.lower for r in ax] for ax in axes]
         self._uppers = [[r.upper for r in ax] for ax in axes]
@@ -350,7 +351,7 @@ class Partition:
         self._bump = [np.array([abs(b.level) < abs(a.level)
                                 for a, b in zip(ax, ax[1:])] + [False])
                       for ax in axes]
-        self._n_base = math.prod(len(ax) for ax in axes)
+        self._n_base = math.prod(self._shape)
         self._table = np.empty((4, self._n_base, self.n))
         _fill_grid(self._table, 0, axes)
         self.ids = np.arange(self._n_base, dtype=np.int64)
@@ -480,36 +481,74 @@ class Partition:
         return sorted(out)
 
     def box_spans(self, box_lo, box_hi) -> Tuple[np.ndarray, np.ndarray]:
-        """The regions of the unrefined lattice that each of the (K, n)
-        closed boxes box_lo, box_hi meets, per axis an index range: (start,
-        width), (K, n) int64 each, for regions start .. start + width - 1.
-        They run from searchsorted(uppers, lo, 'left') to searchsorted(lowers,
-        hi, 'right'), _axis_span's closed rule: touching faces meet, and an
-        axis with a NaN bound meets nothing (width 0).  A box meets the
-        cells of the product of its ranges (box_ids); a zoom-refined
-        partition raises ValueError."""
-        if self.zoom:
-            raise ValueError("box_spans needs a partition with no zoom cells")
-        lo, hi = np.asarray(box_lo, dtype=float), np.asarray(box_hi, dtype=float)
-        start, width = np.empty(lo.shape, dtype=np.int64), np.empty(lo.shape, dtype=np.int64)
-        for i in range(self.n):
-            start[:, i] = np.searchsorted(self._upper_arrays[i], lo[:, i])
-            width[:, i] = np.searchsorted(self._lower_arrays[i], hi[:, i], "right")
-        width -= start
-        width[np.isnan(lo) | np.isnan(hi) | (width < 0)] = 0
-        return start, width
+        """Per axis, the range of the unrefined lattice's regions that each
+        of the (K, n) closed boxes meets (_index_spans); a box meets the
+        cells of their product (box_ids, zoomed_box_ids)."""
+        return _index_spans(self._lower_arrays, self._upper_arrays,
+                            np.asarray(box_lo, dtype=float), np.asarray(box_hi, dtype=float))
 
     def box_ids(self, start, width) -> np.ndarray:
-        """The ids of the cells of each row's index box (box_spans), row
-        after row, each row's ascending: intersecting() of the boxes, row
-        for row.  Ids are numbered row-major (last axis fastest), so each
-        row's first id is expanded one axis at a time, every partial id
-        into its row's width on that axis."""
-        ids = (start * self._strides).sum(axis=1)
-        row = np.arange(len(start))
-        for i, stride in enumerate(self._strides):
-            w = width[row, i]
-            first = np.repeat(np.cumsum(w) - w, w)
-            ids = np.repeat(ids, w) + (np.arange(len(first)) - first) * stride
-            row = np.repeat(row, w)
-        return ids
+        """The ids of each row's index box (box_spans), row after row, each
+        row's ascending: intersecting() of the boxes, for every row that
+        holds no zoom-refined base cell (zoomed_rows)."""
+        return _index_box_ids((start * self._strides).sum(axis=1), width, self._strides)
+
+    def zoomed_rows(self, start, width) -> np.ndarray:
+        """The rows, ascending, of the index boxes (box_spans) that hold a
+        zoom-refined base cell."""
+        hit = np.zeros(len(start), dtype=bool)
+        for bid in self.zoom:
+            holds = np.ones(len(start), dtype=bool)
+            for i, b in enumerate(np.unravel_index(bid, self._shape)):
+                holds &= (start[:, i] <= b) & (b < start[:, i] + width[:, i])
+            hit |= holds
+        return np.flatnonzero(hit)
+
+    def zoomed_box_ids(self, start, width, box_lo,
+                       box_hi) -> Tuple[np.ndarray, np.ndarray]:
+        """intersecting() of the K closed boxes box_lo, box_hi with the index
+        boxes start, width (box_spans): the (K,) row sizes, and the ids row
+        after row, each row's ascending.  A box meets the unrefined cells of
+        its index box and the zoom bins it meets (_index_spans; none of a
+        cell outside the index box).  Subcells are numbered in the order of
+        refinement, not of base ids, so rows are sorted."""
+        k, ids = np.arange(len(start)), self.box_ids(start, width)
+        kept = self._zoom_at[ids] < 0  # the unrefined cells
+        ids, rows = [ids[kept]], [np.repeat(k, width.prod(axis=1))[kept]]
+        for z in self.zoom.values():
+            sub, w = _index_spans(z.lowers, z.uppers, box_lo, box_hi)
+            ids.append(_index_box_ids(z.first_id + (sub * z.strides).sum(axis=1), w, z.strides))
+            rows.append(np.repeat(k, w.prod(axis=1)))
+        ids, rows = np.concatenate(ids), np.concatenate(rows)
+        return np.bincount(rows, minlength=len(start)), ids[np.lexsort((ids, rows))]
+
+
+def _index_spans(lowers, uppers, lo: np.ndarray,
+                 hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per axis i, the intervals [lowers[i][j], uppers[i][j]] (tiling, in
+    order) that each of the (K, n) closed boxes lo, hi meets: (start,
+    width), (K, n) int64 each, for intervals start .. start + width - 1,
+    from searchsorted(uppers, lo, 'left') to searchsorted(lowers, hi,
+    'right').  That is _axis_span's closed rule: touching faces meet, and an
+    axis with a NaN bound meets nothing (width 0)."""
+    start, width = np.empty(lo.shape, dtype=np.int64), np.empty(lo.shape, dtype=np.int64)
+    for i in range(lo.shape[1]):
+        start[:, i] = np.searchsorted(uppers[i], lo[:, i])
+        width[:, i] = np.searchsorted(lowers[i], hi[:, i], "right")
+    width -= start
+    width[np.isnan(lo) | np.isnan(hi) | (width < 0)] = 0
+    return start, width
+
+
+def _index_box_ids(first, width, strides) -> np.ndarray:
+    """The ids of each row's index box, row after row: ids numbered
+    row-major under strides (last axis fastest), so each row's first id is
+    expanded one axis at a time, every partial id into its row's width on
+    that axis, and each row's ids ascend."""
+    ids, row = first, np.arange(len(first))
+    for i, stride in enumerate(strides):
+        w = width[row, i]
+        offset = np.repeat(np.cumsum(w) - w, w)
+        ids = np.repeat(ids, w) + (np.arange(len(offset)) - offset) * stride
+        row = np.repeat(row, w)
+    return ids

@@ -267,21 +267,6 @@ def test_refining_a_refined_model_equals_one_refinement(pendulum, logparams,
     assert np.array_equal(twice.endpoints, once.endpoints)
 
 
-def test_a_copied_row_that_lists_a_replaced_cell_is_caught(monkeypatch, pendulum_ts):
-    # the model's successor check stops a reuse that forgot the replaced cell
-    import symquant.abstraction as abstraction
-    rows = abstraction._prior_rows
-
-    def copy_every_row(prior, ids):
-        kept, at, _ = rows(prior, ids)
-        n_in = len(prior.inputs)
-        return kept, at, at[:, None] * n_in + np.arange(n_in)
-
-    monkeypatch.setattr(abstraction, "_prior_rows", copy_every_row)
-    with pytest.raises(ValueError, match="successor id 12 names no state"):
-        refine_cells(pendulum_ts, {12: ZoomQuantizerParams(1, 1.0, 0.3)})
-
-
 def test_refine_requires_build_context(pendulum_ts):
     from symquant.model_io import parse_sts, serialize_ts
     bare = parse_sts(serialize_ts(pendulum_ts))

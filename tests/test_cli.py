@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from symquant import abstraction, cli, config, dynamics, sim
-from symquant.abstraction import refine_cells
 from symquant.cli import main
 from symquant.config import AppConfig, load_config
 from symquant.frr import RefinementMap
@@ -268,37 +267,23 @@ def _count_build_calls(monkeypatch) -> dict:
 
 def _stage(command, ini, model, tmp_path):
     args = [command, "--config", ini, "--model", model]
-    return main(args + (["--out", str(tmp_path / "law.ctrl")]
-                        if command == "synthesize" else []))
+    return main(args + (["--out", str(tmp_path / "out")]
+                        if command != "verify-frr" else []))
 
 
-@pytest.mark.parametrize("command", ["verify-frr", "synthesize"])
+@pytest.mark.parametrize("command", ["verify-frr", "synthesize", "refine"])
 def test_model_check_runs_no_per_pair_build(ws, tmp_path, monkeypatch, command):
-    # the check derives the coarse model with batched kernels
+    # the check derives the model with batched kernels, and so does
+    # refine_cells, on the coarse model or with the zoom rows
+    refined = tmp_path / "refined.sts"
+    write_ts(load_config(str(ws / "zoomed.ini")).build_model(refined=True), str(refined))
+    models = {"zoomed.ini": ws / "model.sts" if command == "refine" else refined}
+    if command != "refine":  # refine needs zoom rows
+        models["pendulum.ini"] = ws / "model.sts"
     calls = _count_build_calls(monkeypatch)
-    assert _stage(command, str(ws / "pendulum.ini"), str(ws / "model.sts"),
-                  tmp_path) == 0
+    for ini, model in models.items():
+        assert _stage(command, str(ws / ini), str(model), tmp_path) == 0
     assert calls == {"integrate": 0, "intersecting": 0}
-
-
-@pytest.mark.parametrize("command", ["verify-frr", "synthesize"])
-def test_refined_model_check_runs_only_the_new_subcells(ws, tmp_path, monkeypatch,
-                                                        command):
-    # on a zoom config the check's only per-pair calls are refine_cells':
-    # the new subcells' pairs, and the rows that listed the replaced cell
-    cfg = load_config(str(ws / "zoomed.ini"))
-    coarse = cfg.build_model()
-    calls = _count_build_calls(monkeypatch)
-    ts = refine_cells(coarse, cfg.zoom)
-    want = dict(calls)
-    n_new = sum(z.count for z in ts.partition.zoom.values())
-    assert want["integrate"] == n_new * len(ts.inputs) > 0
-    assert 0 < want["intersecting"] < len(ts.ids) * len(ts.inputs)
-    write_ts(ts, str(tmp_path / "refined.sts"))
-    calls.update(integrate=0, intersecting=0)
-    assert _stage(command, str(ws / "zoomed.ini"), str(tmp_path / "refined.sts"),
-                  tmp_path) == 0
-    assert calls == want
 
 
 def test_simulate_incomplete_run_fails(ws, tmp_path, capsys):

@@ -202,35 +202,6 @@ def test_the_refinement_cases_are_what_their_names_say():
     assert len(refined.ids) == 125 - 2 + 27 + 8
 
 
-def test_refine_integrates_only_the_new_subcells(monkeypatch):
-    import symquant.abstraction as abstraction
-    from symquant.quantizers import Partition
-    cfg = parse_config_text(ini({"abstraction.zoom": "\n 12 1 1.0 0.3\n 13 1 1.0 0.3"}))
-    coarse = cfg.build_model()
-    calls = {"integrate": 0, "intersecting": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(abstraction, "integrate", counted("integrate", abstraction.integrate))
-    monkeypatch.setattr(Partition, "intersecting",
-                        counted("intersecting", Partition.intersecting))
-    refined = refine_cells(coarse, cfg.zoom)
-    new = [sid for sid in refined.ids.tolist() if sid >= 25]
-    assert len(new) == 9 + 3
-    assert calls["integrate"] == len(new) * len(coarse.inputs)
-    # queried again: the new subcells' pairs and the kept pairs that met
-    # cell 12 or 13, all of them enabled
-    stale = sum(1 for (sid, _), succ in coarse.transition_rows()
-                if sid not in (12, 13) and {12, 13} & set(succ))
-    enabled = sum(1 for (sid, _), _ in refined.transition_rows() if sid >= 25)
-    assert calls["intersecting"] == enabled + stale
-    assert calls["intersecting"] < len(dict(refined.transition_rows()))
-
-
 def test_specification_rejects_points_outside_the_box():
     cfg = parse_config_text(ini({"synthesis.targets": "\n 5 5"}))
     ts = cfg.build_model()

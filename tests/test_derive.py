@@ -1,22 +1,26 @@
-"""The batched derivation that model checks use, against the scalar
-reference: the batched box query (Partition.box_spans and box_ids, and
-abstraction._box_successors, which runs them in steps) row for row
-against Partition.intersecting, and derive_delayfree byte for byte
-against build_delayfree."""
+"""The batched derivation that model checks and refine_cells use, against
+the scalar reference: the batched box query (Partition.box_spans, box_ids,
+zoomed_rows and zoomed_box_ids, and abstraction._box_successors, which
+runs them in steps) row for row against Partition.intersecting, on plain
+and zoom-refined partitions, and derive_delayfree byte for byte against
+build_delayfree."""
 
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from symquant import (ControlSystem, LogQuantizerParams, Partition,
-                      ZoomQuantizerParams, build_delayfree)
-from symquant.abstraction import _EXPAND_IDS, _box_successors, derive_delayfree
+                      ZoomQuantizerParams, abstraction, build_delayfree, config)
+from symquant.abstraction import (_EXPAND_IDS, _box_successors, derive_delayfree,
+                                  refine_cells)
 from symquant.config import load_config, parse_config_text
 from symquant.model_io import serialize_ts
 
 ROOT = Path(__file__).resolve().parents[1]
 P6 = LogQuantizerParams(0.2, 0.4, "EQ20")  # deadzone 0.4, first level 0.48
+Z = ZoomQuantizerParams
 
 LATTICES = {
     "1-D": ([-1.0], [1.0], P6),
@@ -28,21 +32,42 @@ LATTICES = {
                        LogQuantizerParams(0.25, 0.5, "EQ20")]),
 }
 
+# zoom rows applied one refinement after another: saturated and unsaturated
+# bins, corner and boundary-merged cells, a delta = 0 row, and later
+# refinements of lower base ids, whose subcell ids follow the earlier ones'
+ZOOMED = {
+    "1-D, zoomed": ("1-D", [{2: Z(3, 1.0, 0.1), 0: Z(20, 1.0, 0.05)}]),
+    "2-D, nested zoom": ("2-D", [{12: Z(1, 1.0, 0.3)},
+                                 {13: Z(3, 1.0, 0.05), 0: Z(20, 1.0, 0.1), 7: Z(1, 1.0, 0.0)}]),
+    "3-D, nested zoom": ("3-D, per-axis", [{100: Z(2, 1.0, 0.1)},
+                                           {37: Z(5, 1.0, 0.1), 191: Z(1, 1.0, 0.2)}]),
+}
+
 
 def partition(name):
-    lo, hi, params = LATTICES[name]
-    return Partition(lo, hi, params)
+    base, zooms = ZOOMED.get(name, (name, []))
+    lo, hi, params = LATTICES[base]
+    part = Partition(lo, hi, params)
+    for zoom in zooms:
+        part = part.refined(zoom)
+    return part
 
 
 def assert_rows_equal(part, lo, hi):
     want = [part.intersecting(a, b) for a, b in zip(lo, hi)]
     start, width = part.box_spans(lo, hi)
-    # all rows at once, and _EXPAND_IDS ids at a time
-    ids = part.box_ids(start, width)
-    sizes, succ = _box_successors(part, start, width)
-    assert width.prod(axis=1).tolist() == sizes.tolist() == [len(row) for row in want]
+    zoomed = part.zoomed_rows(start, width)
+    # _EXPAND_IDS ids at a time, and all rows at once
+    sizes, succ = _box_successors(part, start, width, zoomed, lo[zoomed], hi[zoomed])
+    all_sizes, ids = part.zoomed_box_ids(start, width, lo, hi) if part.zoom else \
+        (width.prod(axis=1), part.box_ids(start, width))
+    assert sizes.tolist() == all_sizes.tolist() == [len(row) for row in want]
     assert ids.tolist() == np.frombuffer(succ, dtype=np.int32).tolist() == \
         [cid for row in want for cid in row]
+    # every other row meets base cells only, which box_ids gives
+    plain = np.setdiff1d(np.arange(len(lo)), zoomed)
+    assert part.box_ids(start[plain], width[plain]).tolist() == \
+        [cid for j in plain.tolist() for cid in want[j]]
     return sizes
 
 
@@ -57,14 +82,14 @@ def random_boxes(part, rng, k=400):
     return centre - half, centre + half
 
 
-@pytest.mark.parametrize("name", LATTICES)
+@pytest.mark.parametrize("name", [*LATTICES, *ZOOMED])
 def test_random_boxes(name):
     part = partition(name)
     lo, hi = random_boxes(part, np.random.default_rng(len(name)))
     assert assert_rows_equal(part, lo, hi).sum() > 0
 
 
-@pytest.mark.parametrize("name", LATTICES)
+@pytest.mark.parametrize("name", [*LATTICES, *ZOOMED])
 def test_faces_on_cell_bounds(name):
     # every box's faces are cell bounds: a touching face meets the cell
     part = partition(name)
@@ -76,7 +101,7 @@ def test_faces_on_cell_bounds(name):
     assert_rows_equal(part, np.minimum(a, b), np.maximum(a, b))
 
 
-@pytest.mark.parametrize("name", LATTICES)
+@pytest.mark.parametrize("name", [*LATTICES, *ZOOMED])
 def test_zero_width_boxes(name):
     # points: inside cells, on shared faces and corners, and outside X
     part = partition(name)
@@ -86,7 +111,7 @@ def test_zero_width_boxes(name):
     assert_rows_equal(part, pts, pts)
 
 
-@pytest.mark.parametrize("name", LATTICES)
+@pytest.mark.parametrize("name", [*LATTICES, *ZOOMED])
 def test_boxes_partly_or_wholly_outside_the_state_box(name):
     part = partition(name)
     n, lo_x, hi_x = part.n, part.box_lo, part.box_hi
@@ -99,7 +124,7 @@ def test_boxes_partly_or_wholly_outside_the_state_box(name):
     assert sizes[2] == sizes[3] == 0
 
 
-@pytest.mark.parametrize("name", LATTICES)
+@pytest.mark.parametrize("name", [*LATTICES, *ZOOMED])
 def test_nan_rows_meet_nothing(name):
     part = partition(name)
     lo, hi = random_boxes(part, np.random.default_rng(3), k=40)
@@ -111,25 +136,33 @@ def test_nan_rows_meet_nothing(name):
 
 
 def test_rows_larger_and_smaller_than_one_expansion_step():
-    # 91 x 91 cells: rows that each hold more ids than one step, between
-    # rows of a few ids and empty rows, so steps of one row and of many
-    part = Partition([-1.0, -1.0], [1.0, 1.0], LogQuantizerParams(0.05, 0.01))
-    assert len(part.ids) > _EXPAND_IDS
-    lo, hi = random_boxes(part, np.random.default_rng(11), k=300)
-    lo[::50], hi[::50] = part.box_lo, part.box_hi
-    sizes = assert_rows_equal(part, lo, hi)
-    assert sizes.max() > _EXPAND_IDS and sizes.sum() > 4 * _EXPAND_IDS
+    # 93 x 93 cells: rows that each hold more ids than one step, between
+    # rows of a few ids and empty rows, so steps of one row and of many;
+    # then with the deadzone cell and two others zoomed into 441, 11 and 8
+    # subcells, which some of those rows meet
+    base = Partition([-1.0, -1.0], [1.0, 1.0], LogQuantizerParams(0.05, 0.01))
+    assert len(base.ids) > _EXPAND_IDS
+    lo, hi = random_boxes(base, np.random.default_rng(11), k=300)
+    lo[::50], hi[::50] = base.box_lo, base.box_hi
+    zoomed = base.refined({4324: Z(10, 1.0, 0.001), 4100: Z(300, 1.0, 0.004),
+                           7000: Z(100, 1.0, 0.005)})
+    assert [z.count for z in zoomed.zoom.values()] == [11, 441, 8]
+    # and boxes that are subcells, which meet a few cells each
+    cells = zoomed.cell_arrays(zoomed.ids[-40:])
+    lo, hi = np.concatenate([lo, cells[0]]), np.concatenate([hi, cells[1]])
+    for part in (base, zoomed):
+        sizes = assert_rows_equal(part, lo, hi)
+        assert sizes.max() > _EXPAND_IDS and sizes.sum() > 4 * _EXPAND_IDS
+    start, width = zoomed.box_spans(lo, hi)
+    rows = zoomed.zoomed_rows(start, width)
+    assert len(rows) < len(lo) and sizes[rows].max() > _EXPAND_IDS
+    assert sizes[rows].min() < 10
 
 
 def test_no_rows():
-    sizes = assert_rows_equal(partition("2-D"), np.empty((0, 2)), np.empty((0, 2)))
-    assert sizes.shape == (0,)
-
-
-def test_box_query_refuses_a_zoomed_partition():
-    part = partition("2-D").refined({12: ZoomQuantizerParams(1, 1.0, 0.3)})
-    with pytest.raises(ValueError, match="no zoom cells"):
-        part.box_spans(np.zeros((1, 2)), np.ones((1, 2)))
+    for name in ("2-D", "2-D, nested zoom"):
+        sizes = assert_rows_equal(partition(name), np.empty((0, 2)), np.empty((0, 2)))
+        assert sizes.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +219,36 @@ def test_log_input_quantizer(pendulum, logparams):
                       input_quantization=("log", LogQuantizerParams(0.3, 0.5)))
 
 
-def test_derivation_refuses_a_zoomed_partition(pendulum, logparams):
-    part = Partition([-1, -1], [1, 1], logparams).refined(
-        {12: ZoomQuantizerParams(1, 1.0, 0.3)})
-    with pytest.raises(ValueError, match="no zoom cells"):
-        derive_delayfree(pendulum, 0.2, part, lipschitz=6.0)
+# the zoom rows of a config, or zoom rows applied one refinement after
+# another, to the config's lattice
+ZOOMED_MODELS = {
+    "fine-zoom": ("bench/workloads/fine-zoom.ini", None),
+    # the deadzone 264, its neighbour 265, the boundary-merged 517 and the
+    # corner 0
+    "zoom-refine": ("ci/zoom-refine.ini", None),
+    # 12's and 264's subcells are numbered after 300's
+    "nested": ("bench/workloads/fine-zoom.ini",
+               [{300: Z(2, 1.0, 0.05)}, {264: Z(1, 1.0, 0.1), 12: Z(3, 1.0, 0.05)}]),
+    "delta = 0": ("ci/zoom-refine.ini", [{264: Z(1, 1.0, 0.1), 265: Z(3, 1.0, 0.0)}]),
+}
+
+
+@pytest.mark.parametrize("name", ZOOMED_MODELS)
+def test_zoomed_partitions(name):
+    ini, zooms = ZOOMED_MODELS[name]
+    cfg = load_config(str(ROOT / ini))
+    zooms = zooms or [cfg.zoom]
+    (sys, tau, part), kw = config_args(cfg)
+    for zoom in zooms:
+        part = part.refined(zoom)
+    ts = assert_same_model(sys, tau, part, **kw)
+    assert len(ts.ids) > len(cfg.partition().ids)
+    # refine_cells derives the same model from the coarse one
+    refined = cfg.derive_model()
+    for zoom in zooms:
+        refined = refine_cells(refined, zoom)
+    assert serialize_ts(refined) == serialize_ts(ts)
+    assert refined.endpoints.tobytes() == ts.endpoints.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -212,3 +270,25 @@ def test_a_tube_config_builds_the_model():
     cfg = parse_config_text(text)
     assert cfg.is_timedelay()
     assert serialize_ts(cfg.derive_model(True)) == serialize_ts(cfg.build_model(True))
+
+
+def test_a_refined_check_frees_the_coarse_model_first(monkeypatch):
+    # derive_model hands the coarse model on without keeping it, and
+    # refine_cells lets it go, so its arrays are freed before the refined
+    # model's are made
+    cfg = load_config(str(ROOT / "ci/zoom-refine.ini"))
+    derive, derived, coarse, freed = config.derive_delayfree, abstraction._derived_model, [], []
+
+    def kept(*args, **kwargs):
+        ts = derive(*args, **kwargs)
+        coarse.append(weakref.ref(ts))
+        return ts
+
+    def spy(*args):
+        freed.append([ref() is None for ref in coarse])
+        return derived(*args)
+
+    monkeypatch.setattr(config, "derive_delayfree", kept)
+    monkeypatch.setattr(abstraction, "_derived_model", spy)
+    assert len(cfg.derive_model(refined=True).ids) == 578
+    assert freed == [[], [True]]

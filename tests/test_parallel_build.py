@@ -54,25 +54,9 @@ def test_workers_give_the_bytes_of_one_block(monkeypatch, pendulum_sys):
     one = fine_build(pendulum_sys)
     for w in (2, 3):
         cpus(monkeypatch, w)
-        assert len(_cell_ranges(np.ones(529, dtype=bool), 25)) == w
+        assert len(_cell_ranges(529, 25)) == w
         same_model(fine_build(pendulum_sys), one)
         assert no_children()
-
-
-def test_refine_split_over_workers_gives_the_bytes_of_one_block(monkeypatch,
-                                                                pendulum_sys):
-    cpus(monkeypatch, 1)
-    coarse = fine_build(pendulum_sys)
-    # 381 new subcells, all after the kept cells: 9525 new pairs
-    zoom = {bid: ZoomQuantizerParams(100, 1.0, 0.02) for bid in range(0, 529, 37)}
-    one = refine_cells(coarse, zoom)
-    new = ~np.isin(one.ids, coarse.ids)
-    assert new.sum() * 25 >= 2 * 4096
-    cpus(monkeypatch, 3)
-    ranges = _cell_ranges(new, 25)
-    assert len(ranges) == 2 and all(new[k0:k1].any() for k0, k1 in ranges)
-    same_model(refine_cells(coarse, zoom), one)
-    assert no_children()
 
 
 def line_plant(rhs):
@@ -113,7 +97,7 @@ def test_worker_errors_match_one_block(monkeypatch, rhs, w, where):
     with pytest.raises(IntegrationError) as one:
         line_build(sys)
     cpus(monkeypatch, w)
-    ranges = _cell_ranges(np.ones(61, dtype=bool), 251)
+    ranges = _cell_ranges(61, 251)
     assert len(ranges) == w and failing_ranges(sys, ranges) == where
     with pytest.raises(IntegrationError) as split:
         line_build(sys)
@@ -135,18 +119,16 @@ def test_no_fork_below_two_blocks(monkeypatch, pendulum_sys):
     # the coarse-hold model: 625 pairs
     assert len(build_delayfree(pendulum_sys, 0.2, LogQuantizerParams(0.2, 0.4, "EQ20"),
                                ("uniform", 0.2), lipschitz=6.0).ids) == 25
-    # a refine of 13,225 pairs with 225 new ones
+    # a refine of 13,425 pairs, which derives its model with batched kernels
     assert len(refine_cells(coarse, {264: ZoomQuantizerParams(1, 1.0, 0.1)}).ids) == 537
 
 
 def test_ranges_hold_about_the_same_new_cells(monkeypatch):
     cpus(monkeypatch, 3)
-    new = np.zeros(100, dtype=bool)
-    new[40:] = True  # 60 new cells after 40 kept ones
-    assert _cell_ranges(new, 4096) == [(0, 60), (60, 80), (80, 100)]
-    # never more blocks than new cells, and one for a build of kept cells
-    assert _cell_ranges(new[:42], 10 ** 6) == [(0, 41), (41, 42)]
-    assert _cell_ranges(np.zeros(5, dtype=bool), 10 ** 6) == [(0, 5)]
+    assert _cell_ranges(60, 4096) == [(0, 20), (20, 40), (40, 60)]
+    # never more blocks than cells, and one below 2 * 4096 pairs
+    assert _cell_ranges(2, 10 ** 6) == [(0, 1), (1, 2)]
+    assert _cell_ranges(5, 1638) == [(0, 5)]
 
 
 def test_a_worker_that_sends_nothing_is_an_error():
