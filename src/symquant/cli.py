@@ -9,15 +9,15 @@ concrete system, ``verify-frr`` samples the refinement relation, and
 Model files on disk carry no dynamics, so ``refine``, ``synthesize`` and
 ``verify-frr`` derive the model from the config (AppConfig.derive_model)
 and trust the stored file only when its bytes equal the serialized
-derivation.  For a delay-free config the check derives the coarse model
-with batched kernels (abstraction.derive_delayfree), which share no
-integration or box query with ``abstract``'s per-pair build, so every
-coarse file ``abstract`` writes is confirmed by an independent
-construction.  ``refine``'s check stops there; ``synthesize`` and
-``verify-frr`` apply the zoom rows with refine_cells, as ``refine`` does,
-which derives the refined model with the same kernels; the tests and CI
-compare refine_cells with a per-pair build from scratch over the refined
-partition.  A time-delay config builds its tube model.
+derivation.  For a delay-free config that is one derivation with batched
+kernels (abstraction.derive_delayfree) over the partition the file is
+for, which shares no integration or box query with ``abstract``'s
+per-pair build, so every coarse file ``abstract`` writes is confirmed by
+an independent construction.  ``refine`` checks the coarse file, frees
+that model and writes ``derive_model(refined=True)``, the model that
+``synthesize`` and ``verify-frr`` check the refined file against; the
+tests and CI compare it with a per-pair build from scratch over the
+refined partition.  A time-delay config builds its tube model.
 A delay-free ``simulate`` only locates points, so it needs the config's
 partition and no model; a time-delay ``simulate`` rebuilds the model for
 its tube ids.
@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .abstraction import TransitionSystem, input_lattice, refine_cells
+from .abstraction import TransitionSystem, input_lattice
 from .config import AppConfig, ConfigError, load_config
 from .dynamics import IntegrationError
 from .frr import RefinementMap, sample_frr_delayfree, sample_frr_timedelay
@@ -99,7 +99,8 @@ def cmd_refine(args: argparse.Namespace) -> int:
         raise _DomainError("refine applies to delay-free models; time-delay "
                            "models consume zoom assignments at build time")
     cfg.check_lipschitz(refined=True)
-    ts = refine_cells(_load_model_checked(cfg, args.model, refined=False), cfg.zoom)
+    _load_model_checked(cfg, args.model, refined=False)  # freed before the refined model
+    ts = cfg.derive_model(refined=True)
     write_ts(ts, args.out)
     print(f"refine: wrote refined model with {len(ts.ids)} states, "
           f"{ts.n_transitions} transitions to {args.out}")

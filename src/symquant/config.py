@@ -99,20 +99,18 @@ class AppConfig:
 
     def derive_model(self, refined: bool = False) -> TransitionSystem:
         """build_model(refined), byte for byte, for a stage that checks a
-        model file.  A delay-free model is derived with batched kernels
-        (abstraction.derive_delayfree) on the unrefined lattice, and
-        refine_cells, which derives the same way, applies the zoom rows to
-        it when refined is set (no rows otherwise), so the model a stage
-        uses comes from a builder that bench/trace_stage.py counts; the
-        coarse model is not kept, so refine_cells can free it.  A tube
-        model is built."""
+        model file.  A delay-free model is derived once, with batched
+        kernels (abstraction.derive_delayfree) over self.partition(refined).
+        refine_cells with no zoom rows hands it back unchanged; the call
+        stays because bench/trace_stage.py reads a stage's model counters
+        from the builders it wraps (build_delayfree, build_timedelay,
+        refine_cells), not from derive_delayfree.  A tube model is built."""
         if self.is_timedelay():
             return self.build_model(refined)
-        return refine_cells(derive_delayfree(self.system, self.tau, self.partition(),
+        return refine_cells(derive_delayfree(self.system, self.tau, self.partition(refined),
                                              input_quantization=self.input_quantization,
                                              lipschitz=self.lipschitz, steps=self.steps,
-                                             growth_scale=self.growth_scale),
-                            self.zoom if refined else {})
+                                             growth_scale=self.growth_scale), {})
 
     def partition(self, refined: bool = False) -> Partition:
         """The state lattice, zoom-refined by the zoom rows when refined is

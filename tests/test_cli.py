@@ -273,8 +273,7 @@ def _stage(command, ini, model, tmp_path):
 
 @pytest.mark.parametrize("command", ["verify-frr", "synthesize", "refine"])
 def test_model_check_runs_no_per_pair_build(ws, tmp_path, monkeypatch, command):
-    # the check derives the model with batched kernels, and so does
-    # refine_cells, on the coarse model or with the zoom rows
+    # every check, and refine's output, is derived with batched kernels
     refined = tmp_path / "refined.sts"
     write_ts(load_config(str(ws / "zoomed.ini")).build_model(refined=True), str(refined))
     models = {"zoomed.ini": ws / "model.sts" if command == "refine" else refined}
@@ -284,6 +283,38 @@ def test_model_check_runs_no_per_pair_build(ws, tmp_path, monkeypatch, command):
     for ini, model in models.items():
         assert _stage(command, str(ws / ini), str(model), tmp_path) == 0
     assert calls == {"integrate": 0, "intersecting": 0}
+
+
+@pytest.mark.parametrize("command,cells", [
+    ("refine", [25, 33]), ("verify-frr", [33]), ("synthesize", [33])])
+def test_a_zoom_stage_derives_each_model_once(ws, tmp_path, monkeypatch, command, cells):
+    # refine derives the coarse model for its check and then the refined
+    # one it writes; the refined checks derive the refined model only
+    refined = tmp_path / "refined.sts"
+    write_ts(load_config(str(ws / "zoomed.ini")).build_model(refined=True), str(refined))
+    derived, calls = abstraction._derived_model, []
+    monkeypatch.setattr(abstraction, "_derived_model",
+                        lambda *args: calls.append(len(args[1].ids)) or derived(*args))
+    model = ws / "model.sts" if command == "refine" else refined
+    assert _stage(command, str(ws / "zoomed.ini"), str(model), tmp_path) == 0
+    assert calls == cells  # the cell count of each derived model
+
+
+def test_the_tracer_counts_the_derived_model(ws, tmp_path):
+    # bench/trace_stage.py reads a stage's model counters from the builders
+    # it wraps, so the check's derivation must pass through one of them
+    cfg = load_config(str(ws / "zoomed.ini"))
+    ts = cfg.derive_model(refined=True)
+    write_ts(ts, str(tmp_path / "refined.sts"))
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve().parents[1] / "bench" / "trace_stage.py"),
+         str(spans), "--", "verify-frr", "--config", str(ws / "zoomed.ini"),
+         "--model", str(tmp_path / "refined.sts")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    counters = json.loads(spans.read_text())["counters"]
+    assert counters["abstraction.pairs"] == len(ts.ids) * len(ts.inputs)
+    assert counters["abstraction.transitions"] == ts.n_transitions > 0
 
 
 def test_simulate_incomplete_run_fails(ws, tmp_path, capsys):

@@ -15,8 +15,9 @@ from symquant import (ControlSystem, LogQuantizerParams, Partition,
                       ZoomQuantizerParams, abstraction, build_delayfree, config)
 from symquant.abstraction import (_EXPAND_IDS, _box_successors, derive_delayfree,
                                   refine_cells)
+from symquant.cli import main
 from symquant.config import load_config, parse_config_text
-from symquant.model_io import serialize_ts
+from symquant.model_io import load_ts, serialize_ts
 
 ROOT = Path(__file__).resolve().parents[1]
 P6 = LogQuantizerParams(0.2, 0.4, "EQ20")  # deadzone 0.4, first level 0.48
@@ -257,9 +258,16 @@ def test_zoomed_partitions(name):
 
 @pytest.mark.parametrize("ini", ["bench/workloads/fine-zoom.ini", "ci/zoom-refine.ini"])
 @pytest.mark.parametrize("refined", [False, True])
-def test_derived_model_equals_the_built_model(ini, refined):
+def test_derived_model_equals_the_built_model(monkeypatch, ini, refined):
+    # one derivation over partition(refined): a refined check makes no
+    # coarse model on the way
     cfg = load_config(str(ROOT / ini))
-    derived, built = cfg.derive_model(refined), cfg.build_model(refined)
+    derive, calls = abstraction._derived_model, []
+    monkeypatch.setattr(abstraction, "_derived_model",
+                        lambda *args: calls.append(len(args[1].ids)) or derive(*args))
+    derived = cfg.derive_model(refined)
+    assert calls == [len(cfg.partition(refined).ids)]
+    built = cfg.build_model(refined)
     assert serialize_ts(derived) == serialize_ts(built)
     assert derived.endpoints.tobytes() == built.endpoints.tobytes()
     assert derived._ctx.sys is cfg.system
@@ -272,23 +280,27 @@ def test_a_tube_config_builds_the_model():
     assert serialize_ts(cfg.derive_model(True)) == serialize_ts(cfg.build_model(True))
 
 
-def test_a_refined_check_frees_the_coarse_model_first(monkeypatch):
-    # derive_model hands the coarse model on without keeping it, and
-    # refine_cells lets it go, so its arrays are freed before the refined
-    # model's are made
-    cfg = load_config(str(ROOT / "ci/zoom-refine.ini"))
-    derive, derived, coarse, freed = config.derive_delayfree, abstraction._derived_model, [], []
+def test_refine_frees_the_checked_coarse_model_first(monkeypatch, tmp_path):
+    # refine keeps no reference to the model its check derived, so the
+    # coarse arrays are freed before the refined model's are made
+    ini = str(ROOT / "ci/zoom-refine.ini")
+    cfg = load_config(ini)
+    coarse = tmp_path / "coarse.sts"
+    coarse.write_text(serialize_ts(cfg.build_model()))
+    derive, derived, models, freed = config.derive_delayfree, abstraction._derived_model, [], []
 
     def kept(*args, **kwargs):
         ts = derive(*args, **kwargs)
-        coarse.append(weakref.ref(ts))
+        models.append(weakref.ref(ts))
         return ts
 
     def spy(*args):
-        freed.append([ref() is None for ref in coarse])
+        freed.append([ref() is None for ref in models])
         return derived(*args)
 
     monkeypatch.setattr(config, "derive_delayfree", kept)
     monkeypatch.setattr(abstraction, "_derived_model", spy)
-    assert len(cfg.derive_model(refined=True).ids) == 578
+    assert main(["refine", "--config", ini, "--model", str(coarse),
+                 "--out", str(tmp_path / "refined.sts")]) == 0
     assert freed == [[], [True]]
+    assert len(load_ts(str(tmp_path / "refined.sts")).ids) == 578
