@@ -118,6 +118,10 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     n_entries = sum(len(p) for p in ctrl.phases)
     print(f"synthesize: wrote {spec.kind} controller with {ctrl.n_phases} "
           f"phase(s), {n_entries} entries to {args.out}")
+    if cfg.spec_mode == "hold":
+        print("warning: mode = hold follows nominal trajectories only, so this "
+              "controller carries no refinement guarantee; mode = robust does",
+              file=sys.stderr)
     return 0
 
 

@@ -14,7 +14,6 @@ interpolation.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -26,8 +25,7 @@ from .abstraction import (TransitionSystem, build_delayfree, build_timedelay,
 from .dynamics import (ControlSystem, IntegrationError, TimeDelaySystem,
                        DEFAULT_STEPS, history_curve)
 from .expr import ExprError, parse as parse_expr
-from .quantizers import (LogQuantizerParams, Partition, ZoomQuantizerParams,
-                         _axis_regions)
+from .quantizers import LogQuantizerParams, Partition, ZoomQuantizerParams
 from .synthesis import Specification
 
 
@@ -41,10 +39,14 @@ def _rows(raw: str) -> List[str]:
 
 @dataclass
 class AppConfig:
-    system: Union[ControlSystem, TimeDelaySystem]  # built once, by parse_config
+    """A parsed config.  It keeps what parse_config built while checking
+    the file, so a stage builds each once: the plant (system), the
+    unrefined state lattice (lattice, whose params are the state
+    quantizer's), the input quantizer and a resolved N."""
 
+    system: Union[ControlSystem, TimeDelaySystem]
     tau: float
-    log_params: LogQuantizerParams
+    lattice: Partition
     # ("uniform", mu) or ("log", LogQuantizerParams)
     input_quantization: Tuple[str, Union[float, LogQuantizerParams]]
     lipschitz: Union[str, float]
@@ -113,11 +115,9 @@ class AppConfig:
                                              growth_scale=self.growth_scale), {})
 
     def partition(self, refined: bool = False) -> Partition:
-        """The state lattice, zoom-refined by the zoom rows when refined is
-        set and there are any."""
-        part = Partition(self.system.state_lo, self.system.state_hi,
-                         self.log_params)
-        return part.refined(self.zoom) if refined and self.zoom else part
+        """The state lattice, or its copy zoom-refined by the zoom rows
+        when refined is set and there are any."""
+        return self.lattice.refined(self.zoom) if refined and self.zoom else self.lattice
 
     def specification(self, ts: TransitionSystem) -> Specification:
         if ts.partition is None:
@@ -322,10 +322,8 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
     _check(eta is not None and 0 < eta < 1, "abstraction.eta", "must be in (0, 1)")
     d = absc.number("d")
     _check(d is not None and d > 0, "abstraction.d", "must be positive")
-    log_params = LogQuantizerParams(eta, d, variant)
     try:  # a d too small for the state box makes the levels run away
-        n_regions = [len(_axis_regions(lo, hi, log_params)) for lo, hi
-                     in zip(state_lo.tolist(), state_hi.tolist())]
+        lattice = Partition(state_lo, state_hi, LogQuantizerParams(eta, d, variant))
     except ValueError as err:
         raise ConfigError(f"abstraction.d: too small for the state box: {err}") from err
     input_quantizer = absc.choice("input_quantizer", ("uniform", "log"), "uniform")
@@ -358,7 +356,7 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
 
     zoom: Dict[int, ZoomQuantizerParams] = {}
     if absc.raw("zoom"):
-        n_cells = math.prod(n_regions)  # the unrefined lattice's cells
+        n_cells = len(lattice.ids)
         for i, row in enumerate(_rows(absc.raw("zoom"))):
             parts = row.split()
             _check(len(parts) == 4, "abstraction.zoom",
@@ -415,8 +413,7 @@ def parse_config(cp: configparser.ConfigParser) -> AppConfig:
                                    exprs)
     except (ValueError, ExprError) as err:
         raise ConfigError(f"system: {err}") from err
-    return AppConfig(system=system, tau=tau,
-                     log_params=log_params,
+    return AppConfig(system=system, tau=tau, lattice=lattice,
                      input_quantization=input_quantization,
                      lipschitz=lipschitz, steps=steps,
                      growth_scale=growth_scale, zoom=zoom, N=N, budget=budget,

@@ -21,9 +21,11 @@ Lattices turn a quantizer into a cover of a box by axis-aligned cells.
 Region slivers owned by levels outside the box are merged into the adjacent
 outermost retained cell so that the cells cover the box exactly; a cell's
 quantized point may then sit on (or outside) the clipped cell boundary.
-Point location resolves shared boundaries deterministically: logarithmic
-boundaries go to the smaller-magnitude level, zoom bins are half-open
-[(k-0.5)w, (k+0.5)w).
+The lattice and the bins of each zoom-refined cell are grids of one type
+(_Grid), so point location and the closed-box queries follow one rule for
+both.  Point location resolves shared boundaries deterministically by a
+per-grid tie table: logarithmic boundaries go to the smaller-magnitude
+level, zoom bins are half-open [(k-0.5)w, (k+0.5)w).
 """
 
 from __future__ import annotations
@@ -194,35 +196,6 @@ def _fill_grid(table: np.ndarray, first_id: int, axes: List[List[AxisRegion]],
     rows[3] = (rows[1] - rows[0]) / 2.0 if half is None else half
 
 
-def _axis_locate(lowers: List[float], uppers: List[float], bump: np.ndarray,
-                 z: float) -> int:
-    """Index of the region owning z, given the regions' bounds along one
-    axis and bump, which marks each upper bound that goes to the next
-    region (the smaller level)."""
-    if not lowers[0] <= z <= uppers[-1]:  # NaN too
-        raise ValueError(f"{z} outside axis range [{lowers[0]}, {uppers[-1]}]")
-    i = bisect_left(uppers, z)
-    return i + 1 if z == uppers[i] and bump[i] else i
-
-
-def _axis_span(lowers: List[float], uppers: List[float], lo: float,
-               hi: float) -> range:
-    """Indices of the intervals [lowers[j], uppers[j]] with closed overlap
-    with [lo, hi]; both bound lists must be sorted."""
-    if lo != lo or hi != hi:
-        return range(0)  # NaN meets nothing
-    return range(bisect_left(uppers, lo), bisect_right(lowers, hi))
-
-
-def _row_major(ranges: List[range], strides: List[int]) -> List[int]:
-    """Flat offsets of the index grid ranges[0] x ranges[1] x ..., last
-    axis fastest."""
-    ids = [0]
-    for r, st in zip(ranges, strides):
-        ids = [base + j * st for base in ids for j in r]
-    return ids
-
-
 def _strides(shape: Tuple[int, ...]) -> List[int]:
     out = [1] * len(shape)
     for i in range(len(shape) - 2, -1, -1):
@@ -244,75 +217,130 @@ def zoom_quantize(z: float, p: ZoomQuantizerParams) -> float:
     if p.delta <= 0.0:
         raise ValueError("zoom_quantize needs delta > 0 (delta = 0 disables refinement)")
     w = p.width
-    k = max(-p.M, min(p.M, int(_zoom_bin(z, w))))
-    return k * w
+    return max(-p.M, min(p.M, _zoom_bin(z, w))) * w
 
 
-def _zoom_bin(z, w):
-    """Unclamped bin index k under (k-0.5)w <= z < (k+0.5)w, float-exact,
-    as a float holding an integer: of one float z under one width w, or of
-    every entry of an array z under the width of the same entry of w."""
-    k = np.floor(z / w + 0.5)
-    while (down := z < (k - 0.5) * w).any():
-        k = k - down
-    while (up := z >= (k + 0.5) * w).any():
-        k = k + up
+def _zoom_bin(z: float, w: float) -> int:
+    """Unclamped bin index k under (k-0.5)w <= z < (k+0.5)w, float-exact."""
+    k = math.floor(z / w + 0.5)
+    while z < (k - 0.5) * w:
+        k -= 1
+    while z >= (k + 0.5) * w:
+        k += 1
     return k
 
 
-def _zoom_axis_ks(lo: float, hi: float, p: ZoomQuantizerParams) -> List[int]:
-    """Retained bin indices: lattice points k*w inside [lo, hi], |k| <= M."""
+def _zoom_axes(lower: List[float], upper: List[float],
+               p: ZoomQuantizerParams) -> List[List[AxisRegion]]:
+    """Per axis of the cell with the given bounds, the zoom bins
+    [(k-0.5)w, (k+0.5)w] of the retained bin indices k, clipped to the
+    cell: the k with k*w inside the cell and |k| <= M, or, where no such
+    point falls inside, the one saturated k of the cell's midpoint.
+    Leftover remainders at the cell edges join the outermost bin."""
     w = p.width
     tol = 1e-9 * w
-    k_lo = int(np.ceil((lo - tol) / w))
-    k_hi = int(np.floor((hi + tol) / w))
-    ks = [k for k in range(k_lo, k_hi + 1)
-          if -p.M <= k <= p.M and lo - tol <= k * w <= hi + tol]
-    if not ks:
-        # no lattice point falls inside: one saturated subcell covers it all
-        k = max(-p.M, min(p.M, int(_zoom_bin(0.5 * (lo + hi), w))))
-        ks = [k]
-    return ks
-
-
-def _zoom_axes(lower: List[float], upper: List[float],
-               p: ZoomQuantizerParams) -> Tuple[List[List[int]], List[List[AxisRegion]]]:
-    """Per axis of the cell with the given bounds, the retained bin indices
-    k (_zoom_axis_ks) and the zoom bins [(k-0.5)w, (k+0.5)w] of those k,
-    clipped to the cell; leftover remainders at the cell edges join the
-    outermost bin."""
-    w = p.width
-    axis_ks, axes = [], []
+    axes = []
     for lo, hi in zip(lower, upper):
-        ks = _zoom_axis_ks(lo, hi, p)
-        axis_ks.append(ks)
+        ks = [k for k in range(math.ceil((lo - tol) / w), math.floor((hi + tol) / w) + 1)
+              if -p.M <= k <= p.M and lo - tol <= k * w <= hi + tol]
+        ks = ks or [max(-p.M, min(p.M, _zoom_bin(0.5 * (lo + hi), w)))]
         axes.append([AxisRegion(lo if j == 0 else (k - 0.5) * w,
                                 hi if j == len(ks) - 1 else (k + 0.5) * w, k * w)
                      for j, k in enumerate(ks)])
-    return axis_ks, axes
+    return axes
 
 
 # ---------------------------------------------------------------------------
-# partition of the state box with optional per-cell zoom refinement
+# grids: the lattice and the zoom records, and the partition built of them
 
 
-class _ZoomedCell:
-    """The one record of a zoom-refined base cell, filled once by
-    Partition.refined from the base cell's bounds: its parameters, the id
-    of its first subcell and the count of its subcells, per axis the
-    retained bin indices (consecutive) and their bins (_zoom_axes), whose
-    product gives the subcells in row-major order, and the bin bounds and
-    subcell strides that locate and the box queries read."""
+class _Grid:
+    """A product of per-axis intervals, its cells numbered row-major (last
+    axis fastest) from first_id: the unrefined lattice, or the zoom record
+    of one refined base cell.  Per axis i, the intervals [lowers[i][j],
+    uppers[i][j]] tile the axis in order, and ties[i][j] marks an upper
+    bound that a point on it shares with interval j+1 and that goes to
+    j+1.  The lattice marks a logarithmic boundary whose next level is the
+    smaller; a zoom record marks every interior bound, so its bins are the
+    half-open bins of zoom_quantize, and a point beyond the first or last
+    retained bin stays in it, as the quantizer saturates.  params is the
+    quantizer that made the grid: the lattice's per-axis
+    LogQuantizerParams, a record's ZoomQuantizerParams."""
 
-    def __init__(self, params: ZoomQuantizerParams, first_id: int,
-                 lower: List[float], upper: List[float]):
-        self.params, self.first_id = params, first_id
-        self.axis_ks, self.axes = _zoom_axes(lower, upper, params)
-        self.lowers = [[r.lower for r in ax] for ax in self.axes]
-        self.uppers = [[r.upper for r in ax] for ax in self.axes]
-        shape = tuple(len(ks) for ks in self.axis_ks)
-        self.strides = _strides(shape)
-        self.count = math.prod(shape)
+    def __init__(self, params, axes: List[List[AxisRegion]], ties: List[List[bool]],
+                 first_id: int = 0):
+        self.params, self.first_id, self.ties = params, first_id, ties
+        self.lowers = [[r.lower for r in ax] for ax in axes]
+        self.uppers = [[r.upper for r in ax] for ax in axes]
+        self.shape = tuple(len(ax) for ax in axes)
+        self.strides = _strides(self.shape)
+        self.count = math.prod(self.shape)
+
+    def locate(self, x: List[float]) -> int:
+        """Id of the cell that owns the point x (one float per axis): per
+        axis, the first interval whose upper bound is not below x, or the
+        next one on a marked tie."""
+        cid = self.first_id
+        for i, stride in enumerate(self.strides):
+            lowers, uppers, z = self.lowers[i], self.uppers[i], x[i]
+            if not lowers[0] <= z <= uppers[-1]:  # NaN too
+                raise ValueError(f"{z} outside axis range [{lowers[0]}, {uppers[-1]}]")
+            j = bisect_left(uppers, z)
+            cid += (j + 1 if z == uppers[j] and self.ties[i][j] else j) * stride
+        return cid
+
+    def locate_batch(self, X: np.ndarray) -> np.ndarray:
+        """locate() of every row of the (K, n) points X, as (K,) int64 ids;
+        the first row that locate() rejects raises its ValueError."""
+        ids = np.full(len(X), self.first_id, dtype=np.int64)
+        fails = np.zeros(len(X), dtype=bool)
+        for i, stride in enumerate(self.strides):
+            z, uppers = X[:, i], np.array(self.uppers[i])
+            fails |= ~((self.lowers[i][0] <= z) & (z <= uppers[-1]))
+            j = np.minimum(np.searchsorted(uppers, z), len(uppers) - 1)
+            ids += (j + ((z == uppers[j]) & np.array(self.ties[i])[j])) * stride
+        if fails.any():
+            self.locate(X[int(np.argmax(fails))].tolist())  # raises for that row
+        return ids
+
+    def meets(self, lo: List[float], hi: List[float]) -> List[int]:
+        """Ids, ascending, of the cells whose closed region meets the closed
+        box lo, hi (one float per axis): per axis, the intervals from
+        bisect_left(uppers, lo) to bisect_right(lowers, hi).  Touching
+        faces meet, and a NaN bound meets nothing."""
+        ids = [self.first_id]
+        for i, stride in enumerate(self.strides):
+            a, b = lo[i], hi[i]
+            if a != a or b != b:
+                return []
+            ids = [cid + j * stride for cid in ids
+                   for j in range(bisect_left(self.uppers[i], a), bisect_right(self.lowers[i], b))]
+        return ids
+
+    def spans(self, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """meets() of each of the (K, n) closed boxes lo, hi as an index
+        box: per axis, the intervals start .. start + width - 1, (K, n)
+        int64 each, by the same rule (width 0 where it meets none)."""
+        start, width = np.empty(lo.shape, dtype=np.int64), np.empty(lo.shape, dtype=np.int64)
+        for i in range(lo.shape[1]):
+            start[:, i] = np.searchsorted(self.uppers[i], lo[:, i])
+            width[:, i] = np.searchsorted(self.lowers[i], hi[:, i], "right")
+        width -= start
+        width[np.isnan(lo) | np.isnan(hi) | (width < 0)] = 0
+        return start, width
+
+    def box_ids(self, start: np.ndarray, width: np.ndarray) -> np.ndarray:
+        """The ids of each row's index box (spans), row after row, each
+        row's ascending: each row's first id is expanded one axis at a
+        time, every partial id into its row's width on that axis."""
+        ids = self.first_id + (start * self.strides).sum(axis=1)
+        row = np.arange(len(start))
+        for i, stride in enumerate(self.strides):
+            w = width[row, i]
+            offset = np.repeat(np.cumsum(w) - w, w)
+            ids = np.repeat(ids, w) + (np.arange(len(offset)) - offset) * stride
+            row = np.repeat(row, w)
+        return ids
 
 
 class Partition:
@@ -320,15 +348,15 @@ class Partition:
 
     Owns deterministic point location (the refinement map F restricted to
     state vectors) and box-intersection queries used by the abstraction
-    builder.  A cell is an id: the partition keeps the per-axis bounds of
-    the unrefined lattice, ids (the active cell ids, ascending int64), the
-    cell table that cell_arrays reads, and one record per refined base cell
-    (zoom, id -> _ZoomedCell), which refined() fills and point location and
-    box queries read.  Cells keep stable ids across refinement: refined
-    base cells retire their id (their table rows turn NaN) and subcells
-    receive fresh ids appended in order.  The per-axis bounds are never
-    changed after construction, so a refined partition shares them with
-    the partition it refines.
+    builder.  A cell is an id: the partition keeps the unrefined lattice
+    as a _Grid (grid), ids (the active cell ids, ascending int64), the
+    cell table that cell_arrays reads, and one _Grid per refined base cell
+    (zoom, id -> record), which refined() fills.  Every query asks the
+    lattice, then the record of each refined cell it reaches, by the same
+    rule.  Cells keep stable ids across refinement: refined base cells
+    retire their id (their table rows turn NaN) and subcells receive fresh
+    ids appended in order.  Grids are never changed after construction, so
+    a refined partition shares them with the partition it refines.
     """
 
     def __init__(self, box_lo, box_hi, params):
@@ -336,69 +364,46 @@ class Partition:
         self.box_hi = np.asarray(box_hi, dtype=float)
         self.n = len(self.box_lo)
         self.params = _as_axis_params(params, self.n)
-        axes = [_axis_regions(float(self.box_lo[i]), float(self.box_hi[i]), self.params[i])
-                for i in range(self.n)]
-        self._shape = tuple(len(ax) for ax in axes)
-        self._strides = _strides(self._shape)
-        # per-axis bound lists for bisection: regions tile the axis in order
-        self._lowers = [[r.lower for r in ax] for ax in axes]
-        self._uppers = [[r.upper for r in ax] for ax in axes]
-        # the bounds as arrays for locate_batch and box_spans;
-        # _bump[i][j] marks a boundary uppers[i][j] that goes to region j+1
-        # (the smaller level)
-        self._lower_arrays = [np.array(b) for b in self._lowers]
-        self._upper_arrays = [np.array(b) for b in self._uppers]
-        self._bump = [np.array([abs(b.level) < abs(a.level)
-                                for a, b in zip(ax, ax[1:])] + [False])
-                      for ax in axes]
-        self._n_base = math.prod(self._shape)
-        self._table = np.empty((4, self._n_base, self.n))
+        axes = [_axis_regions(lo, hi, p) for lo, hi, p
+                in zip(self.box_lo.tolist(), self.box_hi.tolist(), self.params)]
+        # a boundary goes to the region of the smaller level
+        self.grid = _Grid(self.params, axes, [[abs(b.level) < abs(a.level) for a, b
+                                               in zip(ax, ax[1:])] + [False] for ax in axes])
+        self._table = np.empty((4, self.grid.count, self.n))
         _fill_grid(self._table, 0, axes)
-        self.ids = np.arange(self._n_base, dtype=np.int64)
-        self.zoom: Dict[int, _ZoomedCell] = {}
+        self.ids = np.arange(self.grid.count, dtype=np.int64)
+        self.zoom: Dict[int, _Grid] = {}
 
     # -- construction ------------------------------------------------------
 
     def refined(self, assignments: Dict[int, ZoomQuantizerParams]) -> "Partition":
         """New partition with the given base cells zoom-refined; it shares
-        this partition's per-axis bounds."""
+        this partition's grids."""
         part = copy.copy(self)
         part.zoom = dict(self.zoom)
         rows = next_id = len(self._table[0])
-        new: List[int] = []
+        new: Dict[int, List[List[AxisRegion]]] = {}
         for bid in sorted(assignments):
             p = assignments[bid]
             if bid in part.zoom:
                 raise ValueError(f"cell {bid} is already zoom-refined")
-            if not 0 <= bid < self._n_base:
-                if self._n_base <= bid < rows:  # rows of self past the base cells
+            if not 0 <= bid < self.grid.count:
+                if self.grid.count <= bid < rows:  # rows of self past the base cells
                     raise ValueError(f"cell {bid} is a zoom subcell; refine base cells only")
                 raise ValueError(f"unknown cell id {bid}")
             if p.delta == 0.0:
                 continue  # keep the cell
-            lo, hi = self._table[:2, bid].tolist()
-            z = part.zoom[bid] = _ZoomedCell(p, next_id, lo, hi)
-            new.append(bid)
-            next_id += z.count
+            axes = new[bid] = _zoom_axes(*self._table[:2, bid].tolist(), p)
+            part.zoom[bid] = _Grid(p, axes, [[True] * (len(ax) - 1) + [False] for ax in axes],
+                                   next_id)
+            next_id += part.zoom[bid].count
         # the table grows by the new subcells' rows; retired rows turn NaN
         part._table = np.full((4, next_id, self.n), np.nan)
-        part._table[:, :len(self._table[0])] = self._table
-        part._table[:, new] = np.nan
-        for bid in new:
-            z = part.zoom[bid]
-            _fill_grid(part._table, z.first_id, z.axes, z.params.width)
+        part._table[:, :rows] = self._table
+        part._table[:, list(new)] = np.nan
+        for bid, axes in new.items():
+            _fill_grid(part._table, part.zoom[bid].first_id, axes, assignments[bid].width)
         part.ids = np.flatnonzero(~np.isnan(part._table[0, :, 0]))
-        # per record, in base id order, the zoom tables of locate_batch:
-        # first subcell id, bin width, retained bin range and strides per
-        # axis; _zoom_at gives a base cell's record, -1 where unrefined
-        recs = [part.zoom[b] for b in sorted(part.zoom)]
-        part._zoom_at = np.full(self._n_base, -1, dtype=np.int32)
-        part._zoom_at[sorted(part.zoom)] = np.arange(len(recs))
-        part._zoom_first = np.array([z.first_id for z in recs], dtype=np.int64)
-        part._zoom_width = np.array([z.params.width for z in recs])
-        part._zoom_kmin, part._zoom_kmax, part._zoom_strides = np.array(
-            [[[ks[0] for ks in z.axis_ks], [ks[-1] for ks in z.axis_ks], z.strides]
-             for z in recs], dtype=np.int64).reshape(-1, 3, self.n).transpose(1, 0, 2)
         return part
 
     # -- queries -----------------------------------------------------------
@@ -406,53 +411,26 @@ class Partition:
     def locate(self, x) -> int:
         """Cell id containing x (deterministic tie-break); x must be in the box."""
         x = np.asarray(x, dtype=float).tolist()
-        bid = 0
-        for i in range(self.n):
-            j = _axis_locate(self._lowers[i], self._uppers[i], self._bump[i], x[i])
-            bid += j * self._strides[i]
-        z = self.zoom.get(bid)
-        if z is None:
-            return bid
-        sid = z.first_id
-        for i, st in enumerate(z.strides):
-            ks = z.axis_ks[i]
-            k = int(_zoom_bin(x[i], z.params.width))
-            sid += (max(ks[0], min(ks[-1], k)) - ks[0]) * st
-        return sid
+        cid = self.grid.locate(x)
+        z = self.zoom.get(cid)
+        return cid if z is None else z.locate(x)
 
     def locate_batch(self, X) -> np.ndarray:
         """locate() of every row of the (K, n) points X, as (K,) int64 ids.
-
-        A boundary point goes to the smaller level, as in locate(); zoom
-        bins are the float-exact bins of _zoom_bin.  The first row that
-        locate() rejects (outside the box, or NaN) raises its ValueError.
-        """
+        The first row that locate() rejects (outside the box, or NaN)
+        raises its ValueError.  Only the records that some row reaches are
+        asked, each once, for all of its rows."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"need points of shape (K, {self.n}), got {X.shape}")
-        bid = np.zeros(len(X), dtype=np.int64)
-        fails = np.zeros(len(X), dtype=bool)
-        for i in range(self.n):
-            z, uppers = X[:, i], self._upper_arrays[i]
-            fails |= ~((self._lowers[i][0] <= z) & (z <= uppers[-1]))
-            j = np.minimum(np.searchsorted(uppers, z), len(uppers) - 1)
-            j += (z == uppers[j]) & self._bump[i][j]
-            bid += j * self._strides[i]
-        if fails.any():
-            self.locate(X[int(np.argmax(fails))])  # raises for that row
-        if not self.zoom:
-            return bid
-        rec = self._zoom_at[bid]
-        zoomed = np.flatnonzero(rec >= 0)
-        r = rec[zoomed]
-        sid = self._zoom_first[r]
-        for i in range(self.n):
-            k = _zoom_bin(X[zoomed, i], self._zoom_width[r])
-            kmin = self._zoom_kmin[r, i]
-            k = np.clip(k, kmin, self._zoom_kmax[r, i]).astype(np.int64)
-            sid += (k - kmin) * self._zoom_strides[r, i]
-        bid[zoomed] = sid
-        return bid
+        ids = self.grid.locate_batch(X)
+        if self.zoom:  # the rows on a retired id (a NaN table row), by id
+            rows = np.flatnonzero(np.isnan(self._table[0, ids, 0]))
+            rows = rows[np.argsort(ids[rows])]
+            bids, first = np.unique(ids[rows], return_index=True)
+            for bid, at in zip(bids.tolist(), np.split(rows, first[1:])):
+                ids[at] = self.zoom[bid].locate_batch(X[at])
+        return ids
 
     def cell_arrays(self, ids) -> Tuple[np.ndarray, ...]:
         """(lower, upper, quantized point, knot half-width) of the cells with
@@ -466,32 +444,26 @@ class Partition:
         """Ids of all cells whose closed region meets the closed box."""
         lo = np.asarray(box_lo, dtype=float).tolist()
         hi = np.asarray(box_hi, dtype=float).tolist()
-        ranges = [_axis_span(self._lowers[i], self._uppers[i], lo[i], hi[i])
-                  for i in range(self.n)]
         out: List[int] = []
-        for bid in _row_major(ranges, self._strides):
-            z = self.zoom.get(bid)
+        for cid in self.grid.meets(lo, hi):
+            z = self.zoom.get(cid)
             if z is None:
-                out.append(bid)
-                continue
-            sub_ranges = [_axis_span(z.lowers[i], z.uppers[i], lo[i], hi[i])
-                          for i in range(self.n)]
-            out.extend(z.first_id + off
-                       for off in _row_major(sub_ranges, z.strides))
+                out.append(cid)
+            else:
+                out.extend(z.meets(lo, hi))
         return sorted(out)
 
     def box_spans(self, box_lo, box_hi) -> Tuple[np.ndarray, np.ndarray]:
         """Per axis, the range of the unrefined lattice's regions that each
-        of the (K, n) closed boxes meets (_index_spans); a box meets the
+        of the (K, n) closed boxes meets (_Grid.spans); a box meets the
         cells of their product (box_ids, zoomed_box_ids)."""
-        return _index_spans(self._lower_arrays, self._upper_arrays,
-                            np.asarray(box_lo, dtype=float), np.asarray(box_hi, dtype=float))
+        return self.grid.spans(np.asarray(box_lo, dtype=float), np.asarray(box_hi, dtype=float))
 
     def box_ids(self, start, width) -> np.ndarray:
         """The ids of each row's index box (box_spans), row after row, each
         row's ascending: intersecting() of the boxes, for every row that
         holds no zoom-refined base cell (zoomed_rows)."""
-        return _index_box_ids((start * self._strides).sum(axis=1), width, self._strides)
+        return self.grid.box_ids(start, width)
 
     def zoomed_rows(self, start, width) -> np.ndarray:
         """The rows, ascending, of the index boxes (box_spans) that hold a
@@ -499,7 +471,7 @@ class Partition:
         hit = np.zeros(len(start), dtype=bool)
         for bid in self.zoom:
             holds = np.ones(len(start), dtype=bool)
-            for i, b in enumerate(np.unravel_index(bid, self._shape)):
+            for i, b in enumerate(np.unravel_index(bid, self.grid.shape)):
                 holds &= (start[:, i] <= b) & (b < start[:, i] + width[:, i])
             hit |= holds
         return np.flatnonzero(hit)
@@ -509,46 +481,15 @@ class Partition:
         """intersecting() of the K closed boxes box_lo, box_hi with the index
         boxes start, width (box_spans): the (K,) row sizes, and the ids row
         after row, each row's ascending.  A box meets the unrefined cells of
-        its index box and the zoom bins it meets (_index_spans; none of a
+        its index box and the zoom bins it meets (_Grid.spans; none of a
         cell outside the index box).  Subcells are numbered in the order of
         refinement, not of base ids, so rows are sorted."""
         k, ids = np.arange(len(start)), self.box_ids(start, width)
-        kept = self._zoom_at[ids] < 0  # the unrefined cells
+        kept = ~np.isnan(self._table[0, ids, 0])  # the unrefined cells
         ids, rows = [ids[kept]], [np.repeat(k, width.prod(axis=1))[kept]]
         for z in self.zoom.values():
-            sub, w = _index_spans(z.lowers, z.uppers, box_lo, box_hi)
-            ids.append(_index_box_ids(z.first_id + (sub * z.strides).sum(axis=1), w, z.strides))
+            sub, w = z.spans(box_lo, box_hi)
+            ids.append(z.box_ids(sub, w))
             rows.append(np.repeat(k, w.prod(axis=1)))
         ids, rows = np.concatenate(ids), np.concatenate(rows)
         return np.bincount(rows, minlength=len(start)), ids[np.lexsort((ids, rows))]
-
-
-def _index_spans(lowers, uppers, lo: np.ndarray,
-                 hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per axis i, the intervals [lowers[i][j], uppers[i][j]] (tiling, in
-    order) that each of the (K, n) closed boxes lo, hi meets: (start,
-    width), (K, n) int64 each, for intervals start .. start + width - 1,
-    from searchsorted(uppers, lo, 'left') to searchsorted(lowers, hi,
-    'right').  That is _axis_span's closed rule: touching faces meet, and an
-    axis with a NaN bound meets nothing (width 0)."""
-    start, width = np.empty(lo.shape, dtype=np.int64), np.empty(lo.shape, dtype=np.int64)
-    for i in range(lo.shape[1]):
-        start[:, i] = np.searchsorted(uppers[i], lo[:, i])
-        width[:, i] = np.searchsorted(lowers[i], hi[:, i], "right")
-    width -= start
-    width[np.isnan(lo) | np.isnan(hi) | (width < 0)] = 0
-    return start, width
-
-
-def _index_box_ids(first, width, strides) -> np.ndarray:
-    """The ids of each row's index box, row after row: ids numbered
-    row-major under strides (last axis fastest), so each row's first id is
-    expanded one axis at a time, every partial id into its row's width on
-    that axis, and each row's ids ascend."""
-    ids, row = first, np.arange(len(first))
-    for i, stride in enumerate(strides):
-        w = width[row, i]
-        offset = np.repeat(np.cumsum(w) - w, w)
-        ids = np.repeat(ids, w) + (np.arange(len(offset)) - offset) * stride
-        row = np.repeat(row, w)
-    return ids

@@ -135,6 +135,21 @@ def test_synthesize_writes_sequence_controller(ws, capsys):
     assert load_controller(str(ws / "law.ctrl")).n_phases == 12
 
 
+@pytest.mark.parametrize("mode", ["hold", "robust"])
+def test_hold_mode_says_it_carries_no_guarantee(ws, tmp_path, capsys, mode):
+    ini = tmp_path / f"{mode}.ini"
+    ini.write_text(PENDULUM_INI.replace("kind = sequence", "kind = reach")
+                   .replace("mode = hold", f"mode = {mode}"))
+    rc = main(["synthesize", "--config", str(ini), "--model", str(ws / "model.sts"),
+               "--out", str(tmp_path / "law.ctrl")])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("synthesize: wrote reach controller with 1 phase(s)")
+    assert err == ("warning: mode = hold follows nominal trajectories only, so this "
+                   "controller carries no refinement guarantee; mode = robust does\n"
+                   if mode == "hold" else "")
+
+
 def test_simulate_completes_the_alternation(ws, capsys):
     rc = main(["simulate", "--config", str(ws / "pendulum.ini"),
                "--controller", str(ws / "law.ctrl"),

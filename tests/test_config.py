@@ -56,7 +56,7 @@ def ini(overrides=None, drop=None):
 def test_minimal_config_parses_with_defaults():
     cfg = parse_config_text(ini())
     assert (cfg.system.n, cfg.system.m) == (2, 1)
-    assert cfg.log_params == LogQuantizerParams(0.2, 0.4, "EQ20")
+    assert cfg.lattice.params == [LogQuantizerParams(0.2, 0.4, "EQ20")] * 2
     assert cfg.lipschitz == 6.0
     assert cfg.input_quantization == ("uniform", 0.2)
     # a log input quantizer takes the state quantizer's eta and d by default

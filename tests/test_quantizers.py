@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -263,8 +264,9 @@ def test_refined_locate_picks_subcells():
 def test_refined_partition_shares_the_unrefined_lattice():
     part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
     ref = part.refined({12: ZoomQuantizerParams(1, 1.0, 0.3)})
-    assert ref._lowers is part._lowers and ref._uppers is part._uppers
-    assert ref._bump is part._bump
+    assert ref.grid is part.grid
+    again = ref.refined({0: ZoomQuantizerParams(10, 1.0, 0.1)})
+    assert again.grid is part.grid and again.zoom[12] is ref.zoom[12]
     kept = [k for k in range(25) if k != 12]
     assert np.array_equal(ref.cell_arrays(kept), part.cell_arrays(kept))
 
@@ -311,6 +313,62 @@ def test_intersecting_reports_all_touched_cells():
     assert everything == list(range(25))
 
 
+@pytest.mark.parametrize("box,params,zoom", [
+    # cell 12 ([-0.4, 0.4]^2) saturates at |k| = M = 1 beyond 0.3, and
+    # cell 17 keeps one saturated subcell
+    ((-1.0, 1.0), P6, {0: ZoomQuantizerParams(10, 1.0, 0.1),
+                       12: ZoomQuantizerParams(1, 1.0, 0.2),
+                       17: ZoomQuantizerParams(2, 1.0, 0.05)}),
+    # 3-D, per-axis parameters; cell 100 keeps one saturated subcell
+    ((-0.9, 1.3), [P6, LogQuantizerParams(0.3, 0.2, "EQ2"),
+                   LogQuantizerParams(0.25, 0.5, "EQ20")],
+     {37: ZoomQuantizerParams(3, 1.0, 0.1), 100: ZoomQuantizerParams(2, 1.0, 0.15),
+      191: ZoomQuantizerParams(20, 1.0, 0.12)}),
+])
+def test_locate_in_a_zoomed_cell_is_zoom_quantize(box, params, zoom):
+    """On, and one ulp either side of, every zoom bin edge (k +- 0.5)w in a
+    refined cell, the quantized point of locate's subcell is zoom_quantize
+    of the point, clamped on each axis to the record's first and last
+    retained levels."""
+    n = 2 if isinstance(params, LogQuantizerParams) else len(params)
+    plain = Partition([box[0]] * n, [box[1]] * n, params)
+    part = plain.refined(zoom)
+    rng = np.random.default_rng(5)
+    checked, saturated = 0, 0
+    for bid, p in zoom.items():
+        z, w = part.zoom[bid], p.width
+        lower, upper = plain.cell_arrays(bid)[:2]
+        levels = part.cell_arrays(np.arange(z.first_id, z.first_id + z.count))[2]
+        first, last = levels.min(axis=0).tolist(), levels.max(axis=0).tolist()
+        per_axis = []
+        for lo, hi in zip(lower.tolist(), upper.tolist()):
+            edges = [(k + 0.5) * w for k in range(math.floor(lo / w) - 1, math.ceil(hi / w) + 1)]
+            per_axis.append([0.5 * (lo + hi)] + [
+                e for edge in edges
+                for e in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf))
+                if lo <= e <= hi])
+        # each edge point with the cell's midpoint on the other axes, then
+        # random mixes of edge points
+        pts = []
+        for i, vals in enumerate(per_axis):
+            for v in vals:
+                x = 0.5 * (lower + upper)
+                x[i] = v
+                pts.append(x)
+        pts += [np.array([rng.choice(vals) for vals in per_axis]) for _ in range(300)]
+        for x in pts:
+            if plain.locate(x) != bid:
+                continue  # on a face that the lattice gives a neighbour
+            cid = part.locate(x)
+            assert z.first_id <= cid < z.first_id + z.count
+            want = [min(max(zoom_quantize(v, p), a), b)
+                    for v, a, b in zip(x.tolist(), first, last)]
+            assert part.cell_arrays(cid)[2].tolist() == want, (bid, x)
+            checked += 1
+            saturated += any(abs(zoom_quantize(v, p)) == p.M * w for v in x.tolist())
+    assert checked > 900 and saturated > 500
+
+
 def _reference_cells(lo, hi, params, zoom):
     """{id: (lower, upper, quantized point, knot half-width)} of the
     partition of the box [lo, hi] with the given zoom rows, one cell at a
@@ -333,7 +391,7 @@ def _reference_cells(lo, hi, params, zoom):
         if p.delta == 0.0:
             continue
         lower, upper = cells.pop(bid)[:2]
-        for bins in itertools.product(*_zoom_axes(lower, upper, p)[1]):
+        for bins in itertools.product(*_zoom_axes(lower, upper, p)):
             cells[next_id] = ([r.lower for r in bins], [r.upper for r in bins],
                               [r.level for r in bins], [p.width] * len(bins))
             next_id += 1
@@ -369,7 +427,7 @@ def test_intersecting_equals_a_brute_force_scan(box, params, zoom):
         base_lo, base_hi = base[bid][:2]
         # each axis's bins tile the base cell's extent on that axis, with no
         # gap or overlap, and their product is the record's count
-        axes = _zoom_axes(base_lo, base_hi, z.params)[1]
+        axes = _zoom_axes(base_lo, base_hi, z.params)
         for i, bins in enumerate(axes):
             assert bins[0].lower == base_lo[i] and bins[-1].upper == base_hi[i]
             assert all(prev.upper == nxt.lower for prev, nxt in zip(bins, bins[1:]))

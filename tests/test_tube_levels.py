@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from symquant import frr
+from symquant import frr, quantizers
 from symquant import (LogQuantizerParams, TimeDelaySystem,
                       ZoomQuantizerParams, build_timedelay,
                       sample_frr_timedelay)
@@ -247,7 +247,9 @@ def test_locate_batch_on_zoom_bin_edges():
         w = z.params.width
         lower, upper = plain.cell_arrays(bid)[:2]  # retired in part
         for i in range(part.n):
-            for k in range(z.axis_ks[i][0] - 1, z.axis_ks[i][-1] + 2):
+            # every bin index whose edges can fall in the record's extent
+            for k in range(math.floor(z.lowers[i][0] / w) - 1,
+                           math.ceil(z.uppers[i][-1] / w) + 2):
                 for edge in ((k - 0.5) * w, (k + 0.5) * w):
                     for e in (np.nextafter(edge, -1), edge, np.nextafter(edge, 1)):
                         if lower[i] <= e <= upper[i]:
@@ -256,6 +258,29 @@ def test_locate_batch_on_zoom_bin_edges():
                             pts.append(x)
     assert len(pts) > 100
     assert_locates_like_locate(part, pts)
+
+
+def test_locate_batch_with_every_cell_refined(monkeypatch):
+    plain = partitions()[0]
+    part = plain.refined({bid: ZoomQuantizerParams(1 + bid % 4, 1.0, 0.05 + 0.02 * (bid % 3))
+                          for bid in range(25)})
+    assert len(part.zoom) == 25 and part.ids[0] == 25
+    rng = np.random.default_rng(11)
+    pts = list(rng.uniform(-1.0, 1.0, size=(3000, 2)))
+    for lower, upper in zip(*part.cell_arrays(part.ids)[:2]):
+        axes = [(lo, 0.5 * (lo + hi), hi) for lo, hi in zip(lower, upper)]
+        pts.extend(np.array(np.meshgrid(*axes)).reshape(part.n, -1).T)
+    X = np.array(pts)
+    assert_locates_like_locate(part, X)
+    lo, hi = part.cell_arrays(part.locate_batch(X))[:2]
+    assert ((lo <= X) & (X <= hi)).all()
+    # the records of cells that no row reaches are not asked
+    asked = []
+    grid_locate_batch = quantizers._Grid.locate_batch
+    monkeypatch.setattr(quantizers._Grid, "locate_batch",
+                        lambda g, Y: asked.append(g.first_id) or grid_locate_batch(g, Y))
+    part.locate_batch(np.array([[0.0, 0.0], [0.05, 0.0], [-0.95, -0.95], [0.0, 0.01]]))
+    assert asked == [0, part.zoom[0].first_id, part.zoom[12].first_id]
 
 
 @pytest.mark.parametrize("part", partitions())
