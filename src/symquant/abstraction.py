@@ -24,9 +24,9 @@ keeps the endpoint array.
 derive_delayfree gives the same model, byte for byte and with bitwise
 equal endpoints, from batched kernels: integrate_batch over every (cell,
 input) pair, 4096 pairs per call, one state-box test for the blocked
-pairs, and one batched box query (Partition.box_spans and box_ids, the
-per-axis index ranges of SCOTS; a row that holds a zoom-refined base cell
-takes Partition.zoomed_box_ids).  Both paths share the first step
+pairs, and one batched box query (Partition.box_spans, the per-axis index
+ranges of SCOTS, and Partition.box_cells, which asks each zoom record only
+for the rows that reach it).  Both paths share the first step
 (_delayfree_cells: cell arrays, rates and radii) and the last
 (_delayfree_ts: CSR and model assembly).  The model checks of the CLI and
 refine_cells use it; abstract keeps the per-pair build, and the tests
@@ -481,7 +481,7 @@ def derive_delayfree(sys: ControlSystem, tau: float,
     """build_delayfree's model, byte for byte and with bitwise equal
     endpoints, from the batched kernels the module docstring describes:
     _CHUNK pairs per integrate_batch call, then Partition.box_spans and
-    _box_successors for the growth boxes."""
+    Partition.box_cells of the growth boxes (_box_successors)."""
     return _derived_model(sys, *_delayfree_setup(sys, tau, lattice, input_quantization,
                                                  lipschitz, steps, growth_scale))
 
@@ -503,51 +503,43 @@ def _derived_model(sys: ControlSystem, part: Partition, inputs: List[np.ndarray]
     del starts, U
     # a pair is blocked when its nominal endpoint leaves X
     rows = np.flatnonzero(sys.inside(x1).ravel())
-    r = np.repeat(radius.ravel(), n_in)[rows, None]
     # the growth boxes are freed once their index ranges are known, and
-    # made again only for the rows that hold a zoom-refined cell
-    start, width = part.box_spans(ends[rows] - r, ends[rows] + r)
-    zoomed = part.zoomed_rows(start, width)
-    x, r = ends[rows[zoomed]], r[zoomed]
-    sizes, succ = _box_successors(part, start, width, zoomed, x - r, x + r)
+    # made again a step at a time
+    start, width = part.box_spans(*_growth_boxes(x1, radius, rows))
+    sizes, succ = _box_successors(part, start, width, x1, radius, rows)
     return _delayfree_ts(part, inputs, ctx, cells, x1, rows, sizes, succ)
 
 
-_EXPAND_IDS = 4096  # successor ids per expansion step of _box_successors
+def _growth_boxes(x1: np.ndarray, radius: np.ndarray,
+                  rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The closed growth boxes of the pairs rows, pair k*I + i's x1[k, i] -+
+    radius[k, 0]: (C, I, n) endpoints, (C, 1, 1) or per axis (C, 1, n) radii."""
+    cell = np.unravel_index(rows, x1.shape[:2])[0]  # not rows // I: its loops add 64 KiB RSS
+    x, r = x1.reshape(-1, x1.shape[2]).take(rows, axis=0), radius.take(cell, axis=0)[:, 0]
+    return x - r, x + r
 
 
-def _box_successors(part: Partition, start: np.ndarray, width: np.ndarray,
-                    zoomed: np.ndarray, box_lo: np.ndarray,
-                    box_hi: np.ndarray) -> Tuple[np.ndarray, array]:
-    """The (K,) sizes and the int32 ids, row after row, of the cells that K
-    closed boxes with the index boxes start, width (Partition.box_spans)
-    meet: Partition.box_ids of a row, and Partition.zoomed_box_ids of the
-    rows zoomed (Partition.zoomed_rows), whose boxes box_lo, box_hi are.
-    Rows are expanded, the zoomed ones first, about _EXPAND_IDS ids at a
-    step, so only the zoomed rows' ids are held apart from the buffer."""
-    sizes = width.prod(axis=1)
-    more = [np.zeros(0, dtype=np.int32)]
-    for a, b in _steps(sizes[zoomed]):
-        at = zoomed[a:b]
-        sizes[at], ids = part.zoomed_box_ids(start[at], width[at], box_lo[a:b], box_hi[a:b])
-        more.append(ids.astype(np.int32))
-    more, own = np.concatenate(more), np.zeros(len(sizes), dtype=bool)
-    own[zoomed] = True
-    succ, c = array("i"), 0
+_EXPAND_IDS = 4096  # lattice ids per expansion step of _box_successors
+
+
+def _box_successors(part: Partition, start: np.ndarray, width: np.ndarray, x1: np.ndarray,
+                    radius: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, array]:
+    """The (K,) sizes and the int32 ids, row after row, of the cells that
+    the growth boxes (_growth_boxes) of the K pairs rows, with index boxes
+    start, width (Partition.box_spans), meet: Partition.box_cells of about
+    _EXPAND_IDS lattice ids at a step, whose boxes the step makes again."""
+    sizes, succ = width.prod(axis=1), array("i")
     for p, q in _steps(sizes):
-        # the other rows' ids, and the zoomed rows' between them
-        into = np.repeat(own[p:q], sizes[p:q])
-        ids = np.empty(len(into), dtype=np.int32)
-        ids[~into] = part.box_ids(start[p:q], np.where(own[p:q, None], 0, width[p:q]))
-        n = int(into.sum())
-        ids[into], c = more[c:c + n], c + n
+        lo, hi = _growth_boxes(x1, radius, rows[p:q])
+        sizes[p:q], ids = part.box_cells(start[p:q], width[p:q], lo, hi)
+        ids = ids.astype(np.int32)  # the int64 ids are freed before the copy
         succ.frombytes(ids.tobytes())
     return sizes, succ
 
 
 def _steps(sizes: np.ndarray) -> Iterator[Tuple[int, int]]:
-    """Consecutive row ranges [p, q) that cover the rows, each of about
-    _EXPAND_IDS ids (sizes[j] in row j) and at least one row."""
+    """Consecutive row ranges [p, q) of about _EXPAND_IDS ids each (sizes[j]
+    in row j) and at least one row; sizes[p:q] may change once given."""
     ends, p = np.cumsum(sizes), 0
     while p < len(sizes):
         q = max(p + 1, int(np.searchsorted(ends, ends[p] - sizes[p] + _EXPAND_IDS, "right")))

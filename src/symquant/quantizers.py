@@ -352,11 +352,11 @@ class Partition:
     as a _Grid (grid), ids (the active cell ids, ascending int64), the
     cell table that cell_arrays reads, and one _Grid per refined base cell
     (zoom, id -> record), which refined() fills.  Every query asks the
-    lattice, then the record of each refined cell it reaches, by the same
-    rule.  Cells keep stable ids across refinement: refined base cells
-    retire their id (their table rows turn NaN) and subcells receive fresh
-    ids appended in order.  Grids are never changed after construction, so
-    a refined partition shares them with the partition it refines.
+    lattice, then the record of each refined cell it reaches (a batched
+    query, each record once), by the same rule.  Cells keep stable ids
+    across refinement: a refined base cell retires its id (its table rows
+    turn NaN) and subcells take fresh ids appended in order.  Grids never
+    change after construction; a refined partition shares them.
     """
 
     def __init__(self, box_lo, box_hi, params):
@@ -424,12 +424,8 @@ class Partition:
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"need points of shape (K, {self.n}), got {X.shape}")
         ids = self.grid.locate_batch(X)
-        if self.zoom:  # the rows on a retired id (a NaN table row), by id
-            rows = np.flatnonzero(np.isnan(self._table[0, ids, 0]))
-            rows = rows[np.argsort(ids[rows])]
-            bids, first = np.unique(ids[rows], return_index=True)
-            for bid, at in zip(bids.tolist(), np.split(rows, first[1:])):
-                ids[at] = self.zoom[bid].locate_batch(X[at])
+        for z, at in self._records(ids) if self.zoom else []:
+            ids[at] = z.locate_batch(X[at])
         return ids
 
     def cell_arrays(self, ids) -> Tuple[np.ndarray, ...]:
@@ -456,40 +452,40 @@ class Partition:
     def box_spans(self, box_lo, box_hi) -> Tuple[np.ndarray, np.ndarray]:
         """Per axis, the range of the unrefined lattice's regions that each
         of the (K, n) closed boxes meets (_Grid.spans); a box meets the
-        cells of their product (box_ids, zoomed_box_ids)."""
+        cells of their product (box_cells)."""
         return self.grid.spans(np.asarray(box_lo, dtype=float), np.asarray(box_hi, dtype=float))
 
-    def box_ids(self, start, width) -> np.ndarray:
-        """The ids of each row's index box (box_spans), row after row, each
-        row's ascending: intersecting() of the boxes, for every row that
-        holds no zoom-refined base cell (zoomed_rows)."""
-        return self.grid.box_ids(start, width)
-
-    def zoomed_rows(self, start, width) -> np.ndarray:
-        """The rows, ascending, of the index boxes (box_spans) that hold a
-        zoom-refined base cell."""
-        hit = np.zeros(len(start), dtype=bool)
-        for bid in self.zoom:
-            holds = np.ones(len(start), dtype=bool)
-            for i, b in enumerate(np.unravel_index(bid, self.grid.shape)):
-                holds &= (start[:, i] <= b) & (b < start[:, i] + width[:, i])
-            hit |= holds
-        return np.flatnonzero(hit)
-
-    def zoomed_box_ids(self, start, width, box_lo,
-                       box_hi) -> Tuple[np.ndarray, np.ndarray]:
+    def box_cells(self, start, width, box_lo, box_hi) -> Tuple[np.ndarray, np.ndarray]:
         """intersecting() of the K closed boxes box_lo, box_hi with the index
         boxes start, width (box_spans): the (K,) row sizes, and the ids row
-        after row, each row's ascending.  A box meets the unrefined cells of
-        its index box and the zoom bins it meets (_Grid.spans; none of a
-        cell outside the index box).  Subcells are numbered in the order of
-        refinement, not of base ids, so rows are sorted."""
-        k, ids = np.arange(len(start)), self.box_ids(start, width)
-        kept = ~np.isnan(self._table[0, ids, 0])  # the unrefined cells
-        ids, rows = [ids[kept]], [np.repeat(k, width.prod(axis=1))[kept]]
-        for z in self.zoom.values():
-            sub, w = z.spans(box_lo, box_hi)
-            ids.append(z.box_ids(sub, w))
-            rows.append(np.repeat(k, w.prod(axis=1)))
-        ids, rows = np.concatenate(ids), np.concatenate(rows)
-        return np.bincount(rows, minlength=len(start)), ids[np.lexsort((ids, rows))]
+        after row, each row's ascending.  A retired lattice id (_Grid.box_ids)
+        gives way to the bins of its record that the box meets, each record
+        asked once, for the rows that reach it.  Subcell ids follow lattice
+        ids and, by record in first_id order, each other, so a stable sort
+        by row orders each row."""
+        sizes, ids = width.prod(axis=1), self.grid.box_ids(start, width)
+        found = self._records(ids) if self.zoom else []
+        if not found:
+            return sizes, ids
+        rows = np.repeat(np.arange(len(start)), sizes)
+        kept, sub_ids, sub_rows = np.ones(len(ids), dtype=bool), [], []
+        for z, at in found:
+            kept[at] = False
+            k = rows[at]
+            sub, w = z.spans(box_lo.take(k, axis=0), box_hi.take(k, axis=0))
+            sub_ids.append(z.box_ids(sub, w))
+            sub_rows.append(np.repeat(k, w.prod(axis=1)))
+        rows, ids = np.concatenate([rows[kept]] + sub_rows), np.concatenate([ids[kept]] + sub_ids)
+        return np.bincount(rows, minlength=len(start)), ids[np.argsort(rows, kind="stable")]
+
+    def _records(self, ids: np.ndarray) -> List[Tuple[_Grid, np.ndarray]]:
+        """The records of the retired ids (NaN table rows) among the lattice
+        ids, in first_id order, each with the positions, ascending, of its
+        base cell's id in ids."""
+        at = np.flatnonzero(np.isnan(self._table[0, :, 0].take(ids)))
+        if not len(at):
+            return []
+        at = at[np.argsort(ids[at], kind="stable")]
+        bids, first = np.unique(ids[at], return_index=True)
+        groups = zip([self.zoom[bid] for bid in bids.tolist()], np.split(at, first[1:]))
+        return sorted(groups, key=lambda g: g[0].first_id)

@@ -1,9 +1,9 @@
 """The batched derivation that model checks and refine_cells use, against
-the scalar reference: the batched box query (Partition.box_spans, box_ids,
-zoomed_rows and zoomed_box_ids, and abstraction._box_successors, which
-runs them in steps) row for row against Partition.intersecting, on plain
-and zoom-refined partitions, and derive_delayfree byte for byte against
-build_delayfree."""
+the scalar reference: the batched box query (Partition.box_spans and
+box_cells, and abstraction._box_successors, which runs them in steps over
+growth boxes x - r, x + r) row for row against Partition.intersecting, on
+plain and zoom-refined partitions, and derive_delayfree byte for byte
+against build_delayfree."""
 
 import weakref
 from pathlib import Path
@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from symquant import (ControlSystem, LogQuantizerParams, Partition,
-                      ZoomQuantizerParams, abstraction, build_delayfree, config)
+                      ZoomQuantizerParams, abstraction, build_delayfree, config,
+                      quantizers)
 from symquant.abstraction import (_EXPAND_IDS, _box_successors, derive_delayfree,
                                   refine_cells)
 from symquant.cli import main
@@ -54,52 +55,56 @@ def partition(name):
     return part
 
 
-def assert_rows_equal(part, lo, hi):
+def assert_rows_equal(part, x, r):
+    """The K growth boxes x - r, x + r, made as the derivation makes them,
+    of the (K, n) points x and the radii r, (K, 1) or (K, n) per axis."""
+    lo, hi = x - r, x + r
     want = [part.intersecting(a, b) for a, b in zip(lo, hi)]
     start, width = part.box_spans(lo, hi)
-    zoomed = part.zoomed_rows(start, width)
-    # _EXPAND_IDS ids at a time, and all rows at once
-    sizes, succ = _box_successors(part, start, width, zoomed, lo[zoomed], hi[zoomed])
-    all_sizes, ids = part.zoomed_box_ids(start, width, lo, hi) if part.zoom else \
-        (width.prod(axis=1), part.box_ids(start, width))
+    # _EXPAND_IDS lattice ids at a time, and all rows at once
+    sizes, succ = _box_successors(part, start, width, x[:, None], r[:, None],
+                                  np.arange(len(x)))
+    all_sizes, ids = part.box_cells(start, width, lo, hi)
     assert sizes.tolist() == all_sizes.tolist() == [len(row) for row in want]
     assert ids.tolist() == np.frombuffer(succ, dtype=np.int32).tolist() == \
         [cid for row in want for cid in row]
-    # every other row meets base cells only, which box_ids gives
-    plain = np.setdiff1d(np.arange(len(lo)), zoomed)
-    assert part.box_ids(start[plain], width[plain]).tolist() == \
-        [cid for j in plain.tolist() for cid in want[j]]
     return sizes
 
 
 def random_boxes(part, rng, k=400):
     """Boxes around points of a margin past the state box, of random
-    widths (zero included), some of them with lo above hi on an axis."""
+    radii (zero included), some of them negative: lo above hi."""
     span = part.box_hi - part.box_lo
     centre = rng.uniform(part.box_lo - 0.3 * span, part.box_hi + 0.3 * span,
                          (k, part.n))
-    half = rng.uniform(-0.05, 0.4, (k, part.n)) * span
+    half = rng.uniform(-0.05, 0.4, (k, 1)) * span.max()
     half[::7] = 0.0
-    return centre - half, centre + half
+    return centre, half
 
 
 @pytest.mark.parametrize("name", [*LATTICES, *ZOOMED])
 def test_random_boxes(name):
     part = partition(name)
-    lo, hi = random_boxes(part, np.random.default_rng(len(name)))
-    assert assert_rows_equal(part, lo, hi).sum() > 0
+    x, r = random_boxes(part, np.random.default_rng(len(name)))
+    assert assert_rows_equal(part, x, r).sum() > 0
 
 
 @pytest.mark.parametrize("name", [*LATTICES, *ZOOMED])
 def test_faces_on_cell_bounds(name):
-    # every box's faces are cell bounds: a touching face meets the cell
+    # every box's faces are cell bounds, a touching face meets the cell:
+    # the boxes of two random bounds per axis whose x - r and x + r give
+    # back the bounds exactly
     part = partition(name)
     rng = np.random.default_rng(7)
     lower, upper = part.cell_arrays(part.ids)[:2]
     bounds = np.concatenate([lower, upper])
-    a = bounds[rng.integers(len(bounds), size=300)]
-    b = bounds[rng.integers(len(bounds), size=300)]
-    assert_rows_equal(part, np.minimum(a, b), np.maximum(a, b))
+    a = bounds[rng.integers(len(bounds), size=1500)]
+    b = bounds[rng.integers(len(bounds), size=1500)]
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    x, r = (a + b) / 2.0, (b - a) / 2.0
+    exact = ((x - r == a) & (x + r == b)).all(axis=1)
+    assert exact.sum() >= 100
+    assert_rows_equal(part, x[exact], r[exact])
 
 
 @pytest.mark.parametrize("name", [*LATTICES, *ZOOMED])
@@ -109,18 +114,21 @@ def test_zero_width_boxes(name):
     lower, upper, q = part.cell_arrays(part.ids)[:3]
     pts = np.concatenate([lower, upper, q, (lower + upper) / 2.0,
                           lower - 1.0, upper + 1.0])
-    assert_rows_equal(part, pts, pts)
+    assert_rows_equal(part, pts, np.zeros((len(pts), 1)))
 
 
 @pytest.mark.parametrize("name", [*LATTICES, *ZOOMED])
 def test_boxes_partly_or_wholly_outside_the_state_box(name):
+    # X's box and more, past the low corner, wholly past the high corner
+    # and the low one, about X's high face and its low face, and the
+    # infinite box
     part = partition(name)
     n, lo_x, hi_x = part.n, part.box_lo, part.box_hi
-    lo = np.array([lo_x - 1.0, lo_x - 1.0, hi_x + 0.1, lo_x - 3.0, hi_x, lo_x - 0.5,
-                   np.full(n, -np.inf)])
-    hi = np.array([hi_x + 1.0, lo_x + 0.1, hi_x + 2.0, lo_x - 2.0, hi_x + 1.0, lo_x,
-                   np.full(n, np.inf)])
-    sizes = assert_rows_equal(part, lo, hi)
+    mid = (lo_x + hi_x) / 2.0
+    x = np.array([mid, lo_x, hi_x + 1.0, lo_x - 2.5, hi_x + 0.5, lo_x - 0.25, np.zeros(n)])
+    r = np.array([[(hi_x - lo_x).max() / 2.0 + 1.0], [0.1], [0.9], [0.5], [0.5], [0.25],
+                  [np.inf]])
+    sizes = assert_rows_equal(part, x, r)
     assert sizes[0] == sizes[-1] == len(part.ids)
     assert sizes[2] == sizes[3] == 0
 
@@ -128,11 +136,12 @@ def test_boxes_partly_or_wholly_outside_the_state_box(name):
 @pytest.mark.parametrize("name", [*LATTICES, *ZOOMED])
 def test_nan_rows_meet_nothing(name):
     part = partition(name)
-    lo, hi = random_boxes(part, np.random.default_rng(3), k=40)
-    lo[::3, 0] = np.nan
-    hi[1::3, -1] = np.nan
-    lo[2], hi[2] = np.nan, np.nan
-    sizes = assert_rows_equal(part, lo, hi)
+    x, r = random_boxes(part, np.random.default_rng(3), k=40)
+    r = np.repeat(r, part.n, axis=1)
+    x[::3, 0] = np.nan
+    r[1::3, -1] = np.nan
+    x[2], r[2] = np.nan, np.nan
+    sizes = assert_rows_equal(part, x, r)
     assert not sizes[::3].any() and not sizes[1::3].any()
 
 
@@ -143,27 +152,79 @@ def test_rows_larger_and_smaller_than_one_expansion_step():
     # subcells, which some of those rows meet
     base = Partition([-1.0, -1.0], [1.0, 1.0], LogQuantizerParams(0.05, 0.01))
     assert len(base.ids) > _EXPAND_IDS
-    lo, hi = random_boxes(base, np.random.default_rng(11), k=300)
-    lo[::50], hi[::50] = base.box_lo, base.box_hi
+    x, r = random_boxes(base, np.random.default_rng(11), k=300)
+    r = np.repeat(r, 2, axis=1)
+    x[::50], r[::50] = 0.0, 1.0  # X's box
     zoomed = base.refined({4324: Z(10, 1.0, 0.001), 4100: Z(300, 1.0, 0.004),
                            7000: Z(100, 1.0, 0.005)})
     assert [z.count for z in zoomed.zoom.values()] == [11, 441, 8]
-    # and boxes that are subcells, which meet a few cells each
-    cells = zoomed.cell_arrays(zoomed.ids[-40:])
-    lo, hi = np.concatenate([lo, cells[0]]), np.concatenate([hi, cells[1]])
+    # and boxes about subcells, which meet a few cells each
+    lower, upper = zoomed.cell_arrays(zoomed.ids[-40:])[:2]
+    x = np.concatenate([x, (lower + upper) / 2.0])
+    r = np.concatenate([r, (upper - lower) / 2.0])
     for part in (base, zoomed):
-        sizes = assert_rows_equal(part, lo, hi)
+        sizes = assert_rows_equal(part, x, r)
         assert sizes.max() > _EXPAND_IDS and sizes.sum() > 4 * _EXPAND_IDS
-    start, width = zoomed.box_spans(lo, hi)
-    rows = zoomed.zoomed_rows(start, width)
-    assert len(rows) < len(lo) and sizes[rows].max() > _EXPAND_IDS
+    # the rows that meet a subcell
+    start, width = zoomed.box_spans(x - r, x + r)
+    ids = zoomed.box_cells(start, width, x - r, x + r)[1]
+    rows = np.unique(np.repeat(np.arange(len(x)), sizes)[ids >= zoomed.grid.count])
+    assert len(rows) < len(x) and sizes[rows].max() > _EXPAND_IDS
     assert sizes[rows].min() < 10
 
 
 def test_no_rows():
     for name in ("2-D", "2-D, nested zoom"):
-        sizes = assert_rows_equal(partition(name), np.empty((0, 2)), np.empty((0, 2)))
+        sizes = assert_rows_equal(partition(name), np.empty((0, 2)), np.empty((0, 1)))
         assert sizes.shape == (0,)
+
+
+# the 25-cell lattice with every cell refined, at once, and in two
+# refinements of which the later takes the lower base ids, so its
+# subcell ids follow the higher base ids' subcells
+EVERY_CELL = {bid: Z(1 + bid % 4, 1.0, 0.05 + 0.02 * (bid % 3)) for bid in range(25)}
+REFINED_25 = {
+    "every cell at once": [EVERY_CELL],
+    "the higher ids first": [{b: z for b, z in EVERY_CELL.items() if b >= 12},
+                             {b: z for b, z in EVERY_CELL.items() if b < 12}],
+}
+
+
+@pytest.mark.parametrize("name", REFINED_25)
+def test_box_cells_against_a_scan_of_the_cell_table(name):
+    part = partition("2-D")
+    for zoom in REFINED_25[name]:
+        part = part.refined(zoom)
+    assert len(part.zoom) == 25 and np.isnan(part.cell_arrays(np.arange(25))[0]).all()
+    rng = np.random.default_rng(5)
+    x, r = random_boxes(part, rng, k=300)
+    lower, upper = part.cell_arrays(part.ids)[:2]
+    x = np.concatenate([x, lower, (lower + upper) / 2.0])
+    r = np.concatenate([r, np.zeros((len(lower), 1)), rng.uniform(0.0, 0.2, (len(lower), 1))])
+    sizes = assert_rows_equal(part, x, r)
+    lo, hi = x - r, x + r
+    start, width = part.box_spans(lo, hi)
+    ids = np.split(part.box_cells(start, width, lo, hi)[1], np.cumsum(sizes)[:-1])
+    for row, a, b in zip(ids, lo, hi):
+        meets = ((lower <= b) & (upper >= a)).all(axis=1)
+        assert row.tolist() == part.ids[meets].tolist()
+    assert sizes.sum() > 2000
+
+
+def test_box_cells_asks_only_the_records_its_rows_reach(monkeypatch):
+    part = partition("2-D").refined(EVERY_CELL)
+    # rows in the corner cell 0, two in the deadzone cell 12, and one
+    # that meets no cell
+    x = np.array([[-0.95, -0.95], [0.0, 0.0], [0.05, 0.0], [3.0, 3.0]])
+    r = np.full((4, 1), 0.01)
+    start, width = part.box_spans(x - r, x + r)
+    asked, spans = [], quantizers._Grid.spans
+    monkeypatch.setattr(quantizers._Grid, "spans",
+                        lambda g, lo, hi: asked.append((g.first_id, len(lo))) or spans(g, lo, hi))
+    sizes, ids = part.box_cells(start, width, x - r, x + r)
+    assert asked == [(part.zoom[0].first_id, 1), (part.zoom[12].first_id, 2)]
+    assert sizes.tolist() == [1, 1, 1, 0]
+    assert ids.tolist() == [part.locate(p) for p in x[:3]]
 
 
 # ---------------------------------------------------------------------------
