@@ -11,15 +11,15 @@ point q to the cell on each axis, and mu the cell's sampled matrix measure
 over the cell grown by 1.1*tau*max|f| (estimate_lipschitz with tau), or a
 numeric lipschitz as given: one rule for log, merged, deadzone and zoom
 cells.  A cell is an id: its bounds and q are rows of the partition's cell
-table (Partition.cell_arrays).  The build stays on flat arrays from start
-to end: the (C, n) bounds and quantized points of all C cells, one rate
-estimate over them, the (C,) radii, a preallocated (C, I, n) array that each
-integrate() call writes its nominal endpoint into, the blocked pairs, and
-the growth boxes as (C*I, n) arrays in CSR row order.  Each box row goes to
-one Partition.intersecting() query, whose cell ids are appended to an int32
-buffer that, its ids turned into state positions in place, becomes the
-model's successor array without a copy (see TransitionSystem); the model
-keeps the endpoint array.
+table (Partition.cell_arrays).  The per-pair build stays on flat arrays
+from start to end: the (C, n) bounds and quantized points of all C cells,
+one rate estimate over them, the (C,) radii, a preallocated (C, I, n) array
+that each integrate() call writes its nominal endpoint into, the blocked
+pairs, and the growth boxes as (C*I, n) arrays in CSR row order.  Each box
+row goes to one Partition.intersecting() query, whose cell ids are appended
+to an int32 buffer that, its ids turned into state positions in place,
+becomes the model's successor array without a copy (see TransitionSystem);
+the model keeps the endpoint array.
 
 derive_delayfree gives the same model, byte for byte and with bitwise
 equal endpoints, from batched kernels: integrate_batch over every (cell,
@@ -28,21 +28,12 @@ pairs, and one batched box query (Partition.box_spans, the per-axis index
 ranges of SCOTS, and Partition.box_cells, which asks each zoom record only
 for the rows that reach it).  Both paths share the first step
 (_delayfree_cells: cell arrays, rates and radii) and the last
-(_delayfree_ts: CSR and model assembly).  The model checks of the CLI and
-refine_cells use it; abstract keeps the per-pair build, and the tests
-compare the two.
-
-The per-pair part of the build (integrate the pairs, find the blocked
-pairs and growth boxes, query each unblocked row) is one block function
-over a contiguous range of cells.  A build with at least 2 * 4096 pairs,
-in a process that may run on more than one CPU (its affinity mask), is
-cut into min(CPUs, pairs // 4096) ranges with about the same number of
-cells each: the first runs in process and every other in an os.fork
-worker, which sends its endpoints, row numbers and successors back
-through a pipe.  The ranges are merged in cell order, so the model is
-byte-identical to a one-block build, and the first range that raises
-decides the error.  Where os.fork or os.sched_getaffinity is missing,
-every build is one block.
+(_delayfree_ts: CSR and model assembly).  build_delayfree derives every
+model of at least 2 * 4096 (cell, input) pairs and builds a smaller one
+pair by pair (_delayfree_model), the reference the tests compare the
+derivation with and the path whose integrate and intersecting calls the
+benchmark self-test counts.  The model checks of the CLI and refine_cells
+always derive.
 
 Time-delay construction: states are spline tubes, tuples of N+2 knot cells
 on [-Theta, 0] sampled at the peaks of linear hat functions.  A tube's
@@ -70,13 +61,9 @@ cells of all discovered tubes.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 from array import array
 from collections.abc import Mapping
-from contextlib import suppress
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -451,6 +438,7 @@ def input_lattice(lo, hi, input_quantization) -> List[np.ndarray]:
 # delay-free model
 
 _CHUNK = 4096  # trajectories per integrate_batch or integrate_delay_batch call
+_DERIVE_PAIRS = 2 * 4096  # (cell, input) pairs from which build_delayfree derives
 
 
 def build_delayfree(sys: ControlSystem, tau: float,
@@ -467,9 +455,15 @@ def build_delayfree(sys: ControlSystem, tau: float,
     ('log', LogQuantizerParams).  growth_scale multiplies every growth
     radius (1.0 normally; 0 builds a deliberately unsound model for
     negative-control testing).
+
+    A model of at least _DERIVE_PAIRS (cell, input) pairs is derived with
+    batched kernels (_derived_model); a smaller one is built pair by pair
+    (_delayfree_model).  Both give the same bytes and endpoints.
     """
-    return _delayfree_model(sys, *_delayfree_setup(
-        sys, tau, lattice, input_quantization, lipschitz, steps, growth_scale))
+    part, inputs, ctx = _delayfree_setup(sys, tau, lattice, input_quantization,
+                                         lipschitz, steps, growth_scale)
+    build = _derived_model if len(part.ids) * len(inputs) >= _DERIVE_PAIRS else _delayfree_model
+    return build(sys, part, inputs, ctx)
 
 
 def derive_delayfree(sys: ControlSystem, tau: float,
@@ -591,146 +585,27 @@ def _delayfree_ts(part: Partition, inputs: List[np.ndarray], ctx: _BuildContext,
 def _delayfree_model(sys: ControlSystem, part: Partition,
                      inputs: List[np.ndarray], ctx: _BuildContext) -> TransitionSystem:
     """The delay-free transitions of every cell of part and input, built
-    pair by pair on arrays as the module docstring describes."""
+    pair by pair on arrays as the module docstring describes: one integrate
+    call per pair and one Partition.intersecting query per unblocked pair,
+    the reference the tests compare the derivation with."""
     cells, radius = _delayfree_cells(sys, part, ctx)
     quantized = cells[3]
-    n_in = len(inputs)
-    x1 = np.empty((len(quantized), n_in, sys.n))
-
-    def block(k0: int, k1: int):
-        """Endpoints (k1-k0, I, n), CSR row numbers of the unblocked pairs,
-        and their successors and row sizes, for the pairs of cells k0..k1-1
-        (positions in part.ids)."""
-        for k in range(k0, k1):
-            for iid, u in enumerate(inputs):
-                x1[k, iid] = integrate(sys, quantized[k], u, ctx.tau, ctx.steps)
-        ends = x1[k0:k1]
-        # one row per (cell, input), the CSR row order
-        box_lo = (ends - radius[k0:k1]).reshape(-1, sys.n)
-        box_hi = (ends + radius[k0:k1]).reshape(-1, sys.n)
-        # a pair is blocked when its nominal endpoint leaves X; its row
-        # stays empty
-        local = np.flatnonzero(sys.inside(ends).ravel())
-        succ, sizes = array("i"), array("q")
-        for j in local.tolist():
-            ids = part.intersecting(box_lo[j], box_hi[j])
-            succ.extend(ids)
-            sizes.append(len(ids))
-        return ends, local + k0 * n_in, succ, sizes
-
-    ranges = _cell_ranges(len(quantized), n_in)
-    results = _in_blocks(block, ranges)
-    # append every later range's pairs, in cell order
-    _, rows, succ, sizes = results[0]
-    for (k0, k1), (ends, _, more, more_sizes) in zip(ranges[1:], results[1:]):
-        x1[k0:k1] = ends
-        succ.extend(more)
-        sizes.extend(more_sizes)
-    rows = np.concatenate([r[1] for r in results])
-    del results
+    x1 = np.empty((len(quantized), len(inputs), sys.n))
+    for k, q in enumerate(quantized):
+        for iid, u in enumerate(inputs):
+            x1[k, iid] = integrate(sys, q, u, ctx.tau, ctx.steps)
+    # one row per (cell, input), the CSR row order
+    box_lo = (x1 - radius).reshape(-1, sys.n)
+    box_hi = (x1 + radius).reshape(-1, sys.n)
+    # a pair is blocked when its nominal endpoint leaves X; its row stays
+    # empty
+    rows = np.flatnonzero(sys.inside(x1).ravel())
+    succ, sizes = array("i"), array("q")
+    for j in rows.tolist():
+        ids = part.intersecting(box_lo[j], box_hi[j])
+        succ.extend(ids)
+        sizes.append(len(ids))
     return _delayfree_ts(part, inputs, ctx, cells, x1, rows, sizes, succ)
-
-
-# On a 2-vCPU Xeon host a forked worker costs 7-8 ms (fork, a 1 MiB pipe
-# transfer and the reap) and a pair about 38 us, so a block of 4096 pairs
-# (about 150 ms) pays about 5% for its fork.
-_FORK_PAIRS = 4096
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on (its affinity mask), or 1 where the
-    platform cannot say or cannot fork."""
-    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _cell_ranges(n_cells: int, n_inputs: int) -> List[Tuple[int, int]]:
-    """Contiguous [k0, k1) ranges that cover n_cells cells, one per block,
-    with about the same number of cells in each.  There are min(CPUs,
-    pairs // _FORK_PAIRS, n_cells) blocks, at least one."""
-    w = max(1, min(_cpus(), n_cells * n_inputs // _FORK_PAIRS, n_cells))
-    bounds = [j * n_cells // w for j in range(w + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _in_blocks(block, ranges: List[Tuple[int, int]]) -> list:
-    """[block(k0, k1) for (k0, k1) in ranges], the first range in this
-    process and every other in a forked worker, which sends its result, or
-    the exception it raised, back through a pipe.
-
-    The results and errors are those of running the ranges in order: the
-    first range that raises decides.  No worker outlives the call, whether
-    it returns or raises.  What a worker changes in its copy of the process
-    is lost; only its return value comes back.
-    """
-    workers: Dict[int, Optional[int]] = {}  # pid -> read end, in range order
-    try:
-        for k0, k1 in ranges[1:]:
-            r, w = os.pipe()
-            try:
-                # the worker calls no BLAS routine, so numpy's idle BLAS
-                # threads, which it does not inherit, cannot hold it up
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _serve(block, k0, k1, w, (r, *workers.values()))
-            # later workers must not hold this write end, or the read below
-            # would not see EOF
-            os.close(w)
-            workers[pid] = r
-        results = [block(*ranges[0])]
-        for pid in list(workers):
-            r, workers[pid] = workers[pid], None  # the with statement closes r
-            with open(r, "rb") as pipe:
-                try:
-                    ok, value = pickle.load(pipe)
-                except Exception:
-                    ok = None
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[pid]
-            if ok is None:
-                raise RuntimeError(f"build worker exited with status {status} "
-                                   f"and sent no result")
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for pid, r in workers.items():
-            if r is not None:
-                os.close(r)
-            with suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-
-
-def _serve(block, k0: int, k1: int, fd: int, read_ends) -> None:
-    """The whole life of a forked worker: write (True, block(k0, k1)), or
-    (False, the exception it raised), to fd, then end the process with
-    os._exit, so it unwinds none of the parent's frames and runs no atexit
-    hook or stdio flush.  Never returns.
-
-    read_ends are the inherited read ends of this and earlier workers'
-    pipes.  They are closed first, so that when the parent is gone the
-    write fails instead of waiting for a reader forever."""
-    status = 1
-    try:
-        for r in read_ends:
-            os.close(r)
-        try:
-            out = (True, block(k0, k1))
-        except BaseException as err:
-            out = (False, err)
-        with open(fd, "wb") as pipe:
-            pickle.dump(out, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def refine_cells(ts: TransitionSystem,

@@ -11,12 +11,14 @@ Model files on disk carry no dynamics, so ``refine``, ``synthesize`` and
 and trust the stored file only when its bytes equal the serialized
 derivation.  For a delay-free config that is one derivation with batched
 kernels (abstraction.derive_delayfree) over the partition the file is
-for, which shares no integration or box query with ``abstract``'s
-per-pair build, so every coarse file ``abstract`` writes is confirmed by
-an independent construction.  ``refine`` checks the coarse file, frees
-that model and writes ``derive_model(refined=True)``, the model that
-``synthesize`` and ``verify-frr`` check the refined file against; the
-tests and CI compare it with a per-pair build from scratch over the
+for.  ``abstract`` derives a model of at least 2 * 4096 (cell, input)
+pairs the same way and builds a smaller one pair by pair, so only a
+small coarse file is confirmed by an independent construction; the tests
+compare the two constructions on larger ones.  ``refine`` checks the
+coarse file, frees that model and writes ``derive_model(refined=True)``,
+the model that ``synthesize`` and ``verify-frr`` check the refined file
+against; the tests and CI compare it with the per-pair build
+(abstraction._delayfree_model) from scratch over the
 refined partition.  A time-delay config builds its tube model.
 A delay-free ``simulate`` only locates points, so it needs the config's
 partition and no model; a time-delay ``simulate`` rebuilds the model for

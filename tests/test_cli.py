@@ -300,6 +300,17 @@ def test_model_check_runs_no_per_pair_build(ws, tmp_path, monkeypatch, command):
     assert calls == {"integrate": 0, "intersecting": 0}
 
 
+def test_coarse_hold_builds_pair_by_pair(monkeypatch):
+    # 625 pairs, under the limit at which a build is derived: one integrate
+    # per pair and one box query per unblocked pair, the counts that
+    # bench/selftest.py pins in coarse-hold's abstract stage
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "bench" / "workloads"
+                          / "coarse-hold.ini"))
+    calls = _count_build_calls(monkeypatch)
+    assert len(cfg.build_model().ids) == 25
+    assert calls == {"integrate": 625, "intersecting": 609}
+
+
 @pytest.mark.parametrize("command,cells", [
     ("refine", [25, 33]), ("verify-frr", [33]), ("synthesize", [33])])
 def test_a_zoom_stage_derives_each_model_once(ws, tmp_path, monkeypatch, command, cells):

@@ -3,7 +3,8 @@ the scalar reference: the batched box query (Partition.box_spans and
 box_cells, and abstraction._box_successors, which runs them in steps over
 growth boxes x - r, x + r) row for row against Partition.intersecting, on
 plain and zoom-refined partitions, and derive_delayfree byte for byte
-against build_delayfree."""
+against the per-pair build (abstraction._delayfree_model), which
+build_delayfree runs only below abstraction._DERIVE_PAIRS pairs."""
 
 import weakref
 from pathlib import Path
@@ -12,12 +13,12 @@ import numpy as np
 import pytest
 
 from symquant import (ControlSystem, LogQuantizerParams, Partition,
-                      ZoomQuantizerParams, abstraction, build_delayfree, config,
-                      quantizers)
+                      ZoomQuantizerParams, abstraction, config, quantizers)
 from symquant.abstraction import (_EXPAND_IDS, _box_successors, derive_delayfree,
                                   refine_cells)
 from symquant.cli import main
 from symquant.config import load_config, parse_config_text
+from symquant.dynamics import DEFAULT_STEPS
 from symquant.model_io import load_ts, serialize_ts
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -231,8 +232,15 @@ def test_box_cells_asks_only_the_records_its_rows_reach(monkeypatch):
 # the coarse model
 
 
+def per_pair(sys, tau, lattice, input_quantization=("uniform", 0.2),
+             lipschitz="sampled-jacobian", steps=DEFAULT_STEPS, growth_scale=1.0):
+    """build_delayfree's model, built pair by pair whatever its size."""
+    return abstraction._delayfree_model(sys, *abstraction._delayfree_setup(
+        sys, tau, lattice, input_quantization, lipschitz, steps, growth_scale))
+
+
 def assert_same_model(sys, tau, lattice, **kw):
-    built = build_delayfree(sys, tau, lattice, **kw)
+    built = per_pair(sys, tau, lattice, **kw)
     derived = derive_delayfree(sys, tau, lattice, **kw)
     assert serialize_ts(derived) == serialize_ts(built)
     assert derived.endpoints.tobytes() == built.endpoints.tobytes()
@@ -240,8 +248,8 @@ def assert_same_model(sys, tau, lattice, **kw):
     return derived
 
 
-def config_args(cfg):
-    return (cfg.system, cfg.tau, cfg.partition()), dict(
+def config_args(cfg, refined=False):
+    return (cfg.system, cfg.tau, cfg.partition(refined)), dict(
         input_quantization=cfg.input_quantization, lipschitz=cfg.lipschitz,
         steps=cfg.steps, growth_scale=cfg.growth_scale)
 
@@ -321,14 +329,15 @@ def test_zoomed_partitions(name):
 @pytest.mark.parametrize("refined", [False, True])
 def test_derived_model_equals_the_built_model(monkeypatch, ini, refined):
     # one derivation over partition(refined): a refined check makes no
-    # coarse model on the way
+    # coarse model on the way, and its model is the per-pair build's
     cfg = load_config(str(ROOT / ini))
     derive, calls = abstraction._derived_model, []
     monkeypatch.setattr(abstraction, "_derived_model",
                         lambda *args: calls.append(len(args[1].ids)) or derive(*args))
     derived = cfg.derive_model(refined)
     assert calls == [len(cfg.partition(refined).ids)]
-    built = cfg.build_model(refined)
+    args, kw = config_args(cfg, refined)
+    built = per_pair(*args, **kw)
     assert serialize_ts(derived) == serialize_ts(built)
     assert derived.endpoints.tobytes() == built.endpoints.tobytes()
     assert derived._ctx.sys is cfg.system
