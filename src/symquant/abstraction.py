@@ -16,10 +16,10 @@ from start to end: the (C, n) bounds and quantized points of all C cells,
 one rate estimate over them, the (C,) radii, a preallocated (C, I, n) array
 that each integrate() call writes its nominal endpoint into, the blocked
 pairs, and the growth boxes as (C*I, n) arrays in CSR row order.  Each box
-row goes to one Partition.intersecting() query, whose cell ids are appended
-to an int32 buffer that, its ids turned into state positions in place,
-becomes the model's successor array without a copy (see TransitionSystem);
-the model keeps the endpoint array.
+row goes to one Partition.intersecting() query, a scan of the cell table,
+whose cell ids are appended to an int32 buffer that, its ids turned into
+state positions in place, becomes the model's successor array without a
+copy (see TransitionSystem); the model keeps the endpoint array.
 
 derive_delayfree gives the same model, byte for byte and with bitwise
 equal endpoints, from batched kernels: integrate_batch over every (cell,
@@ -31,9 +31,9 @@ for the rows that reach it).  Both paths share the first step
 (_delayfree_ts: CSR and model assembly).  build_delayfree derives every
 model of at least 2 * 4096 (cell, input) pairs and builds a smaller one
 pair by pair (_delayfree_model), the reference the tests compare the
-derivation with and the path whose integrate and intersecting calls the
-benchmark self-test counts.  The model checks of the CLI and refine_cells
-always derive.
+derivation with (its table scan checks the batched index ranges) and the
+path whose integrate and intersecting calls the benchmark self-test
+counts.  The model checks of the CLI and refine_cells always derive.
 
 Time-delay construction: states are spline tubes, tuples of N+2 knot cells
 on [-Theta, 0] sampled at the peaks of linear hat functions.  A tube's
@@ -55,7 +55,9 @@ numbers new tubes.  The model keeps its tubes' knot cell ids as one
 (T, N+2) array (ts.knots), every pair's nominal knot points
 (ts.endpoints) and each tube's growth radius (ts.radius), and the successor
 sets come from one closed-box test of those growth boxes against the knot
-cells of all discovered tubes.
+cells of all discovered tubes, a tube's knot cells being one box in the
+product of the knot spaces, by the closed-box compare that
+Partition.intersecting scans the cell table with (quantizers._boxes_meet).
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from .dynamics import (ControlSystem, SampledCurve, TimeDelaySystem,
                        integrate, integrate_batch, integrate_delay_batch,
                        interpolate_batch)
 from .quantizers import (LogQuantizerParams, Partition, ZoomQuantizerParams,
-                         _boundaries_up_to)
+                         _boundaries_up_to, _boxes_meet)
 
 
 def growth_bound_delayfree(spread, rate, tau: float) -> np.ndarray:
@@ -114,17 +116,6 @@ def _locate_inside(sys, part: Partition, points: np.ndarray) -> Tuple[np.ndarray
     kept = points[rows]
     cells = part.locate_batch(kept.reshape(-1, kept.shape[-1]))
     return rows, cells.reshape(kept.shape[:-1])
-
-
-def _boxes_meet(box_lo, box_hi, cell_lo, cell_hi) -> np.ndarray:
-    """Whether each closed box meets the closed cell at the same index,
-    touching faces included: coordinates on the last axis, tested one at a
-    time so every temporary has the result's shape; other axes broadcast."""
-    meets = np.ones(np.broadcast_shapes(box_lo.shape, cell_lo.shape)[:-1], dtype=bool)
-    for i in range(cell_lo.shape[-1]):
-        meets &= cell_lo[..., i] <= box_hi[..., i]
-        meets &= box_lo[..., i] <= cell_hi[..., i]
-    return meets
 
 
 @dataclass
@@ -660,9 +651,9 @@ def knot_points(curve: SampledCurve, N: int) -> np.ndarray:
 
 
 def knot_tube(points: np.ndarray, partition: Partition) -> Tuple[int, ...]:
-    """The tube, its knot cell ids, whose knot cells hold points, one
-    Partition.locate per row."""
-    return tuple(partition.locate(p) for p in points)
+    """The tube, its knot cell ids, whose knot cells hold the (N+2, n)
+    points, from one Partition.locate_batch call."""
+    return tuple(partition.locate_batch(points).tolist())
 
 
 def psi2(curve: SampledCurve, partition: Partition, N: int) -> Tuple[int, ...]:
@@ -686,14 +677,6 @@ def tube_knot_points(sys: TimeDelaySystem, H: np.ndarray, U: np.ndarray,
             sys, H[:, :, a:a + _CHUNK], U[:, a:a + _CHUNK], tau, steps),
             sys.Theta, thetas)
         for a in range(0, H.shape[2], _CHUNK)], axis=2)
-
-
-def _boxes_meet_knot_cells(box_lo, box_hi, cell_lo, cell_hi) -> np.ndarray:
-    """(P, T) mask: tube t's knot cells (T, J, n) meet pair p's boxes
-    (P, J, n) at every knot, that is, in the product of the knot spaces."""
-    P, T = len(box_lo), len(cell_lo)
-    return _boxes_meet(box_lo.reshape(P, 1, -1), box_hi.reshape(P, 1, -1),
-                       cell_lo.reshape(T, -1), cell_hi.reshape(T, -1))
 
 
 def build_timedelay(sys: TimeDelaySystem, tau: float,
@@ -774,6 +757,8 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
     # knot cells (T, J, n); a radius scales the tube's largest knot half-width
     cell_lo, cell_hi, _, half = part.cell_arrays(knots)
     radius = half.max(axis=(1, 2)) * amp
+    # a tube's knot cells as one box in the product of the knot spaces
+    cell_lo, cell_hi = cell_lo.reshape(len(order), -1), cell_hi.reshape(len(order), -1)
 
     # successors: every discovered tube whose knot cells all meet the growth
     # boxes around the nominal knot points (closed boxes, touching counts)
@@ -786,8 +771,8 @@ def build_timedelay(sys: TimeDelaySystem, tau: float,
     columns = np.arange(len(order), dtype=np.int32)
     for start in range(0, len(rows), chunk):
         at = rows[start:start + chunk]
-        p, r = pts[at], radius[at // n_in][:, None, None]
-        meets = _boxes_meet_knot_cells(p - r, p + r, cell_lo, cell_hi)
+        p, r = pts[at].reshape(len(at), 1, -1), radius[at // n_in][:, None, None]
+        meets = _boxes_meet(p - r, p + r, cell_lo, cell_hi)
         succ.append(np.broadcast_to(columns, meets.shape)[meets])
         sizes.append(meets.sum(axis=1))
     indptr = _indptr(len(order) * n_in, rows, np.concatenate(sizes))

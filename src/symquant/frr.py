@@ -9,10 +9,12 @@ abstract states, advanced one sampling period, and their quantized image is
 checked against the abstract successor set.  A witness takes the model
 alone: it integrates the plant the model was built from (its build
 context) and its map is the model's partition.  The tube witness integrates
-only the samples and reads the nominal knot points and growth radii that
-the build kept (ts.endpoints, ts.radius).  Zero violations is the
-executable form of the soundness claim; a deliberately broken model
-(zero growth radius) must produce violations, guarding the test itself.
+only the samples, reads the nominal knot points and growth radii that the
+build kept (ts.endpoints, ts.radius) and tests a sampled knot's cell
+against its growth box by the build's compare (quantizers._boxes_meet).
+Zero violations is the executable form of the soundness claim; a
+deliberately broken model (zero growth radius) must produce violations,
+guarding the test itself.
 
 The witnesses take every random number from Python's
 ``random.Random(seed).random()`` stream (``_draws``), one row of draws per
@@ -29,12 +31,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .abstraction import (TransitionSystem, _boxes_meet,
-                          _locate_inside, _positions, knot_points, knot_tube,
-                          tube_knot_points)
+from .abstraction import (TransitionSystem, _locate_inside, _positions,
+                          knot_points, knot_tube, tube_knot_points)
 from .dynamics import SampledCurve, history_rows, integrate_batch
 from .model_io import _fmt_vec
-from .quantizers import Partition
+from .quantizers import Partition, _boxes_meet
 
 
 @dataclass

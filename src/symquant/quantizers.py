@@ -22,17 +22,18 @@ Region slivers owned by levels outside the box are merged into the adjacent
 outermost retained cell so that the cells cover the box exactly; a cell's
 quantized point may then sit on (or outside) the clipped cell boundary.
 The lattice and the bins of each zoom-refined cell are grids of one type
-(_Grid), so point location and the closed-box queries follow one rule for
-both.  Point location resolves shared boundaries deterministically by a
-per-grid tie table: logarithmic boundaries go to the smaller-magnitude
-level, zoom bins are half-open [(k-0.5)w, (k+0.5)w).
+(_Grid), so point location (_Grid.locate_batch) and the box query's index
+ranges follow one rule for both.  Point location resolves shared
+boundaries by a per-grid tie table: logarithmic boundaries go to the
+smaller-magnitude level, zoom bins are half-open [(k-0.5)w, (k+0.5)w).
+Partition.intersecting is the brute-force form of the box query, one
+closed-box scan of the cell table (_boxes_meet).
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -276,51 +277,30 @@ class _Grid:
         self.strides = _strides(self.shape)
         self.count = math.prod(self.shape)
 
-    def locate(self, x: List[float]) -> int:
-        """Id of the cell that owns the point x (one float per axis): per
-        axis, the first interval whose upper bound is not below x, or the
-        next one on a marked tie."""
-        cid = self.first_id
-        for i, stride in enumerate(self.strides):
-            lowers, uppers, z = self.lowers[i], self.uppers[i], x[i]
-            if not lowers[0] <= z <= uppers[-1]:  # NaN too
-                raise ValueError(f"{z} outside axis range [{lowers[0]}, {uppers[-1]}]")
-            j = bisect_left(uppers, z)
-            cid += (j + 1 if z == uppers[j] and self.ties[i][j] else j) * stride
-        return cid
-
     def locate_batch(self, X: np.ndarray) -> np.ndarray:
-        """locate() of every row of the (K, n) points X, as (K,) int64 ids;
-        the first row that locate() rejects raises its ValueError."""
+        """Ids of the cells that own the (K, n) points X, as (K,) int64: per
+        axis, the first interval whose upper bound is not below the point,
+        or the next one on a marked tie.  The first row with a coordinate
+        outside the grid's range (NaN included) raises a ValueError that
+        names its first such coordinate."""
         ids = np.full(len(X), self.first_id, dtype=np.int64)
-        fails = np.zeros(len(X), dtype=bool)
+        outside = np.zeros(X.shape, dtype=bool)
         for i, stride in enumerate(self.strides):
             z, uppers = X[:, i], np.array(self.uppers[i])
-            fails |= ~((self.lowers[i][0] <= z) & (z <= uppers[-1]))
+            outside[:, i] = ~((self.lowers[i][0] <= z) & (z <= uppers[-1]))
             j = np.minimum(np.searchsorted(uppers, z), len(uppers) - 1)
             ids += (j + ((z == uppers[j]) & np.array(self.ties[i])[j])) * stride
-        if fails.any():
-            self.locate(X[int(np.argmax(fails))].tolist())  # raises for that row
-        return ids
-
-    def meets(self, lo: List[float], hi: List[float]) -> List[int]:
-        """Ids, ascending, of the cells whose closed region meets the closed
-        box lo, hi (one float per axis): per axis, the intervals from
-        bisect_left(uppers, lo) to bisect_right(lowers, hi).  Touching
-        faces meet, and a NaN bound meets nothing."""
-        ids = [self.first_id]
-        for i, stride in enumerate(self.strides):
-            a, b = lo[i], hi[i]
-            if a != a or b != b:
-                return []
-            ids = [cid + j * stride for cid in ids
-                   for j in range(bisect_left(self.uppers[i], a), bisect_right(self.lowers[i], b))]
+        if outside.any():
+            k, i = np.argwhere(outside)[0]
+            raise ValueError(f"{float(X[k, i])} outside axis range "
+                             f"[{self.lowers[i][0]}, {self.uppers[i][-1]}]")
         return ids
 
     def spans(self, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """meets() of each of the (K, n) closed boxes lo, hi as an index
-        box: per axis, the intervals start .. start + width - 1, (K, n)
-        int64 each, by the same rule (width 0 where it meets none)."""
+        """Each of the (K, n) closed boxes lo, hi as the index box of the
+        cells it meets: per axis, the intervals start .. start + width - 1
+        ((K, n) int64 each) whose upper bound is not below lo and lower
+        bound not above hi; faces meet, and NaN or no meet gives width 0."""
         start, width = np.empty(lo.shape, dtype=np.int64), np.empty(lo.shape, dtype=np.int64)
         for i in range(lo.shape[1]):
             start[:, i] = np.searchsorted(self.uppers[i], lo[:, i])
@@ -343,6 +323,18 @@ class _Grid:
         return ids
 
 
+def _boxes_meet(box_lo, box_hi, cell_lo, cell_hi) -> np.ndarray:
+    """Whether each closed box meets the closed cell at the same index,
+    touching faces included: coordinates on the last axis, tested one at a
+    time so every temporary has the result's shape; other axes broadcast.
+    A NaN bound, of box or cell, meets nothing."""
+    meets = np.ones(np.broadcast_shapes(box_lo.shape, cell_lo.shape)[:-1], dtype=bool)
+    for i in range(cell_lo.shape[-1]):
+        meets &= cell_lo[..., i] <= box_hi[..., i]
+        meets &= box_lo[..., i] <= cell_hi[..., i]
+    return meets
+
+
 class Partition:
     """A cover of a box by logarithmic cells, some zoom-refined.
 
@@ -351,11 +343,12 @@ class Partition:
     builder.  A cell is an id: the partition keeps the unrefined lattice
     as a _Grid (grid), ids (the active cell ids, ascending int64), the
     cell table that cell_arrays reads, and one _Grid per refined base cell
-    (zoom, id -> record), which refined() fills.  Every query asks the
-    lattice, then the record of each refined cell it reaches (a batched
-    query, each record once), by the same rule.  Cells keep stable ids
-    across refinement: a refined base cell retires its id (its table rows
-    turn NaN) and subcells take fresh ids appended in order.  Grids never
+    (zoom, id -> record), which refined() fills.  Point location and the
+    batched box query ask the lattice, then the record of each refined
+    cell they reach, each record once, by the same rule; intersecting
+    scans the cell table instead.  Cells keep stable ids across
+    refinement: a refined base cell retires its id (its table rows turn
+    NaN) and subcells take fresh ids appended in order.  Grids never
     change after construction; a refined partition shares them.
     """
 
@@ -409,17 +402,14 @@ class Partition:
     # -- queries -----------------------------------------------------------
 
     def locate(self, x) -> int:
-        """Cell id containing x (deterministic tie-break); x must be in the box."""
-        x = np.asarray(x, dtype=float).tolist()
-        cid = self.grid.locate(x)
-        z = self.zoom.get(cid)
-        return cid if z is None else z.locate(x)
+        """Cell id containing the point x: the one row of locate_batch."""
+        return int(self.locate_batch(np.reshape(x, (1, -1)))[0])
 
     def locate_batch(self, X) -> np.ndarray:
-        """locate() of every row of the (K, n) points X, as (K,) int64 ids.
-        The first row that locate() rejects (outside the box, or NaN)
-        raises its ValueError.  Only the records that some row reaches are
-        asked, each once, for all of its rows."""
+        """Ids of the cells that own the rows of the (K, n) points X, as
+        (K,) int64.  The first row outside the box, or with a NaN, raises
+        a ValueError naming its first such coordinate.  Only the records
+        that some row reaches are asked, each once, for all of its rows."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"need points of shape (K, {self.n}), got {X.shape}")
@@ -437,17 +427,12 @@ class Partition:
         return tuple(self._table[:, np.asarray(ids, dtype=np.int64)])
 
     def intersecting(self, box_lo, box_hi) -> List[int]:
-        """Ids of all cells whose closed region meets the closed box."""
-        lo = np.asarray(box_lo, dtype=float).tolist()
-        hi = np.asarray(box_hi, dtype=float).tolist()
-        out: List[int] = []
-        for cid in self.grid.meets(lo, hi):
-            z = self.zoom.get(cid)
-            if z is None:
-                out.append(cid)
-            else:
-                out.extend(z.meets(lo, hi))
-        return sorted(out)
+        """Ids, ascending, of all cells whose closed region meets the closed
+        box: one scan of the cell table (_boxes_meet), the brute-force
+        reference of box_spans and box_cells.  A retired id's NaN row meets
+        nothing, and neither does a box with a NaN bound."""
+        lo, hi = np.asarray(box_lo, dtype=float), np.asarray(box_hi, dtype=float)
+        return np.flatnonzero(_boxes_meet(lo, hi, *self._table[:2])).tolist()
 
     def box_spans(self, box_lo, box_hi) -> Tuple[np.ndarray, np.ndarray]:
         """Per axis, the range of the unrefined lattice's regions that each

@@ -1,3 +1,4 @@
+import bisect
 import re
 
 import numpy as np
@@ -61,3 +62,24 @@ def pendulum_delay():
 @pytest.fixture(scope="session")
 def pendulum_delay_ts(pendulum_delay, logparams):
     return build_timedelay(pendulum_delay, 0.2, logparams, N=0, budget=1000)
+
+
+def _walked_locate(part, x):
+    """The scalar walk that Partition.locate_batch batches, for a point x
+    (a list of floats) inside the box: per axis of the lattice, then of
+    the refined cell's zoom record, the first interval whose upper bound
+    is not below x, or the next one on a marked tie."""
+    def walk(grid):
+        cid = grid.first_id
+        for i, stride in enumerate(grid.strides):
+            j = bisect.bisect_left(grid.uppers[i], x[i])
+            cid += (j + 1 if x[i] == grid.uppers[i][j] and grid.ties[i][j] else j) * stride
+        return cid
+    cid = walk(part.grid)
+    return walk(part.zoom[cid]) if cid in part.zoom else cid
+
+
+@pytest.fixture(scope="session")
+def walked_locate():
+    """The point-location reference of the locate_batch tests."""
+    return _walked_locate

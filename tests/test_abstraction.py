@@ -378,21 +378,6 @@ def test_timedelay_zoomed_knots(pendulum_delay, logparams):
     assert all(k >= 25 for k in ts.knots[0].tolist())
 
 
-def test_knot_match_counts_touching_faces():
-    from symquant.abstraction import _boxes_meet_knot_cells
-    # two one-knot tubes over the 1-D cells [0, 1] and [1, 2]
-    cell_lo = np.array([[[0.0]], [[1.0]]])
-    cell_hi = np.array([[[1.0]], [[2.0]]])
-    box = lambda lo, hi: (np.array([[[lo]]]), np.array([[[hi]]]))
-    # a box touching the shared face meets both cells
-    assert _boxes_meet_knot_cells(*box(0.0, 1.0), cell_lo, cell_hi).tolist() \
-        == [[True, True]]
-    assert _boxes_meet_knot_cells(*box(0.2, 0.8), cell_lo, cell_hi).tolist() \
-        == [[True, False]]
-    assert _boxes_meet_knot_cells(*box(2.0, 2.5), cell_lo, cell_hi).tolist() \
-        == [[False, True]]
-
-
 def test_timedelay_successors_equal_knotwise_intersecting(pendulum_delay,
                                                           logparams):
     # reference: the knot-wise Partition.intersecting match, tube by tube,

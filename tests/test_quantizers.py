@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from symquant.quantizers import (LogQuantizerParams, Partition,
-                                 ZoomQuantizerParams, _axis_regions, _zoom_axes,
-                                 log_quantize, zoom_quantize)
+                                 ZoomQuantizerParams, _axis_regions, _boxes_meet,
+                                 _zoom_axes, log_quantize, zoom_quantize)
 
 P6 = LogQuantizerParams(0.2, 0.4, "EQ20")  # deadzone 0.4, first level 0.48
 
@@ -140,6 +140,50 @@ def test_locate_rejects_points_outside_the_box():
     part = Partition([-1.0, -1.0], [1.0, 1.0], P6)
     with pytest.raises(ValueError):
         part.locate([1.5, 0.0])
+
+
+def fine_zoom_partitions():
+    """fine-zoom's lattice (eta = d = 0.1 on [-1, 1]^2, 529 cells), plain
+    and with its centre deadzone cell 264 zoomed into 9 subcells."""
+    plain = Partition([-1.0, -1.0], [1.0, 1.0], LogQuantizerParams(0.1, 0.1, "EQ20"))
+    return [plain, plain.refined({264: ZoomQuantizerParams(1, 1.0, 0.1)})]
+
+
+@pytest.mark.parametrize("part", fine_zoom_partitions())
+@pytest.mark.parametrize("x,message", [
+    ([2.0, 0.0], "2.0 outside axis range [-1.0, 1.0]"),
+    ([0.0, -3.5], "-3.5 outside axis range [-1.0, 1.0]"),
+    ([math.nan, 0.0], "nan outside axis range [-1.0, 1.0]"),
+    ([0.0, math.inf], "inf outside axis range [-1.0, 1.0]"),
+    # the first coordinate outside is named
+    ([-math.inf, math.nan], "-inf outside axis range [-1.0, 1.0]"),
+    ([0.0], "need points of shape (K, 2), got (1, 1)"),
+    ([0.0, 0.0, 0.0], "need points of shape (K, 2), got (1, 3)"),
+])
+def test_locate_error_texts(part, x, message):
+    with pytest.raises(ValueError) as err:
+        part.locate(x)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("part", fine_zoom_partitions())
+def test_locate_equals_locate_batch_on_every_bound(part, walked_locate):
+    """Every cell bound on each axis, and one ulp either side of it inside
+    the box, combined over the axes: locate row by row equals one
+    locate_batch call and the scalar walk, and the cell holds the point."""
+    lo, hi = part.cell_arrays(part.ids)[:2]
+    axes = []
+    for i in range(part.n):
+        bounds = np.unique(np.concatenate([lo[:, i], hi[:, i]]))
+        near = np.concatenate([np.nextafter(bounds, -np.inf), bounds,
+                               np.nextafter(bounds, np.inf)])
+        axes.append(near[(part.box_lo[i] <= near) & (near <= part.box_hi[i])])
+    X = np.array(np.meshgrid(*axes)).reshape(part.n, -1).T
+    got = part.locate_batch(X)
+    assert got.tolist() == [part.locate(x) for x in X]
+    assert got.tolist() == [walked_locate(part, x) for x in X.tolist()]
+    cell_lo, cell_hi = part.cell_arrays(got)[:2]
+    assert ((cell_lo <= X) & (X <= cell_hi)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +355,24 @@ def test_intersecting_reports_all_touched_cells():
     assert got == [12, 17]  # box crosses the 0.4 boundary
     everything = part.intersecting(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     assert everything == list(range(25))
+
+
+def test_knot_match_counts_touching_faces():
+    # two one-knot tubes over the 1-D cells [0, 1] and [1, 2], in the
+    # shapes the tube build passes: a (P, 1, J*n) box, (T, J*n) cells
+    cell_lo = np.array([[0.0], [1.0]])
+    cell_hi = np.array([[1.0], [2.0]])
+    box = lambda lo, hi: (np.array([[[lo]]]), np.array([[[hi]]]))
+    # a box touching the shared face meets both cells
+    assert _boxes_meet(*box(0.0, 1.0), cell_lo, cell_hi).tolist() == [[True, True]]
+    assert _boxes_meet(*box(0.2, 0.8), cell_lo, cell_hi).tolist() == [[True, False]]
+    assert _boxes_meet(*box(2.0, 2.5), cell_lo, cell_hi).tolist() == [[False, True]]
+    # a NaN bound meets nothing
+    assert _boxes_meet(*box(np.nan, 1.0), cell_lo, cell_hi).tolist() == [[False, False]]
+    assert _boxes_meet(*box(0.0, np.nan), cell_lo, cell_hi).tolist() == [[False, False]]
+    # a retired row (NaN bounds in the cell table) meets nothing
+    retired = np.array([[np.nan], [1.0]]), np.array([[np.nan], [2.0]])
+    assert _boxes_meet(*box(-5.0, 5.0), *retired).tolist() == [[False, True]]
 
 
 @pytest.mark.parametrize("box,params,zoom", [

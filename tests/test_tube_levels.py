@@ -1,6 +1,6 @@
 """The level-at-a-time tube build and the array-based tube witness against
 the one-tube-at-a-time loops they replaced, and Partition.locate_batch
-against Partition.locate."""
+against Partition.locate and the scalar walk it batches."""
 
 import math
 
@@ -11,15 +11,14 @@ from symquant import frr, quantizers
 from symquant import (LogQuantizerParams, TimeDelaySystem,
                       ZoomQuantizerParams, build_timedelay,
                       sample_frr_timedelay)
-from symquant.abstraction import (TransitionSystem,
-                                  _boxes_meet_knot_cells, _BuildContext,
+from symquant.abstraction import (TransitionSystem, _BuildContext,
                                   input_lattice, knot_times, psi2,
                                   transition_arrays)
 from symquant.dynamics import (IntegrationError, SampledCurve,
                                integrate_delay_batch, interpolate_batch)
 from symquant.frr import _EDGE, FrrReport, Violation
 from symquant.model_io import serialize_ts
-from symquant.quantizers import Partition
+from symquant.quantizers import Partition, _boxes_meet
 
 DELAY_RHS = ["x2", "-1.96*sin(x1) - 1.5*x2 + 0.1*delay(x2, 0.2) + u1"]
 LOGP = LogQuantizerParams(0.2, 0.4, "EQ20")
@@ -102,9 +101,8 @@ def reference_build(sys, tau, lattice, N=0,
     relation = {}
     for key in pairs:
         pts, radius = kernel[key]
-        meets = _boxes_meet_knot_cells((pts - radius)[None], (pts + radius)[None],
-                                       cell_lo, cell_hi)
-        relation[key] = tuple(np.flatnonzero(meets[0]).tolist())
+        meets = _boxes_meet(pts - radius, pts + radius, cell_lo, cell_hi).all(axis=1)
+        relation[key] = tuple(np.flatnonzero(meets).tolist())
     ctx = _BuildContext(sys=sys, tau=tau, lipschitz=lipschitz, steps=steps,
                         growth_scale=growth_scale, knot_thetas=thetas)
     return TransitionSystem(range(len(order)), inputs,
@@ -224,23 +222,24 @@ def partitions():
     return [plain, zoomed, eq2]
 
 
-def assert_locates_like_locate(part, X):
+def assert_locates_like_locate(part, X, walk):
     X = np.asarray(X, dtype=float)
     got = part.locate_batch(X)
     assert got.shape == (len(X),)
     assert got.tolist() == [part.locate(x) for x in X]
+    assert got.tolist() == [walk(part, x) for x in X.tolist()]
 
 
 @pytest.mark.parametrize("part", partitions())
-def test_locate_batch_on_corners_and_face_midpoints(part):
+def test_locate_batch_on_corners_and_face_midpoints(part, walked_locate):
     pts = []
     for lower, upper in zip(*part.cell_arrays(part.ids)[:2]):
         axes = [(lo, 0.5 * (lo + hi), hi) for lo, hi in zip(lower, upper)]
         pts.extend(np.array(np.meshgrid(*axes)).reshape(part.n, -1).T)
-    assert_locates_like_locate(part, pts)
+    assert_locates_like_locate(part, pts, walked_locate)
 
 
-def test_locate_batch_on_zoom_bin_edges():
+def test_locate_batch_on_zoom_bin_edges(walked_locate):
     plain, part = partitions()[:2]
     pts = []
     for bid, z in part.zoom.items():
@@ -257,10 +256,10 @@ def test_locate_batch_on_zoom_bin_edges():
                             x[i] = e
                             pts.append(x)
     assert len(pts) > 100
-    assert_locates_like_locate(part, pts)
+    assert_locates_like_locate(part, pts, walked_locate)
 
 
-def test_locate_batch_with_every_cell_refined(monkeypatch):
+def test_locate_batch_with_every_cell_refined(monkeypatch, walked_locate):
     plain = partitions()[0]
     part = plain.refined({bid: ZoomQuantizerParams(1 + bid % 4, 1.0, 0.05 + 0.02 * (bid % 3))
                           for bid in range(25)})
@@ -271,7 +270,7 @@ def test_locate_batch_with_every_cell_refined(monkeypatch):
         axes = [(lo, 0.5 * (lo + hi), hi) for lo, hi in zip(lower, upper)]
         pts.extend(np.array(np.meshgrid(*axes)).reshape(part.n, -1).T)
     X = np.array(pts)
-    assert_locates_like_locate(part, X)
+    assert_locates_like_locate(part, X, walked_locate)
     lo, hi = part.cell_arrays(part.locate_batch(X))[:2]
     assert ((lo <= X) & (X <= hi)).all()
     # the records of cells that no row reaches are not asked
@@ -284,10 +283,10 @@ def test_locate_batch_with_every_cell_refined(monkeypatch):
 
 
 @pytest.mark.parametrize("part", partitions())
-def test_locate_batch_on_random_points(part):
+def test_locate_batch_on_random_points(part, walked_locate):
     rng = np.random.default_rng(7)
     assert_locates_like_locate(part, rng.uniform(part.box_lo, part.box_hi,
-                                                 size=(3000, part.n)))
+                                                 size=(3000, part.n)), walked_locate)
 
 
 def test_locate_batch_raises_for_the_first_row_outside():
